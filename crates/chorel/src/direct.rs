@@ -13,9 +13,9 @@
 //! * the virtual-annotation hooks answer from the reconstructed history
 //!   (Section 4.2.2).
 
-use doem::DoemDatabase;
+use doem::{ArcAnnotation, DoemDatabase};
 use lorel::DataSource;
-use oem::{ArcTriple, Label, NodeId, Timestamp, Value};
+use oem::{Label, NodeId, Timestamp, Value};
 
 /// A [`DataSource`] view over a DOEM database.
 #[derive(Clone, Copy, Debug)]
@@ -32,6 +32,33 @@ impl<'a> DirectSource<'a> {
     /// The wrapped database.
     pub fn database(&self) -> &DoemDatabase {
         self.d
+    }
+
+    /// `(label, time, target)` for every annotation on an arc out of `n`
+    /// that `pick` maps to a time — the shape of all four arc-annotation
+    /// functions.
+    fn arc_annotation_times(
+        &self,
+        n: NodeId,
+        pick: fn(&ArcAnnotation) -> Option<Timestamp>,
+    ) -> impl Iterator<Item = (Label, Timestamp, NodeId)> + 'a {
+        self.d
+            .arcs_from(n)
+            .flat_map(move |(l, c, anns)| anns.iter().filter_map(pick).map(move |t| (l, t, c)))
+    }
+}
+
+fn add_time(ann: &ArcAnnotation) -> Option<Timestamp> {
+    match ann {
+        ArcAnnotation::Add(t) => Some(*t),
+        ArcAnnotation::Rem(_) => None,
+    }
+}
+
+fn rem_time(ann: &ArcAnnotation) -> Option<Timestamp> {
+    match ann {
+        ArcAnnotation::Rem(t) => Some(*t),
+        ArcAnnotation::Add(_) => None,
     }
 }
 
@@ -50,11 +77,9 @@ impl DataSource for DirectSource<'_> {
 
     fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
         self.d
-            .graph()
-            .children(n)
-            .iter()
-            .copied()
-            .filter(|&(l, c)| self.d.arc_is_current(ArcTriple::new(n, l, c)))
+            .arcs_from(n)
+            .filter(|(_, _, anns)| ArcAnnotation::current(anns))
+            .map(|(l, c, _)| (l, c))
             .collect()
     }
 
@@ -64,93 +89,46 @@ impl DataSource for DirectSource<'_> {
 
     fn upd_fun(&self, n: NodeId) -> Vec<(Timestamp, Value, Value)> {
         self.d
-            .updates_of(n)
-            .map(|(t, old)| {
-                let new = self
-                    .d
-                    .new_value_of_update(n, t)
-                    .expect("every upd has an implicit new value");
-                (t, old.clone(), new)
-            })
+            .update_triples(n)
+            .map(|(t, old, new)| (t, old.clone(), new.clone()))
             .collect()
     }
 
     fn add_fun(&self, n: NodeId, l: Label) -> Vec<(Timestamp, NodeId)> {
-        let mut out = Vec::new();
-        for &(label, c) in self.d.graph().children(n) {
-            if label != l {
-                continue;
-            }
-            let arc = ArcTriple::new(n, label, c);
-            for ann in self.d.arc_annotations(arc) {
-                if let doem::ArcAnnotation::Add(t) = ann {
-                    out.push((*t, c));
-                }
-            }
-        }
-        out
+        self.arc_annotation_times(n, add_time)
+            .filter(|&(label, _, _)| label == l)
+            .map(|(_, t, c)| (t, c))
+            .collect()
     }
 
     fn rem_fun(&self, n: NodeId, l: Label) -> Vec<(Timestamp, NodeId)> {
-        let mut out = Vec::new();
-        for &(label, c) in self.d.graph().children(n) {
-            if label != l {
-                continue;
-            }
-            let arc = ArcTriple::new(n, label, c);
-            for ann in self.d.arc_annotations(arc) {
-                if let doem::ArcAnnotation::Rem(t) = ann {
-                    out.push((*t, c));
-                }
-            }
-        }
-        out
+        self.arc_annotation_times(n, rem_time)
+            .filter(|&(label, _, _)| label == l)
+            .map(|(_, t, c)| (t, c))
+            .collect()
     }
 
     fn add_fun_any(&self, n: NodeId) -> Vec<(Label, Timestamp, NodeId)> {
-        let mut out = Vec::new();
-        for &(label, c) in self.d.graph().children(n) {
-            for ann in self.d.arc_annotations(ArcTriple::new(n, label, c)) {
-                if let doem::ArcAnnotation::Add(t) = ann {
-                    out.push((label, *t, c));
-                }
-            }
-        }
-        out
+        self.arc_annotation_times(n, add_time).collect()
     }
 
     fn rem_fun_any(&self, n: NodeId) -> Vec<(Label, Timestamp, NodeId)> {
-        let mut out = Vec::new();
-        for &(label, c) in self.d.graph().children(n) {
-            for ann in self.d.arc_annotations(ArcTriple::new(n, label, c)) {
-                if let doem::ArcAnnotation::Rem(t) = ann {
-                    out.push((label, *t, c));
-                }
-            }
-        }
-        out
+        self.arc_annotation_times(n, rem_time).collect()
     }
 
     fn children_at(&self, n: NodeId, t: Timestamp) -> Vec<(Label, NodeId)> {
         self.d
-            .graph()
-            .children(n)
-            .iter()
-            .copied()
-            .filter(|&(label, c)| self.d.arc_existed_at(ArcTriple::new(n, label, c), t))
+            .arcs_from(n)
+            .filter(|(_, _, anns)| ArcAnnotation::alive_at(anns, t))
+            .map(|(l, c, _)| (l, c))
             .collect()
     }
 
     fn children_labeled_at(&self, n: NodeId, l: Label, t: Timestamp) -> Vec<NodeId> {
         self.d
-            .graph()
-            .children(n)
-            .iter()
-            .copied()
-            .filter(|&(label, c)| {
-                label == l && self.d.arc_existed_at(ArcTriple::new(n, label, c), t)
-            })
-            .map(|(_, c)| c)
+            .arcs_from(n)
+            .filter(|&(label, _, anns)| label == l && ArcAnnotation::alive_at(anns, t))
+            .map(|(_, c, _)| c)
             .collect()
     }
 

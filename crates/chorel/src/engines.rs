@@ -1,11 +1,11 @@
 //! Running Chorel queries: the two execution strategies of Section 5, and
 //! cross-checking utilities used heavily by the test suites.
 
-use crate::{translate, DirectSource, EncodedSource};
-use doem::{encode_doem, DoemDatabase};
+use crate::{translate, AtSource, DirectSource, EncodedSource};
+use doem::{encode_doem, snapshot_at, DoemDatabase};
 use lorel::ast::Query;
 use lorel::{run_parsed, Binding, QueryResult, Result};
-use oem::{NodeId, Value};
+use oem::{NodeId, Timestamp, Value};
 
 /// Which execution strategy to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,6 +40,34 @@ pub fn run_chorel_parsed(
     }
 }
 
+/// Evaluate `query` over `O_t(d)` — the state `d` had at time `t`
+/// (Section 3.2) — and return the canonical row strings, byte-identical
+/// to evaluating over `DoemDatabase::from_snapshot(&snapshot_at(d, t))`.
+///
+/// The direct strategy reads `d` through the lazy [`AtSource`] view and
+/// touches only what the query reaches. The translated strategy encodes
+/// the whole database it runs on (Section 5.1) whatever the query, so it
+/// materialises the snapshot first.
+pub fn run_chorel_at(
+    d: &DoemDatabase,
+    t: Timestamp,
+    query: &Query,
+    strategy: Strategy,
+) -> Result<Vec<String>> {
+    match strategy {
+        Strategy::Direct => {
+            let view = AtSource::new(d, t);
+            let result = run_parsed(&view, query)?;
+            Ok(view.canonical_row_strings(&result))
+        }
+        Strategy::Translated => {
+            let snapshot = DoemDatabase::from_snapshot(&snapshot_at(d, t));
+            let result = run_chorel_parsed(&snapshot, query, strategy)?;
+            Ok(canonical_row_strings(&snapshot, &result))
+        }
+    }
+}
+
 /// A strategy-independent canonical form of a binding, for comparing the
 /// two engines' results:
 ///
@@ -65,6 +93,15 @@ pub fn canonical_rows(
     d: &DoemDatabase,
     result: &QueryResult,
 ) -> Vec<Vec<(String, CanonBinding)>> {
+    canonical_rows_by(|n| d.graph().contains_node(n), result)
+}
+
+/// [`canonical_rows`] with the "is an object of the queried graph" test
+/// supplied by the caller (a view has no graph of its own to ask).
+pub(crate) fn canonical_rows_by(
+    is_graph_node: impl Fn(NodeId) -> bool,
+    result: &QueryResult,
+) -> Vec<Vec<(String, CanonBinding)>> {
     let mut rows: Vec<Vec<(String, CanonBinding)>> = result
         .rows
         .iter()
@@ -76,7 +113,7 @@ pub fn canonical_rows(
                         Binding::Missing => CanonBinding::None,
                         Binding::Val(v) => CanonBinding::V(v.clone()),
                         Binding::Node(n) => {
-                            if d.graph().contains_node(*n) {
+                            if is_graph_node(*n) {
                                 CanonBinding::Id(*n)
                             } else {
                                 // Encoding-auxiliary atom: compare by value.
@@ -102,8 +139,12 @@ pub fn canonical_rows(
 /// crate's `ROW` responses, shared here so clients and tests can compare
 /// server output against a locally evaluated query byte for byte.
 pub fn canonical_row_strings(d: &DoemDatabase, result: &QueryResult) -> Vec<String> {
-    canonical_rows(d, result)
-        .iter()
+    render_canonical_rows(&canonical_rows(d, result))
+}
+
+/// The `label=binding` text form of canonical rows.
+pub(crate) fn render_canonical_rows(rows: &[Vec<(String, CanonBinding)>]) -> Vec<String> {
+    rows.iter()
         .map(|row| {
             row.iter()
                 .map(|(label, b)| match b {

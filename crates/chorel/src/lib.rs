@@ -6,6 +6,8 @@
 //!
 //! * [`DirectSource`] — evaluate annotation expressions natively over a
 //!   DOEM database (the "extend the kernel" strategy);
+//! * [`AtSource`] / [`run_chorel_at`] — the same engine over `O_t(D)`, the
+//!   state at a past time, read lazily from the annotations;
 //! * [`translate`] + [`EncodedSource`] — the paper's implemented strategy
 //!   (Section 5): encode DOEM in OEM, rewrite the Chorel query through
 //!   `creFun`/`updFun`/`addFun`/`remFun` into pure Lorel, run unchanged
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod at;
 pub mod delta;
 mod direct;
 mod encoded;
@@ -34,11 +37,12 @@ mod engines;
 mod timevar;
 mod translate;
 
+pub use at::AtSource;
 pub use direct::DirectSource;
 pub use encoded::EncodedSource;
 pub use engines::{
-    canonical_row_strings, canonical_rows, run_chorel, run_chorel_parsed, run_both_checked,
-    CanonBinding, Strategy,
+    canonical_row_strings, canonical_rows, run_both_checked, run_chorel, run_chorel_at,
+    run_chorel_parsed, CanonBinding, Strategy,
 };
 pub use timevar::resolve_poll_times;
 pub use translate::translate;

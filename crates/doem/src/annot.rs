@@ -85,6 +85,28 @@ impl ArcAnnotation {
     pub fn is_rem(&self) -> bool {
         matches!(self, ArcAnnotation::Rem(_))
     }
+
+    /// Whether an arc whose annotations (in time order) are `anns` is in
+    /// the *current* snapshot: its temporally last annotation, if any, is
+    /// not `rem`.
+    pub fn current(anns: &[ArcAnnotation]) -> bool {
+        !matches!(anns.last(), Some(ArcAnnotation::Rem(_)))
+    }
+
+    /// Whether an arc whose annotations (in time order) are `anns` existed
+    /// at time `t` (Section 3.2, corrected for arcs whose earliest
+    /// annotation is a *later* `add`; see DESIGN.md).
+    ///
+    /// With no annotation at or before `t`, the arc existed iff it has no
+    /// annotations at all (an original arc) or its earliest one is `rem`.
+    /// Otherwise it existed iff the latest annotation at or before `t` is
+    /// `add`.
+    pub fn alive_at(anns: &[ArcAnnotation], t: Timestamp) -> bool {
+        match anns.iter().rev().find(|ann| ann.at() <= t) {
+            Some(ann) => ann.is_add(),
+            None => anns.first().is_none_or(ArcAnnotation::is_rem),
+        }
+    }
 }
 
 impl fmt::Display for ArcAnnotation {

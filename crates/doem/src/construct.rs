@@ -13,6 +13,10 @@
 //! that applies the operations with ordinary semantics (including
 //! unreachability GC at change-set boundaries), because validity is defined
 //! on the OEM side, not on the annotated graph.
+//!
+//! Each step costs what the change set touches, not what the database
+//! holds: both boundary collections are change-set-local
+//! ([`oem::OemDatabase::collect_garbage_from`]).
 
 use crate::{DoemDatabase, Result};
 use oem::{ChangeOp, ChangeSet, History, OemDatabase, Timestamp};
@@ -25,7 +29,8 @@ pub fn doem_from_history(initial: &OemDatabase, history: &History) -> Result<Doe
     let mut replica = initial.clone();
     let mut doem = DoemDatabase::from_snapshot(initial);
     for entry in history.entries() {
-        apply_set(&mut doem, &mut replica, &entry.changes, entry.at)?;
+        // Both graphs are dropped on failure: nothing to stage for.
+        apply_in_place(&mut doem, &mut replica, &entry.changes, entry.at)?;
     }
     Ok(doem)
 }
@@ -34,7 +39,34 @@ pub fn doem_from_history(initial: &OemDatabase, history: &History) -> Result<Doe
 /// the plain-OEM `replica` in lockstep. Exposed for incremental use (the
 /// QSS DOEM manager extends its DOEM database one polling interval at a
 /// time).
+///
+/// All or nothing: a rejected set leaves `doem` and `replica` exactly as
+/// they were. The operations run on O(1) persistent clones that replace
+/// the originals only once the whole set has applied, like
+/// [`ChangeSet::apply_to`].
+///
+/// Every node of `replica` and of `doem`'s graph must be reachable on
+/// entry, because the boundary collection looks only at what this set
+/// could have orphaned. A snapshot satisfies that, and so does whatever
+/// this function leaves behind, on `Ok` and on `Err`.
 pub fn apply_set(
+    doem: &mut DoemDatabase,
+    replica: &mut OemDatabase,
+    changes: &ChangeSet,
+    at: Timestamp,
+) -> Result<()> {
+    let mut staged_doem = doem.clone();
+    let mut staged_replica = replica.clone();
+    apply_in_place(&mut staged_doem, &mut staged_replica, changes, at)?;
+    *doem = staged_doem;
+    *replica = staged_replica;
+    Ok(())
+}
+
+/// One step of the induction, operation by operation. On `Err` the two
+/// graphs hold the operations that preceded the rejected one and must be
+/// discarded.
+fn apply_in_place(
     doem: &mut DoemDatabase,
     replica: &mut OemDatabase,
     changes: &ChangeSet,
@@ -52,10 +84,10 @@ pub fn apply_set(
             ChangeOp::RemArc(a) => doem.record_remove(*a, at)?,
         }
     }
-    replica.collect_garbage();
+    replica.collect_garbage_from(changes.gc_suspects());
     // DOEM-side GC counts removed arcs as reachability, so only nodes with
-    // no history ties (e.g. created and never linked) are dropped.
-    doem.collect_garbage();
+    // no history ties (created and never linked) are dropped.
+    doem.collect_garbage_from(changes.created_nodes().iter().copied());
     debug_assert!(doem.check_invariants().is_ok());
     Ok(())
 }
@@ -130,6 +162,42 @@ mod tests {
         )])
         .unwrap();
         assert!(doem_from_history(&db, &bogus).is_err());
+    }
+
+    #[test]
+    fn rejected_set_leaves_no_trace() {
+        let initial = guide_figure2();
+        let mut doem = DoemDatabase::from_snapshot(&initial);
+        let mut replica = initial.clone();
+        let fresh = replica.clone().alloc_id();
+        // Canonical order runs the creNode, the remArc and the updNode
+        // before the addArc from a missing parent fails.
+        let bad = ChangeSet::from_ops([
+            ChangeOp::CreNode(fresh, Value::Int(1)),
+            ChangeOp::rem_arc(ids::N6, "parking", ids::N7),
+            ChangeOp::UpdNode(ids::N1, Value::Int(99)),
+            ChangeOp::add_arc(oem::NodeId::from_raw(999), "x", fresh),
+        ])
+        .unwrap();
+        assert!(apply_set(&mut doem, &mut replica, &bad, ts("1Jan97")).is_err());
+        assert!(crate::same_doem(&doem, &DoemDatabase::from_snapshot(&initial)));
+        assert!(oem::same_database(&replica, &initial));
+        assert!(replica.is_fresh(fresh));
+
+        // The next set starts from a clean slate: the rejected node cannot
+        // be attached, and the same id can be created for real.
+        let attach =
+            ChangeSet::from_ops([ChangeOp::add_arc(ids::N4, "y", fresh)]).unwrap();
+        assert!(apply_set(&mut doem, &mut replica, &attach, ts("2Jan97")).is_err());
+        let create = ChangeSet::from_ops([
+            ChangeOp::CreNode(fresh, Value::Int(2)),
+            ChangeOp::add_arc(ids::N4, "y", fresh),
+        ])
+        .unwrap();
+        apply_set(&mut doem, &mut replica, &create, ts("3Jan97")).unwrap();
+        assert_eq!(doem.annotation_count(), 2);
+        replica.check_invariants().unwrap();
+        doem.check_invariants().unwrap();
     }
 
     #[test]

@@ -15,8 +15,15 @@ use crate::{ArcAnnotation, DoemError, NodeAnnotation, Result};
 use oem::{ArcTriple, Label, NodeId, OemDatabase, PMap, Timestamp, Value};
 use std::fmt;
 
-/// The arc annotations of one parent, bucketed as `(label, child, anns)`.
-type ArcBucket = Vec<(Label, NodeId, Vec<ArcAnnotation>)>;
+/// The arc annotations of one parent: `bucket[i]` annotates the parent's
+/// `i`-th outgoing arc (a bucket may be shorter than the adjacency list;
+/// arcs past its end carry no annotations).
+///
+/// Positions are stable because the annotated graph never loses a single
+/// arc — removal is a `rem` annotation, and garbage collection drops whole
+/// nodes together with every arc out of them — so an arc keeps its place
+/// in its parent's adjacency list for life.
+type ArcBucket = Vec<Vec<ArcAnnotation>>;
 
 /// A DOEM database: an annotated OEM graph.
 ///
@@ -25,7 +32,8 @@ type ArcBucket = Vec<(Label, NodeId, Vec<ArcAnnotation>)>;
 /// subsequent mutation copies only the touched spine — annotation lookups
 /// compose with versioned reads of the underlying graph (DESIGN.md §14).
 /// Arc annotations are bucketed per parent node, keyed by the parent's raw
-/// id, which keeps iteration order deterministic without hashing triples.
+/// id and laid out beside the parent's adjacency list, so one pass over a
+/// node reads each arc with its annotations ([`DoemDatabase::arcs_from`]).
 #[derive(Clone, Debug)]
 pub struct DoemDatabase {
     graph: OemDatabase,
@@ -69,17 +77,43 @@ impl DoemDatabase {
         self.node_ann.get(n.raw()).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The annotations of arc `a`, in time order (`fA(a)`).
+    /// The annotations of arc `a`, in time order (`fA(a)`). O(out-degree
+    /// of the parent); to read every arc of a node use
+    /// [`DoemDatabase::arcs_from`].
     pub fn arc_annotations(&self, a: ArcTriple) -> &[ArcAnnotation] {
-        self.arc_ann
-            .get(a.parent.raw())
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(l, c, _)| *l == a.label && *c == a.child)
-            })
-            .map(|(_, _, anns)| anns.as_slice())
-            .unwrap_or(&[])
+        self.annotations_of_held_arc(a).unwrap_or(&[])
+    }
+
+    /// `Some(fA(a))` if the graph holds `a` (possibly removed), else `None`.
+    fn annotations_of_held_arc(&self, a: ArcTriple) -> Option<&[ArcAnnotation]> {
+        let i = self.arc_position(a)?;
+        let bucket = self.arc_ann.get(a.parent.raw());
+        Some(bucket.and_then(|b| b.get(i)).map_or(&[], Vec::as_slice))
+    }
+
+    /// Where `a` sits in its parent's adjacency list.
+    fn arc_position(&self, a: ArcTriple) -> Option<usize> {
+        self.graph
+            .children(a.parent)
+            .iter()
+            .position(|&(l, c)| l == a.label && c == a.child)
+    }
+
+    /// Every arc out of `n` — current *and* removed — in graph order, each
+    /// with its annotations in time order: one pass over the adjacency
+    /// list beside the annotation bucket. Filter with
+    /// [`ArcAnnotation::current`] / [`ArcAnnotation::alive_at`] for a
+    /// snapshot's children.
+    pub fn arcs_from(
+        &self,
+        n: NodeId,
+    ) -> impl Iterator<Item = (Label, NodeId, &[ArcAnnotation])> + '_ {
+        let bucket = self.arc_ann.get(n.raw()).map_or(&[][..], Vec::as_slice);
+        self.graph
+            .children(n)
+            .iter()
+            .enumerate()
+            .map(move |(i, &(l, c))| (l, c, bucket.get(i).map_or(&[][..], Vec::as_slice)))
     }
 
     /// Nodes that carry at least one annotation.
@@ -89,10 +123,11 @@ impl DoemDatabase {
 
     /// Arcs that carry at least one annotation.
     pub fn annotated_arcs(&self) -> impl Iterator<Item = ArcTriple> + '_ {
-        self.arc_ann.iter().flat_map(|(p, bucket)| {
-            bucket
-                .iter()
-                .map(move |(l, c, _)| ArcTriple::new(NodeId::from_raw(p), *l, *c))
+        self.arc_ann.keys().flat_map(move |p| {
+            let parent = NodeId::from_raw(p);
+            self.arcs_from(parent)
+                .filter(|(_, _, anns)| !anns.is_empty())
+                .map(move |(l, c, _)| ArcTriple::new(parent, l, c))
         })
     }
 
@@ -113,64 +148,60 @@ impl DoemDatabase {
         })
     }
 
-    /// The implicit *new* value of the `upd` at time `at` on node `n`
+    /// The node's `upd` annotations as `(time, old value, new value)`, in
+    /// time order. The *new* value is implicit in the representation
     /// (Section 4.2): the old value of the temporally next `upd`, or the
     /// node's current value if none follows.
-    pub fn new_value_of_update(&self, n: NodeId, at: Timestamp) -> Option<Value> {
-        let upds: Vec<(Timestamp, &Value)> = self.updates_of(n).collect();
-        let idx = upds.iter().position(|(t, _)| *t == at)?;
-        Some(match upds.get(idx + 1) {
-            Some((_, next_old)) => (*next_old).clone(),
-            None => self.graph.value(n).ok()?.clone(),
+    pub fn update_triples(&self, n: NodeId) -> impl Iterator<Item = (Timestamp, &Value, &Value)> {
+        let current = self.graph.value(n).ok();
+        let mut upds = self.updates_of(n).peekable();
+        std::iter::from_fn(move || {
+            let (at, old) = upds.next()?;
+            let new = upds.peek().map(|&(_, next_old)| next_old).or(current)?;
+            Some((at, old, new))
         })
+    }
+
+    /// The implicit *new* value of the `upd` at time `at` on node `n`, or
+    /// `None` if `n` has no `upd` at exactly `at`.
+    pub fn new_value_of_update(&self, n: NodeId, at: Timestamp) -> Option<Value> {
+        self.update_triples(n)
+            .find(|&(t, _, _)| t == at)
+            .map(|(_, _, new)| new.clone())
     }
 
     /// Whether the arc is in the *current* snapshot: present in the graph
     /// and its temporally last annotation (if any) is not `rem`.
     pub fn arc_is_current(&self, a: ArcTriple) -> bool {
-        self.graph.contains_arc(a)
-            && !matches!(
-                self.arc_annotations(a).last(),
-                Some(ArcAnnotation::Rem(_))
-            )
+        self.annotations_of_held_arc(a)
+            .is_some_and(ArcAnnotation::current)
     }
 
-    /// Whether the arc existed at time `t` (Section 3.2, corrected for
-    /// arcs whose earliest annotation is a *later* `add`; see DESIGN.md).
-    ///
-    /// Rules: with no annotation at or before `t`, the arc existed iff its
-    /// earliest annotation overall is `rem` or it has no annotations
-    /// (i.e. it is an original arc). Otherwise, it existed iff the latest
-    /// annotation at or before `t` is `add`.
+    /// Whether the arc existed at time `t` ([`ArcAnnotation::alive_at`]
+    /// over its annotations; `false` for arcs the graph does not hold).
     pub fn arc_existed_at(&self, a: ArcTriple, t: Timestamp) -> bool {
-        if !self.graph.contains_arc(a) {
-            return false;
-        }
-        let anns = self.arc_annotations(a);
-        match anns.iter().rev().find(|ann| ann.at() <= t) {
-            Some(ann) => ann.is_add(),
-            None => match anns.first() {
-                None => true,
-                Some(first) => first.is_rem(),
-            },
-        }
+        self.annotations_of_held_arc(a)
+            .is_some_and(|anns| ArcAnnotation::alive_at(anns, t))
     }
 
     /// The value of node `n` at time `t` (Section 3.2, step 1), or `None`
     /// if `n` did not exist at `t` (created later) or is unknown.
     pub fn value_at(&self, n: NodeId, t: Timestamp) -> Option<Value> {
+        self.value_ref_at(n, t).cloned()
+    }
+
+    /// [`DoemDatabase::value_at`] without the clone.
+    pub fn value_ref_at(&self, n: NodeId, t: Timestamp) -> Option<&Value> {
         let current = self.graph.value(n).ok()?;
-        if let Some(created) = self.created_at(n) {
-            if created > t {
-                return None;
+        for ann in self.node_annotations(n) {
+            match ann {
+                NodeAnnotation::Cre(created) if *created > t => return None,
+                // The earliest update *after* t holds the value as of t.
+                NodeAnnotation::Upd { at, old } if *at > t => return Some(old),
+                _ => {}
             }
         }
-        let upds: Vec<(Timestamp, &Value)> = self.updates_of(n).collect();
-        match upds.iter().find(|(ti, _)| *ti > t) {
-            // The earliest update *after* t holds the value as of t.
-            Some((_, old)) => Some((*old).clone()),
-            None => Some(current.clone()),
-        }
+        Some(current)
     }
 
     /// Every timestamp occurring in any annotation, ascending and distinct.
@@ -183,7 +214,8 @@ impl DoemDatabase {
             .chain(
                 self.arc_ann
                     .values()
-                    .flat_map(|bucket| bucket.iter().flat_map(|(_, _, anns)| anns))
+                    .flatten()
+                    .flatten()
                     .map(ArcAnnotation::at),
             )
             .collect();
@@ -195,11 +227,7 @@ impl DoemDatabase {
     /// Total number of annotations (nodes + arcs).
     pub fn annotation_count(&self) -> usize {
         self.node_ann.values().map(Vec::len).sum::<usize>()
-            + self
-                .arc_ann
-                .values()
-                .flat_map(|bucket| bucket.iter().map(|(_, _, anns)| anns.len()))
-                .sum::<usize>()
+            + self.arc_ann.values().flatten().map(Vec::len).sum::<usize>()
     }
 
     /// The annotation list of node `n`, created empty on first use.
@@ -211,24 +239,21 @@ impl DoemDatabase {
         self.node_ann.get_mut(key).expect("just inserted")
     }
 
-    /// The annotation list of arc `a`, created empty on first use.
-    fn arc_anns_mut(&mut self, a: ArcTriple) -> &mut Vec<ArcAnnotation> {
+    /// The annotation list of arc `a`, created empty on first use. Fails
+    /// if the graph does not hold `a`.
+    fn arc_anns_mut(&mut self, a: ArcTriple) -> Result<&mut Vec<ArcAnnotation>> {
+        let at = self
+            .arc_position(a)
+            .ok_or(DoemError::Oem(oem::OemError::NoSuchArc(a)))?;
         let key = a.parent.raw();
         if !self.arc_ann.contains_key(key) {
             self.arc_ann.insert(key, Vec::new());
         }
         let bucket = self.arc_ann.get_mut(key).expect("just inserted");
-        let at = match bucket
-            .iter()
-            .position(|(l, c, _)| *l == a.label && *c == a.child)
-        {
-            Some(i) => i,
-            None => {
-                bucket.push((a.label, a.child, Vec::new()));
-                bucket.len() - 1
-            }
-        };
-        &mut bucket[at].2
+        if bucket.len() <= at {
+            bucket.resize_with(at + 1, Vec::new);
+        }
+        Ok(&mut bucket[at])
     }
 
     // ---- recording (used by construction and the QSS DOEM manager) ----
@@ -257,17 +282,14 @@ impl DoemDatabase {
         if !self.graph.contains_arc(a) {
             self.graph.insert_arc(a)?;
         }
-        self.arc_anns_mut(a).push(ArcAnnotation::Add(t));
+        self.arc_anns_mut(a)?.push(ArcAnnotation::Add(t));
         Ok(())
     }
 
     /// Record `remArc(a)` at time `t`: the arc *stays* in the graph and
     /// gains a `rem(t)` annotation.
     pub fn record_remove(&mut self, a: ArcTriple, t: Timestamp) -> Result<()> {
-        if !self.graph.contains_arc(a) {
-            return Err(DoemError::Oem(oem::OemError::NoSuchArc(a)));
-        }
-        self.arc_anns_mut(a).push(ArcAnnotation::Rem(t));
+        self.arc_anns_mut(a)?.push(ArcAnnotation::Rem(t));
         Ok(())
     }
 
@@ -297,47 +319,42 @@ impl DoemDatabase {
 
     /// Append an arc annotation verbatim.
     pub fn attach_arc_annotation(&mut self, a: ArcTriple, ann: ArcAnnotation) -> Result<()> {
-        if !self.graph.contains_arc(a) {
-            return Err(DoemError::Oem(oem::OemError::NoSuchArc(a)));
-        }
-        self.arc_anns_mut(a).push(ann);
+        self.arc_anns_mut(a)?.push(ann);
         Ok(())
     }
 
     /// Drop nodes unreachable in the annotated graph (counting removed
     /// arcs), along with their annotations. Mirrors OEM's change-set
     /// boundary GC: a node kept reachable only by a removed arc *survives*
-    /// here — its history is still part of the database.
+    /// here — its history is still part of the database. Whole-graph; a
+    /// change set uses [`DoemDatabase::collect_garbage_from`].
     pub fn collect_garbage(&mut self) -> Vec<NodeId> {
         let dead = self.graph.collect_garbage();
-        for n in &dead {
+        self.drop_annotations_of(&dead);
+        dead
+    }
+
+    /// Change-set-local [`DoemDatabase::collect_garbage`]: `created` are
+    /// the nodes created since every node was last reachable. They are
+    /// the only suspects ([`OemDatabase::collect_garbage_from`]) because
+    /// the annotated graph never loses an arc.
+    pub fn collect_garbage_from(
+        &mut self,
+        created: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<NodeId> {
+        let dead = self.graph.collect_garbage_from(created);
+        self.drop_annotations_of(&dead);
+        dead
+    }
+
+    /// Forget the annotations of collected nodes and of the arcs out of
+    /// them. No surviving parent's bucket can mention a collected child: in
+    /// the annotated graph its arc would have kept the child alive.
+    fn drop_annotations_of(&mut self, dead: &[NodeId]) {
+        for n in dead {
             self.node_ann.remove(n.raw());
             self.arc_ann.remove(n.raw());
         }
-        // Prune annotations of arcs the graph no longer contains (the
-        // surviving parents' buckets may reference collected children).
-        let graph = &self.graph;
-        let stale: Vec<(u64, ArcBucket)> = self
-            .arc_ann
-            .iter()
-            .filter_map(|(p, bucket)| {
-                let parent = NodeId::from_raw(p);
-                let kept: ArcBucket = bucket
-                    .iter()
-                    .filter(|(l, c, _)| graph.contains_arc(ArcTriple::new(parent, *l, *c)))
-                    .cloned()
-                    .collect();
-                (kept.len() != bucket.len()).then_some((p, kept))
-            })
-            .collect();
-        for (p, kept) in stale {
-            if kept.is_empty() {
-                self.arc_ann.remove(p);
-            } else {
-                self.arc_ann.insert(p, kept);
-            }
-        }
-        dead
     }
 
     /// Validate the DOEM well-formedness rules:
@@ -383,11 +400,13 @@ impl DoemDatabase {
         }
         for (praw, bucket) in &self.arc_ann {
             let parent = NodeId::from_raw(praw);
-            for (l, c, anns) in bucket {
-                let arc = ArcTriple::new(parent, *l, *c);
-                if !self.graph.contains_arc(arc) {
-                    return Err(DoemError::Oem(oem::OemError::NoSuchArc(arc)));
-                }
+            let children = self.graph.children(parent);
+            if bucket.len() > children.len() {
+                // A bucket that outlived its node: annotations on nothing.
+                return Err(DoemError::Oem(oem::OemError::NoSuchNode(parent)));
+            }
+            for (&(l, c), anns) in children.iter().zip(bucket) {
+                let arc = ArcTriple::new(parent, l, c);
                 let mut prev: Option<&ArcAnnotation> = None;
                 for a in anns {
                     if let Some(p) = prev {
@@ -595,7 +614,7 @@ mod tests {
         let (mut d, r, p) = tiny();
         let arc = ArcTriple::new(r, "price", p);
         d.record_remove(arc, ts("1Jan97")).unwrap();
-        d.arc_anns_mut(arc).push(ArcAnnotation::Rem(ts("2Jan97")));
+        d.arc_anns_mut(arc).unwrap().push(ArcAnnotation::Rem(ts("2Jan97")));
         assert!(matches!(
             d.check_invariants(),
             Err(DoemError::BadArcAnnotations(_))

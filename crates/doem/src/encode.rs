@@ -75,38 +75,30 @@ pub fn encode_doem(d: &DoemDatabase) -> EncodedDoem {
                 .expect("fresh value node");
         }
 
-        // &cre / &upd
-        for ann in d.node_annotations(n) {
-            match ann {
-                NodeAnnotation::Cre(t) => {
-                    let tn = out.create_node(Value::Time(*t));
-                    out.insert_arc(ArcTriple::new(enc, "&cre", tn))
-                        .expect("fresh cre node");
-                }
-                NodeAnnotation::Upd { at, old } => {
-                    let u = out.create_node(Value::Complex);
-                    out.insert_arc(ArcTriple::new(enc, "&upd", u))
-                        .expect("fresh upd node");
-                    let tn = out.create_node(Value::Time(*at));
-                    out.insert_arc(ArcTriple::new(u, "&time", tn))
-                        .expect("fresh time node");
-                    let ov = out.create_node(old.clone());
-                    out.insert_arc(ArcTriple::new(u, "&ov", ov))
-                        .expect("fresh ov node");
-                    let nv_value = d
-                        .new_value_of_update(n, *at)
-                        .expect("upd annotations have implicit new values");
-                    let nv = out.create_node(nv_value);
-                    out.insert_arc(ArcTriple::new(u, "&nv", nv))
-                        .expect("fresh nv node");
-                }
+        // &cre / &upd (a `cre` is always the node's first annotation)
+        if let Some(t) = d.created_at(n) {
+            let tn = out.create_node(Value::Time(t));
+            out.insert_arc(ArcTriple::new(enc, "&cre", tn))
+                .expect("fresh cre node");
+        }
+        for (at, old, new) in d.update_triples(n) {
+            let u = out.create_node(Value::Complex);
+            out.insert_arc(ArcTriple::new(enc, "&upd", u))
+                .expect("fresh upd node");
+            for (label, value) in [
+                ("&time", Value::Time(at)),
+                ("&ov", old.clone()),
+                ("&nv", new.clone()),
+            ] {
+                let atom = out.create_node(value);
+                out.insert_arc(ArcTriple::new(u, label, atom))
+                    .expect("fresh upd part");
             }
         }
 
         // Arcs: a direct `l` arc when current, and always an `&l-history`.
-        for &(label, child) in d.graph().children(n) {
-            let arc = ArcTriple::new(n, label, child);
-            if d.arc_is_current(arc) {
+        for (label, child, anns) in d.arcs_from(n) {
+            if ArcAnnotation::current(anns) {
                 out.insert_arc(ArcTriple::new(enc, label, node_map[&child]))
                     .expect("current arc is fresh in the encoding");
             }
@@ -115,7 +107,7 @@ pub fn encode_doem(d: &DoemDatabase) -> EncodedDoem {
                 .expect("fresh history object");
             out.insert_arc(ArcTriple::new(h, "&target", node_map[&child]))
                 .expect("fresh target arc");
-            for ann in d.arc_annotations(arc) {
+            for ann in anns {
                 let (l, t) = match ann {
                     ArcAnnotation::Add(t) => ("&add", *t),
                     ArcAnnotation::Rem(t) => ("&rem", *t),

@@ -15,7 +15,7 @@
 //! before `t`, the arc existed iff it has no annotations at all or its
 //! earliest annotation is `rem`.
 
-use crate::DoemDatabase;
+use crate::{ArcAnnotation, DoemDatabase};
 use oem::{NodeId, OemDatabase, Timestamp, Value};
 use std::collections::HashMap;
 
@@ -49,22 +49,15 @@ pub fn snapshot_at(d: &DoemDatabase, t: Timestamp) -> OemDatabase {
     visited.insert(d.root(), true);
     let mut arcs = Vec::new();
     while let Some(n) = stack.pop() {
-        let value = match d.value_at(n, t) {
-            Some(v) => v,
-            None => continue, // did not exist at t
-        };
-        if !value.is_complex() {
+        // Atomic at t, or not yet created: nothing below it at t.
+        if !d.value_ref_at(n, t).is_some_and(Value::is_complex) {
             continue;
         }
-        for &(label, child) in d.graph().children(n) {
-            let arc = oem::ArcTriple::new(n, label, child);
-            if !d.arc_existed_at(arc, t) {
+        for (label, child, anns) in d.arcs_from(n) {
+            if !ArcAnnotation::alive_at(anns, t) || d.value_ref_at(child, t).is_none() {
                 continue;
             }
-            if d.value_at(child, t).is_none() {
-                continue;
-            }
-            arcs.push(arc);
+            arcs.push(oem::ArcTriple::new(n, label, child));
             if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(child) {
                 e.insert(true);
                 stack.push(child);

@@ -160,6 +160,18 @@ impl ChangeSet {
         &self.removed
     }
 
+    /// The only nodes applying this set can leave unreachable, given a
+    /// database in which every node was reachable: the child of each
+    /// removed arc and each created node (everything else unreachable lies
+    /// downstream of these). This is the suspect list
+    /// [`OemDatabase::collect_garbage_from`] takes.
+    pub fn gc_suspects(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.removed
+            .iter()
+            .map(|a| a.child)
+            .chain(self.created.iter().copied())
+    }
+
     /// The canonical phase ordering `creNode → remArc → updNode → addArc`.
     ///
     /// By the scheduling argument in the module docs, this ordering is valid
@@ -196,11 +208,14 @@ impl ChangeSet {
     /// as deleted". Returns the ids deleted by that collection.
     ///
     /// On error the database is left untouched (validation runs on a clone
-    /// first).
+    /// first). Collection is change-set-local
+    /// ([`OemDatabase::collect_garbage_from`]), so `db` must satisfy
+    /// Definition 2.1's reachability on entry, as every database between
+    /// change sets does.
     pub fn apply_to(&self, db: &mut OemDatabase) -> Result<Vec<NodeId>> {
         let mut staged = db.clone();
         self.apply_ops(&mut staged)?;
-        let dead = staged.collect_garbage();
+        let dead = staged.collect_garbage_from(self.gc_suspects());
         *db = staged;
         Ok(dead)
     }

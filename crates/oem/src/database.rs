@@ -6,14 +6,18 @@
 //! reachable from the root.
 //!
 //! Reachability is *enforced lazily*: while a change set is being applied,
-//! unreachable objects are permitted (Section 2.2), and
-//! [`OemDatabase::collect_garbage`] removes them at change-set boundaries.
+//! unreachable objects are permitted (Section 2.2) and removed at the
+//! change-set boundary. Two collectors do that: the whole-graph
+//! [`OemDatabase::collect_garbage`] (the Section 2.1 definition, for
+//! arbitrary edits) and the change-set-local
+//! [`OemDatabase::collect_garbage_from`], which looks only at what the
+//! nodes a change set could have orphaned can reach.
 //! Collected ids are retired forever — Section 2.2 assumes deleted ids are
 //! never reused — so `creNode` on a previously used id is rejected.
 
 use crate::pmap::{PMap, PSet};
 use crate::{ArcTriple, Label, NodeId, OemError, Result, Value};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Per-node storage: the value and outgoing arcs in insertion order.
 #[derive(Clone, Debug)]
@@ -23,6 +27,20 @@ struct NodeData {
     /// meaningful in OEM (arcs form a set) but deterministic order keeps
     /// printing, diffing and query results stable.
     out: Vec<(Label, NodeId)>,
+    /// Number of arcs *into* this node. It lets the change-set-local
+    /// collector tell "has a parent outside the suspect region" from a
+    /// count alone, without an incoming-adjacency index.
+    in_degree: u32,
+}
+
+impl NodeData {
+    fn new(value: Value) -> NodeData {
+        NodeData {
+            value,
+            out: Vec::new(),
+            in_degree: 0,
+        }
+    }
 }
 
 /// A rooted OEM database.
@@ -62,13 +80,7 @@ impl OemDatabase {
     /// numbering (the Guide root is `n4`).
     pub fn with_root_id(name: impl Into<String>, root: NodeId) -> OemDatabase {
         let mut nodes = PMap::new();
-        nodes.insert(
-            root.0,
-            NodeData {
-                value: Value::Complex,
-                out: Vec::new(),
-            },
-        );
+        nodes.insert(root.0, NodeData::new(Value::Complex));
         OemDatabase {
             name: name.into(),
             root,
@@ -147,6 +159,12 @@ impl OemDatabase {
             .map(|&(_, c)| c)
     }
 
+    /// Number of arcs into `n` (0 for unknown nodes). Parallel arcs with
+    /// different labels count separately.
+    pub fn in_degree(&self, n: NodeId) -> usize {
+        self.nodes.get(n.0).map_or(0, |d| d.in_degree as usize)
+    }
+
     /// All object ids, ascending.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.keys().map(NodeId)
@@ -209,13 +227,7 @@ impl OemDatabase {
         if !self.is_fresh(n) {
             return Err(OemError::IdNotFresh(n));
         }
-        self.nodes.insert(
-            n.0,
-            NodeData {
-                value,
-                out: Vec::new(),
-            },
-        );
+        self.nodes.insert(n.0, NodeData::new(value));
         if n.0 >= self.next_id {
             self.next_id = n.0 + 1;
         }
@@ -226,13 +238,7 @@ impl OemDatabase {
     pub fn create_node(&mut self, value: Value) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        self.nodes.insert(
-            id.0,
-            NodeData {
-                value,
-                out: Vec::new(),
-            },
-        );
+        self.nodes.insert(id.0, NodeData::new(value));
         id
     }
 
@@ -261,6 +267,10 @@ impl OemDatabase {
             .expect("parent checked above")
             .out
             .push((arc.label, arc.child));
+        self.nodes
+            .get_mut(arc.child.0)
+            .expect("child checked above")
+            .in_degree += 1;
         self.arc_count += 1;
         Ok(())
     }
@@ -277,6 +287,10 @@ impl OemDatabase {
             .expect("children() found the arc")
             .out
             .remove(pos);
+        self.nodes
+            .get_mut(arc.child.0)
+            .expect("arcs never dangle")
+            .in_degree -= 1;
         self.arc_count -= 1;
         Ok(())
     }
@@ -300,8 +314,10 @@ impl OemDatabase {
     /// root, together with arcs among removed objects. Returns the removed
     /// ids in ascending order.
     ///
-    /// This implements OEM's deletion-by-unreachability (Section 2.1) and is
-    /// invoked at change-set boundaries (Section 2.2).
+    /// This implements OEM's deletion-by-unreachability (Section 2.1) for
+    /// a database edited arbitrarily; it walks the whole graph. Change
+    /// sets use [`OemDatabase::collect_garbage_from`] instead, and the
+    /// tests hold that to this definition.
     pub fn collect_garbage(&mut self) -> Vec<NodeId> {
         let live = self.reachable();
         let dead: Vec<NodeId> = self
@@ -310,17 +326,98 @@ impl OemDatabase {
             .map(NodeId)
             .filter(|n| !live.contains(n))
             .collect();
-        for &n in &dead {
-            let data = self.nodes.remove(n.0).expect("listed above");
-            self.arc_count -= data.out.len();
-            self.retired.insert(n.0);
-        }
+        self.remove_dead(&dead, |c| live.contains(&c));
         // Arcs *into* dead nodes can only originate from dead nodes (a live
         // parent would make the child live), so removing the dead nodes'
         // own adjacency lists removed every dead-touching arc; assert that
         // in debug builds.
         debug_assert!(self.arcs().all(|a| live.contains(&a.child)));
         dead
+    }
+
+    /// Change-set-local garbage collection: remove every unreachable
+    /// object, **given that** every object was reachable before the edits
+    /// and `suspects` holds the child of every arc removed since and every
+    /// node created since. Same result as [`OemDatabase::collect_garbage`]
+    /// (removed ids ascending, ids retired), at cost proportional to what
+    /// the suspects reach rather than to the database.
+    ///
+    /// Why the suspects suffice: a pre-existing node `x` that became
+    /// unreachable lost every old root path; on any one of them, everything
+    /// after the *last* removed arc `(p, l, c)` is still present, so `x` is
+    /// in the forward closure of the suspect `c`. Within that closure `G`,
+    /// a node with more incoming arcs than arrive from inside `G` (or the
+    /// root itself) has a parent outside `G` — which is reachable, because
+    /// every unreachable node is inside `G` — so it and what it reaches
+    /// live; the rest of `G` has no path from outside and is dead.
+    pub fn collect_garbage_from(
+        &mut self,
+        suspects: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<NodeId> {
+        // G, with the number of arcs into each member from inside G.
+        let mut inside: HashMap<NodeId, u32> = HashMap::new();
+        let mut stack: Vec<NodeId> = Vec::new();
+        for n in suspects {
+            if self.contains_node(n) && !inside.contains_key(&n) {
+                inside.insert(n, 0);
+                stack.push(n);
+            }
+        }
+        if stack.is_empty() {
+            return Vec::new();
+        }
+        while let Some(n) = stack.pop() {
+            for &(_, c) in self.children(n) {
+                match inside.get_mut(&c) {
+                    Some(k) => *k += 1,
+                    None => {
+                        inside.insert(c, 1);
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        let mut live: HashSet<NodeId> = HashSet::new();
+        for (&n, &from_inside) in &inside {
+            if (n == self.root || self.in_degree(n) > from_inside as usize) && live.insert(n) {
+                stack.push(n);
+            }
+        }
+        while let Some(n) = stack.pop() {
+            for &(_, c) in self.children(n) {
+                if live.insert(c) {
+                    stack.push(c);
+                }
+            }
+        }
+        let mut dead: Vec<NodeId> = inside.into_keys().filter(|n| !live.contains(n)).collect();
+        dead.sort_unstable();
+        // A dead node's children are all in G, so "not dead" is "in live".
+        self.remove_dead(&dead, |c| live.contains(&c));
+        debug_assert_eq!(
+            self.reachable().len(),
+            self.nodes.len(),
+            "local GC precondition: all nodes reachable before the edits"
+        );
+        dead
+    }
+
+    /// Drop `dead` nodes with their adjacency lists, retiring their ids
+    /// and releasing the in-degree they held on surviving children.
+    fn remove_dead(&mut self, dead: &[NodeId], survives: impl Fn(NodeId) -> bool) {
+        for &n in dead {
+            let data = self.nodes.remove(n.0).expect("dead nodes are present");
+            self.arc_count -= data.out.len();
+            self.retired.insert(n.0);
+            for (_, c) in data.out {
+                if survives(c) {
+                    self.nodes
+                        .get_mut(c.0)
+                        .expect("surviving child is present")
+                        .in_degree -= 1;
+                }
+            }
+        }
     }
 
     /// Check the Definition 2.1 invariants; used by tests and debug
@@ -346,6 +443,16 @@ impl OemDatabase {
         }
         if self.arc_count != self.nodes.values().map(|d| d.out.len()).sum::<usize>() {
             return Err("arc counter and adjacency lists disagree".to_string());
+        }
+        let mut incoming: HashMap<NodeId, usize> = HashMap::new();
+        for arc in self.arcs() {
+            *incoming.entry(arc.child).or_default() += 1;
+        }
+        if let Some(n) = self
+            .node_ids()
+            .find(|n| self.in_degree(*n) != incoming.get(n).copied().unwrap_or(0))
+        {
+            return Err(format!("in-degree counter of {n} disagrees with the arcs"));
         }
         let live = self.reachable();
         if live.len() != self.nodes.len() {
@@ -460,6 +567,76 @@ mod tests {
         let dead = db.collect_garbage();
         assert_eq!(dead.len(), 2);
         db.check_invariants().unwrap();
+    }
+
+    /// Run the local collector and check it against the full scan on a
+    /// copy: same dead set, same survivors, same counters.
+    fn local_gc_checked(db: &mut OemDatabase, suspects: &[NodeId]) -> Vec<NodeId> {
+        let mut oracle = db.clone();
+        let want = oracle.collect_garbage();
+        let dead = db.collect_garbage_from(suspects.iter().copied());
+        assert_eq!(dead, want);
+        assert_eq!(db.arc_count(), oracle.arc_count());
+        for n in oracle.node_ids() {
+            assert_eq!(db.in_degree(n), oracle.in_degree(n), "in-degree of {n}");
+        }
+        assert!(dead.iter().all(|n| !db.is_fresh(*n)));
+        db.check_invariants().unwrap();
+        dead
+    }
+
+    #[test]
+    fn local_gc_collects_a_cut_subtree_but_not_a_shared_child() {
+        let (mut db, a, b) = tiny();
+        let other = db.create_node(Value::Complex);
+        db.insert_arc(ArcTriple::new(db.root(), "restaurant", other))
+            .unwrap();
+        db.insert_arc(ArcTriple::new(other, "price", b)).unwrap();
+        db.delete_arc(ArcTriple::new(db.root(), "restaurant", a))
+            .unwrap();
+        // `a` dies; `b` keeps a parent outside the suspect closure and
+        // gives back the in-degree `a` held on it.
+        assert_eq!(local_gc_checked(&mut db, &[a]), vec![a]);
+        assert_eq!(db.in_degree(b), 1);
+    }
+
+    #[test]
+    fn local_gc_collects_a_detached_cycle_and_keeps_one_through_the_root() {
+        let mut db = OemDatabase::new("g");
+        let root = db.root();
+        let a = db.create_node(Value::Complex);
+        let b = db.create_node(Value::Complex);
+        db.insert_arc(ArcTriple::new(root, "x", a)).unwrap();
+        db.insert_arc(ArcTriple::new(a, "to", b)).unwrap();
+        db.insert_arc(ArcTriple::new(b, "back", a)).unwrap();
+        db.insert_arc(ArcTriple::new(b, "up", root)).unwrap();
+        // Removing one arc of the root cycle: the suspect's closure wraps
+        // around through the root, which is live by definition.
+        db.delete_arc(ArcTriple::new(b, "back", a)).unwrap();
+        assert!(local_gc_checked(&mut db, &[a]).is_empty());
+        // Cutting the cycle off the root kills it whole, although every
+        // member still has an incoming arc.
+        db.insert_arc(ArcTriple::new(b, "back", a)).unwrap();
+        db.delete_arc(ArcTriple::new(root, "x", a)).unwrap();
+        assert_eq!(local_gc_checked(&mut db, &[a]), vec![a, b]);
+        assert_eq!(db.in_degree(root), 0);
+    }
+
+    #[test]
+    fn local_gc_handles_orphans_and_reattached_children() {
+        let (mut db, a, b) = tiny();
+        // Remove-and-re-add in one set: `b` moves from `a` to the root.
+        db.delete_arc(ArcTriple::new(a, "price", b)).unwrap();
+        db.insert_arc(ArcTriple::new(db.root(), "price", b))
+            .unwrap();
+        // An orphan that points at a live node.
+        let orphan = db.create_node(Value::Complex);
+        db.insert_arc(ArcTriple::new(orphan, "sees", a)).unwrap();
+        assert_eq!(local_gc_checked(&mut db, &[b, orphan]), vec![orphan]);
+        assert_eq!(db.in_degree(a), 1);
+        // Suspects that no longer exist, and no suspects at all, are fine.
+        assert!(local_gc_checked(&mut db, &[orphan]).is_empty());
+        assert!(local_gc_checked(&mut db, &[]).is_empty());
     }
 
     #[test]

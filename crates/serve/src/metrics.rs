@@ -119,6 +119,11 @@ pub struct Metrics {
     pub versions_installed: AtomicU64,
     /// Versions unlinked from shard version rings by retention GC.
     pub versions_gced: AtomicU64,
+    /// `AS OF` reads served from a pinned ring version.
+    pub as_of_ring: AtomicU64,
+    /// `AS OF` reads served below the ring: over the lazy `O_t(D)` view,
+    /// or over a materialised snapshot under the translated strategy.
+    pub as_of_view: AtomicU64,
     /// WAL records appended (and fsynced) successfully.
     pub wal_appends: AtomicU64,
     /// Bytes of framed WAL records appended successfully.
@@ -213,6 +218,8 @@ impl Metrics {
             format!("counter cow_clones {}", c(&self.cow_clones)),
             format!("counter versions_installed {}", c(&self.versions_installed)),
             format!("counter versions_gced {}", c(&self.versions_gced)),
+            format!("counter as_of_ring {}", c(&self.as_of_ring)),
+            format!("counter as_of_view {}", c(&self.as_of_view)),
             format!("counter wal_appends {}", c(&self.wal_appends)),
             format!("counter wal_bytes {}", c(&self.wal_bytes)),
             format!("counter wal_fsyncs {}", c(&self.wal_fsyncs)),

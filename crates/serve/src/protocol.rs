@@ -154,7 +154,7 @@ pub enum Request {
         /// Canonical query text — the result-cache key component.
         key: String,
         /// `AS OF` point: evaluate at the version in force at this LSN
-        /// (a pinned ring version, or `snapshot_at` replay beyond the
+        /// (a pinned ring version, or the lazy `O_t(D)` view beyond the
         /// retention horizon). `None` queries the current state.
         as_of: Option<Timestamp>,
     },

@@ -203,7 +203,7 @@ pub struct ServeConfig {
     /// Versions each shard's ring retains for `QUERY … AS OF` (min 1 —
     /// the newest version always stays). Structural sharing makes a
     /// retained version cost O(its write), not O(database); `AS OF`
-    /// reads below the horizon fall back to `doem::snapshot_at` replay.
+    /// reads below the horizon evaluate over the lazy `O_t(D)` view.
     pub retain_lsns: usize,
 }
 
@@ -309,11 +309,6 @@ struct PipelineState {
     read_only: bool,
     /// Sequenced, not yet drained by the committer.
     queue: VecDeque<StagedCommit>,
-    /// The batch the committer is persisting right now (timestamps +
-    /// change sets only). Together with `queue`, exactly the writes the
-    /// sequencing head is ahead of the published state by — what
-    /// [`rebuild_sequencing_head`] replays after a rejected change set.
-    persisting: Vec<(Timestamp, ChangeSet)>,
     /// The shard's log, parked here between shard construction and
     /// committer start; the committer takes it and owns it exclusively,
     /// which is why no lock is ever held across an append or fsync.
@@ -395,7 +390,6 @@ impl Shard {
                     seq_last_at: last_at,
                     read_only: false,
                     queue: VecDeque::new(),
-                    persisting: Vec::new(),
                     wal: Some(wal),
                     stop: None,
                 }),
@@ -867,8 +861,8 @@ impl Service {
     /// The retained version of database `db` in force at `lsn`: the
     /// ring entry with the greatest LSN `<= lsn` (DESIGN.md §14). `None`
     /// if no such database, or if `lsn` predates the retention horizon —
-    /// exactly when the `AS OF` query path falls back to
-    /// `doem::snapshot_at` replay. Used by the chaos oracle to re-check
+    /// exactly when the `AS OF` query path falls back to the `O_t(D)`
+    /// view. Used by the chaos oracle to re-check
     /// observed reads against the version actually served.
     pub fn version_snapshot(&self, db: &str, lsn: Timestamp) -> Option<SharedOem> {
         let shard = self.shared.shard(db)?;
@@ -1098,49 +1092,31 @@ fn recover_one(checkpoint: DoemDatabase, wal_path: &Path) -> std::io::Result<Rec
         .copied()
         .unwrap_or(Timestamp::NEG_INFINITY);
     let replayed = wal::replay(wal_path)?;
-    // First pass: how many leading entries apply cleanly? Entries at or
-    // before the checkpoint's high-water mark are already inside the
-    // image (a crash landed between checkpoint save and log truncation)
-    // and are skipped, not re-applied.
-    let usable = {
-        let mut doem = checkpoint.clone();
-        let mut replica = current_snapshot(&doem);
-        let mut n = 0usize;
-        for (at, changes) in &replayed.entries {
-            if *at <= ckpt_max || apply_set(&mut doem, &mut replica, changes, *at).is_ok() {
-                n += 1;
-            } else {
-                break;
-            }
-        }
-        n
-    };
-    // Second pass: rebuild from the pristine checkpoint with exactly the
-    // usable prefix (the first pass may have half-applied the entry it
-    // stopped on).
+    // Replay the longest prefix that applies cleanly (`apply_set` leaves
+    // the graphs untouched by the entry it rejects). Entries at or before
+    // the checkpoint's high-water mark are already inside the image (a
+    // crash landed between checkpoint save and log truncation) and are
+    // skipped, not re-applied.
     let mut doem = checkpoint;
     let mut replica = current_snapshot(&doem);
     let mut last_at = ckpt_max;
     let mut applied = 0u64;
     let mut good_len = 0u64;
     let mut epoch = 0u64;
-    for (i, (at, changes)) in replayed.entries[..usable].iter().enumerate() {
+    let mut rejected = false;
+    for (i, (at, changes)) in replayed.entries.iter().enumerate() {
         if *at > ckpt_max {
-            // The first pass proved this prefix applies; failing here
-            // means the two passes disagree, which is corruption worth
-            // surfacing as an I/O error rather than a crash mid-recovery.
-            apply_set(&mut doem, &mut replica, changes, *at).map_err(|e| {
-                std::io::Error::other(format!(
-                    "recovery replay diverged from validation pass at {at}: {e}"
-                ))
-            })?;
+            if apply_set(&mut doem, &mut replica, changes, *at).is_err() {
+                rejected = true;
+                break;
+            }
             last_at = *at;
             applied += 1;
         }
         good_len += wal::encode_record_epoch(*at, changes, replayed.epochs[i]).len() as u64;
         epoch = epoch.max(replayed.epochs[i]);
     }
-    let torn = replayed.torn || usable < replayed.entries.len();
+    let torn = replayed.torn || rejected;
     Ok(Recovered {
         doem,
         replica,
@@ -1306,8 +1282,6 @@ fn committer_loop(shared: &Arc<Shared>, db: &str, shard: &Arc<Shard>, mut wal: D
             }
             let n = ps.queue.len().min(max);
             let batch: Vec<StagedCommit> = ps.queue.drain(..n).collect();
-            // Record the in-flight batch for `rebuild_sequencing_head`.
-            ps.persisting = batch.iter().map(|s| (s.at, s.changes.clone())).collect();
             (batch, ps.stop)
         };
         if batch.is_empty() {
@@ -1361,7 +1335,6 @@ fn persist_and_publish(
         let stranded: Vec<StagedCommit> = {
             let mut ps = pipeline.inner.lock();
             ps.read_only = true;
-            ps.persisting.clear();
             ps.queue.drain(..).collect()
         };
         {
@@ -1448,12 +1421,8 @@ fn persist_and_publish(
     for (slot, resp) in replies {
         slot.deliver(resp);
     }
-    {
-        let mut ps = pipeline.inner.lock();
-        if poisoned {
-            ps.read_only = true;
-        }
-        ps.persisting.clear();
+    if poisoned {
+        pipeline.inner.lock().read_only = true;
     }
     !poisoned
 }
@@ -1865,9 +1834,7 @@ fn sequence_write(
     let outcome = apply_set(seq_doem.make_mut(), seq_replica.make_mut(), &changes, at);
     shared.metrics.exec.record(t.elapsed());
     if let Err(e) = outcome {
-        // `apply_set` applies op by op, so a rejected set can leave the
-        // head half-applied; rebuild it from the published state.
-        rebuild_sequencing_head(shard, &mut ps);
+        // `apply_set` is all or nothing: the head is as it was.
         return Some(Response::err(
             ErrKind::Conflict,
             format!("change set rejected: {e}"),
@@ -1902,41 +1869,6 @@ fn resolve_now(shared: &Shared, last: Timestamp) -> Timestamp {
         Metrics::bump(&shared.metrics.clock_regressions);
         last.plus_minutes(1)
     }
-}
-
-/// Restore a half-applied sequencing head after a rejected change set:
-/// snapshot the published state (cheap `Arc` clones under a brief read
-/// lock — the pipeline lock is already held, and lock order is pipeline
-/// → state everywhere) and replay exactly the staged-but-unpublished
-/// writes on top. Entries at or before the published high-water mark are
-/// skipped, which makes the replay immune to racing the committer's
-/// publish — the same idiom crash recovery uses against the checkpoint.
-/// Replay cannot fail (each set applied cleanly to this same lineage
-/// once already); if it somehow does, the shard is sequenced read-only
-/// rather than left on a diverged head.
-fn rebuild_sequencing_head(shard: &Shard, ps: &mut PipelineState) {
-    let (mut doem, mut replica, published_at) = {
-        let st = shard.state.read();
-        (st.doem.snapshot(), st.replica.snapshot(), st.last_at)
-    };
-    let pending = ps
-        .persisting
-        .iter()
-        .map(|(at, changes)| (*at, changes))
-        .chain(ps.queue.iter().map(|s| (s.at, &s.changes)));
-    for (at, changes) in pending {
-        if at <= published_at {
-            continue;
-        }
-        if apply_set(doem.make_mut(), replica.make_mut(), changes, at).is_err() {
-            ps.read_only = true;
-            break;
-        }
-    }
-    ps.seq_doem = doem;
-    ps.seq_replica = replica;
-    // `seq_last_at` is untouched: the rejected candidate never advanced
-    // it, and the replayed writes are all at or below it.
 }
 
 /// Commit one change set to a **non-durable** shard synchronously.
@@ -2130,12 +2062,13 @@ pub(crate) fn install_replicated_doem(
 /// version is *pinned* for the duration of the evaluation — retention GC
 /// will not unlink it, so the chaos oracle's `version_snapshot` probe
 /// sees the same version the read was served from. Below the retention
-/// horizon the ring answers `None` and the read falls back to
-/// `doem::snapshot_at` replay over the full recorded history — identical
-/// rows by construction, since the replica is maintained in lockstep
-/// with that history. `AS OF` results bypass the result cache: entries
-/// are keyed by shard generation, which only ever names the *current*
-/// version.
+/// horizon (or before the base version) the ring answers `None` and the
+/// read is evaluated over the paper's `O_t(D)` as a lazy view of the
+/// full recorded history ([`chorel::run_chorel_at`]) — identical rows by
+/// construction, since the replica is maintained in lockstep with that
+/// history, at a cost set by what the query reaches. `AS OF` results
+/// bypass the result cache: entries are keyed by shard generation, which
+/// only ever names the *current* version.
 fn query_as_of(
     shared: &Shared,
     shard: &Shard,
@@ -2143,26 +2076,26 @@ fn query_as_of(
     query: &lorel::ast::Query,
 ) -> Response {
     let pinned = shard.versions.lock().pin(at);
-    let doem = match &pinned {
-        Some((_, replica)) => DoemDatabase::from_snapshot(replica),
+    let t = Instant::now();
+    let outcome = match &pinned {
+        Some((_, replica)) => {
+            Metrics::bump(&shared.metrics.as_of_ring);
+            let doem = DoemDatabase::from_snapshot(replica);
+            run_chorel_parsed(&doem, query, shared.cfg.strategy)
+                .map(|result| canonical_row_strings(&doem, &result))
+        }
         None => {
-            // Beyond the horizon (or before the base version): the
-            // paper's `O_t(D)`, reconstructed from the annotations.
-            let full = {
-                let st = shard.state.read();
-                st.doem.snapshot()
-            };
-            DoemDatabase::from_snapshot(&doem::snapshot_at(&full, at))
+            Metrics::bump(&shared.metrics.as_of_view);
+            let full = shard.state.read().doem.snapshot();
+            chorel::run_chorel_at(&full, at, query, shared.cfg.strategy)
         }
     };
-    let t = Instant::now();
-    let outcome = run_chorel_parsed(&doem, query, shared.cfg.strategy);
     shared.metrics.exec.record(t.elapsed());
     if let Some((version_lsn, _)) = pinned {
         shard.versions.lock().unpin(version_lsn);
     }
     match outcome {
-        Ok(result) => Response::Rows(canonical_row_strings(&doem, &result)),
+        Ok(rows) => Response::Rows(rows),
         Err(e) => Response::err(ErrKind::Conflict, format!("query failed: {e}")),
     }
 }

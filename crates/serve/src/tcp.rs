@@ -311,6 +311,9 @@ impl WireClient {
         timeout: Option<Duration>,
     ) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
         let stream = TcpStream::connect(addrs)?;
+        // Request lines are small and each waits for its answer: never
+        // hold one back for the previous segment's ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)?;
         let writer = stream.try_clone()?;
@@ -379,9 +382,12 @@ impl WireClient {
     /// [`WireClient::recv`] in completion order. Never retries — resending
     /// pipelined traffic is the caller's call.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        // One write per request: a line split across two segments waits
+        // out the peer's delayed ACK (~40 ms) before the second is sent.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)
     }
 
     /// Read the next response frame, returning its pipelining tag (if
@@ -419,6 +425,27 @@ mod tests {
             assert_eq!(over_wire, in_process, "divergence on {line:?}");
         }
         assert_eq!(wire.roundtrip("QUIT").unwrap(), Response::Ok("bye".into()));
+        handle.stop();
+        svc.shutdown();
+    }
+
+    #[test]
+    fn serial_round_trips_do_not_wait_out_delayed_acks() {
+        // A request split across two segments costs a ~40 ms delayed-ACK
+        // wait per round trip (Nagle holds the second segment): 50 serial
+        // PINGs then take ~2 s instead of milliseconds.
+        let svc = Service::start(ServeConfig::default()).unwrap();
+        let handle = svc.listen("127.0.0.1:0").unwrap();
+        let mut wire = WireClient::connect(handle.addr()).unwrap();
+        let began = std::time::Instant::now();
+        for _ in 0..50 {
+            assert_eq!(wire.roundtrip("PING").unwrap(), Response::Ok("pong".into()));
+        }
+        let elapsed = began.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 PINGs took {elapsed:?}"
+        );
         handle.stop();
         svc.shutdown();
     }

@@ -153,6 +153,15 @@ if grep -q "DOEM-SANITIZE \[" <<<"$sanitize_out"; then
     exit 1
 fi
 
+echo "==> perf smoke: doem-load output checks over a real doem-serve (no threshold)"
+# The wire answers of every workload — current reads, AS OF in the ring
+# and on the O_t(D) view, everything again after kill -9 recovery — are
+# checked byte for byte against a shadow database built from the acked
+# writes (benchmark/README.md). Correctness under load is the gate here;
+# speed is judged by `benchmark/run.sh --compare`, not by CI.
+bash benchmark/run.sh --quick --out "$(pwd)/target/perf-smoke" > /dev/null
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -6,10 +6,208 @@ mod common;
 use common::{random_db, random_history};
 use doem::{
     current_snapshot, decode_doem, doem_from_history, encode_doem, extract_history, is_feasible,
-    original_snapshot, snapshot_at, same_doem,
+    original_snapshot, same_doem, snapshot_at,
 };
-use oem::{same_database, Timestamp};
+use oem::{same_database, ArcTriple, ChangeOp, ChangeSet, NodeId, OemDatabase, Timestamp, Value};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A small rooted graph of arbitrary shape: shared children, self loops,
+/// cycles, arcs back into the root.
+fn tangled_db(rng: &mut StdRng, n: usize) -> OemDatabase {
+    let mut db = OemDatabase::new("g");
+    let mut nodes = vec![db.root()];
+    for i in 0..n {
+        let value = if rng.gen_bool(0.7) {
+            Value::Complex
+        } else {
+            Value::Int(i as i64)
+        };
+        nodes.push(db.create_node(value));
+    }
+    for _ in 0..3 * n {
+        let p = nodes[rng.gen_range(0..nodes.len())];
+        let c = nodes[rng.gen_range(0..nodes.len())];
+        if db.is_complex(p) {
+            let _ = db.insert_arc(ArcTriple::new(p, ["a", "b"][rng.gen_range(0..2)], c));
+        }
+    }
+    db.collect_garbage();
+    db
+}
+
+/// A random change set valid for `db`, drawn from the shapes that stress
+/// boundary collection: arc removals (subtrees, cycles and shared children
+/// come loose), a removed arc's child re-attached elsewhere in the same
+/// set, new arcs into the root, linked and orphan `creNode`s, and orphans
+/// that point at surviving nodes.
+fn tangling_set(rng: &mut StdRng, db: &OemDatabase) -> ChangeSet {
+    let mut set = ChangeSet::new();
+    let mut scratch = db.clone();
+    let try_push = |set: &mut ChangeSet, ops: Vec<ChangeOp>| {
+        let mut probe = set.clone();
+        if ops.into_iter().all(|op| probe.push(op).is_ok()) && probe.validate_for(db).is_ok() {
+            *set = probe;
+        }
+    };
+    let nodes: Vec<NodeId> = db.node_ids().collect();
+    let complex: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|n| db.is_complex(*n))
+        .collect();
+    let arcs: Vec<ArcTriple> = db.arcs().collect();
+    let any = |rng: &mut StdRng, of: &[NodeId]| of[rng.gen_range(0..of.len())];
+    for _ in 0..rng.gen_range(1..7) {
+        match rng.gen_range(0..8) {
+            0..=2 if !arcs.is_empty() => {
+                let arc = arcs[rng.gen_range(0..arcs.len())];
+                let mut ops = vec![ChangeOp::RemArc(arc)];
+                if rng.gen_bool(0.3) {
+                    ops.push(ChangeOp::add_arc(any(rng, &complex), "moved", arc.child));
+                }
+                try_push(&mut set, ops);
+            }
+            3 => try_push(
+                &mut set,
+                vec![ChangeOp::add_arc(
+                    any(rng, &complex),
+                    "link",
+                    any(rng, &nodes),
+                )],
+            ),
+            4 => try_push(
+                &mut set,
+                vec![ChangeOp::add_arc(any(rng, &complex), "up", db.root())],
+            ),
+            5 => {
+                let c = scratch.alloc_id();
+                let value = if rng.gen_bool(0.5) {
+                    Value::Complex
+                } else {
+                    Value::Int(7)
+                };
+                try_push(
+                    &mut set,
+                    vec![
+                        ChangeOp::CreNode(c, value),
+                        ChangeOp::add_arc(any(rng, &complex), "new", c),
+                    ],
+                );
+            }
+            6 => {
+                // Never linked; half the time it holds an arc to a survivor.
+                let c = scratch.alloc_id();
+                let mut ops = vec![ChangeOp::CreNode(c, Value::Complex)];
+                if rng.gen_bool(0.5) {
+                    ops.push(ChangeOp::add_arc(c, "sees", any(rng, &nodes)));
+                }
+                try_push(&mut set, ops);
+            }
+            _ => {
+                let n = any(rng, &nodes);
+                if n != db.root() {
+                    try_push(
+                        &mut set,
+                        vec![ChangeOp::UpdNode(n, Value::Int(rng.gen_range(0..9)))],
+                    );
+                }
+            }
+        }
+    }
+    set
+}
+
+proptest! {
+    // Cheap per case, and the interesting shapes (a cycle cut loose, an
+    // orphan holding a survivor) are rare draws: run many.
+    #![proptest_config(ProptestConfig {
+        cases: 300, ..ProptestConfig::default()
+    })]
+
+    /// Change-set-local garbage collection is the Section 2.1 definition:
+    /// after every set of a random tangled history, `ChangeSet::apply_to`
+    /// and `doem::apply_set` (suspect-closure trial deletion) leave exactly
+    /// what applying the ops and scanning the whole graph leaves — dead
+    /// set, retired ids, arc count, in-degrees, annotations.
+    #[test]
+    fn local_gc_agrees_with_full_scan(seed in 0u64..2_000, n in 1usize..9, steps in 1usize..7) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = tangled_db(&mut rng, n);
+        let mut d = doem::DoemDatabase::from_snapshot(&db);
+        let mut at: Timestamp = "1Jan97".parse().unwrap();
+        for _ in 0..steps {
+            let set = tangling_set(&mut rng, &db);
+
+            let mut local = db.clone();
+            let dead = set.apply_to(&mut local).unwrap();
+            let mut full = db.clone();
+            for op in set.canonical_order() {
+                op.apply(&mut full).unwrap();
+            }
+            prop_assert_eq!(&dead, &full.collect_garbage(), "dead set after {}", set);
+            prop_assert!(same_database(&local, &full));
+            prop_assert_eq!(local.arc_count(), full.arc_count());
+            for x in full.node_ids() {
+                prop_assert_eq!(local.in_degree(x), full.in_degree(x), "in-degree of {}", x);
+            }
+            prop_assert!(dead.iter().all(|x| !local.is_fresh(*x)), "retired ids");
+            local.check_invariants().unwrap();
+
+            // The annotated graph: only never-linked creations may go.
+            let mut replica = db.clone();
+            let mut d_full = d.clone();
+            doem::apply_set(&mut d, &mut replica, &set, at).unwrap();
+            for op in set.canonical_order() {
+                match op {
+                    ChangeOp::CreNode(x, v) => d_full.record_create(*x, v.clone(), at).unwrap(),
+                    ChangeOp::UpdNode(x, v) => d_full.record_update(*x, v.clone(), at).unwrap(),
+                    ChangeOp::AddArc(a) => d_full.record_add(*a, at).unwrap(),
+                    ChangeOp::RemArc(a) => d_full.record_remove(*a, at).unwrap(),
+                }
+            }
+            d_full.collect_garbage();
+            prop_assert!(same_database(&replica, &local));
+            prop_assert!(same_doem(&d, &d_full), "annotated graphs diverge after {}", set);
+            prop_assert_eq!(d.annotation_count(), d_full.annotation_count());
+            d.check_invariants().unwrap();
+            // Not `graph().check_invariants()`: the annotated graph keeps
+            // removed arcs, also under nodes since retyped to atomic.
+            let mut incoming = std::collections::HashMap::new();
+            for arc in d.graph().arcs() {
+                *incoming.entry(arc.child).or_insert(0usize) += 1;
+            }
+            for x in d.graph().node_ids() {
+                let counted = incoming.get(&x).copied().unwrap_or(0);
+                prop_assert_eq!(d.graph().in_degree(x), counted, "in-degree of {}", x);
+            }
+            prop_assert_eq!(d.graph().reachable().len(), d.graph().node_count());
+            prop_assert!(same_database(&current_snapshot(&d), &local));
+            db = local;
+
+            // A set rejected at its last operation leaves no trace, so the
+            // next round's collection starts from a reachable graph again.
+            let nowhere = oem::NodeId::from_raw(u64::MAX / 2);
+            let bad = ChangeSet::from_ops(
+                tangling_set(&mut rng, &db)
+                    .canonical_order()
+                    .into_iter()
+                    .cloned()
+                    .chain([ChangeOp::add_arc(nowhere, "nowhere", db.root())]),
+            )
+            .unwrap();
+            let d_before = d.clone();
+            prop_assert!(doem::apply_set(&mut d, &mut replica, &bad, at.plus_minutes(1)).is_err());
+            prop_assert!(same_doem(&d, &d_before), "rejected {} left a trace", bad);
+            prop_assert_eq!(d.graph().node_count(), d_before.graph().node_count());
+            prop_assert!(same_database(&replica, &db));
+            prop_assert_eq!(replica.node_count(), db.node_count());
+
+            at = at.plus_minutes(rng.gen_range(1..500));
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -54,6 +252,68 @@ proptest! {
             let mut prev = db.clone();
             h.prefix_through(before).apply_to(&mut prev).unwrap();
             prop_assert!(same_database(&snapshot_at(&d, before), &prev));
+        }
+    }
+
+    /// `O_t(D)` as a lazy view answers what `snapshot_at` materialises:
+    /// for random histories, at a point before the base, at every recorded
+    /// LSN, between LSNs and past the last one, `run_chorel_at` returns the
+    /// canonical rows of evaluating over the materialised snapshot (both
+    /// strategies vouching for that side) — for plain paths, wildcards,
+    /// joins, and annotation expressions, which a past *state* answers
+    /// with nothing.
+    #[test]
+    fn as_of_view_agrees_with_snapshot_at(seed in 0u64..1_000, n in 2usize..8, steps in 1usize..6) {
+        let db = random_db(seed, n);
+        let h = random_history(&db, seed.wrapping_add(67), steps, 5);
+        let d = doem_from_history(&db, &h).unwrap();
+        let mut points = vec![Timestamp::NEG_INFINITY, Timestamp::INFINITY];
+        for entry in h.entries() {
+            points.extend([entry.at.plus_minutes(-1), entry.at, entry.at.plus_minutes(1)]);
+        }
+        let plain = [
+            "select guide.restaurant",
+            "select guide.restaurant.price",
+            "select guide.restaurant where guide.restaurant.price < 50",
+            "select X from guide.% X where X.name",
+            "select guide.#.name",
+            "select guide.restaurant where guide.restaurant.# like \"%Main%\"",
+            "select R.name, P from guide.restaurant R, R.parking P",
+            "select R, S from guide.restaurant R, guide.restaurant S where R.parking = S.parking",
+            "select R.link*.name from guide.restaurant R",
+            "select guide.restaurant.(price|note|tag)",
+        ];
+        let annotated = [
+            "select guide.<add>note",
+            "select guide.restaurant.<add at T>note where T >= 1Jan97",
+            "select T, NV from guide.restaurant.price<upd at T to NV>",
+            "select R from guide.restaurant R where R.<rem at T>parking and T > 1Jan97",
+            "select guide.restaurant.name<cre at T> where T < 1Feb97",
+        ];
+        // `<at T>` inside a past state reads that state; direct-only.
+        let virtual_at = ["select guide.restaurant.price<at 5Jan97>"];
+        for &t in &points {
+            let snap = doem::DoemDatabase::from_snapshot(&snapshot_at(&d, t));
+            for (i, text) in plain.iter().chain(&annotated).chain(&virtual_at).enumerate() {
+                let query = lorel::parse_query(text).unwrap();
+                let direct_only = i >= plain.len() + annotated.len();
+                let expected = if direct_only {
+                    chorel::run_chorel(&snap, text, chorel::Strategy::Direct).unwrap()
+                } else {
+                    chorel::run_both_checked(&snap, text).unwrap()
+                };
+                let expected = chorel::canonical_row_strings(&snap, &expected);
+                let view = chorel::run_chorel_at(&d, t, &query, chorel::Strategy::Direct).unwrap();
+                prop_assert_eq!(&view, &expected, "{} at {}", text, t);
+                if annotated.contains(text) {
+                    prop_assert!(view.is_empty(), "{} saw history at {}", text, t);
+                }
+                if !direct_only {
+                    let translated =
+                        chorel::run_chorel_at(&d, t, &query, chorel::Strategy::Translated).unwrap();
+                    prop_assert_eq!(&translated, &expected, "{} at {} (translated)", text, t);
+                }
+            }
         }
     }
 
@@ -322,7 +582,7 @@ proptest! {
     /// of a random history plus every post-install write, and at a point
     /// before all of them. `retain_lsns` is randomized down to 1 so the
     /// same points are answered from the retained version ring *and*
-    /// (below the horizon) the snapshot-at replay fallback.
+    /// (below the horizon) the lazy `O_t(D)` view.
     #[test]
     fn as_of_through_serve_matches_snapshot_at_replay(
         seed in 0u64..400, n in 2usize..8, steps in 1usize..5, retain in 1usize..4
@@ -372,6 +632,9 @@ proptest! {
                 "select guide.restaurant.price",
                 "select guide.item",
                 "select X from guide.% X where X.name",
+                "select guide.#.name",
+                "select R.name, P from guide.restaurant R, R.parking P",
+                "select guide.<add>item",
             ] {
                 let expected = chorel::canonical_row_strings(
                     &replayed,
@@ -387,6 +650,11 @@ proptest! {
                 prop_assert_eq!(&served, &expected, "AS OF {} query {}", at, query);
             }
         }
+        // Both paths answered: the point before the history is below any
+        // ring, the newest write is always in it.
+        let metrics = svc.metrics();
+        prop_assert!(metrics.as_of_view.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        prop_assert!(metrics.as_of_ring.load(std::sync::atomic::Ordering::Relaxed) > 0);
         svc.shutdown();
     }
 

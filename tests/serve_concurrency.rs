@@ -184,6 +184,67 @@ fn cache_invalidation_keeps_results_fresh_under_interleaving() {
     svc.shutdown();
 }
 
+/// A rejected `UPDATE` leaves no trace — not the nodes it created, not
+/// the arcs it removed, not the values it set before the failing
+/// operation — on an in-memory shard (applied in place) and on a durable
+/// one (applied to the sequencing head first).
+#[test]
+fn rejected_update_leaves_no_trace_for_the_next_write() {
+    let wal_dir = std::env::temp_dir().join(format!("serve-rejected-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    for wal_dir in [None, Some(wal_dir.clone())] {
+        let durable = wal_dir.is_some();
+        let svc = Service::start(ServeConfig {
+            wal_dir,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        svc.install(&guide_figure2(), &history_example_2_3()).unwrap();
+        let client = svc.client();
+        let q = "select guide.restaurant.price";
+        let before = svc.doem_snapshot("guide").unwrap();
+
+        let resp = client.request_line(
+            "UPDATE guide AT 1Apr97 1:00pm ; {creNode(n700, 1), remArc(n4, restaurant, n6), \
+             updNode(n1, 99), addArc(n999, x, n700)}",
+        );
+        assert!(
+            matches!(&resp, Response::Error { kind: ErrKind::Conflict, .. }),
+            "durable={durable}: {resp:?}"
+        );
+        // The published graph itself, not a cached answer about it.
+        assert!(
+            doem::same_doem(&svc.doem_snapshot("guide").unwrap(), &before),
+            "durable={durable}"
+        );
+
+        // A valid write goes through, and `n700` is still not there to
+        // attach afterwards.
+        let resp = client.request_line("UPDATE guide AT 1Apr97 2:00pm ; {updNode(n1, 25)}");
+        assert!(!resp.is_error(), "durable={durable}: {resp:?}");
+        let resp = client.request_line("UPDATE guide AT 1Apr97 3:00pm ; {addArc(n4, y, n700)}");
+        assert!(
+            matches!(&resp, Response::Error { kind: ErrKind::Conflict, .. }),
+            "durable={durable}: {resp:?}"
+        );
+        // The id was never used, so it can be created for real.
+        let resp = client.request_line(
+            "UPDATE guide AT 1Apr97 4:00pm ; {creNode(n700, 2), addArc(n4, y, n700)}",
+        );
+        assert!(!resp.is_error(), "durable={durable}: {resp:?}");
+        assert_eq!(
+            client.query("guide", "select guide.y").unwrap().len(),
+            1,
+            "durable={durable}"
+        );
+        let full = svc.doem_snapshot("guide").unwrap();
+        full.check_invariants().unwrap();
+        assert_eq!(client.query("guide", q).unwrap(), baseline(&full, q));
+        svc.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
 /// The applied-LSN wire form (`LSN <db>` → `applied <lsn> …`).
 fn applied_lsn(client: &serve::Client, db: &str) -> String {
     let Response::Ok(line) = client.request_line(&format!("LSN {db}")) else {
@@ -194,9 +255,9 @@ fn applied_lsn(client: &serve::Client, db: &str) -> String {
 
 /// `AS OF <lsn>` must answer, live, the rows the database held when that
 /// LSN was the head — both from the retained version ring and (once the
-/// retention horizon passes the point) from the snapshot-at replay
-/// fallback — and both must be byte-identical to a direct
-/// `doem::snapshot_at` reconstruction.
+/// retention horizon passes the point) from the lazy `O_t(D)` view — and
+/// both must be byte-identical to a direct `doem::snapshot_at`
+/// reconstruction.
 #[test]
 fn as_of_serves_every_recorded_point_and_falls_back_past_the_horizon() {
     for retain in [64usize, 1] {
@@ -240,6 +301,16 @@ fn as_of_serves_every_recorded_point_and_falls_back_past_the_horizon() {
                 "AS OF {lsn} vs snapshot_at replay (retain={retain})"
             );
         }
+        // retain=64 holds every point in the ring; retain=1 holds only the
+        // newest, so every other point took the view.
+        let on_view = svc.metrics().as_of_view.load(Ordering::Relaxed) as usize;
+        let on_ring = svc.metrics().as_of_ring.load(Ordering::Relaxed) as usize;
+        let expected_on_view = if retain == 1 { points.len() - 1 } else { 0 };
+        assert_eq!(
+            (on_view, on_ring),
+            (expected_on_view, points.len() - expected_on_view),
+            "retain={retain}"
+        );
         svc.shutdown();
     }
 }
