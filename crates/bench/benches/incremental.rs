@@ -3,9 +3,12 @@
 //!
 //! * `incremental/publish` — the serve cache's publish-stage choice after
 //!   a write touched a fixed number of objects: full re-evaluation of a
-//!   cached query (`full/…`, scans the database) versus semi-naive
-//!   maintenance of the prior rows (`maintain/…`, scans the delta, plus
-//!   an O(prior) row copy).
+//!   cached query (`full/…`, scans the database) versus asking the
+//!   change-set-seeded delta variants what the write adds to the prior
+//!   rows (`maintain/…`, `chorel::delta::fresh_rows` — what the publish
+//!   stage calls per entry; it walks the delta's root paths). The pool
+//!   holds root-level steps, a depth-3 annotated step, and a join whose
+//!   restricted constraint is enumerated last.
 //! * `incremental/quiet-tick` — a whole QSS poll against a source that
 //!   did not change: `re-poll` pays the full pipeline every tick
 //!   (snapshot, polling query, OEMdiff), `incremental` takes the
@@ -26,15 +29,24 @@ fn ts(s: &str) -> Timestamp {
     s.parse().unwrap()
 }
 
-/// One new restaurant (2 nodes, 2 arcs) — the fixed delta every size pays.
+/// One new restaurant and one note under an existing complex address
+/// (3 nodes, 3 arcs) — the fixed delta every size pays.
 fn fixed_delta(db: &mut OemDatabase) -> ChangeSet {
+    let address = db
+        .arcs()
+        .find(|a| a.label.as_str() == "address" && db.is_complex(a.child))
+        .expect("synthetic guides have complex addresses")
+        .child;
     let r = db.alloc_id();
     let n = db.alloc_id();
+    let note = db.alloc_id();
     ChangeSet::from_ops([
         ChangeOp::CreNode(r, Value::Complex),
         ChangeOp::CreNode(n, Value::str("Thai Spice")),
+        ChangeOp::CreNode(note, Value::str("rear entrance")),
         ChangeOp::add_arc(db.root(), "restaurant", r),
         ChangeOp::add_arc(r, "name", n),
+        ChangeOp::add_arc(address, "note", note),
     ])
     .unwrap()
 }
@@ -45,6 +57,11 @@ fn bench_publish(c: &mut Criterion) {
     let queries = [
         ("plain", "select guide.restaurant"),
         ("filter", "select guide.<add at T>restaurant where T >= 2Jan97"),
+        ("deep", "select X, T from guide.restaurant.address.<add at T>note X"),
+        (
+            "join",
+            "select N, X from guide.restaurant R, R.name N, R.address.<add>note X",
+        ),
     ];
     for &n in &[100usize, 400, 1600] {
         let mut replica = synthetic_guide(11, n);
@@ -67,7 +84,7 @@ fn bench_publish(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("maintain/{tag}"), n), &n, |b, _| {
                 b.iter(|| {
                     black_box(
-                        chorel::delta::maintain_rows(&d, &parsed[i], &set, at, &prior[i])
+                        chorel::delta::fresh_rows(&d, &parsed[i], &set, at, &prior[i])
                             .unwrap()
                             .expect("pool is inside the monotonic fragment"),
                     )

@@ -39,7 +39,8 @@ impl<'a> AtSource<'a> {
         // after `t` (see `value`).
         render_canonical_rows(&canonical_rows_by(
             |n| n == self.d.root() || self.d.value_ref_at(n, self.t).is_some(),
-            result,
+            &result.rows,
+            |n| result.db.value(n).ok().cloned(),
         ))
     }
 }

@@ -5,9 +5,11 @@
 //! applied to, maintain a prior result instead of re-evaluating the whole
 //! query. Two entry points, for the two consumers:
 //!
-//! * [`maintain_rows`] — union the prior rows with the delta variants
-//!   (serve's generation-keyed result cache maintains entries through the
-//!   commit pipeline's publish stage with this);
+//! * [`fresh_rows`] / [`maintain_rows`] — the rows the delta variants add
+//!   to a prior result, and the union of the two (serve's
+//!   generation-keyed result cache carries entries through the commit
+//!   pipeline's publish stage with the former: an entry that gains no row
+//!   is re-keyed untouched);
 //! * [`filter_anchor`] + [`anchored_eval`] — the standing-subscription
 //!   fast path: a filter whose `where` clause carries a top-level
 //!   `T ≥ τ` conjunct on an annotation timestamp is evaluated *exactly*
@@ -50,20 +52,35 @@
 //! assert_eq!(rows.rows.len(), 2); // Hakata + Thai Spice
 //! ```
 
-use crate::engines::canonical_row_strings;
+use crate::engines::{canonical_rows_by, render_canonical_rows};
 use crate::DirectSource;
 use doem::DoemDatabase;
 use lorel::ast::Query;
 use lorel::{
-    anchored_execute, delta_maintain, find_anchor, package, plan, Anchor, DeltaSpec, QueryResult,
+    anchored_execute, delta_fresh, find_anchor, package, plan, Anchor, DeltaSpec, QueryResult,
     Result, Row, Rows,
 };
 use oem::{ChangeSet, Timestamp};
 
-/// Maintain `prior` through `change` (applied to `d` at `at`): the prior
-/// rows unioned with the semi-naive delta variants, deduplicated. Returns
-/// `None` when the query × delta is outside the monotonic fragment and
-/// the caller must re-evaluate fully (see [`lorel::DeltaUnsupported`]).
+/// The rows `change` (applied to `d` at `at`) adds to the (deduplicated)
+/// `prior` result of `query`: the semi-naive delta variants minus the
+/// prior rows. Empty means the result did not change. Returns `None`
+/// when the query × delta is outside the monotonic fragment and the
+/// caller must re-evaluate fully (see [`lorel::DeltaUnsupported`]).
+pub fn fresh_rows(
+    d: &DoemDatabase,
+    query: &Query,
+    change: &ChangeSet,
+    at: Timestamp,
+    prior: &[Row],
+) -> Result<Option<Vec<Row>>> {
+    let p = plan(query, d.name())?;
+    let spec = DeltaSpec::new(change, at);
+    delta_fresh(&DirectSource::new(d), &p, &spec, prior)
+}
+
+/// Maintain `prior` through `change`: the prior rows followed by
+/// [`fresh_rows`]. `None` as there.
 pub fn maintain_rows(
     d: &DoemDatabase,
     query: &Query,
@@ -71,12 +88,9 @@ pub fn maintain_rows(
     at: Timestamp,
     prior: &[Row],
 ) -> Result<Option<Rows>> {
-    let p = plan(query, d.name())?;
-    let spec = DeltaSpec::new(change, at);
-    let prior = Rows {
-        rows: prior.to_vec(),
-    };
-    delta_maintain(&DirectSource::new(d), &p, &spec, &prior)
+    Ok(fresh_rows(d, query, change, at, prior)?.map(|fresh| Rows {
+        rows: prior.iter().cloned().chain(fresh).collect(),
+    }))
 }
 
 /// Package raw engine rows into a [`QueryResult`] against `d`, the same
@@ -87,11 +101,14 @@ pub fn package_rows(d: &DoemDatabase, rows: &Rows) -> QueryResult {
     package(&src, rows, &format!("{}-result", d.name()))
 }
 
-/// Canonical wire rows for raw engine rows: package then canonicalize —
-/// what a cache must store to answer queries byte-identically to a fresh
-/// evaluation.
+/// Canonical wire rows for raw direct-strategy rows — what a cache must
+/// store to answer queries byte-identically to a fresh evaluation.
+/// Direct rows bind objects of `d`'s graph or computed values, never an
+/// object that exists only in a packaged result, so no result database
+/// is built to render them.
 pub fn canonical_strings_for_rows(d: &DoemDatabase, rows: &Rows) -> Vec<String> {
-    canonical_row_strings(d, &package_rows(d, rows))
+    let canonical = canonical_rows_by(|n| d.graph().contains_node(n), &rows.rows, |_| None);
+    render_canonical_rows(&canonical)
 }
 
 /// Find the timestamp anchor of a (resolved) filter query, if its `where`
@@ -113,6 +130,7 @@ pub fn anchored_eval(d: &DoemDatabase, query: &Query, anchor: &Anchor) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::canonical_row_strings;
     use crate::{run_chorel_parsed, Strategy};
     use doem::{apply_set, doem_figure4};
     use oem::{ChangeOp, Value};

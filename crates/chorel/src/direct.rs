@@ -83,6 +83,14 @@ impl DataSource for DirectSource<'_> {
             .collect()
     }
 
+    /// Parents in the annotated graph, which holds removed arcs too: a
+    /// superset of the current parents and of every `addFun`/`remFun`
+    /// source, as [`DataSource::parents`] allows.
+    fn parents(&self, n: NodeId) -> Option<Vec<(Label, NodeId)>> {
+        let flipped = self.d.graph().parents(n).into_iter().map(|(p, l)| (l, p));
+        Some(flipped.collect())
+    }
+
     fn cre_fun(&self, n: NodeId) -> Vec<Timestamp> {
         self.d.created_at(n).into_iter().collect()
     }

@@ -93,17 +93,23 @@ pub fn canonical_rows(
     d: &DoemDatabase,
     result: &QueryResult,
 ) -> Vec<Vec<(String, CanonBinding)>> {
-    canonical_rows_by(|n| d.graph().contains_node(n), result)
+    canonical_rows_by(
+        |n| d.graph().contains_node(n),
+        &result.rows,
+        |n| result.db.value(n).ok().cloned(),
+    )
 }
 
-/// [`canonical_rows`] with the "is an object of the queried graph" test
-/// supplied by the caller (a view has no graph of its own to ask).
+/// [`canonical_rows`] over bare rows, with the "is an object of the
+/// queried graph" test supplied by the caller (a view has no graph of its
+/// own to ask) and `aux_value` reading the encoding-auxiliary atoms that
+/// live only in a packaged result.
 pub(crate) fn canonical_rows_by(
     is_graph_node: impl Fn(NodeId) -> bool,
-    result: &QueryResult,
+    rows: &[lorel::Row],
+    aux_value: impl Fn(NodeId) -> Option<Value>,
 ) -> Vec<Vec<(String, CanonBinding)>> {
-    let mut rows: Vec<Vec<(String, CanonBinding)>> = result
-        .rows
+    let mut rows: Vec<Vec<(String, CanonBinding)>> = rows
         .iter()
         .map(|row| {
             row.cols
@@ -117,10 +123,7 @@ pub(crate) fn canonical_rows_by(
                                 CanonBinding::Id(*n)
                             } else {
                                 // Encoding-auxiliary atom: compare by value.
-                                match result.db.value(*n) {
-                                    Ok(v) => CanonBinding::V(v.clone()),
-                                    Err(_) => CanonBinding::None,
-                                }
+                                aux_value(*n).map_or(CanonBinding::None, CanonBinding::V)
                             }
                         }
                     };

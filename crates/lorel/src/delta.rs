@@ -20,10 +20,19 @@
 //! full re-evaluation; the boundary is documented on
 //! [`DeltaUnsupported`] and in `DESIGN.md` §11.
 //!
-//! The variant evaluations run in time proportional to the restricted
-//! constraint's candidates (the delta), not the database, whenever the
-//! restricted constraint sits early in the enumeration order — the shape
-//! standing-subscription filters and cached root-anchored queries have.
+//! Each variant is **seeded from the change set**: the nodes at which
+//! the restricted constraint can bind something new are read off `Δ`
+//! (parents of its added/removed arcs, [`DataSource::parents`] of its
+//! created/updated nodes), and walking [`DataSource::parents`] from them
+//! to the root — filtered by each step's label pattern — yields one
+//! allow-set per slot on the constraint's base chain. The forward
+//! enumeration keeps only allowed candidates at those slots, and a
+//! variant whose walk dies out before the root is skipped without
+//! enumerating. Allow-sets hold every ancestor a delta binding could
+//! have, so they drop only candidates that cannot lead to one: the
+//! identity above is untouched, and a variant costs
+//! O(|Δ| × depth × fan-out along one root path) wherever its constraint
+//! sits in the enumeration order (`DESIGN.md` §11.1).
 //!
 //! # Example
 //!
@@ -54,11 +63,12 @@
 //! ```
 
 use crate::ast::{ArcAnnotExpr, CmpOp, LabelPattern, NodeAnnotExpr, PathStep};
-use crate::engine::{execute_restricted, Binding, Row, Rows};
+use crate::engine::{execute_restricted, pattern_matches, Binding, Restriction, Row, Rows};
 use crate::error::Result;
 use crate::plan::{CompanionRole, Operand, Plan, Pred, VarSource};
+use crate::source::DataSource;
 use oem::{ArcTriple, ChangeSet, NodeId, Timestamp};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// The delta-restriction view of one applied [`ChangeSet`]: which nodes
@@ -282,14 +292,7 @@ fn variant_relevant(step: &PathStep, spec: &DeltaSpec) -> bool {
         Some(ArcAnnotExpr::Add { .. }) => !spec.added.is_empty(),
         Some(ArcAnnotExpr::Rem { .. }) => !spec.removed.is_empty(),
         Some(ArcAnnotExpr::AtTime(_)) => false,
-        None => match &step.label {
-            LabelPattern::Label(l) => spec.added.iter().any(|a| a.label.as_str() == l),
-            LabelPattern::Alternation(ls) => spec
-                .added
-                .iter()
-                .any(|a| ls.iter().any(|l| a.label.as_str() == l)),
-            LabelPattern::AnyLabel | LabelPattern::AnyPath => !spec.added.is_empty(),
-        },
+        None => spec.added.iter().any(|a| pattern_matches(&step.label, a.label)),
     };
     let node_relevant = match &step.node_annot {
         Some(NodeAnnotExpr::Cre { .. }) => !spec.created.is_empty(),
@@ -297,6 +300,116 @@ fn variant_relevant(step: &PathStep, spec: &DeltaSpec) -> bool {
         _ => false,
     };
     arc_relevant || node_relevant
+}
+
+/// Allow-sets for one variant's restricted slot and the slots on its base
+/// chain, as [`Restriction::allow`] takes them. Empty means "enumerate
+/// unpruned". (Ordered sets: they hold a handful of nodes and are probed
+/// once per sibling of an allowed node, where hashing would dominate.)
+type AllowSets = Vec<(usize, BTreeSet<NodeId>)>;
+
+/// What `spec` lets `step` bind anew (see [`SlotRestrict::keeps`]), as
+/// `(bases, targets)`: the matching arcs the change set added or removed
+/// give their parents and children; the nodes it created or updated are
+/// targets themselves, and their parents through a matching label are
+/// bases. `None` when the source cannot name parents.
+fn delta_bindings(
+    source: &dyn DataSource,
+    step: &PathStep,
+    spec: &DeltaSpec,
+) -> Option<(BTreeSet<NodeId>, BTreeSet<NodeId>)> {
+    let arcs = match &step.arc_annot {
+        None | Some(ArcAnnotExpr::Add { .. }) => Some(&spec.added),
+        Some(ArcAnnotExpr::Rem { .. }) => Some(&spec.removed),
+        Some(ArcAnnotExpr::AtTime(_)) => None,
+    };
+    let (mut bases, mut targets): (BTreeSet<NodeId>, BTreeSet<NodeId>) = arcs
+        .into_iter()
+        .flatten()
+        .filter(|a| pattern_matches(&step.label, a.label))
+        .map(|a| (a.parent, a.child))
+        .unzip();
+    let nodes = match &step.node_annot {
+        Some(NodeAnnotExpr::Cre { .. }) => &spec.created,
+        Some(NodeAnnotExpr::Upd { .. }) => &spec.updated,
+        _ => return Some((bases, targets)),
+    };
+    for &n in nodes {
+        let mut through = parents_through(source.parents(n)?, &step.label).peekable();
+        if through.peek().is_some() {
+            targets.insert(n);
+        }
+        bases.extend(through);
+    }
+    Some((bases, targets))
+}
+
+/// The parents among `arcs` (as [`DataSource::parents`] lists them) whose
+/// arc label matches `pattern`.
+fn parents_through(
+    arcs: Vec<(oem::Label, NodeId)>,
+    pattern: &LabelPattern,
+) -> impl Iterator<Item = NodeId> + '_ {
+    arcs.into_iter()
+        .filter(move |(l, _)| pattern_matches(pattern, *l))
+        .map(|(_, p)| p)
+}
+
+/// Seed variant `slot` from the change set: `None` when the variant provably yields nothing — the label-level
+/// test fails, or no delta binding has a path of matching labels down
+/// from the root — otherwise the allow-sets of `slot` and of the slots
+/// between it and the root. Where the source cannot name parents, or the
+/// chain crosses a closure step (whose bindings are not one arc from
+/// their base), the sets gathered so far are returned: each is valid on
+/// its own.
+fn seed_variant(
+    source: &dyn DataSource,
+    plan: &Plan,
+    slot: usize,
+    spec: &DeltaSpec,
+) -> Option<AllowSets> {
+    let closure = |step: &PathStep| step.star || matches!(step.label, LabelPattern::AnyPath);
+    let VarSource::Step { base, step } = &plan.vars[slot].source else {
+        return None;
+    };
+    if !variant_relevant(step, spec) {
+        return None;
+    }
+    let mut allow = AllowSets::new();
+    if closure(step) {
+        return Some(allow);
+    }
+    let Some((mut frontier, targets)) = delta_bindings(source, step, spec) else {
+        return Some(allow);
+    };
+    // A virtual node annotation binds values, which no node set admits.
+    if !matches!(step.node_annot, Some(NodeAnnotExpr::AtTime(_))) {
+        allow.push((slot, targets));
+    }
+    let mut at = *base;
+    loop {
+        if frontier.is_empty() {
+            return None;
+        }
+        let (up, step) = match &plan.vars[at].source {
+            VarSource::Root => return frontier.contains(&source.root()).then_some(allow),
+            VarSource::Companion { .. } => return Some(allow),
+            VarSource::Step { base, step } => (*base, step),
+        };
+        if closure(step) {
+            return Some(allow);
+        }
+        let mut above = BTreeSet::new();
+        for &n in &frontier {
+            let Some(parents) = source.parents(n) else {
+                return Some(allow);
+            };
+            above.extend(parents_through(parents, &step.label));
+        }
+        allow.push((at, frontier));
+        frontier = above;
+        at = up;
+    }
 }
 
 /// Does this delta touch `plan` at all? `false` means every variant is
@@ -310,26 +423,25 @@ pub fn delta_touches(plan: &Plan, spec: &DeltaSpec) -> bool {
 }
 
 /// Evaluate the semi-naive variants of `plan` for `spec`: one run per
-/// step constraint the delta can touch, each with that constraint's
-/// candidates restricted to delta-introduced bindings, unioned and
-/// deduplicated. The caller unions the result with the prior rows
-/// ([`delta_maintain`] does both). Callers must check [`delta_supported`]
-/// first; on unsupported plans the union identity does not hold.
-pub fn delta_execute(
-    source: &dyn crate::source::DataSource,
-    plan: &Plan,
-    spec: &DeltaSpec,
-) -> Result<Rows> {
-    let restrict = SlotRestrict::Delta(spec);
+/// step constraint the delta can reach, each seeded from the change set
+/// and with that constraint's candidates restricted to delta-introduced
+/// bindings, unioned and deduplicated. The caller unions the result with
+/// the prior rows ([`delta_fresh`] leaves exactly what to add). Callers
+/// must check [`delta_supported`] first; on unsupported plans the union
+/// identity does not hold.
+pub fn delta_execute(source: &dyn DataSource, plan: &Plan, spec: &DeltaSpec) -> Result<Rows> {
+    let keep = SlotRestrict::Delta(spec);
     let mut out: Vec<Row> = Vec::new();
-    for (slot, var) in plan.vars.iter().enumerate() {
-        let VarSource::Step { step, .. } = &var.source else {
+    for slot in 0..plan.vars.len() {
+        let Some(allow) = seed_variant(source, plan, slot, spec) else {
             continue;
         };
-        if !variant_relevant(step, spec) {
-            continue;
-        }
-        let variant = execute_restricted(source, plan, Some((slot, &restrict)))?;
+        let restriction = Restriction {
+            slot,
+            keep: &keep,
+            allow: &allow,
+        };
+        let variant = execute_restricted(source, plan, Some(&restriction))?;
         out.extend(variant.rows);
     }
     let mut seen = HashSet::with_capacity(out.len());
@@ -337,24 +449,26 @@ pub fn delta_execute(
     Ok(Rows { rows: out })
 }
 
-/// Maintain a prior result through a change set: `prior ∪ Δ-variants`,
-/// deduplicated, prior rows first. Returns `None` when the plan × delta
-/// is outside the monotonic fragment (caller re-evaluates fully).
-pub fn delta_maintain(
-    source: &dyn crate::source::DataSource,
+/// The rows a change set adds to a prior result: the delta variants
+/// minus what `prior` already holds, in variant order. Empty means the
+/// maintained result *is* the prior result. Returns `None` when the
+/// plan × delta is outside the monotonic fragment (caller re-evaluates
+/// fully).
+pub fn delta_fresh(
+    source: &dyn DataSource,
     plan: &Plan,
     spec: &DeltaSpec,
-    prior: &Rows,
-) -> Result<Option<Rows>> {
+    prior: &[Row],
+) -> Result<Option<Vec<Row>>> {
     if delta_supported(plan, spec).is_err() {
         return Ok(None);
     }
-    let fresh = delta_execute(source, plan, spec)?;
-    let mut rows = prior.rows.clone();
-    rows.extend(fresh.rows);
-    let mut seen = HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(r.clone()));
-    Ok(Some(Rows { rows }))
+    let mut fresh = delta_execute(source, plan, spec)?.rows;
+    if !fresh.is_empty() {
+        let known: HashSet<&Row> = prior.iter().collect();
+        fresh.retain(|r| !known.contains(r));
+    }
+    Ok(Some(fresh))
 }
 
 /// A timestamp anchor found in a filter's `where` clause: a top-level
@@ -455,17 +569,18 @@ fn collect_conjuncts<'p>(p: &'p Pred, out: &mut Vec<&'p Pred>) {
 /// Evaluate the full query with only `anchor.slot`'s candidates filtered
 /// to annotation time ≥/> the anchor — exact for any plan whose `where`
 /// clause carries the anchor as a top-level conjunct (see [`find_anchor`]).
-pub fn anchored_execute(
-    source: &dyn crate::source::DataSource,
-    plan: &Plan,
-    anchor: &Anchor,
-) -> Result<Rows> {
-    let restrict = SlotRestrict::Since {
+pub fn anchored_execute(source: &dyn DataSource, plan: &Plan, anchor: &Anchor) -> Result<Rows> {
+    let keep = SlotRestrict::Since {
         at: anchor.at,
         strict: anchor.strict,
         role: anchor.role,
     };
-    execute_restricted(source, plan, Some((anchor.slot, &restrict)))
+    let restriction = Restriction {
+        slot: anchor.slot,
+        keep: &keep,
+        allow: &[],
+    };
+    execute_restricted(source, plan, Some(&restriction))
 }
 
 #[cfg(test)]
@@ -511,9 +626,10 @@ mod tests {
         let fresh = delta_execute(&db, &p, &s).unwrap();
         assert_eq!(fresh.rows.len(), 1, "exactly the new name");
 
-        let maintained = delta_maintain(&db, &p, &s, &before).unwrap().unwrap();
+        let added = delta_fresh(&db, &p, &s, &before.rows).unwrap().unwrap();
+        assert_eq!(added, fresh.rows);
         let full = execute(&db, &p).unwrap();
-        let m: HashSet<_> = maintained.rows.iter().collect();
+        let m: HashSet<_> = before.rows.iter().chain(&added).collect();
         let f: HashSet<_> = full.rows.iter().collect();
         assert_eq!(m, f);
     }
@@ -544,6 +660,116 @@ mod tests {
         );
         assert!(!delta_touches(&p, &s));
         assert!(delta_execute(&db, &p, &s).unwrap().rows.is_empty());
+    }
+
+    /// `db` behind a counter of forward traversal calls, with or without
+    /// the reverse arcs.
+    struct Counting<'a> {
+        db: &'a OemDatabase,
+        reverse: bool,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl DataSource for Counting<'_> {
+        fn name(&self) -> &str {
+            self.db.name()
+        }
+        fn root(&self) -> NodeId {
+            self.db.root()
+        }
+        fn value(&self, n: NodeId) -> Option<Value> {
+            DataSource::value(self.db, n)
+        }
+        fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
+            self.calls.set(self.calls.get() + 1);
+            DataSource::children(self.db, n)
+        }
+        fn parents(&self, n: NodeId) -> Option<Vec<(oem::Label, NodeId)>> {
+            DataSource::parents(self.db, n).filter(|_| self.reverse)
+        }
+    }
+
+    /// `n` restaurants, each with one review holding one comment; then a
+    /// comment added under the first review. Returns the traversal calls
+    /// the delta variants of a four-step path made, seeded and unseeded.
+    fn deep_add_calls(n: usize) -> (usize, usize) {
+        let mut b = oem::GraphBuilder::new("guide");
+        let root = b.root();
+        let mut first_review = None;
+        for i in 0..n {
+            let r = b.complex_child(root, "restaurant");
+            let v = b.complex_child(r, "review");
+            b.atom_child(v, "comment", format!("c{i}"));
+            first_review.get_or_insert(v);
+        }
+        let mut db = b.finish();
+        let c = db.alloc_id();
+        let s = spec(
+            &mut db,
+            vec![
+                ChangeOp::CreNode(c, Value::str("fresh")),
+                ChangeOp::add_arc(first_review.unwrap(), "comment", c),
+            ],
+            "9Jan97",
+        );
+        let q = parse_query("select guide.restaurant.review.comment").unwrap();
+        let p = plan(&q, db.name()).unwrap();
+        let calls = |reverse| {
+            let source = Counting {
+                db: &db,
+                reverse,
+                calls: Default::default(),
+            };
+            let fresh = delta_execute(&source, &p, &s).unwrap();
+            assert_eq!(fresh.rows.len(), 1, "exactly the new comment");
+            source.calls.get()
+        };
+        (calls(true), calls(false))
+    }
+
+    #[test]
+    fn a_seeded_variant_walks_one_root_path_whatever_the_database_size() {
+        let (seeded_small, unseeded_small) = deep_add_calls(4);
+        let (seeded_large, unseeded_large) = deep_add_calls(40);
+        // root → restaurant → review → comment: one call per step.
+        assert_eq!(seeded_small, 3);
+        assert_eq!(seeded_large, 3);
+        assert!(unseeded_small > seeded_small);
+        assert!(unseeded_large > 10 * seeded_large);
+    }
+
+    #[test]
+    fn an_update_under_another_label_seeds_no_variant() {
+        let db = guide_figure3();
+        let q = parse_query("select T from guide.restaurant.name<upd at T>").unwrap();
+        let p = plan(&q, db.name()).unwrap();
+        let (slot, base, step) = p
+            .vars
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| match &v.source {
+                VarSource::Step { base, step } if step.node_annot.is_some() => {
+                    Some((i, *base, step))
+                }
+                _ => None,
+            })
+            .unwrap();
+        let updating = |n| {
+            let set = ChangeSet::from_ops([ChangeOp::UpdNode(n, Value::Int(1))]).unwrap();
+            DeltaSpec::new(&set, ts("9Jan97"))
+        };
+        // n1 is Bangkok Cuisine's price: the label-level test passes (the
+        // delta updates *something*), the walk from n1 finds no `name` arc.
+        assert!(variant_relevant(step, &updating(oem::guide::ids::N1)));
+        assert!(seed_variant(&db, &p, slot, &updating(oem::guide::ids::N1)).is_none());
+        // n3 is Hakata's name: it is the one allowed binding, and its
+        // restaurant the one allowed base.
+        let allow = seed_variant(&db, &p, slot, &updating(oem::guide::ids::N3)).unwrap();
+        let want = vec![
+            (slot, BTreeSet::from([oem::guide::ids::N3])),
+            (base, BTreeSet::from([oem::guide::ids::N2])),
+        ];
+        assert_eq!(allow, want);
     }
 
     #[test]

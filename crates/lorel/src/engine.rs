@@ -8,12 +8,25 @@ use crate::error::{LorelError, Result};
 use crate::plan::{CompanionRole, Operand, Plan, Pred, VarSource};
 use crate::source::DataSource;
 use oem::{Label, NodeId, Timestamp, Value};
+use std::collections::{BTreeSet, HashSet};
 
-/// An optional per-slot candidate restriction threaded through the
-/// enumeration (the semi-naive delta variants and the anchored-conjunct
-/// fast path in [`crate::delta`]). `Some((slot, r))` filters `slot`'s
-/// candidates through `r`; every other slot enumerates the full database.
-pub(crate) type Restrict<'a> = Option<(usize, &'a SlotRestrict<'a>)>;
+/// A candidate restriction threaded through the enumeration (the
+/// semi-naive delta variants and the anchored-conjunct fast path in
+/// [`crate::delta`]).
+pub(crate) struct Restriction<'a> {
+    /// The restricted step slot: its candidates are filtered through
+    /// `keep`.
+    pub(crate) slot: usize,
+    /// The filter on `slot`'s candidates.
+    pub(crate) keep: &'a SlotRestrict<'a>,
+    /// Allow-sets, for `slot` and slots on its base chain: a listed slot
+    /// keeps only node candidates in its set (`slot` then filters those
+    /// through `keep`). Every other slot enumerates the full database.
+    pub(crate) allow: &'a [(usize, BTreeSet<NodeId>)],
+}
+
+/// The optional [`Restriction`] of one evaluation.
+pub(crate) type Restrict<'a> = Option<&'a Restriction<'a>>;
 
 /// A variable binding.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -81,7 +94,7 @@ pub(crate) fn execute_restricted(
     let mut rows = Vec::new();
     enumerate_outer(source, plan, restrict, 0, &mut tuple, &mut rows)?;
     // Set semantics: deduplicate rows (order-preserving).
-    let mut seen = std::collections::HashSet::with_capacity(rows.len());
+    let mut seen = HashSet::with_capacity(rows.len());
     rows.retain(|r| seen.insert(r.clone()));
     Ok(Rows { rows })
 }
@@ -190,11 +203,12 @@ fn candidates_for(
             let Binding::Node(b) = tuple[*base] else {
                 return Ok(Vec::new()); // base missing or a value: no range
             };
-            let mut cands = step_candidates(source, plan, b, step, tuple)?;
-            if let Some((rslot, r)) = restrict {
-                if rslot == slot {
-                    cands.retain(|c| r.keeps(b, step, &c.target, c.arc_time, c.node_time));
-                }
+            let allowed = restrict
+                .and_then(|r| r.allow.iter().find(|(s, _)| *s == slot))
+                .map(|(_, nodes)| nodes);
+            let mut cands = step_candidates(source, plan, b, step, tuple, allowed)?;
+            if let Some(r) = restrict.filter(|r| r.slot == slot) {
+                cands.retain(|c| r.keep.keeps(b, step, &c.target, c.arc_time, c.node_time));
             }
             Ok(cands)
         }
@@ -221,12 +235,16 @@ fn resolve_time_ref(plan: &Plan, t: &TimeRef, tuple: &[Binding]) -> Result<Times
     }
 }
 
+/// The candidates of `step` from `base`; with `allowed`, only those whose
+/// arc leads to a node in the set (filtered before the node annotation is
+/// read, so siblings outside it cost one set lookup each).
 fn step_candidates(
     source: &dyn DataSource,
     plan: &Plan,
     base: NodeId,
     step: &PathStep,
     tuple: &[Binding],
+    allowed: Option<&BTreeSet<NodeId>>,
 ) -> Result<Vec<Candidate>> {
     // 1. Arc traversal.
     let mut cands: Vec<Candidate> = match (&step.arc_annot, &step.label) {
@@ -400,6 +418,10 @@ fn step_candidates(
         }
     };
 
+    if let Some(allowed) = allowed {
+        cands.retain(|c| matches!(c.target, Binding::Node(n) if allowed.contains(&n)));
+    }
+
     // 2. Node annotation filter/bind on each candidate.
     if let Some(na) = &step.node_annot {
         let mut out = Vec::new();
@@ -444,8 +466,8 @@ fn step_candidates(
     Ok(cands)
 }
 
-/// Does a concrete arc label satisfy a (non-wildcard) label pattern?
-fn pattern_matches(pattern: &LabelPattern, l: Label) -> bool {
+/// Does a concrete arc label satisfy a label pattern?
+pub(crate) fn pattern_matches(pattern: &LabelPattern, l: Label) -> bool {
     match pattern {
         LabelPattern::Label(want) => l.as_str() == want,
         LabelPattern::Alternation(ls) => ls.iter().any(|w| l.as_str() == w),

@@ -49,7 +49,7 @@ mod update;
 pub use coerce::{coerce_compare, compare, like};
 pub use defs::QueryRegistry;
 pub use delta::{
-    anchored_execute, delta_execute, delta_maintain, delta_supported, delta_touches, find_anchor,
+    anchored_execute, delta_execute, delta_fresh, delta_supported, delta_touches, find_anchor,
     Anchor, DeltaSpec, DeltaUnsupported,
 };
 pub use engine::{execute, Binding, Row, Rows};

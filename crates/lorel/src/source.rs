@@ -38,6 +38,15 @@ pub trait DataSource {
             .collect()
     }
 
+    /// Every `(label, parent)` with an arc into `n` that this source's
+    /// traversal functions could ever follow — a superset is fine, a
+    /// missed arc is not. `None` (the default) means the source cannot
+    /// say; delta evaluation then enumerates without pruning
+    /// ([`crate::delta`]).
+    fn parents(&self, _n: NodeId) -> Option<Vec<(Label, NodeId)>> {
+        None
+    }
+
     /// `creFun(n)`: creation timestamps on `n` (∅ or a singleton).
     fn cre_fun(&self, _n: NodeId) -> Vec<Timestamp> {
         Vec::new()
@@ -121,6 +130,11 @@ impl DataSource for OemDatabase {
 
     fn children_labeled(&self, n: NodeId, l: Label) -> Vec<NodeId> {
         OemDatabase::children_labeled(self, n, l).collect()
+    }
+
+    fn parents(&self, n: NodeId) -> Option<Vec<(Label, NodeId)>> {
+        let flipped = OemDatabase::parents(self, n).into_iter().map(|(p, l)| (l, p));
+        Some(flipped.collect())
     }
 }
 

@@ -6,16 +6,17 @@
 //! entry), and the generation is the service's write counter. A write
 //! bumps the generation, which makes every older entry unreachable.
 //!
-//! Before the bump, the writer may carry entries across the write with
-//! [`ResultCache::advance_generation`] — the serve face of the semi-naive
+//! Before the bump, the writer carries entries across the write with
+//! [`ResultCache::carry_generation`] — the serve face of the semi-naive
 //! maintenance in [`chorel::delta`] (DESIGN.md §11). An entry that can be
 //! maintained keeps its raw engine rows alongside the wire strings (a
-//! [`CacheEntry`] with `maintain` populated); the publish stage unions the
-//! prior rows with the delta variants and re-canonicalizes, so a
-//! maintained entry stays byte-identical to a fresh evaluation. Entries
-//! that cannot be maintained (non-monotonic query × delta, or a translated
-//! strategy that has no direct rows) are dropped by the subsequent
-//! [`ResultCache::retain_generation`], exactly as before.
+//! [`CacheEntry`] with `maintain` populated); the publish stage asks the
+//! delta variants what the write adds. Nothing: the same `Arc` is re-keyed
+//! to the new generation ([`Carry::Unchanged`]). Some rows: the entry is
+//! replaced by prior ∪ fresh, re-canonicalized, so it stays byte-identical
+//! to a fresh evaluation ([`Carry::Replaced`]). Entries that cannot be
+//! maintained (non-monotonic query × delta, or a translated strategy that
+//! has no direct rows) are dropped ([`Carry::Drop`]).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -45,6 +46,30 @@ pub struct CacheEntry {
     /// the next write (translated-strategy results, subscription-scope
     /// entries).
     pub maintain: Option<(lorel::ast::Query, lorel::Rows)>,
+}
+
+/// What becomes of one cache entry when its generation is superseded.
+#[derive(Debug)]
+pub enum Carry {
+    /// The write did not change the result: the same entry answers at the
+    /// new generation.
+    Unchanged,
+    /// The write changed the result to this.
+    Replaced(CacheEntry),
+    /// The result at the new generation is unknown: forget the entry.
+    Drop,
+}
+
+/// How many entries a [`ResultCache::carry_generation`] call carried
+/// untouched, replaced, and dropped.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Carried {
+    /// Entries re-keyed as they were.
+    pub unchanged: u64,
+    /// Entries replaced by a maintained result.
+    pub replaced: u64,
+    /// Entries dropped.
+    pub dropped: u64,
 }
 
 #[derive(Debug, Default)]
@@ -91,9 +116,56 @@ impl ResultCache {
         }
     }
 
-    /// Carry every maintainable entry at generation `from` over to
-    /// generation `to` through `f` — called at publish time, before the
-    /// generation bump. `f` receives the entry's parsed query and prior
+    /// Carry the entries at generation `from` over to generation `to` —
+    /// called at publish time, before the generation bump. `f` sees each
+    /// such entry and says what the write made of it ([`Carry`]). Entries
+    /// keep their place in the eviction order; one pass over the cache.
+    pub fn carry_generation<F>(&self, from: u64, to: u64, mut f: F) -> Carried
+    where
+        F: FnMut(&Arc<CacheEntry>) -> Carry,
+    {
+        let mut inner = self.inner.lock();
+        let Inner { map, order } = &mut *inner;
+        let mut counts = Carried::default();
+        let mut carried = VecDeque::with_capacity(order.len());
+        for key in order.drain(..) {
+            if key.generation != from {
+                carried.push_back(key);
+                continue;
+            }
+            // `order` holds exactly the map's keys, so the remove cannot
+            // miss — but stay structurally panic-free.
+            let Some(entry) = map.remove(&key) else {
+                continue;
+            };
+            let entry = match f(&entry) {
+                Carry::Unchanged => {
+                    counts.unchanged += 1;
+                    entry
+                }
+                Carry::Replaced(e) => {
+                    counts.replaced += 1;
+                    Arc::new(e)
+                }
+                Carry::Drop => {
+                    counts.dropped += 1;
+                    continue;
+                }
+            };
+            let key = CacheKey {
+                generation: to,
+                ..key
+            };
+            if map.insert(key.clone(), entry).is_none() {
+                carried.push_back(key);
+            }
+        }
+        *order = carried;
+        counts
+    }
+
+    /// [`ResultCache::carry_generation`] for callers that rebuild every
+    /// entry: `f` receives a maintainable entry's parsed query and prior
     /// raw rows and returns the maintained entry, or `None` when the
     /// query × delta is outside the monotonic fragment; `None` (and any
     /// entry with no maintenance state) drops the entry. Returns
@@ -102,53 +174,25 @@ impl ResultCache {
     where
         F: FnMut(&lorel::ast::Query, &lorel::Rows) -> Option<CacheEntry>,
     {
-        let mut inner = self.inner.lock();
-        let stale: Vec<CacheKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.generation == from)
-            .cloned()
-            .collect();
-        let (mut kept, mut dropped) = (0, 0);
-        for key in stale {
-            // Collected from the map under this same lock hold, so the
-            // remove cannot miss — but stay structurally panic-free.
-            let Some(entry) = inner.map.remove(&key) else {
-                continue;
-            };
+        let counts = self.carry_generation(from, to, |entry| {
             let maintained = entry
                 .maintain
                 .as_ref()
                 .and_then(|(query, prior)| f(query, prior));
-            match maintained {
-                Some(e) => {
-                    let new_key = CacheKey {
-                        generation: to,
-                        ..key.clone()
-                    };
-                    for k in inner.order.iter_mut().filter(|k| **k == key) {
-                        *k = new_key.clone();
-                    }
-                    inner.map.insert(new_key, Arc::new(e));
-                    kept += 1;
-                }
-                None => {
-                    inner.order.retain(|k| k != &key);
-                    dropped += 1;
-                }
-            }
-        }
-        (kept, dropped)
+            maintained.map_or(Carry::Drop, Carry::Replaced)
+        });
+        (counts.replaced, counts.dropped)
     }
 
     /// Drop every entry computed before `generation` (they can never be
     /// hit again — the generation counter only moves forward).
     pub fn retain_generation(&self, generation: u64) {
         let mut inner = self.inner.lock();
+        let before = inner.map.len();
         inner.map.retain(|k, _| k.generation >= generation);
-        let map = std::mem::take(&mut inner.map);
-        inner.order.retain(|k| map.contains_key(k));
-        inner.map = map;
+        if inner.map.len() != before {
+            inner.order.retain(|k| k.generation >= generation);
+        }
     }
 
     /// Number of live entries.
@@ -260,5 +304,40 @@ mod tests {
         assert_eq!(e.strings, vec!["old".to_string(), "new".to_string()]);
         cache.retain_generation(4);
         assert_eq!(cache.len(), 1, "maintained entries survive the bump");
+    }
+
+    #[test]
+    fn carry_generation_rekeys_replaces_or_drops_in_eviction_order() {
+        let cache = ResultCache::new(3);
+        let same = plain(&["same"]);
+        cache.insert(key("db", "gone", 3), plain(&["x"]));
+        cache.insert(key("db", "same", 3), same.clone());
+        cache.insert(key("db", "grown", 3), plain(&["old"]));
+        let counts = cache.carry_generation(3, 4, |entry| match entry.strings[0].as_str() {
+            "same" => Carry::Unchanged,
+            "old" => Carry::Replaced(CacheEntry {
+                strings: vec!["old".into(), "new".into()],
+                maintain: None,
+            }),
+            _ => Carry::Drop,
+        });
+        let want = Carried {
+            unchanged: 1,
+            replaced: 1,
+            dropped: 1,
+        };
+        assert_eq!(counts, want);
+        // Unchanged is the same allocation under the new key.
+        assert!(Arc::ptr_eq(&cache.get(&key("db", "same", 4)).unwrap(), &same));
+        assert_eq!(cache.get(&key("db", "grown", 4)).unwrap().strings.len(), 2);
+        assert!(cache.get(&key("db", "same", 3)).is_none());
+        // Nothing is stale: the bump's purge leaves the cache as it is.
+        cache.retain_generation(4);
+        assert_eq!(cache.len(), 2);
+        // Carried entries kept their age: "same" is evicted before "grown".
+        cache.insert(key("db", "a", 4), plain(&[]));
+        cache.insert(key("db", "b", 4), plain(&[]));
+        assert!(cache.get(&key("db", "same", 4)).is_none());
+        assert!(cache.get(&key("db", "grown", 4)).is_some());
     }
 }

@@ -1,6 +1,6 @@
 //! The service's metrics registry: lock-free counters plus log2-bucketed
 //! latency histograms for the request pipeline stages (parse, queue wait,
-//! execution, end-to-end). A snapshot is exposed over the wire as the
+//! execution, end-to-end) and the publish stage. A snapshot is exposed over the wire as the
 //! `STATS` command.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +100,10 @@ pub struct Metrics {
     /// (prior rows ∪ delta variants, re-canonicalized) instead of being
     /// invalidated (DESIGN.md §11).
     pub cache_maintained: AtomicU64,
+    /// The part of `cache_maintained` that the write did not change: the
+    /// delta variants added no row, so the same entry was re-keyed to the
+    /// new generation without touching its rows or strings.
+    pub cache_carried: AtomicU64,
     /// Cache entries dropped at a write because the query × delta left
     /// the monotonic fragment (or the entry carried no maintenance
     /// state) — the explicit full-re-evaluation fallback.
@@ -185,6 +189,10 @@ pub struct Metrics {
     pub exec: Histogram,
     /// End-to-end time from submission to reply.
     pub total: Histogram,
+    /// Time the shard write lock was held per published record: apply,
+    /// replication tail, cache maintenance, generation bump, version
+    /// install.
+    pub publish: Histogram,
 }
 
 impl Metrics {
@@ -211,6 +219,7 @@ impl Metrics {
             format!("counter cache_hits {}", c(&self.cache_hits)),
             format!("counter cache_misses {}", c(&self.cache_misses)),
             format!("counter cache_maintained {}", c(&self.cache_maintained)),
+            format!("counter cache_carried {}", c(&self.cache_carried)),
             format!("counter cache_fallback {}", c(&self.cache_fallback)),
             format!("counter qss_polls {}", c(&self.qss_polls)),
             format!("counter sessions {}", c(&self.sessions)),
@@ -244,6 +253,7 @@ impl Metrics {
         self.queue.render("queue", &mut out);
         self.exec.render("exec", &mut out);
         self.total.render("total", &mut out);
+        self.publish.render("publish", &mut out);
         out
     }
 }
@@ -279,7 +289,7 @@ mod tests {
         m.exec.record(Duration::from_micros(42));
         let lines = m.render();
         assert!(lines.iter().any(|l| l == "counter requests 1"));
-        for stage in ["parse", "queue", "exec", "total"] {
+        for stage in ["parse", "queue", "exec", "total", "publish"] {
             assert!(lines.iter().any(|l| l.contains(&format!("latency {stage} "))));
         }
     }

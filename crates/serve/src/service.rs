@@ -59,7 +59,7 @@
 //! queue nobody reads (the sanitizer's channel-leak check runs over this
 //! path in CI).
 
-use crate::cache::{CacheEntry, CacheKey, ResultCache};
+use crate::cache::{CacheEntry, CacheKey, Carry, ResultCache};
 use crate::faults::{FaultPoint, Faults};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Request, Response};
@@ -476,11 +476,13 @@ impl Shard {
 /// Carry a shard's cached results across one published change set
 /// (semi-naive maintenance, DESIGN.md §11). Called under the shard's
 /// write lock, after the change set was applied and *before* the
-/// generation bump: every entry at the current generation is either
-/// maintained — prior rows ∪ delta variants, re-canonicalized against the
-/// post-publish graph, byte-identical to a fresh evaluation — or dropped
-/// when the query × delta leaves the monotonic fragment, in which case
-/// the next read re-evaluates fully (`cache_fallback`).
+/// generation bump. Every entry at the current generation is asked what
+/// the change set adds to it (delta variants seeded from the set). Nothing:
+/// the entry is re-keyed as it is (`cache_carried`). Some rows: prior ∪
+/// fresh, re-canonicalized against the post-publish graph, byte-identical
+/// to a fresh evaluation. Both count as `cache_maintained`. An entry whose
+/// query × delta leaves the monotonic fragment is dropped, and the next
+/// read re-evaluates fully (`cache_fallback`).
 fn maintain_shard_cache(
     shared: &Shared,
     shard: &Shard,
@@ -489,26 +491,31 @@ fn maintain_shard_cache(
     at: Timestamp,
 ) {
     let doem: &DoemDatabase = &st.doem;
-    let (kept, dropped) =
-        shard
-            .cache
-            .advance_generation(st.generation, st.generation + 1, |query, prior| {
-                chorel::delta::maintain_rows(doem, query, changes, at, &prior.rows)
-                    .ok()
-                    .flatten()
-                    .map(|rows| CacheEntry {
+    let counts = shard
+        .cache
+        .carry_generation(st.generation, st.generation + 1, |entry| {
+            let Some((query, prior)) = &entry.maintain else {
+                return Carry::Drop;
+            };
+            match chorel::delta::fresh_rows(doem, query, changes, at, &prior.rows) {
+                Ok(Some(fresh)) if fresh.is_empty() => Carry::Unchanged,
+                Ok(Some(fresh)) => {
+                    let rows = lorel::Rows {
+                        rows: prior.rows.iter().cloned().chain(fresh).collect(),
+                    };
+                    Carry::Replaced(CacheEntry {
                         strings: chorel::delta::canonical_strings_for_rows(doem, &rows),
                         maintain: Some((query.clone(), rows)),
                     })
-            });
-    shared
-        .metrics
-        .cache_maintained
-        .fetch_add(kept, Ordering::Relaxed);
-    shared
-        .metrics
-        .cache_fallback
-        .fetch_add(dropped, Ordering::Relaxed);
+                }
+                Ok(None) | Err(_) => Carry::Drop,
+            }
+        });
+    let m = &shared.metrics;
+    m.cache_maintained
+        .fetch_add(counts.unchanged + counts.replaced, Ordering::Relaxed);
+    m.cache_carried.fetch_add(counts.unchanged, Ordering::Relaxed);
+    m.cache_fallback.fetch_add(counts.dropped, Ordering::Relaxed);
 }
 
 /// Install the just-published replica into the shard's version ring and
@@ -526,6 +533,34 @@ fn install_version(shared: &Shared, shard: &Shard, st: &ShardState, at: Timestam
         .metrics
         .versions_gced
         .fetch_add(gced, Ordering::Relaxed);
+}
+
+/// The rest of the publish stage for one record whose change set was just
+/// applied to `st` (at `began`, under the shard's write lock): replication
+/// tail, cache maintenance, generation bump, version install. Returns the
+/// new shard generation and records the time since `began` — the time
+/// readers were locked out for this record — in the `publish` histogram.
+fn publish_applied(
+    shared: &Shared,
+    shard: &Shard,
+    st: &mut ShardState,
+    changes: &ChangeSet,
+    at: Timestamp,
+    began: Instant,
+) -> u64 {
+    st.last_at = at;
+    st.tail.push(
+        at,
+        changes.clone(),
+        shared.cfg.replication_retain.max(1),
+        shard.repl_floor.load(Ordering::Relaxed),
+    );
+    maintain_shard_cache(shared, shard, st, changes, at);
+    let g = Shard::bump(st, &shard.cache);
+    install_version(shared, shard, st, at);
+    shared.bump_global();
+    shared.metrics.publish.record(began.elapsed());
+    g
 }
 
 /// Everything behind the control shard's lock: QSS subscriptions, the
@@ -1364,8 +1399,6 @@ fn persist_and_publish(
             .durable_lsn
             .store(last.at.raw_minutes(), Ordering::Relaxed);
     }
-    let retain = shared.cfg.replication_retain.max(1);
-    let repl_floor = shard.repl_floor.load(Ordering::Relaxed);
     let mut replies: Vec<(Arc<ReplySlot>, Response)> = Vec::with_capacity(batch.len());
     let mut poisoned = false;
     {
@@ -1381,15 +1414,11 @@ fn persist_and_publish(
                 ));
                 continue;
             }
+            let began = Instant::now();
             let ShardState { doem, replica, .. } = &mut *st;
             match apply_set(doem.make_mut(), replica.make_mut(), &s.changes, s.at) {
                 Ok(()) => {
-                    st.last_at = s.at;
-                    st.tail.push(s.at, s.changes.clone(), retain, repl_floor);
-                    maintain_shard_cache(shared, shard, &st, &s.changes, s.at);
-                    let g = Shard::bump(&mut st, &shard.cache);
-                    install_version(shared, shard, &st, s.at);
-                    shared.bump_global();
+                    let g = publish_applied(shared, shard, &mut st, &s.changes, s.at, began);
                     let text = match s.created {
                         Some(c) => format!(
                             "applied {} ops ({c} created) at {}; generation {g}",
@@ -1894,20 +1923,7 @@ fn commit_in_memory(
     let outcome = apply_set(doem.make_mut(), replica.make_mut(), changes, at);
     shared.metrics.exec.record(t.elapsed());
     match outcome {
-        Ok(()) => {
-            st.last_at = at;
-            st.tail.push(
-                at,
-                changes.clone(),
-                shared.cfg.replication_retain.max(1),
-                shard.repl_floor.load(Ordering::Relaxed),
-            );
-            maintain_shard_cache(shared, shard, st, changes, at);
-            let g = Shard::bump(st, &shard.cache);
-            install_version(shared, shard, st, at);
-            shared.bump_global();
-            Ok(g)
-        }
+        Ok(()) => Ok(publish_applied(shared, shard, st, changes, at, t)),
         Err(e) => Err(Response::err(
             ErrKind::Conflict,
             format!("change set rejected: {e}"),
@@ -2652,6 +2668,50 @@ mod tests {
         assert!(!fc.request_line(w).is_error());
         assert_eq!(maintained, fc.request_line(q));
         fresh_svc.shutdown();
+        svc.shutdown();
+    }
+
+    /// A write that adds nothing to a cached result re-keys the entry: the
+    /// very same `Arc` answers at the new generation — no row cloned, no
+    /// string rendered (`cache_carried`).
+    #[test]
+    fn writes_that_miss_a_cached_query_carry_its_entry_untouched() {
+        let svc = guide_service(ServeConfig::default());
+        let c = svc.client();
+        let q = "select guide.restaurant.name";
+        let _ = c.request_line(&format!("QUERY guide {q}")); // prime
+        let shard = c.shared.shard("guide").unwrap();
+        let key = |generation| CacheKey {
+            scope: "guide".into(),
+            canonical: lorel::canonical_text(q).unwrap(),
+            generation,
+        };
+        let before = shard.cache.get(&key(1)).expect("primed at generation 1");
+        // A comment on Janta (n6): no `restaurant` or `name` arc anywhere.
+        let w = "UPDATE guide AT 1Mar97 9:00am ; {creNode(n95, \"crowded\"), addArc(n6, comment, n95)}";
+        assert!(!c.request_line(w).is_error());
+        let after = shard.cache.get(&key(2)).expect("carried to generation 2");
+        assert!(Arc::ptr_eq(&before, &after));
+        assert!(shard.cache.get(&key(1)).is_none());
+        let m = svc.metrics();
+        assert_eq!(m.cache_carried.load(Ordering::Relaxed), 1);
+        assert_eq!(m.cache_maintained.load(Ordering::Relaxed), 1);
+        assert_eq!(m.publish.count(), 1);
+
+        // A write that does add a row replaces the entry.
+        let w = "UPDATE guide AT 2Mar97 9:00am ; {creNode(n96, \"Janta II\"), addArc(n6, name, n96)}";
+        assert!(!c.request_line(w).is_error());
+        let grown = shard.cache.get(&key(3)).expect("maintained to generation 3");
+        assert!(!Arc::ptr_eq(&after, &grown));
+        assert_eq!(grown.strings.len(), after.strings.len() + 1);
+        {
+            let st = shard.state.read();
+            let query = lorel::parse_query(q).unwrap();
+            let fresh = run_chorel_parsed(&st.doem, &query, Strategy::Direct).unwrap();
+            assert_eq!(grown.strings, canonical_row_strings(&st.doem, &fresh));
+        }
+        assert_eq!(m.cache_carried.load(Ordering::Relaxed), 1);
+        assert_eq!(m.cache_maintained.load(Ordering::Relaxed), 2);
         svc.shutdown();
     }
 

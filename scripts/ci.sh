@@ -121,12 +121,12 @@ fi
 
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # The semi-naive maintenance path (DESIGN.md §11) must agree with full
-# re-evaluation on random histories, and its serve/qss consumers take
-# locks in the maintenance fast path — so the agreement property reruns
-# with the sanitizer watching.
+# re-evaluation on random histories, and its change-set-seeded variants
+# with the unpruned ones; its serve/qss consumers run it under the shard
+# write lock — so both properties rerun with the sanitizer watching.
 inc_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/inc.edges" \
-    cargo test -q --offline --test properties \
-    incremental_agrees_with_full 2>&1)" || {
+    cargo test -q --offline --test properties -- \
+    incremental_agrees_with_full seeded_variants_agree_with_unpruned 2>&1)" || {
     echo "$inc_out"
     echo "ci: incremental agreement proptest failed under DOEM_SANITIZE=1" >&2
     exit 1

@@ -37,20 +37,24 @@ fn tangled_db(rng: &mut StdRng, n: usize) -> OemDatabase {
     db
 }
 
+/// Add `ops` to `set` if the set stays conflict-free and valid for `db`.
+fn push_if_valid(set: &mut ChangeSet, db: &OemDatabase, ops: Vec<ChangeOp>) {
+    let mut probe = set.clone();
+    if ops.into_iter().all(|op| probe.push(op).is_ok()) && probe.validate_for(db).is_ok() {
+        *set = probe;
+    }
+}
+
 /// A random change set valid for `db`, drawn from the shapes that stress
 /// boundary collection: arc removals (subtrees, cycles and shared children
 /// come loose), a removed arc's child re-attached elsewhere in the same
-/// set, new arcs into the root, linked and orphan `creNode`s, and orphans
-/// that point at surviving nodes.
-fn tangling_set(rng: &mut StdRng, db: &OemDatabase) -> ChangeSet {
+/// set, an arc an earlier set removed (`removed`) added back, new arcs
+/// into the root, linked and orphan `creNode`s, and orphans that point at
+/// surviving nodes.
+fn tangling_set(rng: &mut StdRng, db: &OemDatabase, removed: &[ArcTriple]) -> ChangeSet {
     let mut set = ChangeSet::new();
     let mut scratch = db.clone();
-    let try_push = |set: &mut ChangeSet, ops: Vec<ChangeOp>| {
-        let mut probe = set.clone();
-        if ops.into_iter().all(|op| probe.push(op).is_ok()) && probe.validate_for(db).is_ok() {
-            *set = probe;
-        }
-    };
+    let try_push = |set: &mut ChangeSet, ops| push_if_valid(set, db, ops);
     let nodes: Vec<NodeId> = db.node_ids().collect();
     let complex: Vec<NodeId> = nodes
         .iter()
@@ -60,7 +64,12 @@ fn tangling_set(rng: &mut StdRng, db: &OemDatabase) -> ChangeSet {
     let arcs: Vec<ArcTriple> = db.arcs().collect();
     let any = |rng: &mut StdRng, of: &[NodeId]| of[rng.gen_range(0..of.len())];
     for _ in 0..rng.gen_range(1..7) {
-        match rng.gen_range(0..8) {
+        match rng.gen_range(0..9) {
+            // Rejected by `validate_for` if an endpoint is gone by now.
+            8 if !removed.is_empty() => try_push(
+                &mut set,
+                vec![ChangeOp::AddArc(removed[rng.gen_range(0..removed.len())])],
+            ),
             0..=2 if !arcs.is_empty() => {
                 let arc = arcs[rng.gen_range(0..arcs.len())];
                 let mut ops = vec![ChangeOp::RemArc(arc)];
@@ -119,6 +128,23 @@ fn tangling_set(rng: &mut StdRng, db: &OemDatabase) -> ChangeSet {
     set
 }
 
+/// Every `(child, label, parent)` the reverse lists of `db` hold, sorted.
+fn reverse_lists(db: &OemDatabase) -> Vec<(NodeId, oem::Label, NodeId)> {
+    let mut listed: Vec<_> = db
+        .node_ids()
+        .flat_map(|c| db.parents(c).into_iter().map(move |(p, l)| (c, l, p)))
+        .collect();
+    listed.sort_unstable();
+    listed
+}
+
+/// Every arc of `db` as `(child, label, parent)`, sorted.
+fn turned_arcs(db: &OemDatabase) -> Vec<(NodeId, oem::Label, NodeId)> {
+    let mut arcs: Vec<_> = db.arcs().map(|a| (a.child, a.label, a.parent)).collect();
+    arcs.sort_unstable();
+    arcs
+}
+
 proptest! {
     // Cheap per case, and the interesting shapes (a cycle cut loose, an
     // orphan holding a survivor) are rare draws: run many.
@@ -130,15 +156,20 @@ proptest! {
     /// after every set of a random tangled history, `ChangeSet::apply_to`
     /// and `doem::apply_set` (suspect-closure trial deletion) leave exactly
     /// what applying the ops and scanning the whole graph leaves — dead
-    /// set, retired ids, arc count, in-degrees, annotations.
+    /// set, retired ids, arc count, annotations — and in both graphs the
+    /// reverse lists are exactly the arcs, turned around.
     #[test]
     fn local_gc_agrees_with_full_scan(seed in 0u64..2_000, n in 1usize..9, steps in 1usize..7) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db = tangled_db(&mut rng, n);
         let mut d = doem::DoemDatabase::from_snapshot(&db);
         let mut at: Timestamp = "1Jan97".parse().unwrap();
+        let mut removed: Vec<ArcTriple> = Vec::new();
         for _ in 0..steps {
-            let set = tangling_set(&mut rng, &db);
+            let set = tangling_set(&mut rng, &db, &removed);
+            let mut gone: Vec<ArcTriple> = set.removed_arcs().iter().copied().collect();
+            gone.sort();
+            removed.extend(gone);
 
             let mut local = db.clone();
             let dead = set.apply_to(&mut local).unwrap();
@@ -149,9 +180,8 @@ proptest! {
             prop_assert_eq!(&dead, &full.collect_garbage(), "dead set after {}", set);
             prop_assert!(same_database(&local, &full));
             prop_assert_eq!(local.arc_count(), full.arc_count());
-            for x in full.node_ids() {
-                prop_assert_eq!(local.in_degree(x), full.in_degree(x), "in-degree of {}", x);
-            }
+            prop_assert_eq!(reverse_lists(&local), turned_arcs(&local), "after {}", set);
+            prop_assert_eq!(reverse_lists(&full), turned_arcs(&full), "full scan after {}", set);
             prop_assert!(dead.iter().all(|x| !local.is_fresh(*x)), "retired ids");
             local.check_invariants().unwrap();
 
@@ -174,14 +204,7 @@ proptest! {
             d.check_invariants().unwrap();
             // Not `graph().check_invariants()`: the annotated graph keeps
             // removed arcs, also under nodes since retyped to atomic.
-            let mut incoming = std::collections::HashMap::new();
-            for arc in d.graph().arcs() {
-                *incoming.entry(arc.child).or_insert(0usize) += 1;
-            }
-            for x in d.graph().node_ids() {
-                let counted = incoming.get(&x).copied().unwrap_or(0);
-                prop_assert_eq!(d.graph().in_degree(x), counted, "in-degree of {}", x);
-            }
+            prop_assert_eq!(reverse_lists(d.graph()), turned_arcs(d.graph()), "annotated, after {}", set);
             prop_assert_eq!(d.graph().reachable().len(), d.graph().node_count());
             prop_assert!(same_database(&current_snapshot(&d), &local));
             db = local;
@@ -190,7 +213,7 @@ proptest! {
             // next round's collection starts from a reachable graph again.
             let nowhere = oem::NodeId::from_raw(u64::MAX / 2);
             let bad = ChangeSet::from_ops(
-                tangling_set(&mut rng, &db)
+                tangling_set(&mut rng, &db, &removed)
                     .canonical_order()
                     .into_iter()
                     .cloned()
@@ -206,6 +229,207 @@ proptest! {
 
             at = at.plus_minutes(rng.gen_range(1..500));
         }
+    }
+}
+
+/// One change set over a guide-shaped `db` (see `random_db`), drawn from
+/// the shapes that stress change-set seeding (DESIGN.md §11.1): a comment
+/// added three arcs below the root, under a review that may itself be new
+/// in this set; value updates on comments, names and prices; a review
+/// shared with a second restaurant (a second parent on the query path) or
+/// hung off the root as `featured` (a parent off it); a review moved to
+/// another restaurant within the set; a comment arc removed; a new
+/// restaurant. Without `removals` the set removes no arc, so every plan
+/// that reads no current value stays inside the monotonic fragment.
+fn seeding_set(rng: &mut StdRng, db: &OemDatabase, removals: bool) -> ChangeSet {
+    let mut set = ChangeSet::new();
+    let mut scratch = db.clone();
+    let try_push = |set: &mut ChangeSet, ops| push_if_valid(set, db, ops);
+    let labeled = |of: &[NodeId], label: &str| -> Vec<(NodeId, NodeId)> {
+        let l = oem::Label::new(label);
+        of.iter()
+            .flat_map(|&p| db.children_labeled(p, l).map(move |c| (p, c)))
+            .collect()
+    };
+    let restaurants: Vec<NodeId> = labeled(&[db.root()], "restaurant")
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
+    let reviews = labeled(&restaurants, "review");
+    let review_ids: Vec<NodeId> = reviews.iter().map(|&(_, v)| v).collect();
+    let comments = labeled(&review_ids, "comment");
+    let mut atoms = comments.clone();
+    atoms.extend(labeled(&restaurants, "name"));
+    atoms.extend(labeled(&restaurants, "price"));
+    let any = |rng: &mut StdRng, of: &[NodeId]| of[rng.gen_range(0..of.len())];
+    let comment = |rng: &mut StdRng| Value::str(format!("c{}", rng.gen_range(0..3)));
+    for _ in 0..rng.gen_range(1..5) {
+        match rng.gen_range(0..9) {
+            0..=2 if !restaurants.is_empty() => {
+                let c = scratch.alloc_id();
+                let mut ops = vec![ChangeOp::CreNode(c, comment(rng))];
+                let under = if reviews.is_empty() || rng.gen_bool(0.4) {
+                    let v = scratch.alloc_id();
+                    ops.push(ChangeOp::CreNode(v, Value::Complex));
+                    ops.push(ChangeOp::add_arc(any(rng, &restaurants), "review", v));
+                    v
+                } else {
+                    any(rng, &review_ids)
+                };
+                ops.push(ChangeOp::add_arc(under, "comment", c));
+                try_push(&mut set, ops);
+            }
+            3 if !atoms.is_empty() => {
+                let (_, n) = atoms[rng.gen_range(0..atoms.len())];
+                try_push(&mut set, vec![ChangeOp::UpdNode(n, comment(rng))]);
+            }
+            4 if !reviews.is_empty() => {
+                let v = any(rng, &review_ids);
+                try_push(&mut set, vec![ChangeOp::add_arc(any(rng, &restaurants), "review", v)]);
+            }
+            5 if !reviews.is_empty() => {
+                let v = any(rng, &review_ids);
+                try_push(&mut set, vec![ChangeOp::add_arc(db.root(), "featured", v)]);
+            }
+            6 if removals && !reviews.is_empty() => {
+                let (r, v) = reviews[rng.gen_range(0..reviews.len())];
+                try_push(
+                    &mut set,
+                    vec![
+                        ChangeOp::rem_arc(r, "review", v),
+                        ChangeOp::add_arc(any(rng, &restaurants), "review", v),
+                    ],
+                );
+            }
+            7 if removals && !comments.is_empty() => {
+                let (v, c) = comments[rng.gen_range(0..comments.len())];
+                try_push(&mut set, vec![ChangeOp::rem_arc(v, "comment", c)]);
+            }
+            _ => {
+                let (r, n) = (scratch.alloc_id(), scratch.alloc_id());
+                try_push(
+                    &mut set,
+                    vec![
+                        ChangeOp::CreNode(r, Value::Complex),
+                        ChangeOp::CreNode(n, Value::str("Rnew")),
+                        ChangeOp::add_arc(db.root(), "restaurant", r),
+                        ChangeOp::add_arc(r, "name", n),
+                    ],
+                );
+            }
+        }
+    }
+    set
+}
+
+/// Queries whose delta variants lean on change-set seeding: the
+/// restricted constraint at the end of a four-step chain; a join that
+/// enumerates it last; `<upd>`/`<cre>` under labels most deltas' nodes do
+/// not hang from; steps a shared or moved review reaches through more
+/// than one parent.
+const SEEDING_POOL: [&str; 9] = [
+    "select C, T from guide.restaurant.review.<add at T>comment C",
+    "select guide.restaurant.review.comment",
+    "select R, C from guide.restaurant R, guide.restaurant.review.<add>comment C",
+    "select T, NV from guide.restaurant.name<upd at T to NV>",
+    "select OV, C from guide.restaurant.review.comment<upd from OV> C",
+    "select C, T from guide.restaurant.review.comment<cre at T> C",
+    "select V, T from guide.restaurant.<add at T>review V",
+    "select V from guide.restaurant.<rem>review V",
+    "select X from guide.featured.<add>comment X",
+];
+
+/// More of the same, with `or` over existential slots. Kept apart because
+/// the translated strategy loses rows when a multi-step `where` path sits
+/// under `or` and an inner step has no binding (also without annotations,
+/// also before these tests existed): these are checked against the direct
+/// strategy alone.
+const SEEDING_POOL_OR: [&str; 2] = [
+    "select R from guide.restaurant R where R.review.<add at T>comment or R.<add>review",
+    "select R from guide.restaurant R where R.review.<add>comment = \"c1\" or R.name like \"R%\"",
+];
+
+/// Grow a DOEM database from `random_db(seed, n)` through
+/// `random_history`'s sets and then `extra` [`seeding_set`]s (the last one
+/// free of removals), calling `step` with the database, the set and its
+/// timestamp after each one is applied.
+fn evolve(
+    seed: u64,
+    n: usize,
+    steps: usize,
+    extra: usize,
+    mut step: impl FnMut(&doem::DoemDatabase, &ChangeSet, Timestamp),
+) {
+    let db = random_db(seed, n);
+    let h = random_history(&db, seed.wrapping_add(41), steps, 4);
+    let mut replica = db.clone();
+    let mut d = doem::DoemDatabase::from_snapshot(&db);
+    let mut at: Timestamp = "1Jan97".parse().unwrap();
+    for entry in h.entries() {
+        at = entry.at;
+        doem::apply_set(&mut d, &mut replica, &entry.changes, at).unwrap();
+        step(&d, &entry.changes, at);
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    for i in 0..extra {
+        let set = seeding_set(&mut rng, &replica, i + 1 < extra);
+        at = at.plus_minutes(rng.gen_range(1..2000));
+        doem::apply_set(&mut d, &mut replica, &set, at).unwrap();
+        step(&d, &set, at);
+    }
+}
+
+/// `S` with [`lorel::DataSource::parents`] left at its default: the source
+/// cannot name parents, so delta variants over it enumerate without
+/// parent-derived allow-sets — the reference the seeded variants are held
+/// to.
+struct NoParents<S>(S);
+
+impl<S: lorel::DataSource> lorel::DataSource for NoParents<S> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn root(&self) -> NodeId {
+        self.0.root()
+    }
+    fn value(&self, n: NodeId) -> Option<Value> {
+        self.0.value(n)
+    }
+    fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
+        self.0.children(n)
+    }
+    fn children_labeled(&self, n: NodeId, l: oem::Label) -> Vec<NodeId> {
+        self.0.children_labeled(n, l)
+    }
+    fn cre_fun(&self, n: NodeId) -> Vec<Timestamp> {
+        self.0.cre_fun(n)
+    }
+    fn upd_fun(&self, n: NodeId) -> Vec<(Timestamp, Value, Value)> {
+        self.0.upd_fun(n)
+    }
+    fn add_fun(&self, n: NodeId, l: oem::Label) -> Vec<(Timestamp, NodeId)> {
+        self.0.add_fun(n, l)
+    }
+    fn rem_fun(&self, n: NodeId, l: oem::Label) -> Vec<(Timestamp, NodeId)> {
+        self.0.rem_fun(n, l)
+    }
+    fn add_fun_any(&self, n: NodeId) -> Vec<(oem::Label, Timestamp, NodeId)> {
+        self.0.add_fun_any(n)
+    }
+    fn rem_fun_any(&self, n: NodeId) -> Vec<(oem::Label, Timestamp, NodeId)> {
+        self.0.rem_fun_any(n)
+    }
+    fn children_at(&self, n: NodeId, t: Timestamp) -> Vec<(oem::Label, NodeId)> {
+        self.0.children_at(n, t)
+    }
+    fn wildcard_children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
+        self.0.wildcard_children(n)
+    }
+    fn children_labeled_at(&self, n: NodeId, l: oem::Label, t: Timestamp) -> Vec<NodeId> {
+        self.0.children_labeled_at(n, l, t)
+    }
+    fn value_at(&self, n: NodeId, t: Timestamp) -> Option<Value> {
+        self.0.value_at(n, t)
     }
 }
 
@@ -480,9 +704,7 @@ proptest! {
     /// QSS filters do.
     #[test]
     fn incremental_agrees_with_full(seed in 0u64..400, n in 2usize..8, steps in 1usize..6) {
-        let db = random_db(seed, n);
-        let h = random_history(&db, seed.wrapping_add(41), steps, 4);
-        let queries = [
+        let queries: Vec<&str> = [
             "select guide.restaurant",
             "select guide.<add>note",
             "select guide.restaurant.<add at T>note where T >= 1Jan97",
@@ -490,43 +712,90 @@ proptest! {
             "select guide.restaurant.name<cre at T> where T < 1Feb97",
             "select R from guide.restaurant R where R.<rem at T>parking and T > 1Jan97",
             "select X, T from guide.restaurant.<add at T>(note|tag) X",
-        ];
+        ]
+        .into_iter()
+        .chain(SEEDING_POOL)
+        .collect();
+        let both_strategies = queries.len();
+        let queries: Vec<&str> = queries.into_iter().chain(SEEDING_POOL_OR).collect();
         let parsed: Vec<_> = queries
             .iter()
             .map(|q| lorel::parse_query(q).unwrap())
             .collect();
-        let mut replica = db.clone();
-        let mut d = doem::DoemDatabase::from_snapshot(&db);
-        let mut prior: Vec<Vec<lorel::Row>> = parsed
-            .iter()
-            .map(|q| chorel::run_chorel_parsed(&d, q, chorel::Strategy::Direct).unwrap().rows)
-            .collect();
+        let mut prior: Vec<Option<Vec<lorel::Row>>> = vec![None; queries.len()];
         let mut maintained_steps = 0usize;
-        for entry in h.entries() {
-            doem::apply_set(&mut d, &mut replica, &entry.changes, entry.at).unwrap();
+        evolve(seed, n, steps, 3, |d, changes, at| {
             for (i, q) in parsed.iter().enumerate() {
-                let full = chorel::run_both_checked(&d, queries[i]).unwrap();
-                let maintained =
-                    chorel::delta::maintain_rows(&d, q, &entry.changes, entry.at, &prior[i])
-                        .unwrap();
+                let full = if i < both_strategies {
+                    chorel::run_both_checked(d, queries[i]).unwrap()
+                } else {
+                    chorel::run_chorel_parsed(d, q, chorel::Strategy::Direct).unwrap()
+                };
+                // The first step only primes: there is no prior result yet.
+                let maintained = match &prior[i] {
+                    Some(rows) => chorel::delta::maintain_rows(d, q, changes, at, rows).unwrap(),
+                    None => None,
+                };
                 match maintained {
                     Some(rows) => {
                         prop_assert_eq!(
-                            chorel::delta::canonical_strings_for_rows(&d, &rows),
-                            chorel::canonical_row_strings(&d, &full),
-                            "query {:?} diverged at {}", queries[i], entry.at
+                            chorel::delta::canonical_strings_for_rows(d, &rows),
+                            chorel::canonical_row_strings(d, &full),
+                            "query {:?} diverged at {}", queries[i], at
                         );
                         maintained_steps += 1;
-                        prior[i] = rows.rows;
+                        prior[i] = Some(rows.rows);
                     }
-                    None => prior[i] = full.rows,
+                    None => prior[i] = Some(full.rows),
                 }
             }
-        }
+        });
         // The pool is chosen so maintenance actually fires (annotated
         // plans survive any delta); an all-fallback run would make the
         // identity above vacuous.
         prop_assert!(maintained_steps > 0, "every step fell back to full re-evaluation");
+    }
+
+    /// Change-set seeding prunes and never decides (DESIGN.md §11.1): over
+    /// every supported plan × delta of an evolving database, the seeded
+    /// variants return no row the unpruned variants do not, the two find
+    /// exactly the same rows beyond the prior result, and with the prior
+    /// result those are the full evaluation. (An unpruned variant also
+    /// re-derives prior rows wherever a `Missing` binding satisfies an
+    /// `or`; seeding skips those, so the raw variant outputs may differ by
+    /// rows the union absorbs.)
+    #[test]
+    fn seeded_variants_agree_with_unpruned(seed in 0u64..400, n in 2usize..8, steps in 1usize..5) {
+        use std::collections::HashSet;
+        let pool: Vec<&str> = SEEDING_POOL.into_iter().chain(SEEDING_POOL_OR).collect();
+        let parsed: Vec<_> = pool.iter().map(|q| lorel::parse_query(q).unwrap()).collect();
+        let mut prior: Vec<Option<HashSet<lorel::Row>>> = vec![None; parsed.len()];
+        let mut compared = 0usize;
+        evolve(seed, n, steps, 4, |d, changes, at| {
+            let seeded = chorel::DirectSource::new(d);
+            let unpruned = NoParents(seeded);
+            let spec = lorel::DeltaSpec::new(changes, at);
+            for (i, q) in parsed.iter().enumerate() {
+                let plan = lorel::plan(q, d.name()).unwrap();
+                let full: HashSet<lorel::Row> =
+                    lorel::execute(&seeded, &plan).unwrap().rows.into_iter().collect();
+                if let (Some(prior), Ok(())) = (&prior[i], lorel::delta_supported(&plan, &spec)) {
+                    let a = lorel::delta_execute(&seeded, &plan, &spec).unwrap().rows;
+                    let b = lorel::delta_execute(&unpruned, &plan, &spec).unwrap().rows;
+                    let a: HashSet<_> = a.into_iter().collect();
+                    let b: HashSet<_> = b.into_iter().collect();
+                    prop_assert!(a.is_subset(&b), "{:?} at {}: seeding invented a row", pool[i], at);
+                    let new_a: HashSet<_> = a.difference(prior).cloned().collect();
+                    let new_b: HashSet<_> = b.difference(prior).cloned().collect();
+                    prop_assert_eq!(&new_a, &new_b, "{:?} at {}", pool[i], at);
+                    let maintained: HashSet<_> = prior.union(&new_a).cloned().collect();
+                    prop_assert_eq!(&maintained, &full, "{:?} at {}", pool[i], at);
+                    compared += 1;
+                }
+                prior[i] = Some(full);
+            }
+        });
+        prop_assert!(compared > 0, "no plan × delta was inside the monotonic fragment");
     }
 }
 
