@@ -110,7 +110,7 @@ fn bench_mixed_throughput(c: &mut Criterion) {
                     if i % 8 == 7 {
                         let id = next_id.fetch_add(1, Ordering::Relaxed);
                         format!(
-                            "UPDATE guide AT 1Mar97 9:00am ; \
+                            "UPDATE guide AT now ; \
                              {{creNode(n{id}, \"B{id}\"), addArc(n4, bench, n{id})}}"
                         )
                     } else {
@@ -161,7 +161,7 @@ fn bench_multi_db_write_scaling(c: &mut Criterion) {
                     // fully disjoint.
                     let id = next_id.fetch_add(1, Ordering::Relaxed);
                     format!(
-                        "UPDATE db{} AT 1Mar97 9:00am ; \
+                        "UPDATE db{} AT now ; \
                          {{creNode(n{id}, {id}), addArc(n1, item, n{id})}}",
                         t % dbs
                     )

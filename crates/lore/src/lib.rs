@@ -9,9 +9,6 @@
 //! * [`LoreStore`] — a crash-conscious directory store of named database
 //!   images (binary codec in [`codec`]); DOEM databases go through the
 //!   Section 5.1 encoding, exactly as the paper describes;
-//! * [`HistoryLog`] — an append-only log of timestamped change sets, so a
-//!   subscription's full history survives restarts (a Section 7 roadmap
-//!   item);
 //! * [`Lindex`] / [`Vindex`] — Lore's label and value indexes;
 //! * [`DataGuide`] — Lore's structural summary (subset construction over
 //!   the graph, cycle-safe).
@@ -24,11 +21,9 @@ mod error;
 mod lindex;
 mod store;
 mod vindex;
-mod wal;
 
 pub use dataguide::{DataGuide, GuideNode};
 pub use error::{LoreError, Result};
 pub use lindex::Lindex;
 pub use store::LoreStore;
 pub use vindex::Vindex;
-pub use wal::HistoryLog;

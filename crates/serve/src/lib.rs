@@ -38,7 +38,7 @@
 //! With [`ServeConfig::wal_dir`] set the service is **durable**
 //! (DESIGN.md §8): every committed mutation is appended to a per-database
 //! change-operation [`wal`] (the paper's own notation, length+CRC framed,
-//! fsynced before the in-memory apply), periodically folded into snapshot
+//! fsynced before the write is published or acknowledged), periodically folded into snapshot
 //! checkpoints, and replayed through the `D(O, H)` construction on
 //! startup — tolerating a torn final record. A deterministic [`faults`]
 //! layer can fail any append/fsync/checkpoint at a chosen operation

@@ -114,11 +114,6 @@ pub struct Metrics {
     pub sessions: AtomicU64,
     /// Requests that carried a `#<id>` pipelining tag.
     pub pipelined: AtomicU64,
-    /// Writes that paid a whole-database copy-on-write clone because a
-    /// query snapshot was still outstanding. With the MVCC version store
-    /// (DESIGN.md §14) publishing shares structure instead of cloning, so
-    /// this stays 0; the counter is kept so a regression is visible.
-    pub cow_clones: AtomicU64,
     /// Versions installed into shard version rings by the publish stage.
     pub versions_installed: AtomicU64,
     /// Versions unlinked from shard version rings by retention GC.
@@ -224,7 +219,6 @@ impl Metrics {
             format!("counter qss_polls {}", c(&self.qss_polls)),
             format!("counter sessions {}", c(&self.sessions)),
             format!("counter pipelined {}", c(&self.pipelined)),
-            format!("counter cow_clones {}", c(&self.cow_clones)),
             format!("counter versions_installed {}", c(&self.versions_installed)),
             format!("counter versions_gced {}", c(&self.versions_gced)),
             format!("counter as_of_ring {}", c(&self.as_of_ring)),

@@ -8,10 +8,10 @@
 //! databases, then drives every one to the primary's applied LSN:
 //! `REPLICATE <db> FROM <applied> AS <id>` either returns a checkpoint
 //! image (installed wholesale, replacing the local shard) or a run of
-//! history entries, which are applied through the **same commit path as
-//! local writes** — sequenced onto the shard's group-commit pipeline
-//! when durable, so follower WALs, checkpoints, and crash recovery need
-//! no replication-specific code at all. The canonical change-op
+//! history entries, which enter the **same commit pipeline as local
+//! writes** (`sequence` → persist → publish) — through the follower's
+//! own WAL when it has one, so follower WALs, checkpoints, and crash
+//! recovery need no replication-specific code at all. The canonical change-op
 //! application order inside each record is [`doem::apply_set`]'s,
 //! identical on both sides by construction.
 //!
@@ -32,8 +32,8 @@
 use crate::faults::{FaultMode, FaultPoint};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Response};
-use crate::replication::stream::ReplBatch;
-use crate::service::{apply_replicated, install_replicated, install_replicated_doem, Shared};
+use crate::replication::stream::{snapshot_from_bytes, ReplBatch};
+use crate::service::{apply_replicated, install_replicated, Shared};
 use crate::tcp::WireClient;
 use doem::DoemDatabase;
 use oem::{OemDatabase, Timestamp};
@@ -243,7 +243,8 @@ fn sync_db(
         }
         shared.repl.note_primary_lsn(db, batch.primary_lsn);
         if let Some(image) = &batch.snapshot {
-            install_replicated(shared, db, image, batch.primary_lsn)
+            let doem = snapshot_from_bytes(image).map_err(std::io::Error::other)?;
+            install_replicated(shared, db, doem, batch.primary_lsn)
                 .map_err(std::io::Error::other)?;
             Metrics::bump(&shared.metrics.repl_snapshots_installed);
         } else {
@@ -253,7 +254,7 @@ fn sync_db(
                 // empty database those records rebuild from (this is also
                 // how an empty CREATEd database arrives at a follower).
                 let empty = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
-                install_replicated_doem(shared, db, empty, Timestamp::NEG_INFINITY)
+                install_replicated(shared, db, empty, Timestamp::NEG_INFINITY)
                     .map_err(std::io::Error::other)?;
                 Metrics::bump(&shared.metrics.repl_snapshots_installed);
             }

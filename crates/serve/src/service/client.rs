@@ -1,0 +1,346 @@
+//! The request edge: reply slots, the in-process [`Client`] handle with
+//! admission control, and the worker and completion pools.
+
+use super::handlers::execute;
+use super::Shared;
+use crate::metrics::Metrics;
+use crate::protocol::{ErrKind, Request, Response};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A single-use reply rendezvous between a worker and the submitting
+/// session. Replaces a per-request `bounded(1)` channel: the timeout path
+/// marks the slot abandoned under the same lock the worker's delivery
+/// checks, so a response that races a timeout is either handed over or
+/// knowingly dropped — it can never sit queued in a channel whose last
+/// endpoint is about to drop (which the sanitizer reports as a leak).
+pub(crate) struct ReplySlot {
+    state: Mutex<SlotState>,
+    delivered: Condvar,
+}
+
+enum SlotState {
+    /// No response yet; the session may still be waiting.
+    Empty,
+    /// The worker's response, awaiting pickup.
+    Ready(Response),
+    /// The session timed out (or already picked up); deliveries are
+    /// discarded from here on.
+    Abandoned,
+}
+
+impl ReplySlot {
+    pub(crate) fn new() -> Arc<ReplySlot> {
+        Arc::new(ReplySlot {
+            state: Mutex::new(SlotState::Empty),
+            delivered: Condvar::new(),
+        })
+    }
+
+    /// Worker side: hand over the response. Returns it to the caller's
+    /// void if the waiter already gave up — the same contract as sending
+    /// to a dropped receiver, minus the leaked queue entry.
+    pub(crate) fn deliver(&self, resp: Response) {
+        let mut st = self.state.lock();
+        if matches!(*st, SlotState::Empty) {
+            *st = SlotState::Ready(resp);
+            drop(st);
+            self.delivered.notify_one();
+        }
+    }
+
+    /// Session side: block until the response lands or `timeout` elapses,
+    /// abandoning the slot on timeout.
+    pub(crate) fn wait(&self, timeout: Duration) -> Option<Response> {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.state.lock();
+        loop {
+            if matches!(*st, SlotState::Ready(_)) {
+                let SlotState::Ready(resp) = std::mem::replace(&mut *st, SlotState::Abandoned)
+                else {
+                    unreachable!("matched Ready above");
+                };
+                return Some(resp);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                *st = SlotState::Abandoned;
+                return None;
+            }
+            let _ = self.delivered.wait_for(&mut st, deadline - now);
+        }
+    }
+}
+
+/// A queued unit of work.
+pub(crate) struct Job {
+    pub(crate) req: Request,
+    pub(crate) reply: Arc<ReplySlot>,
+    pub(crate) enqueued: Instant,
+}
+
+/// A tagged in-flight request handed to the completion pool: wait out
+/// `pending` and forward the tagged response to `out` (a session's writer
+/// channel).
+pub(crate) struct CompletionJob {
+    pub(crate) tag: String,
+    pub(crate) pending: PendingReply,
+    pub(crate) out: Sender<(Option<String>, Response)>,
+}
+
+/// An in-process session handle. Cloning is cheap; every clone shares the
+/// service's queue, caches, and metrics.
+#[derive(Clone)]
+pub struct Client {
+    pub(crate) shared: Arc<Shared>,
+    pub(super) tx: Sender<Job>,
+    pub(super) completion_tx: Sender<CompletionJob>,
+}
+
+/// An in-flight request: the submission half has already happened (with
+/// admission control applied); [`PendingReply::wait`] blocks for the
+/// response, enforcing the configured request timeout. This is what lets
+/// a pipelined session keep reading new requests while earlier ones
+/// execute.
+pub struct PendingReply {
+    shared: Arc<Shared>,
+    started: Instant,
+    state: PendingState,
+}
+
+enum PendingState {
+    /// Resolved at submission time (parse error, BUSY, shutdown).
+    Ready(Response),
+    /// A worker will deliver the response here.
+    Waiting(Arc<ReplySlot>),
+}
+
+impl PendingReply {
+    fn ready(shared: Arc<Shared>, started: Instant, resp: Response) -> PendingReply {
+        PendingReply {
+            shared,
+            started,
+            state: PendingState::Ready(resp),
+        }
+    }
+
+    /// Block until the response arrives (or the request timeout elapses),
+    /// recording end-to-end latency and error metrics exactly once.
+    pub fn wait(self) -> Response {
+        let m = &self.shared.metrics;
+        let resp = match self.state {
+            PendingState::Ready(resp) => resp,
+            PendingState::Waiting(slot) => {
+                match slot.wait(self.shared.cfg.request_timeout) {
+                    Some(resp) => resp,
+                    None => {
+                        Metrics::bump(&m.timeouts);
+                        Response::err(
+                            ErrKind::Timeout,
+                            format!("no reply within {:?}", self.shared.cfg.request_timeout),
+                        )
+                    }
+                }
+            }
+        };
+        m.total.record(self.started.elapsed());
+        if resp.is_error() {
+            Metrics::bump(&m.errors);
+        }
+        resp
+    }
+}
+
+impl Client {
+    /// Parse one protocol line and execute it, honoring admission control
+    /// and the request timeout. Never blocks longer than the configured
+    /// timeout (plus queue admission, which is immediate).
+    pub fn request_line(&self, line: &str) -> Response {
+        let (_tag, pending) = self.begin_line(line);
+        pending.wait()
+    }
+
+    /// Submit an already-parsed request and block for the response.
+    pub fn submit(&self, req: Request) -> Response {
+        self.begin(req).wait()
+    }
+
+    /// Parse one protocol line — including an optional `#<id>` pipelining
+    /// tag — and submit it without blocking for the response. Returns the
+    /// tag (to match the eventual response to its request) and the
+    /// in-flight handle.
+    pub fn begin_line(&self, line: &str) -> (Option<String>, PendingReply) {
+        let m = &self.shared.metrics;
+        let started = Instant::now();
+        let (tag, parsed) = crate::protocol::parse_tagged_request(line);
+        m.parse.record(started.elapsed());
+        if tag.is_some() {
+            Metrics::bump(&m.pipelined);
+        }
+        match parsed {
+            Ok(req) => (tag, self.begin(req)),
+            Err(e) => {
+                Metrics::bump(&m.requests);
+                (
+                    tag,
+                    PendingReply::ready(Arc::clone(&self.shared), started, e.into()),
+                )
+            }
+        }
+    }
+
+    /// Submit an already-parsed request without blocking for the
+    /// response. Admission control applies immediately: a full queue
+    /// resolves the reply to `BUSY` before this returns.
+    pub fn begin(&self, req: Request) -> PendingReply {
+        let m = &self.shared.metrics;
+        Metrics::bump(&m.requests);
+        Metrics::bump(if req.is_read() { &m.reads } else { &m.writes });
+        let started = Instant::now();
+        if !self.shared.accepting.load(Ordering::SeqCst) {
+            return PendingReply::ready(
+                Arc::clone(&self.shared),
+                started,
+                Response::err(ErrKind::Internal, "service is shutting down"),
+            );
+        }
+        let slot = ReplySlot::new();
+        let job = Job {
+            req,
+            reply: Arc::clone(&slot),
+            enqueued: Instant::now(),
+        };
+        let state = match self.tx.try_send(job) {
+            Err(channel::TrySendError::Full(_)) => {
+                Metrics::bump(&m.busy_rejected);
+                PendingState::Ready(Response::err(ErrKind::Busy, "request queue full, try again"))
+            }
+            Err(channel::TrySendError::Disconnected(_)) => {
+                PendingState::Ready(Response::err(ErrKind::Internal, "service is shut down"))
+            }
+            Ok(()) => PendingState::Waiting(slot),
+        };
+        PendingReply {
+            shared: Arc::clone(&self.shared),
+            started,
+            state,
+        }
+    }
+
+    /// Hand a tagged in-flight request to the service's completion pool,
+    /// which waits it out and forwards the tagged response to `out`. If
+    /// the pool is gone (service shut down) the wait happens inline, so
+    /// the response is never dropped.
+    pub(crate) fn complete(
+        &self,
+        tag: String,
+        pending: PendingReply,
+        out: Sender<(Option<String>, Response)>,
+    ) {
+        if let Err(channel::SendError(job)) =
+            self.completion_tx.send(CompletionJob { tag, pending, out })
+        {
+            let _ = job.out.send((Some(job.tag), job.pending.wait()));
+        }
+    }
+
+    /// Convenience: run a query and return its canonical row strings.
+    pub fn query(&self, db: &str, text: &str) -> Result<Vec<String>, (ErrKind, String)> {
+        match self.request_line(&format!("QUERY {db} {text}")) {
+            Response::Rows(rows) => Ok(rows),
+            Response::Ok(msg) => Ok(vec![msg]),
+            Response::Error { kind, message } => Err((kind, message)),
+        }
+    }
+}
+
+/// Body of a worker thread: execute admitted jobs until shutdown.
+pub(crate) fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>, stop: &AtomicBool) {
+    pool_loop(rx, stop, |job: Job| {
+        shared.metrics.queue.record(job.enqueued.elapsed());
+        // A write to a WAL-owning shard returns `None` here — it was
+        // staged, and the group committer delivers the ack once the
+        // record is on disk.
+        if let Some(resp) = execute(shared, job.req, &job.reply) {
+            // The session may have timed out and gone; the slot discards.
+            job.reply.deliver(resp);
+        }
+    });
+}
+
+/// Body of a completion-pool thread: wait out tagged requests and
+/// forward each tagged response to its session's writer.
+pub(crate) fn completion_loop(rx: &Receiver<CompletionJob>, stop: &AtomicBool) {
+    pool_loop(rx, stop, |job: CompletionJob| {
+        let _ = job.out.send((Some(job.tag), job.pending.wait()));
+    });
+}
+
+/// Run `run` on every job from `rx` until the channel disconnects or an
+/// idle tick finds `stop` set — which means the queue has drained:
+/// shutdown processes everything already admitted. The final non-blocking
+/// sweep closes the window where a job admitted just before the flag
+/// flipped would otherwise be stranded in the queue when the last
+/// receiver drops.
+fn pool_loop<T>(rx: &Receiver<T>, stop: &AtomicBool, run: impl Fn(T)) {
+    loop {
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(job) => run(job),
+            Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
+            Err(_) => {
+                while let Ok(job) = rx.try_recv() {
+                    run(job);
+                }
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::service::testing::guide_service;
+    use crate::{ErrKind, Response, ServeConfig};
+    use std::sync::atomic::Ordering;
+    use std::thread;
+    use std::time::Duration;
+
+    #[test]
+    fn admission_control_rejects_when_queue_full() {
+        // Zero workers is not allowed, so wedge the single worker with a
+        // write while the queue (depth 1) fills up.
+        let svc = guide_service(ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            request_timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        });
+        let c = svc.client();
+        // Saturate: submit from threads that will block on the reply.
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let c = c.clone();
+            handles.push(thread::spawn(move || {
+                c.request_line("QUERY guide select guide.restaurant")
+            }));
+        }
+        let responses: Vec<Response> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let busy = responses
+            .iter()
+            .filter(|r| matches!(r, Response::Error { kind: ErrKind::Busy, .. }))
+            .count();
+        let ok = responses.iter().filter(|r| !r.is_error()).count();
+        assert!(ok >= 1, "at least one query must get through: {responses:?}");
+        // With 8 submitters, 1 worker and queue depth 1, rejections are
+        // not guaranteed on any single run — but the busy counter must
+        // agree with what we observed.
+        assert_eq!(
+            svc.metrics().busy_rejected.load(Ordering::Relaxed),
+            busy as u64
+        );
+        svc.shutdown();
+    }
+}

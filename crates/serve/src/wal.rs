@@ -33,8 +33,8 @@
 //! Checkpoints: after `checkpoint_every` appends the service saves the
 //! shard's DOEM image (atomic tmp-file + rename, via the lore store) and
 //! only then truncates the log to zero. The crash window between save and
-//! truncate is closed by a timestamp high-water mark: durable shards
-//! enforce the paper's Definition 2.2 (change timestamps strictly
+//! truncate is closed by a timestamp high-water mark: the sequence stage
+//! enforces the paper's Definition 2.2 (change timestamps strictly
 //! increase), so the timestamp doubles as a log sequence number, and
 //! recovery skips log entries at or before the checkpoint's newest
 //! annotation timestamp instead of double-applying them.
@@ -108,6 +108,9 @@ pub struct WalReplay {
     /// The promotion epoch each entry was committed under, parallel to
     /// `entries` (0 for records from before any failover).
     pub epochs: Vec<u64>,
+    /// The byte offset each entry's frame ends at, parallel to `entries`:
+    /// the log length that keeps exactly the records up to that one.
+    pub ends: Vec<u64>,
     /// Byte length of that prefix — the offset reopening truncates to.
     pub good_len: u64,
     /// Whether bytes past `good_len` existed (a torn or corrupt tail).
@@ -166,13 +169,15 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
         out.epochs.push(epoch);
         offset = end;
         out.good_len = offset as u64;
+        out.ends.push(out.good_len);
     }
     out.torn = (out.good_len as usize) < bytes.len();
     Ok(out)
 }
 
-/// The append half of one database's log. Held inside the shard state, so
-/// the shard's write lock serializes appends, rewinds, and truncation.
+/// The append half of one database's log. Owned outright by the shard's
+/// group committer (`service::pipeline`), so appends, rewinds, and
+/// truncation are serialized without any lock held across the I/O.
 #[derive(Debug)]
 pub struct DbWal {
     path: PathBuf,
@@ -491,14 +496,13 @@ mod tests {
         // The epoch suffix stays out of the parsed history text.
         assert_eq!(r.entries[1].0, ts("2Jan97"));
         assert_eq!(format!("{}", r.entries[1].1), format!("{ch}"));
-        // good_len is still recomputable record by record.
-        let total: usize = r
-            .entries
-            .iter()
-            .zip(&r.epochs)
-            .map(|((at, c), e)| encode_record_epoch(*at, c, *e).len())
-            .sum();
-        assert_eq!(r.good_len, total as u64);
+        // Each record's end offset is where its re-encoded frame ends.
+        let mut total = 0u64;
+        for (((at, c), e), end) in r.entries.iter().zip(&r.epochs).zip(&r.ends) {
+            total += encode_record_epoch(*at, c, *e).len() as u64;
+            assert_eq!(*end, total);
+        }
+        assert_eq!(r.good_len, total);
     }
 
     #[test]

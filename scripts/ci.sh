@@ -88,6 +88,10 @@ if grep -q "DOEM-SANITIZE \[" <<<"$mvcc_out"; then
     exit 1
 fi
 
+echo "==> serve module size guard (no file under crates/serve/src over 1,000 lines)"
+oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
+[ -z "$oversize" ] || { echo "$oversize"; echo "ci: split the file(s) above along a seam" >&2; exit 1; }
+
 echo "==> doem-lint (workspace invariants vs doem-lint.baseline)"
 cargo run -q -p lint --offline --bin doem-lint
 

@@ -82,28 +82,6 @@ fn update_statements_to_doem_to_store_to_chorel() {
     assert!(marked.lines().any(|l| l.starts_with('-')));
 }
 
-/// The history log (WAL) replays a randomly generated session exactly.
-#[test]
-fn history_log_replays_random_sessions() {
-    let db = common::random_db(99, 6);
-    let h = common::random_history(&db, 99, 8, 5);
-
-    let path = std::env::temp_dir().join(format!("e2e-wal-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut log = lore::HistoryLog::open(&path).unwrap();
-    for e in h.entries() {
-        log.append(e.at, &e.changes).unwrap();
-    }
-    let replayed = lore::HistoryLog::open(&path).unwrap().replay().unwrap();
-    assert_eq!(replayed.len(), h.len());
-
-    let mut a = db.clone();
-    let mut b = db.clone();
-    h.apply_to(&mut a).unwrap();
-    replayed.apply_to(&mut b).unwrap();
-    assert!(oem::same_database(&a, &b));
-}
-
 /// Virtual annotations answer "as of" questions that match independent
 /// prefix replays, across a generated history.
 #[test]

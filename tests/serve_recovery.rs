@@ -524,6 +524,92 @@ fn at_now_clamps_clock_regressions_to_monotonic_lsns() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Durability is invisible on the wire. One scripted session — explicit
+/// and server-allocated timestamps under a fixed clock, a `MUTATE` that
+/// creates nodes, a change set the graph rejects, a timestamp that does
+/// not move forward, current and `AS OF` reads (ring and pre-history),
+/// generations — answers byte-identical lines from a shard with no WAL
+/// and from one that group-commits through a WAL: both run the same
+/// sequence → persist → publish path, and only the persist stage
+/// differs. The one documented difference is the `durable` field of
+/// `LSN`/`STATS`, `-` without a log.
+#[test]
+fn durability_is_invisible_on_the_wire() {
+    fn transcript(mut cfg: ServeConfig) -> Vec<String> {
+        let noon = "5Jan97 12:00pm".parse::<Timestamp>().unwrap();
+        cfg.clock = serve::WallClock::from_fn(move || noon);
+        let svc = Service::start(cfg).unwrap();
+        let c = svc.client();
+        let lines = [
+            "CREATE t",
+            "UPDATE t AT 1Jan97 ; {creNode(n10, \"a\"), addArc(n1, item, n10)}",
+            "UPDATE t AT now ; {creNode(n11, \"b\"), addArc(n1, item, n11)}",
+            // The clock has not moved: clamps to the last LSN + 1 minute.
+            "UPDATE t AT now ; {updNode(n10, \"c\")}",
+            "MUTATE t AT 1Feb97 ; insert t.shelf := (label \"top\", depth 3)",
+            // Rejected by the graph (no such node); leaves no trace.
+            "UPDATE t AT 1Mar97 ; {addArc(n1, item, n999)}",
+            // Not strictly after the last LSN (1Feb97).
+            "UPDATE t AT 15Jan97 ; {updNode(n10, \"z\")}",
+            "UPDATE t AT 1Feb97 ; {updNode(n10, \"z\")}",
+            // Does not compile against the sequencing head.
+            "MUTATE t AT 2Feb97 ; update other.item := 1",
+            "QUERY t select t.item",
+            "QUERY t select V from t.item<upd from OV to V>",
+            "QUERY t AS OF 2Jan97 select t.item",
+            "QUERY t AS OF 1Dec96 select t.item",
+            "QUERY t AS OF 1Mar97 select t.shelf.label",
+            "GEN t",
+            "GEN",
+            "LSN t",
+        ];
+        let out = lines
+            .iter()
+            .map(|line| format!("{line}\n{}", c.request_line(line).render()))
+            .collect();
+        svc.shutdown();
+        out
+    }
+
+    let dir = fresh_dir("wire-invisible");
+    let in_memory = transcript(ServeConfig::default());
+    let durable = transcript(ServeConfig {
+        wal_dir: Some(dir.clone()),
+        group_commit_max: 8,
+        ..ServeConfig::default()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Eight writes were attempted, four landed, and the session saw what
+    // it should have: the test is not comparing two identical refusals.
+    let expect = |i: usize, what: &str| {
+        assert!(in_memory[i].contains(what), "line {i}: want {what:?} in {}", in_memory[i]);
+    };
+    expect(3, "at 5Jan97 12:01pm; generation 4");
+    expect(4, "applied 6 ops (3 created) at 1Feb97; generation 5");
+    expect(5, "ERR CONFLICT change set rejected: no such object");
+    expect(6, "strictly time-ordered");
+    expect(7, "strictly time-ordered");
+    expect(8, "ERR CONFLICT update rejected");
+    expect(10, "ROWS 1\nROW new-value=\"c\"");
+    expect(11, "ROWS 1\n");
+    expect(12, "ROWS 0\n");
+    expect(13, "ROWS 1\n");
+    expect(14, "OK 5\n");
+
+    let (last_mem, last_dur) = (in_memory.len() - 1, durable.len() - 1);
+    assert_eq!(in_memory[..last_mem], durable[..last_dur]);
+    // `LSN`: nothing is durable without a log; with one, everything
+    // applied is.
+    let lsn = &in_memory[last_mem];
+    let applied = lsn.split(' ').nth(3).unwrap();
+    assert!(lsn.contains(" durable - "), "{lsn}");
+    assert_eq!(
+        lsn.replace(" durable - ", &format!(" durable {applied} ")),
+        durable[last_dur]
+    );
+}
+
 mod torn_log_properties {
     //! Satellite proptest: crash the log at an **arbitrary byte offset**
     //! (op boundary or mid-record) and demand recovery equal the replay
