@@ -13,7 +13,8 @@
 //!   spoken by the `doem-serve` binary.
 //!
 //! Architecture (full treatment: DESIGN.md, "Concurrency model"):
-//! sessions parse requests at the edge and submit jobs to a **bounded**
+//! sessions parse requests at the edge, answer there what cannot block
+//! (probe verbs, result-cache hits) and submit the rest to a **bounded**
 //! queue (admission control — a full queue answers `BUSY` immediately). A
 //! fixed worker pool executes jobs against a **sharded registry**: each
 //! database is its own shard with its own `RwLock`, **generation
@@ -32,8 +33,8 @@
 //! (in-process, the same split is [`Client::begin_line`] +
 //! [`PendingReply::wait`]); a service-wide completion pool waits out the
 //! tagged requests. A [`metrics`] registry (counters + log2 latency
-//! histograms for parse / queue-wait / exec / end-to-end) is readable
-//! over the wire as `STATS`.
+//! histograms for parse / queue-wait / exec / reply and writer hand-offs /
+//! end-to-end) is readable over the wire as `STATS`.
 //!
 //! With [`ServeConfig::wal_dir`] set the service is **durable**
 //! (DESIGN.md §8): every committed mutation is appended to a per-database

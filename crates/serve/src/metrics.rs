@@ -1,7 +1,8 @@
 //! The service's metrics registry: lock-free counters plus log2-bucketed
 //! latency histograms for the request pipeline stages (parse, queue wait,
-//! execution, end-to-end) and the publish stage. A snapshot is exposed over the wire as the
-//! `STATS` command.
+//! execution, reply-slot wait, writer-channel wait, end-to-end) and the
+//! publish stage. A snapshot is exposed over the wire as the `STATS`
+//! command.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -114,6 +115,16 @@ pub struct Metrics {
     pub sessions: AtomicU64,
     /// Requests that carried a `#<id>` pipelining tag.
     pub pipelined: AtomicU64,
+    /// Requests answered on the submitting thread, before the admission
+    /// queue: the probe verbs and current-version cache hits.
+    pub inline_replies: AtomicU64,
+    /// TCP sessions that started a `serve-session-writer` thread (a
+    /// tagged request had to wait); every other session runs on one.
+    pub session_writers: AtomicU64,
+    /// `write_all` calls issued by session writer threads; each carries
+    /// every frame that was queued when it began, so
+    /// `writer_wait count / writer_bursts` is frames per burst.
+    pub writer_bursts: AtomicU64,
     /// Versions installed into shard version rings by the publish stage.
     pub versions_installed: AtomicU64,
     /// Versions unlinked from shard version rings by retention GC.
@@ -188,6 +199,13 @@ pub struct Metrics {
     /// replication tail, cache maintenance, generation bump, version
     /// install.
     pub publish: Histogram,
+    /// Time a pooled response sat in its reply slot: from the worker's
+    /// (or committer's) delivery to the waiting thread picking it up.
+    pub reply_wait: Histogram,
+    /// Time a frame sat in a session's writer channel: from enqueue to
+    /// the end of the `write_all` that carried it. Sessions that write
+    /// in place record nothing here.
+    pub writer_wait: Histogram,
 }
 
 impl Metrics {
@@ -219,6 +237,9 @@ impl Metrics {
             format!("counter qss_polls {}", c(&self.qss_polls)),
             format!("counter sessions {}", c(&self.sessions)),
             format!("counter pipelined {}", c(&self.pipelined)),
+            format!("counter inline_replies {}", c(&self.inline_replies)),
+            format!("counter session_writers {}", c(&self.session_writers)),
+            format!("counter writer_bursts {}", c(&self.writer_bursts)),
             format!("counter versions_installed {}", c(&self.versions_installed)),
             format!("counter versions_gced {}", c(&self.versions_gced)),
             format!("counter as_of_ring {}", c(&self.as_of_ring)),
@@ -248,6 +269,8 @@ impl Metrics {
         self.exec.render("exec", &mut out);
         self.total.render("total", &mut out);
         self.publish.render("publish", &mut out);
+        self.reply_wait.render("reply_wait", &mut out);
+        self.writer_wait.render("writer_wait", &mut out);
         out
     }
 }
@@ -283,7 +306,15 @@ mod tests {
         m.exec.record(Duration::from_micros(42));
         let lines = m.render();
         assert!(lines.iter().any(|l| l == "counter requests 1"));
-        for stage in ["parse", "queue", "exec", "total", "publish"] {
+        for stage in [
+            "parse",
+            "queue",
+            "exec",
+            "total",
+            "publish",
+            "reply_wait",
+            "writer_wait",
+        ] {
             assert!(lines.iter().any(|l| l.contains(&format!("latency {stage} "))));
         }
     }

@@ -1,9 +1,10 @@
-//! The request edge: reply slots, the in-process [`Client`] handle with
-//! admission control, and the worker and completion pools.
+//! The request edge: reply slots, the in-process [`Client`] handle —
+//! which answers what cannot block on the submitting thread and applies
+//! admission control to the rest — and the worker and completion pools.
 
-use super::handlers::execute;
+use super::handlers::{edge_reply, execute};
 use super::Shared;
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use crate::protocol::{ErrKind, Request, Response};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -25,8 +26,8 @@ pub(crate) struct ReplySlot {
 enum SlotState {
     /// No response yet; the session may still be waiting.
     Empty,
-    /// The worker's response, awaiting pickup.
-    Ready(Response),
+    /// The worker's response and when it was delivered, awaiting pickup.
+    Ready(Response, Instant),
     /// The session timed out (or already picked up); deliveries are
     /// discarded from here on.
     Abandoned,
@@ -46,23 +47,26 @@ impl ReplySlot {
     pub(crate) fn deliver(&self, resp: Response) {
         let mut st = self.state.lock();
         if matches!(*st, SlotState::Empty) {
-            *st = SlotState::Ready(resp);
+            *st = SlotState::Ready(resp, Instant::now());
             drop(st);
             self.delivered.notify_one();
         }
     }
 
     /// Session side: block until the response lands or `timeout` elapses,
-    /// abandoning the slot on timeout.
-    pub(crate) fn wait(&self, timeout: Duration) -> Option<Response> {
+    /// abandoning the slot on timeout. How long the response sat
+    /// delivered before this pickup is recorded in `reply_wait`.
+    pub(crate) fn wait(&self, timeout: Duration, reply_wait: &Histogram) -> Option<Response> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if matches!(*st, SlotState::Ready(_)) {
-                let SlotState::Ready(resp) = std::mem::replace(&mut *st, SlotState::Abandoned)
+            if matches!(*st, SlotState::Ready(..)) {
+                let SlotState::Ready(resp, delivered) =
+                    std::mem::replace(&mut *st, SlotState::Abandoned)
                 else {
                     unreachable!("matched Ready above");
                 };
+                reply_wait.record(delivered.elapsed());
                 return Some(resp);
             }
             let now = Instant::now();
@@ -82,13 +86,54 @@ pub(crate) struct Job {
     pub(crate) enqueued: Instant,
 }
 
+impl Job {
+    /// Worker side: execute the request and deliver its response.
+    pub(crate) fn run(self, shared: &Arc<Shared>) {
+        shared.metrics.queue.record(self.enqueued.elapsed());
+        // A write to a WAL-owning shard returns `None` here — it was
+        // staged, and the group committer delivers the ack once the
+        // record is on disk.
+        if let Some(resp) = execute(shared, self.req, &self.reply) {
+            // The session may have timed out and gone; the slot discards.
+            self.reply.deliver(resp);
+        }
+    }
+}
+
+/// One response frame on its way to a session's writer thread.
+pub(crate) struct Frame {
+    pub(crate) tag: Option<String>,
+    pub(crate) resp: Response,
+    /// When the frame entered the writer channel (`latency writer_wait`).
+    pub(crate) queued: Instant,
+}
+
+impl Frame {
+    pub(crate) fn new(tag: Option<String>, resp: Response) -> Frame {
+        Frame {
+            tag,
+            resp,
+            queued: Instant::now(),
+        }
+    }
+}
+
 /// A tagged in-flight request handed to the completion pool: wait out
 /// `pending` and forward the tagged response to `out` (a session's writer
 /// channel).
 pub(crate) struct CompletionJob {
     pub(crate) tag: String,
     pub(crate) pending: PendingReply,
-    pub(crate) out: Sender<(Option<String>, Response)>,
+    pub(crate) out: Sender<Frame>,
+}
+
+impl CompletionJob {
+    /// Completion-pool side: wait the request out and forward the tagged
+    /// response to its session's writer.
+    pub(crate) fn run(self) {
+        let frame = Frame::new(Some(self.tag), self.pending.wait());
+        let _ = self.out.send(frame);
+    }
 }
 
 /// An in-process session handle. Cloning is cheap; every clone shares the
@@ -108,11 +153,14 @@ pub struct Client {
 pub struct PendingReply {
     shared: Arc<Shared>,
     started: Instant,
+    /// The request was `QUIT`: the session ends once this is answered.
+    quit: bool,
     state: PendingState,
 }
 
 enum PendingState {
-    /// Resolved at submission time (parse error, BUSY, shutdown).
+    /// Resolved at submission time: answered at the edge, or a parse
+    /// error, BUSY, shutdown.
     Ready(Response),
     /// A worker will deliver the response here.
     Waiting(Arc<ReplySlot>),
@@ -123,8 +171,20 @@ impl PendingReply {
         PendingReply {
             shared,
             started,
+            quit: false,
             state: PendingState::Ready(resp),
         }
+    }
+
+    /// Whether the response is already here, so [`PendingReply::wait`]
+    /// returns without blocking.
+    pub(crate) fn is_ready(&self) -> bool {
+        matches!(self.state, PendingState::Ready(_))
+    }
+
+    /// Whether the request was `QUIT`.
+    pub(crate) fn is_quit(&self) -> bool {
+        self.quit
     }
 
     /// Block until the response arrives (or the request timeout elapses),
@@ -134,7 +194,7 @@ impl PendingReply {
         let resp = match self.state {
             PendingState::Ready(resp) => resp,
             PendingState::Waiting(slot) => {
-                match slot.wait(self.shared.cfg.request_timeout) {
+                match slot.wait(self.shared.cfg.request_timeout, &m.reply_wait) {
                     Some(resp) => resp,
                     None => {
                         Metrics::bump(&m.timeouts);
@@ -193,40 +253,51 @@ impl Client {
     }
 
     /// Submit an already-parsed request without blocking for the
-    /// response. Admission control applies immediately: a full queue
+    /// response. A request that cannot block — a probe verb, or a
+    /// current-version query whose result is cached — is answered right
+    /// here, on the caller's thread, and takes no queue slot. Admission
+    /// control applies immediately to everything else: a full queue
     /// resolves the reply to `BUSY` before this returns.
     pub fn begin(&self, req: Request) -> PendingReply {
         let m = &self.shared.metrics;
         Metrics::bump(&m.requests);
         Metrics::bump(if req.is_read() { &m.reads } else { &m.writes });
         let started = Instant::now();
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            return PendingReply::ready(
-                Arc::clone(&self.shared),
-                started,
-                Response::err(ErrKind::Internal, "service is shutting down"),
-            );
+        let quit = matches!(req, Request::Quit);
+        let state = if !self.shared.accepting.load(Ordering::SeqCst) {
+            PendingState::Ready(Response::err(ErrKind::Internal, "service is shutting down"))
+        } else if let Some(resp) = edge_reply(&self.shared, &req) {
+            Metrics::bump(&m.inline_replies);
+            PendingState::Ready(resp)
+        } else {
+            self.enqueue(req)
+        };
+        PendingReply {
+            shared: Arc::clone(&self.shared),
+            started,
+            quit,
+            state,
         }
+    }
+
+    /// Admission control: hand `req` to the worker pool, or resolve it
+    /// to `BUSY` on the spot when the queue is full.
+    fn enqueue(&self, req: Request) -> PendingState {
         let slot = ReplySlot::new();
         let job = Job {
             req,
             reply: Arc::clone(&slot),
             enqueued: Instant::now(),
         };
-        let state = match self.tx.try_send(job) {
+        match self.tx.try_send(job) {
             Err(channel::TrySendError::Full(_)) => {
-                Metrics::bump(&m.busy_rejected);
+                Metrics::bump(&self.shared.metrics.busy_rejected);
                 PendingState::Ready(Response::err(ErrKind::Busy, "request queue full, try again"))
             }
             Err(channel::TrySendError::Disconnected(_)) => {
                 PendingState::Ready(Response::err(ErrKind::Internal, "service is shut down"))
             }
             Ok(()) => PendingState::Waiting(slot),
-        };
-        PendingReply {
-            shared: Arc::clone(&self.shared),
-            started,
-            state,
         }
     }
 
@@ -234,16 +305,11 @@ impl Client {
     /// which waits it out and forwards the tagged response to `out`. If
     /// the pool is gone (service shut down) the wait happens inline, so
     /// the response is never dropped.
-    pub(crate) fn complete(
-        &self,
-        tag: String,
-        pending: PendingReply,
-        out: Sender<(Option<String>, Response)>,
-    ) {
+    pub(crate) fn complete(&self, tag: String, pending: PendingReply, out: Sender<Frame>) {
         if let Err(channel::SendError(job)) =
             self.completion_tx.send(CompletionJob { tag, pending, out })
         {
-            let _ = job.out.send((Some(job.tag), job.pending.wait()));
+            job.run();
         }
     }
 
@@ -257,35 +323,13 @@ impl Client {
     }
 }
 
-/// Body of a worker thread: execute admitted jobs until shutdown.
-pub(crate) fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>, stop: &AtomicBool) {
-    pool_loop(rx, stop, |job: Job| {
-        shared.metrics.queue.record(job.enqueued.elapsed());
-        // A write to a WAL-owning shard returns `None` here — it was
-        // staged, and the group committer delivers the ack once the
-        // record is on disk.
-        if let Some(resp) = execute(shared, job.req, &job.reply) {
-            // The session may have timed out and gone; the slot discards.
-            job.reply.deliver(resp);
-        }
-    });
-}
-
-/// Body of a completion-pool thread: wait out tagged requests and
-/// forward each tagged response to its session's writer.
-pub(crate) fn completion_loop(rx: &Receiver<CompletionJob>, stop: &AtomicBool) {
-    pool_loop(rx, stop, |job: CompletionJob| {
-        let _ = job.out.send((Some(job.tag), job.pending.wait()));
-    });
-}
-
 /// Run `run` on every job from `rx` until the channel disconnects or an
 /// idle tick finds `stop` set — which means the queue has drained:
 /// shutdown processes everything already admitted. The final non-blocking
 /// sweep closes the window where a job admitted just before the flag
 /// flipped would otherwise be stranded in the queue when the last
 /// receiver drops.
-fn pool_loop<T>(rx: &Receiver<T>, stop: &AtomicBool, run: impl Fn(T)) {
+pub(crate) fn pool_loop<T>(rx: &Receiver<T>, stop: &AtomicBool, run: impl Fn(T)) {
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => run(job),

@@ -2,7 +2,9 @@
 //! one handler per verb. Queries resolve their shard, snapshot it, and
 //! evaluate lock-free; writes (and the follower's replicated records)
 //! enter the shard's commit pipeline; QSS/registry requests take the
-//! control lock.
+//! control lock. [`edge_reply`] is the part of it that cannot block —
+//! the probe verbs and result-cache hits — which the submitting thread
+//! runs before the admission queue.
 
 use super::client::ReplySlot;
 use super::pipeline::{sequence, WriteKind};
@@ -22,6 +24,45 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Answer `req` if that needs no evaluation and no pipeline: the probe
+/// verbs always, a current-version `QUERY` / `SUBQUERY` when its result
+/// is cached at the current generation. Only brief read locks are taken
+/// and none is held across another, so [`Client::begin`](super::Client)
+/// calls this on the submitting thread; `None` sends the request to the
+/// worker pool.
+pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
+    Some(match req {
+        Request::Ping => Response::Ok("pong".into()),
+        Request::Quit => Response::Ok("bye".into()),
+        Request::Generation { db: None } => {
+            Response::Ok(shared.global_gen.load(Ordering::Relaxed).to_string())
+        }
+        Request::Generation { db: Some(db) } => with_shard(shared, db, |shard| {
+            Response::Ok(shard.state.read().generation.to_string())
+        }),
+        Request::ListDbs => Response::Rows(shared.database_names()),
+        Request::Lsn { db } => with_shard(shared, db, |shard| {
+            let (applied, durable, epoch) = shard.lsn_fields();
+            Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
+        }),
+        Request::Query {
+            db,
+            key,
+            as_of: None,
+            ..
+        } => {
+            let shard = shared.shard(db)?;
+            let generation = shard.state.read().generation;
+            return cache_lookup(shared, &shard.cache, &current_key(db, key, generation));
+        }
+        Request::SubQuery { id, key, .. } => {
+            let key = sub_key(shared, id, key).ok()?;
+            return cache_lookup(shared, &shared.sub_cache, &key);
+        }
+        _ => return None,
+    })
+}
+
 /// Execute one request. `None` means a write was staged on a WAL-owning
 /// shard's commit queue: its group committer delivers the ack to `reply`
 /// once the batch is durable and published.
@@ -31,16 +72,14 @@ pub(crate) fn execute(
     reply: &Arc<ReplySlot>,
 ) -> Option<Response> {
     Some(match req {
-        Request::Ping => Response::Ok("pong".into()),
-        Request::Quit => Response::Ok("bye".into()),
+        // Never queued — `Client::begin` answers these through
+        // `edge_reply` — but `execute` stays total over the verbs.
+        Request::Ping
+        | Request::Quit
+        | Request::Generation { .. }
+        | Request::ListDbs
+        | Request::Lsn { .. } => return edge_reply(shared, &req),
         Request::Stats => stats(shared),
-        Request::Generation { db: None } => {
-            Response::Ok(shared.global_gen.load(Ordering::Relaxed).to_string())
-        }
-        Request::Generation { db: Some(db) } => with_shard(shared, &db, |shard| {
-            Response::Ok(shard.state.read().generation.to_string())
-        }),
-        Request::ListDbs => Response::Rows(shared.database_names()),
         Request::Create { db } => create(shared, &db),
         Request::Save { db } => save(shared, &db),
         Request::Load { db } => load(shared, &db),
@@ -51,9 +90,9 @@ pub(crate) fn execute(
             as_of,
         } => with_shard(shared, &db, |shard| match as_of {
             Some(at) => query_as_of(shared, shard, at, &query),
-            None => query_current(shared, shard, &db, key, &query),
+            None => query_current(shared, shard, &db, &key, &query),
         }),
-        Request::SubQuery { id, query, key } => subquery(shared, &id, key, &query),
+        Request::SubQuery { id, query, key } => subquery(shared, &id, &key, &query),
         Request::Update { db, at, changes } => {
             return write(shared, &db, at, WriteKind::Update(changes), reply)
         }
@@ -69,10 +108,6 @@ pub(crate) fn execute(
         } => subscribe(shared, id, &polling, &filter, freq),
         Request::Unsubscribe { id } => unsubscribe(shared, &id),
         Request::Tick { until } => tick(shared, until),
-        Request::Lsn { db } => with_shard(shared, &db, |shard| {
-            let (applied, durable, epoch) = shard.lsn_fields();
-            Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
-        }),
         Request::Replicate { db, from, peer } => {
             serve_replicate(shared, &db, from, peer.as_deref())
         }
@@ -185,6 +220,15 @@ fn load(shared: &Arc<Shared>, db: &str) -> Response {
     }
 }
 
+/// The one result-cache lookup: the edge runs it before the queue, a
+/// worker runs it again after the queue wait (another session may have
+/// evaluated the same text meanwhile).
+fn cache_lookup(shared: &Shared, cache: &ResultCache, key: &CacheKey) -> Option<Response> {
+    let entry = cache.get(key)?;
+    Metrics::bump(&shared.metrics.cache_hits);
+    Some(Response::Rows(entry.strings.clone()))
+}
+
 /// Answer `query` from `cache` under `key`, or evaluate it over the
 /// snapshot `load` produces — with every lock already dropped — and cache
 /// the canonical rows. `maintainable` entries of the direct strategy keep
@@ -199,9 +243,8 @@ fn cached_query(
     maintainable: bool,
     load: impl FnOnce() -> Result<SharedDoem, Response>,
 ) -> Response {
-    if let Some(entry) = cache.get(&key) {
-        Metrics::bump(&shared.metrics.cache_hits);
-        return Response::Rows(entry.strings.clone());
+    if let Some(hit) = cache_lookup(shared, cache, &key) {
+        return hit;
     }
     let doem = match load() {
         Ok(doem) => doem,
@@ -229,17 +272,22 @@ fn cached_query(
     }
 }
 
-fn query_current(shared: &Shared, shard: &Shard, db: &str, key: String, query: &Query) -> Response {
+/// The cache key of a current-version query against database `db`.
+fn current_key(db: &str, canonical: &str, generation: u64) -> CacheKey {
+    CacheKey {
+        scope: db.to_string(),
+        canonical: canonical.to_string(),
+        generation,
+    }
+}
+
+fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Query) -> Response {
     // Snapshot: hold the shard lock only for an Arc clone.
     let (doem, generation) = {
         let st = shard.state.read();
         (st.doem.snapshot(), st.generation)
     };
-    let key = CacheKey {
-        scope: db.to_string(),
-        canonical: key,
-        generation,
-    };
+    let key = current_key(db, key, generation);
     cached_query(shared, &shard.cache, key, query, true, || Ok(doem))
 }
 
@@ -280,20 +328,27 @@ fn query_as_of(shared: &Shared, shard: &Shard, at: Timestamp, query: &Query) -> 
     }
 }
 
-fn subquery(shared: &Shared, id: &str, key: String, query: &Query) -> Response {
-    let key = {
-        let ctl = shared.control.read();
-        if ctl.qss.doem_of(id).is_none() {
-            return Response::err(
-                ErrKind::NotFound,
-                format!("no DOEM for subscription {id:?} (not yet polled?)"),
-            );
-        }
-        CacheKey {
-            scope: format!("sub:{id}"),
-            canonical: key,
-            generation: ctl.generation,
-        }
+/// The cache key of a query against subscription `id`'s DOEM at the
+/// control generation, or `NOTFOUND` while that DOEM does not exist.
+fn sub_key(shared: &Shared, id: &str, canonical: &str) -> Result<CacheKey, Response> {
+    let ctl = shared.control.read();
+    if ctl.qss.doem_of(id).is_none() {
+        return Err(Response::err(
+            ErrKind::NotFound,
+            format!("no DOEM for subscription {id:?} (not yet polled?)"),
+        ));
+    }
+    Ok(CacheKey {
+        scope: format!("sub:{id}"),
+        canonical: canonical.to_string(),
+        generation: ctl.generation,
+    })
+}
+
+fn subquery(shared: &Shared, id: &str, key: &str, query: &Query) -> Response {
+    let key = match sub_key(shared, id, key) {
+        Ok(key) => key,
+        Err(resp) => return resp,
     };
     // On a miss, materialize a snapshot (subscription DOEMs are small —
     // they hold poll results, not whole databases) and evaluate outside
@@ -380,7 +435,7 @@ pub(crate) fn apply_replicated(
         let kind = WriteKind::Update(changes.clone());
         // Staged (`None`): wait for the committer's ack.
         let resp = sequence(shared, &shard, db, Some(at), kind, &slot)
-            .or_else(|| slot.wait(shared.cfg.request_timeout));
+            .or_else(|| slot.wait(shared.cfg.request_timeout, &shared.metrics.reply_wait));
         return match resp {
             Some(Response::Error {
                 kind: ErrKind::Busy,

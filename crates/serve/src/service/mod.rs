@@ -11,13 +11,16 @@
 //!   committer's **persist** stage.
 //! * `recovery` — startup recovery, checkpoints, installing and replacing
 //!   shards.
-//! * `client` — reply slots, the [`Client`] handle, the worker and
-//!   completion pools.
-//! * `handlers` — the request executor, one function per verb.
+//! * `client` — reply slots, the [`Client`] handle (the request edge),
+//!   the worker and completion pools.
+//! * `handlers` — the request executor, one function per verb, and its
+//!   non-blocking subset the edge runs.
 //!
-//! Concurrency model: sessions parse requests at the edge and submit jobs
-//! to a bounded queue (`try_send` — a full queue is an immediate `BUSY`,
-//! the admission-control contract). Workers pull jobs and execute them
+//! Concurrency model: sessions parse requests at the edge, answer there —
+//! on their own thread — the ones that cannot block (probe verbs and
+//! current-version result-cache hits), and submit the rest as jobs to a
+//! bounded queue (`try_send` — a full queue is an immediate `BUSY`, the
+//! admission-control contract). Workers pull jobs and execute them
 //! against a **shard map**: a lightweight `RwLock<HashMap>` from database
 //! name to an `Arc<Shard>`, where each shard owns its *own* lock,
 //! generation counter, and result cache. Writers to different databases
@@ -78,6 +81,7 @@ mod pipeline;
 mod recovery;
 mod shard;
 
+pub(crate) use client::Frame;
 pub use client::{Client, PendingReply};
 pub use config::{AutoTick, DynSource, ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
@@ -85,7 +89,7 @@ pub(crate) use handlers::{apply_replicated, install_replicated};
 use crate::cache::ResultCache;
 use crate::metrics::Metrics;
 use crate::replication::primary::ReplHub;
-use client::{completion_loop, worker_loop, CompletionJob, Job};
+use client::{pool_loop, CompletionJob, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
 use lorel::QueryRegistry;
@@ -244,7 +248,7 @@ impl Service {
                 let rx = job_rx.clone();
                 let stop = Arc::clone(&stop);
                 spawn_tracked(&format!("serve-worker-{i}"), move || {
-                    worker_loop(&shared, &rx, &stop)
+                    pool_loop(&rx, &stop, |job: Job| job.run(&shared))
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
@@ -253,7 +257,7 @@ impl Service {
                 let rx = completion_rx.clone();
                 let stop = Arc::clone(&stop);
                 spawn_tracked(&format!("serve-completion-{i}"), move || {
-                    completion_loop(&rx, &stop)
+                    pool_loop(&rx, &stop, CompletionJob::run)
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;

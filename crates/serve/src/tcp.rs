@@ -5,20 +5,25 @@
 //! and **pipelining**, nothing else.
 //!
 //! Pipelining: each connection separates its reader from execution. The
-//! reader thread parses and submits requests without waiting for replies;
-//! a dedicated writer thread serializes response frames back onto the
-//! socket as they complete. Requests tagged `#<id>` complete out of order
-//! (the tag comes back on the response's first line); untagged requests
-//! keep the classic contract — the reader blocks on each one, so their
-//! responses return in submission order. Tagged waits run on the
-//! service's fixed **completion pool**, not a thread per request, so a
-//! flood of deeply pipelined sessions cannot exhaust threads (the pool
-//! plus admission control bound everything).
+//! session thread parses and submits requests; requests tagged `#<id>`
+//! complete out of order (the tag comes back on the response's first
+//! line), untagged requests keep the classic contract — the reader blocks
+//! on each one, so their responses return in submission order. Tagged
+//! waits run on the service's fixed **completion pool**, not a thread per
+//! request, so a flood of deeply pipelined sessions cannot exhaust threads
+//! (the pool plus admission control bound everything).
+//!
+//! Output: a session writes its frames itself — a request answered at the
+//! edge costs no thread hand-off at all — until its first tagged request
+//! that has to wait. Responses may then complete on other threads, so a
+//! writer thread is started and every later frame of the session funnels
+//! through it, coalesced into one `write_all` per burst. A serial session
+//! is one thread; a pipelined one, two.
 
 use crate::metrics::Metrics;
 use crate::protocol::{parse_tagged_request, Request, Response};
-use crate::service::{Client, Service};
-use crossbeam::channel;
+use crate::service::{Client, Frame, Service, Shared};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::HashMap;
@@ -128,82 +133,148 @@ fn accept_loop(
     }
 }
 
-/// Whether a raw request line is `QUIT`, with or without a pipelining tag.
-fn is_quit(line: &str) -> bool {
-    let line = line.trim_start();
-    let rest = match line.strip_prefix('#') {
-        Some(tagged) => match tagged.split_once(char::is_whitespace) {
-            Some((_, rest)) => rest,
-            None => "",
-        },
-        None => line,
-    };
-    rest.trim().eq_ignore_ascii_case("QUIT")
+/// Where a session's response frames go.
+enum SessionOut {
+    /// No tagged request has had to wait yet: the session thread owns
+    /// the socket's write half and writes each frame itself.
+    Direct(TcpStream),
+    /// A tagged request went to the pool, so frames may now complete on
+    /// other threads: every frame funnels through the writer thread.
+    Writer(Sender<Frame>, TrackedHandle<()>),
+}
+
+impl SessionOut {
+    /// Send one frame that is ready now, from the session thread.
+    fn send(&mut self, tag: Option<String>, resp: Response) -> std::io::Result<()> {
+        match self {
+            SessionOut::Direct(socket) => {
+                socket.write_all(resp.render_tagged(tag.as_deref()).as_bytes())
+            }
+            SessionOut::Writer(tx, _) => tx
+                .send(Frame::new(tag, resp))
+                .map_err(|_| std::io::ErrorKind::BrokenPipe.into()),
+        }
+    }
+
+    /// The writer channel and thread, started on first use with the
+    /// socket's write half.
+    fn into_writer(
+        self,
+        shared: &Arc<Shared>,
+    ) -> std::io::Result<(Sender<Frame>, TrackedHandle<()>)> {
+        match self {
+            SessionOut::Writer(tx, thread) => Ok((tx, thread)),
+            SessionOut::Direct(socket) => {
+                let (tx, rx) = channel::unbounded::<Frame>();
+                let writer_shared = Arc::clone(shared);
+                let thread = spawn_tracked("serve-session-writer", move || {
+                    writer_loop(socket, &rx, &writer_shared.metrics)
+                })?;
+                Metrics::bump(&shared.metrics.session_writers);
+                Ok((tx, thread))
+            }
+        }
+    }
+}
+
+/// Stop gathering a burst once it is this large: bounds the buffer and
+/// how long the burst's first frame waits for its last.
+const BURST_BYTES: usize = 64 * 1024;
+
+/// Body of a session's writer thread: gather every frame already queued
+/// into one buffer and issue one `write_all` per burst, so the riders of
+/// a group-commit batch leave in one segment. Exits once every sender is
+/// gone — i.e. after in-flight tagged responses have drained.
+fn writer_loop(mut socket: TcpStream, rx: &Receiver<Frame>, metrics: &Metrics) {
+    // Once the socket dies, keep consuming (and discarding) frames until
+    // every sender is gone: in-flight completion jobs must never find
+    // their responses stranded in a queue whose receiver dropped
+    // mid-stream (the sanitizer reports that as a channel leak, and it
+    // would hide which responses were abandoned).
+    let mut socket_dead = false;
+    let mut burst = Vec::new();
+    let mut queued = Vec::new();
+    while let Ok(first) = rx.recv() {
+        let mut next = Some(first);
+        while let Some(frame) = next.take() {
+            burst.extend_from_slice(frame.resp.render_tagged(frame.tag.as_deref()).as_bytes());
+            queued.push(frame.queued);
+            if burst.len() < BURST_BYTES {
+                next = rx.try_recv().ok();
+            }
+        }
+        if !socket_dead && socket.write_all(&burst).is_ok() {
+            Metrics::bump(&metrics.writer_bursts);
+            for at in &queued {
+                metrics.writer_wait.record(at.elapsed());
+            }
+        } else {
+            socket_dead = true;
+        }
+        burst.clear();
+        queued.clear();
+    }
 }
 
 /// Drive one connection: read request lines, write response frames. Ends
 /// at EOF, on a write error, or after `QUIT`.
 ///
-/// The reader submits each request through [`Client::begin_line`] and —
-/// for tagged requests — hands the wait to the service's completion pool,
-/// so later requests execute while earlier ones are still in flight. All
-/// frames funnel through one writer thread, which exits once every
-/// response sender is gone — i.e. after in-flight tagged responses have
-/// drained — so joining it is the connection's drain barrier.
+/// The reader submits each request through [`Client::begin_line`]. A
+/// response that is ready when `begin_line` returns — answered at the
+/// edge, or refused — and every untagged response is sent from this
+/// thread, which writes the socket itself until the first tagged request
+/// that has to wait. That one starts the session's writer thread; from
+/// then on every frame goes through it, so frames never interleave and no
+/// worker, committer or completion thread ever blocks on a client socket.
+/// Tagged waits go to the service's completion pool, so later requests
+/// execute while earlier ones are still in flight. The writer exits once
+/// every response sender is gone, so joining it is the connection's drain
+/// barrier.
 fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    let mut writer = stream.try_clone()?;
+    // Reply frames are small and the peer may only be reading: never
+    // hold one back for the previous segment's ACK.
+    stream.set_nodelay(true)?;
+    let mut out = SessionOut::Direct(stream.try_clone()?);
     let reader = BufReader::new(stream);
-    let (resp_tx, resp_rx) = channel::unbounded::<(Option<String>, Response)>();
-    let writer_thread = spawn_tracked("serve-session-writer", move || {
-        // Once the socket dies, keep consuming (and discarding) frames
-        // until every sender is gone: in-flight completion jobs must
-        // never find their responses stranded in a queue whose receiver
-        // dropped mid-stream (the sanitizer reports that as a channel
-        // leak, and it would hide which responses were abandoned).
-        let mut socket_dead = false;
-        while let Ok((tag, resp)) = resp_rx.recv() {
-            if socket_dead {
-                continue;
-            }
-            if writer
-                .write_all(resp.render_tagged(tag.as_deref()).as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                socket_dead = true;
-            }
-        }
-    })?;
 
-    // A read error (severed socket, reset mid-line) must still flow
-    // through the drain barrier below — an early `?` return would drop
-    // the writer handle unjoined and strand its thread.
-    let mut read_result = Ok(());
+    // A read or write error (severed socket, reset mid-line) must still
+    // flow through the drain barrier below — an early return with the
+    // writer running would drop its handle unjoined and strand it.
+    let mut result = Ok(());
     for line in reader.lines() {
         let line = match line {
             Ok(line) => line,
             Err(e) => {
-                read_result = Err(e);
+                result = Err(e);
                 break;
             }
         };
         if line.trim().is_empty() {
             continue;
         }
-        let quit = is_quit(&line);
         let (tag, pending) = client.begin_line(&line);
-        match tag {
-            // Untagged: block the reader, preserving serial ordering.
-            None => {
-                if resp_tx.send((None, pending.wait())).is_err() {
-                    break;
-                }
+        let quit = pending.is_quit();
+        let sent = match tag {
+            // Tagged and still in flight: the completion pool waits it
+            // out and forwards the tagged frame; the job holds its own
+            // sender clone, which keeps the writer alive until the
+            // response is delivered.
+            Some(tag) if !pending.is_ready() => {
+                // `?`: only a failed spawn errs, and then there is no
+                // writer to drain.
+                let (tx, thread) = out.into_writer(&client.shared)?;
+                client.complete(tag, pending, tx.clone());
+                out = SessionOut::Writer(tx, thread);
+                Ok(())
             }
-            // Tagged: the completion pool waits it out and forwards the
-            // tagged frame; the job holds its own resp_tx clone, which
-            // keeps the writer alive until the response is delivered.
-            Some(tag) => client.complete(tag, pending, resp_tx.clone()),
+            // Ready, or untagged: wait here — blocking the reader is
+            // what preserves serial ordering — and send.
+            tag => out.send(tag, pending.wait()),
+        };
+        if let Err(e) = sent {
+            result = Err(e);
+            break;
         }
         if quit {
             break;
@@ -211,9 +282,11 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
     }
     // Release our sender; the writer exits after the last in-flight
     // completion job delivers its response and drops its clone.
-    drop(resp_tx);
-    let _ = writer_thread.join();
-    read_result
+    if let SessionOut::Writer(tx, thread) = out {
+        drop(tx);
+        let _ = thread.join();
+    }
+    result
 }
 
 /// Reconnect-and-retry policy for [`WireClient`]: how many times to retry
@@ -446,6 +519,39 @@ mod tests {
             elapsed < Duration::from_secs(1),
             "50 PINGs took {elapsed:?}"
         );
+        handle.stop();
+        svc.shutdown();
+    }
+
+    #[test]
+    fn pipelined_bursts_do_not_wait_out_delayed_acks() {
+        // The mirror image, on the server's side: a client that writes a
+        // burst and then only reads sends no data for the server's small
+        // reply frames to ride on, so without `TCP_NODELAY` on the
+        // accepted socket Nagle holds each one for the previous ACK.
+        let svc = Service::start(ServeConfig::default()).unwrap();
+        let handle = svc.listen("127.0.0.1:0").unwrap();
+        let mut wire = WireClient::connect(handle.addr()).unwrap();
+        for round in 0..10 {
+            let burst: String = (0..64).map(|i| format!("#r{round}-{i} PING\n")).collect();
+            let began = std::time::Instant::now();
+            wire.writer.write_all(burst.as_bytes()).unwrap();
+            let mut tags: Vec<String> = (0..64)
+                .map(|_| {
+                    let (tag, resp) = wire.recv().unwrap();
+                    assert_eq!(resp, Response::Ok("pong".into()));
+                    tag.expect("tagged request must get a tagged response")
+                })
+                .collect();
+            let elapsed = began.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "round {round}: 64 pipelined PINGs took {elapsed:?}"
+            );
+            tags.sort();
+            tags.dedup();
+            assert_eq!(tags.len(), 64, "every tag exactly once");
+        }
         handle.stop();
         svc.shutdown();
     }

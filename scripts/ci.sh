@@ -106,23 +106,6 @@ if [ "$baseline_total" -gt 10 ]; then
     exit 1
 fi
 
-echo "==> static/runtime lock-order cross-validation (runtime edges ⊆ static graph)"
-cargo run -q -p lint --offline --bin doem-lint -- --graph dot > "$lock_order_dir/static.dot"
-if ! cargo run -q -p lint --offline --bin doem-lint -- --runtime-subset "$lock_order_dir"; then
-    # Leave both graphs behind as diffable artifacts: the static
-    # prediction and the union of what the sanitized legs observed.
-    {
-        echo "digraph runtime_lock_order {"
-        awk -F'\t' 'NF == 2 && !seen[$0]++ { printf "  \"%s\" -> \"%s\";\n", $1, $2 }' \
-            "$lock_order_dir"/*.edges
-        echo "}"
-    } > "$lock_order_dir/runtime.dot"
-    echo "ci: runtime lock-order edges escaped the static graph (lint soundness bug); artifacts:" >&2
-    echo "ci:   static graph:  target/lock-order/static.dot" >&2
-    echo "ci:   runtime graph: target/lock-order/runtime.dot (+ per-leg .edges files)" >&2
-    exit 1
-fi
-
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # The semi-naive maintenance path (DESIGN.md §11) must agree with full
 # re-evaluation on random histories, and its change-set-seeded variants
@@ -144,7 +127,11 @@ fi
 echo "==> serve suite under DOEM_SANITIZE=1 (must report zero findings)"
 # The sanitizer fixtures in crates/sanitizer/tests *intentionally* emit
 # DOEM-SANITIZE findings, so the gate reruns only the serve crate's
-# binaries and fails on any finding line in their output.
+# binaries and fails on any finding line in their output. Session
+# threads answer cache hits themselves (shard map, Shard.state read,
+# cache mutex); crates/serve/tests/request_edge.rs drives that over TCP
+# here, so any lock edge it takes lands in serve.edges for the
+# runtime ⊆ static gate below.
 sanitize_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/serve.edges" \
     cargo test -q --offline -p serve 2>&1)" || {
     echo "$sanitize_out"
@@ -154,6 +141,24 @@ sanitize_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/serve.edges
 if grep -q "DOEM-SANITIZE \[" <<<"$sanitize_out"; then
     grep "DOEM-SANITIZE \[" <<<"$sanitize_out" >&2
     echo "ci: sanitizer reported findings in the serve suite" >&2
+    exit 1
+fi
+
+echo "==> static/runtime lock-order cross-validation (runtime edges ⊆ static graph)"
+# After every sanitized leg, so each one's .edges file is in the union.
+cargo run -q -p lint --offline --bin doem-lint -- --graph dot > "$lock_order_dir/static.dot"
+if ! cargo run -q -p lint --offline --bin doem-lint -- --runtime-subset "$lock_order_dir"; then
+    # Leave both graphs behind as diffable artifacts: the static
+    # prediction and the union of what the sanitized legs observed.
+    {
+        echo "digraph runtime_lock_order {"
+        awk -F'\t' 'NF == 2 && !seen[$0]++ { printf "  \"%s\" -> \"%s\";\n", $1, $2 }' \
+            "$lock_order_dir"/*.edges
+        echo "}"
+    } > "$lock_order_dir/runtime.dot"
+    echo "ci: runtime lock-order edges escaped the static graph (lint soundness bug); artifacts:" >&2
+    echo "ci:   static graph:  target/lock-order/static.dot" >&2
+    echo "ci:   runtime graph: target/lock-order/runtime.dot (+ per-leg .edges files)" >&2
     exit 1
 fi
 

@@ -179,6 +179,55 @@ fn cache_invalidation_keeps_results_fresh_under_interleaving() {
         expected += 1;
         assert_eq!(rows.len(), expected, "stale cache after write {i}");
     }
+
+    // The same over TCP, where the cached text is answered on the
+    // session's own thread: once a session has read its `UPDATE` ack,
+    // its next `QUERY` reflects that write — never the generation before
+    // — while a second session hammers the same cached text.
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+    let line = format!("QUERY guide {q}");
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let (stop, line) = (&stop, &line);
+        scope.spawn(move || {
+            let mut hammer = WireClient::connect(addr).unwrap();
+            let mut last = 0;
+            while !stop.load(Ordering::SeqCst) {
+                let Response::Rows(rows) = hammer.roundtrip(line).unwrap() else {
+                    panic!("hammer query failed")
+                };
+                assert!(rows.len() >= last, "a reader went back in time");
+                last = rows.len();
+            }
+        });
+        let mut writer = WireClient::connect(addr).unwrap();
+        for i in 0..50 {
+            let id = 600 + i;
+            let resp = writer
+                .roundtrip(&format!(
+                    "UPDATE guide AT 2Apr97 {}:{:02}pm ; \
+                     {{creNode(n{id}, C), addArc(n4, restaurant, n{id})}}",
+                    1 + i / 60,
+                    i % 60
+                ))
+                .unwrap();
+            assert!(!resp.is_error(), "{resp:?}");
+            expected += 1;
+            for _ in 0..3 {
+                let Response::Rows(rows) = writer.roundtrip(line).unwrap() else {
+                    panic!("query after write {i} failed")
+                };
+                assert_eq!(rows.len(), expected, "stale read after acked write {i}");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    assert!(
+        svc.metrics().inline_replies.load(Ordering::Relaxed) >= 100,
+        "the repeats after each write are cache hits answered at the edge"
+    );
+    handle.stop();
     svc.shutdown();
 }
 
@@ -484,6 +533,69 @@ fn slow_query_on_one_database_does_not_delay_writes_anywhere() {
     let c = svc.client();
     assert_eq!(c.request_line("GEN other"), Response::Ok("21".into()));
     assert_eq!(c.request_line("GEN big"), Response::Ok("21".into()));
+    svc.shutdown();
+}
+
+/// Liveness: a health check must not queue behind evaluation. With the
+/// only worker wedged by a slow query, the probe verbs and a cached read
+/// still answer at once — they never enter the queue.
+#[test]
+fn probes_and_cached_reads_answer_while_every_worker_is_busy() {
+    let svc = Service::start(ServeConfig {
+        workers: 1,
+        request_timeout: Duration::from_secs(120),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    svc.install(&big_database("big", 250), &History::new()).unwrap();
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+    let cached = "QUERY big select big.item";
+    let Response::Rows(primed) = svc.client().request_line(cached) else {
+        panic!("prime failed")
+    };
+    assert_eq!(primed.len(), 250);
+    let lsn = svc.client().request_line("LSN big");
+
+    let misses_before = svc.metrics().cache_misses.load(Ordering::Relaxed);
+    // The worker records an `exec` sample when an evaluation ends: while
+    // this count stands still, the slow query still holds the worker.
+    let evaluated_before = svc.metrics().exec.count();
+    thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut a = WireClient::connect(addr).unwrap();
+            let resp = a
+                .roundtrip("QUERY big select R, S from big.item R, big.item S")
+                .unwrap();
+            assert!(matches!(resp, Response::Rows(ref r) if r.len() == 250 * 250));
+        });
+        wait_for_query_start(&svc, misses_before);
+
+        let mut b = WireClient::connect(addr).unwrap();
+        for (line, expected) in [
+            ("PING", Response::Ok("pong".into())),
+            ("GEN big", Response::Ok("1".into())),
+            ("LSN big", lsn.clone()),
+            ("DBS", Response::Rows(vec!["big".into()])),
+            (cached, Response::Rows(primed.clone())),
+            ("#t PING", Response::Ok("pong".into())),
+        ] {
+            let began = Instant::now();
+            assert_eq!(b.roundtrip(line).unwrap(), expected, "{line}");
+            let elapsed = began.elapsed();
+            assert!(
+                elapsed < Duration::from_millis(50),
+                "{line} took {elapsed:?} behind a busy worker"
+            );
+        }
+        assert_eq!(
+            svc.metrics().exec.count(),
+            evaluated_before,
+            "the slow query finished before the probes — grow the database \
+             until they demonstrably overlap it"
+        );
+    });
+    handle.stop();
     svc.shutdown();
 }
 
