@@ -15,8 +15,8 @@
 //! to the new generation ([`Carry::Unchanged`]). Some rows: the entry is
 //! replaced by prior ∪ fresh, re-canonicalized, so it stays byte-identical
 //! to a fresh evaluation ([`Carry::Replaced`]). Entries that cannot be
-//! maintained (non-monotonic query × delta, or a translated strategy that
-//! has no direct rows) are dropped ([`Carry::Drop`]).
+//! maintained (non-monotonic query × delta, or an entry that carries no
+//! engine rows) are dropped ([`Carry::Drop`]).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -43,8 +43,7 @@ pub struct CacheEntry {
     /// Canonical wire rows (the `ROWS` payload sent to clients).
     pub strings: Vec<String>,
     /// Maintenance state: `None` means the entry can only be dropped at
-    /// the next write (translated-strategy results, subscription-scope
-    /// entries).
+    /// the next write (subscription-scope entries).
     pub maintain: Option<(lorel::ast::Query, lorel::Rows)>,
 }
 

@@ -31,10 +31,13 @@
 //! TCP sessions may **pipeline**: requests tagged `#<id>` complete out of
 //! order, with the tag echoed on the response frame for matching
 //! (in-process, the same split is [`Client::begin_line`] +
-//! [`PendingReply::wait`]); a service-wide completion pool waits out the
-//! tagged requests. A [`metrics`] registry (counters + log2 latency
-//! histograms for parse / queue-wait / exec / reply and writer hand-offs /
-//! end-to-end) is readable over the wire as `STATS`.
+//! [`PendingReply::wait`]). Nothing waits out a tagged request: whoever
+//! delivers its response sends the tagged frame straight into the
+//! session's writer thread, which also enforces its timeout, so a
+//! pipelined session costs two threads however deep it pipelines. A
+//! [`metrics`] registry (counters + log2 latency histograms for parse /
+//! queue-wait / exec / reply and writer hand-offs / end-to-end) is
+//! readable over the wire as `STATS`.
 //!
 //! With [`ServeConfig::wal_dir`] set the service is **durable**
 //! (DESIGN.md §8): every committed mutation is appended to a per-database

@@ -91,7 +91,7 @@ pub struct Metrics {
     pub errors: AtomicU64,
     /// Requests rejected by admission control (queue full).
     pub busy_rejected: AtomicU64,
-    /// Requests that timed out waiting for a worker's reply.
+    /// Requests answered `TIMEOUT`: no reply within the request timeout.
     pub timeouts: AtomicU64,
     /// Result-cache hits.
     pub cache_hits: AtomicU64,
@@ -131,8 +131,7 @@ pub struct Metrics {
     pub versions_gced: AtomicU64,
     /// `AS OF` reads served from a pinned ring version.
     pub as_of_ring: AtomicU64,
-    /// `AS OF` reads served below the ring: over the lazy `O_t(D)` view,
-    /// or over a materialised snapshot under the translated strategy.
+    /// `AS OF` reads served below the ring, over the lazy `O_t(D)` view.
     pub as_of_view: AtomicU64,
     /// WAL records appended (and fsynced) successfully.
     pub wal_appends: AtomicU64,
@@ -200,7 +199,9 @@ pub struct Metrics {
     /// install.
     pub publish: Histogram,
     /// Time a pooled response sat in its reply slot: from the worker's
-    /// (or committer's) delivery to the waiting thread picking it up.
+    /// (or committer's) delivery to the blocked thread picking it up. A
+    /// forwarded (pipelined) response waits for no thread and records
+    /// nothing here.
     pub reply_wait: Histogram,
     /// Time a frame sat in a session's writer channel: from enqueue to
     /// the end of the `write_all` that carried it. Sessions that write

@@ -1,6 +1,7 @@
-//! The request edge: reply slots, the in-process [`Client`] handle —
-//! which answers what cannot block on the submitting thread and applies
-//! admission control to the rest — and the worker and completion pools.
+//! The request edge: reply slots — the one place a response is handed
+//! over — the in-process [`Client`] handle, which answers what cannot
+//! block on the submitting thread and applies admission control to the
+//! rest, and the worker pool.
 
 use super::handlers::{edge_reply, execute};
 use super::Shared;
@@ -12,12 +13,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A single-use reply rendezvous between a worker and the submitting
-/// session. Replaces a per-request `bounded(1)` channel: the timeout path
-/// marks the slot abandoned under the same lock the worker's delivery
-/// checks, so a response that races a timeout is either handed over or
-/// knowingly dropped — it can never sit queued in a channel whose last
-/// endpoint is about to drop (which the sanitizer reports as a leak).
+/// A single-use reply rendezvous between the thread that produces a
+/// response (a worker, or a group committer after publish) and the
+/// session, which blocks in [`ReplySlot::wait`] or forwards the slot to
+/// its writer ([`PendingReply::forward`]) so that delivery sends the
+/// tagged frame on. Giving up (a waiter's timeout, a writer's expiry)
+/// marks the slot abandoned under the lock delivery checks: a response
+/// that races a timeout is handed over or knowingly dropped — never
+/// stranded in a channel whose last endpoint is about to drop (which the
+/// sanitizer reports as a leak).
 pub(crate) struct ReplySlot {
     state: Mutex<SlotState>,
     delivered: Condvar,
@@ -28,9 +32,29 @@ enum SlotState {
     Empty,
     /// The worker's response and when it was delivered, awaiting pickup.
     Ready(Response, Instant),
+    /// No response yet, and none is waited for: delivery sends it on.
+    Forward(Forward),
     /// The session timed out (or already picked up); deliveries are
     /// discarded from here on.
     Abandoned,
+}
+
+/// Where a forwarded response goes: its session's writer, under its tag.
+struct Forward {
+    tag: String,
+    out: Sender<Outbound>,
+    shared: Arc<Shared>,
+    started: Instant,
+}
+
+impl Forward {
+    /// Complete the request — `None`: it timed out — and send its tagged
+    /// frame to the writer. Never called under the slot lock.
+    fn send(self, resp: Option<Response>) {
+        let resp = finish(&self.shared, self.started, resp);
+        // The writer exits only once every sender, this one too, is gone.
+        let _ = self.out.send(Outbound::frame(Some(self.tag), resp));
+    }
 }
 
 impl ReplySlot {
@@ -41,15 +65,22 @@ impl ReplySlot {
         })
     }
 
-    /// Worker side: hand over the response. Returns it to the caller's
-    /// void if the waiter already gave up — the same contract as sending
-    /// to a dropped receiver, minus the leaked queue entry.
+    /// Producer side: hand over the response — to the waiter, or on to a
+    /// forwarded slot's writer. Discarded if the session already gave up:
+    /// the contract of a dropped receiver, minus the leaked queue entry.
     pub(crate) fn deliver(&self, resp: Response) {
         let mut st = self.state.lock();
-        if matches!(*st, SlotState::Empty) {
-            *st = SlotState::Ready(resp, Instant::now());
-            drop(st);
-            self.delivered.notify_one();
+        match std::mem::replace(&mut *st, SlotState::Abandoned) {
+            SlotState::Empty => {
+                *st = SlotState::Ready(resp, Instant::now());
+                drop(st);
+                self.delivered.notify_one();
+            }
+            SlotState::Forward(fwd) => {
+                drop(st);
+                fwd.send(Some(resp));
+            }
+            taken => *st = taken,
         }
     }
 
@@ -60,23 +91,70 @@ impl ReplySlot {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if matches!(*st, SlotState::Ready(..)) {
-                let SlotState::Ready(resp, delivered) =
-                    std::mem::replace(&mut *st, SlotState::Abandoned)
-                else {
-                    unreachable!("matched Ready above");
-                };
+            // A waited-on slot is `Empty` until delivery makes it `Ready`.
+            if let SlotState::Ready(resp, delivered) =
+                std::mem::replace(&mut *st, SlotState::Abandoned)
+            {
                 reply_wait.record(delivered.elapsed());
                 return Some(resp);
             }
             let now = Instant::now();
             if now >= deadline {
-                *st = SlotState::Abandoned;
                 return None;
             }
+            *st = SlotState::Empty;
             let _ = self.delivered.wait_for(&mut st, deadline - now);
         }
     }
+
+    /// Session side, instead of [`ReplySlot::wait`]: delivery will send the
+    /// response on through `fwd`. `false`: it had already landed and is
+    /// sent right here — no deadline to keep.
+    fn forward(&self, fwd: Forward) -> bool {
+        let mut st = self.state.lock();
+        if let SlotState::Ready(resp, _) = std::mem::replace(&mut *st, SlotState::Abandoned) {
+            drop(st);
+            fwd.send(Some(resp));
+            return false;
+        }
+        *st = SlotState::Forward(fwd);
+        true
+    }
+
+    /// Writer side, at a forwarded request's deadline: if still
+    /// unanswered, answer `TIMEOUT` now; a late delivery is discarded.
+    pub(crate) fn expire(&self) {
+        let mut st = self.state.lock();
+        if let SlotState::Forward(fwd) = std::mem::replace(&mut *st, SlotState::Abandoned) {
+            drop(st);
+            fwd.send(None);
+        }
+    }
+
+    /// Whether this slot was forwarded and is still unanswered.
+    pub(crate) fn is_forwarded(&self) -> bool {
+        matches!(*self.state.lock(), SlotState::Forward(_))
+    }
+}
+
+/// The one place a request's completion is recorded — its `total` sample,
+/// `errors`, `timeouts` — by a waiter, a forwarded delivery or a writer's
+/// expiry, exactly once. `None` means no reply within the request
+/// timeout: the `TIMEOUT` response is made here.
+fn finish(shared: &Shared, started: Instant, resp: Option<Response>) -> Response {
+    let m = &shared.metrics;
+    let resp = resp.unwrap_or_else(|| {
+        Metrics::bump(&m.timeouts);
+        Response::err(
+            ErrKind::Timeout,
+            format!("no reply within {:?}", shared.cfg.request_timeout),
+        )
+    });
+    m.total.record(started.elapsed());
+    if resp.is_error() {
+        Metrics::bump(&m.errors);
+    }
+    resp
 }
 
 /// A queued unit of work.
@@ -100,39 +178,19 @@ impl Job {
     }
 }
 
-/// One response frame on its way to a session's writer thread.
-pub(crate) struct Frame {
-    pub(crate) tag: Option<String>,
-    pub(crate) resp: Response,
-    /// When the frame entered the writer channel (`latency writer_wait`).
-    pub(crate) queued: Instant,
+/// What a session's writer thread receives.
+pub(crate) enum Outbound {
+    /// A response frame to write, with its tag and when it entered the
+    /// channel (`latency writer_wait`).
+    Frame(Option<String>, Response, Instant),
+    /// A tagged request forwarded to this slot: unless it is answered by
+    /// the deadline, the writer expires it.
+    Deadline(Instant, Arc<ReplySlot>),
 }
 
-impl Frame {
-    pub(crate) fn new(tag: Option<String>, resp: Response) -> Frame {
-        Frame {
-            tag,
-            resp,
-            queued: Instant::now(),
-        }
-    }
-}
-
-/// A tagged in-flight request handed to the completion pool: wait out
-/// `pending` and forward the tagged response to `out` (a session's writer
-/// channel).
-pub(crate) struct CompletionJob {
-    pub(crate) tag: String,
-    pub(crate) pending: PendingReply,
-    pub(crate) out: Sender<Frame>,
-}
-
-impl CompletionJob {
-    /// Completion-pool side: wait the request out and forward the tagged
-    /// response to its session's writer.
-    pub(crate) fn run(self) {
-        let frame = Frame::new(Some(self.tag), self.pending.wait());
-        let _ = self.out.send(frame);
+impl Outbound {
+    pub(crate) fn frame(tag: Option<String>, resp: Response) -> Outbound {
+        Outbound::Frame(tag, resp, Instant::now())
     }
 }
 
@@ -142,14 +200,13 @@ impl CompletionJob {
 pub struct Client {
     pub(crate) shared: Arc<Shared>,
     pub(super) tx: Sender<Job>,
-    pub(super) completion_tx: Sender<CompletionJob>,
 }
 
 /// An in-flight request: the submission half has already happened (with
 /// admission control applied); [`PendingReply::wait`] blocks for the
-/// response, enforcing the configured request timeout. This is what lets
-/// a pipelined session keep reading new requests while earlier ones
-/// execute.
+/// response, enforcing the configured request timeout, or a TCP session
+/// forwards it to its writer thread. That is what lets a pipelined
+/// session keep reading new requests while earlier ones execute.
 pub struct PendingReply {
     shared: Arc<Shared>,
     started: Instant,
@@ -162,7 +219,7 @@ enum PendingState {
     /// Resolved at submission time: answered at the edge, or a parse
     /// error, BUSY, shutdown.
     Ready(Response),
-    /// A worker will deliver the response here.
+    /// A worker (or a group committer) will deliver the response here.
     Waiting(Arc<ReplySlot>),
 }
 
@@ -190,27 +247,36 @@ impl PendingReply {
     /// Block until the response arrives (or the request timeout elapses),
     /// recording end-to-end latency and error metrics exactly once.
     pub fn wait(self) -> Response {
-        let m = &self.shared.metrics;
         let resp = match self.state {
-            PendingState::Ready(resp) => resp,
+            PendingState::Ready(resp) => Some(resp),
+            PendingState::Waiting(slot) => slot.wait(
+                self.shared.cfg.request_timeout,
+                &self.shared.metrics.reply_wait,
+            ),
+        };
+        finish(&self.shared, self.started, resp)
+    }
+
+    /// Hand the response to a session's writer instead of waiting for it:
+    /// whoever delivers it sends the frame, tagged `tag`, into `out`, and
+    /// the writer gets the deadline (`started + request_timeout`) at which
+    /// it answers `TIMEOUT` itself.
+    pub(crate) fn forward(self, tag: String, out: &Sender<Outbound>) {
+        let deadline = self.started + self.shared.cfg.request_timeout;
+        let fwd = Forward {
+            tag,
+            out: out.clone(),
+            shared: self.shared,
+            started: self.started,
+        };
+        match self.state {
+            PendingState::Ready(resp) => fwd.send(Some(resp)),
             PendingState::Waiting(slot) => {
-                match slot.wait(self.shared.cfg.request_timeout, &m.reply_wait) {
-                    Some(resp) => resp,
-                    None => {
-                        Metrics::bump(&m.timeouts);
-                        Response::err(
-                            ErrKind::Timeout,
-                            format!("no reply within {:?}", self.shared.cfg.request_timeout),
-                        )
-                    }
+                if slot.forward(fwd) {
+                    let _ = out.send(Outbound::Deadline(deadline, slot));
                 }
             }
-        };
-        m.total.record(self.started.elapsed());
-        if resp.is_error() {
-            Metrics::bump(&m.errors);
         }
-        resp
     }
 }
 
@@ -301,18 +367,6 @@ impl Client {
         }
     }
 
-    /// Hand a tagged in-flight request to the service's completion pool,
-    /// which waits it out and forwards the tagged response to `out`. If
-    /// the pool is gone (service shut down) the wait happens inline, so
-    /// the response is never dropped.
-    pub(crate) fn complete(&self, tag: String, pending: PendingReply, out: Sender<Frame>) {
-        if let Err(channel::SendError(job)) =
-            self.completion_tx.send(CompletionJob { tag, pending, out })
-        {
-            job.run();
-        }
-    }
-
     /// Convenience: run a query and return its canonical row strings.
     pub fn query(&self, db: &str, text: &str) -> Result<Vec<String>, (ErrKind, String)> {
         match self.request_line(&format!("QUERY {db} {text}")) {
@@ -323,20 +377,20 @@ impl Client {
     }
 }
 
-/// Run `run` on every job from `rx` until the channel disconnects or an
+/// A worker: run every job from `rx` until the channel disconnects or an
 /// idle tick finds `stop` set — which means the queue has drained:
 /// shutdown processes everything already admitted. The final non-blocking
 /// sweep closes the window where a job admitted just before the flag
 /// flipped would otherwise be stranded in the queue when the last
 /// receiver drops.
-pub(crate) fn pool_loop<T>(rx: &Receiver<T>, stop: &AtomicBool, run: impl Fn(T)) {
+pub(crate) fn worker_loop(rx: &Receiver<Job>, stop: &AtomicBool, shared: &Arc<Shared>) {
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => run(job),
+            Ok(job) => job.run(shared),
             Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
             Err(_) => {
                 while let Ok(job) = rx.try_recv() {
-                    run(job);
+                    job.run(shared);
                 }
                 return;
             }

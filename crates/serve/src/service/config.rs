@@ -2,7 +2,6 @@
 //! and the QSS driving options.
 
 use crate::faults::Faults;
-use chorel::Strategy;
 use oem::Timestamp;
 use qss::Source;
 use std::path::PathBuf;
@@ -72,13 +71,13 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded request-queue depth; a full queue rejects with `BUSY`.
     pub queue_depth: usize,
-    /// How long a session waits for its reply before answering `TIMEOUT`.
+    /// How long a request may take, from submission to reply, before it is
+    /// answered `TIMEOUT` (by the waiting session, or — for a pipelined
+    /// request — by its session's writer).
     pub request_timeout: Duration,
     /// Result-cache capacity in entries, per database shard (0 disables
     /// caching).
     pub cache_capacity: usize,
-    /// Chorel evaluation strategy for queries.
-    pub strategy: Strategy,
     /// Initial simulated time (QSS subscriptions start here).
     pub epoch: Timestamp,
     /// Drive the embedded QSS from a background thread.
@@ -105,10 +104,6 @@ pub struct ServeConfig {
     /// default) never waits: the batch is whatever accumulated while the
     /// previous fsync was in flight — batching from backpressure alone.
     pub group_commit_window_us: u64,
-    /// Threads in the completion pool that waits out pipelined (tagged)
-    /// TCP requests (min 1). Bounds waiter concurrency regardless of how
-    /// many sessions pipeline how deeply.
-    pub completion_threads: usize,
     /// Follow a primary at this wire address: the instance becomes a
     /// read-only **follower**, replaying the primary's change-op log
     /// into its shards and refusing client writes with `READONLY`.
@@ -143,7 +138,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             request_timeout: Duration::from_secs(5),
             cache_capacity: 256,
-            strategy: Strategy::Direct,
             epoch: Timestamp::from_ymd(1996, 12, 30),
             autotick: None,
             store_dir: None,
@@ -151,7 +145,6 @@ impl Default for ServeConfig {
             checkpoint_every: 64,
             group_commit_max: 8,
             group_commit_window_us: 0,
-            completion_threads: 4,
             follow: None,
             follower_id: None,
             replication_batch: 64,

@@ -231,10 +231,9 @@ fn cache_lookup(shared: &Shared, cache: &ResultCache, key: &CacheKey) -> Option<
 
 /// Answer `query` from `cache` under `key`, or evaluate it over the
 /// snapshot `load` produces — with every lock already dropped — and cache
-/// the canonical rows. `maintainable` entries of the direct strategy keep
-/// their raw engine rows so the publish stage can carry them across
-/// writes instead of invalidating them (translated rows live in the
-/// encoding's id space and cannot be maintained directly).
+/// the canonical rows. `maintainable` entries keep their raw engine rows
+/// so the publish stage can carry them across writes instead of
+/// invalidating them.
 fn cached_query(
     shared: &Shared,
     cache: &ResultCache,
@@ -252,13 +251,12 @@ fn cached_query(
     };
     Metrics::bump(&shared.metrics.cache_misses);
     let t = Instant::now();
-    let outcome = run_chorel_parsed(&doem, query, shared.cfg.strategy);
+    let outcome = run_chorel_parsed(&doem, query, Strategy::Direct);
     shared.metrics.exec.record(t.elapsed());
     match outcome {
         Ok(result) => {
             let rows = canonical_row_strings(&doem, &result);
-            let maintain = (maintainable && shared.cfg.strategy == Strategy::Direct)
-                .then(|| (query.clone(), lorel::Rows { rows: result.rows }));
+            let maintain = maintainable.then(|| (query.clone(), lorel::Rows { rows: result.rows }));
             cache.insert(
                 key,
                 Arc::new(CacheEntry {
@@ -309,13 +307,13 @@ fn query_as_of(shared: &Shared, shard: &Shard, at: Timestamp, query: &Query) -> 
         Some((_, replica)) => {
             Metrics::bump(&shared.metrics.as_of_ring);
             let doem = DoemDatabase::from_snapshot(replica);
-            run_chorel_parsed(&doem, query, shared.cfg.strategy)
+            run_chorel_parsed(&doem, query, Strategy::Direct)
                 .map(|result| canonical_row_strings(&doem, &result))
         }
         None => {
             Metrics::bump(&shared.metrics.as_of_view);
             let full = shard.state.read().doem.snapshot();
-            chorel::run_chorel_at(&full, at, query, shared.cfg.strategy)
+            chorel::run_chorel_at(&full, at, query, Strategy::Direct)
         }
     };
     shared.metrics.exec.record(t.elapsed());

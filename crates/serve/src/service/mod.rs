@@ -12,7 +12,7 @@
 //! * `recovery` — startup recovery, checkpoints, installing and replacing
 //!   shards.
 //! * `client` — reply slots, the [`Client`] handle (the request edge),
-//!   the worker and completion pools.
+//!   the worker pool.
 //! * `handlers` — the request executor, one function per verb, and its
 //!   non-blocking subset the edge runs.
 //!
@@ -20,59 +20,37 @@
 //! on their own thread — the ones that cannot block (probe verbs and
 //! current-version result-cache hits), and submit the rest as jobs to a
 //! bounded queue (`try_send` — a full queue is an immediate `BUSY`, the
-//! admission-control contract). Workers pull jobs and execute them
-//! against a **shard map**: a lightweight `RwLock<HashMap>` from database
-//! name to an `Arc<Shard>`, where each shard owns its *own* lock,
-//! generation counter, and result cache. Writers to different databases
-//! therefore never contend — the map lock is held only to look up or
-//! insert a shard, never during execution.
-//!
-//! Inside a shard, queries are **snapshot isolated**: a reader takes the
-//! shard lock just long enough to clone a cheap [`SharedDoem`] handle
-//! (an `Arc` of the annotated graph) plus the generation, then evaluates
-//! Chorel entirely outside the lock. A slow query never stalls updates:
-//! the graphs are persistent (path-copying) structures, so an update that
-//! lands while snapshots are outstanding allocates only the touched spine
-//! and shares the rest.
+//! admission-control contract). Workers execute jobs against a **shard
+//! map** (`RwLock<HashMap>` from database name to `Arc<Shard>`, held only
+//! to look a shard up or insert one); each shard owns its own lock,
+//! generation counter and result cache, so writers to different databases
+//! never contend. Queries are **snapshot isolated**: a reader holds the
+//! shard lock just long enough to clone a [`SharedDoem`] handle and the
+//! generation, then evaluates outside it — the graphs are persistent
+//! structures, so a concurrent update copies only the spine it touches.
 //!
 //! Every write — `UPDATE`, `MUTATE`, a replicated record on a follower —
-//! takes one path, **sequence → persist → publish**. A worker *sequences*
-//! it under the shard's pipeline lock: refuse what cannot be taken,
-//! assign its strictly increasing timestamp (the LSN, Definition 2.2),
-//! and apply the change set — once — to the sequencing head. With
-//! [`ServeConfig::wal_dir`] set the shard owns a WAL: the record is
-//! staged, and a per-shard *group committer* persists whole batches with
-//! one `write` and one `fsync` outside every lock (bounded by
-//! [`ServeConfig::group_commit_max`] and
-//! [`ServeConfig::group_commit_window_us`]), so no request is acked
-//! before its record and every earlier LSN are durable. Without one the
-//! persist stage is empty and the sequencing thread carries straight on.
-//! *Publish* swaps the graphs the sequence stage produced into the
-//! queried state, carries the shard's result cache across the change set,
-//! bumps the generation, and installs the new replica into the shard's
-//! LSN-indexed **version ring** (DESIGN.md §14), retained up to
-//! [`ServeConfig::retain_lsns`] versions, which serves `QUERY … AS OF
-//! <lsn>` at any retained LSN without replay. [`Service::start`] recovers
-//! each database by loading its latest checkpoint and replaying the log
-//! tail through [`doem::apply_set`] — the paper's `D(O, H)` construction
-//! doubling as crash recovery. A shard whose log can no longer be written
-//! (disk full, injected fault) fails the whole staged batch with one
-//! coherent error and flips to **read-only**: queries keep serving from
-//! the in-memory snapshot, writes answer `ErrKind::ReadOnly`, and the
-//! condition is visible in `STATS`.
+//! takes one path, **sequence → persist → publish** (`pipeline`): with
+//! [`ServeConfig::wal_dir`] set, a per-shard group committer persists
+//! whole batches with one `write` + `fsync` outside every lock before
+//! anything is published or acked, and publish installs each version into
+//! the shard's **version ring** for `QUERY … AS OF` (DESIGN.md §14).
+//! [`Service::start`] recovers each database from its latest checkpoint
+//! plus the log tail — the paper's `D(O, H)` construction doubling as
+//! crash recovery — and a shard whose log can no longer be written flips
+//! to **read-only** instead of taking the service down. QSS state lives
+//! in a separate *control* shard, so ticks invalidate only
+//! subscription-query caches.
 //!
-//! QSS state (subscriptions, the registry of named queries, the simulated
-//! clock) lives in a separate *control* shard with its own lock and
-//! generation, so QSS ticks invalidate only subscription-query caches,
-//! never per-database ones. The submitting session waits on a reply slot
-//! (a mutex + condvar pair) with a deadline — a worker stuck on a slow
-//! query turns into a `TIMEOUT` response instead of a hung session;
-//! pipelined sessions get the same guarantee through
-//! [`PendingReply::wait`]. The slot's abandonment mark is taken under the
-//! same lock the worker's delivery checks, so a response is either
-//! returned to the waiter or knowingly discarded — never stranded in a
-//! queue nobody reads (the sanitizer's channel-leak check runs over this
-//! path in CI).
+//! Every response is handed over through a reply slot (a mutex + condvar
+//! pair). A serial session waits on it with a deadline — a worker stuck
+//! on a slow query turns into a `TIMEOUT` instead of a hung session. A
+//! pipelined TCP session forwards it instead: delivery sends the tagged
+//! frame straight into the session's writer channel, and the writer keeps
+//! the same deadline. Abandonment is marked under the lock delivery
+//! checks, so a response is either handed over or knowingly discarded —
+//! never stranded in a queue nobody reads (the sanitizer's channel-leak
+//! check runs over this path in CI).
 
 mod client;
 mod config;
@@ -81,15 +59,15 @@ mod pipeline;
 mod recovery;
 mod shard;
 
-pub(crate) use client::Frame;
 pub use client::{Client, PendingReply};
+pub(crate) use client::{Outbound, ReplySlot};
 pub use config::{AutoTick, DynSource, ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
 
 use crate::cache::ResultCache;
 use crate::metrics::Metrics;
 use crate::replication::primary::ReplHub;
-use client::{pool_loop, CompletionJob, Job};
+use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
 use lorel::QueryRegistry;
@@ -183,15 +161,13 @@ impl Shared {
     }
 }
 
-/// The service handle: owns the worker pool, the completion pool, and
-/// (optionally) the QSS ticker. Create sessions with [`Service::client`],
-/// stop everything with [`Service::shutdown`].
+/// The service handle: owns the worker pool and (optionally) the QSS
+/// ticker. Create sessions with [`Service::client`], stop everything with
+/// [`Service::shutdown`].
 pub struct Service {
     pub(crate) shared: Arc<Shared>,
     job_tx: Sender<Job>,
-    completion_tx: Sender<CompletionJob>,
     workers: Vec<TrackedHandle<()>>,
-    completions: Vec<TrackedHandle<()>>,
     ticker: Option<TrackedHandle<()>>,
     /// The replication fetch/apply thread (follower mode only).
     follower: Option<TrackedHandle<()>>,
@@ -221,11 +197,10 @@ impl Service {
         let control = ControlState {
             clock: cfg.epoch,
             registry: QueryRegistry::new(),
-            qss: QssServer::new(source).with_strategy(cfg.strategy),
+            qss: QssServer::new(source),
             generation: 1,
         };
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
-        let (completion_tx, completion_rx) = channel::unbounded::<CompletionJob>();
         let shared = Arc::new(Shared {
             shards: RwLock::new(shards),
             control: RwLock::new(control),
@@ -248,16 +223,7 @@ impl Service {
                 let rx = job_rx.clone();
                 let stop = Arc::clone(&stop);
                 spawn_tracked(&format!("serve-worker-{i}"), move || {
-                    pool_loop(&rx, &stop, |job: Job| job.run(&shared))
-                })
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let completions = (0..shared.cfg.completion_threads.max(1))
-            .map(|i| {
-                let rx = completion_rx.clone();
-                let stop = Arc::clone(&stop);
-                spawn_tracked(&format!("serve-completion-{i}"), move || {
-                    pool_loop(&rx, &stop, CompletionJob::run)
+                    worker_loop(&rx, &stop, &shared)
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
@@ -289,9 +255,7 @@ impl Service {
         Ok(Service {
             shared,
             job_tx,
-            completion_tx,
             workers,
-            completions,
             ticker,
             follower,
             stop,
@@ -318,7 +282,6 @@ impl Service {
         Client {
             shared: Arc::clone(&self.shared),
             tx: self.job_tx.clone(),
-            completion_tx: self.completion_tx.clone(),
         }
     }
 
@@ -396,9 +359,7 @@ impl Service {
         let Service {
             shared,
             job_tx,
-            completion_tx,
             workers,
-            completions,
             ticker,
             follower,
             stop,
@@ -411,23 +372,18 @@ impl Service {
         // The follower joins before the committers stop: its in-flight
         // record applies are acked by the committers, so stopping those
         // first would strand it waiting out a reply timeout.
-        for handle in workers.into_iter().chain(follower) {
+        for handle in workers.into_iter().chain(follower).chain(ticker) {
             let _ = handle.join();
         }
         // Workers are gone, so the commit queues can only shrink: ask
         // every pipeline to stop, then join the committers. Replies for
-        // staged writes are delivered before the join returns, which is
-        // why the completion pool is stopped after this.
+        // staged writes are delivered before the join returns.
         let shards = shared.shards_by_name();
         for (_, shard) in &shards {
             request_stop(shard, kind);
         }
         for (_, shard) in &shards {
             join_committer(shard);
-        }
-        drop(completion_tx);
-        for handle in completions.into_iter().chain(ticker) {
-            let _ = handle.join();
         }
     }
 }

@@ -8,31 +8,30 @@
 //! session thread parses and submits requests; requests tagged `#<id>`
 //! complete out of order (the tag comes back on the response's first
 //! line), untagged requests keep the classic contract — the reader blocks
-//! on each one, so their responses return in submission order. Tagged
-//! waits run on the service's fixed **completion pool**, not a thread per
-//! request, so a flood of deeply pipelined sessions cannot exhaust threads
-//! (the pool plus admission control bound everything).
+//! on each one, so their responses return in submission order. Nobody
+//! waits for a tagged response: its reply slot is **forwarded**, and
+//! whoever delivers it sends the tagged frame straight to the session's
+//! writer, which also answers `TIMEOUT` for one that misses its deadline.
 //!
 //! Output: a session writes its frames itself — a request answered at the
 //! edge costs no thread hand-off at all — until its first tagged request
-//! that has to wait. Responses may then complete on other threads, so a
-//! writer thread is started and every later frame of the session funnels
-//! through it, coalesced into one `write_all` per burst. A serial session
-//! is one thread; a pipelined one, two.
+//! that has to wait. From then on every frame funnels through a writer
+//! thread, coalesced into one `write_all` per burst. A serial session is
+//! one thread; a pipelined one, two, however deep it pipelines.
 
 use crate::metrics::Metrics;
 use crate::protocol::{parse_tagged_request, Request, Response};
-use crate::service::{Client, Frame, Service, Shared};
-use crossbeam::channel::{self, Receiver, Sender};
+use crate::service::{Client, Outbound, ReplySlot, Service, Shared};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Live session sockets, so [`TcpHandle::stop`] can sever them — a
 /// stopped endpoint must look to clients like a server that went away,
@@ -140,7 +139,7 @@ enum SessionOut {
     Direct(TcpStream),
     /// A tagged request went to the pool, so frames may now complete on
     /// other threads: every frame funnels through the writer thread.
-    Writer(Sender<Frame>, TrackedHandle<()>),
+    Writer(Sender<Outbound>, TrackedHandle<()>),
 }
 
 impl SessionOut {
@@ -151,7 +150,7 @@ impl SessionOut {
                 socket.write_all(resp.render_tagged(tag.as_deref()).as_bytes())
             }
             SessionOut::Writer(tx, _) => tx
-                .send(Frame::new(tag, resp))
+                .send(Outbound::frame(tag, resp))
                 .map_err(|_| std::io::ErrorKind::BrokenPipe.into()),
         }
     }
@@ -161,11 +160,11 @@ impl SessionOut {
     fn into_writer(
         self,
         shared: &Arc<Shared>,
-    ) -> std::io::Result<(Sender<Frame>, TrackedHandle<()>)> {
+    ) -> std::io::Result<(Sender<Outbound>, TrackedHandle<()>)> {
         match self {
             SessionOut::Writer(tx, thread) => Ok((tx, thread)),
             SessionOut::Direct(socket) => {
-                let (tx, rx) = channel::unbounded::<Frame>();
+                let (tx, rx) = channel::unbounded::<Outbound>();
                 let writer_shared = Arc::clone(shared);
                 let thread = spawn_tracked("serve-session-writer", move || {
                     writer_loop(socket, &rx, &writer_shared.metrics)
@@ -182,26 +181,54 @@ impl SessionOut {
 const BURST_BYTES: usize = 64 * 1024;
 
 /// Body of a session's writer thread: gather every frame already queued
-/// into one buffer and issue one `write_all` per burst, so the riders of
-/// a group-commit batch leave in one segment. Exits once every sender is
-/// gone — i.e. after in-flight tagged responses have drained.
-fn writer_loop(mut socket: TcpStream, rx: &Receiver<Frame>, metrics: &Metrics) {
+/// into one buffer and issue one `write_all` per burst, so the riders of a
+/// group-commit batch leave in one segment. Forwarded requests' deadlines
+/// arrive in submission order; a slot still unanswered at its deadline is
+/// expired, which answers it `TIMEOUT` through this channel. Exits once
+/// every sender — the session's, and each forwarded slot's — is gone.
+fn writer_loop(mut socket: TcpStream, rx: &Receiver<Outbound>, metrics: &Metrics) {
     // Once the socket dies, keep consuming (and discarding) frames until
-    // every sender is gone: in-flight completion jobs must never find
-    // their responses stranded in a queue whose receiver dropped
-    // mid-stream (the sanitizer reports that as a channel leak, and it
-    // would hide which responses were abandoned).
+    // every sender is gone: a delivery must never strand its response in
+    // a queue whose receiver dropped (the sanitizer reports that as a
+    // channel leak).
     let mut socket_dead = false;
+    let mut deadlines: VecDeque<(Instant, Arc<ReplySlot>)> = VecDeque::new();
     let mut burst = Vec::new();
     let mut queued = Vec::new();
-    while let Ok(first) = rx.recv() {
-        let mut next = Some(first);
-        while let Some(frame) = next.take() {
-            burst.extend_from_slice(frame.resp.render_tagged(frame.tag.as_deref()).as_bytes());
-            queued.push(frame.queued);
+    loop {
+        // Forget the requests already answered; expire the overdue ones.
+        let now = Instant::now();
+        while let Some((deadline, slot)) = deadlines.front() {
+            if *deadline <= now {
+                slot.expire();
+            } else if slot.is_forwarded() {
+                break;
+            }
+            deadlines.pop_front();
+        }
+        let first = match deadlines.front() {
+            Some((deadline, _)) => rx.recv_timeout(*deadline - now),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let mut next = match first {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        while let Some(msg) = next.take() {
+            match msg {
+                Outbound::Frame(tag, resp, at) => {
+                    burst.extend_from_slice(resp.render_tagged(tag.as_deref()).as_bytes());
+                    queued.push(at);
+                }
+                Outbound::Deadline(at, slot) => deadlines.push_back((at, slot)),
+            }
             if burst.len() < BURST_BYTES {
                 next = rx.try_recv().ok();
             }
+        }
+        if burst.is_empty() {
+            continue;
         }
         if !socket_dead && socket.write_all(&burst).is_ok() {
             Metrics::bump(&metrics.writer_bursts);
@@ -219,17 +246,12 @@ fn writer_loop(mut socket: TcpStream, rx: &Receiver<Frame>, metrics: &Metrics) {
 /// Drive one connection: read request lines, write response frames. Ends
 /// at EOF, on a write error, or after `QUIT`.
 ///
-/// The reader submits each request through [`Client::begin_line`]. A
-/// response that is ready when `begin_line` returns — answered at the
-/// edge, or refused — and every untagged response is sent from this
-/// thread, which writes the socket itself until the first tagged request
-/// that has to wait. That one starts the session's writer thread; from
-/// then on every frame goes through it, so frames never interleave and no
-/// worker, committer or completion thread ever blocks on a client socket.
-/// Tagged waits go to the service's completion pool, so later requests
-/// execute while earlier ones are still in flight. The writer exits once
-/// every response sender is gone, so joining it is the connection's drain
-/// barrier.
+/// The reader submits each request through [`Client::begin_line`] and
+/// sends every ready or untagged response from this thread. The first
+/// tagged request that has to wait starts the session's writer thread;
+/// from then on every frame goes through it, so frames never interleave
+/// and no worker or committer ever blocks on a client socket. Joining the
+/// writer is the connection's drain barrier.
 fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     // Reply frames are small and the peer may only be reading: never
@@ -256,15 +278,13 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
         let (tag, pending) = client.begin_line(&line);
         let quit = pending.is_quit();
         let sent = match tag {
-            // Tagged and still in flight: the completion pool waits it
-            // out and forwards the tagged frame; the job holds its own
-            // sender clone, which keeps the writer alive until the
-            // response is delivered.
+            // Tagged and still in flight: forward it. The slot holds its
+            // own sender clone until delivery or expiry.
             Some(tag) if !pending.is_ready() => {
                 // `?`: only a failed spawn errs, and then there is no
                 // writer to drain.
                 let (tx, thread) = out.into_writer(&client.shared)?;
-                client.complete(tag, pending, tx.clone());
+                pending.forward(tag, &tx);
                 out = SessionOut::Writer(tx, thread);
                 Ok(())
             }
@@ -280,8 +300,8 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
             break;
         }
     }
-    // Release our sender; the writer exits after the last in-flight
-    // completion job delivers its response and drops its clone.
+    // Release our sender; the writer exits after the last forwarded
+    // response is delivered or expired and its sender dropped.
     if let SessionOut::Writer(tx, thread) = out {
         drop(tx);
         let _ = thread.join();
@@ -608,15 +628,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_pipelining_uses_the_pool_not_a_thread_per_request() {
-        // 64 tagged requests over one connection with a 2-thread pool:
-        // everything completes and every tag comes back exactly once.
-        let svc = Service::start(ServeConfig {
-            completion_threads: 2,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        svc.install(&guide_figure2(), &history_example_2_3()).unwrap();
+    fn deep_pipelining_costs_one_writer_thread_not_one_per_request() {
+        // 64 tagged requests over one connection: everything completes,
+        // every tag comes back exactly once, and the session started one
+        // writer thread — nothing per request.
+        let svc = Service::start(ServeConfig::default()).unwrap();
+        svc.install(&guide_figure2(), &history_example_2_3())
+            .unwrap();
         let handle = svc.listen("127.0.0.1:0").unwrap();
         let mut wire = WireClient::connect(handle.addr()).unwrap();
         for i in 0..64 {
@@ -628,6 +646,7 @@ mod tests {
         let mut want: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
         want.sort();
         assert_eq!(seen, want);
+        assert_eq!(svc.metrics().session_writers.load(Ordering::Relaxed), 1);
         handle.stop();
         svc.shutdown();
     }

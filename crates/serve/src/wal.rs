@@ -176,8 +176,8 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
 }
 
 /// The append half of one database's log. Owned outright by the shard's
-/// group committer (`service::pipeline`), so appends, rewinds, and
-/// truncation are serialized without any lock held across the I/O.
+/// group committer (`service::pipeline`), so appends and truncation are
+/// serialized without any lock held across the I/O.
 #[derive(Debug)]
 pub struct DbWal {
     path: PathBuf,
@@ -185,8 +185,7 @@ pub struct DbWal {
     /// Records appended since the last checkpoint; drives the service's
     /// checkpoint-every-N policy.
     pub since_checkpoint: u64,
-    /// Current byte length (kept to rewind a record whose in-memory
-    /// application was rejected after the append).
+    /// Current byte length.
     len: u64,
 }
 
@@ -320,18 +319,11 @@ impl DbWal {
         Ok(buf.len() as u64)
     }
 
-    /// Cut the log back to `len` bytes — undo of an append whose change
-    /// set was rejected by in-memory application after being logged.
-    pub fn rewind(&mut self, len: u64) -> std::io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.sync_data()?;
-        self.len = len;
-        Ok(())
-    }
-
     /// Empty the log — the step *after* a successful checkpoint save.
     pub fn truncate(&mut self) -> std::io::Result<()> {
-        self.rewind(0)?;
+        self.file.set_len(0)?;
+        self.file.sync_data()?;
+        self.len = 0;
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -453,22 +445,6 @@ mod tests {
         assert!(!r.torn);
         assert_eq!(r.entries.len(), 2);
         assert_eq!(r.entries[1].0, h.entries()[2].at);
-    }
-
-    #[test]
-    fn rewind_undoes_the_last_record() {
-        let path = tmp("rewind");
-        let mut wal = DbWal::open(&path, 0).unwrap();
-        let (m, f) = (Metrics::new(), Faults::disabled());
-        wal.append(ts("1Jan97"), &parse_change_set("{updNode(n1, 20)}").unwrap(), &f, &m)
-            .unwrap();
-        let keep = wal.len();
-        wal.append(ts("2Jan97"), &parse_change_set("{updNode(n1, 30)}").unwrap(), &f, &m)
-            .unwrap();
-        wal.rewind(keep).unwrap();
-        let r = replay(&path).unwrap();
-        assert_eq!(r.entries.len(), 1);
-        assert!(!r.torn);
     }
 
     #[test]

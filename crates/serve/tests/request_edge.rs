@@ -180,6 +180,86 @@ fn cached_repeats_never_touch_the_queue() {
     svc.shutdown();
 }
 
+/// Every request records exactly one end-to-end (`total`) sample however
+/// it is answered: tagged ones the pool answers, and ones answered
+/// `TIMEOUT` — by a waiter giving up, or by a pipelined session's writer —
+/// whose late replies then record nothing.
+#[test]
+fn pooled_tagged_and_timed_out_requests_record_one_total_sample_each() {
+    let svc = Service::start(ServeConfig {
+        workers: 1,
+        request_timeout: std::time::Duration::from_millis(200),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    svc.install(&flat_database("big", 150), &History::new())
+        .unwrap();
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let mut wire = WireClient::connect(handle.addr()).unwrap();
+    let m = svc.metrics();
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+
+    // Tagged and pooled: `STATS` always goes to the pool.
+    const N: u64 = 16;
+    let before = (m.total.count(), m.queue.count());
+    for i in 0..N {
+        wire.send(&format!("#s{i} STATS")).unwrap();
+    }
+    for _ in 0..N {
+        assert!(matches!(wire.recv().unwrap().1, Response::Rows(_)));
+    }
+    assert_eq!(
+        (m.total.count(), m.queue.count()),
+        (before.0 + N, before.1 + N)
+    );
+
+    // Timed out: an in-process request whose waiter gives up, then a
+    // tagged one queued behind it, which its session's writer expires.
+    let before = (m.total.count(), count(&m.timeouts));
+    let evaluated = m.exec.count();
+    let slow = svc
+        .client()
+        .request_line("QUERY big select R, S from big.item R, big.item S");
+    assert!(
+        matches!(
+            slow,
+            Response::Error {
+                kind: serve::ErrKind::Timeout,
+                ..
+            }
+        ),
+        "{slow:?}"
+    );
+    wire.send("#late QUERY big select big.item").unwrap();
+    let (tag, late) = wire.recv().unwrap();
+    assert_eq!(tag.as_deref(), Some("late"));
+    assert!(
+        matches!(
+            late,
+            Response::Error {
+                kind: serve::ErrKind::Timeout,
+                ..
+            }
+        ),
+        "{late:?}"
+    );
+    // Let both evaluations finish and deliver into abandoned slots.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while m.exec.count() < evaluated + 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the queries never finished"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(
+        (m.total.count(), count(&m.timeouts)),
+        (before.0 + 2, before.1 + 2)
+    );
+    handle.stop();
+    svc.shutdown();
+}
+
 #[test]
 fn edge_replies_refuse_during_shutdown() {
     let svc = guide_service(ServeConfig::default());

@@ -1,6 +1,8 @@
 //! Serve smoke test under the concurrency sanitizer: drive a
 //! representative slice of the serve surface — in-process requests,
-//! durable writes, a QSS tick, and pipelined TCP sessions — with every
+//! durable writes, a QSS tick, and pipelined TCP sessions whose tagged
+//! writes are acked by the group committer straight into the session's
+//! writer, one of them past its deadline — with every
 //! lock, channel, and tracked thread instrumented, then require **zero
 //! findings**. This is the sanitizer's positive contract: the fixtures in
 //! `crates/sanitizer/tests/` prove it can see defects; this test proves
@@ -11,7 +13,9 @@
 
 use std::time::Duration;
 
-use serve::{Response, RetryPolicy, ServeConfig, Service, WireClient};
+use serve::{
+    ErrKind, FaultMode, FaultPoint, Faults, Response, RetryPolicy, ServeConfig, Service, WireClient,
+};
 
 #[test]
 fn serve_workload_is_sanitize_clean() {
@@ -19,12 +23,13 @@ fn serve_workload_is_sanitize_clean() {
 
     let dir = std::env::temp_dir().join(format!("serve-sanitize-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let faults = Faults::armed();
     let svc = Service::start(ServeConfig {
         workers: 2,
-        completion_threads: 2,
         wal_dir: Some(dir.clone()),
         checkpoint_every: 4,
-        request_timeout: Duration::from_secs(5),
+        request_timeout: Duration::from_secs(2),
+        faults: faults.clone(),
         ..ServeConfig::default()
     })
     .expect("start service");
@@ -94,7 +99,9 @@ fn serve_workload_is_sanitize_clean() {
     assert!(!c.request_line("TICK 1Jan97 11:30pm").is_error());
     assert!(!c.request_line("STATS").is_error());
 
-    // Wire traffic: two concurrent sessions, one pipelining deeply.
+    // Wire traffic: two concurrent sessions, one pipelining deeply —
+    // reads, then durable writes whose acks the group committer delivers
+    // into forwarded reply slots, which send them on to the writer.
     let handle = svc.listen("127.0.0.1:0").expect("listen");
     let addr = handle.addr();
     let pipeliner = std::thread::spawn(move || {
@@ -103,11 +110,40 @@ fn serve_workload_is_sanitize_clean() {
             wire.send(&format!("#p{i} QUERY guide select guide.restaurant"))
                 .expect("send");
         }
-        for _ in 0..16 {
-            let (tag, resp) = wire.recv().expect("recv");
-            assert!(tag.is_some());
-            assert!(matches!(resp, Response::Rows(_)), "{resp:?}");
+        for i in 0..8 {
+            wire.send(&format!(
+                "#u{i} UPDATE scratch AT now ; {{creNode(n{}, {i}), addArc(n1, extra, n{})}}",
+                200 + i,
+                200 + i
+            ))
+            .expect("send");
         }
+        for _ in 0..24 {
+            let (tag, resp) = wire.recv().expect("recv");
+            let tag = tag.expect("tagged");
+            if tag.starts_with('p') {
+                assert!(matches!(resp, Response::Rows(_)), "{resp:?}");
+            } else {
+                assert!(matches!(resp, Response::Ok(_)), "{tag}: {resp:?}");
+            }
+        }
+        // A write whose fsync outlasts the request timeout: the session's
+        // writer expires its slot, and the late ack is discarded.
+        assert!(faults.arm_next(FaultPoint::WalFsync, 1, FaultMode::Stall(3000)));
+        wire.send("#late UPDATE scratch AT now ; {creNode(n300, 0), addArc(n1, late, n300)}")
+            .expect("send");
+        let (tag, resp) = wire.recv().expect("recv");
+        assert_eq!(tag.as_deref(), Some("late"));
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    kind: ErrKind::Timeout,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
         let _ = wire.roundtrip("QUIT");
     });
     let mut wire = WireClient::connect(addr).expect("connect");

@@ -12,7 +12,7 @@
 //!            [--autotick-ms MS] [--tick-minutes M]
 //!            [--follow HOST:PORT] [--follower-id NAME]
 //!            [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]
-//!            [--retain-lsns N] [--translated] [--empty] [--create NAME]...
+//!            [--retain-lsns N] [--empty] [--create NAME]...
 //! ```
 //!
 //! With `--wal DIR` the service is durable: every committed mutation is
@@ -49,7 +49,7 @@ fn usage() -> ! {
          \x20                 [--autotick-ms MS] [--tick-minutes M]\n\
          \x20                 [--follow HOST:PORT] [--follower-id NAME]\n\
          \x20                 [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]\n\
-         \x20                 [--retain-lsns N] [--translated] [--empty] [--create NAME]..."
+         \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
     );
     std::process::exit(2);
 }
@@ -90,7 +90,6 @@ fn main() {
             "--follow-poll-ms" => {
                 cfg.follow_poll = Duration::from_millis(parse_num(&val("--follow-poll-ms")) as u64)
             }
-            "--translated" => cfg.strategy = chorel::Strategy::Translated,
             "--empty" => seed_guide = false,
             "--create" => create.push(val("--create")),
             "--help" | "-h" => usage(),

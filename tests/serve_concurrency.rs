@@ -7,7 +7,7 @@ use chorel::{canonical_row_strings, run_both_checked};
 use doem::doem_from_history;
 use oem::guide::{guide_figure2, history_example_2_3};
 use oem::{parse_change_set, ArcTriple, History, OemDatabase, Timestamp, Value};
-use serve::{ErrKind, Response, ServeConfig, Service, WireClient};
+use serve::{ErrKind, FaultMode, FaultPoint, Faults, Response, ServeConfig, Service, WireClient};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -676,4 +676,169 @@ fn admission_control_and_timeouts_are_reported_not_hung() {
         }
     });
     svc.shutdown();
+}
+
+/// A tagged request that outlives the request timeout is answered
+/// `TIMEOUT` exactly once — at its deadline, whether it is evaluating or
+/// still queued behind the one that is — and its late result is
+/// discarded, not written; the session keeps serving.
+#[test]
+fn tagged_requests_time_out_once_and_the_session_keeps_serving() {
+    let svc = Service::start(ServeConfig {
+        workers: 1,
+        request_timeout: Duration::from_millis(200),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    svc.install(&big_database("big", 150), &History::new())
+        .unwrap();
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let mut wire = WireClient::connect(handle.addr()).unwrap();
+    let m = svc.metrics();
+    let timeouts_before = m.timeouts.load(Ordering::Relaxed);
+    let evaluated_before = m.exec.count();
+
+    let began = Instant::now();
+    wire.send("#slow QUERY big select R, S from big.item R, big.item S")
+        .unwrap();
+    wire.send("#queued QUERY big select big.item").unwrap();
+    wire.send("#p PING").unwrap();
+    let (tag, resp) = wire.recv().unwrap();
+    assert_eq!(tag.as_deref(), Some("p"), "{resp:?}");
+    assert_eq!(resp, Response::Ok("pong".into()));
+    let mut timed_out: Vec<String> = (0..2)
+        .map(|_| {
+            let (tag, resp) = wire.recv().unwrap();
+            assert!(
+                matches!(
+                    resp,
+                    Response::Error {
+                        kind: ErrKind::Timeout,
+                        ..
+                    }
+                ),
+                "{tag:?}: {resp:?}"
+            );
+            tag.unwrap()
+        })
+        .collect();
+    let elapsed = began.elapsed();
+    timed_out.sort();
+    assert_eq!(timed_out, ["queued", "slow"]);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "timeouts took {elapsed:?}"
+    );
+    assert_eq!(
+        m.exec.count(),
+        evaluated_before,
+        "the slow query finished before its deadline — grow the database \
+         until it outlives it"
+    );
+    assert_eq!(m.timeouts.load(Ordering::Relaxed), timeouts_before + 2);
+
+    // Both evaluations finish; their replies are dropped, so the next
+    // frame on the wire is the next request's.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while m.exec.count() < evaluated_before + 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the timed-out queries never finished"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    wire.send("#z PING").unwrap();
+    let (tag, resp) = wire.recv().unwrap();
+    assert_eq!(tag.as_deref(), Some("z"), "{resp:?}");
+    assert_eq!(resp, Response::Ok("pong".into()));
+    assert_eq!(m.timeouts.load(Ordering::Relaxed), timeouts_before + 2);
+    handle.stop();
+    svc.shutdown();
+}
+
+/// One slow disk must not hold up unrelated readers: while eight tagged
+/// writes to `a` wait out a stalled fsync, another session's tagged
+/// query on `b` is answered at once — and the writes are all acked once
+/// the disk comes back.
+#[test]
+fn a_slow_disk_on_one_database_does_not_delay_pipelined_replies_on_another() {
+    let dir = std::env::temp_dir().join(format!("serve-slow-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let faults = Faults::armed();
+    let svc = Service::start(ServeConfig {
+        wal_dir: Some(dir.clone()),
+        faults: faults.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let c = svc.client();
+    for line in [
+        "CREATE a",
+        "CREATE b",
+        "UPDATE b AT now ; {creNode(n10, 0), addArc(n1, x, n10)}",
+        "UPDATE b AT now ; {creNode(n11, 1), addArc(n1, x, n11)}",
+        "UPDATE b AT now ; {creNode(n12, 2), addArc(n1, x, n12)}",
+    ] {
+        let resp = c.request_line(line);
+        assert!(!resp.is_error(), "{line}: {resp:?}");
+    }
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let mut session_a = WireClient::connect(handle.addr()).unwrap();
+    let mut session_b = WireClient::connect(handle.addr()).unwrap();
+
+    let m = svc.metrics();
+    let fsyncs_before = m.wal_fsyncs.load(Ordering::Relaxed);
+    let writes_before = m.writes.load(Ordering::Relaxed);
+    assert!(faults.arm_next(FaultPoint::WalFsync, 1, FaultMode::Stall(1500)));
+    for i in 0..8 {
+        session_a
+            .send(&format!(
+                "#w{i} UPDATE a AT now ; {{creNode(n{}, {i}), addArc(n1, y, n{})}}",
+                100 + i,
+                100 + i
+            ))
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while m.writes.load(Ordering::Relaxed) < writes_before + 8 {
+        assert!(
+            Instant::now() < deadline,
+            "the writes to a were never submitted"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let began = Instant::now();
+    session_b.send("#q QUERY b select b.x").unwrap();
+    let (tag, resp) = session_b.recv().unwrap();
+    let elapsed = began.elapsed();
+    assert_eq!(tag.as_deref(), Some("q"));
+    assert!(
+        matches!(resp, Response::Rows(ref r) if r.len() == 3),
+        "{resp:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "a query on b waited {elapsed:?} behind a slow disk on a"
+    );
+    assert_eq!(
+        m.wal_fsyncs.load(Ordering::Relaxed),
+        fsyncs_before,
+        "the stalled fsync ended before the query was answered"
+    );
+
+    let mut acked: Vec<String> = (0..8)
+        .map(|_| {
+            let (tag, resp) = session_a.recv().unwrap();
+            assert!(matches!(resp, Response::Ok(_)), "{tag:?}: {resp:?}");
+            tag.unwrap()
+        })
+        .collect();
+    acked.sort();
+    let mut want: Vec<String> = (0..8).map(|i| format!("w{i}")).collect();
+    want.sort();
+    assert_eq!(acked, want);
+    handle.stop();
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
