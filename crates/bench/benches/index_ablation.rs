@@ -1,14 +1,12 @@
 //! X2 — annotation-index ablation (the paper's Section 7 proposal:
 //! "designing indexes on annotations based on their types and
 //! timestamps"). Compares a Tindex-backed timestamp-range lookup against
-//! the full annotation scan it replaces, plus Lore's Vindex against a
-//! value scan.
+//! the full annotation scan it replaces.
 
 use bench::evolving_doem;
 use criterion::{criterion_group, criterion_main, Criterion};
 use doem::{AnnotationIndex, TimeRange};
-use lore::Vindex;
-use oem::{Label, Timestamp, Value};
+use oem::Timestamp;
 use std::hint::black_box;
 
 fn bench_annotation_index(c: &mut Criterion) {
@@ -38,35 +36,5 @@ fn bench_annotation_index(c: &mut Criterion) {
     }
 }
 
-fn bench_vindex(c: &mut Criterion) {
-    for &n in &[100usize, 1000] {
-        let db = qss::synthetic_guide(11, n);
-        let idx = Vindex::build(&db);
-        let price = Label::new("price");
-        let (lo, hi) = (Value::Int(10), Value::Int(20));
-
-        let mut group = c.benchmark_group(format!("vindex/{n}r"));
-        group.bench_function("indexed-range", |b| {
-            b.iter(|| black_box(&idx).range(price, &lo, &hi).len())
-        });
-        group.bench_function("scan-range", |b| {
-            b.iter(|| {
-                db.arcs()
-                    .filter(|a| a.label == price)
-                    .filter(|a| {
-                        let v = db.value(a.child).expect("child exists");
-                        lorel::compare(lorel::ast::CmpOp::Ge, v, &lo)
-                            && lorel::compare(lorel::ast::CmpOp::Le, v, &hi)
-                    })
-                    .count()
-            })
-        });
-        group.bench_function("build", |b| {
-            b.iter(|| Vindex::build(black_box(&db)))
-        });
-        group.finish();
-    }
-}
-
-criterion_group!(benches, bench_annotation_index, bench_vindex);
+criterion_group!(benches, bench_annotation_index);
 criterion_main!(benches);

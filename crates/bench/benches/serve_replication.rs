@@ -11,8 +11,8 @@
 //! attaching an empty follower to graph-equal convergence, for
 //! checkpoint-image catch-up of increasing database sizes.
 //!
-//! Like X7/X8 this file lives beside the X1–X6 benches but belongs to
-//! the root package (the bench crate does not depend on `serve`).
+//! This file lives beside the X1–X6 benches but belongs to the root
+//! package (the bench crate does not depend on `serve`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use doem::same_doem;

@@ -6,8 +6,7 @@
 //! with a simple wall-clock measurement loop instead of criterion's
 //! statistical machinery: per benchmark it warms up once, then times
 //! `sample_size` batches and reports min/mean per-iteration latency to
-//! stdout in a stable, greppable format (`scripts/bench_tables.py` parses
-//! it).
+//! stdout in a stable, greppable format.
 
 #![warn(missing_docs)]
 

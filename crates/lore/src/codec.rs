@@ -1,4 +1,4 @@
-//! Binary serialization of OEM databases and change operations.
+//! Binary serialization of OEM databases.
 //!
 //! A compact, versioned, deterministic format built on [`bytes`]:
 //!
@@ -15,7 +15,7 @@
 
 use crate::{LoreError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use oem::{ArcTriple, ChangeOp, ChangeSet, Label, NodeId, OemDatabase, Timestamp, Value};
+use oem::{ArcTriple, Label, NodeId, OemDatabase, Timestamp, Value};
 
 const MAGIC: &[u8; 5] = b"LORE1";
 const END_NODES: u64 = u64::MAX;
@@ -186,98 +186,10 @@ pub fn decode_database(mut buf: Bytes) -> Result<OemDatabase> {
     Ok(db)
 }
 
-/// Encode one change operation (for the write-ahead history log).
-pub fn put_op(buf: &mut BytesMut, op: &ChangeOp) {
-    match op {
-        ChangeOp::CreNode(n, v) => {
-            buf.put_u8(0);
-            buf.put_u64_le(n.raw());
-            put_value(buf, v);
-        }
-        ChangeOp::UpdNode(n, v) => {
-            buf.put_u8(1);
-            buf.put_u64_le(n.raw());
-            put_value(buf, v);
-        }
-        ChangeOp::AddArc(a) | ChangeOp::RemArc(a) => {
-            buf.put_u8(if matches!(op, ChangeOp::AddArc(_)) { 2 } else { 3 });
-            buf.put_u64_le(a.parent.raw());
-            put_str(buf, a.label.as_str());
-            buf.put_u64_le(a.child.raw());
-        }
-    }
-}
-
-/// Decode one change operation.
-pub fn get_op(buf: &mut Bytes) -> Result<ChangeOp> {
-    if !buf.has_remaining() {
-        return Err(LoreError::Corrupt("truncated op tag".into()));
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        0 | 1 => {
-            if buf.remaining() < 8 {
-                return Err(LoreError::Corrupt("truncated op node".into()));
-            }
-            let n = NodeId::from_raw(buf.get_u64_le());
-            let v = get_value(buf)?;
-            if tag == 0 {
-                ChangeOp::CreNode(n, v)
-            } else {
-                ChangeOp::UpdNode(n, v)
-            }
-        }
-        2 | 3 => {
-            if buf.remaining() < 8 {
-                return Err(LoreError::Corrupt("truncated op arc".into()));
-            }
-            let parent = NodeId::from_raw(buf.get_u64_le());
-            let label = get_str(buf)?;
-            if buf.remaining() < 8 {
-                return Err(LoreError::Corrupt("truncated op arc child".into()));
-            }
-            let child = NodeId::from_raw(buf.get_u64_le());
-            let arc = ArcTriple::new(parent, label.as_str(), child);
-            if tag == 2 {
-                ChangeOp::AddArc(arc)
-            } else {
-                ChangeOp::RemArc(arc)
-            }
-        }
-        t => return Err(LoreError::Corrupt(format!("unknown op tag {t}"))),
-    })
-}
-
-/// Encode one timestamped change set (a history entry).
-pub fn encode_entry(at: Timestamp, changes: &ChangeSet) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_i64_le(at.raw_minutes());
-    buf.put_u32_le(changes.len() as u32);
-    for op in changes.iter() {
-        put_op(&mut buf, op);
-    }
-    buf.freeze()
-}
-
-/// Decode one history entry.
-pub fn decode_entry(buf: &mut Bytes) -> Result<(Timestamp, ChangeSet)> {
-    if buf.remaining() < 12 {
-        return Err(LoreError::Corrupt("truncated history entry".into()));
-    }
-    let at = Timestamp::from_raw_minutes(buf.get_i64_le());
-    let count = buf.get_u32_le();
-    let mut ops = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        ops.push(get_op(buf)?);
-    }
-    let set = ChangeSet::from_ops(ops).map_err(|e| LoreError::Corrupt(e.to_string()))?;
-    Ok((at, set))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oem::guide::{guide_figure2, guide_figure3, history_example_2_3};
+    use oem::guide::{guide_figure2, guide_figure3};
     use oem::same_database;
 
     #[test]
@@ -322,18 +234,5 @@ mod tests {
         let mut long = bytes.to_vec();
         long.push(0);
         assert!(decode_database(Bytes::from(long)).is_err());
-    }
-
-    #[test]
-    fn history_entries_round_trip() {
-        let h = history_example_2_3();
-        for entry in h.entries() {
-            let bytes = encode_entry(entry.at, &entry.changes);
-            let mut buf = bytes.clone();
-            let (at, set) = decode_entry(&mut buf).unwrap();
-            assert_eq!(at, entry.at);
-            assert_eq!(set.len(), entry.changes.len());
-            assert!(!buf.has_remaining());
-        }
     }
 }

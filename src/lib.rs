@@ -11,7 +11,7 @@
 //! | [`lorel`] | §4 | the Lorel/Chorel language: lexer, parser, planner (the §4.2.1 rewriting), engine, result packaging |
 //! | [`chorel`] | §4.2, §5.2 | DOEM-backed execution: the direct strategy, the Chorel→Lorel translation, `t[i]` preprocessing |
 //! | [`oemdiff`] | §1.1, §6 | snapshot differencing (`U(R_old) = R_new`) and htmldiff-style markup |
-//! | [`lore`] | §5, §6.1 | the storage substrate: codec, store, history log, Lindex/Vindex, DataGuides |
+//! | [`lore`] | §5, §6.1 | the storage substrate: binary codec and crash-conscious image store |
 //! | [`qss`] | §6 | the Query Subscription Service: frequency specs, sources, subscriptions, server |
 //!
 //! ## Quickstart
