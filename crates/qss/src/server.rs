@@ -122,10 +122,6 @@ pub struct QssServer<S: Source> {
     previous_mode: PreviousResult,
     store: Option<LoreStore>,
     stats: QssStats,
-    /// Bumped every time any poll folds a non-empty change set into a
-    /// group's DOEM database. Lets embedders (doem-serve's control shard)
-    /// distinguish "ticked but nothing changed" from real change.
-    change_epoch: u64,
 }
 
 impl<S: Source> QssServer<S> {
@@ -144,7 +140,6 @@ impl<S: Source> QssServer<S> {
             previous_mode: PreviousResult::Keep,
             store: None,
             stats: QssStats::default(),
-            change_epoch: 0,
         }
     }
 
@@ -152,13 +147,6 @@ impl<S: Source> QssServer<S> {
     /// evaluations, proven-empty skips, and full-evaluation fallbacks.
     pub fn stats(&self) -> QssStats {
         self.stats
-    }
-
-    /// Monotonic counter bumped whenever a poll folds a non-empty change
-    /// set into any group's DOEM database. Unchanged across polls ⇒ every
-    /// DOEM database (and thus every filter answer) is unchanged too.
-    pub fn change_epoch(&self) -> u64 {
-        self.change_epoch
     }
 
     /// Share one DOEM database among subscriptions whose polling queries
@@ -443,7 +431,6 @@ impl<S: Source> QssServer<S> {
                     PreviousResult::RecomputeFromDoem => None,
                 };
                 group.last_change_at = Some(at);
-                self.change_epoch += 1;
             } else if self.previous_mode == PreviousResult::Keep {
                 group.replica = Some(previous);
             }

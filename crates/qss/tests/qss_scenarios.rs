@@ -221,8 +221,6 @@ fn example_6_1_filters_run_incrementally() {
     assert_eq!(stats.filters_proven_empty, 1);
     assert_eq!(stats.filters_full, 0);
     assert_eq!(stats.polls_elided, 0, "ScriptedSource exposes no version");
-    // And the change epoch moved only on the two change-carrying polls.
-    assert_eq!(server.change_epoch(), 2);
 }
 
 /// A translated-strategy server takes the full-evaluation path for every

@@ -1,7 +1,7 @@
 //! The query-result cache.
 //!
 //! Keys are `(scope, canonical query text, generation)` — scope is the
-//! database (or `sub:<id>` DOEM) the query ran against, the canonical text
+//! database the query ran against, the canonical text
 //! comes from the parser's printer (so formatting differences share an
 //! entry), and the generation is the service's write counter. A write
 //! bumps the generation, which makes every older entry unreachable.
@@ -26,8 +26,7 @@ use std::sync::Arc;
 /// A cache key. Equal keys ⇒ identical result rows.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Which database the query ran against (`sub:<id>` for subscription
-    /// DOEMs).
+    /// Which database the query ran against.
     pub scope: String,
     /// Canonical query text (parse → print).
     pub canonical: String,
@@ -43,7 +42,7 @@ pub struct CacheEntry {
     /// Canonical wire rows (the `ROWS` payload sent to clients).
     pub strings: Vec<String>,
     /// Maintenance state: `None` means the entry can only be dropped at
-    /// the next write (subscription-scope entries).
+    /// the next write.
     pub maintain: Option<(lorel::ast::Query, lorel::Rows)>,
 }
 

@@ -2,9 +2,8 @@
 //!
 //! The paper's Lore context ran as a long-lived server process; this crate
 //! supplies that missing deployment layer for the reproduction. One
-//! process owns a set of OEM/DOEM databases plus an embedded Query
-//! Subscription Service, and serves many concurrent sessions over two
-//! transports that share every byte of machinery:
+//! process owns a set of OEM/DOEM databases and serves many concurrent
+//! sessions over two transports that share every byte of machinery:
 //!
 //! * an in-process [`Client`] handle (cheap to clone, used by tests and
 //!   benchmarks), and
@@ -25,8 +24,7 @@
 //! delays a write, even to its own database. Query results are cached
 //! keyed on *(database, canonical query text, shard generation)* — a
 //! write structurally invalidates every stale entry without any
-//! notification machinery. QSS state lives in a separate control shard,
-//! so polls invalidate only subscription-query caches.
+//! notification machinery.
 //!
 //! TCP sessions may **pipeline**: requests tagged `#<id>` complete out of
 //! order, with the tag echoed on the response frame for matching
@@ -95,5 +93,5 @@ pub(crate) fn trace_enabled() -> bool {
 }
 pub use protocol::{parse_request, parse_tagged_request, ErrKind, ProtoError, Request, Response};
 pub use replication::{snapshot_bytes, snapshot_from_bytes, ReplBatch};
-pub use service::{AutoTick, Client, DynSource, PendingReply, ServeConfig, Service, WallClock};
+pub use service::{Client, PendingReply, ServeConfig, Service, WallClock};
 pub use tcp::{RetryPolicy, TcpHandle, WireClient};

@@ -109,8 +109,6 @@ pub struct Metrics {
     /// the monotonic fragment (or the entry carried no maintenance
     /// state) — the explicit full-re-evaluation fallback.
     pub cache_fallback: AtomicU64,
-    /// QSS polls executed by TICKs and the background task.
-    pub qss_polls: AtomicU64,
     /// TCP sessions accepted.
     pub sessions: AtomicU64,
     /// Requests that carried a `#<id>` pipelining tag.
@@ -235,7 +233,6 @@ impl Metrics {
             format!("counter cache_maintained {}", c(&self.cache_maintained)),
             format!("counter cache_carried {}", c(&self.cache_carried)),
             format!("counter cache_fallback {}", c(&self.cache_fallback)),
-            format!("counter qss_polls {}", c(&self.qss_polls)),
             format!("counter sessions {}", c(&self.sessions)),
             format!("counter pipelined {}", c(&self.pipelined)),
             format!("counter inline_replies {}", c(&self.inline_replies)),

@@ -16,12 +16,6 @@
 //!                                            (AS OF pins a historical version)
 //! UPDATE <db> AT <ts|now> ; <change set>     apply `{creNode(...), ...}`
 //! MUTATE <db> AT <ts|now> ; <update stmt>    compile a Lorel update & apply
-//! DEFINE <define program>                    add named queries to registry
-//! SUBSCRIBE <id> POLL <q> FILTER <q> FREQ <spec>
-//! UNSUBSCRIBE <id>
-//! TICK <ts>                                  advance QSS simulated time
-//! NOTES <id|*>                               pending QSS notifications
-//! SUBQUERY <id> <chorel query>               query a subscription's DOEM
 //! LSN <db>                                   applied/durable LSNs (lag probe)
 //! REPLICATE <db> FROM <lsn> [AS <peer>]      one replication batch
 //! PROMOTE <db>                               flip a follower shard writable
@@ -52,7 +46,6 @@ pub use parse::{lsn_from_wire, lsn_to_wire, parse_request, parse_tagged_request}
 
 use lorel::ast::Query;
 use oem::{ChangeSet, Timestamp};
-use qss::FrequencySpec;
 use std::io::BufRead;
 
 /// Machine-readable error classes, carried on `ERR` responses.
@@ -63,7 +56,7 @@ pub enum ErrKind {
     Syntax,
     /// Unknown verb.
     Unknown,
-    /// Named database, subscription, or registered query does not exist.
+    /// Named database does not exist (or a `LOAD` names an unsaved one).
     NotFound,
     /// Admission control rejected the request: the queue is full.
     Busy,
@@ -165,15 +158,6 @@ pub enum Request {
         /// retention horizon). `None` queries the current state.
         as_of: Option<Timestamp>,
     },
-    /// `SUBQUERY <id> <query>` — query a subscription's DOEM database.
-    SubQuery {
-        /// Subscription id.
-        id: String,
-        /// The parsed query.
-        query: Box<Query>,
-        /// Canonical query text.
-        key: String,
-    },
     /// `UPDATE <db> AT <ts|now> ; <change set>`
     Update {
         /// Database name.
@@ -195,38 +179,6 @@ pub enum Request {
         /// The raw statement text — compiled under the write lock against
         /// the then-current snapshot (syntax is pre-checked at parse time).
         stmt: String,
-    },
-    /// `DEFINE <define program>`
-    Define {
-        /// The raw program text — loaded into the registry under the write
-        /// lock (syntax is pre-checked at parse time).
-        program: String,
-    },
-    /// `SUBSCRIBE <id> POLL <name> FILTER <name> FREQ <spec>`
-    Subscribe {
-        /// Subscription id.
-        id: String,
-        /// Registered polling query name.
-        polling: String,
-        /// Registered filter query name.
-        filter: String,
-        /// Parsed frequency specification.
-        freq: FrequencySpec,
-    },
-    /// `UNSUBSCRIBE <id>`
-    Unsubscribe {
-        /// Subscription id.
-        id: String,
-    },
-    /// `TICK <ts>` — advance simulated time, running due QSS polls.
-    Tick {
-        /// The new horizon.
-        until: Timestamp,
-    },
-    /// `NOTES <id|*>` — list notifications for one subscription (or all).
-    Notes {
-        /// Subscription id, or `*`.
-        id: String,
     },
     /// `LSN <db>` — the shard's applied and durable LSNs, the wire-level
     /// replication-lag probe.
@@ -278,8 +230,6 @@ impl Request {
                 | Request::Quit
                 | Request::Save { .. }
                 | Request::Query { .. }
-                | Request::SubQuery { .. }
-                | Request::Notes { .. }
                 | Request::Lsn { .. }
                 | Request::Replicate { .. }
         )

@@ -8,9 +8,8 @@
 use super::{split_word, ErrKind, ProtoError, Request};
 use lorel::ast::Query;
 use oem::{parse_change_set, parse_op, ChangeSet, Timestamp};
-use qss::FrequencySpec;
 
-/// Validate a database/subscription/query name.
+/// Validate a database or peer name.
 fn name_ok(word: &str, what: &str) -> Result<String, ProtoError> {
     if word.is_empty() {
         return Err(ProtoError::syntax(format!("missing {what} name")));
@@ -166,12 +165,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 as_of,
             })
         }
-        "SUBQUERY" => {
-            let (id, text) = split_word(rest);
-            let id = name_ok(id, "subscription")?;
-            let (query, key) = parse_query_text(text)?;
-            Ok(Request::SubQuery { id, query, key })
-        }
         "UPDATE" => {
             let (db, rest) = split_word(rest);
             let db = name_ok(db, "database")?;
@@ -200,54 +193,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 at,
                 stmt: payload.to_string(),
             })
-        }
-        "DEFINE" => {
-            let program = format!("define {rest}");
-            lorel::parse_program(&program).map_err(|e| ProtoError::syntax(e.to_string()))?;
-            Ok(Request::Define { program })
-        }
-        "SUBSCRIBE" => {
-            let (id, rest) = split_word(rest);
-            let id = name_ok(id, "subscription")?;
-            let rest = expect_kw(rest, "POLL")?;
-            let (polling, rest) = split_word(rest);
-            let polling = name_ok(polling, "polling query")?;
-            let rest = expect_kw(rest, "FILTER")?;
-            let (filter, rest) = split_word(rest);
-            let filter = name_ok(filter, "filter query")?;
-            let spec = expect_kw(rest, "FREQ")?;
-            let freq: FrequencySpec = spec
-                .trim()
-                .parse()
-                .map_err(|e| ProtoError::syntax(format!("bad frequency {spec:?}: {e}")))?;
-            Ok(Request::Subscribe {
-                id,
-                polling,
-                filter,
-                freq,
-            })
-        }
-        "UNSUBSCRIBE" => Ok(Request::Unsubscribe {
-            id: name_ok(rest, "subscription")?,
-        }),
-        "TICK" => {
-            let until: Timestamp = rest
-                .trim()
-                .parse()
-                .map_err(|e| ProtoError::syntax(format!("bad timestamp {rest:?}: {e}")))?;
-            Ok(Request::Tick { until })
-        }
-        "NOTES" => {
-            let id = rest.trim();
-            if id == "*" {
-                Ok(Request::Notes {
-                    id: id.to_string(),
-                })
-            } else {
-                Ok(Request::Notes {
-                    id: name_ok(id, "subscription")?,
-                })
-            }
         }
         "LSN" => Ok(Request::Lsn {
             db: name_ok(rest.trim(), "database")?,
@@ -400,8 +345,13 @@ mod tests {
         let r =
             parse_request("MUTATE guide AT NOW ; update R := 5 from guide.restaurant R").unwrap();
         assert!(matches!(r, Request::Mutate { at: None, .. }));
-        // `now` is a keyword of the AT clause only, not a timestamp.
-        assert_eq!(parse_request("TICK now").unwrap_err().kind, ErrKind::Syntax);
+        // `now` is a keyword of the AT clause only, not an AS OF point.
+        assert_eq!(
+            parse_request("QUERY guide AS OF now select guide.restaurant")
+                .unwrap_err()
+                .kind,
+            ErrKind::Syntax
+        );
     }
 
     #[test]
@@ -425,23 +375,6 @@ mod tests {
         assert_eq!(parse_request("FENCE guide -1").unwrap_err().kind, ErrKind::Syntax);
         // The typed error code round-trips.
         assert_eq!(ErrKind::from_code(ErrKind::Fenced.code()), ErrKind::Fenced);
-    }
-
-    #[test]
-    fn subscribe_line_parses() {
-        let r = parse_request(
-            "SUBSCRIBE S1 POLL Restaurants FILTER NewRestaurants FREQ every night at 11:30pm",
-        )
-        .unwrap();
-        match r {
-            Request::Subscribe {
-                id, polling, filter, ..
-            } => {
-                assert_eq!((id.as_str(), polling.as_str(), filter.as_str()),
-                           ("S1", "Restaurants", "NewRestaurants"));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
     }
 
     #[test]
@@ -532,14 +465,31 @@ mod tests {
 
     #[test]
     fn errors_have_kinds() {
-        assert_eq!(parse_request("FROB x").unwrap_err().kind, ErrKind::Unknown);
+        // The embedded QSS's verbs left serve with it: unknown, like any typo.
+        for line in [
+            "FROB x",
+            "DEFINE polling query Restaurants as select guide.restaurant",
+            "SUBSCRIBE S1 POLL Restaurants FILTER NewRestaurants FREQ every night at 11:30pm",
+            "UNSUBSCRIBE S1",
+            "TICK 1Jan97 11:30pm",
+            "NOTES *",
+            "SUBQUERY S1 select Restaurants.restaurant",
+        ] {
+            assert_eq!(
+                parse_request(line).unwrap_err().kind,
+                ErrKind::Unknown,
+                "{line}"
+            );
+        }
         assert_eq!(parse_request("").unwrap_err().kind, ErrKind::Syntax);
         assert_eq!(
             parse_request("QUERY guide select ...bad(((").unwrap_err().kind,
             ErrKind::Syntax
         );
         assert_eq!(
-            parse_request("TICK not-a-time").unwrap_err().kind,
+            parse_request("UPDATE guide AT not-a-time ; {updNode(n1, 20)}")
+                .unwrap_err()
+                .kind,
             ErrKind::Syntax
         );
     }
@@ -595,10 +545,8 @@ mod fuzz_tests {
         fn parse_request_never_panics_on_protocol_fragments(
             parts in proptest::collection::vec(
                 proptest::sample::select(vec![
-                    "QUERY", "UPDATE", "MUTATE", "SUBSCRIBE", "TICK", "DEFINE",
-                    "NOTES", "SUBQUERY", "guide", "S1", "AT", ";", "POLL",
-                    "FILTER", "FREQ", "every", "10", "minutes", "night", "at",
-                    "11:30pm", "select", "guide.restaurant", "where", "<",
+                    "QUERY", "UPDATE", "MUTATE", "guide", "AT", ";", "10",
+                    "at", "11:30pm", "select", "guide.restaurant", "where", "<",
                     "creNode(n9, C)", "{updNode(n1, 20)}", "1Jan97", "8:00pm",
                     "*", "price", "=", "\"x\"", "insert", "t[-1]",
                     "REPLICATE", "LSN", "FROM", "AS", "OF", "-", "12345",

@@ -1,26 +1,10 @@
-//! Service configuration: the tuning knobs, the injectable wall clock,
-//! and the QSS driving options.
+//! Service configuration: the tuning knobs and the injectable wall clock.
 
 use crate::faults::Faults;
 use oem::Timestamp;
-use qss::Source;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The source type the embedded QSS polls: any [`Source`], boxed. `Sync`
-/// is required because the QSS lives under the control shard's `RwLock`.
-pub type DynSource = Box<dyn Source + Sync>;
-
-/// Background QSS driving: every `interval` of wall-clock time, advance
-/// the simulated clock by `step_minutes` and run the polls that came due.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoTick {
-    /// Wall-clock period between ticks.
-    pub interval: Duration,
-    /// Simulated minutes per tick.
-    pub step_minutes: i64,
-}
 
 /// The wall clock a write consults when it says `AT now`: an injectable
 /// source of [`Timestamp`]s so tests (and the chaos harness) can step
@@ -78,10 +62,6 @@ pub struct ServeConfig {
     /// Result-cache capacity in entries, per database shard (0 disables
     /// caching).
     pub cache_capacity: usize,
-    /// Initial simulated time (QSS subscriptions start here).
-    pub epoch: Timestamp,
-    /// Drive the embedded QSS from a background thread.
-    pub autotick: Option<AutoTick>,
     /// Directory for SAVE/LOAD persistence (no store when `None`).
     pub store_dir: Option<PathBuf>,
     /// Durability root: per-database write-ahead logs and snapshot
@@ -138,8 +118,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             request_timeout: Duration::from_secs(5),
             cache_capacity: 256,
-            epoch: Timestamp::from_ymd(1996, 12, 30),
-            autotick: None,
             store_dir: None,
             wal_dir: None,
             checkpoint_every: 64,

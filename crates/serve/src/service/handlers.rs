@@ -1,8 +1,8 @@
 //! The request executor: [`execute`] dispatches a parsed [`Request`] to
 //! one handler per verb. Queries resolve their shard, snapshot it, and
 //! evaluate lock-free; writes (and the follower's replicated records)
-//! enter the shard's commit pipeline; QSS/registry requests take the
-//! control lock. [`edge_reply`] is the part of it that cannot block —
+//! enter the shard's commit pipeline. [`edge_reply`] is the part of it
+//! that cannot block —
 //! the probe verbs and result-cache hits — which the submitting thread
 //! runs before the admission queue.
 
@@ -10,23 +10,22 @@ use super::client::ReplySlot;
 use super::pipeline::{sequence, WriteKind};
 use super::recovery::{install_shard, last_lsn};
 use super::shard::Shard;
-use super::{ControlState, Shared};
+use super::Shared;
 use crate::cache::{CacheEntry, CacheKey, ResultCache};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Request, Response};
 use crate::replication::primary::serve_replicate;
 use chorel::{canonical_row_strings, run_chorel_parsed, Strategy};
-use doem::{DoemDatabase, SharedDoem};
+use doem::DoemDatabase;
 use lorel::ast::Query;
 use oem::{ChangeSet, OemDatabase, Timestamp};
-use qss::Subscription;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Answer `req` if that needs no evaluation and no pipeline: the probe
-/// verbs always, a current-version `QUERY` / `SUBQUERY` when its result
-/// is cached at the current generation. Only brief read locks are taken
+/// verbs always, a current-version `QUERY` when its result is cached at
+/// the current generation. Only brief read locks are taken
 /// and none is held across another, so [`Client::begin`](super::Client)
 /// calls this on the submitting thread; `None` sends the request to the
 /// worker pool.
@@ -54,10 +53,6 @@ pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
             let shard = shared.shard(db)?;
             let generation = shard.state.read().generation;
             return cache_lookup(shared, &shard.cache, &current_key(db, key, generation));
-        }
-        Request::SubQuery { id, key, .. } => {
-            let key = sub_key(shared, id, key).ok()?;
-            return cache_lookup(shared, &shared.sub_cache, &key);
         }
         _ => return None,
     })
@@ -92,28 +87,17 @@ pub(crate) fn execute(
             Some(at) => query_as_of(shared, shard, at, &query),
             None => query_current(shared, shard, &db, &key, &query),
         }),
-        Request::SubQuery { id, query, key } => subquery(shared, &id, &key, &query),
         Request::Update { db, at, changes } => {
             return write(shared, &db, at, WriteKind::Update(changes), reply)
         }
         Request::Mutate { db, at, stmt } => {
             return write(shared, &db, at, WriteKind::Mutate(stmt), reply)
         }
-        Request::Define { program } => define(shared, &program),
-        Request::Subscribe {
-            id,
-            polling,
-            filter,
-            freq,
-        } => subscribe(shared, id, &polling, &filter, freq),
-        Request::Unsubscribe { id } => unsubscribe(shared, &id),
-        Request::Tick { until } => tick(shared, until),
         Request::Replicate { db, from, peer } => {
             serve_replicate(shared, &db, from, peer.as_deref())
         }
         Request::Promote { db } => with_shard(shared, &db, |shard| promote(shared, &db, shard)),
         Request::Fence { db, epoch } => with_shard(shared, &db, |shard| fence(&db, shard, epoch)),
-        Request::Notes { id } => notes(shared, &id),
     })
 }
 
@@ -151,14 +135,6 @@ fn stats(shared: &Shared) -> Response {
     }
     rows.push(format!("gauge read_only_shards {read_only}"));
     rows.push(format!("gauge retained_lsns {retained}"));
-    let qss = shared.control.read().qss.stats();
-    rows.push(format!("counter qss_polls_elided {}", qss.polls_elided));
-    rows.push(format!("counter qss_filters_anchored {}", qss.filters_anchored));
-    rows.push(format!(
-        "counter qss_filters_proven_empty {}",
-        qss.filters_proven_empty
-    ));
-    rows.push(format!("counter qss_filters_full {}", qss.filters_full));
     Response::Rows(rows)
 }
 
@@ -229,47 +205,6 @@ fn cache_lookup(shared: &Shared, cache: &ResultCache, key: &CacheKey) -> Option<
     Some(Response::Rows(entry.strings.clone()))
 }
 
-/// Answer `query` from `cache` under `key`, or evaluate it over the
-/// snapshot `load` produces — with every lock already dropped — and cache
-/// the canonical rows. `maintainable` entries keep their raw engine rows
-/// so the publish stage can carry them across writes instead of
-/// invalidating them.
-fn cached_query(
-    shared: &Shared,
-    cache: &ResultCache,
-    key: CacheKey,
-    query: &Query,
-    maintainable: bool,
-    load: impl FnOnce() -> Result<SharedDoem, Response>,
-) -> Response {
-    if let Some(hit) = cache_lookup(shared, cache, &key) {
-        return hit;
-    }
-    let doem = match load() {
-        Ok(doem) => doem,
-        Err(resp) => return resp,
-    };
-    Metrics::bump(&shared.metrics.cache_misses);
-    let t = Instant::now();
-    let outcome = run_chorel_parsed(&doem, query, Strategy::Direct);
-    shared.metrics.exec.record(t.elapsed());
-    match outcome {
-        Ok(result) => {
-            let rows = canonical_row_strings(&doem, &result);
-            let maintain = maintainable.then(|| (query.clone(), lorel::Rows { rows: result.rows }));
-            cache.insert(
-                key,
-                Arc::new(CacheEntry {
-                    strings: rows.clone(),
-                    maintain,
-                }),
-            );
-            Response::Rows(rows)
-        }
-        Err(e) => query_failed(e),
-    }
-}
-
 /// The cache key of a current-version query against database `db`.
 fn current_key(db: &str, canonical: &str, generation: u64) -> CacheKey {
     CacheKey {
@@ -279,6 +214,10 @@ fn current_key(db: &str, canonical: &str, generation: u64) -> CacheKey {
     }
 }
 
+/// Answer a current-version query from the shard's cache, or evaluate it
+/// over a snapshot — with every lock already dropped — and cache the
+/// canonical rows beside the raw engine rows, so the publish stage can
+/// carry the entry across writes instead of invalidating it.
 fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Query) -> Response {
     // Snapshot: hold the shard lock only for an Arc clone.
     let (doem, generation) = {
@@ -286,7 +225,27 @@ fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Qu
         (st.doem.snapshot(), st.generation)
     };
     let key = current_key(db, key, generation);
-    cached_query(shared, &shard.cache, key, query, true, || Ok(doem))
+    if let Some(hit) = cache_lookup(shared, &shard.cache, &key) {
+        return hit;
+    }
+    Metrics::bump(&shared.metrics.cache_misses);
+    let t = Instant::now();
+    let outcome = run_chorel_parsed(&doem, query, Strategy::Direct);
+    shared.metrics.exec.record(t.elapsed());
+    match outcome {
+        Ok(result) => {
+            let rows = canonical_row_strings(&doem, &result);
+            shard.cache.insert(
+                key,
+                Arc::new(CacheEntry {
+                    strings: rows.clone(),
+                    maintain: Some((query.clone(), lorel::Rows { rows: result.rows })),
+                }),
+            );
+            Response::Rows(rows)
+        }
+        Err(e) => query_failed(e),
+    }
 }
 
 /// Evaluate a `QUERY … AS OF` at the version in force at `at`. The ring
@@ -324,42 +283,6 @@ fn query_as_of(shared: &Shared, shard: &Shard, at: Timestamp, query: &Query) -> 
         Ok(rows) => Response::Rows(rows),
         Err(e) => query_failed(e),
     }
-}
-
-/// The cache key of a query against subscription `id`'s DOEM at the
-/// control generation, or `NOTFOUND` while that DOEM does not exist.
-fn sub_key(shared: &Shared, id: &str, canonical: &str) -> Result<CacheKey, Response> {
-    let ctl = shared.control.read();
-    if ctl.qss.doem_of(id).is_none() {
-        return Err(Response::err(
-            ErrKind::NotFound,
-            format!("no DOEM for subscription {id:?} (not yet polled?)"),
-        ));
-    }
-    Ok(CacheKey {
-        scope: format!("sub:{id}"),
-        canonical: canonical.to_string(),
-        generation: ctl.generation,
-    })
-}
-
-fn subquery(shared: &Shared, id: &str, key: &str, query: &Query) -> Response {
-    let key = match sub_key(shared, id, key) {
-        Ok(key) => key,
-        Err(resp) => return resp,
-    };
-    // On a miss, materialize a snapshot (subscription DOEMs are small —
-    // they hold poll results, not whole databases) and evaluate outside
-    // the control lock. Subscription DOEMs change through polls, not the
-    // publish stage, so these entries carry no maintenance state; the
-    // epoch-gated tick keeps them alive across quiet polls instead.
-    cached_query(shared, &shared.sub_cache, key, query, false, || {
-        match shared.control.read().qss.doem_of(id) {
-            Some(d) => Ok(SharedDoem::new(d.clone())),
-            // Unsubscribed between the two lock acquisitions.
-            None => Err(not_found("subscription", id)),
-        }
-    })
 }
 
 /// Followers reject client writes by construction: every state change on
@@ -476,84 +399,6 @@ pub(crate) fn install_replicated(
         .map_err(|e| e.describe("snapshot install", db).1)
 }
 
-fn define(shared: &Shared, program: &str) -> Response {
-    let mut ctl = shared.control.write();
-    match ctl.registry.load(program) {
-        Ok(_) => Response::Ok(format!(
-            "defined; registry has {} queries",
-            ctl.registry.names().len()
-        )),
-        Err(e) => Response::err(ErrKind::Syntax, e.to_string()),
-    }
-}
-
-fn has_subscription(ctl: &ControlState, id: &str) -> bool {
-    ctl.qss.subscription_ids().iter().any(|s| s == id)
-}
-
-fn subscribe(
-    shared: &Shared,
-    id: String,
-    polling: &str,
-    filter: &str,
-    freq: qss::FrequencySpec,
-) -> Response {
-    let mut ctl = shared.control.write();
-    if has_subscription(&ctl, &id) {
-        return Response::err(ErrKind::Conflict, format!("subscription {id:?} exists"));
-    }
-    let sub = match Subscription::from_registry(id.clone(), freq, &ctl.registry, polling, filter) {
-        Ok(sub) => sub,
-        Err(e) => return Response::err(ErrKind::NotFound, e.to_string()),
-    };
-    let clock = ctl.clock;
-    ctl.qss.subscribe(sub, clock);
-    let g = shared.bump_control(&mut ctl);
-    Response::Ok(format!("subscribed {id} at {clock}; generation {g}"))
-}
-
-fn unsubscribe(shared: &Shared, id: &str) -> Response {
-    let mut ctl = shared.control.write();
-    if !has_subscription(&ctl, id) {
-        return not_found("subscription", id);
-    }
-    ctl.qss.unsubscribe(id);
-    let g = shared.bump_control(&mut ctl);
-    Response::Ok(format!("unsubscribed {id}; generation {g}"))
-}
-
-/// `TICK`, and each step of the background ticker: advance the simulated
-/// clock to `until`, running the QSS polls that came due.
-pub(crate) fn tick(shared: &Shared, until: Timestamp) -> Response {
-    let mut ctl = shared.control.write();
-    if until <= ctl.clock {
-        return Response::Ok(format!("clock already at {}", ctl.clock));
-    }
-    let t = Instant::now();
-    let epoch = ctl.qss.change_epoch();
-    let outcome = ctl.qss.run_until(until);
-    shared.metrics.exec.record(t.elapsed());
-    match outcome {
-        Ok(polls) => {
-            ctl.clock = until;
-            shared
-                .metrics
-                .qss_polls
-                .fetch_add(polls as u64, Ordering::Relaxed);
-            // The generations move only when a poll actually folded a
-            // change set: a quiet tick leaves every subscription DOEM —
-            // and thus every cached `sub:` answer — untouched.
-            let g = if ctl.qss.change_epoch() != epoch {
-                shared.bump_control(&mut ctl)
-            } else {
-                shared.global_gen.load(Ordering::Relaxed)
-            };
-            Response::Ok(format!("clock {until}; {polls} polls; generation {g}"))
-        }
-        Err(e) => Response::err(ErrKind::Conflict, format!("qss poll failed: {e}")),
-    }
-}
-
 fn promote(shared: &Shared, db: &str, shard: &Shard) -> Response {
     if shard.is_fenced() {
         return deposed(db, shard, "promote the newer lineage");
@@ -598,40 +443,11 @@ fn fence(db: &str, shard: &Shard, epoch: u64) -> Response {
     )
 }
 
-fn notes(shared: &Shared, id: &str) -> Response {
-    let ctl = shared.control.read();
-    if id != "*" && !has_subscription(&ctl, id) {
-        return not_found("subscription", id);
-    }
-    let rows = ctl
-        .qss
-        .notifications()
-        .iter()
-        .filter(|n| id == "*" || n.subscription == id)
-        .map(|n| format!("{} at {}: {} rows", n.subscription, n.at, n.rows()))
-        .collect();
-    Response::Rows(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use crate::service::testing::guide_service;
-    use crate::{Client, ErrKind, Response, ServeConfig};
+    use crate::{ErrKind, Response, ServeConfig};
     use std::sync::atomic::Ordering;
-
-    /// Example 6.1's registry and its nightly subscription `S1`.
-    fn subscribe_s1(c: &Client) {
-        let resp = c.request_line(
-            "DEFINE polling query Restaurants as select guide.restaurant \
-             define filter query NewRestaurants as \
-             select Restaurants.restaurant<cre at T> where T > t[-1]",
-        );
-        assert_eq!(resp, Response::Ok("defined; registry has 2 queries".into()));
-        let resp = c.request_line(
-            "SUBSCRIBE S1 POLL Restaurants FILTER NewRestaurants FREQ every night at 11:30pm",
-        );
-        assert!(!resp.is_error(), "{resp:?}");
-    }
 
     #[test]
     fn ping_stats_gen_dbs() {
@@ -651,7 +467,6 @@ mod tests {
         };
         assert!(stats.iter().any(|l| l.starts_with("counter requests ")));
         assert!(stats.iter().any(|l| l == "gauge read_only_shards 0"));
-        assert!(stats.iter().any(|l| l.starts_with("counter qss_filters_proven_empty ")));
         svc.shutdown();
     }
 
@@ -746,87 +561,6 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn qss_subscription_lifecycle_example_6_1() {
-        let svc = guide_service(ServeConfig::default());
-        let c = svc.client();
-        subscribe_s1(&c);
-        let resp = c.request_line("TICK 1Jan97 11:30pm");
-        assert!(!resp.is_error(), "{resp:?}");
-        // Example 6.1: two notifications (initial results + Hakata).
-        let Response::Rows(notes) = c.request_line("NOTES S1") else {
-            panic!("NOTES must return rows")
-        };
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        // The subscription's DOEM is queryable.
-        let resp = c.request_line("SUBQUERY S1 select Restaurants.restaurant");
-        assert!(matches!(resp, Response::Rows(ref r) if !r.is_empty()), "{resp:?}");
-        // And cleanly removable.
-        assert!(!c.request_line("UNSUBSCRIBE S1").is_error());
-        assert!(c.request_line("NOTES S1").is_error());
-        svc.shutdown();
-    }
-
-    #[test]
-    fn qss_ticks_do_not_invalidate_database_caches() {
-        let svc = guide_service(ServeConfig::default());
-        let c = svc.client();
-        subscribe_s1(&c);
-        let q = "QUERY guide select guide.restaurant";
-        let _ = c.request_line(q); // prime the guide shard cache
-        assert!(!c.request_line("TICK 1Jan97 11:30pm").is_error());
-        let hits_before = svc.metrics().cache_hits.load(Ordering::Relaxed);
-        let _ = c.request_line(q);
-        assert_eq!(
-            svc.metrics().cache_hits.load(Ordering::Relaxed),
-            hits_before + 1,
-            "a QSS poll must not evict database query results"
-        );
-        svc.shutdown();
-    }
-
-    /// A tick whose polls all come back empty must not thrash freshly
-    /// cached subscription answers: the anchored window is provably empty
-    /// (zero filter evaluations), the `sub:` generation stays put (zero
-    /// cache writes), and the primed entry keeps answering.
-    #[test]
-    fn empty_delta_ticks_keep_subscription_caches_warm() {
-        let svc = guide_service(ServeConfig::default());
-        let c = svc.client();
-        subscribe_s1(&c);
-        assert!(!c.request_line("TICK 1Jan97 11:30pm").is_error());
-        let sq = "SUBQUERY S1 select Restaurants.restaurant";
-        let first = c.request_line(sq); // prime the sub: cache
-        assert!(matches!(first, Response::Rows(ref r) if !r.is_empty()), "{first:?}");
-
-        let stats_before = svc.shared.control.read().qss.stats();
-        let entries_before = svc.shared.sub_cache.len();
-        // 2Jan97 was quiet in the paper's timeline: one poll, empty diff.
-        assert!(!c.request_line("TICK 2Jan97 11:30pm").is_error());
-        let stats = svc.shared.control.read().qss.stats();
-        assert_eq!(stats.filters_full, stats_before.filters_full);
-        assert_eq!(stats.filters_anchored, stats_before.filters_anchored);
-        assert_eq!(
-            stats.filters_proven_empty,
-            stats_before.filters_proven_empty + 1,
-            "the quiet poll's filter must be proven empty, not evaluated"
-        );
-        assert_eq!(
-            svc.shared.sub_cache.len(),
-            entries_before,
-            "an empty-delta tick must not write or drop cache entries"
-        );
-
-        // The primed entry still answers — a hit, not a recomputation.
-        let hits_before = svc.metrics().cache_hits.load(Ordering::Relaxed);
-        assert_eq!(c.request_line(sq), first);
-        assert_eq!(
-            svc.metrics().cache_hits.load(Ordering::Relaxed),
-            hits_before + 1
-        );
         svc.shutdown();
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Module map (DESIGN.md §7–§8 for the full treatment):
 //!
-//! * `config` — [`ServeConfig`], [`WallClock`], [`AutoTick`].
+//! * `config` — [`ServeConfig`], [`WallClock`].
 //! * `shard` — a database shard's state and the **publish** stage.
 //! * `pipeline` — the **sequence** stage, the commit queue, and the group
 //!   committer's **persist** stage.
@@ -38,9 +38,7 @@
 //! [`Service::start`] recovers each database from its latest checkpoint
 //! plus the log tail — the paper's `D(O, H)` construction doubling as
 //! crash recovery — and a shard whose log can no longer be written flips
-//! to **read-only** instead of taking the service down. QSS state lives
-//! in a separate *control* shard, so ticks invalidate only
-//! subscription-query caches.
+//! to **read-only** instead of taking the service down.
 //!
 //! Every response is handed over through a reply slot (a mutex + condvar
 //! pair). A serial session waits on it with a deadline — a worker stuck
@@ -61,39 +59,23 @@ mod shard;
 
 pub use client::{Client, PendingReply};
 pub(crate) use client::{Outbound, ReplySlot};
-pub use config::{AutoTick, DynSource, ServeConfig, WallClock};
+pub use config::{ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
 
-use crate::cache::ResultCache;
 use crate::metrics::Metrics;
 use crate::replication::primary::ReplHub;
 use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
-use lorel::QueryRegistry;
 use oem::{History, OemDatabase, SharedOem, Timestamp};
 use parking_lot::RwLock;
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
-use qss::{QssServer, ScriptedSource};
 use recovery::{install_shard, io_error, last_lsn, recover_all, Durability};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use shard::Shard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-
-/// Everything behind the control shard's lock: QSS subscriptions, the
-/// registry of named queries, and the simulated clock.
-pub(crate) struct ControlState {
-    /// Simulated time (QSS polls run up to here).
-    pub(crate) clock: Timestamp,
-    pub(crate) registry: QueryRegistry,
-    pub(crate) qss: QssServer<DynSource>,
-    /// Bumped whenever a QSS poll, subscribe, or unsubscribe changes what
-    /// subscription queries can observe; keys the `sub:` cache.
-    pub(crate) generation: u64,
-}
 
 /// State shared by the service handle, every worker, and every client.
 pub(crate) struct Shared {
@@ -101,11 +83,6 @@ pub(crate) struct Shared {
     /// Database name → shard. Held only to look up / insert / list
     /// shards; execution happens against a cloned `Arc<Shard>`.
     pub(crate) shards: RwLock<HashMap<String, Arc<Shard>>>,
-    /// The QSS/registry/clock shard.
-    pub(crate) control: RwLock<ControlState>,
-    /// Result cache for subscription (`sub:<id>`) queries, keyed by the
-    /// control generation.
-    pub(crate) sub_cache: ResultCache,
     /// SAVE/LOAD storage; internally synchronized, so no lock here.
     pub(crate) store: Option<lore::LoreStore>,
     /// WAL + checkpoint machinery; `None` without a `wal_dir`.
@@ -150,41 +127,24 @@ impl Shared {
     fn bump_global(&self) -> u64 {
         self.global_gen.fetch_add(1, Ordering::Relaxed) + 1
     }
-
-    /// Something subscription queries can observe changed: move the
-    /// control generation (retiring the `sub:` cache entries keyed by the
-    /// old one) and the global one, which is returned.
-    fn bump_control(&self, ctl: &mut ControlState) -> u64 {
-        ctl.generation += 1;
-        self.sub_cache.retain_generation(ctl.generation);
-        self.bump_global()
-    }
 }
 
-/// The service handle: owns the worker pool and (optionally) the QSS
-/// ticker. Create sessions with [`Service::client`], stop everything with
-/// [`Service::shutdown`].
+/// The service handle: owns the worker pool. Create sessions with
+/// [`Service::client`], stop everything with [`Service::shutdown`].
 pub struct Service {
     pub(crate) shared: Arc<Shared>,
     job_tx: Sender<Job>,
     workers: Vec<TrackedHandle<()>>,
-    ticker: Option<TrackedHandle<()>>,
     /// The replication fetch/apply thread (follower mode only).
     follower: Option<TrackedHandle<()>>,
     pub(crate) stop: Arc<AtomicBool>,
 }
 
 impl Service {
-    /// Start a service over the paper's guide source (Example 6.1's
-    /// scripted restaurant guide feeds the embedded QSS). With a
+    /// Start a service with no databases installed. With a
     /// [`ServeConfig::wal_dir`], first recovers every database found
     /// there (checkpoint + log-tail replay).
     pub fn start(cfg: ServeConfig) -> std::io::Result<Service> {
-        Service::start_with_source(cfg, Box::new(ScriptedSource::paper_guide()))
-    }
-
-    /// Start a service polling the given source.
-    pub fn start_with_source(cfg: ServeConfig, source: DynSource) -> std::io::Result<Service> {
         let open = |dir| lore::LoreStore::open(dir).map_err(io_error);
         let store = cfg.store_dir.as_ref().map(open).transpose()?;
         let durable = cfg.wal_dir.as_ref().map(open).transpose()?;
@@ -194,17 +154,9 @@ impl Service {
         if let Some(d) = &durable {
             recover_all(d, &cfg, &metrics, &mut shards)?;
         }
-        let control = ControlState {
-            clock: cfg.epoch,
-            registry: QueryRegistry::new(),
-            qss: QssServer::new(source),
-            generation: 1,
-        };
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
         let shared = Arc::new(Shared {
             shards: RwLock::new(shards),
-            control: RwLock::new(control),
-            sub_cache: ResultCache::new(cfg.cache_capacity),
             store,
             durable,
             accepting: AtomicBool::new(true),
@@ -227,16 +179,6 @@ impl Service {
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        let ticker = match shared.cfg.autotick {
-            Some(tick) => {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                Some(spawn_tracked("serve-qss-ticker", move || {
-                    ticker_loop(&shared, tick, &stop)
-                })?)
-            }
-            None => None,
-        };
         // Recovered shards were built before `shared` existed; give each
         // its group committer now.
         for (name, shard) in shared.shards_by_name() {
@@ -256,7 +198,6 @@ impl Service {
             shared,
             job_tx,
             workers,
-            ticker,
             follower,
             stop,
         })
@@ -360,7 +301,6 @@ impl Service {
             shared,
             job_tx,
             workers,
-            ticker,
             follower,
             stop,
         } = self;
@@ -372,7 +312,7 @@ impl Service {
         // The follower joins before the committers stop: its in-flight
         // record applies are acked by the committers, so stopping those
         // first would strand it waiting out a reply timeout.
-        for handle in workers.into_iter().chain(follower).chain(ticker) {
+        for handle in workers.into_iter().chain(follower) {
             let _ = handle.join();
         }
         // Workers are gone, so the commit queues can only shrink: ask
@@ -385,17 +325,6 @@ impl Service {
         for (_, shard) in &shards {
             join_committer(shard);
         }
-    }
-}
-
-fn ticker_loop(shared: &Shared, tick: AutoTick, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        thread::sleep(tick.interval);
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let horizon = shared.control.read().clock.plus_minutes(tick.step_minutes);
-        let _ = handlers::tick(shared, horizon);
     }
 }
 
@@ -418,6 +347,7 @@ mod testing {
 mod tests {
     use super::testing::guide_service;
     use super::*;
+    use std::thread;
 
     #[test]
     fn save_and_load_round_trip_through_store() {

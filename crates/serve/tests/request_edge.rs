@@ -23,7 +23,7 @@ fn guide_service(cfg: ServeConfig) -> Service {
 /// One session touching every kind of request the edge answers, beside
 /// ones it must hand to the pool: repeats (cache hits with a cache,
 /// evaluations without), whitespace variants of one canonical text,
-/// writes between repeats, a subscription query, probes, errors.
+/// writes between repeats, an `AS OF` read, probes, errors.
 const SCRIPT: &[&str] = &[
     "PING",
     "CREATE d",
@@ -46,15 +46,9 @@ const SCRIPT: &[&str] = &[
     "UPDATE d AT 1Mar97 9:02am ; {remArc(n1, item, n10)}",
     "QUERY d select d.item",
     "QUERY d select d.item",
-    "DEFINE polling query Restaurants as select guide.restaurant \
-     define filter query NewRestaurants as \
-     select Restaurants.restaurant<cre at T> where T > t[-1]",
-    "SUBSCRIBE S1 POLL Restaurants FILTER NewRestaurants FREQ every night at 11:30pm",
-    "SUBQUERY S1 select Restaurants.restaurant",
-    "TICK 1Jan97 11:30pm",
-    "SUBQUERY S1 select Restaurants.restaurant",
-    "SUBQUERY S1 select Restaurants.restaurant",
-    "SUBQUERY S1 select  Restaurants . restaurant",
+    "QUERY guide select guide.restaurant",
+    "QUERY guide select guide.restaurant",
+    "QUERY guide select  guide . restaurant",
     "GEN",
     "QUERY nosuch select nosuch.x",
     "QUERY d selec d.item",

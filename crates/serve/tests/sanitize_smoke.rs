@@ -1,6 +1,6 @@
 //! Serve smoke test under the concurrency sanitizer: drive a
 //! representative slice of the serve surface — in-process requests,
-//! durable writes, a QSS tick, and pipelined TCP sessions whose tagged
+//! durable writes, and pipelined TCP sessions whose tagged
 //! writes are acked by the group committer straight into the session's
 //! writer, one of them past its deadline — with every
 //! lock, channel, and tracked thread instrumented, then require **zero
@@ -40,7 +40,7 @@ fn serve_workload_is_sanitize_clean() {
     .expect("install guide");
 
     // In-process traffic: queries (cached + fresh), durable writes that
-    // cross a checkpoint boundary, and the QSS subscription lifecycle.
+    // cross a checkpoint boundary, and STATS.
     let c = svc.client();
     assert!(!c.request_line("CREATE scratch").is_error());
     for i in 0..8 {
@@ -84,19 +84,6 @@ fn serve_workload_is_sanitize_clean() {
         let resp = c.request_line("QUERY guide select guide.restaurant");
         assert!(matches!(resp, Response::Rows(ref r) if !r.is_empty()), "{resp:?}");
     }
-    assert!(!c
-        .request_line(
-            "DEFINE polling query Restaurants as select guide.restaurant \
-             define filter query NewRestaurants as \
-             select Restaurants.restaurant<cre at T> where T > t[-1]",
-        )
-        .is_error());
-    assert!(!c
-        .request_line(
-            "SUBSCRIBE S1 POLL Restaurants FILTER NewRestaurants FREQ every night at 11:30pm",
-        )
-        .is_error());
-    assert!(!c.request_line("TICK 1Jan97 11:30pm").is_error());
     assert!(!c.request_line("STATS").is_error());
 
     // Wire traffic: two concurrent sessions, one pipelining deeply —

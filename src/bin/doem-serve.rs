@@ -9,7 +9,6 @@
 //! doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!            [--store DIR] [--wal DIR] [--checkpoint-every N]
 //!            [--group-commit N] [--group-commit-window-us U]
-//!            [--autotick-ms MS] [--tick-minutes M]
 //!            [--follow HOST:PORT] [--follower-id NAME]
 //!            [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]
 //!            [--retain-lsns N] [--empty] [--create NAME]...
@@ -37,7 +36,7 @@
 //! `REPLICATE` verb's batch framing) is specified in
 //! `crates/serve/PROTOCOL.md`.
 
-use serve::{AutoTick, Response, ServeConfig, Service};
+use serve::{Response, ServeConfig, Service};
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -46,7 +45,6 @@ fn usage() -> ! {
         "usage: doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--store DIR] [--wal DIR] [--checkpoint-every N]\n\
          \x20                 [--group-commit N] [--group-commit-window-us U]\n\
-         \x20                 [--autotick-ms MS] [--tick-minutes M]\n\
          \x20                 [--follow HOST:PORT] [--follower-id NAME]\n\
          \x20                 [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]\n\
          \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
@@ -57,8 +55,6 @@ fn usage() -> ! {
 fn main() {
     let mut addr = "127.0.0.1:4545".to_string();
     let mut cfg = ServeConfig::default();
-    let mut autotick_ms: Option<u64> = None;
-    let mut tick_minutes: i64 = 60;
     let mut seed_guide = true;
     let mut create: Vec<String> = Vec::new();
 
@@ -80,8 +76,6 @@ fn main() {
             "--group-commit-window-us" => {
                 cfg.group_commit_window_us = parse_num(&val("--group-commit-window-us")) as u64
             }
-            "--autotick-ms" => autotick_ms = Some(parse_num(&val("--autotick-ms")) as u64),
-            "--tick-minutes" => tick_minutes = parse_num(&val("--tick-minutes")) as i64,
             "--follow" => cfg.follow = Some(val("--follow")),
             "--follower-id" => cfg.follower_id = Some(val("--follower-id")),
             "--repl-batch" => cfg.replication_batch = parse_num(&val("--repl-batch")),
@@ -98,12 +92,6 @@ fn main() {
                 usage();
             }
         }
-    }
-    if let Some(ms) = autotick_ms {
-        cfg.autotick = Some(AutoTick {
-            interval: Duration::from_millis(ms),
-            step_minutes: tick_minutes,
-        });
     }
 
     let following = cfg.follow.is_some();

@@ -23,7 +23,7 @@ fn runtime_lock_order_graph_is_a_subset_of_the_static_graph() {
 
     // A workload that exercises the interesting lock nests: shard map +
     // shard state on queries, the commit pipeline + WAL on updates, and
-    // the control lock via STATS.
+    // the shard map + version rings via STATS.
     let svc = Service::start(ServeConfig {
         workers: 4,
         queue_depth: 64,
