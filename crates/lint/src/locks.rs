@@ -155,7 +155,7 @@ const BLOCKING: &[(&str, bool)] = &[
     ("sync_all", false),
     ("save_doem", false),
     ("fresh_durable_db", false),
-    ("checkpoint_published", false),
+    ("start_checkpoint", false),
     ("append_batch", false),
     ("write_all", false),
     ("recv", true),

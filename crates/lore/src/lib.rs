@@ -15,4 +15,4 @@ mod error;
 mod store;
 
 pub use error::{LoreError, Result};
-pub use store::LoreStore;
+pub use store::{sync_dir, LoreStore};

@@ -7,7 +7,8 @@
 //! [`doem::encode_doem`]/[`doem::decode_doem`]; plain OEM databases are
 //! stored directly.
 //!
-//! Writes are crash-conscious: image → temp file → fsync → atomic rename.
+//! Writes are crash-conscious: image → temp file → fsync → atomic rename
+//! → fsync of the directory, so a saved image survives a power loss.
 
 use crate::codec::{decode_database, encode_database};
 use crate::{LoreError, Result};
@@ -46,6 +47,12 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Fsync the directory `dir`, making the renames, creations and deletions
+/// of its entries durable.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 impl LoreStore {
@@ -98,11 +105,17 @@ impl LoreStore {
                 return Err(e.into());
             }
         }
-        let _guard = self.write_lock.lock();
-        if let Err(e) = fs::rename(&tmp_path, &final_path) {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(e.into());
+        {
+            let _guard = self.write_lock.lock();
+            if let Err(e) = fs::rename(&tmp_path, &final_path) {
+                let _ = fs::remove_file(&tmp_path);
+                return Err(e.into());
+            }
         }
+        // The rename is durable only once the directory is: without this
+        // a power loss could keep a later step (a log truncated or a
+        // segment deleted because the image "is saved") and lose the image.
+        sync_dir(&self.dir)?;
         Ok(())
     }
 

@@ -35,7 +35,9 @@ pub enum FaultPoint {
     WalAppend,
     /// The fsync that makes an appended record durable.
     WalFsync,
-    /// A snapshot checkpoint (the save that precedes log truncation).
+    /// A checkpoint image save (the step before the log segment it
+    /// covers is deleted). [`FaultMode::Stall`] delays the save and lets
+    /// it proceed; every other mode fails it.
     Checkpoint,
     /// The primary serving one `REPLICATE` batch — an [`FaultMode::Error`]
     /// here looks to the follower like a network partition mid-stream.

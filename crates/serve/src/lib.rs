@@ -41,10 +41,11 @@
 //! (DESIGN.md §8): every committed mutation is appended to a per-database
 //! change-operation [`wal`] (the paper's own notation, length+CRC framed,
 //! fsynced before the write is published or acknowledged), periodically folded into snapshot
-//! checkpoints, and replayed through the `D(O, H)` construction on
-//! startup — tolerating a torn final record. A deterministic [`faults`]
-//! layer can fail any append/fsync/checkpoint at a chosen operation
-//! index for crash testing, and a shard whose log stops accepting writes
+//! checkpoints saved off the commit path, and replayed through the
+//! `D(O, H)` construction on startup — tolerating a torn final record. A
+//! deterministic [`faults`] layer can fail or stall any
+//! append/fsync/checkpoint at a chosen operation index for crash
+//! testing, and a shard whose log stops accepting writes
 //! degrades to read-only ([`ErrKind::ReadOnly`]) instead of taking the
 //! service down.
 //!

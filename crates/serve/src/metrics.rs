@@ -1,8 +1,8 @@
 //! The service's metrics registry: lock-free counters plus log2-bucketed
 //! latency histograms for the request pipeline stages (parse, queue wait,
-//! execution, reply-slot wait, writer-channel wait, end-to-end) and the
-//! publish stage. A snapshot is exposed over the wire as the `STATS`
-//! command.
+//! execution, reply-slot wait, writer-channel wait, end-to-end), the
+//! publish stage and checkpoint image saves. A snapshot is exposed over
+//! the wire as the `STATS` command.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -142,8 +142,15 @@ pub struct Metrics {
     /// Persisted batches that carried more than one record — true group
     /// commits, where concurrent writers shared a single fsync.
     pub group_commits: AtomicU64,
-    /// Snapshot checkpoints written (each followed by a log truncation).
+    /// Checkpoint images saved: one per `CREATE`/`LOAD`/install, and one
+    /// per committer checkpoint that also deleted its sealed log segment.
     pub checkpoints: AtomicU64,
+    /// Checkpoints that did not complete: an image save failed (an
+    /// install's failure is also answered to its client), or a committer
+    /// checkpoint could not seal the log, start its thread or delete its
+    /// sealed segment. A committer checkpoint that fails loses nothing
+    /// durable: the log keeps its records until a later one succeeds.
+    pub checkpoint_failures: AtomicU64,
     /// Databases recovered from checkpoint + log replay at startup.
     pub recoveries: AtomicU64,
     /// Recoveries that found (and discarded) a torn or unusable log tail.
@@ -205,6 +212,10 @@ pub struct Metrics {
     /// the end of the `write_all` that carried it. Sessions that write
     /// in place record nothing here.
     pub writer_wait: Histogram,
+    /// Time one checkpoint image save took (encode, write, fsync, rename,
+    /// directory fsync), on the thread that saved it — a committer's
+    /// checkpoint thread, or the install path.
+    pub checkpoint: Histogram,
 }
 
 impl Metrics {
@@ -247,6 +258,7 @@ impl Metrics {
             format!("counter wal_fsyncs {}", c(&self.wal_fsyncs)),
             format!("counter group_commits {}", c(&self.group_commits)),
             format!("counter checkpoints {}", c(&self.checkpoints)),
+            format!("counter checkpoint_failures {}", c(&self.checkpoint_failures)),
             format!("counter recoveries {}", c(&self.recoveries)),
             format!("counter torn_tails {}", c(&self.torn_tails)),
             format!("counter faults_injected {}", c(&self.faults_injected)),
@@ -269,6 +281,7 @@ impl Metrics {
         self.publish.render("publish", &mut out);
         self.reply_wait.render("reply_wait", &mut out);
         self.writer_wait.render("writer_wait", &mut out);
+        self.checkpoint.render("checkpoint", &mut out);
         out
     }
 }
@@ -312,6 +325,7 @@ mod tests {
             "publish",
             "reply_wait",
             "writer_wait",
+            "checkpoint",
         ] {
             assert!(lines.iter().any(|l| l.contains(&format!("latency {stage} "))));
         }

@@ -70,9 +70,13 @@ pub struct ServeConfig {
     /// purely in-memory. Use a directory dedicated to the WAL — `SAVE`
     /// images from `store_dir` share the same file format.
     pub wal_dir: Option<PathBuf>,
-    /// Checkpoint a database after this many WAL appends (then truncate
-    /// its log). 0 disables automatic checkpoints — the log grows until
-    /// shutdown. Ignored without `wal_dir`.
+    /// Start a checkpoint of a database once at least this many WAL
+    /// appends have gone into its active log segment and none of its
+    /// checkpoints is in flight: the committer seals the segment and a
+    /// checkpoint thread saves the image, then deletes the sealed
+    /// segment. Writes never wait for it, and under load images coalesce
+    /// instead of queueing. 0 disables automatic checkpoints — the log
+    /// grows until shutdown. Ignored without `wal_dir`.
     pub checkpoint_every: u64,
     /// Most records a group committer persists per `write`+`fsync` batch
     /// (min 1). `1` restores one-fsync-per-write; larger values let

@@ -8,9 +8,9 @@
 //! * `config` — [`ServeConfig`], [`WallClock`].
 //! * `shard` — a database shard's state and the **publish** stage.
 //! * `pipeline` — the **sequence** stage, the commit queue, and the group
-//!   committer's **persist** stage.
-//! * `recovery` — startup recovery, checkpoints, installing and replacing
-//!   shards.
+//!   committer's **persist** stage and checkpoint starts.
+//! * `recovery` — startup recovery, checkpoint image saves, installing
+//!   and replacing shards.
 //! * `client` — reply slots, the [`Client`] handle (the request edge),
 //!   the worker pool.
 //! * `handlers` — the request executor, one function per verb, and its
@@ -269,7 +269,8 @@ impl Service {
     /// immediately, queued requests execute to completion (so every
     /// admitted write is sequenced), the group committers drain their
     /// commit queues — persisting, publishing, and acking everything
-    /// staged — and each takes a final checkpoint before exiting, so a
+    /// staged — and each waits for its checkpoint in flight, then takes
+    /// a final checkpoint and waits for that too before exiting, so a
     /// clean shutdown followed by a restart loses nothing and replays
     /// nothing.
     pub fn shutdown(self) {
@@ -281,8 +282,9 @@ impl Service {
     /// **joined** (so the data directory is quiesced before a successor
     /// reopens it) and what is staged still drains, so no worker is
     /// stranded waiting on an ack — but no final checkpoint is taken: the
-    /// WAL is left exactly as the group committers last persisted it, and
-    /// restart goes through real recovery.
+    /// WAL is left exactly as the group committers last persisted it (a
+    /// checkpoint already in flight finishes first), and restart goes
+    /// through real recovery.
     ///
     /// Simply `drop`ping a `Service` is **not** a crash: the struct only
     /// holds `JoinHandle`s and `Arc` clones, so the committer, follower,

@@ -11,10 +11,11 @@
 //! order and releases the waiting reply slots. If it does not, the persist
 //! stage is empty — no I/O, so no thread and no queue hop: the sequencing
 //! thread publishes before it drops the pipeline lock and answers
-//! directly.
+//! directly. The group committer also starts the shard's checkpoints,
+//! each on a thread of its own (DESIGN.md §8).
 
 use super::client::ReplySlot;
-use super::recovery::checkpoint_published;
+use super::recovery::save_image;
 use super::shard::{publish, AppliedSet, Committer, Shard};
 use super::Shared;
 use crate::metrics::Metrics;
@@ -24,7 +25,7 @@ use doem::{apply_set, SharedDoem};
 use lorel::run_update;
 use oem::{ChangeSet, SharedOem, Timestamp};
 use parking_lot::{Condvar, Mutex};
-use sanitizer::thread::spawn_tracked;
+use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -71,10 +72,11 @@ pub(crate) enum StopKind {
     /// Service shutdown: drain the queue, then take a final checkpoint.
     Shutdown,
     /// Drain the queue — already-sequenced writes still commit — but take
-    /// no checkpoint. The shard is being replaced (`LOAD`/`install` over
-    /// the same name; the new incarnation resets the durable files
-    /// anyway), or the service is stopping the way a crash would and does
-    /// not get to tidy its log.
+    /// no new checkpoint (one already in flight still finishes). The
+    /// shard is being replaced (`LOAD`/`install` over the same name; the
+    /// new incarnation resets the durable files anyway), or the service
+    /// is stopping the way a crash would and does not get to tidy its
+    /// log.
     Abandon,
 }
 
@@ -313,13 +315,18 @@ pub(crate) fn start_committer(
 /// `group_commit_max` staged records (optionally lingering
 /// `group_commit_window_us` for riders), persists them with one
 /// `write`+`fsync` outside every lock, publishes them in LSN order, and
-/// releases the waiting reply slots. On stop it drains what is queued,
-/// then — for a shutdown — takes a final checkpoint so restart replays
+/// releases the waiting reply slots. Once `checkpoint_every` records are
+/// in the active segment and no checkpoint is in flight, it starts one
+/// ([`start_checkpoint`]) and goes on appending: under load, images
+/// coalesce instead of queueing. On stop it drains what is queued and
+/// joins its checkpoint thread, then — for a shutdown — takes a final
+/// checkpoint the same way and joins it at once, so restart replays
 /// nothing.
-fn committer_loop(shared: &Shared, db: &str, shard: &Shard, mut wal: DbWal) {
+fn committer_loop(shared: &Arc<Shared>, db: &str, shard: &Shard, mut wal: DbWal) {
     let pipeline = &shard.pipeline;
     let max = shared.cfg.group_commit_max.max(1);
     let window = Duration::from_micros(shared.cfg.group_commit_window_us);
+    let mut checkpoint: Option<CheckpointThread> = None;
     loop {
         let (batch, stopping) = {
             let mut ps = pipeline.inner.lock();
@@ -346,17 +353,111 @@ fn committer_loop(shared: &Shared, db: &str, shard: &Shard, mut wal: DbWal) {
         };
         if batch.is_empty() {
             // Stop requested and the queue is drained.
-            if stopping == Some(StopKind::Shutdown) && !wal.is_empty() && !shard.is_read_only() {
-                let _ = checkpoint_published(shared, db, shard, &mut wal);
+            join_checkpoint(&mut checkpoint);
+            let dirty = !wal.is_empty() || wal::sealed_path(wal.path()).exists();
+            if stopping == Some(StopKind::Shutdown) && dirty && !shard.is_read_only() {
+                checkpoint = start_checkpoint(shared, db, shard, &mut wal);
+                join_checkpoint(&mut checkpoint);
             }
             return;
         }
-        if persist_and_publish(shared, db, shard, &mut wal, batch) {
-            let every = shared.cfg.checkpoint_every;
-            if every > 0 && wal.since_checkpoint >= every {
-                let _ = checkpoint_published(shared, db, shard, &mut wal);
+        if !persist_and_publish(shared, db, shard, &mut wal, batch) {
+            continue;
+        }
+        let every = shared.cfg.checkpoint_every;
+        if every > 0 && wal.since_checkpoint >= every {
+            if checkpoint.as_ref().is_some_and(|c| c.is_finished()) {
+                join_checkpoint(&mut checkpoint);
+            }
+            if checkpoint.is_none() {
+                checkpoint = start_checkpoint(shared, db, shard, &mut wal);
             }
         }
+    }
+}
+
+/// A checkpoint in flight: the thread saving its image. Owned by the
+/// committer that started it, which joins it — outside every lock —
+/// before it starts another and before it exits.
+type CheckpointThread = TrackedHandle<()>;
+
+/// Start a checkpoint of a durable shard from its committer, at a batch
+/// boundary — the committer is the sole appender and publisher, so
+/// persisted == published there. Unless a sealed segment is left over
+/// from an earlier checkpoint that failed (or from before a crash), seal
+/// the active segment first ([`DbWal::rotate`]). Then take an O(1)
+/// snapshot of the *published* DOEM and hand it to a checkpoint thread
+/// ([`save_image`]), which deletes the sealed segment once the image is
+/// durable. With a sealed segment left over nothing is rotated: the fresh
+/// image covers that segment and part of the active one, whose records
+/// recovery skips by timestamp. A log that cannot be sealed degrades the
+/// shard to read-only; a thread that cannot start is counted in
+/// `checkpoint_failures`, and the sealed segment waits for the next
+/// checkpoint.
+fn start_checkpoint(
+    shared: &Arc<Shared>,
+    db: &str,
+    shard: &Shard,
+    wal: &mut DbWal,
+) -> Option<CheckpointThread> {
+    let sealed = wal::sealed_path(wal.path());
+    if sealed.exists() {
+        wal.since_checkpoint = 0;
+    } else if let Err(e) = wal.rotate() {
+        Metrics::bump(&shared.metrics.checkpoint_failures);
+        degrade(shared, db, shard, Vec::new(), &e);
+        return None;
+    }
+    let doem = shard.state.read().doem.snapshot();
+    let thread = {
+        let shared = Arc::clone(shared);
+        let db = db.to_string();
+        spawn_tracked(&format!("serve-checkpoint-{db}"), move || {
+            save_image(&shared, &db, &doem, &sealed);
+        })
+    };
+    if thread.is_err() {
+        Metrics::bump(&shared.metrics.checkpoint_failures);
+    }
+    thread.ok()
+}
+
+/// Wait for the in-flight checkpoint, if any. Called with no lock held.
+fn join_checkpoint(checkpoint: &mut Option<CheckpointThread>) {
+    if let Some(thread) = checkpoint.take() {
+        let _ = thread.join();
+    }
+}
+
+/// Flip the shard read-only after a log I/O failure: every rider of the
+/// failed `batch` gets the same `ErrKind::Io` response, and anything still
+/// queued is refused with `ErrKind::ReadOnly`. The flip is counted once
+/// in `read_only_flips`.
+fn degrade(
+    shared: &Shared,
+    db: &str,
+    shard: &Shard,
+    batch: Vec<StagedCommit>,
+    e: &std::io::Error,
+) {
+    let stranded: Vec<StagedCommit> = {
+        // Flipped under the pipeline lock, where `sequence` reads it:
+        // no write is staged behind the drain.
+        let mut ps = shard.pipeline.inner.lock();
+        if !shard.read_only.swap(true, Ordering::SeqCst) {
+            Metrics::bump(&shared.metrics.read_only_flips);
+        }
+        ps.queue.drain(..).collect()
+    };
+    let resp = Response::err(
+        ErrKind::Io,
+        format!("log append failed ({e}); database {db:?} is now read-only"),
+    );
+    for s in batch {
+        s.reply.deliver(resp.clone());
+    }
+    for s in stranded {
+        s.reply.deliver(read_only(db));
     }
 }
 
@@ -383,25 +484,7 @@ fn persist_and_publish(
 ) -> bool {
     let frames: Vec<&[u8]> = batch.iter().map(|s| s.frame.as_slice()).collect();
     if let Err(e) = wal.append_batch(&frames, &shared.cfg.faults, &shared.metrics) {
-        let stranded: Vec<StagedCommit> = {
-            // Flipped under the pipeline lock, where `sequence` reads it:
-            // no write is staged behind the drain.
-            let mut ps = shard.pipeline.inner.lock();
-            if !shard.read_only.swap(true, Ordering::SeqCst) {
-                Metrics::bump(&shared.metrics.read_only_flips);
-            }
-            ps.queue.drain(..).collect()
-        };
-        let resp = Response::err(
-            ErrKind::Io,
-            format!("log append failed ({e}); database {db:?} is now read-only"),
-        );
-        for s in batch {
-            s.reply.deliver(resp.clone());
-        }
-        for s in stranded {
-            s.reply.deliver(read_only(db));
-        }
+        degrade(shared, db, shard, batch, &e);
         return false;
     }
     if let (Some(d), Some(last)) = (&shard.durable, batch.last()) {

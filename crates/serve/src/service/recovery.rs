@@ -5,16 +5,17 @@
 use super::pipeline::{join_committer, request_stop, start_committer, StopKind};
 use super::shard::Shard;
 use super::{ServeConfig, Shared};
-use crate::faults::{FaultPoint, Faults};
+use crate::faults::{FaultMode, FaultPoint, Faults};
 use crate::metrics::Metrics;
 use crate::protocol::ErrKind;
-use crate::wal::{self, DbWal};
-use doem::{apply_set, current_snapshot, DoemDatabase};
+use crate::wal::{self, DbWal, WalReplay};
+use doem::{apply_set, current_snapshot, DoemDatabase, SharedDoem};
 use oem::{OemDatabase, Timestamp};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The durability half of the shared state: the checkpoint store (a
 /// [`lore::LoreStore`] rooted at `wal_dir`).
@@ -23,25 +24,44 @@ pub(crate) struct Durability {
 }
 
 impl Durability {
-    /// The WAL file beside the checkpoint image of database `name`.
+    /// The active WAL segment beside the checkpoint image of database
+    /// `name`.
     fn wal_path(&self, name: &str) -> PathBuf {
         self.store.path_of(name).with_extension("wal")
     }
 
     /// Write the checkpoint image of `name` behind one `Checkpoint`
-    /// failpoint check. The caller counts `checkpoints` once its whole
-    /// step has succeeded.
+    /// failpoint check, timing the save in `latency checkpoint`. A
+    /// `Stall` delays the save and then lets it proceed; every other mode
+    /// fails it. A failed save is counted in `checkpoint_failures`; after
+    /// a successful one the caller counts `checkpoints` once its own step
+    /// has succeeded, or a failure, so every call is counted exactly
+    /// once, in one of the two.
     fn save_checkpoint(
         &self,
         shared: &Shared,
         name: &str,
         doem: &DoemDatabase,
     ) -> std::io::Result<()> {
-        if shared.cfg.faults.check(FaultPoint::Checkpoint).is_some() {
-            Metrics::bump(&shared.metrics.faults_injected);
-            return Err(Faults::injected_error(FaultPoint::Checkpoint));
+        let began = Instant::now();
+        let saved = match shared.cfg.faults.check(FaultPoint::Checkpoint) {
+            Some(FaultMode::Stall(ms)) => {
+                // A slow disk, not a dead one: delay, then save normally.
+                Metrics::bump(&shared.metrics.faults_injected);
+                std::thread::sleep(Duration::from_millis(ms));
+                self.store.save_doem(name, doem).map_err(io_error)
+            }
+            Some(_) => {
+                Metrics::bump(&shared.metrics.faults_injected);
+                Err(Faults::injected_error(FaultPoint::Checkpoint))
+            }
+            None => self.store.save_doem(name, doem).map_err(io_error),
+        };
+        match saved {
+            Ok(()) => shared.metrics.checkpoint.record(began.elapsed()),
+            Err(_) => Metrics::bump(&shared.metrics.checkpoint_failures),
         }
-        self.store.save_doem(name, doem).map_err(io_error)
+        saved
     }
 }
 
@@ -61,8 +81,11 @@ pub(crate) fn last_lsn(doem: &DoemDatabase) -> Timestamp {
 }
 
 /// Recover every database found under the WAL directory: load its
-/// checkpoint, replay the usable log tail through [`apply_set`], truncate
-/// anything past the durable prefix, and install the shard.
+/// checkpoint, replay the usable log — the sealed segment, then the
+/// active one — through [`apply_set`], truncate anything past the
+/// durable prefix, and install the shard. A sealed segment is left in
+/// place: the shard's first checkpoint folds it into an image and
+/// deletes it.
 pub(crate) fn recover_all(
     d: &Durability,
     cfg: &ServeConfig,
@@ -76,8 +99,18 @@ pub(crate) fn recover_all(
             .map_err(|e| io_error(format!("checkpoint {stem:?}: {e}")))?;
         let name = doem.name().to_string();
         let wal_path = d.wal_path(&name);
-        let recovered = recover_one(doem, &wal_path)?;
-        let mut wal = DbWal::open(&wal_path, recovered.good_len)?;
+        let sealed_path = wal::sealed_path(&wal_path);
+        let sealed = wal::replay(&sealed_path)?;
+        let active = wal::replay(&wal_path)?;
+        let recovered = recover_one(doem, [&sealed, &active]);
+        let [sealed_len, active_len] = recovered.good_len;
+        if sealed_len < sealed.good_len || sealed.torn {
+            // The durable prefix ends inside the sealed segment: cut its
+            // tail too, or the next restart would stop there again and
+            // skip the records appended to the active segment meanwhile.
+            DbWal::open(&sealed_path, sealed_len)?;
+        }
+        let mut wal = DbWal::open(&wal_path, active_len)?;
         wal.since_checkpoint = recovered.applied;
         metrics.recoveries.fetch_add(1, Ordering::Relaxed);
         if recovered.torn {
@@ -107,7 +140,7 @@ pub(crate) fn recover_all(
     Ok(())
 }
 
-/// What [`recover_one`] rebuilt from a checkpoint plus its log tail.
+/// What [`recover_one`] rebuilt from a checkpoint plus its log.
 struct Recovered {
     doem: DoemDatabase,
     replica: OemDatabase,
@@ -115,8 +148,9 @@ struct Recovered {
     last_at: Timestamp,
     /// Entries replayed past the checkpoint.
     applied: u64,
-    /// Byte length of the durable log prefix (anything past it is torn).
-    good_len: u64,
+    /// Byte length of the durable prefix of the sealed and the active
+    /// segment (anything past it is torn).
+    good_len: [u64; 2],
     /// Whether anything past the durable prefix had to be discarded.
     torn: bool,
     /// The highest promotion epoch any usable record carried (the
@@ -125,66 +159,67 @@ struct Recovered {
     epoch: u64,
 }
 
-/// Replay one database's log tail onto its checkpoint.
-fn recover_one(checkpoint: DoemDatabase, wal_path: &Path) -> std::io::Result<Recovered> {
+/// Replay one database's log — its sealed segment, then its active one,
+/// read as one log — onto its checkpoint.
+fn recover_one(checkpoint: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered {
     let ckpt_max = last_lsn(&checkpoint);
-    let replayed = wal::replay(wal_path)?;
     // Replay the longest prefix that applies cleanly (`apply_set` leaves
     // the graphs untouched by the entry it rejects). Entries at or before
     // the checkpoint's high-water mark are already inside the image (a
-    // crash landed between checkpoint save and log truncation) and are
-    // skipped, not re-applied.
+    // crash landed after an image save and before its sealed segment was
+    // deleted) and are skipped, not re-applied. A defect ends the prefix:
+    // nothing after it, in either segment, is replayed.
     let mut doem = checkpoint;
     let mut replica = current_snapshot(&doem);
     let mut last_at = ckpt_max;
     let mut applied = 0u64;
-    let mut good_len = 0u64;
+    let mut good_len = [0u64; 2];
     let mut epoch = 0u64;
-    let mut rejected = false;
-    for (i, (at, changes)) in replayed.entries.iter().enumerate() {
-        if *at > ckpt_max {
-            if apply_set(&mut doem, &mut replica, changes, *at).is_err() {
-                rejected = true;
-                break;
+    let mut torn = false;
+    'replay: for (seg, replayed) in segments.into_iter().enumerate() {
+        for (i, (at, changes)) in replayed.entries.iter().enumerate() {
+            if *at > ckpt_max {
+                if apply_set(&mut doem, &mut replica, changes, *at).is_err() {
+                    torn = true;
+                    break 'replay;
+                }
+                last_at = *at;
+                applied += 1;
             }
-            last_at = *at;
-            applied += 1;
+            good_len[seg] = replayed.ends[i];
+            epoch = epoch.max(replayed.epochs[i]);
         }
-        good_len = replayed.ends[i];
-        epoch = epoch.max(replayed.epochs[i]);
+        if replayed.torn {
+            torn = true;
+            break;
+        }
     }
-    Ok(Recovered {
+    Recovered {
         doem,
         replica,
         last_at,
         applied,
         good_len,
-        torn: replayed.torn || rejected,
+        torn,
         epoch,
-    })
+    }
 }
 
-/// Checkpoint one durable shard from its committer: snapshot the
-/// *published* DOEM (an `Arc` clone under a brief read lock), save the
-/// image outside every lock, then truncate the log. The committer is the
-/// sole appender and publisher, so persisted == published at every batch
-/// boundary and truncation cannot lose a record the image lacks. On
-/// failure the log is left intact — nothing durable is lost, the log
-/// just keeps growing until a later checkpoint succeeds.
-pub(crate) fn checkpoint_published(
-    shared: &Shared,
-    name: &str,
-    shard: &Shard,
-    wal: &mut DbWal,
-) -> std::io::Result<()> {
+/// A checkpoint thread's work: save `doem` as the image of `name`, then
+/// delete the sealed log segment it covers — every record in it is at or
+/// before the snapshot's LSN. On failure the segment stays: nothing
+/// durable is lost, and the next checkpoint retries.
+pub(crate) fn save_image(shared: &Shared, name: &str, doem: &SharedDoem, sealed: &Path) {
     let Some(d) = &shared.durable else {
-        return Ok(());
+        return;
     };
-    let doem = shard.state.read().doem.snapshot();
-    d.save_checkpoint(shared, name, &doem)?;
-    wal.truncate()?;
-    Metrics::bump(&shared.metrics.checkpoints);
-    Ok(())
+    if d.save_checkpoint(shared, name, doem).is_err() {
+        return; // counted by `save_checkpoint`
+    }
+    match wal::remove_segment(sealed) {
+        Ok(()) => Metrics::bump(&shared.metrics.checkpoints),
+        Err(_) => Metrics::bump(&shared.metrics.checkpoint_failures),
+    }
 }
 
 /// Install (or replace) the shard for `doem` under the map write lock.
@@ -193,9 +228,10 @@ pub(crate) fn checkpoint_published(
 /// `CREATE`/`LOAD` of the same name cannot interleave with the prep and
 /// an acknowledged install exists on disk. A previous incarnation is
 /// stopped and its committer joined **before** the durable files are
-/// reset, so its file handle can never scribble on the new incarnation's
-/// log. The new committer starts after the map lock drops. Returns the
-/// new global generation.
+/// reset — the committer joins its own checkpoint thread before it
+/// exits — so neither its file handle nor its image can land over the
+/// new incarnation's. The new committer starts after the map lock drops.
+/// Returns the new global generation.
 pub(crate) fn install_shard(
     shared: &Arc<Shared>,
     name: &str,
@@ -218,7 +254,11 @@ pub(crate) fn install_shard(
             d.save_checkpoint(shared, name, &doem)
                 .map_err(InstallError::Io)?;
             Metrics::bump(&shared.metrics.checkpoints);
-            Some(DbWal::open(d.wal_path(name), 0).map_err(InstallError::Io)?)
+            // The old incarnation's log goes: a sealed segment its last
+            // checkpoint could not delete, then the active one.
+            let wal_path = d.wal_path(name);
+            wal::remove_segment(&wal::sealed_path(&wal_path)).map_err(InstallError::Io)?;
+            Some(DbWal::open(wal_path, 0).map_err(InstallError::Io)?)
         }
         None => None,
     };

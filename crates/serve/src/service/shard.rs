@@ -29,11 +29,12 @@ pub(crate) struct ShardState {
     /// Highest change timestamp **published** to this shard. The paper's
     /// Definition 2.2 — change timestamps strictly increase — makes the
     /// timestamp a log sequence number: recovery skips WAL entries at or
-    /// before the checkpoint's high-water mark, so a crash between
-    /// checkpoint save and log truncation can never double-apply.
+    /// before the checkpoint's high-water mark, so a crash between an
+    /// image save and the deletion of the log segment it covers can never
+    /// double-apply.
     pub(crate) last_at: Timestamp,
     /// The recent suffix of this shard's history, retained in memory for
-    /// followers (records survive checkpoint truncation here). Appended
+    /// followers (records survive checkpoints here). Appended
     /// under the same write lock that publishes a commit, so a
     /// group-commit batch becomes visible to replication atomically.
     pub(crate) tail: ReplTail,

@@ -30,14 +30,24 @@
 //! discarded (and truncated away on reopen, so later appends never chase
 //! garbage bytes).
 //!
-//! Checkpoints: after `checkpoint_every` appends the service saves the
-//! shard's DOEM image (atomic tmp-file + rename, via the lore store) and
-//! only then truncates the log to zero. The crash window between save and
-//! truncate is closed by a timestamp high-water mark: the sequence stage
-//! enforces the paper's Definition 2.2 (change timestamps strictly
-//! increase), so the timestamp doubles as a log sequence number, and
-//! recovery skips log entries at or before the checkpoint's newest
-//! annotation timestamp instead of double-applying them.
+//! # Segments and checkpoints
+//!
+//! A database's log is at most two files: the **active** segment
+//! `<db>.wal`, which the group committer appends to, and a **sealed**
+//! segment `<db>.wal.sealed`. Once `checkpoint_every` records are in the
+//! active segment, the committer seals it ([`DbWal::rotate`]: rename,
+//! fresh active segment, directory fsync) at a batch boundary, snapshots
+//! the published graph, and a checkpoint thread saves that snapshot as
+//! the new image (atomic tmp-file + rename + directory fsync, via the
+//! lore store). Only then is the sealed segment deleted; the committer
+//! kept appending to the active one meanwhile. Recovery replays the
+//! sealed segment, then the active one, over whichever image a crash
+//! left — older than the sealed segment's records or newer. A timestamp
+//! high-water mark makes both safe: the sequence stage enforces the
+//! paper's Definition 2.2 (change timestamps strictly increase), so the
+//! timestamp doubles as a log sequence number, and recovery skips log
+//! entries at or before the image's newest annotation timestamp instead
+//! of double-applying them.
 
 use crate::faults::{FaultMode, FaultPoint, Faults};
 use crate::metrics::Metrics;
@@ -98,6 +108,31 @@ fn split_epoch(text: &str) -> (&str, u64) {
         }
     }
     (body, 0)
+}
+
+/// The sealed segment beside the active log `active`: `<db>.wal` →
+/// `<db>.wal.sealed`.
+pub fn sealed_path(active: &Path) -> PathBuf {
+    let mut path = active.as_os_str().to_owned();
+    path.push(".sealed");
+    PathBuf::from(path)
+}
+
+/// Fsync the directory holding `path`, so its creation, rename or
+/// deletion is durable.
+fn sync_parent(path: &Path) -> std::io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    lore::sync_dir(dir.unwrap_or(Path::new(".")))
+}
+
+/// Delete the log segment at `path` (gone already is fine) and fsync its
+/// directory, so the deletion is durable.
+pub fn remove_segment(path: &Path) -> std::io::Result<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => sync_parent(path),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
+    }
 }
 
 /// What [`replay`] recovered from a log file.
@@ -175,18 +210,34 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
     Ok(out)
 }
 
-/// The append half of one database's log. Owned outright by the shard's
-/// group committer (`service::pipeline`), so appends and truncation are
-/// serialized without any lock held across the I/O.
+/// The append half of one database's log: its active segment. Owned
+/// outright by the shard's group committer (`service::pipeline`), so
+/// appends and rotation are serialized without any lock held across the
+/// I/O.
 #[derive(Debug)]
 pub struct DbWal {
     path: PathBuf,
     file: File,
-    /// Records appended since the last checkpoint; drives the service's
-    /// checkpoint-every-N policy.
+    /// Records appended since the last checkpoint began; drives the
+    /// service's checkpoint-every-N policy.
     pub since_checkpoint: u64,
     /// Current byte length.
     len: u64,
+}
+
+/// Open `path` for appending, creating it (and fsyncing its directory,
+/// so the new entry is durable) if it does not exist.
+fn open_append(path: &Path) -> std::io::Result<File> {
+    let existed = path.exists();
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)?;
+    if !existed {
+        sync_parent(path)?;
+    }
+    Ok(file)
 }
 
 impl DbWal {
@@ -198,11 +249,7 @@ impl DbWal {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(&path)?;
+        let file = open_append(&path)?;
         if file.metadata()?.len() != keep_len {
             file.set_len(keep_len)?;
             file.sync_data()?;
@@ -319,7 +366,25 @@ impl DbWal {
         Ok(buf.len() as u64)
     }
 
-    /// Empty the log — the step *after* a successful checkpoint save.
+    /// Seal the active segment: rename it to [`sealed_path`], open a fresh
+    /// empty active segment at the same path, and fsync the directory so
+    /// both entries are durable before the next append is acknowledged.
+    /// The caller makes sure no sealed segment exists yet. Every record
+    /// appended so far was fsynced by [`DbWal::append_batch`], so the
+    /// sealed segment is complete. On error the handle may still point at
+    /// the sealed file: the caller must append nothing more.
+    pub fn rotate(&mut self) -> std::io::Result<()> {
+        std::fs::rename(&self.path, sealed_path(&self.path))?;
+        // Creating the fresh segment fsyncs the directory, which makes
+        // the rename durable too.
+        self.file = open_append(&self.path)?;
+        self.len = 0;
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Empty the log in place: a single-file checkpoint's step *after* its
+    /// image save. The service rotates instead ([`DbWal::rotate`]).
     pub fn truncate(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
@@ -479,6 +544,30 @@ mod tests {
             assert_eq!(*end, total);
         }
         assert_eq!(r.good_len, total);
+    }
+
+    #[test]
+    fn rotate_seals_the_segment_and_appends_continue_in_a_fresh_one() {
+        let path = tmp("rotate");
+        let sealed = sealed_path(&path);
+        let _ = std::fs::remove_file(&sealed);
+        let mut wal = DbWal::open(&path, 0).unwrap();
+        let (m, f) = (Metrics::new(), Faults::disabled());
+        let h = history_example_2_3();
+        for e in &h.entries()[..2] {
+            wal.append(e.at, &e.changes, &f, &m).unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        wal.rotate().unwrap();
+        assert_eq!((wal.len(), wal.since_checkpoint), (0, 0));
+        wal.append(h.entries()[2].at, &h.entries()[2].changes, &f, &m).unwrap();
+        assert_eq!(std::fs::read(&sealed).unwrap(), before);
+        let (old, new) = (replay(&sealed).unwrap(), replay(&path).unwrap());
+        assert_eq!(old.entries.len(), 2);
+        assert_eq!(new.entries.len(), 1);
+        assert_eq!(new.entries[0].0, h.entries()[2].at);
+        assert_eq!(new.good_len, wal.len());
+        let _ = std::fs::remove_file(&sealed);
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! logged before it is applied, databases found under DIR are recovered
 //! (checkpoint + log replay) on startup — in which case the guide fixture
 //! is only seeded if no recovered database already claims the name — and
-//! a clean shutdown checkpoints everything. `--group-commit N` caps how
+//! a clean shutdown checkpoints everything. `--checkpoint-every N`
+//! (default 64, 0 = only at shutdown) starts a checkpoint once N appends
+//! are in a database's active log segment and none is in flight: the
+//! segment is sealed and the image saved on a thread of its own, so
+//! writes never wait for it. `--group-commit N` caps how
 //! many concurrent writes one fsync may cover (batching is invisible on
 //! the wire; see PROTOCOL.md), and `--group-commit-window-us U` optionally
 //! lets the committer linger to gather riders (default 0: batching comes

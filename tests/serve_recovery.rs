@@ -18,6 +18,8 @@ use doem::{apply_set, current_snapshot, same_doem, DoemDatabase};
 use oem::{parse_change_set, same_database, ChangeSet, OemDatabase, Timestamp};
 use serve::{ErrKind, FaultMode, FaultPoint, Faults, Response, ServeConfig, Service};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::{Duration, Instant};
 
 /// One write of the workload: target database, timestamp, change set.
 struct Write {
@@ -74,6 +76,36 @@ fn durable_cfg(dir: &Path, faults: Faults) -> ServeConfig {
         cfg.group_commit_max = gc;
     }
     cfg
+}
+
+/// Poll `cond` until it holds; panic after ten seconds.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// How many image saves reached the `Checkpoint` failpoint so far.
+fn checkpoint_attempts(faults: &Faults) -> u64 {
+    faults
+        .seen_by_site()
+        .into_iter()
+        .find(|(p, _)| *p == FaultPoint::Checkpoint)
+        .map_or(0, |(_, n)| n)
+}
+
+/// Copy every file of a data directory into a fresh one: a crash scene
+/// frozen at the moment of the copy.
+fn copy_dir(from: &Path, tag: &str) -> PathBuf {
+    let to = fresh_dir(tag);
+    std::fs::create_dir_all(&to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+    to
 }
 
 /// Run the workload against a fresh service with the given fault plan.
@@ -197,10 +229,16 @@ fn seeded_fault_recovers_acked_writes_and_invents_nothing() {
         .collect();
     // Fault accounting: every fired failpoint bumped `faults_injected`
     // exactly once — a batched fsync with many riders still counts one.
+    // A checkpoint thread may still sit between its failpoint check and
+    // that bump: quiesce first — every checkpoint that reached the
+    // failpoint has ended in `checkpoints` or `checkpoint_failures`.
+    let m = svc.metrics();
+    wait_until("checkpoints to quiesce", || {
+        m.checkpoints.load(Relaxed) + m.checkpoint_failures.load(Relaxed)
+            >= checkpoint_attempts(&faults)
+    });
     assert_eq!(
-        svc.metrics()
-            .faults_injected
-            .load(std::sync::atomic::Ordering::Relaxed),
+        m.faults_injected.load(Relaxed),
         faults.fired(),
         "seed {seed}: faults_injected diverged from the plan's fired count"
     );
@@ -443,10 +481,12 @@ fn clean_shutdown_then_restart_loses_nothing() {
     assert!(acked.iter().all(|(_, ok)| *ok));
     svc.shutdown();
 
-    // The final checkpoints emptied every log.
+    // The final checkpoints emptied every log and left no sealed segment.
     for stem in ["alpha", "beta", "gamma"] {
         let wal = dir.join(format!("{stem}.wal"));
         assert_eq!(std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0), 0, "{stem}");
+        let sealed = dir.join(format!("{stem}.wal.sealed"));
+        assert!(!sealed.exists(), "{stem}: a sealed segment survived a clean shutdown");
     }
 
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
@@ -456,6 +496,191 @@ fn clean_shutdown_then_restart_loses_nothing() {
     }
     svc2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The state a database named `p` reaches from an empty one through
+/// `writes`, pushed through the same `apply_set` the service uses.
+fn replayed(writes: &[(Timestamp, ChangeSet)]) -> DoemDatabase {
+    let initial = OemDatabase::new("p".to_string());
+    let mut want = DoemDatabase::from_snapshot(&initial);
+    let mut replica = initial;
+    for (at, ch) in writes {
+        apply_set(&mut want, &mut replica, ch, *at).unwrap();
+    }
+    want
+}
+
+/// Acknowledge `writes` against `p` one at a time.
+fn write_all(c: &serve::Client, writes: &[(Timestamp, ChangeSet)]) {
+    for (at, ch) in writes {
+        let resp = c.request_line(&format!("UPDATE p AT {at} ; {ch}"));
+        assert!(!resp.is_error(), "write at {at}: {resp:?}");
+    }
+}
+
+/// A durable service over `dir` with an armed (but so far empty) fault
+/// registry and a checkpoint due every four appends, with `p` created.
+fn small_checkpoint_service(dir: &Path, faults: &Faults) -> Service {
+    let mut cfg = durable_cfg(dir, faults.clone());
+    cfg.checkpoint_every = 4;
+    let svc = Service::start(cfg).unwrap();
+    assert!(!svc.client().request_line("CREATE p").is_error());
+    svc
+}
+
+/// The committer never waits on a checkpoint: with every image save
+/// stalled for two seconds, forty writes — ten checkpoints' worth — all
+/// acknowledge in well under that, and the stalled image is the only one
+/// started (images coalesce instead of queueing). The writes survive a
+/// crash in the middle of the stalled save.
+#[test]
+fn a_stalled_checkpoint_image_never_delays_a_write() {
+    let dir = fresh_dir("stalled-image");
+    let faults = Faults::armed();
+    let svc = small_checkpoint_service(&dir, &faults);
+    assert!(faults.arm_next(FaultPoint::Checkpoint, u64::MAX, FaultMode::Stall(2_000)));
+    let writes = pipelined_writes(40);
+    let began = Instant::now();
+    write_all(&svc.client(), &writes);
+    let took = began.elapsed();
+    assert!(took < Duration::from_millis(1_000), "40 writes took {took:?}");
+    assert_eq!(faults.fired(), 1, "a second image started behind the stalled one");
+    assert!(dir.join("p.wal.sealed").exists());
+    svc.crash_stop();
+
+    let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let got = svc2.doem_snapshot("p").expect("p must recover");
+    assert!(same_doem(&got, &replayed(&writes)));
+    svc2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every crash scene a background checkpoint passes through recovers
+/// every acknowledged write: (1) the image save in flight — old image,
+/// sealed segment, active segment; (2) the new image renamed into place
+/// but the sealed segment not yet deleted; (3) the sealed segment gone.
+/// Scenes (1) and (3) are copies of the live directory; scene (2) is
+/// (3) plus the sealed segment from (1), byte for byte what a kill -9
+/// between the image rename and the unlink leaves behind.
+#[test]
+fn every_crash_scene_of_a_background_checkpoint_recovers_the_acked_writes() {
+    let dir = fresh_dir("ckpt-scenes");
+    let faults = Faults::armed();
+    let svc = small_checkpoint_service(&dir, &faults);
+    let c = svc.client();
+    assert!(faults.arm_next(FaultPoint::Checkpoint, 1, FaultMode::Stall(1_500)));
+    // Seven writes: the eighth would make the next checkpoint due.
+    let writes = pipelined_writes(7);
+    write_all(&c, &writes[..4]); // the fourth append makes a checkpoint due
+    let sealed = dir.join("p.wal.sealed");
+    wait_until("the segment to be sealed", || sealed.exists());
+    write_all(&c, &writes[4..6]); // into the fresh active segment
+    let in_flight = copy_dir(&dir, "ckpt-scenes-in-flight");
+    assert!(in_flight.join("p.wal.sealed").exists());
+    let m = svc.metrics();
+    wait_until("the stalled image to land", || m.checkpoints.load(Relaxed) == 2);
+    assert!(!sealed.exists(), "the sealed segment outlived its image");
+    write_all(&c, &writes[6..]);
+    let done = copy_dir(&dir, "ckpt-scenes-done");
+    let renamed = copy_dir(&done, "ckpt-scenes-renamed");
+    std::fs::copy(in_flight.join("p.wal.sealed"), renamed.join("p.wal.sealed")).unwrap();
+    drop(c);
+    svc.crash_stop();
+
+    for (scene, acked) in [(&in_flight, 6), (&renamed, 7), (&done, 7)] {
+        let svc = Service::start(durable_cfg(scene, Faults::disabled())).unwrap();
+        let got = svc.doem_snapshot("p").expect("p must recover");
+        assert!(
+            same_doem(&got, &replayed(&writes[..acked])),
+            "{}: not the replay of the {acked} acked writes",
+            scene.display()
+        );
+        assert_eq!(svc.metrics().torn_tails.load(Relaxed), 0);
+        svc.shutdown();
+    }
+    for d in [&dir, &in_flight, &renamed, &done] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// A failed image save leaves its sealed segment in place and is counted
+/// in `checkpoint_failures`. The next due checkpoint does not rotate: it
+/// saves a fresh image over both segments, then deletes the sealed one —
+/// and a crash afterwards loses nothing.
+#[test]
+fn a_failed_checkpoint_is_folded_into_the_next_one() {
+    let dir = fresh_dir("ckpt-error");
+    let faults = Faults::armed();
+    let svc = small_checkpoint_service(&dir, &faults);
+    let c = svc.client();
+    assert!(faults.arm_next(FaultPoint::Checkpoint, 1, FaultMode::Error));
+    let writes = pipelined_writes(8);
+    write_all(&c, &writes[..4]);
+    let m = svc.metrics();
+    wait_until("the image save to fail", || m.checkpoint_failures.load(Relaxed) == 1);
+    let sealed = dir.join("p.wal.sealed");
+    assert!(sealed.exists(), "a failed checkpoint deleted its segment");
+    let Response::Rows(stats) = c.request_line("STATS") else { panic!() };
+    assert!(stats.iter().any(|l| l == "counter checkpoint_failures 1"), "{stats:?}");
+
+    write_all(&c, &writes[4..]);
+    wait_until("the retry to land", || m.checkpoints.load(Relaxed) == 2);
+    assert!(!sealed.exists(), "the retry left the sealed segment behind");
+    let active = std::fs::metadata(dir.join("p.wal")).unwrap().len();
+    assert!(active > 0, "the retry rotated the active segment");
+    assert_eq!(m.checkpoint_failures.load(Relaxed), 1);
+    drop(c);
+    svc.crash_stop();
+
+    let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let got = svc2.doem_snapshot("p").expect("p must recover");
+    assert!(same_doem(&got, &replayed(&writes)));
+    svc2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `LOAD` over a durable shard whose checkpoint image is stalled: the
+/// replaced committer joins its checkpoint before the new incarnation's
+/// image is saved, so the old image can never land over the new one.
+#[test]
+fn load_over_a_shard_with_a_stalled_checkpoint_keeps_the_new_image() {
+    let dir = fresh_dir("ckpt-load");
+    let store = fresh_dir("ckpt-load-store");
+    let faults = Faults::armed();
+    let mut cfg = durable_cfg(&dir, faults.clone());
+    cfg.checkpoint_every = 4;
+    cfg.store_dir = Some(store.clone());
+    let svc = Service::start(cfg).unwrap();
+    let c = svc.client();
+    assert!(!c.request_line("CREATE p").is_error());
+    let writes = pipelined_writes(5);
+    write_all(&c, &writes[..3]);
+    assert!(!c.request_line("SAVE p").is_error()); // what LOAD will bring back
+    assert!(faults.arm_next(FaultPoint::Checkpoint, 1, FaultMode::Stall(1_000)));
+    write_all(&c, &writes[3..4]); // checkpoint due: its image holds 4 writes
+    wait_until("the segment to be sealed", || dir.join("p.wal.sealed").exists());
+    let resp = c.request_line("LOAD p");
+    assert!(!resp.is_error(), "{resp:?}");
+    assert_eq!(svc.metrics().checkpoints.load(Relaxed), 3, "CREATE, the stalled image, LOAD");
+    assert!(!dir.join("p.wal.sealed").exists());
+    write_all(&c, &writes[4..]);
+    drop(c);
+    svc.crash_stop();
+
+    let image = lore::LoreStore::open(&dir).unwrap().load_doem("p").unwrap();
+    assert_eq!(
+        image.timestamps(),
+        writes[..3].iter().map(|(at, _)| *at).collect::<Vec<_>>(),
+        "the replaced shard's image landed over the loaded one"
+    );
+    let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let got = svc2.doem_snapshot("p").expect("p must recover");
+    let mut want: Vec<_> = writes[..3].to_vec();
+    want.push(writes[4].clone());
+    assert!(same_doem(&got, &replayed(&want)));
+    svc2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// `AT now` writes under a misbehaving wall clock: the LSN allocator
