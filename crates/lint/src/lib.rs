@@ -79,181 +79,28 @@ impl std::fmt::Display for Finding {
 // Source stripping
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Code,
-    LineComment,
-    BlockComment(u32),
-    Str,
-    RawStr(u32),
-    Char,
-}
-
 /// Blank out comments and string/char-literal contents with spaces,
 /// preserving every newline (so line numbers survive) and the overall
-/// length. Handles nested `/* */`, `//`, `"…"` with escapes, `r#"…"#`
-/// raw strings, byte strings, char literals, and the char-vs-lifetime
-/// ambiguity (`'a'` strips, `'a` in `&'a T` doesn't). Never panics.
+/// length: [`token::classify`]'s opaque bytes rendered as blanks, so the
+/// line rules and the lock analysis read one lexer. Handles nested
+/// `/* */`, `//`, `"…"` with escapes, `r#"…"#` raw strings, byte
+/// strings, char literals, and the char-vs-lifetime ambiguity (`'a'`
+/// strips, `'a` in `&'a T` doesn't). Never panics.
 pub fn strip_source(src: &str) -> String {
-    let bytes = src.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut mode = Mode::Code;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match mode {
-            Mode::Code => match b {
-                b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                    mode = Mode::LineComment;
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                }
-                b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                    mode = Mode::BlockComment(1);
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                }
-                b'"' => {
-                    mode = Mode::Str;
-                    out.push(b' ');
-                    i += 1;
-                }
-                b'r' | b'b' => {
-                    // Possible raw / byte string start: r", r#", br#", b".
-                    let mut j = i + 1;
-                    if b == b'b' && bytes.get(j) == Some(&b'r') {
-                        j += 1;
-                    }
-                    let mut hashes = 0u32;
-                    while bytes.get(j) == Some(&b'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    let is_raw = (b == b'r' || bytes.get(i + 1) == Some(&b'r') || hashes == 0)
-                        && bytes.get(j) == Some(&b'"')
-                        && (b != b'b' || bytes.get(i + 1) == Some(&b'r') || j == i + 1);
-                    if is_raw && (b == b'r' || bytes.get(i + 1) == Some(&b'r')) {
-                        mode = Mode::RawStr(hashes);
-                        out.extend(std::iter::repeat_n(b' ', j - i + 1));
-                        i = j + 1;
-                    } else if b == b'b' && bytes.get(i + 1) == Some(&b'"') {
-                        mode = Mode::Str;
-                        out.extend_from_slice(b"  ");
-                        i += 2;
-                    } else {
-                        out.push(b);
-                        i += 1;
-                    }
-                }
-                b'\'' => {
-                    // Char literal vs lifetime. A literal is '\x', 'c', or
-                    // '\u{..}': detect by looking for a closing quote after
-                    // one (possibly escaped) char. Lifetimes ('a, 'static)
-                    // have an identifier and no nearby closing quote.
-                    if bytes.get(i + 1) == Some(&b'\\') {
-                        mode = Mode::Char;
-                        out.push(b' ');
-                        i += 1;
-                    } else if bytes.get(i + 2) == Some(&b'\'')
-                        && bytes.get(i + 1).is_some_and(|c| *c != b'\'')
-                    {
-                        out.extend_from_slice(b"   ");
-                        i += 3;
-                    } else {
-                        out.push(b);
-                        i += 1;
-                    }
-                }
-                _ => {
-                    out.push(b);
-                    i += 1;
-                }
-            },
-            Mode::LineComment => {
-                if b == b'\n' {
-                    mode = Mode::Code;
-                    out.push(b'\n');
-                } else {
-                    out.push(b' ');
-                }
-                i += 1;
-            }
-            Mode::BlockComment(depth) => {
-                if b == b'*' && bytes.get(i + 1) == Some(&b'/') {
-                    mode = if depth <= 1 {
-                        Mode::Code
-                    } else {
-                        Mode::BlockComment(depth - 1)
-                    };
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if b == b'/' && bytes.get(i + 1) == Some(&b'*') {
-                    mode = Mode::BlockComment(depth.saturating_add(1));
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else {
-                    out.push(if b == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            Mode::Str => {
-                if b == b'\\' {
-                    out.push(b' ');
-                    if bytes.get(i + 1).is_some() {
-                        out.push(b' ');
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                } else if b == b'"' {
-                    mode = Mode::Code;
-                    out.push(b' ');
-                    i += 1;
-                } else {
-                    out.push(if b == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            Mode::RawStr(hashes) => {
-                if b == b'"' {
-                    let mut j = i + 1;
-                    let mut seen = 0u32;
-                    while seen < hashes && bytes.get(j) == Some(&b'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        mode = Mode::Code;
-                        out.extend(std::iter::repeat_n(b' ', j - i));
-                        i = j;
-                    } else {
-                        out.push(b' ');
-                        i += 1;
-                    }
-                } else {
-                    out.push(if b == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            Mode::Char => {
-                if b == b'\\' && bytes.get(i + 1).is_some() {
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if b == b'\'' {
-                    mode = Mode::Code;
-                    out.push(b' ');
-                    i += 1;
-                } else if b == b'\n' {
-                    // Unterminated char literal (or a stray quote in
-                    // macro-land): bail back to code at end of line.
-                    mode = Mode::Code;
-                    out.push(b'\n');
-                    i += 1;
-                } else {
-                    out.push(b' ');
-                    i += 1;
-                }
-            }
+    let classes = token::classify(src);
+    let mut out = Vec::with_capacity(src.len());
+    for (i, b) in src.bytes().enumerate() {
+        let opaque = classes
+            .get(i)
+            .copied()
+            .unwrap_or(token::Class::Code)
+            .is_opaque();
+        if !opaque {
+            out.push(b);
+        } else if b == b'\n' {
+            out.push(b'\n');
+        } else {
+            out.push(b' ');
         }
     }
     // Stripping only substitutes ASCII for ASCII, so the output is valid
@@ -1102,13 +949,6 @@ mod tests {
                 let _ = strip_source(&src);
                 let _ = scan_serve_unwrap("crates/serve/src/f.rs", &src);
                 let _ = scan_canonical_order("f.rs", &src, true);
-            }
-
-            #[test]
-            fn tokenizer_agrees_with_stripper(src in "\\PC{0,160}") {
-                // The class-based stripper (tokenizer's view) and the
-                // state-machine stripper must blank exactly the same bytes.
-                prop_assert_eq!(token::strip_via_classes(&src), strip_source(&src));
             }
 
             #[test]

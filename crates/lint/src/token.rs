@@ -1,22 +1,11 @@
 //! # token — the Rust-lite tokenizer under `doem-lint`'s static analyses
 //!
-//! The line-stripper ([`crate::strip_source`]) blanks comment and literal
-//! bytes so regex-ish line rules can't be fooled by strings; the lock-order
-//! analysis (DESIGN.md §13) needs more: a token stream with identifiers,
-//! punctuation, and line numbers. Both views MUST agree on which bytes are
-//! comment/literal content — a byte the stripper blanks but the tokenizer
-//! lexes as code (or vice versa) is a soundness hole in whichever rule
-//! trusted the wrong view.
-//!
-//! The agreement is enforced two ways:
-//!
-//! * [`classify`] is a transcription of the stripper's state machine that
-//!   emits a per-byte [`Class`] instead of blanked bytes, and
-//!   [`strip_via_classes`] renders those classes back into exactly the
-//!   stripper's output;
-//! * the `fuzz_tests` module proptests `strip_via_classes(src) ==
-//!   strip_source(src)` on arbitrary input, so the two state machines
-//!   cannot drift apart silently.
+//! One lexer serves every rule: [`classify`] labels each source byte
+//! code, comment or literal; the line-stripper ([`crate::strip_source`])
+//! renders those classes as blanked bytes so regex-ish line rules can't
+//! be fooled by strings, and the lock-order analysis (DESIGN.md §13)
+//! reads the token stream [`tokenize`] builds from them: identifiers,
+//! punctuation, and line numbers.
 //!
 //! The tokenizer is deliberately "Rust-lite": it knows identifiers,
 //! lifetimes, numbers, string/char literals, comments, and single-byte
@@ -25,7 +14,7 @@
 //! as token soup, which is the documented completeness trade.
 
 // ---------------------------------------------------------------------------
-// Per-byte classification (the stripper's view, reified)
+// Per-byte classification
 // ---------------------------------------------------------------------------
 
 /// What kind of lexical region a source byte belongs to.
@@ -62,9 +51,7 @@ enum Mode {
     Char,
 }
 
-/// Classify every byte of `src`. The state machine is a transcription of
-/// [`crate::strip_source`]'s, byte for byte — `fuzz_tests` proves the two
-/// agree on arbitrary input. Never panics; output length equals
+/// Classify every byte of `src`. Never panics; output length equals
 /// `src.len()`.
 pub fn classify(src: &str) -> Vec<Class> {
     let bytes = src.as_bytes();
@@ -227,26 +214,6 @@ pub fn classify(src: &str) -> Vec<Class> {
         }
     }
     out
-}
-
-/// Render the per-byte classes back into the stripper's output format:
-/// code bytes verbatim, opaque bytes blanked to spaces with newlines
-/// preserved. The `fuzz_tests` agreement property asserts this equals
-/// [`crate::strip_source`] exactly.
-pub fn strip_via_classes(src: &str) -> String {
-    let classes = classify(src);
-    let mut out = Vec::with_capacity(src.len());
-    for (i, b) in src.bytes().enumerate() {
-        let opaque = classes.get(i).copied().unwrap_or(Class::Code).is_opaque();
-        if !opaque {
-            out.push(b);
-        } else if b == b'\n' {
-            out.push(b'\n');
-        } else {
-            out.push(b' ');
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 // ---------------------------------------------------------------------------
@@ -448,19 +415,6 @@ pub fn allow_marker_lines(src: &str) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strip_source;
-
-    #[test]
-    fn classify_matches_stripper_on_basics() {
-        for src in [
-            "let a = \"x.unwrap()\"; // .unwrap()\nlet b = y.unwrap();\n",
-            "let r = r#\"a \" b\"#; let c = '\\''; let l: &'static str = x;",
-            "/* outer /* inner */ still */ code",
-            "b\"bytes\" br#\"raw bytes\"#",
-        ] {
-            assert_eq!(strip_via_classes(src), strip_source(src), "src={src:?}");
-        }
-    }
 
     #[test]
     fn tokenize_basics() {

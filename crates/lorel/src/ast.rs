@@ -380,71 +380,6 @@ impl fmt::Display for Expr {
     }
 }
 
-impl Expr {
-    /// Convenience: conjunction of an iterator of expressions (`true` for
-    /// the empty case is represented by `None`).
-    pub fn and_all(mut exprs: impl Iterator<Item = Expr>) -> Option<Expr> {
-        let first = exprs.next()?;
-        Some(exprs.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e))))
-    }
-
-    /// All variables introduced by annotation expressions anywhere in this
-    /// expression's paths.
-    pub fn annotation_vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.walk_paths(&mut |p| {
-            for s in &p.steps {
-                collect_annot_vars(s, &mut out);
-            }
-        });
-        out
-    }
-
-    /// Visit every path expression in this expression tree.
-    pub fn walk_paths(&self, visit: &mut impl FnMut(&PathExpr)) {
-        match self {
-            Expr::Path(p) => visit(p),
-            Expr::Literal(_) | Expr::PollTime(_) => {}
-            Expr::Cmp { lhs, rhs, .. } => {
-                lhs.walk_paths(visit);
-                rhs.walk_paths(visit);
-            }
-            Expr::Like { expr, pattern } => {
-                expr.walk_paths(visit);
-                pattern.walk_paths(visit);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.walk_paths(visit);
-                b.walk_paths(visit);
-            }
-            Expr::Not(e) => e.walk_paths(visit),
-            Expr::Exists { path, pred, .. } => {
-                visit(path);
-                pred.walk_paths(visit);
-            }
-        }
-    }
-}
-
-/// Collect variables introduced by one step's annotation expressions.
-pub fn collect_annot_vars(step: &PathStep, out: &mut Vec<String>) {
-    match &step.arc_annot {
-        Some(ArcAnnotExpr::Add { at }) | Some(ArcAnnotExpr::Rem { at }) => {
-            out.extend(at.clone());
-        }
-        _ => {}
-    }
-    match &step.node_annot {
-        Some(NodeAnnotExpr::Cre { at }) => out.extend(at.clone()),
-        Some(NodeAnnotExpr::Upd { at, from, to }) => {
-            out.extend(at.clone());
-            out.extend(from.clone());
-            out.extend(to.clone());
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,24 +425,5 @@ mod tests {
             to: Some("NV".into()),
         };
         assert_eq!(n.to_string(), "<upd at T to NV>");
-    }
-
-    #[test]
-    fn annotation_vars_are_collected() {
-        let step = PathStep {
-            arc_annot: Some(ArcAnnotExpr::Add {
-                at: Some("T1".into()),
-            }),
-            label: LabelPattern::Label("price".into()),
-            star: false,
-            node_annot: Some(NodeAnnotExpr::Upd {
-                at: Some("T2".into()),
-                from: Some("OV".into()),
-                to: Some("NV".into()),
-            }),
-        };
-        let mut vars = Vec::new();
-        collect_annot_vars(&step, &mut vars);
-        assert_eq!(vars, vec!["T1", "T2", "OV", "NV"]);
     }
 }

@@ -91,22 +91,6 @@ impl ChangeOp {
             ChangeOp::RemArc(arc) => db.delete_arc(*arc),
         }
     }
-
-    /// The node this operation creates or updates, if any.
-    pub fn target_node(&self) -> Option<NodeId> {
-        match self {
-            ChangeOp::CreNode(n, _) | ChangeOp::UpdNode(n, _) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The arc this operation adds or removes, if any.
-    pub fn target_arc(&self) -> Option<ArcTriple> {
-        match self {
-            ChangeOp::AddArc(a) | ChangeOp::RemArc(a) => Some(*a),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ChangeOp {

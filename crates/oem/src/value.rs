@@ -51,18 +51,6 @@ impl Value {
         !self.is_complex()
     }
 
-    /// A short name for the value's type, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Complex => "complex",
-            Value::Int(_) => "int",
-            Value::Real(_) => "real",
-            Value::Str(_) => "string",
-            Value::Bool(_) => "bool",
-            Value::Time(_) => "time",
-        }
-    }
-
     fn discriminant_rank(&self) -> u8 {
         match self {
             Value::Complex => 0,

@@ -127,7 +127,7 @@ pub struct Metrics {
     pub versions_installed: AtomicU64,
     /// Versions unlinked from shard version rings by retention GC.
     pub versions_gced: AtomicU64,
-    /// `AS OF` reads served from a pinned ring version.
+    /// `AS OF` reads served from a ring version.
     pub as_of_ring: AtomicU64,
     /// `AS OF` reads served below the ring, over the lazy `O_t(D)` view.
     pub as_of_view: AtomicU64,

@@ -13,7 +13,7 @@
 //! CREATE <db>                                install an empty database
 //! SAVE <db>  /  LOAD <db>                    persist to / restore from store
 //! QUERY <db> [AS OF <lsn|ts>] <query>        evaluate, canonical rows back
-//!                                            (AS OF pins a historical version)
+//!                                            (AS OF reads a historical version)
 //! UPDATE <db> AT <ts|now> ; <change set>     apply `{creNode(...), ...}`
 //! MUTATE <db> AT <ts|now> ; <update stmt>    compile a Lorel update & apply
 //! LSN <db>                                   applied/durable LSNs (lag probe)
@@ -154,7 +154,7 @@ pub enum Request {
         /// Canonical query text — the result-cache key component.
         key: String,
         /// `AS OF` point: evaluate at the version in force at this LSN
-        /// (a pinned ring version, or the lazy `O_t(D)` view beyond the
+        /// (a ring version, or the lazy `O_t(D)` view beyond the
         /// retention horizon). `None` queries the current state.
         as_of: Option<Timestamp>,
     },

@@ -246,22 +246,22 @@ impl Service {
     }
 
     /// The retained version of database `db` in force at `lsn`: the
-    /// ring entry with the greatest LSN `<= lsn` (DESIGN.md §14). `None`
-    /// if no such database, or if `lsn` predates the retention horizon —
-    /// exactly when the `AS OF` query path falls back to the `O_t(D)`
-    /// view. Used by the chaos oracle to re-check
-    /// observed reads against the version actually served.
+    /// ring entry with the greatest LSN `<= lsn` (DESIGN.md §14), as the
+    /// `AS OF` query path resolves it. `None` if no such database, or if
+    /// `lsn` predates the retention horizon — exactly when `AS OF` reads
+    /// the `O_t(D)` view instead. Used by the chaos oracle to re-check
+    /// observed reads against the retained version.
     pub fn version_snapshot(&self, db: &str, lsn: Timestamp) -> Option<SharedOem> {
         let shard = self.shared.shard(db)?;
-        let ring = shard.versions.lock();
-        ring.at(lsn).map(|e| e.value.clone())
+        let st = shard.state.read();
+        st.ring.at(lsn).map(|e| e.value.clone())
     }
 
     /// How many versions database `db`'s ring currently retains.
     pub fn retained_versions(&self, db: &str) -> usize {
         self.shared
             .shard(db)
-            .map(|s| s.versions.lock().len())
+            .map(|s| s.state.read().ring.len())
             .unwrap_or(0)
     }
 

@@ -227,7 +227,7 @@ pub(crate) fn sequence(
     };
     if shard.durable.is_none() {
         // The null persist stage: nothing to wait for, so publish before
-        // the pipeline lock drops (`pipeline` → `state` → `versions`).
+        // the pipeline lock drops (`pipeline` → `state`).
         let generation = publish(shared, shard, &mut shard.state.write(), set);
         return Some(ack.response(at, generation));
     }

@@ -1,6 +1,6 @@
-//! One database shard — its published state, result cache, version ring
-//! and commit pipeline — and the **publish** stage, the only place a
-//! write becomes visible to readers.
+//! One database shard — its published state (version ring included),
+//! result cache and commit pipeline — and the **publish** stage, the only
+//! place a write becomes visible to readers.
 
 use super::pipeline::CommitPipeline;
 use super::Shared;
@@ -16,13 +16,17 @@ use sanitizer::thread::TrackedHandle;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The graphs one database shard guards: the DOEM database behind a
-/// copy-on-write handle (queries snapshot it), the plain-OEM replica kept
-/// in lockstep (the version ring retains it per LSN), and the shard's
-/// write counter. Only [`publish`] mutates it.
+/// What one database shard publishes: the DOEM database behind a
+/// copy-on-write handle (queries snapshot it), the version ring of recent
+/// plain-OEM replicas, and the shard's write counter. Only [`publish`]
+/// mutates it.
 pub(crate) struct ShardState {
     pub(crate) doem: SharedDoem,
-    pub(crate) replica: SharedOem,
+    /// The MVCC version ring (DESIGN.md §14): one structurally shared
+    /// replica per published LSN, newest last, serving `QUERY … AS OF`.
+    /// A cache of recent `O_t(D)`: below its horizon `AS OF` reads the
+    /// `doem` above instead.
+    pub(crate) ring: VersionRing<SharedOem>,
     /// Bumped by every successful write to this shard; cache keys carry
     /// it, so a bump structurally invalidates the shard's cache.
     pub(crate) generation: u64,
@@ -94,11 +98,6 @@ pub(crate) struct Shard {
     /// Set by `PROMOTE`: this follower-side shard takes client writes
     /// and the sync loop stops replaying the old primary into it.
     pub(crate) promoted: AtomicBool,
-    /// The MVCC version ring (DESIGN.md §14): one structurally shared
-    /// replica per published LSN, serving `QUERY … AS OF`. Locked only
-    /// for quick install/pin/GC operations — never across evaluation or
-    /// I/O — and always acquired *after* `state` when both are held.
-    pub(crate) versions: Mutex<VersionRing<SharedOem>>,
 }
 
 impl Shard {
@@ -119,8 +118,8 @@ impl Shard {
         // The ring's base version: whatever state the shard starts from
         // (empty, loaded, recovered, replicated) is readable `AS OF` its
         // install LSN onward.
-        let mut versions = VersionRing::new();
-        versions.publish_entry(last_at, 1, replica.snapshot());
+        let mut ring = VersionRing::new();
+        ring.publish_entry(last_at, 1, replica.snapshot());
         Shard {
             durable: wal.map(|wal| Durable {
                 lsn: AtomicI64::new(last_at.raw_minutes()),
@@ -128,10 +127,10 @@ impl Shard {
             }),
             // The sequencing head starts as O(1) snapshots of the
             // published graphs.
-            pipeline: CommitPipeline::new(doem.snapshot(), replica.snapshot(), last_at),
+            pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at),
             state: RwLock::new(ShardState {
                 doem,
-                replica,
+                ring,
                 generation: 1,
                 last_at,
                 tail: ReplTail::new(last_at),
@@ -142,7 +141,6 @@ impl Shard {
             epoch: AtomicU64::new(epoch),
             fenced_epoch: AtomicU64::new(0),
             promoted: AtomicBool::new(false),
-            versions: Mutex::new(versions),
         }
     }
 
@@ -228,9 +226,9 @@ pub(crate) struct AppliedSet {
 /// swap in the graphs the sequence stage produced, carry the result cache
 /// across the change set, push the replication tail, bump the generation
 /// (which retires the cache entries not carried), and install the new
-/// replica into the version ring (`state` → `versions` is the lock
-/// order) under the retention horizon. Client writes, group-commit
-/// batches and follower replay all become visible here and nowhere else.
+/// replica into the version ring under the retention horizon. Client
+/// writes, group-commit batches and follower replay all become visible
+/// here and nowhere else.
 /// Returns the new shard generation and records the time readers were
 /// locked out for this record in the `publish` histogram.
 pub(crate) fn publish(shared: &Shared, shard: &Shard, st: &mut ShardState, set: AppliedSet) -> u64 {
@@ -242,7 +240,6 @@ pub(crate) fn publish(shared: &Shared, shard: &Shard, st: &mut ShardState, set: 
         replica,
     } = set;
     st.doem = doem;
-    st.replica = replica;
     st.last_at = at;
     maintain_shard_cache(shared, shard, st, &changes, at);
     st.tail.push(
@@ -253,11 +250,8 @@ pub(crate) fn publish(shared: &Shared, shard: &Shard, st: &mut ShardState, set: 
     );
     st.generation += 1;
     shard.cache.retain_generation(st.generation);
-    let gced = {
-        let mut ring = shard.versions.lock();
-        ring.publish_entry(at, st.generation, st.replica.snapshot());
-        ring.retain(shared.cfg.retain_lsns)
-    };
+    st.ring.publish_entry(at, st.generation, replica);
+    let gced = st.ring.retain(shared.cfg.retain_lsns);
     let m = &shared.metrics;
     Metrics::bump(&m.versions_installed);
     m.versions_gced.fetch_add(gced, Ordering::Relaxed);

@@ -49,19 +49,28 @@ lock_order_dir="$(pwd)/target/lock-order"
 rm -rf "$lock_order_dir"
 mkdir -p "$lock_order_dir"
 
-echo "==> replication smoke (1 primary, 2 followers) under DOEM_SANITIZE=1"
-repl_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/repl.edges" \
-    cargo test -q --offline --test serve_replication \
-    two_followers_track_a_live_primary 2>&1)" || {
-    echo "$repl_out"
-    echo "ci: replication smoke failed under DOEM_SANITIZE=1" >&2
-    exit 1
+# sanitized_leg <edges> <label> <cmd…>: run the command under
+# DOEM_SANITIZE=1 with its edges dumped to $lock_order_dir/<edges>.edges;
+# a failing command (its output is printed) or any sanitizer finding
+# line fails CI.
+sanitized_leg() {
+    local edges="$1" label="$2" out
+    shift 2
+    out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/$edges.edges" "$@" 2>&1)" || {
+        echo "$out"
+        echo "ci: $label failed under DOEM_SANITIZE=1" >&2
+        exit 1
+    }
+    if grep -q "DOEM-SANITIZE \[" <<<"$out"; then
+        grep "DOEM-SANITIZE \[" <<<"$out" >&2
+        echo "ci: sanitizer reported findings in the $label" >&2
+        exit 1
+    fi
 }
-if grep -q "DOEM-SANITIZE \[" <<<"$repl_out"; then
-    grep "DOEM-SANITIZE \[" <<<"$repl_out" >&2
-    echo "ci: sanitizer reported findings in the replication smoke" >&2
-    exit 1
-fi
+
+echo "==> replication smoke (1 primary, 2 followers) under DOEM_SANITIZE=1"
+sanitized_leg repl "replication smoke" \
+    cargo test -q --offline --test serve_replication two_followers_track_a_live_primary
 
 echo "==> chaos matrix: topology torture + consistency oracle + failpoint liveness audit"
 # Three full-size seeds (kill-9s, WAL/replication faults, one fenced
@@ -70,36 +79,16 @@ echo "==> chaos matrix: topology torture + consistency oracle + failpoint livene
 cargo run -q --release --offline -p chaos -- --seeds 7,1998,424242
 
 echo "==> chaos smoke under DOEM_SANITIZE=1"
-chaos_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/chaos.edges" \
-    cargo run -q --release --offline -p chaos -- \
-    --seeds 3 --ops 60 --faults 8 --followers 2 2>&1)" || {
-    echo "$chaos_out"
-    echo "ci: chaos smoke failed under DOEM_SANITIZE=1" >&2
-    exit 1
-}
-if grep -q "DOEM-SANITIZE \[" <<<"$chaos_out"; then
-    grep "DOEM-SANITIZE \[" <<<"$chaos_out" >&2
-    echo "ci: sanitizer reported findings in the chaos smoke" >&2
-    exit 1
-fi
+sanitized_leg chaos "chaos smoke" \
+    cargo run -q --release --offline -p chaos -- --seeds 3 --ops 60 --faults 8 --followers 2
 
 echo "==> MVCC time-travel torture under DOEM_SANITIZE=1"
 # Concurrent writers advancing the head, a snapshot pinned across the
-# whole run, and AS OF readers hopping over retained versions — the
-# version-ring lock (state → versions, DESIGN.md §14) must stay clean,
-# and its observed edges feed the cross-validation gate below.
-mvcc_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/mvcc.edges" \
-    cargo test -q --offline --test serve_concurrency \
-    mvcc_time_travel_under_concurrent_writers 2>&1)" || {
-    echo "$mvcc_out"
-    echo "ci: MVCC time-travel leg failed under DOEM_SANITIZE=1" >&2
-    exit 1
-}
-if grep -q "DOEM-SANITIZE \[" <<<"$mvcc_out"; then
-    grep "DOEM-SANITIZE \[" <<<"$mvcc_out" >&2
-    echo "ci: sanitizer reported findings in the MVCC time-travel leg" >&2
-    exit 1
-fi
+# whole run, and AS OF readers hopping over retained versions — publish
+# and AS OF share the shard state lock (DESIGN.md §14), which must stay
+# clean, and its observed edges feed the cross-validation gate below.
+sanitized_leg mvcc "MVCC time-travel leg" \
+    cargo test -q --offline --test serve_concurrency mvcc_time_travel_under_concurrent_writers
 
 echo "==> serve module size guard (no file under crates/serve/src over 1,000 lines)"
 oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
@@ -124,18 +113,9 @@ echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # re-evaluation on random histories, and its change-set-seeded variants
 # with the unpruned ones; its serve/qss consumers run it under the shard
 # write lock — so both properties rerun with the sanitizer watching.
-inc_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/inc.edges" \
+sanitized_leg inc "incremental agreement proptest" \
     cargo test -q --offline --test properties -- \
-    incremental_agrees_with_full seeded_variants_agree_with_unpruned 2>&1)" || {
-    echo "$inc_out"
-    echo "ci: incremental agreement proptest failed under DOEM_SANITIZE=1" >&2
-    exit 1
-}
-if grep -q "DOEM-SANITIZE \[" <<<"$inc_out"; then
-    grep "DOEM-SANITIZE \[" <<<"$inc_out" >&2
-    echo "ci: sanitizer reported findings in the incremental agreement run" >&2
-    exit 1
-fi
+    incremental_agrees_with_full seeded_variants_agree_with_unpruned
 
 echo "==> serve suite under DOEM_SANITIZE=1 (must report zero findings)"
 # The sanitizer fixtures in crates/sanitizer/tests *intentionally* emit
@@ -145,17 +125,7 @@ echo "==> serve suite under DOEM_SANITIZE=1 (must report zero findings)"
 # cache mutex); crates/serve/tests/request_edge.rs drives that over TCP
 # here, so any lock edge it takes lands in serve.edges for the
 # runtime ⊆ static gate below.
-sanitize_out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/serve.edges" \
-    cargo test -q --offline -p serve 2>&1)" || {
-    echo "$sanitize_out"
-    echo "ci: serve tests failed under DOEM_SANITIZE=1" >&2
-    exit 1
-}
-if grep -q "DOEM-SANITIZE \[" <<<"$sanitize_out"; then
-    grep "DOEM-SANITIZE \[" <<<"$sanitize_out" >&2
-    echo "ci: sanitizer reported findings in the serve suite" >&2
-    exit 1
-fi
+sanitized_leg serve "serve suite" cargo test -q --offline -p serve
 
 echo "==> static/runtime lock-order cross-validation (runtime edges ⊆ static graph)"
 # After every sanitized leg, so each one's .edges file is in the union.

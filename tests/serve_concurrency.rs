@@ -442,6 +442,22 @@ fn mvcc_time_travel_under_concurrent_writers() {
         }
     });
 
+    // Readers never stretch a ring: after 30 writes under concurrent
+    // `AS OF` traffic the ring holds at most `retain_lsns` versions.
+    assert!(svc.retained_versions("guide") <= 16);
+    let Response::Rows(stats) = client.request_line("STATS") else {
+        panic!("STATS failed")
+    };
+    let retained: usize = stats
+        .iter()
+        .find_map(|l| l.strip_prefix("gauge retained_lsns "))
+        .and_then(|v| v.parse().ok())
+        .expect("retained_lsns gauge present");
+    assert!(
+        retained <= 16,
+        "retained_lsns {retained} exceeds the horizon"
+    );
+
     // The pinned base point still answers its exact pre-write rows, both
     // through the live ring/fallback and through the held snapshot.
     let Response::Rows(rows) = client.request_line(&format!("QUERY guide AS OF {base_lsn} {q}"))
