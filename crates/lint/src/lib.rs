@@ -41,9 +41,9 @@
 //!
 //! Suppression: a `// lint: allow` line comment (a *real* comment — doc
 //! comments and string literals don't count) suppresses findings on its
-//! own line and the next. The baseline file (`doem-lint.baseline`) holds
-//! per-rule, per-file finding *counts*: counts above baseline fail,
-//! counts below invite a `--write-baseline` ratchet.
+//! own line and the next. It is the only exemption: any other finding
+//! fails, and a marker that suppresses nothing is a `stale-allow`
+//! finding.
 
 #![warn(missing_docs)]
 

@@ -27,8 +27,8 @@
 //! this graph — an observed edge with no static counterpart is a
 //! *soundness bug in the lint* and fails CI. Static-only edges are
 //! expected (that is the point of a static over-approximation) and only
-//! surface through the cycle/blocking findings, which ratchet through
-//! `doem-lint.baseline`.
+//! surface through the cycle/blocking findings, which fail like any
+//! other finding unless an inline `// lint: allow` exempts the site.
 
 use crate::ast::{self, AliasSrc, Ev, FileAst, HeadHint, LockKind};
 use crate::callgraph::{transitive, CallGraph, Effect, Site};

@@ -1,7 +1,7 @@
 //! `doem-lint` — run the project invariant scanners over the workspace.
 //!
-//! Usage: `cargo run --bin doem-lint [-- --root <path>] [--write-baseline]
-//! [--fix [--check]] [--graph dot] [--runtime-subset <dir>]`
+//! Usage: `cargo run --bin doem-lint [-- --root <path>] [--fix [--check]]
+//! [--graph dot] [--runtime-subset <dir>]`
 //!
 //! `--fix` rewrites the *trivial* serve-unwrap findings in place
 //! (`.unwrap()` in a `Result`-returning fn under `crates/serve/src`
@@ -14,14 +14,11 @@
 //! `DOEM_SANITIZE_GRAPH`) and exits 1 unless every runtime edge is
 //! covered by the static graph — a missed edge is a lint soundness bug.
 //!
-//! Exit codes: 0 clean (relative to baseline), 1 findings above baseline
-//! (or `--fix --check` dirty, or a runtime-subset violation), 2 usage /
-//! I/O error. Diagnostics are `file:line: [rule] message`.
-//!
-//! The baseline file (`doem-lint.baseline` at the workspace root) holds
-//! `rule<TAB>file<TAB>count` lines for findings that are accepted by
-//! design. It only ratchets down: a file whose count drops below its
-//! baseline prints a hint to regenerate; a count above baseline fails.
+//! Exit codes: 0 clean, 1 any finding (or `--fix --check` dirty, or a
+//! runtime-subset violation), 2 usage / I/O error. Diagnostics are
+//! `file:line: [rule] message`. The one exemption is an inline
+//! `// lint: allow` at the site, and a marker that suppresses nothing is
+//! itself a `stale-allow` finding.
 
 #![warn(missing_docs)]
 
@@ -35,7 +32,6 @@ use lint::{apply_allows, collect_workspace_files, fix_serve_unwrap, lock_scope, 
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut fix = false;
     let mut check = false;
     let mut graph = false;
@@ -50,7 +46,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--write-baseline" => write_baseline = true,
             "--fix" => fix = true,
             "--check" => check = true,
             "--graph" => match args.next().as_deref() {
@@ -69,8 +64,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: doem-lint [--root <path>] [--write-baseline] [--fix [--check]] \
-                     [--graph dot] [--runtime-subset <dir>]"
+                    "usage: doem-lint [--root <path>] [--fix [--check]] [--graph dot] \
+                     [--runtime-subset <dir>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -113,86 +108,15 @@ fn main() -> ExitCode {
         return run_subset(&scan.analysis, &dir);
     }
 
-    let findings = scan.findings;
-    let baseline_path = root.join("doem-lint.baseline");
-
-    if write_baseline {
-        let text = render_baseline(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("doem-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let entries = text.lines().filter(|l| !l.starts_with('#')).count();
-        println!(
-            "doem-lint: wrote baseline with {} entr{} ({} finding(s)) to {}",
-            entries,
-            if entries == 1 { "y" } else { "ies" },
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    for f in &scan.findings {
+        println!("{f}");
     }
-
-    let baseline = match load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("doem-lint: bad baseline {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut counts: BTreeMap<(String, String), Vec<&Finding>> = BTreeMap::new();
-    for f in &findings {
-        counts
-            .entry((f.rule.to_string(), f.file.clone()))
-            .or_default()
-            .push(f);
-    }
-
-    let mut failures = 0usize;
-    let mut ratchet_hints = 0usize;
-    for (key, group) in &counts {
-        let allowed = baseline.get(key).copied().unwrap_or(0);
-        match group.len().cmp(&allowed) {
-            std::cmp::Ordering::Greater => {
-                for f in group {
-                    println!("{f}");
-                }
-                println!(
-                    "doem-lint: [{}] {}: {} finding(s), baseline allows {}",
-                    key.0,
-                    key.1,
-                    group.len(),
-                    allowed
-                );
-                failures += group.len() - allowed;
-            }
-            std::cmp::Ordering::Less => ratchet_hints += 1,
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-    // Baseline entries whose findings vanished entirely also invite a ratchet.
-    for key in baseline.keys() {
-        if !counts.contains_key(key) {
-            ratchet_hints += 1;
-        }
-    }
-    if ratchet_hints > 0 {
-        println!(
-            "doem-lint: {ratchet_hints} baseline entr{} exceed current findings — run with \
-             --write-baseline to ratchet down",
-            if ratchet_hints == 1 { "y" } else { "ies" }
-        );
-    }
-    if failures > 0 {
-        println!("doem-lint: {failures} finding(s) above baseline");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "doem-lint: clean ({} finding(s), all baselined)",
-            findings.len()
-        );
+    if scan.findings.is_empty() {
+        println!("doem-lint: clean");
         ExitCode::SUCCESS
+    } else {
+        println!("doem-lint: {} finding(s)", scan.findings.len());
+        ExitCode::FAILURE
     }
 }
 
@@ -377,49 +301,4 @@ fn scan_workspace(root: &Path) -> Scan {
         (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line))
     });
     Scan { findings, analysis }
-}
-
-/// Parse `rule<TAB>file<TAB>count` lines; `#` comments and blanks skipped.
-fn load_baseline(path: &Path) -> Result<BTreeMap<(String, String), usize>, String> {
-    let mut map = BTreeMap::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(map),
-        Err(e) => return Err(e.to_string()),
-    };
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let (Some(rule), Some(file), Some(count)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!("line {}: expected rule<TAB>file<TAB>count", i + 1));
-        };
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|e| format!("line {}: bad count: {e}", i + 1))?;
-        map.insert((rule.to_string(), file.to_string()), count);
-    }
-    Ok(map)
-}
-
-/// Render the current findings as a baseline file body.
-fn render_baseline(findings: &[Finding]) -> String {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in findings {
-        *counts
-            .entry((f.rule.to_string(), f.file.clone()))
-            .or_default() += 1;
-    }
-    let mut out = String::from(
-        "# doem-lint baseline: rule<TAB>file<TAB>accepted finding count.\n\
-         # Counts only ratchet down; regenerate with `cargo run --bin doem-lint -- --write-baseline`.\n",
-    );
-    for ((rule, file), count) in counts {
-        out.push_str(&format!("{rule}\t{file}\t{count}\n"));
-    }
-    out
 }

@@ -1,0 +1,33 @@
+//! The `doem-lint` binary's exit policy, end to end: any finding fails,
+//! and an inline `// lint: allow` is the one exemption — itself a finding
+//! once it suppresses nothing.
+
+use std::process::Command;
+
+/// Run `doem-lint --root` over a workspace whose one file,
+/// `crates/serve/src/x.rs`, holds `body`: its exit code and stdout.
+fn lint(tag: &str, body: &str) -> (i32, String) {
+    let root = std::env::temp_dir().join(format!("doem-lint-driver-{tag}-{}", std::process::id()));
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+    std::fs::write(src.join("x.rs"), body).unwrap();
+    let bin = env!("CARGO_BIN_EXE_doem-lint");
+    let out = Command::new(bin).arg("--root").arg(&root).output().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (out.status.code().unwrap_or(-1), stdout)
+}
+
+#[test]
+fn any_finding_fails_and_an_inline_allow_is_the_one_exemption() {
+    for (tag, line, code, want) in [
+        ("unwrap", "v.unwrap()", 1, "crates/serve/src/x.rs:2: [serve-unwrap]"),
+        ("allowed", "v.unwrap() // lint: allow", 0, "doem-lint: clean"),
+        ("stale", "v.unwrap_or(0) // lint: allow", 1, "crates/serve/src/x.rs:2: [stale-allow]"),
+    ] {
+        let (got, out) = lint(tag, &format!("fn f(v: Option<u8>) -> u8 {{\n    {line}\n}}\n"));
+        assert_eq!(got, code, "{tag}: {out}");
+        assert!(out.contains(want), "{tag}: {out}");
+    }
+}

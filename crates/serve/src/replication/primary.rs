@@ -35,6 +35,9 @@ const LEASE_TTL: Duration = Duration::from_secs(15);
 /// How far past `retain` an unacknowledged suffix may stretch the tail.
 const HARD_CAP_FACTOR: usize = 8;
 
+/// Most history records one `REPLICATE` batch carries.
+const BATCH_RECORDS: usize = 64;
+
 /// The recent suffix of one shard's history, kept for followers. The
 /// records cover exactly the LSN interval `(base, last published]`: a
 /// follower at LSN `from >= base` can be served records, one behind
@@ -191,11 +194,10 @@ pub(crate) fn serve_replicate(
         let floor = shared.repl.ack(db, peer, from);
         shard.repl_floor.store(floor, Ordering::Relaxed);
     }
-    let limit = shared.cfg.replication_batch.max(1);
     let (image, records, primary_lsn) = {
         let st = shard.state.read();
         if st.tail.covers(from) {
-            (None, st.tail.records_after(from, limit), st.last_at)
+            (None, st.tail.records_after(from, BATCH_RECORDS), st.last_at)
         } else {
             (Some(st.doem.snapshot()), Vec::new(), st.last_at)
         }

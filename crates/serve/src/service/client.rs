@@ -319,8 +319,8 @@ impl Client {
     }
 
     /// Submit an already-parsed request without blocking for the
-    /// response. A request that cannot block — a probe verb, or a
-    /// current-version query whose result is cached — is answered right
+    /// response. A request that cannot block — a probe verb, `STATS`, or
+    /// a current-version query whose result is cached — is answered right
     /// here, on the caller's thread, and takes no queue slot. Admission
     /// control applies immediately to everything else: a full queue
     /// resolves the reply to `BUSY` before this returns.

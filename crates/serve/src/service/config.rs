@@ -95,8 +95,6 @@ pub struct ServeConfig {
     /// Follower identity sent with `REPLICATE … AS <peer>` (leases log
     /// retention on the primary). Defaults to `follower-<pid>`.
     pub follower_id: Option<String>,
-    /// Most history entries per `REPLICATE` batch (min 1).
-    pub replication_batch: usize,
     /// Log-tail records each shard retains in memory for followers, past
     /// checkpoints (min 1; leased followers can stretch this up to 8×).
     pub replication_retain: usize,
@@ -129,7 +127,6 @@ impl Default for ServeConfig {
             group_commit_window_us: 0,
             follow: None,
             follower_id: None,
-            replication_batch: 64,
             replication_retain: 1024,
             follow_poll: Duration::from_millis(100),
             faults: Faults::disabled(),

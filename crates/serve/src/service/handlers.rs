@@ -2,9 +2,8 @@
 //! one handler per verb. Queries resolve their shard, snapshot it, and
 //! evaluate lock-free; writes (and the follower's replicated records)
 //! enter the shard's commit pipeline. [`edge_reply`] is the part of it
-//! that cannot block —
-//! the probe verbs and result-cache hits — which the submitting thread
-//! runs before the admission queue.
+//! that cannot block — the probe verbs, `STATS` and result-cache hits —
+//! which the submitting thread runs before the admission queue.
 
 use super::client::ReplySlot;
 use super::pipeline::{sequence, WriteKind};
@@ -24,11 +23,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Answer `req` if that needs no evaluation and no pipeline: the probe
-/// verbs always, a current-version `QUERY` when its result is cached at
-/// the current generation. Only brief read locks are taken
-/// and none is held across another, so [`Client::begin`](super::Client)
-/// calls this on the submitting thread; `None` sends the request to the
-/// worker pool.
+/// verbs and `STATS` always, a current-version `QUERY` when its result is
+/// cached at the current generation. Only brief read locks are taken and
+/// none is held across another — no install holds the shard map across
+/// I/O — so [`Client::begin`](super::Client) calls this on the submitting
+/// thread; `None` sends the request to the worker pool.
 pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
     Some(match req {
         Request::Ping => Response::Ok("pong".into()),
@@ -40,6 +39,7 @@ pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
             Response::Ok(shard.state.read().generation.to_string())
         }),
         Request::ListDbs => Response::Rows(shared.database_names()),
+        Request::Stats => stats(shared),
         Request::Lsn { db } => with_shard(shared, db, |shard| {
             let (applied, durable, epoch) = shard.lsn_fields();
             Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
@@ -73,8 +73,8 @@ pub(crate) fn execute(
         | Request::Quit
         | Request::Generation { .. }
         | Request::ListDbs
+        | Request::Stats
         | Request::Lsn { .. } => return edge_reply(shared, &req),
-        Request::Stats => stats(shared),
         Request::Create { db } => create(shared, &db),
         Request::Save { db } => save(shared, &db),
         Request::Load { db } => load(shared, &db),
@@ -162,9 +162,6 @@ fn create(shared: &Arc<Shared>, db: &str) -> Response {
     if let Some(resp) = refuse_follower_write(shared) {
         return resp;
     }
-    // With durability on, `install_shard` checkpoints the empty image
-    // under the map lock: the database exists across a crash from the
-    // moment CREATE is acknowledged.
     let doem = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
     install_response(shared, db, doem, true, "create", "created")
 }

@@ -10,23 +10,23 @@
 //! * `pipeline` — the **sequence** stage, the commit queue, and the group
 //!   committer's **persist** stage and checkpoint starts.
 //! * `recovery` — startup recovery, checkpoint image saves, installing
-//!   and replacing shards.
+//!   and replacing shards (decide → I/O → publish).
 //! * `client` — reply slots, the [`Client`] handle (the request edge),
 //!   the worker pool.
 //! * `handlers` — the request executor, one function per verb, and its
 //!   non-blocking subset the edge runs.
 //!
 //! Concurrency model: sessions parse requests at the edge, answer there —
-//! on their own thread — the ones that cannot block (probe verbs and
-//! current-version result-cache hits), and submit the rest as jobs to a
-//! bounded queue (`try_send` — a full queue is an immediate `BUSY`, the
+//! on their own thread — the ones that cannot block (probe verbs, `STATS`
+//! and current-version result-cache hits), and submit the rest as jobs to
+//! a bounded queue (`try_send` — a full queue is an immediate `BUSY`, the
 //! admission-control contract). Workers execute jobs against a **shard
 //! map** (`RwLock<HashMap>` from database name to `Arc<Shard>`, held only
-//! to look a shard up or insert one); each shard owns its own lock,
-//! generation counter and result cache, so writers to different databases
-//! never contend. Queries are **snapshot isolated**: a reader holds the
-//! shard lock just long enough to clone a [`SharedDoem`] handle and the
-//! generation, then evaluates outside it — the graphs are persistent
+//! to look a shard up or insert one, never across I/O); each shard owns
+//! its own lock, generation counter and result cache, so writers to
+//! different databases never contend. Queries are **snapshot isolated**:
+//! a reader holds the shard lock just long enough to clone a
+//! [`SharedDoem`] handle and the generation, then evaluates outside it — the graphs are persistent
 //! structures, so a concurrent update copies only the spine it touches.
 //!
 //! Every write — `UPDATE`, `MUTATE`, a replicated record on a follower —
@@ -70,10 +70,10 @@ use doem::{doem_from_history, SharedDoem};
 use oem::{History, OemDatabase, SharedOem, Timestamp};
 use parking_lot::RwLock;
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
-use recovery::{install_shard, io_error, last_lsn, recover_all, Durability};
+use recovery::{install_shard, io_error, last_lsn, recover_all};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use shard::Shard;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -81,12 +81,13 @@ use std::sync::Arc;
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     /// Database name → shard. Held only to look up / insert / list
-    /// shards; execution happens against a cloned `Arc<Shard>`.
-    pub(crate) shards: RwLock<HashMap<String, Arc<Shard>>>,
+    /// shards, never across I/O; execution uses a cloned `Arc<Shard>`.
+    pub(crate) shards: RwLock<Registry>,
     /// SAVE/LOAD storage; internally synchronized, so no lock here.
     pub(crate) store: Option<lore::LoreStore>,
-    /// WAL + checkpoint machinery; `None` without a `wal_dir`.
-    pub(crate) durable: Option<Durability>,
+    /// The checkpoint store, rooted at `wal_dir` beside the logs; `None`
+    /// without a `wal_dir`.
+    pub(crate) durable: Option<lore::LoreStore>,
     /// Cleared at the start of shutdown: new submissions fail fast while
     /// already-queued jobs drain.
     pub(crate) accepting: AtomicBool,
@@ -98,11 +99,19 @@ pub(crate) struct Shared {
     pub(crate) metrics: Metrics,
 }
 
+/// What [`Shared::shards`] guards: the installed shards, and the names
+/// an install has reserved while it does its I/O outside the lock.
+#[derive(Default)]
+pub(crate) struct Registry {
+    pub(crate) map: HashMap<String, Arc<Shard>>,
+    pub(crate) installing: HashSet<String>,
+}
+
 impl Shared {
     /// Look up a shard, cloning its `Arc` so the map lock drops
     /// immediately.
     pub(crate) fn shard(&self, db: &str) -> Option<Arc<Shard>> {
-        self.shards.read().get(db).cloned()
+        self.shards.read().map.get(db).cloned()
     }
 
     /// Every installed shard with its database name, sorted by name —
@@ -111,6 +120,7 @@ impl Shared {
         let mut shards: Vec<(String, Arc<Shard>)> = self
             .shards
             .read()
+            .map
             .iter()
             .map(|(name, shard)| (name.clone(), Arc::clone(shard)))
             .collect();
@@ -148,15 +158,14 @@ impl Service {
         let open = |dir| lore::LoreStore::open(dir).map_err(io_error);
         let store = cfg.store_dir.as_ref().map(open).transpose()?;
         let durable = cfg.wal_dir.as_ref().map(open).transpose()?;
-        let durable = durable.map(|store| Durability { store });
         let metrics = Metrics::new();
-        let mut shards = HashMap::new();
+        let mut registry = Registry::default();
         if let Some(d) = &durable {
-            recover_all(d, &cfg, &metrics, &mut shards)?;
+            recover_all(d, &cfg, &metrics, &mut registry.map)?;
         }
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
         let shared = Arc::new(Shared {
-            shards: RwLock::new(shards),
+            shards: RwLock::new(registry),
             store,
             durable,
             accepting: AtomicBool::new(true),

@@ -413,7 +413,7 @@ fn start_checkpoint(
         let shared = Arc::clone(shared);
         let db = db.to_string();
         spawn_tracked(&format!("serve-checkpoint-{db}"), move || {
-            save_image(&shared, &db, &doem, &sealed);
+            let _ = save_image(&shared, &db, &doem, &sealed); // counted inside
         })
     };
     if thread.is_err() {

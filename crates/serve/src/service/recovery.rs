@@ -1,6 +1,6 @@
-//! Durable shard lifecycle: recovering databases at startup, checkpointing
-//! them from their committers, and installing or replacing a shard under
-//! the registry lock.
+//! Durable shard lifecycle: recovering databases at startup, saving
+//! checkpoint images, and installing or replacing a shard with its disk
+//! I/O outside the registry lock.
 
 use super::pipeline::{join_committer, request_stop, start_committer, StopKind};
 use super::shard::Shard;
@@ -9,7 +9,8 @@ use crate::faults::{FaultMode, FaultPoint, Faults};
 use crate::metrics::Metrics;
 use crate::protocol::ErrKind;
 use crate::wal::{self, DbWal, WalReplay};
-use doem::{apply_set, current_snapshot, DoemDatabase, SharedDoem};
+use doem::{apply_set, current_snapshot, DoemDatabase};
+use lore::LoreStore;
 use oem::{OemDatabase, Timestamp};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -17,52 +18,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The durability half of the shared state: the checkpoint store (a
-/// [`lore::LoreStore`] rooted at `wal_dir`).
-pub(crate) struct Durability {
-    pub(crate) store: lore::LoreStore,
-}
-
-impl Durability {
-    /// The active WAL segment beside the checkpoint image of database
-    /// `name`.
-    fn wal_path(&self, name: &str) -> PathBuf {
-        self.store.path_of(name).with_extension("wal")
-    }
-
-    /// Write the checkpoint image of `name` behind one `Checkpoint`
-    /// failpoint check, timing the save in `latency checkpoint`. A
-    /// `Stall` delays the save and then lets it proceed; every other mode
-    /// fails it. A failed save is counted in `checkpoint_failures`; after
-    /// a successful one the caller counts `checkpoints` once its own step
-    /// has succeeded, or a failure, so every call is counted exactly
-    /// once, in one of the two.
-    fn save_checkpoint(
-        &self,
-        shared: &Shared,
-        name: &str,
-        doem: &DoemDatabase,
-    ) -> std::io::Result<()> {
-        let began = Instant::now();
-        let saved = match shared.cfg.faults.check(FaultPoint::Checkpoint) {
-            Some(FaultMode::Stall(ms)) => {
-                // A slow disk, not a dead one: delay, then save normally.
-                Metrics::bump(&shared.metrics.faults_injected);
-                std::thread::sleep(Duration::from_millis(ms));
-                self.store.save_doem(name, doem).map_err(io_error)
-            }
-            Some(_) => {
-                Metrics::bump(&shared.metrics.faults_injected);
-                Err(Faults::injected_error(FaultPoint::Checkpoint))
-            }
-            None => self.store.save_doem(name, doem).map_err(io_error),
-        };
-        match saved {
-            Ok(()) => shared.metrics.checkpoint.record(began.elapsed()),
-            Err(_) => Metrics::bump(&shared.metrics.checkpoint_failures),
-        }
-        saved
-    }
+/// The active WAL segment beside the checkpoint image of database `name`
+/// in the durable store `d`.
+fn wal_path(d: &LoreStore, name: &str) -> PathBuf {
+    d.path_of(name).with_extension("wal")
 }
 
 /// A store/codec error as the `io::Error` the startup and install paths
@@ -87,18 +46,17 @@ pub(crate) fn last_lsn(doem: &DoemDatabase) -> Timestamp {
 /// place: the shard's first checkpoint folds it into an image and
 /// deletes it.
 pub(crate) fn recover_all(
-    d: &Durability,
+    d: &LoreStore,
     cfg: &ServeConfig,
     metrics: &Metrics,
     shards: &mut HashMap<String, Arc<Shard>>,
 ) -> std::io::Result<()> {
-    for stem in d.store.names().map_err(io_error)? {
+    for stem in d.names().map_err(io_error)? {
         let doem = d
-            .store
             .load_doem(&stem)
             .map_err(|e| io_error(format!("checkpoint {stem:?}: {e}")))?;
         let name = doem.name().to_string();
-        let wal_path = d.wal_path(&name);
+        let wal_path = wal_path(d, &name);
         let sealed_path = wal::sealed_path(&wal_path);
         let sealed = wal::replay(&sealed_path)?;
         let active = wal::replay(&wal_path)?;
@@ -205,33 +163,57 @@ fn recover_one(checkpoint: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered
     }
 }
 
-/// A checkpoint thread's work: save `doem` as the image of `name`, then
-/// delete the sealed log segment it covers — every record in it is at or
-/// before the snapshot's LSN. On failure the segment stays: nothing
-/// durable is lost, and the next checkpoint retries.
-pub(crate) fn save_image(shared: &Shared, name: &str, doem: &SharedDoem, sealed: &Path) {
+/// Save `doem` as the checkpoint image of `name`, then delete the sealed
+/// log segment it covers — the work of a checkpoint thread and of every
+/// durable install. The save passes one `Checkpoint` failpoint check (a
+/// `Stall` delays it, every other mode fails it) and is timed in `latency
+/// checkpoint`; each call counts once, in `checkpoints` or
+/// `checkpoint_failures`. On failure the segment stays: nothing durable
+/// is lost, and the next checkpoint retries.
+pub(crate) fn save_image(
+    shared: &Shared,
+    name: &str,
+    doem: &DoemDatabase,
+    sealed: &Path,
+) -> std::io::Result<()> {
     let Some(d) = &shared.durable else {
-        return;
+        return Ok(());
     };
-    if d.save_checkpoint(shared, name, doem).is_err() {
-        return; // counted by `save_checkpoint`
+    let began = Instant::now();
+    let saved = match shared.cfg.faults.check(FaultPoint::Checkpoint) {
+        Some(FaultMode::Stall(ms)) => {
+            // A slow disk, not a dead one: delay, then save normally.
+            Metrics::bump(&shared.metrics.faults_injected);
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(())
+        }
+        Some(_) => {
+            Metrics::bump(&shared.metrics.faults_injected);
+            Err(Faults::injected_error(FaultPoint::Checkpoint))
+        }
+        None => Ok(()),
     }
-    match wal::remove_segment(sealed) {
-        Ok(()) => Metrics::bump(&shared.metrics.checkpoints),
-        Err(_) => Metrics::bump(&shared.metrics.checkpoint_failures),
+    .and_then(|()| d.save_doem(name, doem).map_err(io_error));
+    if saved.is_ok() {
+        shared.metrics.checkpoint.record(began.elapsed());
     }
+    let done = saved.and_then(|()| wal::remove_segment(sealed));
+    Metrics::bump(match done {
+        Ok(()) => &shared.metrics.checkpoints,
+        Err(_) => &shared.metrics.checkpoint_failures,
+    });
+    done
 }
 
-/// Install (or replace) the shard for `doem` under the map write lock.
-/// With durability on, the image is checkpointed and its log reset to
-/// empty *under that lock* before the shard becomes visible, so a racing
-/// `CREATE`/`LOAD` of the same name cannot interleave with the prep and
-/// an acknowledged install exists on disk. A previous incarnation is
-/// stopped and its committer joined **before** the durable files are
-/// reset — the committer joins its own checkpoint thread before it
-/// exits — so neither its file handle nor its image can land over the
-/// new incarnation's. The new committer starts after the map lock drops.
-/// Returns the new global generation.
+/// Install (or replace) the shard for `doem`: decide under a brief map
+/// write lock (refuse an existing name when `must_be_new`, refuse a name
+/// another install has reserved, reserve this one), [`prepare`] with no
+/// lock held, then publish under the lock again (insert the shard and
+/// release the reservation; a failed prep only releases it). So an
+/// acknowledged install exists on disk, racing installs of one name never
+/// interleave their prep, and no request waits on the disk but this one.
+/// The new committer starts after the lock drops. Returns the new global
+/// generation.
 pub(crate) fn install_shard(
     shared: &Arc<Shared>,
     name: &str,
@@ -240,49 +222,66 @@ pub(crate) fn install_shard(
     must_be_new: bool,
 ) -> Result<u64, InstallError> {
     let replica = current_snapshot(&doem);
-    let mut shards = shared.shards.write();
-    if let Some(old) = shards.get(name) {
-        if must_be_new {
+    let old = {
+        let mut reg = shared.shards.write();
+        if reg.installing.contains(name) {
+            return Err(InstallError::Installing);
+        }
+        let old = reg.map.get(name).cloned();
+        if must_be_new && old.is_some() {
             return Err(InstallError::Exists);
         }
-        // Drain, no checkpoint: the files are about to be reset.
-        request_stop(old, StopKind::Abandon);
-        join_committer(old);
-    }
-    let wal = match &shared.durable {
-        Some(d) => {
-            d.save_checkpoint(shared, name, &doem)
-                .map_err(InstallError::Io)?;
-            Metrics::bump(&shared.metrics.checkpoints);
-            // The old incarnation's log goes: a sealed segment its last
-            // checkpoint could not delete, then the active one.
-            let wal_path = d.wal_path(name);
-            wal::remove_segment(&wal::sealed_path(&wal_path)).map_err(InstallError::Io)?;
-            Some(DbWal::open(wal_path, 0).map_err(InstallError::Io)?)
-        }
-        None => None,
+        reg.installing.insert(name.to_string());
+        old
     };
     // Fresh incarnations start at epoch 0: a replicated snapshot install
     // re-adopts the primary's epoch from the next batch header, and a
     // recovered shard restores it from its WAL record suffixes.
-    let shard = Arc::new(Shard::new(
-        doem,
-        replica,
-        shared.cfg.cache_capacity,
-        wal,
-        last_at,
-        0,
-    ));
-    shards.insert(name.to_string(), Arc::clone(&shard));
-    drop(shards);
+    let cap = shared.cfg.cache_capacity;
+    let prepared = prepare(shared, name, &doem, old.as_deref())
+        .map(|wal| Arc::new(Shard::new(doem, replica, cap, wal, last_at, 0)));
+    let shard = {
+        let mut reg = shared.shards.write();
+        reg.installing.remove(name);
+        let shard = prepared.map_err(InstallError::Io)?;
+        reg.map.insert(name.to_string(), Arc::clone(&shard));
+        shard
+    };
     start_committer(shared, name, &shard).map_err(InstallError::Io)?;
     Ok(shared.bump_global())
+}
+
+/// An install's disk work, with no lock held: stop `old` and join its
+/// committer (which joins its own checkpoint thread) **before** the files
+/// are reset, so neither its file handle nor its image can land over the
+/// new incarnation's; readers of `old` keep answering, its writes answer
+/// "being replaced". Then save the image ([`save_image`], which deletes
+/// an old sealed segment) and reset the active log — the new shard's.
+fn prepare(
+    shared: &Shared,
+    name: &str,
+    doem: &DoemDatabase,
+    old: Option<&Shard>,
+) -> std::io::Result<Option<DbWal>> {
+    if let Some(old) = old {
+        // Drain, no checkpoint: the files are about to be reset.
+        request_stop(old, StopKind::Abandon);
+        join_committer(old);
+    }
+    let Some(d) = &shared.durable else {
+        return Ok(None);
+    };
+    let wal_path = wal_path(d, name);
+    save_image(shared, name, doem, &wal::sealed_path(&wal_path))?;
+    DbWal::open(wal_path, 0).map(Some)
 }
 
 /// Why [`install_shard`] refused.
 pub(crate) enum InstallError {
     /// `must_be_new` and a same-named shard already exists.
     Exists,
+    /// Another install of the same name is preparing its files.
+    Installing,
     /// Durable prep or committer spawn failed; nothing was installed.
     Io(std::io::Error),
 }
@@ -294,6 +293,10 @@ impl InstallError {
     pub(crate) fn describe(&self, what: &str, db: &str) -> (ErrKind, String) {
         match self {
             InstallError::Exists => (ErrKind::Conflict, format!("database {db:?} exists")),
+            InstallError::Installing => (
+                ErrKind::Conflict,
+                format!("database {db:?} is being installed; retry"),
+            ),
             InstallError::Io(e) => (
                 ErrKind::Io,
                 format!("{what} not durable ({e}); nothing installed"),

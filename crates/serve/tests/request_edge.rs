@@ -193,11 +193,11 @@ fn pooled_tagged_and_timed_out_requests_record_one_total_sample_each() {
     let m = svc.metrics();
     let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
 
-    // Tagged and pooled: `STATS` always goes to the pool.
+    // Tagged and pooled: `AS OF` always goes to the pool.
     const N: u64 = 16;
     let before = (m.total.count(), m.queue.count());
     for i in 0..N {
-        wire.send(&format!("#s{i} STATS")).unwrap();
+        wire.send(&format!("#s{i} QUERY big AS OF 1Jan97 select big.item")).unwrap();
     }
     for _ in 0..N {
         assert!(matches!(wire.recv().unwrap().1, Response::Rows(_)));
@@ -317,7 +317,7 @@ fn a_serial_session_runs_on_one_thread_and_a_pipelined_one_on_two() {
 
     // The first tagged request that has to wait starts it — once.
     for i in 0..4 {
-        tagged.send(&format!("#s{i} STATS")).unwrap();
+        tagged.send(&format!("#s{i} QUERY guide AS OF 1Jan97 select guide.restaurant")).unwrap();
         tagged.send(&format!("#p{i} PING")).unwrap();
     }
     for _ in 0..8 {
@@ -365,7 +365,7 @@ fn frames_stay_intact_across_mixed_traffic() {
 
     // No writes below, so each text has one answer for the whole run.
     // The first two are cached by this priming pass (edge-answered from
-    // here on); `AS OF` and `STATS` always go to the pool.
+    // here on); `AS OF` always goes to the pool, `STATS` never.
     let texts = [
         "QUERY big select big.item",
         "QUERY small select small.item",

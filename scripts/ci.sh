@@ -94,19 +94,11 @@ echo "==> serve module size guard (no file under crates/serve/src over 1,000 lin
 oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
 [ -z "$oversize" ] || { echo "$oversize"; echo "ci: split the file(s) above along a seam" >&2; exit 1; }
 
-echo "==> doem-lint (workspace invariants vs doem-lint.baseline)"
+echo "==> doem-lint (zero findings; an inline \`// lint: allow\` is the one exemption)"
 cargo run -q -p lint --offline --bin doem-lint
 
 echo "==> doem-lint --fix --check (trivial serve unwraps must be fixed)"
 cargo run -q -p lint --offline --bin doem-lint -- --fix --check
-
-echo "==> guard-across-blocking baseline ratchet (must stay at most 6 findings)"
-baseline_sites="$(grep -c '^guard-across-blocking' doem-lint.baseline || true)"
-baseline_total="$(awk -F'\t' '/^guard-across-blocking/ { sum += $3 } END { print sum + 0 }' doem-lint.baseline)"
-if [ "$baseline_total" -gt 6 ]; then
-    echo "ci: guard-across-blocking baseline grew to $baseline_total findings across $baseline_sites file(s); only the one justified site (install_shard durable prep) is accepted" >&2
-    exit 1
-fi
 
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # The semi-naive maintenance path (DESIGN.md §11) must agree with full

@@ -10,7 +10,7 @@
 //!            [--store DIR] [--wal DIR] [--checkpoint-every N]
 //!            [--group-commit N] [--group-commit-window-us U]
 //!            [--follow HOST:PORT] [--follower-id NAME]
-//!            [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]
+//!            [--repl-retain N] [--follow-poll-ms MS]
 //!            [--retain-lsns N] [--empty] [--create NAME]...
 //! ```
 //!
@@ -50,7 +50,7 @@ fn usage() -> ! {
          \x20                 [--store DIR] [--wal DIR] [--checkpoint-every N]\n\
          \x20                 [--group-commit N] [--group-commit-window-us U]\n\
          \x20                 [--follow HOST:PORT] [--follower-id NAME]\n\
-         \x20                 [--repl-batch N] [--repl-retain N] [--follow-poll-ms MS]\n\
+         \x20                 [--repl-retain N] [--follow-poll-ms MS]\n\
          \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
     );
     std::process::exit(2);
@@ -82,7 +82,6 @@ fn main() {
             }
             "--follow" => cfg.follow = Some(val("--follow")),
             "--follower-id" => cfg.follower_id = Some(val("--follower-id")),
-            "--repl-batch" => cfg.replication_batch = parse_num(&val("--repl-batch")),
             "--repl-retain" => cfg.replication_retain = parse_num(&val("--repl-retain")),
             "--retain-lsns" => cfg.retain_lsns = parse_num(&val("--retain-lsns")),
             "--follow-poll-ms" => {

@@ -604,6 +604,10 @@ fn probes_and_cached_reads_answer_while_every_worker_is_busy() {
                 "{line} took {elapsed:?} behind a busy worker"
             );
         }
+        let began = Instant::now();
+        let stats = b.roundtrip("STATS").unwrap().render();
+        assert!(began.elapsed() < Duration::from_millis(50), "STATS behind a busy worker");
+        assert!(stats.contains("\nROW gauge read_only_shards 0\n"), "{stats}");
         assert_eq!(
             svc.metrics().exec.count(),
             evaluated_before,

@@ -683,6 +683,89 @@ fn load_over_a_shard_with_a_stalled_checkpoint_keeps_the_new_image() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// On a durable service (four workers, a store) with `b` written once and
+/// the `setup` lines run, stall the next image save for 2 s and send
+/// `install` from another thread. While it stalls, `STATS`, `LSN b`,
+/// `DBS`, an uncached query on `b`, then `probes`, must each answer in
+/// < 50 ms with a reply containing the paired text. Then the install
+/// must succeed.
+fn stalled_install(
+    dir: &Path,
+    setup: &[String],
+    install: &str,
+    probes: &[(&str, &str)],
+) -> Service {
+    let faults = Faults::armed();
+    let mut cfg = durable_cfg(dir, faults.clone());
+    cfg.workers = 4;
+    cfg.store_dir = Some(dir.with_extension("store"));
+    let svc = Service::start(cfg).unwrap();
+    let c = svc.client();
+    let b = ["CREATE b", "UPDATE b AT 3Jan97 ; {creNode(n9, 1), addArc(n1, item, n9)}"];
+    for line in b.iter().copied().chain(setup.iter().map(String::as_str)) {
+        assert!(!c.request_line(line).is_error(), "{line}");
+    }
+    assert!(faults.arm_next(FaultPoint::Checkpoint, 1, FaultMode::Stall(2_000)));
+    std::thread::scope(|scope| {
+        let installing = scope.spawn(|| svc.client().request_line(install));
+        wait_until("the image save to stall", || faults.fired() == 1);
+        let bystanders = [
+            ("STATS", "\nROW gauge read_only_shards 0\n"),
+            ("LSN b", "OK applied "),
+            ("DBS", "ROW b\n"),
+            ("QUERY b select b.item", "ROWS 1\n"),
+        ];
+        for (line, want) in bystanders.iter().chain(probes) {
+            let began = Instant::now();
+            let got = svc.client().request_line(line).render();
+            assert!(began.elapsed() < Duration::from_millis(50), "{line} was slow");
+            assert!(got.contains(want), "{line}: {got}");
+        }
+        let done = installing.join().unwrap();
+        assert!(!done.is_error(), "{install}: {done:?}");
+    });
+    let _ = std::fs::remove_dir_all(dir.with_extension("store"));
+    svc
+}
+
+/// `CREATE a` sitting on a stalled image save blocks no other request,
+/// and a racing `CREATE a` is told to retry.
+#[test]
+fn a_stalled_create_blocks_no_other_request() {
+    let dir = fresh_dir("create-stall");
+    let retry = "ERR CONFLICT database \"a\" is being installed; retry";
+    let svc = stalled_install(&dir, &[], "CREATE a", &[("DBS", "ROWS 1\n"), ("CREATE a", retry)]);
+    assert_eq!(svc.database_names(), ["a", "b"]);
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `LOAD p` over a live durable shard, sitting on a stalled image save:
+/// queries on `p` answer from the old incarnation (three writes, not the
+/// saved two), its writes are refused as being replaced, and the loaded
+/// image is what survives a crash.
+#[test]
+fn a_stalled_load_keeps_serving_the_old_incarnation() {
+    let dir = fresh_dir("load-stall");
+    let writes = pipelined_writes(3);
+    let update = |(at, ch): &(Timestamp, ChangeSet)| format!("UPDATE p AT {at} ; {ch}");
+    let mut setup = vec!["CREATE p".to_string(), update(&writes[0]), update(&writes[1])];
+    setup.extend(["SAVE p".to_string(), update(&writes[2])]);
+    let probes = [
+        ("QUERY p select p.item", "ROWS 3\n"),
+        ("UPDATE p AT 5Jan97 ; {updNode(n500, 7)}", "is being replaced; retry"),
+    ];
+    let svc = stalled_install(&dir, &setup, "LOAD p", &probes);
+    let rows = svc.client().request_line("QUERY p select p.item");
+    assert!(matches!(&rows, Response::Rows(r) if r.len() == 2), "{rows:?}");
+    svc.crash_stop();
+    let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let got = svc2.doem_snapshot("p").expect("p must recover");
+    assert!(same_doem(&got, &replayed(&writes[..2])));
+    svc2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `AT now` writes under a misbehaving wall clock: the LSN allocator
 /// must keep Definition 2.2 (strictly increasing change timestamps) even
 /// when the injected clock steps backwards or stalls, counting every
