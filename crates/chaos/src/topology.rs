@@ -52,7 +52,7 @@ struct Node {
 }
 
 impl Node {
-    fn start(dir: PathBuf, faults: Faults, follow: Option<String>, id: usize) -> std::io::Result<Node> {
+    fn start(dir: PathBuf, faults: Faults, follow: Option<String>) -> std::io::Result<Node> {
         let mut node = Node {
             svc: None,
             tcp: None,
@@ -62,20 +62,19 @@ impl Node {
             follow,
             restarts: 0,
         };
-        node.boot(id)?;
+        node.boot()?;
         Ok(node)
     }
 
     /// (Re)start the service over the node's WAL directory. The failpoint
     /// registry is carried across restarts so fired-counts accumulate.
-    fn boot(&mut self, id: usize) -> std::io::Result<()> {
+    fn boot(&mut self) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         let cfg = ServeConfig {
             wal_dir: Some(self.dir.clone()),
             checkpoint_every: 8,
             replication_retain: 100_000,
             follow: self.follow.clone(),
-            follower_id: Some(format!("chaos-node-{id}")),
             follow_poll: Duration::from_millis(10),
             faults: self.faults.clone(),
             ..ServeConfig::default()
@@ -103,11 +102,11 @@ impl Node {
         }
     }
 
-    fn restart(&mut self, follow: Option<String>, id: usize) -> std::io::Result<()> {
+    fn restart(&mut self, follow: Option<String>) -> std::io::Result<()> {
         self.kill();
         self.follow = follow;
         self.restarts += 1;
-        self.boot(id)
+        self.boot()
     }
 
     fn svc(&self) -> &Service {
@@ -160,7 +159,7 @@ impl Harness {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&base);
-        let primary = Node::start(base.join("node0"), Faults::armed(), None, 0)?;
+        let primary = Node::start(base.join("node0"), Faults::armed(), None)?;
         let primary_addr = primary.addr.clone();
         let mut nodes = vec![primary];
         for f in 1..=followers.max(1) {
@@ -168,7 +167,6 @@ impl Harness {
                 base.join(format!("node{f}")),
                 Faults::armed(),
                 Some(primary_addr.clone()),
-                f,
             )?);
         }
         let resp = nodes[0].svc().client().request_line(&format!("CREATE {DB}"));
@@ -225,7 +223,7 @@ impl Harness {
                     if node != self.primary {
                         self.kills += 1;
                         let follow = self.nodes[node].follow.clone();
-                        let _ = self.nodes[node].restart(follow, node);
+                        let _ = self.nodes[node].restart(follow);
                     }
                 }
                 Event::Promote { node } => self.exec_promote(*node)?,
@@ -389,7 +387,7 @@ impl Harness {
             if Instant::now() > deadline - Duration::from_secs(7) && !restarted[target] {
                 restarted[target] = true;
                 let follow = self.nodes[target].follow.clone();
-                let _ = self.nodes[target].restart(follow, target);
+                let _ = self.nodes[target].restart(follow);
             }
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -437,7 +435,7 @@ impl Harness {
         let new_addr = self.nodes[target].addr.clone();
         for i in 0..self.nodes.len() {
             if i != target {
-                let _ = self.nodes[i].restart(Some(new_addr.clone()), i);
+                let _ = self.nodes[i].restart(Some(new_addr.clone()));
             }
         }
         Ok(())
@@ -473,7 +471,7 @@ impl Harness {
                 for i in 0..self.nodes.len() {
                     if i != self.primary {
                         let follow = self.nodes[i].follow.clone();
-                        let _ = self.nodes[i].restart(follow, i);
+                        let _ = self.nodes[i].restart(follow);
                     }
                 }
                 stale_since = Instant::now();
@@ -509,7 +507,7 @@ impl Harness {
             if last_restart.elapsed() > Duration::from_secs(5) {
                 for &i in &laggards {
                     let follow = self.nodes[i].follow.clone();
-                    let _ = self.nodes[i].restart(follow, i);
+                    let _ = self.nodes[i].restart(follow);
                 }
                 last_restart = Instant::now();
             }

@@ -171,27 +171,6 @@ pub fn test_mod_lines(stripped: &str) -> Vec<bool> {
     flags
 }
 
-/// Per-line suppression flags from `// lint: allow` comments in the *raw*
-/// source: the marker suppresses findings on its own line and the next.
-///
-/// Markers are recognized by the tokenizer ([`token::allow_marker_lines`]):
-/// only a *plain* `//` line comment counts — doc comments (`///`, `//!`)
-/// and string literals mentioning the phrase are prose, not suppressions.
-pub fn allow_lines(raw: &str) -> Vec<bool> {
-    let n = raw.lines().count();
-    let mut flags = vec![false; n];
-    for line in token::allow_marker_lines(raw) {
-        let i = (line as usize).saturating_sub(1);
-        if let Some(f) = flags.get_mut(i) {
-            *f = true;
-        }
-        if let Some(f) = flags.get_mut(i + 1) {
-            *f = true;
-        }
-    }
-    flags
-}
-
 /// Apply `// lint: allow` suppression to one file's findings, and audit
 /// the markers themselves: a marker that suppresses *zero* findings is
 /// reported as a `stale-allow` finding — exemptions can't outlive the
@@ -271,163 +250,6 @@ pub fn scan_serve_unwrap(file: &str, raw: &str) -> Vec<Finding> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Autofix: serve-unwrap
-// ---------------------------------------------------------------------------
-
-/// Per-line flags for lines inside a function whose declared return type
-/// is a `Result` (computed on *stripped* source). Signatures may span up
-/// to eight lines; the body is brace-matched from the opening `{`. Nested
-/// functions override their enclosing region (an inner `fn` returning
-/// `()` inside a `Result` fn is *not* flagged), so the flags are safe to
-/// drive the `.unwrap()` → `?` rewrite.
-fn result_fn_lines(stripped: &str) -> Vec<bool> {
-    let lines: Vec<&str> = stripped.lines().collect();
-    let mut flags = vec![false; lines.len()];
-    let mut i = 0usize;
-    while i < lines.len() {
-        let Some(fn_pos) = fn_keyword(lines[i]) else {
-            i += 1;
-            continue;
-        };
-        // Gather the signature text up to the body `{` (or a `;` for a
-        // trait method declaration, which has no body to flag).
-        let mut sig = String::new();
-        let mut brace_line = None;
-        let mut j = i;
-        'sig: while j < lines.len() && j <= i + 8 {
-            let seg = if j == i {
-                lines[j].get(fn_pos..).unwrap_or("")
-            } else {
-                lines[j]
-            };
-            for c in seg.chars() {
-                match c {
-                    '{' => {
-                        brace_line = Some(j);
-                        break 'sig;
-                    }
-                    ';' => break 'sig,
-                    _ => sig.push(c),
-                }
-            }
-            sig.push(' ');
-            j += 1;
-        }
-        let Some(bl) = brace_line else {
-            i = j + 1;
-            continue;
-        };
-        let returns_result = sig
-            .split("->")
-            .nth(1)
-            .is_some_and(|ret| ret.contains("Result"));
-        let mut depth = 0i64;
-        let mut opened = false;
-        let mut k = bl;
-        while k < lines.len() {
-            for c in lines[k].bytes() {
-                match c {
-                    b'{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    b'}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            // Overwrite (not |=) so an inner fn's verdict wins over the
-            // enclosing region's; outer-first scan order makes that right.
-            if let Some(f) = flags.get_mut(k) {
-                *f = returns_result;
-            }
-            if opened && depth <= 0 {
-                break;
-            }
-            k += 1;
-        }
-        i = bl + 1;
-    }
-    flags
-}
-
-/// Byte offset of an `fn ` keyword on `line`, rejecting identifiers that
-/// merely end in "fn" (`often `).
-fn fn_keyword(line: &str) -> Option<usize> {
-    let idx = line.find("fn ")?;
-    if idx > 0 {
-        let prev = line.as_bytes().get(idx - 1).copied().unwrap_or(b' ');
-        if prev.is_ascii_alphanumeric() || prev == b'_' {
-            return None;
-        }
-    }
-    Some(idx)
-}
-
-/// Rewrite the *trivial* serve-unwrap hits: a `.unwrap()` in a function
-/// whose return type is a `Result` becomes `?`. Returns the fixed source
-/// and the number of rewrites (0 means the text is returned unchanged).
-///
-/// Deliberately conservative — each skipped case stays a reported finding
-/// for a human:
-/// * lines inside `#[cfg(test)]` modules or under `// lint: allow`;
-/// * `.expect(…)` calls (the message is information the fix would lose);
-/// * lines where a `|` precedes the call (a closure body can't use `?`
-///   against the enclosing function's return type);
-/// * functions not returning `Result` (includes `Option`-returning fns —
-///   `?` on a `Result` there wouldn't compile anyway).
-///
-/// The rewrite is idempotent: the output contains no eligible `.unwrap()`
-/// sites, so a second pass reports zero rewrites. It is also
-/// byte-ending-preserving: each line's terminator (`\n` or `\r\n`, or none
-/// on a final unterminated line) is copied through verbatim, so a CRLF
-/// file stays CRLF and `--fix --check` converges on it.
-pub fn fix_serve_unwrap(raw: &str) -> (String, usize) {
-    let stripped = strip_source(raw);
-    let tests = test_mod_lines(&stripped);
-    let allows = allow_lines(raw);
-    let result_fns = result_fn_lines(&stripped);
-    let mut rewrites = 0usize;
-    let mut out = String::with_capacity(raw.len());
-    let mut off = 0usize;
-    for (i, seg) in raw.split_inclusive('\n').enumerate() {
-        // Stripping is length-preserving, so the raw segment's byte range
-        // addresses its stripped counterpart directly (this is what keeps
-        // `.unwrap()` inside a string literal untouched).
-        let sseg = stripped.get(off..off + seg.len()).unwrap_or("");
-        off += seg.len();
-        let term_len = if seg.ends_with("\r\n") {
-            2
-        } else {
-            usize::from(seg.ends_with('\n'))
-        };
-        let line = seg.get(..seg.len() - term_len).unwrap_or("");
-        let sl = sseg.get(..sseg.len().saturating_sub(term_len)).unwrap_or("");
-        let eligible = flag(&result_fns, i) && !flag(&tests, i) && !flag(&allows, i);
-        if !eligible || !sl.contains(".unwrap()") {
-            out.push_str(seg);
-            continue;
-        }
-        const PAT: &str = ".unwrap()";
-        let mut cursor = 0usize;
-        while let Some(pos) = sl.get(cursor..).and_then(|s| s.find(PAT)) {
-            let at = cursor + pos;
-            let in_closure = sl.get(..at).is_some_and(|pre| pre.contains('|'));
-            out.push_str(line.get(cursor..at).unwrap_or(""));
-            if in_closure {
-                out.push_str(PAT);
-            } else {
-                out.push('?');
-                rewrites += 1;
-            }
-            cursor = at + PAT.len();
-        }
-        out.push_str(line.get(cursor..).unwrap_or(""));
-        out.push_str(seg.get(seg.len() - term_len..).unwrap_or(""));
-    }
-    (out, rewrites)
 }
 
 // ---------------------------------------------------------------------------
@@ -798,63 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn fix_rewrites_unwrap_in_result_fns() {
-        let before = "fn load(p: &str) -> std::io::Result<u64> {\n    let n = read(p).unwrap();\n    Ok(n)\n}\n";
-        let (after, n) = fix_serve_unwrap(before);
-        assert_eq!(n, 1);
-        assert!(after.contains("read(p)?;"), "{after}");
-        // The fixed file no longer trips the scanner.
-        assert!(scan_serve_unwrap("crates/serve/src/x.rs", &after).is_empty());
-    }
-
-    #[test]
-    fn fix_is_idempotent() {
-        let before = "fn a() -> Result<(), E> {\n    b().unwrap();\n    c().unwrap();\n    Ok(())\n}\n";
-        let (once, n1) = fix_serve_unwrap(before);
-        assert_eq!(n1, 2);
-        let (twice, n2) = fix_serve_unwrap(&once);
-        assert_eq!(n2, 0);
-        assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn fix_leaves_nontrivial_sites_alone() {
-        // Non-Result fn: `?` would not compile.
-        let void_fn = "fn a() {\n    b().unwrap();\n}\n";
-        assert_eq!(fix_serve_unwrap(void_fn).1, 0);
-        // Inner non-Result fn inside a Result fn.
-        let nested = "fn outer() -> Result<(), E> {\n    fn inner() {\n        b().unwrap();\n    }\n    inner();\n    Ok(())\n}\n";
-        assert_eq!(fix_serve_unwrap(nested).1, 0);
-        // Closure bodies can't use `?` against the enclosing fn.
-        let closure = "fn a() -> Result<(), E> {\n    spawn(move || b().unwrap());\n    Ok(())\n}\n";
-        assert_eq!(fix_serve_unwrap(closure).1, 0);
-        // Tests, allows, string literals, and `.expect(` stay put.
-        let src = "fn a() -> Result<(), E> {\n    // lint: allow\n    b().unwrap();\n    let s = \"x.unwrap()\";\n    c().expect(\"why\");\n    Ok(())\n}\n#[cfg(test)]\nmod tests {\n    fn t() -> Result<(), E> {\n        d().unwrap();\n        Ok(())\n    }\n}\n";
-        let (after, n) = fix_serve_unwrap(src);
-        assert_eq!(n, 0, "{after}");
-        assert_eq!(after, src);
-    }
-
-    #[test]
-    fn fix_preserves_crlf_line_endings() {
-        let before = "fn load(p: &str) -> std::io::Result<u64> {\r\n    let n = read(p).unwrap();\r\n    Ok(n)\r\n}\r\n";
-        let (after, n) = fix_serve_unwrap(before);
-        assert_eq!(n, 1);
-        assert!(after.contains("read(p)?;\r\n"), "{after:?}");
-        assert!(!after.contains("\n    Ok(n)\n"), "LF leak: {after:?}");
-        // Idempotent on the CRLF output: --fix --check converges.
-        let (twice, n2) = fix_serve_unwrap(&after);
-        assert_eq!(n2, 0);
-        assert_eq!(after, twice);
-        // Untouched CRLF input passes through byte-for-byte (no trailing-
-        // newline surgery, no \r loss) — including a final unterminated line.
-        let clean = "fn a() {}\r\nfn b() {}\r\nconst X: u8 = 0;";
-        let (out, n3) = fix_serve_unwrap(clean);
-        assert_eq!(n3, 0);
-        assert_eq!(out, clean);
-    }
-
-    #[test]
     fn parser_fuzz_rule_requires_sibling() {
         let bare = "pub fn parse_thing(s: &str) -> Result<(), ()> { Ok(()) }\n";
         assert_eq!(scan_parser_fuzz("x.rs", bare).len(), 1);
@@ -913,25 +678,6 @@ mod tests {
             fn strip_source_never_panics(src in "\\PC{0,160}") {
                 let out = strip_source(&src);
                 prop_assert_eq!(out.lines().count(), src.lines().count());
-            }
-
-            #[test]
-            fn fixer_never_panics_and_converges(src in "\\PC{0,160}") {
-                let (once, _) = fix_serve_unwrap(&src);
-                let (twice, n2) = fix_serve_unwrap(&once);
-                prop_assert_eq!(n2, 0);
-                prop_assert_eq!(once, twice);
-            }
-
-            #[test]
-            fn fixer_preserves_line_terminators(src in "(ok\\(\\)\\.unwrap\\(\\);|fn f\\(\\) -> Result<u8, E> \\{|\\}|\r\n|\n|x){0,40}") {
-                // Whatever the fixer does to line *contents*, the sequence
-                // of terminators (\r\n vs \n vs none) is untouched.
-                let (fixed, _) = fix_serve_unwrap(&src);
-                let terms = |s: &str| s.split_inclusive('\n').map(|seg| {
-                    if seg.ends_with("\r\n") { 2u8 } else { u8::from(seg.ends_with('\n')) }
-                }).collect::<Vec<u8>>();
-                prop_assert_eq!(terms(&src), terms(&fixed));
             }
 
             #[test]

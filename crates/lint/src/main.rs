@@ -1,12 +1,7 @@
 //! `doem-lint` — run the project invariant scanners over the workspace.
 //!
-//! Usage: `cargo run --bin doem-lint [-- --root <path>] [--fix [--check]]
-//! [--graph dot] [--runtime-subset <dir>]`
-//!
-//! `--fix` rewrites the *trivial* serve-unwrap findings in place
-//! (`.unwrap()` in a `Result`-returning fn under `crates/serve/src`
-//! becomes `?`) and exits; `--fix --check` writes nothing and exits 1 if
-//! any file *would* change — the CI guard that the autofix has been run.
+//! Usage: `cargo run --bin doem-lint [-- --root <path>] [--graph dot]
+//! [--runtime-subset <dir>]`
 //!
 //! `--graph dot` prints the static lock-order graph (Graphviz) and exits;
 //! `--runtime-subset <dir>` reads sanitizer-observed edges (`*.edges`
@@ -14,11 +9,10 @@
 //! `DOEM_SANITIZE_GRAPH`) and exits 1 unless every runtime edge is
 //! covered by the static graph — a missed edge is a lint soundness bug.
 //!
-//! Exit codes: 0 clean, 1 any finding (or `--fix --check` dirty, or a
-//! runtime-subset violation), 2 usage / I/O error. Diagnostics are
-//! `file:line: [rule] message`. The one exemption is an inline
-//! `// lint: allow` at the site, and a marker that suppresses nothing is
-//! itself a `stale-allow` finding.
+//! Exit codes: 0 clean, 1 any finding (or a runtime-subset violation),
+//! 2 usage / I/O error. Diagnostics are `file:line: [rule] message`. The
+//! one exemption is an inline `// lint: allow` at the site, and a marker
+//! that suppresses nothing is itself a `stale-allow` finding.
 
 #![warn(missing_docs)]
 
@@ -26,14 +20,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lint::{apply_allows, collect_workspace_files, fix_serve_unwrap, lock_scope, locks,
-           scan_canonical_order, scan_missing_docs, scan_parser_fuzz, scan_serve_unwrap,
-           Finding};
+use lint::{apply_allows, collect_workspace_files, lock_scope, locks, scan_canonical_order,
+           scan_missing_docs, scan_parser_fuzz, scan_serve_unwrap, Finding};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut fix = false;
-    let mut check = false;
     let mut graph = false;
     let mut subset_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -46,8 +37,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--fix" => fix = true,
-            "--check" => check = true,
             "--graph" => match args.next().as_deref() {
                 Some("dot") => graph = true,
                 _ => {
@@ -64,8 +53,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: doem-lint [--root <path>] [--fix [--check]] [--graph dot] \
-                     [--runtime-subset <dir>]"
+                    "usage: doem-lint [--root <path>] [--graph dot] [--runtime-subset <dir>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -74,10 +62,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if check && !fix {
-        eprintln!("doem-lint: --check only makes sense with --fix");
-        return ExitCode::from(2);
     }
     let root = match root.or_else(default_root) {
         Some(r) => r,
@@ -92,10 +76,6 @@ fn main() -> ExitCode {
             root.display()
         );
         return ExitCode::from(2);
-    }
-
-    if fix {
-        return run_fix(&root, check);
     }
 
     let scan = scan_workspace(&root);
@@ -118,51 +98,6 @@ fn main() -> ExitCode {
         println!("doem-lint: {} finding(s)", scan.findings.len());
         ExitCode::FAILURE
     }
-}
-
-/// Apply (or, with `check`, dry-run) the serve-unwrap autofix over the
-/// rule's scope, `crates/serve/src`. In check mode nothing is written and
-/// a dirty tree exits 1, so CI can demand the fix has been run.
-fn run_fix(root: &Path, check: bool) -> ExitCode {
-    let (rust_files, _) = collect_workspace_files(root);
-    let mut dirty = 0usize;
-    let mut total_rewrites = 0usize;
-    for rel in &rust_files {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if !rel_str.starts_with("crates/serve/src/") {
-            continue;
-        }
-        let path = root.join(rel);
-        let Ok(raw) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let (fixed, rewrites) = fix_serve_unwrap(&raw);
-        if rewrites == 0 {
-            continue;
-        }
-        dirty += 1;
-        total_rewrites += rewrites;
-        if check {
-            println!("doem-lint: --fix would rewrite {rewrites} site(s) in {rel_str}");
-        } else if let Err(e) = std::fs::write(&path, &fixed) {
-            eprintln!("doem-lint: cannot write {rel_str}: {e}");
-            return ExitCode::from(2);
-        } else {
-            println!("doem-lint: fixed {rewrites} unwrap site(s) in {rel_str}");
-        }
-    }
-    if check && dirty > 0 {
-        println!(
-            "doem-lint: {total_rewrites} trivial unwrap site(s) in {dirty} file(s) — \
-             run `cargo run --bin doem-lint -- --fix`"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "doem-lint: fix {}: {total_rewrites} rewrite(s) in {dirty} file(s)",
-        if check { "check clean" } else { "complete" }
-    );
-    ExitCode::SUCCESS
 }
 
 /// Check sanitizer-observed lock-order edges against the static graph.

@@ -1,6 +1,7 @@
 //! The `doem-lint` binary's exit policy, end to end: any finding fails,
 //! and an inline `// lint: allow` is the one exemption — itself a finding
-//! once it suppresses nothing.
+//! once it suppresses nothing. There is no autofix: `--fix` is an
+//! unknown argument.
 
 use std::process::Command;
 
@@ -30,4 +31,13 @@ fn any_finding_fails_and_an_inline_allow_is_the_one_exemption() {
         assert_eq!(got, code, "{tag}: {out}");
         assert!(out.contains(want), "{tag}: {out}");
     }
+}
+
+#[test]
+fn fix_is_an_unknown_argument() {
+    let bin = env!("CARGO_BIN_EXE_doem-lint");
+    let out = Command::new(bin).arg("--fix").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument `--fix`"), "{stderr}");
 }

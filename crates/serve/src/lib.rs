@@ -84,15 +84,7 @@ pub mod wal;
 
 pub use faults::{FaultMode, FaultPoint, Faults};
 
-/// `true` when `SERVE_TRACE` is set in the environment: replication and
-/// recovery paths then print one `TRACE …` line per batch served/applied,
-/// per recovery, and per snapshot install to stderr. Checked once per
-/// process — chaos-harness triage flips it for a whole run, not per call.
-pub(crate) fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SERVE_TRACE").is_some())
-}
 pub use protocol::{parse_request, parse_tagged_request, ErrKind, ProtoError, Request, Response};
 pub use replication::{snapshot_bytes, snapshot_from_bytes, ReplBatch};
 pub use service::{Client, PendingReply, ServeConfig, Service, WallClock};
-pub use tcp::{RetryPolicy, TcpHandle, WireClient};
+pub use tcp::{TcpHandle, WireClient};

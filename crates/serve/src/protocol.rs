@@ -17,7 +17,7 @@
 //! UPDATE <db> AT <ts|now> ; <change set>     apply `{creNode(...), ...}`
 //! MUTATE <db> AT <ts|now> ; <update stmt>    compile a Lorel update & apply
 //! LSN <db>                                   applied/durable LSNs (lag probe)
-//! REPLICATE <db> FROM <lsn> [AS <peer>]      one replication batch
+//! REPLICATE <db> FROM <lsn>                  one replication batch
 //! PROMOTE <db>                               flip a follower shard writable
 //! FENCE <db> <epoch>                         depose a stale primary shard
 //! QUIT                                       close the session
@@ -186,17 +186,15 @@ pub enum Request {
         /// Database name.
         db: String,
     },
-    /// `REPLICATE <db> FROM <lsn> [AS <peer>]` — ask the primary for one
-    /// replication batch: a checkpoint image (when `from` predates the
-    /// retained log tail) or the log records strictly after `from`.
+    /// `REPLICATE <db> FROM <lsn>` — ask the primary for one replication
+    /// batch: a checkpoint image (when `from` predates the retained log
+    /// tail or is past the primary's applied LSN) or the log records
+    /// strictly after `from`.
     Replicate {
         /// Database name.
         db: String,
         /// The follower's applied LSN; only changes after it are wanted.
         from: Timestamp,
-        /// Optional follower identity, used by the primary to lease log
-        /// retention past checkpoints while this follower is attached.
-        peer: Option<String>,
     },
     /// `PROMOTE <db>` — flip this instance's shard of `db` writable at
     /// its applied LSN, under a new epoch fence. Sent to a follower when

@@ -9,7 +9,7 @@ use super::{split_word, ErrKind, ProtoError, Request};
 use lorel::ast::Query;
 use oem::{parse_change_set, parse_op, ChangeSet, Timestamp};
 
-/// Validate a database or peer name.
+/// Validate a database name.
 fn name_ok(word: &str, what: &str) -> Result<String, ProtoError> {
     if word.is_empty() {
         return Err(ProtoError::syntax(format!("missing {what} name")));
@@ -201,16 +201,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             let (db, rest) = split_word(rest);
             let db = name_ok(db, "database")?;
             let rest = expect_kw(rest, "FROM")?;
-            let (lsn, rest) = split_word(rest);
-            let from = lsn_from_wire(lsn)?;
-            let rest = rest.trim();
-            let peer = if rest.is_empty() {
-                None
-            } else {
-                let peer = expect_kw(rest, "AS")?;
-                Some(name_ok(peer.trim(), "peer")?)
-            };
-            Ok(Request::Replicate { db, from, peer })
+            let from = lsn_from_wire(rest.trim())?;
+            Ok(Request::Replicate { db, from })
         }
         "PROMOTE" => Ok(Request::Promote {
             db: name_ok(rest.trim(), "database")?,
@@ -400,20 +392,16 @@ mod tests {
         assert_eq!(parse_request("LSN").unwrap_err().kind, ErrKind::Syntax);
 
         match parse_request("REPLICATE guide FROM -").unwrap() {
-            Request::Replicate { db, from, peer } => {
+            Request::Replicate { db, from } => {
                 assert_eq!(db, "guide");
                 assert_eq!(from, Timestamp::NEG_INFINITY);
-                assert_eq!(peer, None);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse_request("REPLICATE guide FROM 14240400 AS follower-1").unwrap() {
-            Request::Replicate { from, peer, .. } => {
-                assert_eq!(from, Timestamp::from_raw_minutes(14_240_400));
-                assert_eq!(peer.as_deref(), Some("follower-1"));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        assert_eq!(
+            parse_request("REPLICATE guide FROM 14240400 AS follower-1").unwrap_err().kind,
+            ErrKind::Syntax
+        );
         assert!(parse_request("REPLICATE guide FROM -").unwrap().is_read());
         assert_eq!(
             parse_request("REPLICATE guide FROM nonsense").unwrap_err().kind,

@@ -6,8 +6,9 @@
 //! its primary (proxies, fault injection, a different build) only has to
 //! understand the line protocol. Each cycle lists the primary's
 //! databases, then drives every one to the primary's applied LSN:
-//! `REPLICATE <db> FROM <applied> AS <id>` either returns a checkpoint
-//! image (installed wholesale, replacing the local shard) or a run of
+//! `REPLICATE <db> FROM <applied>` either returns a checkpoint image
+//! (installed wholesale, replacing the local shard — the answer whenever
+//! `<applied>` is outside the primary's retention tail) or a run of
 //! history entries, which enter the **same commit pipeline as local
 //! writes** (`sequence` → persist → publish) — through the follower's
 //! own WAL when it has one, so follower WALs, checkpoints, and crash
@@ -15,13 +16,14 @@
 //! application order inside each record is [`doem::apply_set`]'s,
 //! identical on both sides by construction.
 //!
-//! Connection failures reconnect with exponential backoff (50ms doubling
-//! to 2s, counted in `repl_reconnects`, the last slept delay published
-//! as the `repl_backoff_ms` gauge); a session that made replication
-//! progress — applied records or installed a snapshot — returns the
-//! backoff to its floor, while a primary that accepts connections but
-//! errors immediately keeps backing off. Every sleep is stop-aware so
-//! shutdown never waits out a backoff.
+//! This loop is serve's one reconnect mechanism ([`WireClient`] itself
+//! never retries). Connection failures reconnect with exponential
+//! backoff (50ms doubling to 2s, counted in `repl_reconnects`, the last
+//! slept delay published as the `repl_backoff_ms` gauge); a session that
+//! made replication progress — applied records or installed a snapshot —
+//! returns the backoff to its floor, while a primary that accepts
+//! connections but errors immediately keeps backing off. Every sleep is
+//! stop-aware so shutdown never waits out a backoff.
 //!
 //! Promotion fencing: batches carry the serving shard's epoch. The sync
 //! loop skips shards this instance has `PROMOTE`d (they are their own
@@ -95,17 +97,12 @@ pub(crate) fn follower_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
     let Some(addr) = shared.cfg.follow.clone() else {
         return;
     };
-    let id = shared
-        .cfg
-        .follower_id
-        .clone()
-        .unwrap_or_else(|| format!("follower-{}", std::process::id()));
     let mut backoff = Backoff::new();
     while !stop.load(Ordering::SeqCst) {
         let before = progress(shared);
         let session = WireClient::connect(addr.as_str()).and_then(|mut client| {
             client.set_timeout(Some(WIRE_TIMEOUT))?;
-            run_session(shared, &mut client, &id, stop)
+            run_session(shared, &mut client, stop)
         });
         match session {
             // A session only returns cleanly on stop.
@@ -132,7 +129,6 @@ pub(crate) fn follower_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
 fn run_session(
     shared: &Arc<Shared>,
     client: &mut WireClient,
-    id: &str,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     while !stop.load(Ordering::SeqCst) {
@@ -148,7 +144,7 @@ fn run_session(
             if stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            sync_db(shared, client, &db, id, stop)?;
+            sync_db(shared, client, &db, stop)?;
         }
         sleep_stop_aware(stop, shared.cfg.follow_poll);
     }
@@ -163,7 +159,6 @@ fn sync_db(
     shared: &Arc<Shared>,
     client: &mut WireClient,
     db: &str,
-    id: &str,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     loop {
@@ -176,7 +171,7 @@ fn sync_db(
             return Ok(());
         }
         let applied = applied_lsn(shared, db);
-        let line = format!("REPLICATE {db} FROM {} AS {id}", lsn_to_wire(applied));
+        let line = format!("REPLICATE {db} FROM {}", lsn_to_wire(applied));
         let rows = match client.roundtrip(&line)? {
             Response::Rows(rows) => rows,
             // The database vanished between DBS and now; not an error.
@@ -227,21 +222,10 @@ fn sync_db(
                 )));
             }
         }
-        if crate::trace_enabled() {
-            let span = match (batch.records.first(), batch.records.last()) {
-                (Some((a, _)), Some((b, _))) => format!("{}..{}", a.raw_minutes(), b.raw_minutes()),
-                _ => "-".to_string(),
-            };
-            eprintln!(
-                "TRACE sync id={id} db={db} from={} primary_lsn={} epoch={} snapshot={} records={} [{span}]",
-                applied.raw_minutes(),
-                batch.primary_lsn.raw_minutes(),
-                batch.epoch,
-                batch.snapshot.is_some(),
-                batch.records.len(),
-            );
-        }
-        shared.repl.note_primary_lsn(db, batch.primary_lsn);
+        shared
+            .observed_primary
+            .lock()
+            .insert(db.to_string(), batch.primary_lsn);
         if let Some(image) = &batch.snapshot {
             let doem = snapshot_from_bytes(image).map_err(std::io::Error::other)?;
             install_replicated(shared, db, doem, batch.primary_lsn)

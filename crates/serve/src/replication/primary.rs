@@ -6,17 +6,11 @@
 //! in-memory **retention tail**: the recent suffix of its history `H`,
 //! appended under the same state write lock that publishes the commit
 //! (group-commit batches therefore become atomically visible shipping
-//! units). The tail prunes down to [`crate::ServeConfig::replication_retain`]
-//! records, except that records not yet acknowledged by every leased
-//! follower are kept up to a hard cap of 8× that — an attached-but-slow
-//! follower stretches retention, a vanished one cannot pin memory
-//! forever (its lease expires, and a follower behind the tail gets a
-//! checkpoint image instead).
-//!
-//! Leases live in the [`ReplHub`]: each `REPLICATE … AS <peer>` refreshes
-//! the peer's lease with the LSN it has applied; the minimum across
-//! unexpired leases is published to the shard as an atomic **retention
-//! floor**, so the publish path never touches the lease table.
+//! units). The tail keeps exactly
+//! [`crate::ServeConfig::replication_retain`] records; a follower whose
+//! applied LSN is older than the tail's base, or newer than the shard's
+//! last published LSN (the shard was replaced by an older history, or a
+//! non-durable primary restarted), gets the checkpoint image instead.
 
 use crate::faults::{FaultMode, FaultPoint};
 use crate::metrics::Metrics;
@@ -24,16 +18,9 @@ use crate::protocol::{ErrKind, Response};
 use crate::replication::stream::ReplBatch;
 use crate::service::Shared;
 use oem::{ChangeSet, Timestamp};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
-
-/// A lease with no refresh for this long no longer pins retention.
-const LEASE_TTL: Duration = Duration::from_secs(15);
-
-/// How far past `retain` an unacknowledged suffix may stretch the tail.
-const HARD_CAP_FACTOR: usize = 8;
+use std::time::Duration;
 
 /// Most history records one `REPLICATE` batch carries.
 const BATCH_RECORDS: usize = 64;
@@ -66,22 +53,12 @@ impl ReplTail {
         from >= self.base
     }
 
-    /// Append one published record and prune: down to `retain` records
-    /// freely once acknowledged by every lease (`floor` is the minimum
-    /// leased LSN in raw minutes; `i64::MAX` when no follower is
-    /// attached), and past `HARD_CAP_FACTOR * retain` unconditionally.
-    pub(crate) fn push(&mut self, at: Timestamp, changes: ChangeSet, retain: usize, floor: i64) {
+    /// Append one published record and prune down to `retain` records.
+    pub(crate) fn push(&mut self, at: Timestamp, changes: ChangeSet, retain: usize) {
         self.records.push_back((at, changes));
-        let retain = retain.max(1);
-        while self.records.len() > retain {
-            let front_at = self.records[0].0;
-            if front_at.raw_minutes() <= floor
-                || self.records.len() > retain * HARD_CAP_FACTOR
-            {
+        while self.records.len() > retain.max(1) {
+            if let Some((front_at, _)) = self.records.pop_front() {
                 self.base = front_at;
-                self.records.pop_front();
-            } else {
-                break;
             }
         }
     }
@@ -108,71 +85,12 @@ impl ReplTail {
     }
 }
 
-/// db → peer → (applied LSN in raw minutes, last refresh).
-type LeaseMap = HashMap<String, HashMap<String, (i64, Instant)>>;
-
-/// Cross-shard replication bookkeeping, hung off the service's shared
-/// state: follower retention leases (primary side) and the last observed
-/// primary LSN per database (follower side, for `STATS` lag rows).
-pub(crate) struct ReplHub {
-    /// Follower retention leases keyed by database, then peer id.
-    leases: Mutex<LeaseMap>,
-    /// db → the primary's applied LSN last carried by a batch.
-    observed_primary: Mutex<HashMap<String, i64>>,
-}
-
-impl ReplHub {
-    pub(crate) fn new() -> ReplHub {
-        ReplHub {
-            leases: Mutex::new(HashMap::new()),
-            observed_primary: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Refresh `peer`'s lease on `db` with the LSN it has applied, expire
-    /// stale leases, and return the new retention floor: the minimum
-    /// applied LSN across live leases (raw minutes; `i64::MAX` when none
-    /// remain).
-    pub(crate) fn ack(&self, db: &str, peer: &str, applied: Timestamp) -> i64 {
-        let now = Instant::now();
-        let mut leases = self.leases.lock();
-        let per_db = leases.entry(db.to_string()).or_default();
-        per_db.insert(peer.to_string(), (applied.raw_minutes(), now));
-        per_db.retain(|_, (_, seen)| now.duration_since(*seen) < LEASE_TTL);
-        per_db
-            .values()
-            .map(|(lsn, _)| *lsn)
-            .min()
-            .unwrap_or(i64::MAX)
-    }
-
-    /// Follower side: remember the primary's applied LSN for `db`.
-    pub(crate) fn note_primary_lsn(&self, db: &str, lsn: Timestamp) {
-        self.observed_primary
-            .lock()
-            .insert(db.to_string(), lsn.raw_minutes());
-    }
-
-    /// Follower side: the primary LSN last observed for `db`.
-    pub(crate) fn observed_primary_lsn(&self, db: &str) -> Option<Timestamp> {
-        self.observed_primary
-            .lock()
-            .get(db)
-            .map(|raw| Timestamp::from_raw_minutes(*raw))
-    }
-}
-
-/// Serve one `REPLICATE <db> FROM <from> [AS <peer>]` request: refresh
-/// the peer's lease, then cut a batch — log records when the tail still
-/// reaches back to `from`, otherwise the published checkpoint image. The
+/// Serve one `REPLICATE <db> FROM <from>` request: cut a batch — log
+/// records when the tail reaches back to `from` and the follower is not
+/// ahead of the shard, otherwise the published checkpoint image. The
 /// shard's state lock is held only to clone `Arc` handles; image
 /// encoding happens outside every lock.
-pub(crate) fn serve_replicate(
-    shared: &Shared,
-    db: &str,
-    from: Timestamp,
-    peer: Option<&str>,
-) -> Response {
+pub(crate) fn serve_replicate(shared: &Shared, db: &str, from: Timestamp) -> Response {
     let Some(shard) = shared.shard(db) else {
         return Response::err(ErrKind::NotFound, format!("no database named {db:?}"));
     };
@@ -190,33 +108,17 @@ pub(crate) fn serve_replicate(
         }
         None => {}
     }
-    if let Some(peer) = peer {
-        let floor = shared.repl.ack(db, peer, from);
-        shard.repl_floor.store(floor, Ordering::Relaxed);
-    }
     let (image, records, primary_lsn) = {
         let st = shard.state.read();
-        if st.tail.covers(from) {
+        // A follower past `last_at` holds records this history never
+        // had (the shard was replaced, or a non-durable primary
+        // restarted): only the image brings it back.
+        if st.tail.covers(from) && from <= st.last_at {
             (None, st.tail.records_after(from, BATCH_RECORDS), st.last_at)
         } else {
             (Some(st.doem.snapshot()), Vec::new(), st.last_at)
         }
     };
-    if crate::trace_enabled() {
-        let span = match (records.first(), records.last()) {
-            (Some((a, _)), Some((b, _))) => format!("{}..{}", a.raw_minutes(), b.raw_minutes()),
-            _ => "-".to_string(),
-        };
-        eprintln!(
-            "TRACE serve id={:?} db={db} from={} primary_lsn={} epoch={} snapshot={} records={} [{span}] peer={peer:?}",
-            shared.cfg.follower_id,
-            from.raw_minutes(),
-            primary_lsn.raw_minutes(),
-            shard.epoch(),
-            image.is_some(),
-            records.len(),
-        );
-    }
     let snapshot = image.map(|d| crate::replication::stream::snapshot_bytes(&d));
     Metrics::bump(&shared.metrics.repl_batches_shipped);
     if snapshot.is_some() {
@@ -256,7 +158,7 @@ mod tests {
         let mut tail = ReplTail::new(Timestamp::NEG_INFINITY);
         for i in 0..3 {
             let (at, c) = entry(i);
-            tail.push(at, c, 16, i64::MAX);
+            tail.push(at, c, 16);
         }
         assert!(tail.covers(Timestamp::NEG_INFINITY));
         assert_eq!(tail.records_after(Timestamp::NEG_INFINITY, 100).len(), 3);
@@ -266,48 +168,15 @@ mod tests {
     }
 
     #[test]
-    fn unleased_tails_prune_to_retain_and_stop_covering() {
+    fn tails_prune_to_retain_and_stop_covering() {
         let mut tail = ReplTail::new(Timestamp::NEG_INFINITY);
         for i in 0..5 {
             let (at, c) = entry(i);
-            tail.push(at, c, 2, i64::MAX);
+            tail.push(at, c, 2);
         }
         assert_eq!(tail.len(), 2);
         assert_eq!(tail.base, entry(2).0);
         assert!(!tail.covers(Timestamp::NEG_INFINITY));
         assert!(tail.covers(entry(2).0));
-    }
-
-    #[test]
-    fn a_lagging_lease_stretches_retention_up_to_the_hard_cap() {
-        // Floor below every record: nothing may prune until the hard cap.
-        let mut tail = ReplTail::new(Timestamp::NEG_INFINITY);
-        let floor = i64::MIN;
-        for i in 0..5 {
-            let (at, c) = entry(i);
-            tail.push(at, c, 2, floor);
-        }
-        assert_eq!(tail.len(), 5, "leased records must be retained");
-        // Push far past the cap (2 * 8): retention gives up.
-        let (last_at, c) = entry(5);
-        let mut at = last_at;
-        for _ in 0..20 {
-            at = at.plus_minutes(1);
-            tail.push(at, c.clone(), 2, floor);
-        }
-        assert!(tail.len() <= 2 * HARD_CAP_FACTOR + 1, "len {}", tail.len());
-    }
-
-    #[test]
-    fn hub_floor_is_the_minimum_live_lease() {
-        let hub = ReplHub::new();
-        let t10 = Timestamp::from_raw_minutes(10);
-        let t20 = Timestamp::from_raw_minutes(20);
-        assert_eq!(hub.ack("db", "a", t20), 20);
-        assert_eq!(hub.ack("db", "b", t10), 10);
-        // A's refresh does not mask B's lag.
-        assert_eq!(hub.ack("db", "a", t20), 10);
-        // Leases are per database.
-        assert_eq!(hub.ack("other", "c", t20), 20);
     }
 }

@@ -92,11 +92,9 @@ pub struct ServeConfig {
     /// read-only **follower**, replaying the primary's change-op log
     /// into its shards and refusing client writes with `READONLY`.
     pub follow: Option<String>,
-    /// Follower identity sent with `REPLICATE … AS <peer>` (leases log
-    /// retention on the primary). Defaults to `follower-<pid>`.
-    pub follower_id: Option<String>,
     /// Log-tail records each shard retains in memory for followers, past
-    /// checkpoints (min 1; leased followers can stretch this up to 8×).
+    /// checkpoints (min 1). A follower further behind than this gets a
+    /// checkpoint image instead of records.
     pub replication_retain: usize,
     /// How long a caught-up follower sleeps between poll rounds.
     pub follow_poll: Duration,
@@ -126,7 +124,6 @@ impl Default for ServeConfig {
             group_commit_max: 8,
             group_commit_window_us: 0,
             follow: None,
-            follower_id: None,
             replication_retain: 1024,
             follow_poll: Duration::from_millis(100),
             faults: Faults::disabled(),

@@ -93,9 +93,7 @@ pub(crate) fn execute(
         Request::Mutate { db, at, stmt } => {
             return write(shared, &db, at, WriteKind::Mutate(stmt), reply)
         }
-        Request::Replicate { db, from, peer } => {
-            serve_replicate(shared, &db, from, peer.as_deref())
-        }
+        Request::Replicate { db, from } => serve_replicate(shared, &db, from),
         Request::Promote { db } => with_shard(shared, &db, |shard| promote(shared, &db, shard)),
         Request::Fence { db, epoch } => with_shard(shared, &db, |shard| fence(&db, shard, epoch)),
     })
@@ -127,7 +125,7 @@ fn stats(shared: &Shared) -> Response {
         let (applied, durable, epoch) = shard.lsn_fields();
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
         if shared.cfg.follow.is_some() {
-            if let Some(p) = shared.repl.observed_primary_lsn(name) {
+            if let Some(p) = shared.observed_primary.lock().get(name).copied() {
                 line.push_str(&format!(" primary={}", lsn_to_wire(p)));
             }
         }
@@ -385,14 +383,6 @@ pub(crate) fn install_replicated(
     doem: DoemDatabase,
     last_at: Timestamp,
 ) -> Result<(), String> {
-    if crate::trace_enabled() {
-        eprintln!(
-            "TRACE install id={:?} db={db} last_at={} history={}",
-            shared.cfg.follower_id,
-            last_at.raw_minutes(),
-            doem.timestamps().len(),
-        );
-    }
     install_shard(shared, db, doem, last_at, false)
         .map(|_| ())
         .map_err(|e| e.describe("snapshot install", db).1)

@@ -63,12 +63,11 @@ pub use config::{ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
 
 use crate::metrics::Metrics;
-use crate::replication::primary::ReplHub;
 use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
 use oem::{History, OemDatabase, SharedOem, Timestamp};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
 use recovery::{install_shard, io_error, last_lsn, recover_all};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
@@ -93,9 +92,9 @@ pub(crate) struct Shared {
     pub(crate) accepting: AtomicBool,
     /// Monotonic write counter across *all* shards — the `GEN` verb.
     pub(crate) global_gen: AtomicU64,
-    /// Replication bookkeeping: follower leases (primary side) and
-    /// observed primary LSNs (follower side).
-    pub(crate) repl: ReplHub,
+    /// Follower side: db → the primary's applied LSN last carried by a
+    /// replication batch (the `primary=` field of `STATS` lsn rows).
+    pub(crate) observed_primary: Mutex<HashMap<String, Timestamp>>,
     pub(crate) metrics: Metrics,
 }
 
@@ -170,7 +169,7 @@ impl Service {
             durable,
             accepting: AtomicBool::new(true),
             global_gen: AtomicU64::new(1),
-            repl: ReplHub::new(),
+            observed_primary: Mutex::new(HashMap::new()),
             metrics,
             cfg,
         });

@@ -74,17 +74,6 @@ pub(crate) fn recover_all(
         if recovered.torn {
             metrics.torn_tails.fetch_add(1, Ordering::Relaxed);
         }
-        if crate::trace_enabled() {
-            eprintln!(
-                "TRACE recover id={:?} db={name} last_at={} applied={} torn={} epoch={} history={}",
-                cfg.follower_id,
-                recovered.last_at.raw_minutes(),
-                recovered.applied,
-                recovered.torn,
-                recovered.epoch,
-                recovered.doem.timestamps().len(),
-            );
-        }
         let shard = Arc::new(Shard::new(
             recovered.doem,
             recovered.replica,

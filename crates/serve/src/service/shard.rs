@@ -81,10 +81,6 @@ pub(crate) struct Shard {
     /// Set (under the pipeline lock) on persistent log I/O failure;
     /// writes answer `READONLY` from then on while queries keep serving.
     pub(crate) read_only: AtomicBool,
-    /// Replication retention floor: the minimum applied LSN (raw
-    /// minutes) across live follower leases, `i64::MAX` when none. Kept
-    /// as an atomic so the publish path never touches the lease table.
-    pub(crate) repl_floor: AtomicI64,
     /// This lineage's promotion epoch: 0 for a never-promoted lineage,
     /// bumped by `PROMOTE`, recovered from WAL record suffixes, and
     /// adopted from newer replication batches. Stamped into every WAL
@@ -137,7 +133,6 @@ impl Shard {
             }),
             cache: ResultCache::new(cache_capacity),
             read_only: AtomicBool::new(false),
-            repl_floor: AtomicI64::new(i64::MAX),
             epoch: AtomicU64::new(epoch),
             fenced_epoch: AtomicU64::new(0),
             promoted: AtomicBool::new(false),
@@ -242,12 +237,7 @@ pub(crate) fn publish(shared: &Shared, shard: &Shard, st: &mut ShardState, set: 
     st.doem = doem;
     st.last_at = at;
     maintain_shard_cache(shared, shard, st, &changes, at);
-    st.tail.push(
-        at,
-        changes,
-        shared.cfg.replication_retain.max(1),
-        shard.repl_floor.load(Ordering::Relaxed),
-    );
+    st.tail.push(at, changes, shared.cfg.replication_retain);
     st.generation += 1;
     shard.cache.retain_generation(st.generation);
     st.ring.publish_entry(at, st.generation, replica);

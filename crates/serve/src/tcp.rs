@@ -18,9 +18,13 @@
 //! that has to wait. From then on every frame funnels through a writer
 //! thread, coalesced into one `write_all` per burst. A serial session is
 //! one thread; a pipelined one, two, however deep it pipelines.
+//!
+//! [`WireClient`] is the synchronous client side of the same protocol. It
+//! does not reconnect or resend: a connection failure surfaces to the
+//! caller (the follower loop's backoff handles it for replication).
 
 use crate::metrics::Metrics;
-use crate::protocol::{parse_tagged_request, Request, Response};
+use crate::protocol::Response;
 use crate::service::{Client, Outbound, ReplySlot, Service, Shared};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -309,108 +313,26 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
     result
 }
 
-/// Reconnect-and-retry policy for [`WireClient`]: how many times to retry
-/// an **idempotent** request after a connection-level failure, backing
-/// off exponentially (`initial`, doubling, capped at `max`) between
-/// attempts. Non-idempotent requests (writes) are never retried — a reset
-/// mid-write is undecidable and must surface to the caller.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Retry attempts after the initial failure (0 disables retrying).
-    pub attempts: u32,
-    /// Backoff before the first retry.
-    pub initial: Duration,
-    /// Backoff ceiling.
-    pub max: Duration,
-}
-
-impl RetryPolicy {
-    /// Never retry — the default.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 0,
-            initial: Duration::ZERO,
-            max: Duration::ZERO,
-        }
-    }
-
-    /// A sensible default for riding out a server restart: `attempts`
-    /// retries starting at 20ms and doubling up to 500ms.
-    pub fn restarts(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            attempts,
-            initial: Duration::from_millis(20),
-            max: Duration::from_millis(500),
-        }
-    }
-}
-
-/// Whether an I/O failure suggests the connection (not the request)
-/// failed — the cases reconnecting can cure.
-fn is_connection_failure(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind as K;
-    matches!(
-        e.kind(),
-        K::ConnectionReset
-            | K::ConnectionAborted
-            | K::ConnectionRefused
-            | K::BrokenPipe
-            | K::UnexpectedEof
-            | K::NotConnected
-    )
-}
-
-/// Whether a request line is safe to resend: it parses and takes the
-/// read-only path, excluding `SAVE` (which, though repeatable, performs
-/// storage writes the caller should see fail).
-fn is_idempotent(line: &str) -> bool {
-    match parse_tagged_request(line) {
-        (_, Ok(req)) => req.is_read() && !matches!(req, Request::Save { .. }),
-        (_, Err(_)) => false,
-    }
-}
-
 /// A minimal synchronous wire client: connect, send a line, read a frame.
 /// Used by the test suite and handy for scripting against `doem-serve`.
-///
-/// Optionally resilient: [`WireClient::set_timeout`] bounds every send and
-/// receive, and [`WireClient::set_retry`] makes [`WireClient::roundtrip`]
-/// reconnect and resend **idempotent** requests after a connection-level
-/// failure, so a restarting server is transparent to readers.
+/// [`WireClient::set_timeout`] bounds every send and receive.
 pub struct WireClient {
-    addrs: Vec<SocketAddr>,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    timeout: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl WireClient {
-    /// Connect to a listening service (no timeout, no retries).
+    /// Connect to a listening service (no timeout).
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<WireClient> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let (reader, writer) = WireClient::dial(&addrs, None)?;
-        Ok(WireClient {
-            addrs,
-            reader,
-            writer,
-            timeout: None,
-            retry: RetryPolicy::none(),
-        })
-    }
-
-    fn dial(
-        addrs: &[SocketAddr],
-        timeout: Option<Duration>,
-    ) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
-        let stream = TcpStream::connect(addrs)?;
+        let stream = TcpStream::connect(addr)?;
         // Request lines are small and each waits for its answer: never
         // hold one back for the previous segment's ACK.
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
         let writer = stream.try_clone()?;
-        Ok((BufReader::new(stream), writer))
+        Ok(WireClient {
+            reader: BufReader::new(stream),
+            writer,
+        })
     }
 
     /// Bound every subsequent send and receive (`None` blocks forever).
@@ -419,61 +341,18 @@ impl WireClient {
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         let stream = self.reader.get_ref();
         stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
-        self.timeout = timeout;
-        Ok(())
+        stream.set_write_timeout(timeout)
     }
 
-    /// Set the reconnect-and-retry policy for [`WireClient::roundtrip`].
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Send one request line and read the matching response frame. With a
-    /// [`RetryPolicy`] set, a connection-level failure on an idempotent
-    /// (read-only) request reconnects and resends with exponential
-    /// backoff; writes always surface the first failure.
+    /// Send one request line and read the matching response frame.
     pub fn roundtrip(&mut self, line: &str) -> std::io::Result<Response> {
-        let first = match self.try_roundtrip(line) {
-            Ok(resp) => return Ok(resp),
-            Err(e) => e,
-        };
-        if self.retry.attempts == 0 || !is_connection_failure(&first) || !is_idempotent(line) {
-            return Err(first);
-        }
-        let mut last = first;
-        let mut backoff = self.retry.initial;
-        for _ in 0..self.retry.attempts {
-            thread::sleep(backoff);
-            backoff = (backoff * 2).min(self.retry.max);
-            match WireClient::dial(&self.addrs, self.timeout) {
-                Ok((reader, writer)) => {
-                    self.reader = reader;
-                    self.writer = writer;
-                }
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            }
-            match self.try_roundtrip(line) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if is_connection_failure(&e) => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
-    }
-
-    fn try_roundtrip(&mut self, line: &str) -> std::io::Result<Response> {
         self.send(line)?;
         Ok(self.recv()?.1)
     }
 
     /// Send one request line without waiting for the response. Tag lines
     /// with `#<id> ` to pipeline; responses then come back via
-    /// [`WireClient::recv`] in completion order. Never retries — resending
-    /// pipelined traffic is the caller's call.
+    /// [`WireClient::recv`] in completion order.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
         // One write per request: a line split across two segments waits
         // out the peer's delayed ACK (~40 ms) before the second is sent.
@@ -649,52 +528,5 @@ mod tests {
         assert_eq!(svc.metrics().session_writers.load(Ordering::Relaxed), 1);
         handle.stop();
         svc.shutdown();
-    }
-
-    #[test]
-    fn idempotent_roundtrips_survive_a_server_restart() {
-        let svc = Service::start(ServeConfig::default()).unwrap();
-        svc.install(&guide_figure2(), &history_example_2_3()).unwrap();
-        let handle = svc.listen("127.0.0.1:0").unwrap();
-        let addr = handle.addr();
-
-        let mut wire = WireClient::connect(addr).unwrap();
-        wire.set_timeout(Some(Duration::from_secs(5))).unwrap();
-        wire.set_retry(RetryPolicy::restarts(50));
-        let before = wire
-            .roundtrip("QUERY guide select guide.restaurant")
-            .unwrap();
-
-        // Tear the whole service down, then bring a fresh one up on the
-        // same port while the client retries in another thread.
-        handle.stop();
-        svc.shutdown();
-        let retrier = thread::spawn(move || {
-            let resp = wire.roundtrip("QUERY guide select guide.restaurant");
-            (wire, resp)
-        });
-        thread::sleep(Duration::from_millis(100));
-        let svc2 = Service::start(ServeConfig::default()).unwrap();
-        svc2.install(&guide_figure2(), &history_example_2_3()).unwrap();
-        let handle2 = svc2.listen(addr).expect("rebind the same port");
-        let (mut wire, resp) = retrier.join().unwrap();
-        assert_eq!(resp.unwrap(), before, "reader rides out the restart");
-
-        // A write must NOT be silently retried: with the server up it
-        // simply works, so instead check the classifier directly.
-        assert!(!is_idempotent("UPDATE guide AT 1Mar97 9:00am ; {updNode(n1, 5)}"));
-        assert!(!is_idempotent("SAVE guide"));
-        assert!(is_idempotent("#x QUERY guide select guide.restaurant"));
-        assert!(is_idempotent("STATS"));
-        // The replication verbs are reads: re-asking for an LSN or a
-        // batch after a reconnect is always safe (the follower's resume
-        // point is its own applied LSN, not connection state).
-        assert!(is_idempotent("LSN guide"));
-        assert!(is_idempotent("GEN guide"));
-        assert!(is_idempotent("REPLICATE guide FROM - AS follower-1"));
-        let resp = wire.roundtrip("PING").unwrap();
-        assert_eq!(resp, Response::Ok("pong".into()));
-        handle2.stop();
-        svc2.shutdown();
     }
 }

@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use serve::{
-    ErrKind, FaultMode, FaultPoint, Faults, Response, RetryPolicy, ServeConfig, Service, WireClient,
+    ErrKind, FaultMode, FaultPoint, Faults, Response, ServeConfig, Service, WireClient,
 };
 
 #[test]
@@ -134,7 +134,6 @@ fn serve_workload_is_sanitize_clean() {
         let _ = wire.roundtrip("QUIT");
     });
     let mut wire = WireClient::connect(addr).expect("connect");
-    wire.set_retry(RetryPolicy::none());
     for _ in 0..4 {
         let resp = wire.roundtrip("QUERY scratch select scratch.item").expect("roundtrip");
         assert!(matches!(resp, Response::Rows(ref r) if r.len() == 8), "{resp:?}");

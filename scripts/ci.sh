@@ -97,9 +97,6 @@ oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "to
 echo "==> doem-lint (zero findings; an inline \`// lint: allow\` is the one exemption)"
 cargo run -q -p lint --offline --bin doem-lint
 
-echo "==> doem-lint --fix --check (trivial serve unwraps must be fixed)"
-cargo run -q -p lint --offline --bin doem-lint -- --fix --check
-
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # The semi-naive maintenance path (DESIGN.md §11) must agree with full
 # re-evaluation on random histories, and its change-set-seeded variants

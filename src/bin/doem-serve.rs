@@ -9,8 +9,7 @@
 //! doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!            [--store DIR] [--wal DIR] [--checkpoint-every N]
 //!            [--group-commit N] [--group-commit-window-us U]
-//!            [--follow HOST:PORT] [--follower-id NAME]
-//!            [--repl-retain N] [--follow-poll-ms MS]
+//!            [--follow HOST:PORT] [--repl-retain N] [--follow-poll-ms MS]
 //!            [--retain-lsns N] [--empty] [--create NAME]...
 //! ```
 //!
@@ -34,7 +33,9 @@
 //! `LSN <db>` and `STATS`), and refuses client writes with `READONLY`.
 //! Followers never seed the guide fixture — their state comes from the
 //! primary. Combine with `--wal DIR` for a durable follower that crash-
-//! recovers locally before resuming the stream.
+//! recovers locally before resuming the stream. Every instance keeps its
+//! last `--repl-retain N` records (default 1024) for followers; one that
+//! is further behind gets a checkpoint image instead.
 //!
 //! The wire protocol (including `#<id>` pipelining tags and the
 //! `REPLICATE` verb's batch framing) is specified in
@@ -49,8 +50,7 @@ fn usage() -> ! {
         "usage: doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--store DIR] [--wal DIR] [--checkpoint-every N]\n\
          \x20                 [--group-commit N] [--group-commit-window-us U]\n\
-         \x20                 [--follow HOST:PORT] [--follower-id NAME]\n\
-         \x20                 [--repl-retain N] [--follow-poll-ms MS]\n\
+         \x20                 [--follow HOST:PORT] [--repl-retain N] [--follow-poll-ms MS]\n\
          \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
     );
     std::process::exit(2);
@@ -81,7 +81,6 @@ fn main() {
                 cfg.group_commit_window_us = parse_num(&val("--group-commit-window-us")) as u64
             }
             "--follow" => cfg.follow = Some(val("--follow")),
-            "--follower-id" => cfg.follower_id = Some(val("--follower-id")),
             "--repl-retain" => cfg.replication_retain = parse_num(&val("--repl-retain")),
             "--retain-lsns" => cfg.retain_lsns = parse_num(&val("--retain-lsns")),
             "--follow-poll-ms" => {

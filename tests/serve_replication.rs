@@ -31,10 +31,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// A follower config aimed at `primary_addr`, polling fast enough that
 /// tests converge quickly.
-fn follower_cfg(primary_addr: &str, id: &str) -> ServeConfig {
+fn follower_cfg(primary_addr: &str) -> ServeConfig {
     ServeConfig {
         follow: Some(primary_addr.to_string()),
-        follower_id: Some(id.to_string()),
         follow_poll: Duration::from_millis(10),
         ..ServeConfig::default()
     }
@@ -95,7 +94,7 @@ fn follower_catches_up_from_empty_and_serves_identical_rows() {
         .unwrap();
     let handle = primary.listen("127.0.0.1:0").unwrap();
 
-    let follower = Service::start(follower_cfg(&handle.addr().to_string(), "f1")).unwrap();
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
     await_convergence(&primary, &follower, "guide", Duration::from_secs(15));
 
     // Chorel rows are canonical, so equal graphs must answer equal rows.
@@ -169,8 +168,8 @@ fn two_followers_track_a_live_primary() {
     let pc = primary.client();
     assert!(!pc.request_line("CREATE alpha").is_error());
 
-    let f1 = Service::start(follower_cfg(&handle.addr().to_string(), "f1")).unwrap();
-    let f2 = Service::start(follower_cfg(&handle.addr().to_string(), "f2")).unwrap();
+    let f1 = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+    let f2 = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
     // The empty database must materialize on both followers.
     await_convergence(&primary, &f1, "alpha", Duration::from_secs(15));
     await_convergence(&primary, &f2, "alpha", Duration::from_secs(15));
@@ -185,8 +184,8 @@ fn two_followers_track_a_live_primary() {
     assert_eq!(f1.client().query("alpha", "select alpha.item").unwrap().len(), 8);
     assert_eq!(f2.client().query("alpha", "select alpha.item").unwrap().len(), 8);
 
-    // Each follower replayed through its own connection: both hold live
-    // leases on the primary, visible as shipped-batch accounting.
+    // Each follower replayed through its own connection, visible as
+    // shipped-batch accounting on the primary.
     use std::sync::atomic::Ordering::Relaxed;
     assert!(primary.metrics().repl_batches_shipped.load(Relaxed) >= 2);
 
@@ -211,7 +210,7 @@ fn follower_answers_as_of_identically_to_the_primary() {
         assert!(!pc.request_line(&format!("UPDATE tt AT {at} ; {ch}")).is_error());
     }
 
-    let follower = Service::start(follower_cfg(&handle.addr().to_string(), "tt1")).unwrap();
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
     await_convergence(&primary, &follower, "tt", Duration::from_secs(15));
     let fc = follower.client();
 
@@ -252,7 +251,7 @@ fn follower_killed_mid_replay_recovers_and_converges() {
     for boundary in [0u64, 3, 7] {
         let dir = fresh_dir(&format!("kill9-{boundary}"));
         let faults = Faults::fail_nth(FaultPoint::WalAppend, boundary, FaultMode::Error, true);
-        let mut cfg = follower_cfg(&addr, &format!("k{boundary}"));
+        let mut cfg = follower_cfg(&addr);
         cfg.wal_dir = Some(dir.clone());
         cfg.faults = faults.clone();
         let follower = Service::start(cfg).unwrap();
@@ -272,7 +271,7 @@ fn follower_killed_mid_replay_recovers_and_converges() {
         follower.shutdown();
 
         // Restart over the same directory with the disk healed.
-        let mut cfg = follower_cfg(&addr, &format!("k{boundary}r"));
+        let mut cfg = follower_cfg(&addr);
         cfg.wal_dir = Some(dir.clone());
         let follower = Service::start(cfg).unwrap();
         await_convergence(&primary, &follower, "p", Duration::from_secs(15));
@@ -315,7 +314,7 @@ fn seeded_replication_faults_still_converge() {
         assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
     }
 
-    let mut cfg = follower_cfg(&handle.addr().to_string(), &format!("s{seed}"));
+    let mut cfg = follower_cfg(&handle.addr().to_string());
     cfg.faults = faults.clone();
     let follower = Service::start(cfg).unwrap();
 
@@ -355,7 +354,7 @@ fn promote_fences_the_old_primary_and_takes_writes() {
         assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
     }
 
-    let follower = Service::start(follower_cfg(&handle.addr().to_string(), "fo")).unwrap();
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
     await_convergence(&primary, &follower, "p", Duration::from_secs(15));
 
     // Promote the follower at its applied LSN.
@@ -422,7 +421,7 @@ fn reconnect_backoff_grows_during_an_outage_and_resets_on_progress() {
         assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
     }
 
-    let follower = Service::start(follower_cfg(&handle.addr().to_string(), "bk")).unwrap();
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
     await_convergence(&primary, &follower, "p", Duration::from_secs(15));
 
     // Outage: the next five REPLICATE serves error, killing five
@@ -476,6 +475,85 @@ fn reconnect_backoff_grows_during_an_outage_and_resets_on_progress() {
     handle.stop();
     follower.shutdown();
     primary.shutdown();
+}
+
+/// A follower *ahead* of its primary — here because the primary's shard
+/// was replaced by an older history — is outside the retention tail on
+/// the far side: the primary must ship its image, not an empty batch the
+/// follower would read as "caught up".
+#[test]
+fn follower_ahead_of_a_replaced_primary_resyncs_from_the_image() {
+    let primary = Service::start(ServeConfig::default()).unwrap();
+    let guide = oem::guide::guide_figure2();
+    let history = oem::guide::history_example_2_3();
+    primary.install(&guide, &history).unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    let pc = primary.client();
+    for i in 0..6 {
+        let (minute, id) = (i + 1, 700 + i);
+        let line = format!(
+            "UPDATE guide AT 9Jan97 6:{minute:02}am ; \
+             {{creNode(n{id}, {i}), addArc(n4, item, n{id})}}"
+        );
+        assert!(!pc.request_line(&line).is_error(), "{line}");
+    }
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+    await_convergence(&primary, &follower, "guide", Duration::from_secs(15));
+
+    // Replace the primary's shard with the bare Example 2.3 guide: its
+    // last LSN is now behind the follower's applied one.
+    primary.install(&guide, &history).unwrap();
+    await_convergence(&primary, &follower, "guide", Duration::from_secs(15));
+    assert_eq!(
+        follower.client().query("guide", "select guide.item").unwrap().len(),
+        0
+    );
+
+    handle.stop();
+    follower.shutdown();
+    primary.shutdown();
+}
+
+/// The primary keeps exactly `replication_retain` records. A durable
+/// follower that crashes and misses more writes than that must come back
+/// through a checkpoint image, not through records.
+#[test]
+fn follower_behind_the_retention_tail_resyncs_from_the_image() {
+    let primary = Service::start(ServeConfig {
+        replication_retain: 4,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    let addr = handle.addr().to_string();
+    let pc = primary.client();
+    assert!(!pc.request_line("CREATE p").is_error());
+    let history = writes(14);
+    for (at, ch) in &history[..2] {
+        assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+    }
+
+    let dir = fresh_dir("retain");
+    let mut cfg = follower_cfg(&addr);
+    cfg.wal_dir = Some(dir.clone());
+    let follower = Service::start(cfg.clone()).unwrap();
+    await_convergence(&primary, &follower, "p", Duration::from_secs(15));
+    follower.crash_stop();
+
+    for (at, ch) in &history[2..] {
+        assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+    }
+
+    let follower = Service::start(cfg).unwrap();
+    await_convergence(&primary, &follower, "p", Duration::from_secs(15));
+    use std::sync::atomic::Ordering::Relaxed;
+    assert!(follower.metrics().repl_snapshots_installed.load(Relaxed) >= 1);
+    assert_eq!(follower.client().query("p", "select p.item").unwrap().len(), 14);
+
+    handle.stop();
+    follower.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 mod batching_properties {
