@@ -29,7 +29,7 @@
 use crate::oracle::{AckedWrite, History, ReadObs};
 use crate::schedule::{Event, Schedule};
 use crate::{OracleFailure, RunSummary, Sabotage};
-use doem::current_snapshot;
+use doem::{current_snapshot, snapshot_at};
 use oem::{same_database, Timestamp};
 use serve::protocol::lsn_from_wire;
 use serve::{ErrKind, FaultPoint, Faults, Response, ServeConfig, Service, TcpHandle};
@@ -73,7 +73,7 @@ impl Node {
         let cfg = ServeConfig {
             wal_dir: Some(self.dir.clone()),
             checkpoint_every: 8,
-            replication_retain: 100_000,
+            retain_lsns: 100_000,
             follow: self.follow.clone(),
             follow_poll: Duration::from_millis(10),
             faults: self.faults.clone(),
@@ -321,9 +321,8 @@ impl Harness {
     /// A time-travel read: resolve `frac` to an acked LSN the target node
     /// has already applied, issue `QUERY … AS OF` against it, and record
     /// the observation with the pinned point as its serve point. The
-    /// answer comes from the node's retained version ring when the point
-    /// is above its retention horizon, and from the snapshot-at replay
-    /// fallback otherwise — the oracle holds both to the same standard.
+    /// node answers from the `O_t(D)` view of its DOEM graph, which holds
+    /// every point of the recorded history.
     fn exec_read_as_of(&mut self, session: usize, node: usize, frac: u8) {
         let node = node.min(self.nodes.len() - 1);
         let client = self.nodes[node].svc().client();
@@ -517,10 +516,9 @@ impl Harness {
 
     /// The fifth, MVCC-specific check: after convergence, `AS OF` at a
     /// historical LSN must answer the replay of the acked prefix — on the
-    /// primary *and* every follower, whether the point is served from the
-    /// node's retained version ring or through the snapshot-at fallback.
-    /// Where a node still retains the version, its graph itself must
-    /// equal the replay (by [`oem::same_database`]), not just the rows.
+    /// primary *and* every follower. Beyond the rows, the node's state at
+    /// that point, [`doem::snapshot_at`] over its DOEM graph, must equal
+    /// the replay (by [`oem::same_database`]) on every node.
     fn check_as_of_convergence(&self) -> Result<(), OracleFailure> {
         if self.history.acked.is_empty() {
             return Ok(());
@@ -533,6 +531,7 @@ impl Harness {
                 detail: format!("reference replay at {at} failed to evaluate: {e}"),
             })?;
         let want = chorel::canonical_row_strings(&reference, &result);
+        let want_graph = current_snapshot(&reference);
         for (i, node) in self.nodes.iter().enumerate() {
             let resp = node.svc().client().request_line(&format!(
                 "QUERY {DB} AS OF {} select {DB}.item",
@@ -555,16 +554,17 @@ impl Harness {
                     ),
                 });
             }
-            if let Some(version) = node.svc().version_snapshot(DB, at) {
-                if !same_database(&version, &current_snapshot(&reference)) {
-                    return Err(OracleFailure {
-                        check: "as-of-convergence",
-                        detail: format!(
-                            "node {i} retains a version at {at} whose graph diverges \
-                             from the acked-prefix replay"
-                        ),
-                    });
-                }
+            let diverges = node
+                .svc()
+                .doem_snapshot(DB)
+                .is_none_or(|d| !same_database(&snapshot_at(&d, at), &want_graph));
+            if diverges {
+                return Err(OracleFailure {
+                    check: "as-of-convergence",
+                    detail: format!(
+                        "node {i}'s graph at {at} diverges from the acked-prefix replay"
+                    ),
+                });
             }
         }
         Ok(())

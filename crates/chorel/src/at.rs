@@ -20,6 +20,16 @@ use oem::{Label, NodeId, Timestamp, Value};
 /// `DoemDatabase::from_snapshot(&snapshot_at(d, t))`: the snapshot is a
 /// plain database, so the annotation functions are empty and the
 /// `<at T>` hooks fall back to the snapshot itself (the trait defaults).
+///
+/// The children of a node are its arcs alive at `t`; unlike
+/// [`doem::snapshot_at`], the view does not ask whether each child
+/// existed at `t`. [`DoemDatabase::check_invariants`] makes that
+/// redundant: every arc into a node created at `tc` starts with an `add`
+/// at or after `tc`. `apply_set` keeps the rule, since it adds arcs only
+/// to nodes the replica holds and never reuses an id
+/// ([`oem::OemDatabase::is_fresh`]), so an arc without an `add` is an
+/// original arc to an original node; `decode_doem` checks it on every
+/// image.
 #[derive(Clone, Copy, Debug)]
 pub struct AtSource<'a> {
     d: &'a DoemDatabase,
@@ -64,21 +74,36 @@ impl DataSource for AtSource<'_> {
     }
 
     fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
-        // Atomic at t, or not yet created: nothing below it at t.
-        if !self
+        self.children_where(n, |l, c| Some((l, c)))
+    }
+
+    fn children_labeled(&self, n: NodeId, l: Label) -> Vec<NodeId> {
+        self.children_where(n, |label, c| (label == l).then_some(c))
+    }
+}
+
+impl AtSource<'_> {
+    /// What `pick` makes of the arcs out of `n` alive at `t`, in graph
+    /// order. `pick` runs first, so arcs it rejects cost no annotation
+    /// scan.
+    fn children_where<T>(&self, n: NodeId, pick: impl Fn(Label, NodeId) -> Option<T>) -> Vec<T> {
+        let alive: Vec<T> = self
             .d
-            .value_ref_at(n, self.t)
-            .is_some_and(Value::is_complex)
-        {
-            return Vec::new();
-        }
-        self.d
             .arcs_from(n)
-            .filter(|&(_, c, anns)| {
-                ArcAnnotation::alive_at(anns, self.t) && self.d.value_ref_at(c, self.t).is_some()
-            })
-            .map(|(l, c, _)| (l, c))
-            .collect()
+            .filter_map(|(l, c, anns)| pick(l, c).filter(|_| ArcAnnotation::alive_at(anns, self.t)))
+            .collect();
+        // Atomic at t, or not yet created: nothing below it at t. Asked
+        // only when there is something to drop.
+        if alive.is_empty()
+            || self
+                .d
+                .value_ref_at(n, self.t)
+                .is_some_and(Value::is_complex)
+        {
+            alive
+        } else {
+            Vec::new()
+        }
     }
 }
 

@@ -361,7 +361,10 @@ impl DoemDatabase {
     /// at most one `cre` per node and it must be first; `upd` timestamps
     /// strictly increasing; arc annotations strictly increasing and
     /// alternating `add`/`rem`; no annotation precedes its node's creation;
-    /// annotations only on existing nodes/arcs.
+    /// annotations only on existing nodes/arcs; every arc into a node
+    /// carrying `cre(tc)` — removed arcs included — has an `add(ta)` with
+    /// `ta >= tc` as its earliest annotation, so no arc reaches a node
+    /// before the node exists (what `chorel::AtSource` relies on).
     pub fn check_invariants(&self) -> Result<()> {
         for (raw, anns) in &self.node_ann {
             let n = NodeId::from_raw(raw);
@@ -415,6 +418,19 @@ impl DoemDatabase {
                         }
                     }
                     prev = Some(a);
+                }
+            }
+        }
+        for parent in self.graph.node_ids() {
+            for (l, c, anns) in self.arcs_from(parent) {
+                // A `cre` is always a node's first annotation (checked above).
+                let Some(NodeAnnotation::Cre(created)) = self.node_annotations(c).first() else {
+                    continue;
+                };
+                if !matches!(anns.first(), Some(ArcAnnotation::Add(added)) if added >= created) {
+                    return Err(DoemError::ArcBeforeChildCreation(ArcTriple::new(
+                        parent, l, c,
+                    )));
                 }
             }
         }
@@ -619,6 +635,27 @@ mod tests {
             d.check_invariants(),
             Err(DoemError::BadArcAnnotations(_))
         ));
+    }
+
+    /// An arc into a created node must start with an `add` at or after
+    /// the creation: an unannotated (original) arc, or one added earlier,
+    /// would reach the node before it existed.
+    #[test]
+    fn invariants_catch_arcs_that_reach_a_node_before_its_creation() {
+        for added in [None, Some(ts("4Jan97"))] {
+            let (mut d, r, _) = tiny();
+            let c = d.graph().clone().alloc_id();
+            d.record_create(c, Value::Int(1), ts("5Jan97")).unwrap();
+            let arc = ArcTriple::new(r, "x", c);
+            d.attach_arc(arc).unwrap();
+            if let Some(t) = added {
+                d.attach_arc_annotation(arc, ArcAnnotation::Add(t)).unwrap();
+            }
+            assert_eq!(
+                d.check_invariants(),
+                Err(DoemError::ArcBeforeChildCreation(arc))
+            );
+        }
     }
 
     #[test]

@@ -381,6 +381,48 @@ mod tests {
         assert!(decode_doem(&guide_figure2()).is_err());
     }
 
+    /// `decode_doem` holds images to `check_invariants`: an encoding of
+    /// `d.item` (created and linked at 2Jan97) whose `item` arc lost its
+    /// `&add`, or has it before the item's `cre`, is rejected.
+    #[test]
+    fn decode_rejects_arcs_that_reach_a_node_before_its_creation() {
+        let b = oem::GraphBuilder::new("d");
+        let root = b.root();
+        let snapshot = b.finish();
+        let item = snapshot.clone().alloc_id();
+        let arc = ArcTriple::new(root, "item", item);
+        let set = oem::ChangeSet::from_ops([
+            oem::ChangeOp::CreNode(item, Value::Int(1)),
+            oem::ChangeOp::AddArc(arc),
+        ])
+        .unwrap();
+        let h = oem::History::from_entries([("2Jan97".parse().unwrap(), set)]).unwrap();
+        let enc = encode_doem(&crate::doem_from_history(&snapshot, &h).unwrap()).oem;
+        decode_doem(&enc).unwrap();
+        let history = enc
+            .children_labeled(root, history_label(arc.label))
+            .next()
+            .unwrap();
+        let add = enc
+            .children_labeled(history, Label::new("&add"))
+            .next()
+            .unwrap();
+        let mut unannotated = enc.clone();
+        unannotated
+            .delete_arc(ArcTriple::new(history, "&add", add))
+            .unwrap();
+        let mut early = enc;
+        early
+            .set_value(add, Value::Time("1Jan97".parse().unwrap()))
+            .unwrap();
+        for bad in [unannotated, early] {
+            assert_eq!(
+                decode_doem(&bad).unwrap_err(),
+                DoemError::ArcBeforeChildCreation(arc)
+            );
+        }
+    }
+
     #[test]
     fn history_label_round_trip() {
         let l = Label::new("price");

@@ -17,6 +17,10 @@ pub enum DoemError {
     UnorderedUpdAnnotations(NodeId),
     /// An arc's annotations do not alternate `add`/`rem` in time order.
     BadArcAnnotations(ArcTriple),
+    /// An arc into a node that carries `cre(tc)` has no `add` annotation
+    /// at or after `tc` as its earliest one: the arc would reach the node
+    /// at a time the node did not exist.
+    ArcBeforeChildCreation(ArcTriple),
     /// An annotation mentions a timestamp earlier than the node's creation.
     AnnotationBeforeCreation {
         /// The annotated node.
@@ -43,6 +47,9 @@ impl fmt::Display for DoemError {
             }
             DoemError::BadArcAnnotations(a) => {
                 write!(f, "arc {a} has annotations that do not alternate add/rem")
+            }
+            DoemError::ArcBeforeChildCreation(a) => {
+                write!(f, "arc {a} reaches its child before the child was created")
             }
             DoemError::AnnotationBeforeCreation {
                 node,

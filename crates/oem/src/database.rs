@@ -45,8 +45,8 @@ impl NodeData {
 
 /// The `(label, parent)` arcs into one node, in insertion order. OEM is
 /// nearly a tree, so the zero- and one-parent cases are stored inline and
-/// only a shared child pays for a heap list: every replica, ring version
-/// and Section 5.1 encoding carries this per node, and a `Vec` here
+/// only a shared child pays for a heap list: every replica and
+/// Section 5.1 encoding carries this per node, and a `Vec` here
 /// measured +19 % resident memory on the durable write workload against
 /// +5 % for this layout.
 #[derive(Clone, Debug)]

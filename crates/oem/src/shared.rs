@@ -7,10 +7,10 @@
 //! reader still holds an older snapshot it switches to a *persistent*
 //! clone — O(1) at the handle, with the write itself path-copying only
 //! the touched spine of the underlying [`PMap`](crate::PMap) storage
-//! (DESIGN.md §14), never duplicating the whole database. This is the
-//! mechanism behind snapshot-isolated query execution and the MVCC
-//! version ring in the serve layer: readers clone the handle under a
-//! brief lock and evaluate entirely outside it.
+//! (DESIGN.md §14), never duplicating the whole database: readers clone
+//! the handle under a brief lock and evaluate entirely outside it. Serve
+//! does this with the DOEM twin, `doem::SharedDoem`; this handle's one
+//! user is `doem-load`'s replay model.
 
 use crate::OemDatabase;
 use std::ops::Deref;

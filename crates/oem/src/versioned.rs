@@ -1,4 +1,9 @@
-//! The LSN-indexed version ring of the MVCC store (DESIGN.md §14).
+//! An LSN-indexed version ring of immutable values.
+//!
+//! Its one user is `doem-load`'s replay model (`benchmark/src/replay.rs`),
+//! which still times the version store serve once kept for `QUERY … AS
+//! OF`; serve itself now reads every past version through the `O_t(D)`
+//! view of its DOEM graph (DESIGN.md §14).
 //!
 //! A [`VersionRing`] holds one immutable value per installed LSN — in
 //! practice a structurally shared [`crate::SharedOem`] replica, where
@@ -20,10 +25,6 @@
 
 use crate::Timestamp;
 use std::collections::{BTreeMap, VecDeque};
-
-/// The version store over OEM replicas: an LSN-indexed ring of
-/// structurally shared database handles.
-pub type VersionedOem = VersionRing<crate::SharedOem>;
 
 /// One installed version.
 #[derive(Clone, Debug)]

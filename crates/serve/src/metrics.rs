@@ -123,14 +123,6 @@ pub struct Metrics {
     /// every frame that was queued when it began, so
     /// `writer_wait count / writer_bursts` is frames per burst.
     pub writer_bursts: AtomicU64,
-    /// Versions installed into shard version rings by the publish stage.
-    pub versions_installed: AtomicU64,
-    /// Versions unlinked from shard version rings by retention GC.
-    pub versions_gced: AtomicU64,
-    /// `AS OF` reads served from a ring version.
-    pub as_of_ring: AtomicU64,
-    /// `AS OF` reads served below the ring, over the lazy `O_t(D)` view.
-    pub as_of_view: AtomicU64,
     /// WAL records appended (and fsynced) successfully.
     pub wal_appends: AtomicU64,
     /// Bytes of framed WAL records appended successfully.
@@ -249,10 +241,6 @@ impl Metrics {
             format!("counter inline_replies {}", c(&self.inline_replies)),
             format!("counter session_writers {}", c(&self.session_writers)),
             format!("counter writer_bursts {}", c(&self.writer_bursts)),
-            format!("counter versions_installed {}", c(&self.versions_installed)),
-            format!("counter versions_gced {}", c(&self.versions_gced)),
-            format!("counter as_of_ring {}", c(&self.as_of_ring)),
-            format!("counter as_of_view {}", c(&self.as_of_view)),
             format!("counter wal_appends {}", c(&self.wal_appends)),
             format!("counter wal_bytes {}", c(&self.wal_bytes)),
             format!("counter wal_fsyncs {}", c(&self.wal_fsyncs)),

@@ -153,9 +153,9 @@ pub enum Request {
         query: Box<Query>,
         /// Canonical query text — the result-cache key component.
         key: String,
-        /// `AS OF` point: evaluate at the version in force at this LSN
-        /// (a ring version, or the lazy `O_t(D)` view beyond the
-        /// retention horizon). `None` queries the current state.
+        /// `AS OF` point: evaluate at the version in force at this LSN,
+        /// through the lazy `O_t(D)` view of the database's DOEM graph.
+        /// `None` queries the current state.
         as_of: Option<Timestamp>,
     },
     /// `UPDATE <db> AT <ts|now> ; <change set>`

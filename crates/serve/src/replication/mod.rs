@@ -14,7 +14,7 @@
 //!   checkpoint image for catch-up) carried inside ordinary response row
 //!   blocks, so replication rides the existing line protocol.
 //! - `primary` (crate-private): per-shard log-tail retention (the last
-//!   `replication_retain` records; a follower outside them gets a
+//!   `retain_lsns` records; a follower outside them gets a
 //!   checkpoint image), and the `REPLICATE` request handler.
 //! - `follower` (crate-private): the background thread a
 //!   `--follow <addr>` instance runs — fetch, replay through the

@@ -6,11 +6,11 @@
 //! in-memory **retention tail**: the recent suffix of its history `H`,
 //! appended under the same state write lock that publishes the commit
 //! (group-commit batches therefore become atomically visible shipping
-//! units). The tail keeps exactly
-//! [`crate::ServeConfig::replication_retain`] records; a follower whose
-//! applied LSN is older than the tail's base, or newer than the shard's
-//! last published LSN (the shard was replaced by an older history, or a
-//! non-durable primary restarted), gets the checkpoint image instead.
+//! units). The tail keeps exactly [`crate::ServeConfig::retain_lsns`]
+//! records; a follower whose applied LSN is older than the tail's base,
+//! or newer than the shard's last published LSN (the shard was replaced
+//! by an older history, or a non-durable primary restarted), gets the
+//! checkpoint image instead.
 
 use crate::faults::{FaultMode, FaultPoint};
 use crate::metrics::Metrics;
@@ -78,8 +78,7 @@ impl ReplTail {
             .collect()
     }
 
-    /// Retained record count (test assertions on pruning behavior).
-    #[cfg(test)]
+    /// Retained record count (`STATS`' `retained_lsns` gauge sums it).
     pub(crate) fn len(&self) -> usize {
         self.records.len()
     }

@@ -7,16 +7,16 @@
 //! records:
 //!
 //! ```text
-//! REPL <db> FROM <from> AT <primary-lsn> SNAP <chunks> RECS <n> [EPOCH <e>]
+//! REPL <db> FROM <from> AT <primary-lsn> SNAP <chunks> RECS <n> EPOCH <e>
 //! SNAP <hex>            × chunks   (checkpoint image, lore-codec bytes)
 //! REC <lsn> {op, op, …} × n        (history entries strictly after FROM)
 //! ```
 //!
-//! The `EPOCH` token carries the serving shard's promotion epoch; a
-//! header without it (pre-failover peers) decodes as epoch 0. Followers
-//! adopt a newer epoch and reject batches from an older one with the
-//! typed `FENCED` error — a deposed primary cannot feed a follower that
-//! has already seen the promoted lineage.
+//! The `EPOCH` token carries the serving shard's promotion epoch and is
+//! mandatory: a header without it is rejected. Followers adopt a newer
+//! epoch and reject batches from an older one with the typed `FENCED`
+//! error — a deposed primary cannot feed a follower that has already
+//! seen the promoted lineage.
 //!
 //! LSNs travel as raw minute counts (`-` for negative infinity — see
 //! [`lsn_to_wire`]), immune to timestamp display quirks. Records reuse
@@ -55,7 +55,7 @@ pub struct ReplBatch {
     /// snapshot batches and for an already-caught-up follower.
     pub records: Vec<(Timestamp, ChangeSet)>,
     /// The serving shard's promotion epoch when the batch was cut (0 for
-    /// a never-promoted lineage, and for headers from pre-epoch peers).
+    /// a never-promoted lineage).
     pub epoch: u64,
 }
 
@@ -105,20 +105,11 @@ impl ReplBatch {
         let chunks: usize = parse_count(words.next(), "SNAP")?;
         expect_kw(&mut words, "RECS")?;
         let n: usize = parse_count(words.next(), "RECS")?;
-        // EPOCH is optional for compatibility with pre-failover peers.
-        let epoch = match words.next() {
-            None => 0,
-            Some("EPOCH") => {
-                let w = words.next().ok_or("header missing EPOCH value")?;
-                w.parse::<u64>()
-                    .map_err(|_| format!("bad EPOCH value {w:?}"))?
-            }
-            Some(other) => {
-                return Err(format!(
-                    "trailing word {other:?} in replication header {header:?}"
-                ));
-            }
-        };
+        expect_kw(&mut words, "EPOCH")?;
+        let w = words.next().ok_or("header missing EPOCH value")?;
+        let epoch = w
+            .parse::<u64>()
+            .map_err(|_| format!("bad EPOCH value {w:?}"))?;
         if words.next().is_some() {
             return Err(format!("trailing words in replication header {header:?}"));
         }
@@ -334,13 +325,13 @@ mod tests {
     }
 
     #[test]
-    fn headers_without_epoch_decode_as_epoch_zero() {
-        // Batches from pre-failover primaries omit the EPOCH token; they
-        // must keep decoding as the never-promoted lineage (epoch 0).
+    fn headers_without_epoch_are_rejected() {
+        // Every header this binary writes carries `EPOCH`; one without it
+        // is not a batch.
         let rows = vec!["REPL guide FROM - AT - SNAP 0 RECS 0".to_string()];
-        let batch = ReplBatch::from_rows(&rows).unwrap();
-        assert_eq!(batch.epoch, 0);
-        assert!(batch.records.is_empty());
+        assert!(ReplBatch::from_rows(&rows).is_err());
+        let rows = vec!["REPL guide FROM - AT - SNAP 0 RECS 0 EPOCH 0".to_string()];
+        assert_eq!(ReplBatch::from_rows(&rows).unwrap().epoch, 0);
     }
 }
 

@@ -81,21 +81,14 @@ pub struct ServeConfig {
     /// Most records a group committer persists per `write`+`fsync` batch
     /// (min 1). `1` restores one-fsync-per-write; larger values let
     /// concurrent writers to one shard share a single disk round-trip.
-    /// Ignored without `wal_dir`.
+    /// The committer never waits for riders: a batch is whatever
+    /// accumulated while the previous one was persisting. Ignored without
+    /// `wal_dir`.
     pub group_commit_max: usize,
-    /// How long (µs) a committer lingers for more riders once it has at
-    /// least one staged record but fewer than `group_commit_max`. 0 (the
-    /// default) never waits: the batch is whatever accumulated while the
-    /// previous fsync was in flight — batching from backpressure alone.
-    pub group_commit_window_us: u64,
     /// Follow a primary at this wire address: the instance becomes a
     /// read-only **follower**, replaying the primary's change-op log
     /// into its shards and refusing client writes with `READONLY`.
     pub follow: Option<String>,
-    /// Log-tail records each shard retains in memory for followers, past
-    /// checkpoints (min 1). A follower further behind than this gets a
-    /// checkpoint image instead of records.
-    pub replication_retain: usize,
     /// How long a caught-up follower sleeps between poll rounds.
     pub follow_poll: Duration,
     /// Fault-injection plan for the durability pipeline (tests; disabled
@@ -104,10 +97,11 @@ pub struct ServeConfig {
     /// The wall clock `AT now` writes read. Injectable so tests can step
     /// it backwards; the allocator clamps to `last LSN + 1` regardless.
     pub clock: WallClock,
-    /// Versions each shard's ring retains for `QUERY … AS OF` (min 1 —
-    /// the newest version always stays). Structural sharing makes a
-    /// retained version cost O(its write), not O(database); `AS OF`
-    /// reads below the horizon evaluate over the lazy `O_t(D)` view.
+    /// The one in-memory history bound: the log-tail records each shard
+    /// retains for followers, past checkpoints (min 1). A follower
+    /// further behind than this gets a checkpoint image instead of
+    /// records. `QUERY … AS OF` does not depend on it — every point of
+    /// the recorded history is read from the DOEM graph itself.
     pub retain_lsns: usize,
 }
 
@@ -122,13 +116,11 @@ impl Default for ServeConfig {
             wal_dir: None,
             checkpoint_every: 64,
             group_commit_max: 8,
-            group_commit_window_us: 0,
             follow: None,
-            replication_retain: 1024,
             follow_poll: Duration::from_millis(100),
             faults: Faults::disabled(),
             clock: WallClock::system(),
-            retain_lsns: 64,
+            retain_lsns: 1024,
         }
     }
 }

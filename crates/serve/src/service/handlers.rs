@@ -121,7 +121,7 @@ fn stats(shared: &Shared) -> Response {
     let mut retained = 0usize;
     for (name, shard) in &shared.shards_by_name() {
         read_only += usize::from(shard.is_read_only());
-        retained += shard.state.read().ring.len();
+        retained += shard.state.read().tail.len();
         let (applied, durable, epoch) = shard.lsn_fields();
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
         if shared.cfg.follow.is_some() {
@@ -243,38 +243,17 @@ fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Qu
     }
 }
 
-/// Evaluate a `QUERY … AS OF` at the version in force at `at`, resolved
-/// under one read of the shard state: the ring version (an `Arc` clone),
-/// or — below the retention horizon or before the base version — the
-/// current DOEM graph, read through the paper's `O_t(D)` as a lazy view
-/// of the full recorded history ([`chorel::run_chorel_at`]). The two give
-/// identical rows by construction, since every ring replica is `O_t(D)`
-/// at its LSN; the view costs what the query reaches. Evaluation runs
-/// outside the lock. `AS OF` results bypass the result cache: entries
-/// are keyed by shard generation, which only ever names the *current*
-/// version.
+/// Evaluate a `QUERY … AS OF` at the version in force at `at`: the
+/// paper's `O_t(D)` as a lazy view of the shard's DOEM graph
+/// ([`chorel::run_chorel_at`]), which reads arcs alive at `at` and values
+/// as of `at` for the nodes the query reaches. The shard lock is held
+/// only for an `Arc` clone; evaluation runs outside it. `AS OF` results
+/// bypass the result cache: entries are keyed by shard generation, which
+/// only ever names the *current* version.
 fn query_as_of(shared: &Shared, shard: &Shard, at: Timestamp, query: &Query) -> Response {
-    // `Ok`: the retained replica; `Err`: the full graph to view.
-    let source = {
-        let st = shard.state.read();
-        st.ring
-            .at(at)
-            .map(|v| v.value.clone())
-            .ok_or_else(|| st.doem.snapshot())
-    };
+    let doem = shard.state.read().doem.snapshot();
     let t = Instant::now();
-    let outcome = match source {
-        Ok(replica) => {
-            Metrics::bump(&shared.metrics.as_of_ring);
-            let doem = DoemDatabase::from_snapshot(&replica);
-            run_chorel_parsed(&doem, query, Strategy::Direct)
-                .map(|result| canonical_row_strings(&doem, &result))
-        }
-        Err(full) => {
-            Metrics::bump(&shared.metrics.as_of_view);
-            chorel::run_chorel_at(&full, at, query, Strategy::Direct)
-        }
-    };
+    let outcome = chorel::run_chorel_at(&doem, at, query, Strategy::Direct);
     shared.metrics.exec.record(t.elapsed());
     match outcome {
         Ok(rows) => Response::Rows(rows),

@@ -33,8 +33,9 @@
 //! takes one path, **sequence → persist → publish** (`pipeline`): with
 //! [`ServeConfig::wal_dir`] set, a per-shard group committer persists
 //! whole batches with one `write` + `fsync` outside every lock before
-//! anything is published or acked, and publish installs each version into
-//! the shard's **version ring** for `QUERY … AS OF` (DESIGN.md §14).
+//! anything is published or acked. `QUERY … AS OF` reads the published
+//! DOEM graph through the paper's `O_t(D)` view (DESIGN.md §14): the one
+//! graph holds every version.
 //! [`Service::start`] recovers each database from its latest checkpoint
 //! plus the log tail — the paper's `D(O, H)` construction doubling as
 //! crash recovery — and a shard whose log can no longer be written flips
@@ -66,7 +67,7 @@ use crate::metrics::Metrics;
 use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
-use oem::{History, OemDatabase, SharedOem, Timestamp};
+use oem::{History, OemDatabase, Timestamp};
 use parking_lot::{Mutex, RwLock};
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
 use recovery::{install_shard, io_error, last_lsn, recover_all};
@@ -251,26 +252,6 @@ impl Service {
         let shard = self.shared.shard(db)?;
         let st = shard.state.read();
         Some(st.doem.snapshot())
-    }
-
-    /// The retained version of database `db` in force at `lsn`: the
-    /// ring entry with the greatest LSN `<= lsn` (DESIGN.md §14), as the
-    /// `AS OF` query path resolves it. `None` if no such database, or if
-    /// `lsn` predates the retention horizon — exactly when `AS OF` reads
-    /// the `O_t(D)` view instead. Used by the chaos oracle to re-check
-    /// observed reads against the retained version.
-    pub fn version_snapshot(&self, db: &str, lsn: Timestamp) -> Option<SharedOem> {
-        let shard = self.shared.shard(db)?;
-        let st = shard.state.read();
-        st.ring.at(lsn).map(|e| e.value.clone())
-    }
-
-    /// How many versions database `db`'s ring currently retains.
-    pub fn retained_versions(&self, db: &str) -> usize {
-        self.shared
-            .shard(db)
-            .map(|s| s.state.read().ring.len())
-            .unwrap_or(0)
     }
 
     /// Stop the service, **draining** first: new submissions are refused

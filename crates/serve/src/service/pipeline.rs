@@ -23,13 +23,13 @@ use crate::protocol::{ErrKind, Response};
 use crate::wal::{self, DbWal};
 use doem::{apply_set, SharedDoem};
 use lorel::run_update;
-use oem::{ChangeSet, SharedOem, Timestamp};
+use oem::{ChangeSet, OemDatabase, Timestamp};
 use parking_lot::{Condvar, Mutex};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A sequenced write parked on the commit queue of a WAL-owning shard
 /// until the group committer persists and publishes it. LSNs strictly
@@ -81,14 +81,18 @@ pub(crate) enum StopKind {
 }
 
 /// Everything under a shard's pipeline lock: the sequencing head (a
-/// second handle on the graphs, ahead of the published state by exactly
-/// the staged-but-unpublished writes) and the commit queue. The lock is
-/// never held across WAL I/O.
+/// second handle on the DOEM graph, ahead of the published state by
+/// exactly the staged-but-unpublished writes, plus the plain replica in
+/// lockstep with it) and the commit queue. The lock is never held across
+/// WAL I/O.
 struct PipelineState {
-    /// DOEM graph with every sequenced change applied. Validation target.
+    /// DOEM graph with every sequenced change applied.
     head_doem: SharedDoem,
-    /// OEM replica in lockstep with `head_doem`; `MUTATE` compiles here.
-    head_replica: SharedOem,
+    /// The current snapshot of `head_doem` as a plain OEM graph: the
+    /// validation target (`apply_set` judges every op against it, with
+    /// the paper's semantics), and where `MUTATE` compiles. Nothing else
+    /// reads it.
+    head_replica: OemDatabase,
     /// Highest sequenced timestamp — the strict-LSN check reads this,
     /// not the published `ShardState::last_at`.
     head_at: Timestamp,
@@ -111,7 +115,7 @@ impl CommitPipeline {
     /// A pipeline whose sequencing head starts at the given graphs.
     pub(crate) fn new(
         head_doem: SharedDoem,
-        head_replica: SharedOem,
+        head_replica: OemDatabase,
         head_at: Timestamp,
     ) -> CommitPipeline {
         CommitPipeline {
@@ -205,7 +209,7 @@ pub(crate) fn sequence(
         head_replica,
         ..
     } = &mut *ps;
-    let outcome = apply_set(head_doem.make_mut(), head_replica.make_mut(), &changes, at);
+    let outcome = apply_set(head_doem.make_mut(), head_replica, &changes, at);
     shared.metrics.exec.record(t.elapsed());
     if let Err(e) = outcome {
         // `apply_set` is all or nothing: the head is as it was.
@@ -223,7 +227,6 @@ pub(crate) fn sequence(
         at,
         changes,
         doem: ps.head_doem.snapshot(),
-        replica: ps.head_replica.snapshot(),
     };
     if shard.durable.is_none() {
         // The null persist stage: nothing to wait for, so publish before
@@ -312,8 +315,8 @@ pub(crate) fn start_committer(
 
 /// The persist + publish stages of a WAL-owning shard: one thread, the
 /// sole owner of the shard's log. Each round drains up to
-/// `group_commit_max` staged records (optionally lingering
-/// `group_commit_window_us` for riders), persists them with one
+/// `group_commit_max` staged records — whatever accumulated while the
+/// previous batch was persisting — persists them with one
 /// `write`+`fsync` outside every lock, publishes them in LSN order, and
 /// releases the waiting reply slots. Once `checkpoint_every` records are
 /// in the active segment and no checkpoint is in flight, it starts one
@@ -325,27 +328,12 @@ pub(crate) fn start_committer(
 fn committer_loop(shared: &Arc<Shared>, db: &str, shard: &Shard, mut wal: DbWal) {
     let pipeline = &shard.pipeline;
     let max = shared.cfg.group_commit_max.max(1);
-    let window = Duration::from_micros(shared.cfg.group_commit_window_us);
     let mut checkpoint: Option<CheckpointThread> = None;
     loop {
         let (batch, stopping) = {
             let mut ps = pipeline.inner.lock();
             while ps.queue.is_empty() && ps.stop.is_none() {
                 pipeline.work.wait(&mut ps);
-            }
-            if !window.is_zero() && ps.stop.is_none() && ps.queue.len() < max {
-                // Linger for riders — but never past the window, and stop
-                // requests cut the wait short.
-                let deadline = Instant::now() + window;
-                while ps.queue.len() < max && ps.stop.is_none() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    if pipeline.work.wait_for(&mut ps, deadline - now).timed_out() {
-                        break;
-                    }
-                }
             }
             let n = ps.queue.len().min(max);
             let batch: Vec<StagedCommit> = ps.queue.drain(..n).collect();
@@ -515,7 +503,7 @@ mod tests {
     /// Definition 2.2 holds on every shard, not only the ones that own a
     /// WAL: a write whose timestamp is not strictly after the last LSN is
     /// refused on a non-durable shard — from a client and from follower
-    /// replay alike — and the version ring stays in LSN order, so `AS OF`
+    /// replay alike — so the history stays in LSN order and `AS OF`
     /// between the two timestamps answers from the right version. (Such a
     /// write used to be accepted here and published out of order.)
     #[test]

@@ -1,32 +1,26 @@
-//! One database shard — its published state (version ring included),
-//! result cache and commit pipeline — and the **publish** stage, the only
-//! place a write becomes visible to readers.
+//! One database shard — its published state, result cache and commit
+//! pipeline — and the **publish** stage, the only place a write becomes
+//! visible to readers.
 
 use super::pipeline::CommitPipeline;
 use super::Shared;
 use crate::cache::{CacheEntry, Carry, ResultCache};
-use crate::metrics::Metrics;
 use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
 use crate::wal::DbWal;
 use doem::{DoemDatabase, SharedDoem};
-use oem::{ChangeSet, OemDatabase, SharedOem, Timestamp, VersionRing};
+use oem::{ChangeSet, OemDatabase, Timestamp};
 use parking_lot::{Mutex, RwLock};
 use sanitizer::thread::TrackedHandle;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// What one database shard publishes: the DOEM database behind a
-/// copy-on-write handle (queries snapshot it), the version ring of recent
-/// plain-OEM replicas, and the shard's write counter. Only [`publish`]
-/// mutates it.
+/// copy-on-write handle (current queries snapshot it, and `QUERY … AS OF`
+/// reads its `O_t(D)` view — DESIGN.md §14), and the shard's write
+/// counter. Only [`publish`] mutates it.
 pub(crate) struct ShardState {
     pub(crate) doem: SharedDoem,
-    /// The MVCC version ring (DESIGN.md §14): one structurally shared
-    /// replica per published LSN, newest last, serving `QUERY … AS OF`.
-    /// A cache of recent `O_t(D)`: below its horizon `AS OF` reads the
-    /// `doem` above instead.
-    pub(crate) ring: VersionRing<SharedOem>,
     /// Bumped by every successful write to this shard; cache keys carry
     /// it, so a bump structurally invalidates the shard's cache.
     pub(crate) generation: u64,
@@ -110,23 +104,16 @@ impl Shard {
         epoch: u64,
     ) -> Shard {
         let doem = SharedDoem::new(doem);
-        let replica = SharedOem::new(replica);
-        // The ring's base version: whatever state the shard starts from
-        // (empty, loaded, recovered, replicated) is readable `AS OF` its
-        // install LSN onward.
-        let mut ring = VersionRing::new();
-        ring.publish_entry(last_at, 1, replica.snapshot());
         Shard {
             durable: wal.map(|wal| Durable {
                 lsn: AtomicI64::new(last_at.raw_minutes()),
                 committer: Mutex::new(Committer::Parked(wal)),
             }),
-            // The sequencing head starts as O(1) snapshots of the
-            // published graphs.
+            // The sequencing head starts as an O(1) snapshot of the
+            // published graph, and owns the replica.
             pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at),
             state: RwLock::new(ShardState {
                 doem,
-                ring,
                 generation: 1,
                 last_at,
                 tail: ReplTail::new(last_at),
@@ -206,7 +193,7 @@ impl Shard {
 }
 
 /// A change set the sequence stage has already applied to the sequencing
-/// head: the record, plus O(1) snapshots of the two graphs with it
+/// head: the record, plus an O(1) snapshot of the DOEM graph with it
 /// applied. Publishing it is a pointer swap — no second `apply_set`, so
 /// nothing that could fail.
 pub(crate) struct AppliedSet {
@@ -214,39 +201,27 @@ pub(crate) struct AppliedSet {
     pub(crate) at: Timestamp,
     pub(crate) changes: ChangeSet,
     pub(crate) doem: SharedDoem,
-    pub(crate) replica: SharedOem,
 }
 
 /// The **publish** stage for one record, under the shard's write lock:
-/// swap in the graphs the sequence stage produced, carry the result cache
-/// across the change set, push the replication tail, bump the generation
-/// (which retires the cache entries not carried), and install the new
-/// replica into the version ring under the retention horizon. Client
-/// writes, group-commit batches and follower replay all become visible
-/// here and nowhere else.
+/// swap in the graph the sequence stage produced, carry the result cache
+/// across the change set, push the replication tail (pruned to
+/// `retain_lsns` records), and bump the generation (which retires the
+/// cache entries not carried). Client writes, group-commit batches and
+/// follower replay all become visible here and nowhere else.
 /// Returns the new shard generation and records the time readers were
 /// locked out for this record in the `publish` histogram.
 pub(crate) fn publish(shared: &Shared, shard: &Shard, st: &mut ShardState, set: AppliedSet) -> u64 {
     let began = Instant::now();
-    let AppliedSet {
-        at,
-        changes,
-        doem,
-        replica,
-    } = set;
+    let AppliedSet { at, changes, doem } = set;
     st.doem = doem;
     st.last_at = at;
     maintain_shard_cache(shared, shard, st, &changes, at);
-    st.tail.push(at, changes, shared.cfg.replication_retain);
+    st.tail.push(at, changes, shared.cfg.retain_lsns);
     st.generation += 1;
     shard.cache.retain_generation(st.generation);
-    st.ring.publish_entry(at, st.generation, replica);
-    let gced = st.ring.retain(shared.cfg.retain_lsns);
-    let m = &shared.metrics;
-    Metrics::bump(&m.versions_installed);
-    m.versions_gced.fetch_add(gced, Ordering::Relaxed);
     shared.bump_global();
-    m.publish.record(began.elapsed());
+    shared.metrics.publish.record(began.elapsed());
     st.generation
 }
 

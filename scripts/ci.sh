@@ -84,9 +84,10 @@ sanitized_leg chaos "chaos smoke" \
 
 echo "==> MVCC time-travel torture under DOEM_SANITIZE=1"
 # Concurrent writers advancing the head, a snapshot pinned across the
-# whole run, and AS OF readers hopping over retained versions — publish
-# and AS OF share the shard state lock (DESIGN.md §14), which must stay
-# clean, and its observed edges feed the cross-validation gate below.
+# whole run, and AS OF readers hopping over every recorded point —
+# publish and AS OF share the shard state lock (DESIGN.md §14), which
+# must stay clean, and its observed edges feed the cross-validation
+# gate below.
 sanitized_leg mvcc "MVCC time-travel leg" \
     cargo test -q --offline --test serve_concurrency mvcc_time_travel_under_concurrent_writers
 
@@ -135,8 +136,8 @@ if ! cargo run -q -p lint --offline --bin doem-lint -- --runtime-subset "$lock_o
 fi
 
 echo "==> perf smoke: doem-load output checks over a real doem-serve (no threshold)"
-# The wire answers of every workload — current reads, AS OF in the ring
-# and on the O_t(D) view, everything again after kill -9 recovery — are
+# The wire answers of every workload — current reads, AS OF near and far
+# on the O_t(D) view, everything again after kill -9 recovery — are
 # checked byte for byte against a shadow database built from the acked
 # writes (benchmark/README.md). Correctness under load is the gate here;
 # speed is judged by `benchmark/run.sh --compare`, not by CI.

@@ -8,8 +8,7 @@
 //! ```text
 //! doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!            [--store DIR] [--wal DIR] [--checkpoint-every N]
-//!            [--group-commit N] [--group-commit-window-us U]
-//!            [--follow HOST:PORT] [--repl-retain N] [--follow-poll-ms MS]
+//!            [--group-commit N] [--follow HOST:PORT] [--follow-poll-ms MS]
 //!            [--retain-lsns N] [--empty] [--create NAME]...
 //! ```
 //!
@@ -23,9 +22,8 @@
 //! segment is sealed and the image saved on a thread of its own, so
 //! writes never wait for it. `--group-commit N` caps how
 //! many concurrent writes one fsync may cover (batching is invisible on
-//! the wire; see PROTOCOL.md), and `--group-commit-window-us U` optionally
-//! lets the committer linger to gather riders (default 0: batching comes
-//! only from records that queue while the previous fsync runs).
+//! the wire; see PROTOCOL.md). The committer never lingers for riders: a
+//! batch is whatever queued while the previous fsync ran.
 //!
 //! With `--follow HOST:PORT` the instance is a **replication follower**:
 //! it pulls WAL batches from the primary at that address, replays them in
@@ -34,8 +32,10 @@
 //! Followers never seed the guide fixture — their state comes from the
 //! primary. Combine with `--wal DIR` for a durable follower that crash-
 //! recovers locally before resuming the stream. Every instance keeps its
-//! last `--repl-retain N` records (default 1024) for followers; one that
-//! is further behind gets a checkpoint image instead.
+//! last `--retain-lsns N` records (default 1024) in memory for followers;
+//! one that is further behind gets a checkpoint image instead.
+//! `QUERY … AS OF` reaches the whole recorded history whatever N is: it
+//! reads the paper's `O_t(D)` view of the database's DOEM graph.
 //!
 //! The wire protocol (including `#<id>` pipelining tags and the
 //! `REPLICATE` verb's batch framing) is specified in
@@ -49,8 +49,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--store DIR] [--wal DIR] [--checkpoint-every N]\n\
-         \x20                 [--group-commit N] [--group-commit-window-us U]\n\
-         \x20                 [--follow HOST:PORT] [--repl-retain N] [--follow-poll-ms MS]\n\
+         \x20                 [--group-commit N] [--follow HOST:PORT] [--follow-poll-ms MS]\n\
          \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
     );
     std::process::exit(2);
@@ -77,11 +76,7 @@ fn main() {
             "--wal" => cfg.wal_dir = Some(val("--wal").into()),
             "--checkpoint-every" => cfg.checkpoint_every = parse_num(&val("--checkpoint-every")) as u64,
             "--group-commit" => cfg.group_commit_max = parse_num(&val("--group-commit")),
-            "--group-commit-window-us" => {
-                cfg.group_commit_window_us = parse_num(&val("--group-commit-window-us")) as u64
-            }
             "--follow" => cfg.follow = Some(val("--follow")),
-            "--repl-retain" => cfg.replication_retain = parse_num(&val("--repl-retain")),
             "--retain-lsns" => cfg.retain_lsns = parse_num(&val("--retain-lsns")),
             "--follow-poll-ms" => {
                 cfg.follow_poll = Duration::from_millis(parse_num(&val("--follow-poll-ms")) as u64)

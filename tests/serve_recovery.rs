@@ -323,7 +323,6 @@ fn kill9_at_batch_boundaries_preserves_the_acked_prefix() {
         let mut cfg = durable_cfg(&dir, faults.clone());
         cfg.workers = 1;
         cfg.group_commit_max = 4;
-        cfg.group_commit_window_us = 2_000; // gather the pipelined riders
         let svc = Service::start(cfg).unwrap();
         let c = svc.client();
         assert!(!c.request_line("CREATE p").is_error());
@@ -369,25 +368,30 @@ fn kill9_at_batch_boundaries_preserves_the_acked_prefix() {
 /// One batch, one failpoint, many riders: a fault during the batched
 /// fsync must fail **every** rider of the batch with the same typed
 /// error, count one injected fault (per failpoint hit, not per queued
-/// record), and flip the shard read-only exactly once.
+/// record), and flip the shard read-only exactly once. The riders are
+/// gathered behind a primer write whose fsync stalls: they queue while
+/// it is persisting and form the next batch, whose fsync fails.
 #[test]
 fn fsync_fault_fails_the_whole_batch_coherently_and_counts_once() {
     let dir = fresh_dir("batch-coherent");
-    let faults = Faults::fail_nth(FaultPoint::WalFsync, 0, FaultMode::Error, false);
+    let faults = Faults::fail_nth(FaultPoint::WalFsync, 1, FaultMode::Error, false);
     let mut cfg = durable_cfg(&dir, faults.clone());
     cfg.workers = 1;
     cfg.group_commit_max = 8;
-    cfg.group_commit_window_us = 200_000; // hold the batch open wide
     let svc = Service::start(cfg).unwrap();
     let c = svc.client();
     assert!(!c.request_line("CREATE p").is_error());
-    let writes = pipelined_writes(6);
-    let pending: Vec<_> = writes
-        .iter()
-        .map(|(at, ch)| c.begin_line(&format!("UPDATE p AT {at} ; {ch}")).1)
-        .collect();
-    let responses: Vec<Response> = pending.into_iter().map(|p| p.wait()).collect();
-    assert_eq!(faults.fired(), 1);
+    assert!(faults.arm_next(FaultPoint::WalFsync, 1, FaultMode::Stall(300)));
+    let writes = pipelined_writes(7);
+    let send =
+        |(at, ch): &(Timestamp, ChangeSet)| c.begin_line(&format!("UPDATE p AT {at} ; {ch}")).1;
+    let primer = send(&writes[0]);
+    wait_until("the primer's fsync stalls", || faults.fired() == 1);
+    let riders: Vec<_> = writes[1..].iter().map(send).collect();
+    let primed = primer.wait();
+    assert!(!primed.is_error(), "the primer must ack: {primed:?}");
+    let responses: Vec<Response> = riders.into_iter().map(|p| p.wait()).collect();
+    assert_eq!(faults.fired(), 2, "the stall and the failed fsync");
     // All six were riders of the single gathered batch: identical error.
     for (i, resp) in responses.iter().enumerate() {
         assert!(
@@ -397,7 +401,7 @@ fn fsync_fault_fails_the_whole_batch_coherently_and_counts_once() {
     }
     let m = svc.metrics();
     use std::sync::atomic::Ordering::Relaxed;
-    assert_eq!(m.faults_injected.load(Relaxed), 1, "one failpoint hit, one count");
+    assert_eq!(m.faults_injected.load(Relaxed), 2, "one count per failpoint hit");
     assert_eq!(m.read_only_flips.load(Relaxed), 1, "one batch failure, one flip");
     drop(c);
     svc.crash_stop();
@@ -409,6 +413,7 @@ fn fsync_fault_fails_the_whole_batch_coherently_and_counts_once() {
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     let got = svc2.doem_snapshot("p").expect("p must recover");
     let recovered = got.timestamps();
+    assert!(!recovered.is_empty(), "the acked primer was lost");
     assert!(recovered.len() <= writes.len());
     for (i, ts) in recovered.iter().enumerate() {
         assert_eq!(*ts, writes[i].0, "recovery is not a submission-order prefix");

@@ -514,13 +514,13 @@ fn follower_ahead_of_a_replaced_primary_resyncs_from_the_image() {
     primary.shutdown();
 }
 
-/// The primary keeps exactly `replication_retain` records. A durable
+/// The primary keeps exactly `retain_lsns` records. A durable
 /// follower that crashes and misses more writes than that must come back
 /// through a checkpoint image, not through records.
 #[test]
 fn follower_behind_the_retention_tail_resyncs_from_the_image() {
     let primary = Service::start(ServeConfig {
-        replication_retain: 4,
+        retain_lsns: 4,
         ..ServeConfig::default()
     })
     .unwrap();
