@@ -59,7 +59,6 @@ fn attach_follower(primary: &Service, addr: &str, id: &str) -> (Service, Duratio
     let t0 = Instant::now();
     let follower = Service::start(ServeConfig {
         follow: Some(addr.to_string()),
-        follow_poll: Duration::from_millis(5),
         cache_capacity: 0,
         ..ServeConfig::default()
     })

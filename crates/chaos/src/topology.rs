@@ -75,7 +75,6 @@ impl Node {
             checkpoint_every: 8,
             retain_lsns: 100_000,
             follow: self.follow.clone(),
-            follow_poll: Duration::from_millis(10),
             faults: self.faults.clone(),
             ..ServeConfig::default()
         };

@@ -6,9 +6,6 @@
 //!
 //! **Line rules** on stripped source (this module):
 //!
-//! * **serve-unwrap** — no `.unwrap()`/`.expect(` in `crates/serve/src`
-//!   outside `#[cfg(test)]`: a panicking worker takes its whole pool down,
-//!   request paths must return `serve::ErrKind` instead.
 //! * **parser-fuzz** — every hand-rolled parser module carries a
 //!   `fuzz_tests` sibling (the CLAUDE.md panic-freedom contract).
 //! * **canonical-order** — the change-set application order
@@ -55,7 +52,7 @@ pub mod token;
 /// One diagnostic: rule, repo-relative file, 1-based line, message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule slug (e.g. `serve-unwrap`).
+    /// Rule slug (e.g. `parser-fuzz`).
     pub rule: &'static str,
     /// Repo-relative path with `/` separators.
     pub file: String,
@@ -215,41 +212,6 @@ pub fn apply_allows(file: &str, raw: &str, findings: Vec<Finding>) -> Vec<Findin
 
 fn flag(v: &[bool], idx: usize) -> bool {
     v.get(idx).copied().unwrap_or(false)
-}
-
-// ---------------------------------------------------------------------------
-// Rule: serve-unwrap
-// ---------------------------------------------------------------------------
-
-/// `crates/serve/src` request paths must return `serve::ErrKind` errors, not
-/// panic: flag `.unwrap()` / `.expect(` outside `#[cfg(test)]` modules.
-///
-/// Reports *all* sites — suppression happens centrally in [`apply_allows`]
-/// so stale markers stay detectable.
-pub fn scan_serve_unwrap(file: &str, raw: &str) -> Vec<Finding> {
-    let stripped = strip_source(raw);
-    let tests = test_mod_lines(&stripped);
-    let mut out = Vec::new();
-    for (i, line) in stripped.lines().enumerate() {
-        if flag(&tests, i) {
-            continue;
-        }
-        for pat in [".unwrap()", ".expect("] {
-            if line.contains(pat) {
-                out.push(Finding {
-                    rule: "serve-unwrap",
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: format!(
-                        "`{pat}` in a serve request path — a panicking worker kills its pool; \
-                         return an ErrKind error (or mark provably-infallible sites with \
-                         `// lint: allow`)"
-                    ),
-                });
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -590,18 +552,25 @@ mod tests {
 
     #[test]
     fn test_mods_are_skipped() {
-        let src = "fn a() { b.unwrap(); }\n#[cfg(test)]\nmod tests {\n  fn t() { c.unwrap(); }\n}\n";
-        let f = scan_serve_unwrap("crates/serve/src/x.rs", src);
+        let src = "#[cfg(test)]\nmod tests {\n  pub fn parse_t() {}\n}\npub fn parse_a() {}\n";
+        let f = scan_parser_fuzz("crates/x/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
+        assert_eq!(f[0].line, 5);
     }
 
     #[test]
     fn allow_marker_suppresses() {
-        let src = "fn a() {\n  // lint: allow\n  b.unwrap();\n  c.unwrap(); // lint: allow\n  e();\n  d.unwrap();\n}\n";
-        let raw_findings = scan_serve_unwrap("crates/serve/src/x.rs", src);
-        assert_eq!(raw_findings.len(), 3, "scanner reports everything");
-        let f = apply_allows("crates/serve/src/x.rs", src, raw_findings);
+        let src = "fn a() {\n  // lint: allow\n  b();\n  c(); // lint: allow\n  e();\n  d();\n}\n";
+        let raw_findings: Vec<Finding> = [3, 4, 6]
+            .into_iter()
+            .map(|line| Finding {
+                rule: "parser-fuzz",
+                file: "x.rs".to_string(),
+                line,
+                message: String::new(),
+            })
+            .collect();
+        let f = apply_allows("x.rs", src, raw_findings);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 6);
     }
@@ -682,7 +651,6 @@ mod tests {
 
             #[test]
             fn scanners_never_panic(src in "\\PC{0,160}") {
-                let _ = scan_serve_unwrap("crates/serve/src/f.rs", &src);
                 let _ = scan_parser_fuzz("f.rs", &src);
                 let _ = scan_canonical_order("f.rs", &src, true);
                 let _ = scan_canonical_order("f.md", &src, false);
@@ -693,7 +661,7 @@ mod tests {
             #[test]
             fn scanners_never_panic_on_rustish_soup(src in "(let |mut |\\.lock\\(\\)|\\.unwrap\\(\\)|sync_data\\(|creNode|=> 3|\\{|\\}|\"|'|//|/\\*|\n| ){0,60}") {
                 let _ = strip_source(&src);
-                let _ = scan_serve_unwrap("crates/serve/src/f.rs", &src);
+                let _ = scan_parser_fuzz("f.rs", &src);
                 let _ = scan_canonical_order("f.rs", &src, true);
             }
 

@@ -154,7 +154,6 @@ const BLOCKING: &[(&str, bool)] = &[
     ("sync_data", false),
     ("sync_all", false),
     ("save_doem", false),
-    ("fresh_durable_db", false),
     ("start_checkpoint", false),
     ("append_batch", false),
     ("write_all", false),

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lint::{apply_allows, collect_workspace_files, lock_scope, locks, scan_canonical_order,
-           scan_missing_docs, scan_parser_fuzz, scan_serve_unwrap, Finding};
+           scan_missing_docs, scan_parser_fuzz, Finding};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -203,9 +203,6 @@ fn scan_workspace(root: &Path) -> Scan {
     for (rel_str, raw) in &sources {
         let mut file_findings = lock_findings.remove(rel_str).unwrap_or_default();
         let in_compat = rel_str.starts_with("crates/compat/");
-        if rel_str.starts_with("crates/serve/src/") {
-            file_findings.extend(scan_serve_unwrap(rel_str, raw));
-        }
         if rel_str.starts_with("crates/") && rel_str.contains("/src/") {
             // Compat stand-ins mirror external crate APIs; their parsing
             // surface (none today) is out of the fuzz contract's scope.

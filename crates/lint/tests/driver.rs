@@ -6,10 +6,10 @@
 use std::process::Command;
 
 /// Run `doem-lint --root` over a workspace whose one file,
-/// `crates/serve/src/x.rs`, holds `body`: its exit code and stdout.
+/// `crates/p/src/x.rs`, holds `body`: its exit code and stdout.
 fn lint(tag: &str, body: &str) -> (i32, String) {
     let root = std::env::temp_dir().join(format!("doem-lint-driver-{tag}-{}", std::process::id()));
-    let src = root.join("crates/serve/src");
+    let src = root.join("crates/p/src");
     std::fs::create_dir_all(&src).unwrap();
     std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
     std::fs::write(src.join("x.rs"), body).unwrap();
@@ -22,12 +22,32 @@ fn lint(tag: &str, body: &str) -> (i32, String) {
 
 #[test]
 fn any_finding_fails_and_an_inline_allow_is_the_one_exemption() {
+    // A hand-rolled parser without a `fuzz_tests` sibling is a
+    // `parser-fuzz` finding.
     for (tag, line, code, want) in [
-        ("unwrap", "v.unwrap()", 1, "crates/serve/src/x.rs:2: [serve-unwrap]"),
-        ("allowed", "v.unwrap() // lint: allow", 0, "doem-lint: clean"),
-        ("stale", "v.unwrap_or(0) // lint: allow", 1, "crates/serve/src/x.rs:2: [stale-allow]"),
+        (
+            "parser",
+            "pub fn parse_u8(s: &str) -> u8 {",
+            1,
+            "crates/p/src/x.rs:2: [parser-fuzz]",
+        ),
+        (
+            "allowed",
+            "pub fn parse_u8(s: &str) -> u8 { // lint: allow",
+            0,
+            "doem-lint: clean",
+        ),
+        (
+            "stale",
+            "fn len(s: &str) -> u8 { // lint: allow",
+            1,
+            "crates/p/src/x.rs:2: [stale-allow]",
+        ),
     ] {
-        let (got, out) = lint(tag, &format!("fn f(v: Option<u8>) -> u8 {{\n    {line}\n}}\n"));
+        let (got, out) = lint(
+            tag,
+            &format!("//! A module.\n{line}\n    s.len() as u8\n}}\n"),
+        );
         assert_eq!(got, code, "{tag}: {out}");
         assert!(out.contains(want), "{tag}: {out}");
     }

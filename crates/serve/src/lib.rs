@@ -72,6 +72,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// A panicking worker takes its request down with it: request paths
+// return `ErrKind` errors instead, and clippy (`-D warnings` in CI)
+// enforces it outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod faults;

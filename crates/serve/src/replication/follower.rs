@@ -16,20 +16,29 @@
 //! application order inside each record is [`doem::apply_set`]'s,
 //! identical on both sides by construction.
 //!
-//! This loop is serve's one reconnect mechanism ([`WireClient`] itself
-//! never retries). Connection failures reconnect with exponential
-//! backoff (50ms doubling to 2s, counted in `repl_reconnects`, the last
-//! slept delay published as the `repl_backoff_ms` gauge); a session that
-//! made replication progress — applied records or installed a snapshot —
+//! The follower derives its pace from its own progress: after a round
+//! that applied records or installed an image it starts the next round at
+//! once; after an idle round it sleeps a delay that doubles from 1ms to
+//! 100ms, so a caught-up follower polls about ten times a second.
+//!
+//! This loop is serve's one retry mechanism ([`WireClient`] never
+//! retries, and a replicated record that the pipeline refuses — `BUSY`
+//! included — ends the session). Failed sessions reconnect with
+//! exponential backoff (50ms doubling to 2s, counted in
+//! `repl_reconnects`, the last slept delay published as the
+//! `repl_backoff_ms` gauge); a session that made replication progress
 //! returns the backoff to its floor, while a primary that accepts
-//! connections but errors immediately keeps backing off. Every sleep is
-//! stop-aware so shutdown never waits out a backoff.
+//! connections but errors immediately keeps backing off. Both waits are
+//! one `Backoff` type, and every sleep is stop-aware so shutdown never
+//! waits one out.
 //!
 //! Promotion fencing: batches carry the serving shard's epoch. The sync
 //! loop skips shards this instance has `PROMOTE`d (they are their own
 //! lineage now), adopts newer epochs from batch headers, and rejects a
 //! batch whose epoch is *behind* the local shard's — a deposed primary
-//! resurfacing — with a `FENCED` session error.
+//! resurfacing — with a `FENCED` session error. The promotion is checked
+//! before every record, so a `PROMOTE` that lands mid-batch keeps the
+//! rest of the old primary's batch out of the new lineage.
 
 use crate::faults::{FaultMode, FaultPoint};
 use crate::metrics::Metrics;
@@ -39,43 +48,57 @@ use crate::service::{apply_replicated, install_replicated, Shared};
 use crate::tcp::WireClient;
 use doem::DoemDatabase;
 use oem::{OemDatabase, Timestamp};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// First reconnect delay; doubles per failure up to [`BACKOFF_MAX`].
-const BACKOFF_MIN: Duration = Duration::from_millis(50);
-/// Reconnect delay ceiling.
-const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Per-roundtrip wire timeout — a wedged primary surfaces as a
 /// connection failure and re-enters the backoff path.
 const WIRE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The reconnect backoff policy, factored out of the loop so the reset
-/// rule is unit-testable: a session that made replication progress
-/// returns the delay to [`BACKOFF_MIN`]; consecutive no-progress
-/// failures double it up to [`BACKOFF_MAX`]. (An earlier version reset
-/// off the *all-time* progress counters, so after the first successful
-/// batch ever, every later outage was retried at the floor forever —
-/// hammering a struggling primary at 50ms for the rest of the process.)
+/// A delay that doubles per call from its floor up to its ceiling, and
+/// returns to the floor on [`Backoff::reset`]. Two instances pace the
+/// follower: the reconnect wait after a failed session, and the idle
+/// wait between poll rounds. Each is reset by progress made since it was
+/// last slept — the reconnect wait by *that session's* progress (an
+/// earlier version reset off the all-time counters, so after the first
+/// successful batch ever, every later outage was retried at the floor —
+/// hammering a struggling primary for the rest of the process).
 struct Backoff {
+    floor: Duration,
+    ceiling: Duration,
     cur: Duration,
 }
 
 impl Backoff {
-    fn new() -> Backoff {
-        Backoff { cur: BACKOFF_MIN }
+    /// The wait before reconnecting after a failed session.
+    fn reconnect() -> Backoff {
+        Backoff::new(Duration::from_millis(50), Duration::from_secs(2))
     }
 
-    /// The delay to sleep after a failed session; `made_progress` says
-    /// whether *that session* applied records or installed a snapshot
-    /// before it died.
-    fn on_failure(&mut self, made_progress: bool) -> Duration {
-        if made_progress {
-            self.cur = BACKOFF_MIN;
+    /// The wait between poll rounds that found nothing to apply.
+    fn idle() -> Backoff {
+        Backoff::new(Duration::from_millis(1), Duration::from_millis(100))
+    }
+
+    fn new(floor: Duration, ceiling: Duration) -> Backoff {
+        Backoff {
+            floor,
+            ceiling,
+            cur: floor,
         }
+    }
+
+    /// The next wait sleeps the floor again.
+    fn reset(&mut self) {
+        self.cur = self.floor;
+    }
+
+    /// The delay to sleep now; the one after it is twice as long, up to
+    /// the ceiling.
+    fn next(&mut self) -> Duration {
         let sleep = self.cur;
-        self.cur = (self.cur * 2).min(BACKOFF_MAX);
+        self.cur = (self.cur * 2).min(self.ceiling);
         sleep
     }
 }
@@ -92,46 +115,49 @@ fn progress(shared: &Shared) -> (u64, u64) {
 }
 
 /// The follower thread body (spawned by `Service::start` when
-/// [`crate::ServeConfig::follow`] is set). Runs until `stop`.
-pub(crate) fn follower_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
+/// [`crate::ServeConfig::follow`] is set). Runs until the service stops.
+pub(crate) fn follower_loop(shared: &Arc<Shared>) {
     let Some(addr) = shared.cfg.follow.clone() else {
         return;
     };
-    let mut backoff = Backoff::new();
-    while !stop.load(Ordering::SeqCst) {
+    let mut backoff = Backoff::reconnect();
+    while !shared.stopping() {
         let before = progress(shared);
         let session = WireClient::connect(addr.as_str()).and_then(|mut client| {
             client.set_timeout(Some(WIRE_TIMEOUT))?;
-            run_session(shared, &mut client, stop)
+            run_session(shared, &mut client)
         });
         match session {
             // A session only returns cleanly on stop.
             Ok(()) => return,
             Err(_) => {
-                if stop.load(Ordering::SeqCst) {
+                if shared.stopping() {
                     return;
                 }
-                let sleep = backoff.on_failure(progress(shared) != before);
+                if progress(shared) != before {
+                    backoff.reset();
+                }
+                let sleep = backoff.next();
                 shared
                     .metrics
                     .repl_backoff_ms
                     .store(sleep.as_millis() as u64, Ordering::Relaxed);
                 Metrics::bump(&shared.metrics.repl_reconnects);
-                sleep_stop_aware(stop, sleep);
+                sleep_stop_aware(shared, sleep);
             }
         }
     }
 }
 
 /// One connected session: repeatedly list the primary's databases and
-/// drive each to the primary's applied LSN, then idle-poll. Any I/O or
-/// decode error tears the session down to the reconnect path.
-fn run_session(
-    shared: &Arc<Shared>,
-    client: &mut WireClient,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    while !stop.load(Ordering::SeqCst) {
+/// drive each to the primary's applied LSN — a round — then start the
+/// next round at once if this one made progress, or after the idle wait
+/// if it did not. Any I/O, decode or apply error tears the session down
+/// to the reconnect path.
+fn run_session(shared: &Arc<Shared>, client: &mut WireClient) -> std::io::Result<()> {
+    let mut idle = Backoff::idle();
+    while !shared.stopping() {
+        let before = progress(shared);
         let dbs = match client.roundtrip("DBS")? {
             Response::Rows(rows) => rows,
             other => {
@@ -141,12 +167,16 @@ fn run_session(
             }
         };
         for db in dbs {
-            if stop.load(Ordering::SeqCst) {
+            if shared.stopping() {
                 return Ok(());
             }
-            sync_db(shared, client, &db, stop)?;
+            sync_db(shared, client, &db)?;
         }
-        sleep_stop_aware(stop, shared.cfg.follow_poll);
+        if progress(shared) != before {
+            idle.reset();
+        } else {
+            sleep_stop_aware(shared, idle.next());
+        }
     }
     Ok(())
 }
@@ -155,19 +185,9 @@ fn run_session(
 /// the local applied LSN until it catches the `primary_lsn` a batch
 /// carried. Snapshot batches replace the local shard wholesale; record
 /// batches commit through the ordinary write path.
-fn sync_db(
-    shared: &Arc<Shared>,
-    client: &mut WireClient,
-    db: &str,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
+fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::Result<()> {
     loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        // A promoted shard is its own lineage now: replaying the old
-        // primary into it would silently undo the fence.
-        if shared.shard(db).is_some_and(|s| s.is_promoted()) {
+        if shared.stopping() || promoted(shared, db) {
             return Ok(());
         }
         let applied = applied_lsn(shared, db);
@@ -195,7 +215,7 @@ fn sync_db(
         match shared.cfg.faults.check(FaultPoint::ReplicateApply) {
             Some(FaultMode::Stall(ms)) => {
                 Metrics::bump(&shared.metrics.faults_injected);
-                sleep_stop_aware(stop, Duration::from_millis(ms));
+                sleep_stop_aware(shared, Duration::from_millis(ms));
             }
             Some(_) => {
                 Metrics::bump(&shared.metrics.faults_injected);
@@ -243,6 +263,11 @@ fn sync_db(
                 Metrics::bump(&shared.metrics.repl_snapshots_installed);
             }
             for (at, changes) in &batch.records {
+                // Each apply may wait out an fsync: a `PROMOTE` in that
+                // window ends the old lineage here, mid-batch.
+                if promoted(shared, db) {
+                    return Ok(());
+                }
                 apply_replicated(shared, db, *at, changes).map_err(std::io::Error::other)?;
                 Metrics::bump(&shared.metrics.repl_records_applied);
             }
@@ -256,6 +281,13 @@ fn sync_db(
     }
 }
 
+/// `true` once `db` was `PROMOTE`d here: its shard is its own lineage
+/// now, and replaying the old primary into it would silently undo the
+/// fence.
+fn promoted(shared: &Shared, db: &str) -> bool {
+    shared.shard(db).is_some_and(|s| s.is_promoted())
+}
+
 /// The local applied LSN for `db` (`NEG_INFINITY` when the shard does
 /// not exist yet — the empty-state attach asks for everything).
 fn applied_lsn(shared: &Shared, db: &str) -> Timestamp {
@@ -266,9 +298,9 @@ fn applied_lsn(shared: &Shared, db: &str) -> Timestamp {
 }
 
 /// Sleep in short slices so a stop request never waits out a backoff.
-fn sleep_stop_aware(stop: &AtomicBool, total: Duration) {
+fn sleep_stop_aware(shared: &Shared, total: Duration) {
     let mut left = total;
-    while !left.is_zero() && !stop.load(Ordering::SeqCst) {
+    while !left.is_zero() && !shared.stopping() {
         let slice = left.min(Duration::from_millis(50));
         std::thread::sleep(slice);
         left = left.saturating_sub(slice);
@@ -279,27 +311,43 @@ fn sleep_stop_aware(stop: &AtomicBool, total: Duration) {
 mod tests {
     use super::*;
 
+    fn millis(b: &mut Backoff, n: usize) -> Vec<u128> {
+        (0..n).map(|_| b.next().as_millis()).collect()
+    }
+
     #[test]
     fn backoff_doubles_to_the_cap_without_progress() {
-        let mut b = Backoff::new();
-        let mut sleeps = Vec::new();
-        for _ in 0..8 {
-            sleeps.push(b.on_failure(false).as_millis());
-        }
-        assert_eq!(sleeps, vec![50, 100, 200, 400, 800, 1600, 2000, 2000]);
+        let mut b = Backoff::reconnect();
+        assert_eq!(
+            millis(&mut b, 8),
+            vec![50, 100, 200, 400, 800, 1600, 2000, 2000]
+        );
     }
 
     #[test]
     fn progress_resets_only_the_session_that_made_it() {
-        let mut b = Backoff::new();
+        let mut b = Backoff::reconnect();
         // Outage: four no-progress failures climb the ladder.
-        for _ in 0..4 {
-            b.on_failure(false);
-        }
+        millis(&mut b, 4);
         // A session that synced some records before dying starts over…
-        assert_eq!(b.on_failure(true), BACKOFF_MIN);
+        b.reset();
+        assert_eq!(b.next(), Duration::from_millis(50));
         // …but the *next* failure without progress does not get the
         // floor again (the all-time-counter bug this struct replaces).
-        assert_eq!(b.on_failure(false), BACKOFF_MIN * 2);
+        assert_eq!(b.next(), Duration::from_millis(100));
+    }
+
+    #[test]
+    fn idle_wait_doubles_from_1ms_to_100ms() {
+        let mut b = Backoff::idle();
+        assert_eq!(millis(&mut b, 9), vec![1, 2, 4, 8, 16, 32, 64, 100, 100]);
+    }
+
+    #[test]
+    fn idle_wait_returns_to_1ms_after_a_round_with_progress() {
+        let mut b = Backoff::idle();
+        millis(&mut b, 12);
+        b.reset();
+        assert_eq!(millis(&mut b, 3), vec![1, 2, 4]);
     }
 }

@@ -9,7 +9,6 @@ use crate::metrics::{Histogram, Metrics};
 use crate::protocol::{ErrKind, Request, Response};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -330,7 +329,7 @@ impl Client {
         Metrics::bump(if req.is_read() { &m.reads } else { &m.writes });
         let started = Instant::now();
         let quit = matches!(req, Request::Quit);
-        let state = if !self.shared.accepting.load(Ordering::SeqCst) {
+        let state = if self.shared.stopping() {
             PendingState::Ready(Response::err(ErrKind::Internal, "service is shutting down"))
         } else if let Some(resp) = edge_reply(&self.shared, &req) {
             Metrics::bump(&m.inline_replies);
@@ -378,16 +377,16 @@ impl Client {
 }
 
 /// A worker: run every job from `rx` until the channel disconnects or an
-/// idle tick finds `stop` set — which means the queue has drained:
+/// idle tick finds the service stopping — which means the queue has drained:
 /// shutdown processes everything already admitted. The final non-blocking
 /// sweep closes the window where a job admitted just before the flag
 /// flipped would otherwise be stranded in the queue when the last
 /// receiver drops.
-pub(crate) fn worker_loop(rx: &Receiver<Job>, stop: &AtomicBool, shared: &Arc<Shared>) {
+pub(crate) fn worker_loop(rx: &Receiver<Job>, shared: &Arc<Shared>) {
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => job.run(shared),
-            Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
+            Err(RecvTimeoutError::Timeout) if !shared.stopping() => {}
             Err(_) => {
                 while let Ok(job) = rx.try_recv() {
                     job.run(shared);

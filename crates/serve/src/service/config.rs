@@ -87,10 +87,10 @@ pub struct ServeConfig {
     pub group_commit_max: usize,
     /// Follow a primary at this wire address: the instance becomes a
     /// read-only **follower**, replaying the primary's change-op log
-    /// into its shards and refusing client writes with `READONLY`.
+    /// into its shards and refusing client writes with `READONLY`. The
+    /// follower paces itself: a round that applied something is followed
+    /// at once, and idle rounds back off from 1 ms to 100 ms.
     pub follow: Option<String>,
-    /// How long a caught-up follower sleeps between poll rounds.
-    pub follow_poll: Duration,
     /// Fault-injection plan for the durability pipeline (tests; disabled
     /// by default and free when disabled).
     pub faults: Faults,
@@ -117,7 +117,6 @@ impl Default for ServeConfig {
             checkpoint_every: 64,
             group_commit_max: 8,
             follow: None,
-            follow_poll: Duration::from_millis(100),
             faults: Faults::disabled(),
             clock: WallClock::system(),
             retain_lsns: 1024,

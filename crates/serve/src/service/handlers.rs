@@ -41,7 +41,7 @@ pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
         Request::ListDbs => Response::Rows(shared.database_names()),
         Request::Stats => stats(shared),
         Request::Lsn { db } => with_shard(shared, db, |shard| {
-            let (applied, durable, epoch) = shard.lsn_fields();
+            let (applied, durable, epoch) = shard.lsn_fields(shared);
             Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
         }),
         Request::Query {
@@ -122,7 +122,7 @@ fn stats(shared: &Shared) -> Response {
     for (name, shard) in &shared.shards_by_name() {
         read_only += usize::from(shard.is_read_only());
         retained += shard.state.read().tail.len();
-        let (applied, durable, epoch) = shard.lsn_fields();
+        let (applied, durable, epoch) = shard.lsn_fields(shared);
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
         if shared.cfg.follow.is_some() {
             if let Some(p) = shared.observed_primary.lock().get(name).copied() {
@@ -318,6 +318,13 @@ fn write(
 /// the record lands in the follower's own WAL before it is visible, and
 /// replication never outruns the follower's own durability. Called only
 /// from the follower replay thread.
+///
+/// The record is sequenced once and its ack awaited; there is no retry
+/// here. The follower thread is a followed shard's only writer and waits
+/// for each ack before it sequences the next record, so the commit queue
+/// is full only when client writes share it — a `PROMOTE` raced the
+/// batch. Any error, `BUSY` included, ends the follower's session, and
+/// its backoff is the one retry.
 pub(crate) fn apply_replicated(
     shared: &Shared,
     db: &str,
@@ -327,26 +334,15 @@ pub(crate) fn apply_replicated(
     let Some(shard) = shared.shard(db) else {
         return Err(format!("no local shard for replicated database {db:?}"));
     };
-    loop {
-        let slot = ReplySlot::new();
-        let kind = WriteKind::Update(changes.clone());
-        // Staged (`None`): wait for the committer's ack.
-        let resp = sequence(shared, &shard, db, Some(at), kind, &slot)
-            .or_else(|| slot.wait(shared.cfg.request_timeout, &shared.metrics.reply_wait));
-        return match resp {
-            Some(Response::Error {
-                kind: ErrKind::Busy,
-                ..
-            }) => {
-                // Queue full: replication has no client to push back on,
-                // so yield and retry until the committer drains.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            Some(Response::Error { kind, message }) => Err(format!("{}: {message}", kind.code())),
-            Some(_) => Ok(()),
-            None => Err("timed out waiting for a replicated record to commit".into()),
-        };
+    let slot = ReplySlot::new();
+    let kind = WriteKind::Update(changes.clone());
+    // Staged (`None`): wait for the committer's ack.
+    match sequence(shared, &shard, db, Some(at), kind, &slot)
+        .or_else(|| slot.wait(shared.cfg.request_timeout, &shared.metrics.reply_wait))
+    {
+        Some(Response::Error { kind, message }) => Err(format!("{}: {message}", kind.code())),
+        Some(_) => Ok(()),
+        None => Err("timed out waiting for a replicated record to commit".into()),
     }
 }
 

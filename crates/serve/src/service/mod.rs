@@ -88,9 +88,11 @@ pub(crate) struct Shared {
     /// The checkpoint store, rooted at `wal_dir` beside the logs; `None`
     /// without a `wal_dir`.
     pub(crate) durable: Option<lore::LoreStore>,
-    /// Cleared at the start of shutdown: new submissions fail fast while
-    /// already-queued jobs drain.
-    pub(crate) accepting: AtomicBool,
+    /// Set at the start of shutdown, the service's one stop flag: new
+    /// submissions fail fast while already-queued jobs drain, workers
+    /// exit once the queue is empty, and the follower and accept loops
+    /// end.
+    pub(crate) stopping: AtomicBool,
     /// Monotonic write counter across *all* shards — the `GEN` verb.
     pub(crate) global_gen: AtomicU64,
     /// Follower side: db → the primary's applied LSN last carried by a
@@ -134,6 +136,11 @@ impl Shared {
         shards.into_iter().map(|(name, _)| name).collect()
     }
 
+    /// `true` once shutdown has begun.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
+    }
+
     fn bump_global(&self) -> u64 {
         self.global_gen.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -147,7 +154,6 @@ pub struct Service {
     workers: Vec<TrackedHandle<()>>,
     /// The replication fetch/apply thread (follower mode only).
     follower: Option<TrackedHandle<()>>,
-    pub(crate) stop: Arc<AtomicBool>,
 }
 
 impl Service {
@@ -159,22 +165,28 @@ impl Service {
         let store = cfg.store_dir.as_ref().map(open).transpose()?;
         let durable = cfg.wal_dir.as_ref().map(open).transpose()?;
         let metrics = Metrics::new();
-        let mut registry = Registry::default();
-        if let Some(d) = &durable {
-            recover_all(d, &cfg, &metrics, &mut registry.map)?;
-        }
+        let recovered = match &durable {
+            Some(d) => recover_all(d, &cfg, &metrics)?,
+            None => Vec::new(),
+        };
+        let registry = Registry {
+            map: recovered
+                .iter()
+                .map(|(name, shard, _)| (name.clone(), Arc::clone(shard)))
+                .collect(),
+            installing: HashSet::new(),
+        };
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
         let shared = Arc::new(Shared {
             shards: RwLock::new(registry),
             store,
             durable,
-            accepting: AtomicBool::new(true),
+            stopping: AtomicBool::new(false),
             global_gen: AtomicU64::new(1),
             observed_primary: Mutex::new(HashMap::new()),
             metrics,
             cfg,
         });
-        let stop = Arc::new(AtomicBool::new(false));
         // Tracked spawns: handles demand an explicit join (shutdown) or
         // detach, and an OS-level spawn failure propagates instead of
         // panicking the starter.
@@ -182,23 +194,21 @@ impl Service {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let rx = job_rx.clone();
-                let stop = Arc::clone(&stop);
                 spawn_tracked(&format!("serve-worker-{i}"), move || {
-                    worker_loop(&rx, &stop, &shared)
+                    worker_loop(&rx, &shared)
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         // Recovered shards were built before `shared` existed; give each
-        // its group committer now.
-        for (name, shard) in shared.shards_by_name() {
-            start_committer(&shared, &name, &shard)?;
+        // its group committer and log now.
+        for (name, shard, wal) in recovered {
+            start_committer(&shared, &name, &shard, wal)?;
         }
         let follower = match shared.cfg.follow {
             Some(_) => {
                 let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
                 Some(spawn_tracked("serve-follower", move || {
-                    crate::replication::follower::follower_loop(&shared, &stop)
+                    crate::replication::follower::follower_loop(&shared)
                 })?)
             }
             None => None,
@@ -208,7 +218,6 @@ impl Service {
             job_tx,
             workers,
             follower,
-            stop,
         })
     }
 
@@ -293,12 +302,10 @@ impl Service {
             job_tx,
             workers,
             follower,
-            stop,
         } = self;
-        // Refuse new work, then signal loops; workers keep pulling until
-        // the queue is empty (they exit on an idle tick with stop set).
-        shared.accepting.store(false, Ordering::SeqCst);
-        stop.store(true, Ordering::SeqCst);
+        // Refuse new work and signal the loops; workers keep pulling until
+        // the queue is empty (they exit on an idle tick with the flag set).
+        shared.stopping.store(true, Ordering::SeqCst);
         drop(job_tx);
         // The follower joins before the committers stop: its in-flight
         // record applies are acked by the committers, so stopping those

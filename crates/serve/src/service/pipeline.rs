@@ -5,7 +5,8 @@
 //! and applied, once, to the *sequencing head* (the graphs with every
 //! sequenced change applied), which yields the [`AppliedSet`] the publish
 //! stage will swap in. What happens next depends only on whether the
-//! shard owns a WAL. If it does, the record is staged on the commit queue
+//! service has a WAL directory — then every shard owns a WAL, otherwise
+//! none does. If it does, the record is staged on the commit queue
 //! and the shard's *group committer* persists whole batches with one
 //! `write` and one `fsync` outside every lock, then publishes them in LSN
 //! order and releases the waiting reply slots. If it does not, the persist
@@ -16,7 +17,7 @@
 
 use super::client::ReplySlot;
 use super::recovery::save_image;
-use super::shard::{publish, AppliedSet, Committer, Shard};
+use super::shard::{publish, AppliedSet, Shard};
 use super::Shared;
 use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
@@ -228,7 +229,7 @@ pub(crate) fn sequence(
         changes,
         doem: ps.head_doem.snapshot(),
     };
-    if shard.durable.is_none() {
+    if shared.durable.is_none() {
         // The null persist stage: nothing to wait for, so publish before
         // the pipeline lock drops (`pipeline` → `state`).
         let generation = publish(shared, shard, &mut shard.state.write(), set);
@@ -280,36 +281,27 @@ pub(crate) fn request_stop(shard: &Shard, kind: StopKind) {
 /// writes are delivered before this returns. A no-op on a shard that
 /// owns no WAL.
 pub(crate) fn join_committer(shard: &Shard) {
-    let Some(d) = &shard.durable else {
-        return;
-    };
-    let was = std::mem::replace(&mut *d.committer.lock(), Committer::Gone);
-    if let Committer::Running(h) = was {
+    let handle = shard.committer.lock().take();
+    if let Some(h) = handle {
         let _ = h.join();
     }
 }
 
 /// Spawn the group committer for a WAL-owning shard, handing it exclusive
-/// ownership of the shard's [`DbWal`]. A no-op for a shard without one.
+/// ownership of the shard's log.
 pub(crate) fn start_committer(
     shared: &Arc<Shared>,
     name: &str,
     shard: &Arc<Shard>,
+    wal: DbWal,
 ) -> std::io::Result<()> {
-    let Some(d) = &shard.durable else {
-        return Ok(());
-    };
-    let Committer::Parked(wal) = std::mem::replace(&mut *d.committer.lock(), Committer::Gone)
-    else {
-        return Ok(());
-    };
     let shared = Arc::clone(shared);
     let shard_for_loop = Arc::clone(shard);
     let db = name.to_string();
     let handle = spawn_tracked(&format!("serve-committer-{name}"), move || {
         committer_loop(&shared, &db, &shard_for_loop, wal)
     })?;
-    *d.committer.lock() = Committer::Running(handle);
+    *shard.committer.lock() = Some(handle);
     Ok(())
 }
 
@@ -474,9 +466,6 @@ fn persist_and_publish(
     if let Err(e) = wal.append_batch(&frames, &shared.cfg.faults, &shared.metrics) {
         degrade(shared, db, shard, batch, &e);
         return false;
-    }
-    if let (Some(d), Some(last)) = (&shard.durable, batch.last()) {
-        d.lsn.store(last.set.at.raw_minutes(), Ordering::Relaxed);
     }
     let mut acks: Vec<(Arc<ReplySlot>, Response)> = Vec::with_capacity(batch.len());
     {

@@ -12,7 +12,6 @@ use crate::wal::{self, DbWal, WalReplay};
 use doem::{apply_set, current_snapshot, DoemDatabase};
 use lore::LoreStore;
 use oem::{OemDatabase, Timestamp};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -39,18 +38,22 @@ pub(crate) fn last_lsn(doem: &DoemDatabase) -> Timestamp {
         .unwrap_or(Timestamp::NEG_INFINITY)
 }
 
+/// A recovered database: its name, its shard, and the log its committer
+/// will own.
+pub(crate) type RecoveredShard = (String, Arc<Shard>, DbWal);
+
 /// Recover every database found under the WAL directory: load its
 /// checkpoint, replay the usable log — the sealed segment, then the
 /// active one — through [`apply_set`], truncate anything past the
-/// durable prefix, and install the shard. A sealed segment is left in
-/// place: the shard's first checkpoint folds it into an image and
-/// deletes it.
+/// durable prefix, and hand back the shard with its open log. A sealed
+/// segment is left in place: the shard's first checkpoint folds it into
+/// an image and deletes it.
 pub(crate) fn recover_all(
     d: &LoreStore,
     cfg: &ServeConfig,
     metrics: &Metrics,
-    shards: &mut HashMap<String, Arc<Shard>>,
-) -> std::io::Result<()> {
+) -> std::io::Result<Vec<RecoveredShard>> {
+    let mut shards = Vec::new();
     for stem in d.names().map_err(io_error)? {
         let doem = d
             .load_doem(&stem)
@@ -78,13 +81,12 @@ pub(crate) fn recover_all(
             recovered.doem,
             recovered.replica,
             cfg.cache_capacity,
-            Some(wal),
             recovered.last_at,
             recovered.epoch,
         ));
-        shards.insert(name, shard);
+        shards.push((name, shard, wal));
     }
-    Ok(())
+    Ok(shards)
 }
 
 /// What [`recover_one`] rebuilt from a checkpoint plus its log.
@@ -196,13 +198,14 @@ pub(crate) fn save_image(
 
 /// Install (or replace) the shard for `doem`: decide under a brief map
 /// write lock (refuse an existing name when `must_be_new`, refuse a name
-/// another install has reserved, reserve this one), [`prepare`] with no
-/// lock held, then publish under the lock again (insert the shard and
-/// release the reservation; a failed prep only releases it). So an
-/// acknowledged install exists on disk, racing installs of one name never
-/// interleave their prep, and no request waits on the disk but this one.
-/// The new committer starts after the lock drops. Returns the new global
-/// generation.
+/// another install has reserved, reserve this one), [`prepare`] and start
+/// the new committer with no lock held, then publish under the lock again
+/// (insert the shard and release the reservation; a failed prep or spawn
+/// only releases it, so nothing is installed). So an acknowledged install
+/// exists on disk, racing installs of one name never interleave their
+/// prep, no request waits on the disk but this one, and every installed
+/// shard of a durable service has a committer draining it. Returns the
+/// new global generation.
 pub(crate) fn install_shard(
     shared: &Arc<Shared>,
     name: &str,
@@ -226,17 +229,20 @@ pub(crate) fn install_shard(
     // Fresh incarnations start at epoch 0: a replicated snapshot install
     // re-adopts the primary's epoch from the next batch header, and a
     // recovered shard restores it from its WAL record suffixes.
-    let cap = shared.cfg.cache_capacity;
-    let prepared = prepare(shared, name, &doem, old.as_deref())
-        .map(|wal| Arc::new(Shard::new(doem, replica, cap, wal, last_at, 0)));
-    let shard = {
+    let prepared = prepare(shared, name, &doem, old.as_deref()).and_then(|wal| {
+        let cap = shared.cfg.cache_capacity;
+        let shard = Arc::new(Shard::new(doem, replica, cap, last_at, 0));
+        if let Some(wal) = wal {
+            start_committer(shared, name, &shard, wal)?;
+        }
+        Ok(shard)
+    });
+    {
         let mut reg = shared.shards.write();
         reg.installing.remove(name);
         let shard = prepared.map_err(InstallError::Io)?;
-        reg.map.insert(name.to_string(), Arc::clone(&shard));
-        shard
-    };
-    start_committer(shared, name, &shard).map_err(InstallError::Io)?;
+        reg.map.insert(name.to_string(), shard);
+    }
     Ok(shared.bump_global())
 }
 

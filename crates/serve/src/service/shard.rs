@@ -7,12 +7,11 @@ use super::Shared;
 use crate::cache::{CacheEntry, Carry, ResultCache};
 use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
-use crate::wal::DbWal;
 use doem::{DoemDatabase, SharedDoem};
 use oem::{ChangeSet, OemDatabase, Timestamp};
 use parking_lot::{Mutex, RwLock};
 use sanitizer::thread::TrackedHandle;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// What one database shard publishes: the DOEM database behind a
@@ -38,29 +37,6 @@ pub(crate) struct ShardState {
     pub(crate) tail: ReplTail,
 }
 
-/// What a shard that owns a WAL has and the others lack — the one place
-/// "is this shard durable" is recorded.
-pub(crate) struct Durable {
-    /// The highest LSN (raw minutes) known durable on disk — stored by
-    /// the committer after each batch fsync, rendered by `LSN`/`STATS`.
-    pub(crate) lsn: AtomicI64,
-    /// The shard's log and the thread that owns it.
-    pub(crate) committer: Mutex<Committer>,
-}
-
-/// Where a WAL-owning shard's log is.
-pub(crate) enum Committer {
-    /// Parked between shard construction and
-    /// [`super::pipeline::start_committer`].
-    Parked(DbWal),
-    /// Owned exclusively by the group-committer thread, which is why no
-    /// lock is ever held across an append or fsync.
-    Running(TrackedHandle<()>),
-    /// The committer was joined (shutdown or replacement) or never
-    /// spawned.
-    Gone,
-}
-
 /// One database shard: its own lock, generation counter, result cache,
 /// commit pipeline and — when it owns a WAL — group-committer thread.
 /// Shards are handed around as `Arc<Shard>` so the registry lock is
@@ -70,8 +46,11 @@ pub(crate) struct Shard {
     pub(crate) cache: ResultCache,
     /// Every write and replicated record sequences through it.
     pub(crate) pipeline: CommitPipeline,
-    /// `Some` iff the shard owns a WAL, i.e. has a persist stage.
-    pub(crate) durable: Option<Durable>,
+    /// The group committer, the sole owner of the shard's log, from
+    /// [`super::pipeline::start_committer`] until
+    /// [`super::pipeline::join_committer`]. Every shard of a service with
+    /// a [`super::ServeConfig::wal_dir`] has one; no other shard does.
+    pub(crate) committer: Mutex<Option<TrackedHandle<()>>>,
     /// Set (under the pipeline lock) on persistent log I/O failure;
     /// writes answer `READONLY` from then on while queries keep serving.
     pub(crate) read_only: AtomicBool,
@@ -92,23 +71,17 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// A shard over `doem` and its current snapshot `replica`, whose
-    /// history ends at `last_at`. With a `wal` the shard is durable: the
-    /// log is parked until [`super::pipeline::start_committer`] hands it
-    /// to the committer.
+    /// history ends at `last_at`.
     pub(crate) fn new(
         doem: DoemDatabase,
         replica: OemDatabase,
         cache_capacity: usize,
-        wal: Option<DbWal>,
         last_at: Timestamp,
         epoch: u64,
     ) -> Shard {
         let doem = SharedDoem::new(doem);
         Shard {
-            durable: wal.map(|wal| Durable {
-                lsn: AtomicI64::new(last_at.raw_minutes()),
-                committer: Mutex::new(Committer::Parked(wal)),
-            }),
+            committer: Mutex::new(None),
             // The sequencing head starts as an O(1) snapshot of the
             // published graph, and owns the replica.
             pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at),
@@ -180,15 +153,17 @@ impl Shard {
     }
 
     /// The applied LSN, the durable LSN and the epoch, the first two in
-    /// wire form — what `LSN` and each `STATS` `lsn` row report. A shard
-    /// that owns no WAL has no log, so nothing is durable: `-`.
-    pub(crate) fn lsn_fields(&self) -> (String, String, u64) {
-        let applied = self.state.read().last_at;
-        let durable = match &self.durable {
-            Some(d) => lsn_to_wire(Timestamp::from_raw_minutes(d.lsn.load(Ordering::Relaxed))),
-            None => "-".to_string(),
+    /// wire form — what `LSN` and each `STATS` `lsn` row report. A WAL
+    /// shard publishes nothing before its fsync, so what it has applied is
+    /// durable; a service without a WAL has no log, so nothing is: `-`.
+    pub(crate) fn lsn_fields(&self, shared: &Shared) -> (String, String, u64) {
+        let applied = lsn_to_wire(self.state.read().last_at);
+        let durable = if shared.durable.is_some() {
+            applied.clone()
+        } else {
+            "-".to_string()
         };
-        (lsn_to_wire(applied), durable, self.epoch())
+        (applied, durable, self.epoch())
     }
 }
 

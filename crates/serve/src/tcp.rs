@@ -86,10 +86,9 @@ impl Service {
         let sessions: SessionRegistry = Arc::new(Mutex::new(HashMap::new()));
         let loop_stop = Arc::clone(&stop);
         let loop_sessions = Arc::clone(&sessions);
-        let service_stop = Arc::clone(&self.stop);
         let client = self.client();
         let accept = spawn_tracked("serve-accept", move || {
-            accept_loop(&listener, &client, &loop_stop, &service_stop, &loop_sessions);
+            accept_loop(&listener, &client, &loop_stop, &loop_sessions);
         })?;
         Ok(TcpHandle {
             addr: local,
@@ -100,15 +99,16 @@ impl Service {
     }
 }
 
+/// Accept connections until the endpoint is stopped or the service
+/// behind it shuts down.
 fn accept_loop(
     listener: &TcpListener,
     client: &Client,
     stop: &AtomicBool,
-    service_stop: &AtomicBool,
     sessions: &SessionRegistry,
 ) {
     let next_id = AtomicU64::new(0);
-    while !stop.load(Ordering::SeqCst) && !service_stop.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) && !client.shared.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
                 Metrics::bump(&client.shared.metrics.sessions);

@@ -261,7 +261,7 @@ fn edge_replies_refuse_during_shutdown() {
     let cached = "QUERY guide select guide.restaurant";
     assert!(matches!(client.request_line(cached), Response::Rows(_)));
     svc.shutdown();
-    // `accepting` is checked before anything is answered.
+    // The service's stop flag is checked before anything is answered.
     for line in [
         "PING",
         "QUIT",

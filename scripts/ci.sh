@@ -68,9 +68,13 @@ sanitized_leg() {
     fi
 }
 
-echo "==> replication smoke (1 primary, 2 followers) under DOEM_SANITIZE=1"
+echo "==> replication smoke (1 primary, 2 followers; PROMOTE mid-batch) under DOEM_SANITIZE=1"
+# The mid-batch PROMOTE test lands a PROMOTE while a durable follower
+# applies a replicated batch, so that apply path's lock edges feed the
+# runtime ⊆ static gate below.
 sanitized_leg repl "replication smoke" \
-    cargo test -q --offline --test serve_replication two_followers_track_a_live_primary
+    cargo test -q --offline --test serve_replication -- \
+    two_followers_track_a_live_primary promote_mid_batch_keeps_the_rest_of_the_old_batch_out
 
 echo "==> chaos matrix: topology torture + consistency oracle + failpoint liveness audit"
 # Three full-size seeds (kill-9s, WAL/replication faults, one fenced
@@ -95,7 +99,7 @@ echo "==> serve module size guard (no file under crates/serve/src over 1,000 lin
 oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
 [ -z "$oversize" ] || { echo "$oversize"; echo "ci: split the file(s) above along a seam" >&2; exit 1; }
 
-echo "==> doem-lint (zero findings; an inline \`// lint: allow\` is the one exemption)"
+echo "==> doem-lint (zero findings; an inline \`// lint: allow\` is the one exemption; serve's no-unwrap rule is clippy's, below)"
 cargo run -q -p lint --offline --bin doem-lint
 
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
@@ -144,7 +148,7 @@ echo "==> perf smoke: doem-load output checks over a real doem-serve (no thresho
 bash benchmark/run.sh --quick --out "$(pwd)/target/perf-smoke" > /dev/null
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate: clippy::unwrap_used/expect_used outside tests)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"

@@ -8,8 +8,8 @@
 //! ```text
 //! doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!            [--store DIR] [--wal DIR] [--checkpoint-every N]
-//!            [--group-commit N] [--follow HOST:PORT] [--follow-poll-ms MS]
-//!            [--retain-lsns N] [--empty] [--create NAME]...
+//!            [--group-commit N] [--follow HOST:PORT] [--retain-lsns N]
+//!            [--empty] [--create NAME]...
 //! ```
 //!
 //! With `--wal DIR` the service is durable: every committed mutation is
@@ -26,9 +26,11 @@
 //! batch is whatever queued while the previous fsync ran.
 //!
 //! With `--follow HOST:PORT` the instance is a **replication follower**:
-//! it pulls WAL batches from the primary at that address, replays them in
-//! order, answers queries from snapshots at its applied LSN (readable via
-//! `LSN <db>` and `STATS`), and refuses client writes with `READONLY`.
+//! it pulls WAL batches from the primary at that address (at once while
+//! there is something to apply, backing off to ten polls a second when
+//! idle), replays them in order, answers queries from snapshots at its
+//! applied LSN (readable via `LSN <db>` and `STATS`), and refuses client
+//! writes with `READONLY`.
 //! Followers never seed the guide fixture — their state comes from the
 //! primary. Combine with `--wal DIR` for a durable follower that crash-
 //! recovers locally before resuming the stream. Every instance keeps its
@@ -43,14 +45,13 @@
 
 use serve::{Response, ServeConfig, Service};
 use std::io::BufRead;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: doem-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--store DIR] [--wal DIR] [--checkpoint-every N]\n\
-         \x20                 [--group-commit N] [--follow HOST:PORT] [--follow-poll-ms MS]\n\
-         \x20                 [--retain-lsns N] [--empty] [--create NAME]..."
+         \x20                 [--group-commit N] [--follow HOST:PORT] [--retain-lsns N]\n\
+         \x20                 [--empty] [--create NAME]..."
     );
     std::process::exit(2);
 }
@@ -78,9 +79,6 @@ fn main() {
             "--group-commit" => cfg.group_commit_max = parse_num(&val("--group-commit")),
             "--follow" => cfg.follow = Some(val("--follow")),
             "--retain-lsns" => cfg.retain_lsns = parse_num(&val("--retain-lsns")),
-            "--follow-poll-ms" => {
-                cfg.follow_poll = Duration::from_millis(parse_num(&val("--follow-poll-ms")) as u64)
-            }
             "--empty" => seed_guide = false,
             "--create" => create.push(val("--create")),
             "--help" | "-h" => usage(),

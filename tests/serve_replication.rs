@@ -29,12 +29,10 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A follower config aimed at `primary_addr`, polling fast enough that
-/// tests converge quickly.
+/// A follower config aimed at `primary_addr`.
 fn follower_cfg(primary_addr: &str) -> ServeConfig {
     ServeConfig {
         follow: Some(primary_addr.to_string()),
-        follow_poll: Duration::from_millis(10),
         ..ServeConfig::default()
     }
 }
@@ -394,6 +392,91 @@ fn promote_fences_the_old_primary_and_takes_writes() {
     use std::sync::atomic::Ordering::Relaxed;
     assert_eq!(follower.metrics().promotions.load(Relaxed), 1);
     assert!(primary.metrics().fenced_rejects.load(Relaxed) >= 1);
+
+    handle.stop();
+    follower.shutdown();
+    primary.shutdown();
+}
+
+/// A `PROMOTE` that lands while a durable follower waits out the fsync
+/// of a batch's first record ends the old lineage right there: the
+/// record already in flight commits, the rest of the old primary's batch
+/// stays out of the new lineage. (The promotion used to be checked once
+/// per batch, so all three records landed.)
+#[test]
+fn promote_mid_batch_keeps_the_rest_of_the_old_batch_out() {
+    let primary = Service::start(ServeConfig::default()).unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    let pc = primary.client();
+    assert!(!pc.request_line("CREATE p").is_error());
+    for (at, ch) in writes(3) {
+        assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+    }
+
+    let dir = fresh_dir("promote-mid-batch");
+    let faults = Faults::fail_nth(FaultPoint::WalFsync, 0, FaultMode::Stall(800), false);
+    let mut cfg = follower_cfg(&handle.addr().to_string());
+    cfg.wal_dir = Some(dir.clone());
+    cfg.faults = faults.clone();
+    let follower = Service::start(cfg).unwrap();
+
+    // Promote while the batch's first record waits out its fsync.
+    let t0 = Instant::now();
+    while faults.fired() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(15), "the fsync never stalled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let fc = follower.client();
+    assert_eq!(
+        fc.request_line("PROMOTE p"),
+        Response::Ok("promoted p; epoch 1 at -".into())
+    );
+
+    // The in-flight record publishes once its fsync returns; the rest
+    // of the batch would follow within milliseconds.
+    let t0 = Instant::now();
+    while fc.request_line("LSN p").render().starts_with("OK applied - ") {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the stalled record never landed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(fc.query("p", "select p.item").unwrap().len(), 1);
+
+    handle.stop();
+    follower.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The follower paces itself: once caught up it backs off to about ten
+/// polls a second, so a 2 s idle window costs the primary at most 40
+/// batches for one database (the 100 ms ceiling plus the ramp from
+/// 1 ms), and a write made after the window still reaches the follower
+/// within 1 s.
+#[test]
+fn an_idle_follower_backs_off_and_still_picks_up_the_next_write() {
+    let primary = Service::start(ServeConfig::default()).unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    let pc = primary.client();
+    assert!(!pc.request_line("CREATE p").is_error());
+    let history = writes(3);
+    for (at, ch) in &history[..2] {
+        assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+    }
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+    await_convergence(&primary, &follower, "p", Duration::from_secs(15));
+
+    use std::sync::atomic::Ordering::Relaxed;
+    let shipped = || primary.metrics().repl_batches_shipped.load(Relaxed);
+    let before = shipped();
+    std::thread::sleep(Duration::from_secs(2));
+    let idle = shipped() - before;
+    assert!(idle <= 40, "{idle} batches shipped to an idle follower in 2 s");
+
+    let (at, ch) = &history[2];
+    assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+    await_convergence(&primary, &follower, "p", Duration::from_secs(1));
+    assert_eq!(follower.client().query("p", "select p.item").unwrap().len(), 3);
 
     handle.stop();
     follower.shutdown();
