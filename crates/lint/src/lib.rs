@@ -1,10 +1,8 @@
-//! # lint — the `doem-lint` static-analysis library
+//! # lint — the `doem-lint` line-rule library
 //!
-//! A hand-rolled Rust static-analysis engine enforcing doem-suite
-//! invariants the compiler can't check (run it with
-//! `cargo run --bin doem-lint`). Two layers:
-//!
-//! **Line rules** on stripped source (this module):
+//! A hand-rolled scanner enforcing doem-suite invariants the compiler
+//! can't check (run it with `cargo run --bin doem-lint`). Its rules run
+//! on source whose comments and literals are blanked ([`strip_source`]):
 //!
 //! * **parser-fuzz** — every hand-rolled parser module carries a
 //!   `fuzz_tests` sibling (the CLAUDE.md panic-freedom contract).
@@ -17,20 +15,8 @@
 //!   is itself a finding (see [`apply_allows`]): exemptions can't outlive
 //!   the code they excused.
 //!
-//! **Whole-program lock analysis** ([`token`] → [`ast`] → [`callgraph`] →
-//! [`locks`], DESIGN.md §13):
-//!
-//! * **lock-order-cycle** — a cycle in the static lock-order graph is a
-//!   potential deadlock, reported with full `file:line` acquisition
-//!   chains.
-//! * **guard-across-blocking** — a guard held across a blocking call
-//!   (fsync/WAL append, `write_all`, `recv`, `join`, condvar wait,
-//!   bounded-channel send), including through the call graph; this
-//!   subsumes the old `guard-across-wal` line rule.
-//!
-//! The static graph is cross-validated against the runtime sanitizer:
-//! every edge the sanitizer observes must exist statically
-//! ([`locks::runtime_subset`]); CI fails otherwise.
+//! Serve's lock order is not a lint rule: the types check it
+//! (`serve::lock_order`, DESIGN.md §13).
 //!
 //! The scanner itself honors the contract it enforces: it is hand-rolled,
 //! panic-free on arbitrary input (see `fuzz_tests` at the bottom), and
@@ -44,9 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod callgraph;
-pub mod locks;
 pub mod token;
 
 /// One diagnostic: rule, repo-relative file, 1-based line, message.
@@ -78,8 +61,7 @@ impl std::fmt::Display for Finding {
 
 /// Blank out comments and string/char-literal contents with spaces,
 /// preserving every newline (so line numbers survive) and the overall
-/// length: [`token::classify`]'s opaque bytes rendered as blanks, so the
-/// line rules and the lock analysis read one lexer. Handles nested
+/// length: [`token::classify`]'s opaque bytes rendered as blanks. Handles nested
 /// `/* */`, `//`, `"…"` with escapes, `r#"…"#` raw strings, byte
 /// strings, char literals, and the char-vs-lifetime ambiguity (`'a'`
 /// strips, `'a` in `&'a T` doesn't). Never panics.
@@ -174,8 +156,8 @@ pub fn test_mod_lines(stripped: &str) -> Vec<bool> {
 /// code they excused.
 ///
 /// This is the single suppression point: individual scanners report
-/// everything they see, and the driver funnels each file's combined
-/// findings (line rules + lock analysis) through here. `stale-allow`
+/// everything they see, and the driver funnels each file's findings
+/// through here. `stale-allow`
 /// findings are deliberately not themselves suppressible.
 pub fn apply_allows(file: &str, raw: &str, findings: Vec<Finding>) -> Vec<Finding> {
     let markers = token::allow_marker_lines(raw);
@@ -447,8 +429,7 @@ pub fn scan_missing_docs(file: &str, raw: &str) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace file collection (shared by the CLI and the cross-validation
-// tests, so both sides of the runtime-subset contract see the same set)
+// Workspace file collection
 // ---------------------------------------------------------------------------
 
 /// Recursive workspace walk: collects `.rs` under `crates/` (and
@@ -500,32 +481,6 @@ pub fn collect_workspace_files(
     rust.sort();
     md.sort();
     (rust, md)
-}
-
-/// Is this repo-relative file in scope for the whole-program lock
-/// analysis? The compat shims and the sanitizer implement the lock
-/// primitives themselves — their internal `lock()` calls are the
-/// instrumentation, not users of it — so they stay out of the model.
-pub fn lock_scope(rel: &str) -> bool {
-    !rel.starts_with("crates/compat/") && !rel.starts_with("crates/sanitizer/")
-}
-
-/// Load every workspace source in scope for the lock analysis, as
-/// repo-relative `(path, source)` pairs — the exact input set
-/// `doem-lint` analyzes, for tests that must agree with it.
-pub fn lock_analysis_sources(root: &std::path::Path) -> Vec<(String, String)> {
-    let (rust, _) = collect_workspace_files(root);
-    let mut out = Vec::new();
-    for rel in rust {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if !lock_scope(&rel_str) {
-            continue;
-        }
-        if let Ok(raw) = std::fs::read_to_string(root.join(&rel)) {
-            out.push((rel_str, raw));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -666,27 +621,10 @@ mod tests {
             }
 
             #[test]
-            fn tokenizer_and_parser_never_panic(src in "\\PC{0,200}") {
-                let toks = token::tokenize(&src);
-                // Token texts are in-order slices of the source.
-                let mut at = 0usize;
-                for t in &toks {
-                    prop_assert!(t.start >= at);
-                    prop_assert_eq!(src.get(t.start..t.start + t.text.len()), Some(t.text));
-                    at = t.start;
-                }
+            fn classifier_never_panics(src in "\\PC{0,200}") {
+                // One class per byte.
+                prop_assert_eq!(token::classify(&src).len(), src.len());
                 let _ = token::allow_marker_lines(&src);
-                let _ = ast::parse_file(&src);
-            }
-
-            #[test]
-            fn lock_analysis_never_panics_on_rustish_soup(
-                src in "(fn f\\(\\)|impl S |struct S |\\{|\\}|;|let g = |self\\.m\\.lock\\(\\)|\\.write\\(\\)|m: Mutex<u8>,|drop\\(g\\)|\\.sync_data\\(\\)|wait\\(&mut g\\)|notify_one\\(\\)|\n| ){0,60}"
-            ) {
-                let files = vec![("crates/x/src/l.rs".to_string(), src.clone())];
-                let an = locks::analyze(&files);
-                let _ = locks::dot(&an);
-                let _ = locks::runtime_subset(&an, &[]);
             }
         }
     }

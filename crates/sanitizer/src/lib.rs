@@ -13,11 +13,9 @@
 //!   a **potential deadlock** even if no execution ever interleaved into
 //!   the deadly embrace — the Eraser/ThreadSanitizer observation that the
 //!   *order discipline*, not the unlucky schedule, is the invariant worth
-//!   checking. The observed graph is exported by [`order_graph`] /
-//!   [`order_graph_dot`], and `DOEM_SANITIZE_GRAPH=<file>` appends every
-//!   fresh edge as a `from<TAB>to` line — CI feeds those files into
-//!   `doem-lint --runtime-subset` to check the runtime graph is a subset
-//!   of the static one (DESIGN.md §13).
+//!   checking. Serve's own locks also have their order checked at
+//!   compile time (`serve::lock_order`, DESIGN.md §13); this graph still
+//!   sees every lock, test-local ones included.
 //! * **Self-deadlock.** Re-acquiring a lock the current thread already
 //!   holds (mutex re-entry, `RwLock` write-after-read or read-after-write)
 //!   would block forever on the `std::sync` primitives underneath the
@@ -327,7 +325,6 @@ fn note_edge(
     if !fresh {
         return;
     }
-    dump_edge(held.site, acq_site);
     // The new edge held → acquiring closes a cycle iff `held` was already
     // reachable from `acquiring`.
     let mut path = Vec::new();
@@ -346,88 +343,6 @@ fn note_edge(
         );
         drop(g);
         record(FindingKind::LockOrderCycle, msg);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Order-graph export (static/runtime cross-validation)
-// ---------------------------------------------------------------------------
-
-/// One observed lock-order edge: the thread that acquired the lock first
-/// acquired at `to_site` was, at that moment, holding the lock it had
-/// acquired at `from_site`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct OrderEdge {
-    /// `file:line` of the held lock's acquisition (workspace-relative).
-    pub from_site: String,
-    /// `file:line` of the acquisition that created the edge.
-    pub to_site: String,
-    /// Display name of the held lock.
-    pub from_lock: String,
-    /// Display name of the acquired lock.
-    pub to_lock: String,
-}
-
-fn fmt_site(loc: &'static Location<'static>) -> String {
-    // `Location::file()` is the path as compiled — workspace-relative
-    // with `/` separators for workspace members, which is exactly the
-    // format `doem-lint`'s static analysis uses for its sites.
-    format!("{}:{}", loc.file().replace('\\', "/"), loc.line())
-}
-
-/// Snapshot of the runtime-observed lock-order graph, one entry per
-/// distinct (held, acquired) lock pair, in deterministic order. This is
-/// the runtime half of the static/runtime cross-validation contract
-/// (DESIGN.md §13): every edge here must also appear in `doem-lint`'s
-/// static lock-order graph.
-pub fn order_graph() -> Vec<OrderEdge> {
-    let g = lock_clean(graph());
-    let mut out: Vec<OrderEdge> = Vec::new();
-    for (from, tos) in &g.edges {
-        for (to, (fs, ts)) in tos {
-            out.push(OrderEdge {
-                from_site: fmt_site(fs),
-                to_site: fmt_site(ts),
-                from_lock: lock_name(*from),
-                to_lock: lock_name(*to),
-            });
-        }
-    }
-    out.sort();
-    out
-}
-
-/// The observed lock-order graph in Graphviz DOT form, nodes labeled by
-/// first-acquisition site. Diff this against `doem-lint --graph dot` to
-/// see what the runtime actually exercised.
-pub fn order_graph_dot() -> String {
-    let mut s = String::from("digraph runtime_lock_order {\n");
-    for e in order_graph() {
-        s.push_str(&format!(
-            "  \"{}\" -> \"{}\" [label=\"{} -> {}\"];\n",
-            e.from_lock.replace('"', "'"),
-            e.to_lock.replace('"', "'"),
-            e.from_site,
-            e.to_site,
-        ));
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// When `DOEM_SANITIZE_GRAPH` names a file, every *fresh* order-graph
-/// edge is appended to it as a `from_site<TAB>to_site` line. CI points
-/// each sanitized test leg at its own `.edges` file and feeds the union
-/// into `doem-lint --runtime-subset` — a runtime edge the static
-/// analysis missed is a lint soundness bug.
-fn dump_edge(from: &'static Location<'static>, to: &'static Location<'static>) {
-    static PATH: OnceLock<Option<String>> = OnceLock::new();
-    let Some(path) = PATH.get_or_init(|| std::env::var("DOEM_SANITIZE_GRAPH").ok()) else {
-        return;
-    };
-    use std::io::Write;
-    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-        let _ = writeln!(f, "{}\t{}", fmt_site(from), fmt_site(to));
     }
 }
 
@@ -650,26 +565,6 @@ mod tests {
         assert!(!g.reaches(3, 1, &mut path));
         assert!(g.reported.insert((1, 2)));
         assert!(!g.reported.insert((1, 2)));
-    }
-
-    #[test]
-    fn order_graph_snapshot_and_dot() {
-        let site = Location::caller();
-        {
-            let mut g = lock_clean(graph());
-            g.edges.entry(9001).or_default().insert(9002, (site, site));
-        }
-        let edges = order_graph();
-        let e = edges
-            .iter()
-            .find(|e| e.from_lock.contains("lock#9001"))
-            .expect("synthetic edge in snapshot");
-        assert_eq!(
-            e.from_site,
-            format!("{}:{}", site.file().replace('\\', "/"), site.line())
-        );
-        assert_eq!(e.to_lock, "lock#9002");
-        assert!(order_graph_dot().contains("lock#9001"));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! maintained (non-monotonic query × delta, or an entry that carries no
 //! engine rows) are dropped ([`Carry::Drop`]).
 
+// A leaf lock outside `lock_order`'s levels: private to this module and
+// held only inside its methods, which take no other lock and block on
+// nothing.
+#![allow(clippy::disallowed_types)]
+
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;

@@ -79,6 +79,7 @@
 
 pub mod cache;
 pub mod faults;
+pub mod lock_order;
 pub mod metrics;
 pub mod protocol;
 pub mod replication;

@@ -41,6 +41,7 @@
 //! rest of the old primary's batch out of the new lineage.
 
 use crate::faults::{FaultMode, FaultPoint};
+use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Response};
 use crate::replication::stream::{snapshot_from_bytes, ReplBatch};
@@ -116,17 +117,19 @@ fn progress(shared: &Shared) -> (u64, u64) {
 
 /// The follower thread body (spawned by `Service::start` when
 /// [`crate::ServeConfig::follow`] is set). Runs until the service stops.
-pub(crate) fn follower_loop(shared: &Arc<Shared>) {
+pub(crate) fn follower_loop(shared: &Arc<Shared>, unlocked: &mut Token<Unlocked>) {
     let Some(addr) = shared.cfg.follow.clone() else {
         return;
     };
     let mut backoff = Backoff::reconnect();
     while !shared.stopping() {
         let before = progress(shared);
-        let session = WireClient::connect(addr.as_str()).and_then(|mut client| {
-            client.set_timeout(Some(WIRE_TIMEOUT))?;
-            run_session(shared, &mut client)
-        });
+        let session = unlocked
+            .blocking(|| WireClient::connect(addr.as_str()))
+            .and_then(|mut client| {
+                client.set_timeout(Some(WIRE_TIMEOUT))?;
+                run_session(shared, &mut client, unlocked)
+            });
         match session {
             // A session only returns cleanly on stop.
             Ok(()) => return,
@@ -143,7 +146,7 @@ pub(crate) fn follower_loop(shared: &Arc<Shared>) {
                     .repl_backoff_ms
                     .store(sleep.as_millis() as u64, Ordering::Relaxed);
                 Metrics::bump(&shared.metrics.repl_reconnects);
-                sleep_stop_aware(shared, sleep);
+                sleep_stop_aware(shared, sleep, unlocked);
             }
         }
     }
@@ -154,11 +157,15 @@ pub(crate) fn follower_loop(shared: &Arc<Shared>) {
 /// next round at once if this one made progress, or after the idle wait
 /// if it did not. Any I/O, decode or apply error tears the session down
 /// to the reconnect path.
-fn run_session(shared: &Arc<Shared>, client: &mut WireClient) -> std::io::Result<()> {
+fn run_session(
+    shared: &Arc<Shared>,
+    client: &mut WireClient,
+    unlocked: &mut Token<Unlocked>,
+) -> std::io::Result<()> {
     let mut idle = Backoff::idle();
     while !shared.stopping() {
         let before = progress(shared);
-        let dbs = match client.roundtrip("DBS")? {
+        let dbs = match unlocked.blocking(|| client.roundtrip("DBS"))? {
             Response::Rows(rows) => rows,
             other => {
                 return Err(std::io::Error::other(format!(
@@ -170,12 +177,12 @@ fn run_session(shared: &Arc<Shared>, client: &mut WireClient) -> std::io::Result
             if shared.stopping() {
                 return Ok(());
             }
-            sync_db(shared, client, &db)?;
+            sync_db(shared, client, &db, unlocked)?;
         }
         if progress(shared) != before {
             idle.reset();
         } else {
-            sleep_stop_aware(shared, idle.next());
+            sleep_stop_aware(shared, idle.next(), unlocked);
         }
     }
     Ok(())
@@ -185,14 +192,19 @@ fn run_session(shared: &Arc<Shared>, client: &mut WireClient) -> std::io::Result
 /// the local applied LSN until it catches the `primary_lsn` a batch
 /// carried. Snapshot batches replace the local shard wholesale; record
 /// batches commit through the ordinary write path.
-fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::Result<()> {
+fn sync_db(
+    shared: &Arc<Shared>,
+    client: &mut WireClient,
+    db: &str,
+    unlocked: &mut Token<Unlocked>,
+) -> std::io::Result<()> {
     loop {
-        if shared.stopping() || promoted(shared, db) {
+        if shared.stopping() || promoted(shared, db, unlocked) {
             return Ok(());
         }
-        let applied = applied_lsn(shared, db);
+        let applied = applied_lsn(shared, db, unlocked);
         let line = format!("REPLICATE {db} FROM {}", lsn_to_wire(applied));
-        let rows = match client.roundtrip(&line)? {
+        let rows = match unlocked.blocking(|| client.roundtrip(&line))? {
             Response::Rows(rows) => rows,
             // The database vanished between DBS and now; not an error.
             Response::Error {
@@ -215,7 +227,7 @@ fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::
         match shared.cfg.faults.check(FaultPoint::ReplicateApply) {
             Some(FaultMode::Stall(ms)) => {
                 Metrics::bump(&shared.metrics.faults_injected);
-                sleep_stop_aware(shared, Duration::from_millis(ms));
+                sleep_stop_aware(shared, Duration::from_millis(ms), unlocked);
             }
             Some(_) => {
                 Metrics::bump(&shared.metrics.faults_injected);
@@ -232,7 +244,7 @@ fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::
         // from a deposed lineage (the old primary resurfacing) and must
         // not be applied; a newer epoch is adopted below, after the
         // batch lands (a snapshot install replaces the shard).
-        if let Some(shard) = shared.shard(db) {
+        if let Some(shard) = shared.shard(db, unlocked) {
             if batch.epoch < shard.epoch() {
                 Metrics::bump(&shared.metrics.fenced_rejects);
                 return Err(std::io::Error::other(format!(
@@ -244,38 +256,39 @@ fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::
         }
         shared
             .observed_primary
-            .lock()
+            .lock(unlocked)
             .insert(db.to_string(), batch.primary_lsn);
         if let Some(image) = &batch.snapshot {
             let doem = snapshot_from_bytes(image).map_err(std::io::Error::other)?;
-            install_replicated(shared, db, doem, batch.primary_lsn)
+            install_replicated(shared, db, doem, batch.primary_lsn, unlocked)
                 .map_err(std::io::Error::other)?;
             Metrics::bump(&shared.metrics.repl_snapshots_installed);
         } else {
-            if shared.shard(db).is_none() {
+            if shared.shard(db, unlocked).is_none() {
                 // A records-only batch means the primary's tail reaches
                 // back to the beginning of the history: materialize the
                 // empty database those records rebuild from (this is also
                 // how an empty CREATEd database arrives at a follower).
                 let empty = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
-                install_replicated(shared, db, empty, Timestamp::NEG_INFINITY)
+                install_replicated(shared, db, empty, Timestamp::NEG_INFINITY, unlocked)
                     .map_err(std::io::Error::other)?;
                 Metrics::bump(&shared.metrics.repl_snapshots_installed);
             }
             for (at, changes) in &batch.records {
                 // Each apply may wait out an fsync: a `PROMOTE` in that
                 // window ends the old lineage here, mid-batch.
-                if promoted(shared, db) {
+                if promoted(shared, db, unlocked) {
                     return Ok(());
                 }
-                apply_replicated(shared, db, *at, changes).map_err(std::io::Error::other)?;
+                apply_replicated(shared, db, *at, changes, unlocked)
+                    .map_err(std::io::Error::other)?;
                 Metrics::bump(&shared.metrics.repl_records_applied);
             }
         }
-        if let Some(shard) = shared.shard(db) {
+        if let Some(shard) = shared.shard(db, unlocked) {
             shard.adopt_epoch(batch.epoch);
         }
-        if applied_lsn(shared, db) >= batch.primary_lsn {
+        if applied_lsn(shared, db, unlocked) >= batch.primary_lsn {
             return Ok(());
         }
     }
@@ -284,25 +297,25 @@ fn sync_db(shared: &Arc<Shared>, client: &mut WireClient, db: &str) -> std::io::
 /// `true` once `db` was `PROMOTE`d here: its shard is its own lineage
 /// now, and replaying the old primary into it would silently undo the
 /// fence.
-fn promoted(shared: &Shared, db: &str) -> bool {
-    shared.shard(db).is_some_and(|s| s.is_promoted())
+fn promoted(shared: &Shared, db: &str, unlocked: &mut Token<Unlocked>) -> bool {
+    shared.shard(db, unlocked).is_some_and(|s| s.is_promoted())
 }
 
 /// The local applied LSN for `db` (`NEG_INFINITY` when the shard does
 /// not exist yet — the empty-state attach asks for everything).
-fn applied_lsn(shared: &Shared, db: &str) -> Timestamp {
+fn applied_lsn(shared: &Shared, db: &str, unlocked: &mut Token<Unlocked>) -> Timestamp {
     shared
-        .shard(db)
-        .map(|s| s.state.read().last_at)
+        .shard(db, unlocked)
+        .map(|s| s.state.read(unlocked).last_at)
         .unwrap_or(Timestamp::NEG_INFINITY)
 }
 
 /// Sleep in short slices so a stop request never waits out a backoff.
-fn sleep_stop_aware(shared: &Shared, total: Duration) {
+fn sleep_stop_aware(shared: &Shared, total: Duration, unlocked: &mut Token<Unlocked>) {
     let mut left = total;
     while !left.is_zero() && !shared.stopping() {
         let slice = left.min(Duration::from_millis(50));
-        std::thread::sleep(slice);
+        unlocked.blocking(|| std::thread::sleep(slice));
         left = left.saturating_sub(slice);
     }
 }

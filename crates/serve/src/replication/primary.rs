@@ -13,6 +13,7 @@
 //! checkpoint image instead.
 
 use crate::faults::{FaultMode, FaultPoint};
+use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
 use crate::replication::stream::ReplBatch;
@@ -89,14 +90,19 @@ impl ReplTail {
 /// ahead of the shard, otherwise the published checkpoint image. The
 /// shard's state lock is held only to clone `Arc` handles; image
 /// encoding happens outside every lock.
-pub(crate) fn serve_replicate(shared: &Shared, db: &str, from: Timestamp) -> Response {
-    let Some(shard) = shared.shard(db) else {
+pub(crate) fn serve_replicate(
+    shared: &Shared,
+    db: &str,
+    from: Timestamp,
+    unlocked: &mut Token<Unlocked>,
+) -> Response {
+    let Some(shard) = shared.shard(db, unlocked) else {
         return Response::err(ErrKind::NotFound, format!("no database named {db:?}"));
     };
     match shared.cfg.faults.check(FaultPoint::ReplicateServe) {
         Some(FaultMode::Stall(ms)) => {
             Metrics::bump(&shared.metrics.faults_injected);
-            std::thread::sleep(Duration::from_millis(ms));
+            unlocked.blocking(|| std::thread::sleep(Duration::from_millis(ms)));
         }
         Some(_) => {
             Metrics::bump(&shared.metrics.faults_injected);
@@ -108,7 +114,7 @@ pub(crate) fn serve_replicate(shared: &Shared, db: &str, from: Timestamp) -> Res
         None => {}
     }
     let (image, records, primary_lsn) = {
-        let st = shard.state.read();
+        let st = shard.state.read(unlocked);
         // A follower past `last_at` holds records this history never
         // had (the shard was replaced, or a non-durable primary
         // restarted): only the image brings it back.

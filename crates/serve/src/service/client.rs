@@ -5,10 +5,10 @@
 
 use super::handlers::{edge_reply, execute};
 use super::Shared;
+use crate::lock_order::{Condvar, Mutex, Reply, Token, Unlocked};
 use crate::metrics::{Histogram, Metrics};
 use crate::protocol::{ErrKind, Request, Response};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// stranded in a channel whose last endpoint is about to drop (which the
 /// sanitizer reports as a leak).
 pub(crate) struct ReplySlot {
-    state: Mutex<SlotState>,
+    state: Mutex<Reply, SlotState>,
     delivered: Condvar,
 }
 
@@ -67,8 +67,8 @@ impl ReplySlot {
     /// Producer side: hand over the response — to the waiter, or on to a
     /// forwarded slot's writer. Discarded if the session already gave up:
     /// the contract of a dropped receiver, minus the leaked queue entry.
-    pub(crate) fn deliver(&self, resp: Response) {
-        let mut st = self.state.lock();
+    pub(crate) fn deliver(&self, resp: Response, unlocked: &mut Token<Unlocked>) {
+        let mut st = self.state.lock(unlocked);
         match std::mem::replace(&mut *st, SlotState::Abandoned) {
             SlotState::Empty => {
                 *st = SlotState::Ready(resp, Instant::now());
@@ -86,9 +86,14 @@ impl ReplySlot {
     /// Session side: block until the response lands or `timeout` elapses,
     /// abandoning the slot on timeout. How long the response sat
     /// delivered before this pickup is recorded in `reply_wait`.
-    pub(crate) fn wait(&self, timeout: Duration, reply_wait: &Histogram) -> Option<Response> {
+    pub(crate) fn wait(
+        &self,
+        timeout: Duration,
+        reply_wait: &Histogram,
+        unlocked: &mut Token<Unlocked>,
+    ) -> Option<Response> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock(unlocked);
         loop {
             // A waited-on slot is `Empty` until delivery makes it `Ready`.
             if let SlotState::Ready(resp, delivered) =
@@ -102,15 +107,15 @@ impl ReplySlot {
                 return None;
             }
             *st = SlotState::Empty;
-            let _ = self.delivered.wait_for(&mut st, deadline - now);
+            self.delivered.wait_for(&mut st, deadline - now);
         }
     }
 
     /// Session side, instead of [`ReplySlot::wait`]: delivery will send the
     /// response on through `fwd`. `false`: it had already landed and is
     /// sent right here — no deadline to keep.
-    fn forward(&self, fwd: Forward) -> bool {
-        let mut st = self.state.lock();
+    fn forward(&self, fwd: Forward, unlocked: &mut Token<Unlocked>) -> bool {
+        let mut st = self.state.lock(unlocked);
         if let SlotState::Ready(resp, _) = std::mem::replace(&mut *st, SlotState::Abandoned) {
             drop(st);
             fwd.send(Some(resp));
@@ -122,8 +127,8 @@ impl ReplySlot {
 
     /// Writer side, at a forwarded request's deadline: if still
     /// unanswered, answer `TIMEOUT` now; a late delivery is discarded.
-    pub(crate) fn expire(&self) {
-        let mut st = self.state.lock();
+    pub(crate) fn expire(&self, unlocked: &mut Token<Unlocked>) {
+        let mut st = self.state.lock(unlocked);
         if let SlotState::Forward(fwd) = std::mem::replace(&mut *st, SlotState::Abandoned) {
             drop(st);
             fwd.send(None);
@@ -131,8 +136,8 @@ impl ReplySlot {
     }
 
     /// Whether this slot was forwarded and is still unanswered.
-    pub(crate) fn is_forwarded(&self) -> bool {
-        matches!(*self.state.lock(), SlotState::Forward(_))
+    pub(crate) fn is_forwarded(&self, unlocked: &mut Token<Unlocked>) -> bool {
+        matches!(*self.state.lock(unlocked), SlotState::Forward(_))
     }
 }
 
@@ -165,14 +170,14 @@ pub(crate) struct Job {
 
 impl Job {
     /// Worker side: execute the request and deliver its response.
-    pub(crate) fn run(self, shared: &Arc<Shared>) {
+    pub(crate) fn run(self, shared: &Arc<Shared>, unlocked: &mut Token<Unlocked>) {
         shared.metrics.queue.record(self.enqueued.elapsed());
         // A write to a WAL-owning shard returns `None` here — it was
         // staged, and the group committer delivers the ack once the
         // record is on disk.
-        if let Some(resp) = execute(shared, self.req, &self.reply) {
+        if let Some(resp) = execute(shared, self.req, &self.reply, unlocked) {
             // The session may have timed out and gone; the slot discards.
-            self.reply.deliver(resp);
+            self.reply.deliver(resp, unlocked);
         }
     }
 }
@@ -251,6 +256,7 @@ impl PendingReply {
             PendingState::Waiting(slot) => slot.wait(
                 self.shared.cfg.request_timeout,
                 &self.shared.metrics.reply_wait,
+                &mut Token::mint(),
             ),
         };
         finish(&self.shared, self.started, resp)
@@ -260,7 +266,12 @@ impl PendingReply {
     /// whoever delivers it sends the frame, tagged `tag`, into `out`, and
     /// the writer gets the deadline (`started + request_timeout`) at which
     /// it answers `TIMEOUT` itself.
-    pub(crate) fn forward(self, tag: String, out: &Sender<Outbound>) {
+    pub(crate) fn forward(
+        self,
+        tag: String,
+        out: &Sender<Outbound>,
+        unlocked: &mut Token<Unlocked>,
+    ) {
         let deadline = self.started + self.shared.cfg.request_timeout;
         let fwd = Forward {
             tag,
@@ -271,7 +282,7 @@ impl PendingReply {
         match self.state {
             PendingState::Ready(resp) => fwd.send(Some(resp)),
             PendingState::Waiting(slot) => {
-                if slot.forward(fwd) {
+                if slot.forward(fwd, unlocked) {
                     let _ = out.send(Outbound::Deadline(deadline, slot));
                 }
             }
@@ -331,7 +342,7 @@ impl Client {
         let quit = matches!(req, Request::Quit);
         let state = if self.shared.stopping() {
             PendingState::Ready(Response::err(ErrKind::Internal, "service is shutting down"))
-        } else if let Some(resp) = edge_reply(&self.shared, &req) {
+        } else if let Some(resp) = edge_reply(&self.shared, &req, &mut Token::mint()) {
             Metrics::bump(&m.inline_replies);
             PendingState::Ready(resp)
         } else {
@@ -382,14 +393,18 @@ impl Client {
 /// sweep closes the window where a job admitted just before the flag
 /// flipped would otherwise be stranded in the queue when the last
 /// receiver drops.
-pub(crate) fn worker_loop(rx: &Receiver<Job>, shared: &Arc<Shared>) {
+pub(crate) fn worker_loop(
+    rx: &Receiver<Job>,
+    shared: &Arc<Shared>,
+    unlocked: &mut Token<Unlocked>,
+) {
     loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job.run(shared),
+        match unlocked.blocking(|| rx.recv_timeout(Duration::from_millis(50))) {
+            Ok(job) => job.run(shared, unlocked),
             Err(RecvTimeoutError::Timeout) if !shared.stopping() => {}
             Err(_) => {
                 while let Ok(job) = rx.try_recv() {
-                    job.run(shared);
+                    job.run(shared, unlocked);
                 }
                 return;
             }

@@ -11,6 +11,7 @@ use super::recovery::{install_shard, last_lsn};
 use super::shard::Shard;
 use super::Shared;
 use crate::cache::{CacheEntry, CacheKey, ResultCache};
+use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Request, Response};
 use crate::replication::primary::serve_replicate;
@@ -28,20 +29,26 @@ use std::time::{Duration, Instant};
 /// none is held across another — no install holds the shard map across
 /// I/O — so [`Client::begin`](super::Client) calls this on the submitting
 /// thread; `None` sends the request to the worker pool.
-pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
+pub(crate) fn edge_reply(
+    shared: &Shared,
+    req: &Request,
+    unlocked: &mut Token<Unlocked>,
+) -> Option<Response> {
     Some(match req {
         Request::Ping => Response::Ok("pong".into()),
         Request::Quit => Response::Ok("bye".into()),
         Request::Generation { db: None } => {
             Response::Ok(shared.global_gen.load(Ordering::Relaxed).to_string())
         }
-        Request::Generation { db: Some(db) } => with_shard(shared, db, |shard| {
-            Response::Ok(shard.state.read().generation.to_string())
-        }),
-        Request::ListDbs => Response::Rows(shared.database_names()),
-        Request::Stats => stats(shared),
-        Request::Lsn { db } => with_shard(shared, db, |shard| {
-            let (applied, durable, epoch) = shard.lsn_fields(shared);
+        Request::Generation { db: Some(db) } => {
+            with_shard(shared, db, unlocked, |shard, unlocked| {
+                Response::Ok(shard.state.read(unlocked).generation.to_string())
+            })
+        }
+        Request::ListDbs => Response::Rows(shared.database_names(unlocked)),
+        Request::Stats => stats(shared, unlocked),
+        Request::Lsn { db } => with_shard(shared, db, unlocked, |shard, unlocked| {
+            let (applied, durable, epoch) = shard.lsn_fields(shared, unlocked);
             Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
         }),
         Request::Query {
@@ -50,8 +57,8 @@ pub(crate) fn edge_reply(shared: &Shared, req: &Request) -> Option<Response> {
             as_of: None,
             ..
         } => {
-            let shard = shared.shard(db)?;
-            let generation = shard.state.read().generation;
+            let shard = shared.shard(db, unlocked)?;
+            let generation = shard.state.read(unlocked).generation;
             return cache_lookup(shared, &shard.cache, &current_key(db, key, generation));
         }
         _ => return None,
@@ -65,6 +72,7 @@ pub(crate) fn execute(
     shared: &Arc<Shared>,
     req: Request,
     reply: &Arc<ReplySlot>,
+    unlocked: &mut Token<Unlocked>,
 ) -> Option<Response> {
     Some(match req {
         // Never queued — `Client::begin` answers these through
@@ -74,28 +82,32 @@ pub(crate) fn execute(
         | Request::Generation { .. }
         | Request::ListDbs
         | Request::Stats
-        | Request::Lsn { .. } => return edge_reply(shared, &req),
-        Request::Create { db } => create(shared, &db),
-        Request::Save { db } => save(shared, &db),
-        Request::Load { db } => load(shared, &db),
+        | Request::Lsn { .. } => return edge_reply(shared, &req, unlocked),
+        Request::Create { db } => create(shared, &db, unlocked),
+        Request::Save { db } => save(shared, &db, unlocked),
+        Request::Load { db } => load(shared, &db, unlocked),
         Request::Query {
             db,
             query,
             key,
             as_of,
-        } => with_shard(shared, &db, |shard| match as_of {
-            Some(at) => query_as_of(shared, shard, at, &query),
-            None => query_current(shared, shard, &db, &key, &query),
+        } => with_shard(shared, &db, unlocked, |shard, unlocked| match as_of {
+            Some(at) => query_as_of(shared, shard, at, &query, unlocked),
+            None => query_current(shared, shard, &db, &key, &query, unlocked),
         }),
         Request::Update { db, at, changes } => {
-            return write(shared, &db, at, WriteKind::Update(changes), reply)
+            return write(shared, &db, at, WriteKind::Update(changes), reply, unlocked)
         }
         Request::Mutate { db, at, stmt } => {
-            return write(shared, &db, at, WriteKind::Mutate(stmt), reply)
+            return write(shared, &db, at, WriteKind::Mutate(stmt), reply, unlocked)
         }
-        Request::Replicate { db, from } => serve_replicate(shared, &db, from),
-        Request::Promote { db } => with_shard(shared, &db, |shard| promote(shared, &db, shard)),
-        Request::Fence { db, epoch } => with_shard(shared, &db, |shard| fence(&db, shard, epoch)),
+        Request::Replicate { db, from } => serve_replicate(shared, &db, from, unlocked),
+        Request::Promote { db } => with_shard(shared, &db, unlocked, |shard, unlocked| {
+            promote(shared, &db, shard, unlocked)
+        }),
+        Request::Fence { db, epoch } => {
+            with_shard(shared, &db, unlocked, |shard, _| fence(&db, shard, epoch))
+        }
     })
 }
 
@@ -108,24 +120,29 @@ fn query_failed(e: impl std::fmt::Display) -> Response {
 }
 
 /// Run `f` against database `db`'s shard, or answer `NOTFOUND`.
-fn with_shard(shared: &Shared, db: &str, f: impl FnOnce(&Arc<Shard>) -> Response) -> Response {
-    match shared.shard(db) {
-        Some(shard) => f(&shard),
+fn with_shard(
+    shared: &Shared,
+    db: &str,
+    unlocked: &mut Token<Unlocked>,
+    f: impl FnOnce(&Arc<Shard>, &mut Token<Unlocked>) -> Response,
+) -> Response {
+    match shared.shard(db, unlocked) {
+        Some(shard) => f(&shard, unlocked),
         None => not_found("database", db),
     }
 }
 
-fn stats(shared: &Shared) -> Response {
+fn stats(shared: &Shared, unlocked: &mut Token<Unlocked>) -> Response {
     let mut rows = shared.metrics.render();
     let mut read_only = 0usize;
     let mut retained = 0usize;
-    for (name, shard) in &shared.shards_by_name() {
+    for (name, shard) in &shared.shards_by_name(unlocked) {
         read_only += usize::from(shard.is_read_only());
-        retained += shard.state.read().tail.len();
-        let (applied, durable, epoch) = shard.lsn_fields(shared);
+        retained += shard.state.read(unlocked).tail.len();
+        let (applied, durable, epoch) = shard.lsn_fields(shared, unlocked);
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
         if shared.cfg.follow.is_some() {
-            if let Some(p) = shared.observed_primary.lock().get(name).copied() {
+            if let Some(p) = shared.observed_primary.lock(unlocked).get(name).copied() {
                 line.push_str(&format!(" primary={}", lsn_to_wire(p)));
             }
         }
@@ -145,9 +162,10 @@ fn install_response(
     must_be_new: bool,
     what: &str,
     done: &str,
+    unlocked: &mut Token<Unlocked>,
 ) -> Response {
     let last_at = last_lsn(&doem);
-    match install_shard(shared, db, doem, last_at, must_be_new) {
+    match install_shard(shared, db, doem, last_at, must_be_new, unlocked) {
         Ok(g) => Response::Ok(format!("{done} {db}; generation {g}")),
         Err(e) => {
             let (kind, message) = e.describe(what, db);
@@ -156,37 +174,37 @@ fn install_response(
     }
 }
 
-fn create(shared: &Arc<Shared>, db: &str) -> Response {
+fn create(shared: &Arc<Shared>, db: &str, unlocked: &mut Token<Unlocked>) -> Response {
     if let Some(resp) = refuse_follower_write(shared) {
         return resp;
     }
     let doem = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
-    install_response(shared, db, doem, true, "create", "created")
+    install_response(shared, db, doem, true, "create", "created", unlocked)
 }
 
-fn save(shared: &Shared, db: &str) -> Response {
+fn save(shared: &Shared, db: &str, unlocked: &mut Token<Unlocked>) -> Response {
     let Some(store) = &shared.store else {
         return Response::err(ErrKind::Io, "no store configured");
     };
-    with_shard(shared, db, |shard| {
+    with_shard(shared, db, unlocked, |shard, unlocked| {
         // Snapshot under the read lock, write the image outside it.
-        let doem = shard.state.read().doem.snapshot();
-        match store.save_doem(db, &doem) {
+        let doem = shard.state.read(unlocked).doem.snapshot();
+        match unlocked.blocking(|| store.save_doem(db, &doem)) {
             Ok(()) => Response::Ok(format!("saved {db}")),
             Err(e) => Response::err(ErrKind::Io, format!("save failed: {e}")),
         }
     })
 }
 
-fn load(shared: &Arc<Shared>, db: &str) -> Response {
+fn load(shared: &Arc<Shared>, db: &str, unlocked: &mut Token<Unlocked>) -> Response {
     if let Some(resp) = refuse_follower_write(shared) {
         return resp;
     }
     let Some(store) = &shared.store else {
         return Response::err(ErrKind::Io, "no store configured");
     };
-    match store.load_doem(db) {
-        Ok(doem) => install_response(shared, db, doem, false, "load", "loaded"),
+    match unlocked.blocking(|| store.load_doem(db)) {
+        Ok(doem) => install_response(shared, db, doem, false, "load", "loaded", unlocked),
         Err(e) => Response::err(ErrKind::NotFound, format!("load failed: {e}")),
     }
 }
@@ -213,10 +231,17 @@ fn current_key(db: &str, canonical: &str, generation: u64) -> CacheKey {
 /// over a snapshot — with every lock already dropped — and cache the
 /// canonical rows beside the raw engine rows, so the publish stage can
 /// carry the entry across writes instead of invalidating it.
-fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Query) -> Response {
+fn query_current(
+    shared: &Shared,
+    shard: &Shard,
+    db: &str,
+    key: &str,
+    query: &Query,
+    unlocked: &mut Token<Unlocked>,
+) -> Response {
     // Snapshot: hold the shard lock only for an Arc clone.
     let (doem, generation) = {
-        let st = shard.state.read();
+        let st = shard.state.read(unlocked);
         (st.doem.snapshot(), st.generation)
     };
     let key = current_key(db, key, generation);
@@ -250,8 +275,14 @@ fn query_current(shared: &Shared, shard: &Shard, db: &str, key: &str, query: &Qu
 /// only for an `Arc` clone; evaluation runs outside it. `AS OF` results
 /// bypass the result cache: entries are keyed by shard generation, which
 /// only ever names the *current* version.
-fn query_as_of(shared: &Shared, shard: &Shard, at: Timestamp, query: &Query) -> Response {
-    let doem = shard.state.read().doem.snapshot();
+fn query_as_of(
+    shared: &Shared,
+    shard: &Shard,
+    at: Timestamp,
+    query: &Query,
+    unlocked: &mut Token<Unlocked>,
+) -> Response {
+    let doem = shard.state.read(unlocked).doem.snapshot();
     let t = Instant::now();
     let outcome = chorel::run_chorel_at(&doem, at, query, Strategy::Direct);
     shared.metrics.exec.record(t.elapsed());
@@ -297,8 +328,9 @@ fn write(
     at: Option<Timestamp>,
     kind: WriteKind,
     reply: &Arc<ReplySlot>,
+    unlocked: &mut Token<Unlocked>,
 ) -> Option<Response> {
-    let Some(shard) = shared.shard(db) else {
+    let Some(shard) = shared.shard(db, unlocked) else {
         return Some(not_found("database", db));
     };
     if shard.is_fenced() {
@@ -310,7 +342,7 @@ fn write(
             return Some(resp);
         }
     }
-    sequence(shared, &shard, db, at, kind, reply)
+    sequence(shared, &shard, db, at, kind, reply, unlocked)
 }
 
 /// Apply one replicated history record to a local shard through the
@@ -330,15 +362,17 @@ pub(crate) fn apply_replicated(
     db: &str,
     at: Timestamp,
     changes: &ChangeSet,
+    unlocked: &mut Token<Unlocked>,
 ) -> Result<(), String> {
-    let Some(shard) = shared.shard(db) else {
+    let Some(shard) = shared.shard(db, unlocked) else {
         return Err(format!("no local shard for replicated database {db:?}"));
     };
     let slot = ReplySlot::new();
     let kind = WriteKind::Update(changes.clone());
     // Staged (`None`): wait for the committer's ack.
-    match sequence(shared, &shard, db, Some(at), kind, &slot)
-        .or_else(|| slot.wait(shared.cfg.request_timeout, &shared.metrics.reply_wait))
+    let timeout = shared.cfg.request_timeout;
+    match sequence(shared, &shard, db, Some(at), kind, &slot, unlocked)
+        .or_else(|| slot.wait(timeout, &shared.metrics.reply_wait, unlocked))
     {
         Some(Response::Error { kind, message }) => Err(format!("{}: {message}", kind.code())),
         Some(_) => Ok(()),
@@ -357,13 +391,14 @@ pub(crate) fn install_replicated(
     db: &str,
     doem: DoemDatabase,
     last_at: Timestamp,
+    unlocked: &mut Token<Unlocked>,
 ) -> Result<(), String> {
-    install_shard(shared, db, doem, last_at, false)
+    install_shard(shared, db, doem, last_at, false, unlocked)
         .map(|_| ())
         .map_err(|e| e.describe("snapshot install", db).1)
 }
 
-fn promote(shared: &Shared, db: &str, shard: &Shard) -> Response {
+fn promote(shared: &Shared, db: &str, shard: &Shard, unlocked: &mut Token<Unlocked>) -> Response {
     if shard.is_fenced() {
         return deposed(db, shard, "promote the newer lineage");
     }
@@ -375,9 +410,9 @@ fn promote(shared: &Shared, db: &str, shard: &Shard) -> Response {
     // — its stale batches are rejected by epoch comparison when it comes
     // back.
     if let Some(primary) = &shared.cfg.follow {
-        let _ = fence_peer(primary, db, epoch);
+        let _ = fence_peer(primary, db, epoch, unlocked);
     }
-    let applied = shard.state.read().last_at;
+    let applied = shard.state.read(unlocked).last_at;
     Response::Ok(format!(
         "promoted {db}; epoch {epoch} at {}",
         lsn_to_wire(applied)
@@ -386,10 +421,17 @@ fn promote(shared: &Shared, db: &str, shard: &Shard) -> Response {
 
 /// Dial `addr` and send one `FENCE <db> <epoch>` (short timeout, no
 /// retries — fencing a dead primary must not stall the promotion).
-fn fence_peer(addr: &str, db: &str, epoch: u64) -> std::io::Result<Response> {
-    let mut client = crate::tcp::WireClient::connect(addr)?;
-    client.set_timeout(Some(Duration::from_millis(500)))?;
-    client.roundtrip(&format!("FENCE {db} {epoch}"))
+fn fence_peer(
+    addr: &str,
+    db: &str,
+    epoch: u64,
+    unlocked: &mut Token<Unlocked>,
+) -> std::io::Result<Response> {
+    unlocked.blocking(|| {
+        let mut client = crate::tcp::WireClient::connect(addr)?;
+        client.set_timeout(Some(Duration::from_millis(500)))?;
+        client.roundtrip(&format!("FENCE {db} {epoch}"))
+    })
 }
 
 fn fence(db: &str, shard: &Shard, epoch: u64) -> Response {

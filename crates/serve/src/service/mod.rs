@@ -63,12 +63,12 @@ pub(crate) use client::{Outbound, ReplySlot};
 pub use config::{ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
 
+use crate::lock_order::{Mutex, Observed, RwLock, Shards, Token, Unlocked};
 use crate::metrics::Metrics;
 use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
 use oem::{History, OemDatabase, Timestamp};
-use parking_lot::{Mutex, RwLock};
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
 use recovery::{install_shard, io_error, last_lsn, recover_all};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
@@ -82,7 +82,7 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     /// Database name → shard. Held only to look up / insert / list
     /// shards, never across I/O; execution uses a cloned `Arc<Shard>`.
-    pub(crate) shards: RwLock<Registry>,
+    pub(crate) shards: RwLock<Shards, Registry>,
     /// SAVE/LOAD storage; internally synchronized, so no lock here.
     pub(crate) store: Option<lore::LoreStore>,
     /// The checkpoint store, rooted at `wal_dir` beside the logs; `None`
@@ -97,7 +97,7 @@ pub(crate) struct Shared {
     pub(crate) global_gen: AtomicU64,
     /// Follower side: db → the primary's applied LSN last carried by a
     /// replication batch (the `primary=` field of `STATS` lsn rows).
-    pub(crate) observed_primary: Mutex<HashMap<String, Timestamp>>,
+    pub(crate) observed_primary: Mutex<Observed, HashMap<String, Timestamp>>,
     pub(crate) metrics: Metrics,
 }
 
@@ -112,16 +112,16 @@ pub(crate) struct Registry {
 impl Shared {
     /// Look up a shard, cloning its `Arc` so the map lock drops
     /// immediately.
-    pub(crate) fn shard(&self, db: &str) -> Option<Arc<Shard>> {
-        self.shards.read().map.get(db).cloned()
+    pub(crate) fn shard(&self, db: &str, unlocked: &mut Token<Unlocked>) -> Option<Arc<Shard>> {
+        self.shards.read(unlocked).map.get(db).cloned()
     }
 
     /// Every installed shard with its database name, sorted by name —
     /// cloned out so the map lock drops before anything is done to them.
-    fn shards_by_name(&self) -> Vec<(String, Arc<Shard>)> {
+    fn shards_by_name(&self, unlocked: &mut Token<Unlocked>) -> Vec<(String, Arc<Shard>)> {
         let mut shards: Vec<(String, Arc<Shard>)> = self
             .shards
-            .read()
+            .read(unlocked)
             .map
             .iter()
             .map(|(name, shard)| (name.clone(), Arc::clone(shard)))
@@ -131,8 +131,8 @@ impl Shared {
     }
 
     /// Names of the installed databases, sorted.
-    fn database_names(&self) -> Vec<String> {
-        let shards = self.shards_by_name();
+    fn database_names(&self, unlocked: &mut Token<Unlocked>) -> Vec<String> {
+        let shards = self.shards_by_name(unlocked);
         shards.into_iter().map(|(name, _)| name).collect()
     }
 
@@ -165,8 +165,9 @@ impl Service {
         let store = cfg.store_dir.as_ref().map(open).transpose()?;
         let durable = cfg.wal_dir.as_ref().map(open).transpose()?;
         let metrics = Metrics::new();
+        let unlocked = &mut Token::mint();
         let recovered = match &durable {
-            Some(d) => recover_all(d, &cfg, &metrics)?,
+            Some(d) => recover_all(d, &cfg, &metrics, unlocked)?,
             None => Vec::new(),
         };
         let registry = Registry {
@@ -195,20 +196,20 @@ impl Service {
                 let shared = Arc::clone(&shared);
                 let rx = job_rx.clone();
                 spawn_tracked(&format!("serve-worker-{i}"), move || {
-                    worker_loop(&rx, &shared)
+                    worker_loop(&rx, &shared, &mut Token::mint())
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         // Recovered shards were built before `shared` existed; give each
         // its group committer and log now.
         for (name, shard, wal) in recovered {
-            start_committer(&shared, &name, &shard, wal)?;
+            start_committer(&shared, &name, &shard, wal, unlocked)?;
         }
         let follower = match shared.cfg.follow {
             Some(_) => {
                 let shared = Arc::clone(&shared);
                 Some(spawn_tracked("serve-follower", move || {
-                    crate::replication::follower::follower_loop(&shared)
+                    crate::replication::follower::follower_loop(&shared, &mut Token::mint())
                 })?)
             }
             None => None,
@@ -231,7 +232,8 @@ impl Service {
         let doem = doem_from_history(initial, history).map_err(io_error)?;
         let name = doem.name().to_string();
         let last_at = last_lsn(&doem);
-        install_shard(&self.shared, &name, doem, last_at, false)
+        let unlocked = &mut Token::mint();
+        install_shard(&self.shared, &name, doem, last_at, false, unlocked)
             .map(|_| ())
             .map_err(|e| io_error(e.describe("install", &name).1))
     }
@@ -251,15 +253,16 @@ impl Service {
 
     /// Names of the installed databases, sorted.
     pub fn database_names(&self) -> Vec<String> {
-        self.shared.database_names()
+        self.shared.database_names(&mut Token::mint())
     }
 
     /// An O(1) snapshot handle on one database's DOEM graph (as the query
     /// path takes them), for inspection and tests. `None` if no such
     /// database.
     pub fn doem_snapshot(&self, db: &str) -> Option<SharedDoem> {
-        let shard = self.shared.shard(db)?;
-        let st = shard.state.read();
+        let unlocked = &mut Token::mint();
+        let shard = self.shared.shard(db, unlocked)?;
+        let st = shard.state.read(unlocked);
         Some(st.doem.snapshot())
     }
 
@@ -307,21 +310,22 @@ impl Service {
         // the queue is empty (they exit on an idle tick with the flag set).
         shared.stopping.store(true, Ordering::SeqCst);
         drop(job_tx);
+        let unlocked = &mut Token::mint();
         // The follower joins before the committers stop: its in-flight
         // record applies are acked by the committers, so stopping those
         // first would strand it waiting out a reply timeout.
         for handle in workers.into_iter().chain(follower) {
-            let _ = handle.join();
+            let _ = unlocked.blocking(|| handle.join());
         }
         // Workers are gone, so the commit queues can only shrink: ask
         // every pipeline to stop, then join the committers. Replies for
         // staged writes are delivered before the join returns.
-        let shards = shared.shards_by_name();
+        let shards = shared.shards_by_name(unlocked);
         for (_, shard) in &shards {
-            request_stop(shard, kind);
+            request_stop(shard, kind, unlocked);
         }
         for (_, shard) in &shards {
-            join_committer(shard);
+            join_committer(shard, unlocked);
         }
     }
 }

@@ -19,13 +19,13 @@ use super::client::ReplySlot;
 use super::recovery::save_image;
 use super::shard::{publish, AppliedSet, Shard};
 use super::Shared;
+use crate::lock_order::{Condvar, Mutex, Pipeline, Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
 use crate::wal::{self, DbWal};
 use doem::{apply_set, SharedDoem};
 use lorel::run_update;
 use oem::{ChangeSet, OemDatabase, Timestamp};
-use parking_lot::{Condvar, Mutex};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -107,7 +107,7 @@ struct PipelineState {
 
 /// The commit machinery of one shard.
 pub(crate) struct CommitPipeline {
-    inner: Mutex<PipelineState>,
+    inner: Mutex<Pipeline, PipelineState>,
     /// Signaled when the queue gains work or `stop` is set.
     work: Condvar,
 }
@@ -159,8 +159,9 @@ pub(crate) fn sequence(
     at: Option<Timestamp>,
     kind: WriteKind,
     reply: &Arc<ReplySlot>,
+    unlocked: &mut Token<Unlocked>,
 ) -> Option<Response> {
-    let mut ps = shard.pipeline.inner.lock();
+    let mut ps = shard.pipeline.inner.lock(unlocked);
     if shard.is_read_only() {
         return Some(read_only(db));
     }
@@ -232,7 +233,7 @@ pub(crate) fn sequence(
     if shared.durable.is_none() {
         // The null persist stage: nothing to wait for, so publish before
         // the pipeline lock drops (`pipeline` → `state`).
-        let generation = publish(shared, shard, &mut shard.state.write(), set);
+        let generation = publish(shared, shard, &mut shard.state.write(ps.token()), set);
         return Some(ack.response(at, generation));
     }
     let frame = wal::encode_record_epoch(at, &set.changes, shard.epoch());
@@ -272,18 +273,18 @@ fn resolve_now(shared: &Shared, last: Timestamp) -> Timestamp {
 
 /// Ask a shard's pipeline to stop: further writes are refused, and the
 /// committer (if any) drains its queue and exits as `kind` says.
-pub(crate) fn request_stop(shard: &Shard, kind: StopKind) {
-    shard.pipeline.inner.lock().stop.get_or_insert(kind);
+pub(crate) fn request_stop(shard: &Shard, kind: StopKind, unlocked: &mut Token<Unlocked>) {
+    shard.pipeline.inner.lock(unlocked).stop.get_or_insert(kind);
     shard.pipeline.work.notify_all();
 }
 
 /// Wait for a stopped shard's committer to finish. Replies for staged
 /// writes are delivered before this returns. A no-op on a shard that
 /// owns no WAL.
-pub(crate) fn join_committer(shard: &Shard) {
-    let handle = shard.committer.lock().take();
+pub(crate) fn join_committer(shard: &Shard, unlocked: &mut Token<Unlocked>) {
+    let handle = shard.committer.lock(unlocked).take();
     if let Some(h) = handle {
-        let _ = h.join();
+        let _ = unlocked.blocking(|| h.join());
     }
 }
 
@@ -294,14 +295,15 @@ pub(crate) fn start_committer(
     name: &str,
     shard: &Arc<Shard>,
     wal: DbWal,
+    unlocked: &mut Token<Unlocked>,
 ) -> std::io::Result<()> {
     let shared = Arc::clone(shared);
     let shard_for_loop = Arc::clone(shard);
     let db = name.to_string();
     let handle = spawn_tracked(&format!("serve-committer-{name}"), move || {
-        committer_loop(&shared, &db, &shard_for_loop, wal)
+        committer_loop(&shared, &db, &shard_for_loop, wal, &mut Token::mint())
     })?;
-    *shard.committer.lock() = Some(handle);
+    *shard.committer.lock(unlocked) = Some(handle);
     Ok(())
 }
 
@@ -317,13 +319,19 @@ pub(crate) fn start_committer(
 /// joins its checkpoint thread, then — for a shutdown — takes a final
 /// checkpoint the same way and joins it at once, so restart replays
 /// nothing.
-fn committer_loop(shared: &Arc<Shared>, db: &str, shard: &Shard, mut wal: DbWal) {
+fn committer_loop(
+    shared: &Arc<Shared>,
+    db: &str,
+    shard: &Shard,
+    mut wal: DbWal,
+    unlocked: &mut Token<Unlocked>,
+) {
     let pipeline = &shard.pipeline;
     let max = shared.cfg.group_commit_max.max(1);
     let mut checkpoint: Option<CheckpointThread> = None;
     loop {
         let (batch, stopping) = {
-            let mut ps = pipeline.inner.lock();
+            let mut ps = pipeline.inner.lock(unlocked);
             while ps.queue.is_empty() && ps.stop.is_none() {
                 pipeline.work.wait(&mut ps);
             }
@@ -333,24 +341,24 @@ fn committer_loop(shared: &Arc<Shared>, db: &str, shard: &Shard, mut wal: DbWal)
         };
         if batch.is_empty() {
             // Stop requested and the queue is drained.
-            join_checkpoint(&mut checkpoint);
+            join_checkpoint(&mut checkpoint, unlocked);
             let dirty = !wal.is_empty() || wal::sealed_path(wal.path()).exists();
             if stopping == Some(StopKind::Shutdown) && dirty && !shard.is_read_only() {
-                checkpoint = start_checkpoint(shared, db, shard, &mut wal);
-                join_checkpoint(&mut checkpoint);
+                checkpoint = start_checkpoint(shared, db, shard, &mut wal, unlocked);
+                join_checkpoint(&mut checkpoint, unlocked);
             }
             return;
         }
-        if !persist_and_publish(shared, db, shard, &mut wal, batch) {
+        if !persist_and_publish(shared, db, shard, &mut wal, batch, unlocked) {
             continue;
         }
         let every = shared.cfg.checkpoint_every;
         if every > 0 && wal.since_checkpoint >= every {
             if checkpoint.as_ref().is_some_and(|c| c.is_finished()) {
-                join_checkpoint(&mut checkpoint);
+                join_checkpoint(&mut checkpoint, unlocked);
             }
             if checkpoint.is_none() {
-                checkpoint = start_checkpoint(shared, db, shard, &mut wal);
+                checkpoint = start_checkpoint(shared, db, shard, &mut wal, unlocked);
             }
         }
     }
@@ -379,21 +387,23 @@ fn start_checkpoint(
     db: &str,
     shard: &Shard,
     wal: &mut DbWal,
+    unlocked: &mut Token<Unlocked>,
 ) -> Option<CheckpointThread> {
     let sealed = wal::sealed_path(wal.path());
     if sealed.exists() {
         wal.since_checkpoint = 0;
-    } else if let Err(e) = wal.rotate() {
+    } else if let Err(e) = unlocked.blocking(|| wal.rotate()) {
         Metrics::bump(&shared.metrics.checkpoint_failures);
-        degrade(shared, db, shard, Vec::new(), &e);
+        degrade(shared, db, shard, Vec::new(), &e, unlocked);
         return None;
     }
-    let doem = shard.state.read().doem.snapshot();
+    let doem = shard.state.read(unlocked).doem.snapshot();
     let thread = {
         let shared = Arc::clone(shared);
         let db = db.to_string();
         spawn_tracked(&format!("serve-checkpoint-{db}"), move || {
-            let _ = save_image(&shared, &db, &doem, &sealed); // counted inside
+            // Counted inside.
+            let _ = save_image(&shared, &db, &doem, &sealed, &mut Token::mint());
         })
     };
     if thread.is_err() {
@@ -403,9 +413,9 @@ fn start_checkpoint(
 }
 
 /// Wait for the in-flight checkpoint, if any. Called with no lock held.
-fn join_checkpoint(checkpoint: &mut Option<CheckpointThread>) {
+fn join_checkpoint(checkpoint: &mut Option<CheckpointThread>, unlocked: &mut Token<Unlocked>) {
     if let Some(thread) = checkpoint.take() {
-        let _ = thread.join();
+        let _ = unlocked.blocking(|| thread.join());
     }
 }
 
@@ -419,11 +429,12 @@ fn degrade(
     shard: &Shard,
     batch: Vec<StagedCommit>,
     e: &std::io::Error,
+    unlocked: &mut Token<Unlocked>,
 ) {
     let stranded: Vec<StagedCommit> = {
         // Flipped under the pipeline lock, where `sequence` reads it:
         // no write is staged behind the drain.
-        let mut ps = shard.pipeline.inner.lock();
+        let mut ps = shard.pipeline.inner.lock(unlocked);
         if !shard.read_only.swap(true, Ordering::SeqCst) {
             Metrics::bump(&shared.metrics.read_only_flips);
         }
@@ -434,10 +445,10 @@ fn degrade(
         format!("log append failed ({e}); database {db:?} is now read-only"),
     );
     for s in batch {
-        s.reply.deliver(resp.clone());
+        s.reply.deliver(resp.clone(), unlocked);
     }
     for s in stranded {
-        s.reply.deliver(read_only(db));
+        s.reply.deliver(read_only(db), unlocked);
     }
 }
 
@@ -461,15 +472,18 @@ fn persist_and_publish(
     shard: &Shard,
     wal: &mut DbWal,
     batch: Vec<StagedCommit>,
+    unlocked: &mut Token<Unlocked>,
 ) -> bool {
     let frames: Vec<&[u8]> = batch.iter().map(|s| s.frame.as_slice()).collect();
-    if let Err(e) = wal.append_batch(&frames, &shared.cfg.faults, &shared.metrics) {
-        degrade(shared, db, shard, batch, &e);
+    let appended =
+        unlocked.blocking(|| wal.append_batch(&frames, &shared.cfg.faults, &shared.metrics));
+    if let Err(e) = appended {
+        degrade(shared, db, shard, batch, &e, unlocked);
         return false;
     }
     let mut acks: Vec<(Arc<ReplySlot>, Response)> = Vec::with_capacity(batch.len());
     {
-        let mut st = shard.state.write();
+        let mut st = shard.state.write(unlocked);
         for s in batch {
             let at = s.set.at;
             let generation = publish(shared, shard, &mut st, s.set);
@@ -477,13 +491,14 @@ fn persist_and_publish(
         }
     }
     for (slot, resp) in acks {
-        slot.deliver(resp);
+        slot.deliver(resp, unlocked);
     }
     true
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::lock_order::Token;
     use crate::service::apply_replicated;
     use crate::{ErrKind, Response, ServeConfig, Service};
     use oem::guide::{guide_figure2, history_example_2_3};
@@ -525,7 +540,8 @@ mod tests {
             assert!(message.contains("strictly time-ordered"), "{message}");
         }
         let changes = parse_change_set("{updNode(n1, 30)}").unwrap();
-        let replayed = apply_replicated(&c.shared, "guide", "1Feb97".parse().unwrap(), &changes);
+        let at = "1Feb97".parse().unwrap();
+        let replayed = apply_replicated(&c.shared, "guide", at, &changes, &mut Token::mint());
         let err = replayed.expect_err("follower replay accepted a stale record");
         assert!(
             err.contains("CONFLICT") && err.contains("strictly time-ordered"),

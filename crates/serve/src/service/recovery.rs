@@ -6,6 +6,7 @@ use super::pipeline::{join_committer, request_stop, start_committer, StopKind};
 use super::shard::Shard;
 use super::{ServeConfig, Shared};
 use crate::faults::{FaultMode, FaultPoint, Faults};
+use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::ErrKind;
 use crate::wal::{self, DbWal, WalReplay};
@@ -52,6 +53,7 @@ pub(crate) fn recover_all(
     d: &LoreStore,
     cfg: &ServeConfig,
     metrics: &Metrics,
+    unlocked: &mut Token<Unlocked>,
 ) -> std::io::Result<Vec<RecoveredShard>> {
     let mut shards = Vec::new();
     for stem in d.names().map_err(io_error)? {
@@ -69,9 +71,9 @@ pub(crate) fn recover_all(
             // The durable prefix ends inside the sealed segment: cut its
             // tail too, or the next restart would stop there again and
             // skip the records appended to the active segment meanwhile.
-            DbWal::open(&sealed_path, sealed_len)?;
+            unlocked.blocking(|| DbWal::open(&sealed_path, sealed_len))?;
         }
-        let mut wal = DbWal::open(&wal_path, active_len)?;
+        let mut wal = unlocked.blocking(|| DbWal::open(&wal_path, active_len))?;
         wal.since_checkpoint = recovered.applied;
         metrics.recoveries.fetch_add(1, Ordering::Relaxed);
         if recovered.torn {
@@ -166,6 +168,7 @@ pub(crate) fn save_image(
     name: &str,
     doem: &DoemDatabase,
     sealed: &Path,
+    unlocked: &mut Token<Unlocked>,
 ) -> std::io::Result<()> {
     let Some(d) = &shared.durable else {
         return Ok(());
@@ -175,7 +178,7 @@ pub(crate) fn save_image(
         Some(FaultMode::Stall(ms)) => {
             // A slow disk, not a dead one: delay, then save normally.
             Metrics::bump(&shared.metrics.faults_injected);
-            std::thread::sleep(Duration::from_millis(ms));
+            unlocked.blocking(|| std::thread::sleep(Duration::from_millis(ms)));
             Ok(())
         }
         Some(_) => {
@@ -184,11 +187,11 @@ pub(crate) fn save_image(
         }
         None => Ok(()),
     }
-    .and_then(|()| d.save_doem(name, doem).map_err(io_error));
+    .and_then(|()| unlocked.blocking(|| d.save_doem(name, doem).map_err(io_error)));
     if saved.is_ok() {
         shared.metrics.checkpoint.record(began.elapsed());
     }
-    let done = saved.and_then(|()| wal::remove_segment(sealed));
+    let done = saved.and_then(|()| unlocked.blocking(|| wal::remove_segment(sealed)));
     Metrics::bump(match done {
         Ok(()) => &shared.metrics.checkpoints,
         Err(_) => &shared.metrics.checkpoint_failures,
@@ -212,10 +215,11 @@ pub(crate) fn install_shard(
     doem: DoemDatabase,
     last_at: Timestamp,
     must_be_new: bool,
+    unlocked: &mut Token<Unlocked>,
 ) -> Result<u64, InstallError> {
     let replica = current_snapshot(&doem);
     let old = {
-        let mut reg = shared.shards.write();
+        let mut reg = shared.shards.write(unlocked);
         if reg.installing.contains(name) {
             return Err(InstallError::Installing);
         }
@@ -229,16 +233,16 @@ pub(crate) fn install_shard(
     // Fresh incarnations start at epoch 0: a replicated snapshot install
     // re-adopts the primary's epoch from the next batch header, and a
     // recovered shard restores it from its WAL record suffixes.
-    let prepared = prepare(shared, name, &doem, old.as_deref()).and_then(|wal| {
+    let prepared = prepare(shared, name, &doem, old.as_deref(), unlocked).and_then(|wal| {
         let cap = shared.cfg.cache_capacity;
         let shard = Arc::new(Shard::new(doem, replica, cap, last_at, 0));
         if let Some(wal) = wal {
-            start_committer(shared, name, &shard, wal)?;
+            start_committer(shared, name, &shard, wal, unlocked)?;
         }
         Ok(shard)
     });
     {
-        let mut reg = shared.shards.write();
+        let mut reg = shared.shards.write(unlocked);
         reg.installing.remove(name);
         let shard = prepared.map_err(InstallError::Io)?;
         reg.map.insert(name.to_string(), shard);
@@ -257,18 +261,19 @@ fn prepare(
     name: &str,
     doem: &DoemDatabase,
     old: Option<&Shard>,
+    unlocked: &mut Token<Unlocked>,
 ) -> std::io::Result<Option<DbWal>> {
     if let Some(old) = old {
         // Drain, no checkpoint: the files are about to be reset.
-        request_stop(old, StopKind::Abandon);
-        join_committer(old);
+        request_stop(old, StopKind::Abandon, unlocked);
+        join_committer(old, unlocked);
     }
     let Some(d) = &shared.durable else {
         return Ok(None);
     };
     let wal_path = wal_path(d, name);
-    save_image(shared, name, doem, &wal::sealed_path(&wal_path))?;
-    DbWal::open(wal_path, 0).map(Some)
+    save_image(shared, name, doem, &wal::sealed_path(&wal_path), unlocked)?;
+    unlocked.blocking(|| DbWal::open(wal_path, 0)).map(Some)
 }
 
 /// Why [`install_shard`] refused.

@@ -5,11 +5,11 @@
 use super::pipeline::CommitPipeline;
 use super::Shared;
 use crate::cache::{CacheEntry, Carry, ResultCache};
+use crate::lock_order::{Committer, Mutex, RwLock, State, Token, Unlocked};
 use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
 use doem::{DoemDatabase, SharedDoem};
 use oem::{ChangeSet, OemDatabase, Timestamp};
-use parking_lot::{Mutex, RwLock};
 use sanitizer::thread::TrackedHandle;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -42,7 +42,7 @@ pub(crate) struct ShardState {
 /// Shards are handed around as `Arc<Shard>` so the registry lock is
 /// never held during execution.
 pub(crate) struct Shard {
-    pub(crate) state: RwLock<ShardState>,
+    pub(crate) state: RwLock<State, ShardState>,
     pub(crate) cache: ResultCache,
     /// Every write and replicated record sequences through it.
     pub(crate) pipeline: CommitPipeline,
@@ -50,7 +50,7 @@ pub(crate) struct Shard {
     /// [`super::pipeline::start_committer`] until
     /// [`super::pipeline::join_committer`]. Every shard of a service with
     /// a [`super::ServeConfig::wal_dir`] has one; no other shard does.
-    pub(crate) committer: Mutex<Option<TrackedHandle<()>>>,
+    pub(crate) committer: Mutex<Committer, Option<TrackedHandle<()>>>,
     /// Set (under the pipeline lock) on persistent log I/O failure;
     /// writes answer `READONLY` from then on while queries keep serving.
     pub(crate) read_only: AtomicBool,
@@ -156,8 +156,12 @@ impl Shard {
     /// wire form — what `LSN` and each `STATS` `lsn` row report. A WAL
     /// shard publishes nothing before its fsync, so what it has applied is
     /// durable; a service without a WAL has no log, so nothing is: `-`.
-    pub(crate) fn lsn_fields(&self, shared: &Shared) -> (String, String, u64) {
-        let applied = lsn_to_wire(self.state.read().last_at);
+    pub(crate) fn lsn_fields(
+        &self,
+        shared: &Shared,
+        unlocked: &mut Token<Unlocked>,
+    ) -> (String, String, u64) {
+        let applied = lsn_to_wire(self.state.read(unlocked).last_at);
         let durable = if shared.durable.is_some() {
             applied.clone()
         } else {
@@ -248,6 +252,7 @@ fn maintain_shard_cache(
 #[cfg(test)]
 mod tests {
     use crate::cache::CacheKey;
+    use crate::lock_order::Token;
     use crate::service::testing::guide_service;
     use crate::{Response, ServeConfig};
     use chorel::{canonical_row_strings, run_chorel_parsed, Strategy};
@@ -295,7 +300,8 @@ mod tests {
         let c = svc.client();
         let q = "select guide.restaurant.name";
         let _ = c.request_line(&format!("QUERY guide {q}")); // prime
-        let shard = c.shared.shard("guide").unwrap();
+        let unlocked = &mut Token::mint();
+        let shard = c.shared.shard("guide", unlocked).unwrap();
         let key = |generation| CacheKey {
             scope: "guide".into(),
             canonical: lorel::canonical_text(q).unwrap(),
@@ -320,7 +326,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&after, &grown));
         assert_eq!(grown.strings.len(), after.strings.len() + 1);
         {
-            let st = shard.state.read();
+            let st = shard.state.read(unlocked);
             let query = lorel::parse_query(q).unwrap();
             let fresh = run_chorel_parsed(&st.doem, &query, Strategy::Direct).unwrap();
             assert_eq!(grown.strings, canonical_row_strings(&st.doem, &fresh));

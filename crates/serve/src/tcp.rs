@@ -23,11 +23,11 @@
 //! does not reconnect or resend: a connection failure surfaces to the
 //! caller (the follower loop's backoff handles it for replication).
 
+use crate::lock_order::{Mutex, Sessions, Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::Response;
 use crate::service::{Client, Outbound, ReplySlot, Service, Shared};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 /// stopped endpoint must look to clients like a server that went away,
 /// not one that silently stopped listening. Sessions deregister
 /// themselves when they end.
-type SessionRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+type SessionRegistry = Arc<Mutex<Sessions, HashMap<u64, TcpStream>>>;
 
 /// Handle on a listening TCP endpoint. Dropping it does *not* stop the
 /// listener; call [`TcpHandle::stop`].
@@ -62,16 +62,17 @@ impl TcpHandle {
     /// session socket — connected clients observe a connection reset /
     /// EOF, exactly as if the server process had exited.
     pub fn stop(mut self) {
+        let unlocked = &mut Token::mint();
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept.take() {
-            let _ = t.join();
+            let _ = unlocked.blocking(|| t.join());
         }
         // Drain under the lock, shut down outside it: session threads
         // take this lock to deregister, so issuing socket syscalls while
         // holding it would stall their exit.
-        let sessions: Vec<_> = self.sessions.lock().drain().collect();
+        let sessions: Vec<_> = self.sessions.lock(unlocked).drain().collect();
         for (_, stream) in sessions {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = unlocked.blocking(|| stream.shutdown(Shutdown::Both));
         }
     }
 }
@@ -88,7 +89,13 @@ impl Service {
         let loop_sessions = Arc::clone(&sessions);
         let client = self.client();
         let accept = spawn_tracked("serve-accept", move || {
-            accept_loop(&listener, &client, &loop_stop, &loop_sessions);
+            accept_loop(
+                &listener,
+                &client,
+                &loop_stop,
+                &loop_sessions,
+                &mut Token::mint(),
+            );
         })?;
         Ok(TcpHandle {
             addr: local,
@@ -106,6 +113,7 @@ fn accept_loop(
     client: &Client,
     stop: &AtomicBool,
     sessions: &SessionRegistry,
+    unlocked: &mut Token<Unlocked>,
 ) {
     let next_id = AtomicU64::new(0);
     while !stop.load(Ordering::SeqCst) && !client.shared.stopping() {
@@ -115,21 +123,22 @@ fn accept_loop(
                 let session = client.clone();
                 let id = next_id.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
-                    sessions.lock().insert(id, clone);
+                    sessions.lock(unlocked).insert(id, clone);
                 }
                 let registry = Arc::clone(sessions);
                 // Sessions are deliberately unsupervised: they end at EOF
                 // or when `TcpHandle::stop` severs their socket, and
                 // nothing needs their result — detach, don't leak.
                 if let Ok(h) = spawn_tracked("serve-session", move || {
-                    let _ = serve_connection(stream, &session);
-                    registry.lock().remove(&id);
+                    let unlocked = &mut Token::mint();
+                    let _ = serve_connection(stream, &session, unlocked);
+                    registry.lock(unlocked).remove(&id);
                 }) {
                     h.detach();
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
+                unlocked.blocking(|| thread::sleep(Duration::from_millis(2)));
             }
             Err(_) => break,
         }
@@ -148,10 +157,16 @@ enum SessionOut {
 
 impl SessionOut {
     /// Send one frame that is ready now, from the session thread.
-    fn send(&mut self, tag: Option<String>, resp: Response) -> std::io::Result<()> {
+    fn send(
+        &mut self,
+        tag: Option<String>,
+        resp: Response,
+        unlocked: &mut Token<Unlocked>,
+    ) -> std::io::Result<()> {
         match self {
             SessionOut::Direct(socket) => {
-                socket.write_all(resp.render_tagged(tag.as_deref()).as_bytes())
+                let frame = resp.render_tagged(tag.as_deref());
+                unlocked.blocking(|| socket.write_all(frame.as_bytes()))
             }
             SessionOut::Writer(tx, _) => tx
                 .send(Outbound::frame(tag, resp))
@@ -171,7 +186,7 @@ impl SessionOut {
                 let (tx, rx) = channel::unbounded::<Outbound>();
                 let writer_shared = Arc::clone(shared);
                 let thread = spawn_tracked("serve-session-writer", move || {
-                    writer_loop(socket, &rx, &writer_shared.metrics)
+                    writer_loop(socket, &rx, &writer_shared.metrics, &mut Token::mint())
                 })?;
                 Metrics::bump(&shared.metrics.session_writers);
                 Ok((tx, thread))
@@ -190,7 +205,12 @@ const BURST_BYTES: usize = 64 * 1024;
 /// arrive in submission order; a slot still unanswered at its deadline is
 /// expired, which answers it `TIMEOUT` through this channel. Exits once
 /// every sender — the session's, and each forwarded slot's — is gone.
-fn writer_loop(mut socket: TcpStream, rx: &Receiver<Outbound>, metrics: &Metrics) {
+fn writer_loop(
+    mut socket: TcpStream,
+    rx: &Receiver<Outbound>,
+    metrics: &Metrics,
+    unlocked: &mut Token<Unlocked>,
+) {
     // Once the socket dies, keep consuming (and discarding) frames until
     // every sender is gone: a delivery must never strand its response in
     // a queue whose receiver dropped (the sanitizer reports that as a
@@ -204,15 +224,17 @@ fn writer_loop(mut socket: TcpStream, rx: &Receiver<Outbound>, metrics: &Metrics
         let now = Instant::now();
         while let Some((deadline, slot)) = deadlines.front() {
             if *deadline <= now {
-                slot.expire();
-            } else if slot.is_forwarded() {
+                slot.expire(unlocked);
+            } else if slot.is_forwarded(unlocked) {
                 break;
             }
             deadlines.pop_front();
         }
         let first = match deadlines.front() {
-            Some((deadline, _)) => rx.recv_timeout(*deadline - now),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some((deadline, _)) => unlocked.blocking(|| rx.recv_timeout(*deadline - now)),
+            None => unlocked
+                .blocking(|| rx.recv())
+                .map_err(|_| RecvTimeoutError::Disconnected),
         };
         let mut next = match first {
             Ok(msg) => Some(msg),
@@ -234,7 +256,7 @@ fn writer_loop(mut socket: TcpStream, rx: &Receiver<Outbound>, metrics: &Metrics
         if burst.is_empty() {
             continue;
         }
-        if !socket_dead && socket.write_all(&burst).is_ok() {
+        if !socket_dead && unlocked.blocking(|| socket.write_all(&burst)).is_ok() {
             Metrics::bump(&metrics.writer_bursts);
             for at in &queued {
                 metrics.writer_wait.record(at.elapsed());
@@ -256,19 +278,23 @@ fn writer_loop(mut socket: TcpStream, rx: &Receiver<Outbound>, metrics: &Metrics
 /// from then on every frame goes through it, so frames never interleave
 /// and no worker or committer ever blocks on a client socket. Joining the
 /// writer is the connection's drain barrier.
-fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
+fn serve_connection(
+    stream: TcpStream,
+    client: &Client,
+    unlocked: &mut Token<Unlocked>,
+) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     // Reply frames are small and the peer may only be reading: never
     // hold one back for the previous segment's ACK.
     stream.set_nodelay(true)?;
     let mut out = SessionOut::Direct(stream.try_clone()?);
-    let reader = BufReader::new(stream);
+    let mut lines = BufReader::new(stream).lines();
 
     // A read or write error (severed socket, reset mid-line) must still
     // flow through the drain barrier below — an early return with the
     // writer running would drop its handle unjoined and strand it.
     let mut result = Ok(());
-    for line in reader.lines() {
+    while let Some(line) = unlocked.blocking(|| lines.next()) {
         let line = match line {
             Ok(line) => line,
             Err(e) => {
@@ -288,13 +314,13 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
                 // `?`: only a failed spawn errs, and then there is no
                 // writer to drain.
                 let (tx, thread) = out.into_writer(&client.shared)?;
-                pending.forward(tag, &tx);
+                pending.forward(tag, &tx, unlocked);
                 out = SessionOut::Writer(tx, thread);
                 Ok(())
             }
             // Ready, or untagged: wait here — blocking the reader is
             // what preserves serial ordering — and send.
-            tag => out.send(tag, pending.wait()),
+            tag => out.send(tag, pending.wait(), unlocked),
         };
         if let Err(e) = sent {
             result = Err(e);
@@ -308,7 +334,7 @@ fn serve_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
     // response is delivered or expired and its sender dropped.
     if let SessionOut::Writer(tx, thread) = out {
         drop(tx);
-        let _ = thread.join();
+        let _ = unlocked.blocking(|| thread.join());
     }
     result
 }

@@ -41,22 +41,13 @@ for seed in 7 1998 424242; do
         cargo test -q --offline --test serve_replication
 done
 
-# Every sanitized leg below also dumps its observed lock-order edges
-# (DOEM_SANITIZE_GRAPH) so the cross-validation gate can check
-# runtime ⊆ static afterwards. Paths are absolute because `cargo test`
-# runs test binaries with the package dir as cwd.
-lock_order_dir="$(pwd)/target/lock-order"
-rm -rf "$lock_order_dir"
-mkdir -p "$lock_order_dir"
-
-# sanitized_leg <edges> <label> <cmd…>: run the command under
-# DOEM_SANITIZE=1 with its edges dumped to $lock_order_dir/<edges>.edges;
+# sanitized_leg <label> <cmd…>: run the command under DOEM_SANITIZE=1;
 # a failing command (its output is printed) or any sanitizer finding
 # line fails CI.
 sanitized_leg() {
-    local edges="$1" label="$2" out
-    shift 2
-    out="$(DOEM_SANITIZE=1 DOEM_SANITIZE_GRAPH="$lock_order_dir/$edges.edges" "$@" 2>&1)" || {
+    local label="$1" out
+    shift
+    out="$(DOEM_SANITIZE=1 "$@" 2>&1)" || {
         echo "$out"
         echo "ci: $label failed under DOEM_SANITIZE=1" >&2
         exit 1
@@ -70,9 +61,8 @@ sanitized_leg() {
 
 echo "==> replication smoke (1 primary, 2 followers; PROMOTE mid-batch) under DOEM_SANITIZE=1"
 # The mid-batch PROMOTE test lands a PROMOTE while a durable follower
-# applies a replicated batch, so that apply path's lock edges feed the
-# runtime ⊆ static gate below.
-sanitized_leg repl "replication smoke" \
+# applies a replicated batch, so that apply path runs sanitized too.
+sanitized_leg "replication smoke" \
     cargo test -q --offline --test serve_replication -- \
     two_followers_track_a_live_primary promote_mid_batch_keeps_the_rest_of_the_old_batch_out
 
@@ -83,23 +73,22 @@ echo "==> chaos matrix: topology torture + consistency oracle + failpoint livene
 cargo run -q --release --offline -p chaos -- --seeds 7,1998,424242
 
 echo "==> chaos smoke under DOEM_SANITIZE=1"
-sanitized_leg chaos "chaos smoke" \
+sanitized_leg "chaos smoke" \
     cargo run -q --release --offline -p chaos -- --seeds 3 --ops 60 --faults 8 --followers 2
 
 echo "==> MVCC time-travel torture under DOEM_SANITIZE=1"
 # Concurrent writers advancing the head, a snapshot pinned across the
 # whole run, and AS OF readers hopping over every recorded point —
 # publish and AS OF share the shard state lock (DESIGN.md §14), which
-# must stay clean, and its observed edges feed the cross-validation
-# gate below.
-sanitized_leg mvcc "MVCC time-travel leg" \
+# must stay clean.
+sanitized_leg "MVCC time-travel leg" \
     cargo test -q --offline --test serve_concurrency mvcc_time_travel_under_concurrent_writers
 
 echo "==> serve module size guard (no file under crates/serve/src over 1,000 lines)"
 oversize="$(find crates/serve/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
 [ -z "$oversize" ] || { echo "$oversize"; echo "ci: split the file(s) above along a seam" >&2; exit 1; }
 
-echo "==> doem-lint (zero findings; an inline \`// lint: allow\` is the one exemption; serve's no-unwrap rule is clippy's, below)"
+echo "==> doem-lint line rules (zero findings; an inline \`// lint: allow\` is the one exemption; serve's no-unwrap rule is clippy's, below, and its lock order the compiler's)"
 cargo run -q -p lint --offline --bin doem-lint
 
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
@@ -107,7 +96,7 @@ echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # re-evaluation on random histories, and its change-set-seeded variants
 # with the unpruned ones; its serve/qss consumers run it under the shard
 # write lock — so both properties rerun with the sanitizer watching.
-sanitized_leg inc "incremental agreement proptest" \
+sanitized_leg "incremental agreement proptest" \
     cargo test -q --offline --test properties -- \
     incremental_agrees_with_full seeded_variants_agree_with_unpruned
 
@@ -117,27 +106,8 @@ echo "==> serve suite under DOEM_SANITIZE=1 (must report zero findings)"
 # binaries and fails on any finding line in their output. Session
 # threads answer cache hits themselves (shard map, Shard.state read,
 # cache mutex); crates/serve/tests/request_edge.rs drives that over TCP
-# here, so any lock edge it takes lands in serve.edges for the
-# runtime ⊆ static gate below.
-sanitized_leg serve "serve suite" cargo test -q --offline -p serve
-
-echo "==> static/runtime lock-order cross-validation (runtime edges ⊆ static graph)"
-# After every sanitized leg, so each one's .edges file is in the union.
-cargo run -q -p lint --offline --bin doem-lint -- --graph dot > "$lock_order_dir/static.dot"
-if ! cargo run -q -p lint --offline --bin doem-lint -- --runtime-subset "$lock_order_dir"; then
-    # Leave both graphs behind as diffable artifacts: the static
-    # prediction and the union of what the sanitized legs observed.
-    {
-        echo "digraph runtime_lock_order {"
-        awk -F'\t' 'NF == 2 && !seen[$0]++ { printf "  \"%s\" -> \"%s\";\n", $1, $2 }' \
-            "$lock_order_dir"/*.edges
-        echo "}"
-    } > "$lock_order_dir/runtime.dot"
-    echo "ci: runtime lock-order edges escaped the static graph (lint soundness bug); artifacts:" >&2
-    echo "ci:   static graph:  target/lock-order/static.dot" >&2
-    echo "ci:   runtime graph: target/lock-order/runtime.dot (+ per-leg .edges files)" >&2
-    exit 1
-fi
+# here.
+sanitized_leg "serve suite" cargo test -q --offline -p serve
 
 echo "==> perf smoke: doem-load output checks over a real doem-serve (no threshold)"
 # The wire answers of every workload — current reads, AS OF near and far
@@ -148,7 +118,7 @@ echo "==> perf smoke: doem-load output checks over a real doem-serve (no thresho
 bash benchmark/run.sh --quick --out "$(pwd)/target/perf-smoke" > /dev/null
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate: clippy::unwrap_used/expect_used outside tests)"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate, clippy::unwrap_used/expect_used outside tests, and its levelled locks: crates/serve/clippy.toml disallows the unlevelled lock types)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
