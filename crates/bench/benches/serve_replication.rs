@@ -116,7 +116,7 @@ fn bench_read_scaling(c: &mut Criterion) {
             },
         );
 
-        handle.stop();
+        drop(handle);
         for f in fs {
             f.shutdown();
         }
@@ -142,7 +142,7 @@ fn bench_catch_up(c: &mut Criterion) {
                 black_box(took)
             })
         });
-        handle.stop();
+        drop(handle);
         primary.shutdown();
     }
     group.finish();

@@ -10,12 +10,11 @@
 //! throughout — reads on followers race replication on purpose, which is
 //! why the oracle brackets them with LSN probes).
 //!
-//! A [`Kill`] is a kill-9: the service is crash-stopped — no shutdown
-//! checkpoint, the WAL left exactly as last persisted — and restarted
-//! over the same directory, so crash recovery (checkpoint + log tail,
-//! torn records included) runs under load. (Crash-stop, not `drop`: a
-//! dropped `Service` leaves its committer running, and two incarnations
-//! over one WAL directory corrupt each other's checkpoints.) A
+//! A [`Kill`] is a kill-9: the service is dropped without `shutdown` —
+//! every thread joined, no shutdown checkpoint, the WAL left exactly as
+//! last persisted — and restarted over the same directory, so crash
+//! recovery (checkpoint + log tail, torn records included) runs under
+//! load. A
 //! [`Promote`] quiesces writes, waits for the target follower to reach
 //! the primary's applied LSN (promoting a lagging follower would lose
 //! acked history — the harness promotes only at a converged point, which
@@ -86,19 +85,15 @@ impl Node {
         Ok(())
     }
 
-    /// Kill-9: stop the listener and crash-stop the service. The crash
-    /// stop joins every background thread — the directory must be quiet
+    /// Kill-9: drop the listener, then the service. Dropping a service
+    /// joins every background thread — the directory must be quiet
     /// before a successor opens it, or a still-running committer from
     /// the dead incarnation races the successor on the WAL file — but
     /// takes no final checkpoint, so restart goes through real recovery
     /// over whatever the log held at the crash.
     fn kill(&mut self) {
-        if let Some(tcp) = self.tcp.take() {
-            tcp.stop();
-        }
-        if let Some(svc) = self.svc.take() {
-            svc.crash_stop();
-        }
+        self.tcp = None;
+        self.svc = None;
     }
 
     fn restart(&mut self, follow: Option<String>) -> std::io::Result<()> {

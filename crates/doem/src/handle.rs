@@ -2,8 +2,9 @@
 //!
 //! The DOEM twin of [`oem::SharedOem`]: a [`SharedDoem`] clones in O(1)
 //! and pins the annotated graph as of clone time, while writers mutate
-//! through [`SharedDoem::make_mut`] — in place when unshared, via one deep
-//! clone (copy-on-write) when a reader still holds an older snapshot.
+//! through [`SharedDoem::make_mut`] — in place when unshared, via an O(1)
+//! persistent clone when a reader still holds an older snapshot, after
+//! which the write path-copies only the spine it touches (DESIGN.md §14).
 //! The serve layer uses this for snapshot-isolated query execution: a
 //! query clones the handle under a brief per-database lock and evaluates
 //! Chorel entirely outside it, so slow reads never stall writers.
@@ -43,14 +44,15 @@ impl SharedDoem {
     }
 
     /// Mutable access for writers. In-place while this handle is the only
-    /// owner; clones the database first (copy-on-write) when snapshots are
-    /// still outstanding, leaving them untouched.
+    /// owner; takes an O(1) persistent clone first when snapshots are
+    /// still outstanding, leaving them untouched — the write then
+    /// path-copies only what it touches (DESIGN.md §14).
     pub fn make_mut(&mut self) -> &mut DoemDatabase {
         Arc::make_mut(&mut self.0)
     }
 
     /// Whether any snapshot of this handle is still alive (in which case
-    /// the next [`SharedDoem::make_mut`] pays for a deep clone).
+    /// the next [`SharedDoem::make_mut`] takes the persistent-clone path).
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.0) > 1
     }

@@ -14,7 +14,6 @@ use crate::codec::{decode_database, encode_database};
 use crate::{LoreError, Result};
 use doem::{decode_doem, encode_doem, DoemDatabase};
 use oem::OemDatabase;
-use parking_lot::Mutex;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -33,20 +32,31 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct LoreStore {
     dir: PathBuf,
-    // Serializes writers; readers go straight to the filesystem.
-    write_lock: Mutex<()>,
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
+/// The file stem of database `name`: ASCII letters, digits, `-` and `_`
+/// stand for themselves, every other byte is escaped as `%XX`. No two
+/// names share a file (`a.b` is `a%2Eb`, `a_b` stays `a_b`).
+fn escape(name: &str) -> String {
+    name.bytes()
+        .map(|b| match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' => char::from(b).to_string(),
+            _ => format!("%{b:02X}"),
         })
         .collect()
+}
+
+/// The name [`escape`] turned into `stem`; `None` if it cannot be one.
+fn unescape(stem: &str) -> Option<String> {
+    let mut bytes = Vec::new();
+    let mut rest = stem;
+    while let Some(i) = rest.find('%') {
+        bytes.extend_from_slice(&rest.as_bytes()[..i]);
+        bytes.push(u8::from_str_radix(rest.get(i + 1..i + 3)?, 16).ok()?);
+        rest = &rest[i + 3..];
+    }
+    bytes.extend_from_slice(rest.as_bytes());
+    String::from_utf8(bytes).ok()
 }
 
 /// Fsync the directory `dir`, making the renames, creations and deletions
@@ -60,10 +70,7 @@ impl LoreStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<LoreStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(LoreStore {
-            dir,
-            write_lock: Mutex::new(()),
-        })
+        Ok(LoreStore { dir })
     }
 
     /// The store directory.
@@ -71,29 +78,24 @@ impl LoreStore {
         &self.dir
     }
 
-    fn path_for(&self, name: &str) -> PathBuf {
-        self.path_of(name)
-    }
-
     /// The file a database named `name` is (or would be) stored at —
     /// exposed so sibling files (e.g. a write-ahead log) can live next to
-    /// the image with the same sanitized stem.
+    /// the image with the same escaped stem.
     pub fn path_of(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{}.oem", sanitize(name)))
+        self.dir.join(format!("{}.oem", escape(name)))
     }
 
     /// Persist an OEM database under `name`.
     ///
-    /// The slow part — writing and fsyncing the image into a uniquely
-    /// named temp file — happens *outside* the store's write lock; only
-    /// the atomic rename serializes. A group committer checkpointing one
-    /// database therefore never stalls behind another database's image
-    /// write, and a failed write leaves at most a stray `.tmp-N` file,
-    /// never a clobbered image.
+    /// The image is written and fsynced into a uniquely named temp file,
+    /// then renamed over the old one. The rename is atomic, so concurrent
+    /// saves need no lock: a reader sees one whole image or the other,
+    /// and a failed write leaves at most a stray `.tmp-N` file, never a
+    /// clobbered image.
     pub fn save(&self, name: &str, db: &OemDatabase) -> Result<()> {
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let bytes = encode_database(db);
-        let final_path = self.path_for(name);
+        let final_path = self.path_of(name);
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Unique per write, and an extension `names()` won't count.
         let tmp_path = final_path.with_extension(format!("tmp-{seq}"));
@@ -105,12 +107,9 @@ impl LoreStore {
                 return Err(e.into());
             }
         }
-        {
-            let _guard = self.write_lock.lock();
-            if let Err(e) = fs::rename(&tmp_path, &final_path) {
-                let _ = fs::remove_file(&tmp_path);
-                return Err(e.into());
-            }
+        if let Err(e) = fs::rename(&tmp_path, &final_path) {
+            let _ = fs::remove_file(&tmp_path);
+            return Err(e.into());
         }
         // The rename is durable only once the directory is: without this
         // a power loss could keep a later step (a log truncated or a
@@ -121,7 +120,7 @@ impl LoreStore {
 
     /// Load the OEM database stored under `name`.
     pub fn load(&self, name: &str) -> Result<OemDatabase> {
-        let path = self.path_for(name);
+        let path = self.path_of(name);
         let bytes = fs::read(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 LoreError::NotFound(name.to_string())
@@ -145,12 +144,12 @@ impl LoreStore {
 
     /// `true` iff a database named `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.path_for(name).exists()
+        self.path_of(name).exists()
     }
 
     /// Delete the database named `name` (idempotent).
     pub fn remove(&self, name: &str) -> Result<()> {
-        match fs::remove_file(self.path_for(name)) {
+        match fs::remove_file(self.path_of(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
@@ -163,8 +162,8 @@ impl LoreStore {
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) == Some("oem") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    out.push(stem.to_string());
+                if let Some(name) = path.file_stem().and_then(|s| s.to_str()).and_then(unescape) {
+                    out.push(name);
                 }
             }
         }
@@ -237,6 +236,15 @@ mod tests {
         let store = LoreStore::open(tmpdir("names")).unwrap();
         store.save("week/1 report", &guide_figure2()).unwrap();
         assert!(store.contains("week/1 report"));
+    }
+
+    #[test]
+    fn distinct_names_get_distinct_files() {
+        let store = LoreStore::open(tmpdir("distinct")).unwrap();
+        for name in ["a.b", "a_b", "a%2Eb", "é"] {
+            store.save(name, &OemDatabase::new(name.to_string())).unwrap();
+        }
+        assert_eq!(store.names().unwrap(), ["a%2Eb", "a.b", "a_b", "é"]);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   type (`E0308`).
 //!
 //! A `Token<Unlocked>` is minted ([`Token::mint`]) only where no serve
-//! lock can be held: a thread's entry closure, and the `pub` methods of
-//! `Service`, `Client`, `PendingReply` and `TcpHandle`. It is neither
+//! lock can be held: a thread's entry closure, the `pub` methods of
+//! `Service`, `Client`, `PendingReply` and `TcpHandle`, and the `Drop`
+//! impls of `Service` and `TcpHandle`. It is neither
 //! `Send` nor `Sync`, so a thread mints its own. Every token is zero-sized
 //! and every wrapper forwards to the compat `parking_lot`, which the
 //! runtime sanitizer instruments: `#[track_caller]` keeps its findings
@@ -54,8 +55,9 @@ impl<L> Token<L> {
 
 impl Token<Unlocked> {
     /// The caller asserts that this thread holds no serve lock: only a
-    /// thread's entry closure and the `pub` methods of `Service`,
-    /// `Client`, `PendingReply` and `TcpHandle` mint one (DESIGN.md §13).
+    /// thread's entry closure, the `pub` methods of `Service`, `Client`,
+    /// `PendingReply` and `TcpHandle`, and the `Drop` impls of `Service`
+    /// and `TcpHandle` mint one (DESIGN.md §13).
     pub fn mint() -> Token<Unlocked> {
         Token::new()
     }
@@ -159,125 +161,31 @@ levels! {
     /// fsync(unlocked);
     /// ```
     ///
-    /// Taking it while holding `Observed` does not compile; the other way
+    /// Taking it while holding `Pipeline` does not compile; the other way
     /// round does:
     ///
     /// ```compile_fail,E0277
-    /// use serve::lock_order::{Mutex, Observed, Sessions, Token};
+    /// use serve::lock_order::{Mutex, Pipeline, Sessions, Token};
     /// let sessions = Mutex::<Sessions, u8>::new(0);
-    /// let observed = Mutex::<Observed, u8>::new(0);
-    /// let (outer, inner) = (&observed, &sessions);
+    /// let pipeline = Mutex::<Pipeline, u8>::new(0);
+    /// let (outer, inner) = (&pipeline, &sessions);
     /// let unlocked = &mut Token::mint();
     /// let mut held = outer.lock(unlocked);
     /// let _nested = inner.lock(held.token());
     /// ```
     ///
     /// ```
-    /// use serve::lock_order::{Mutex, Observed, Sessions, Token};
+    /// use serve::lock_order::{Mutex, Pipeline, Sessions, Token};
     /// let sessions = Mutex::<Sessions, u8>::new(0);
-    /// let observed = Mutex::<Observed, u8>::new(0);
-    /// let (outer, inner) = (&sessions, &observed);
+    /// let pipeline = Mutex::<Pipeline, u8>::new(0);
+    /// let (outer, inner) = (&sessions, &pipeline);
     /// let unlocked = &mut Token::mint();
     /// let mut held = outer.lock(unlocked);
     /// let _nested = inner.lock(held.token());
     /// ```
     Sessions,
-    /// `Shared.observed_primary`, a follower's view of the primary's LSNs.
-    ///
-    /// A call that needs the unlocked token does not compile under this
-    /// level's guard; dropping the guard first does:
-    ///
-    /// ```compile_fail,E0499
-    /// use serve::lock_order::{Mutex, Observed, Token, Unlocked};
-    /// fn fsync(_: &mut Token<Unlocked>) {}
-    /// let lock = Mutex::<Observed, u8>::new(0);
-    /// let unlocked = &mut Token::mint();
-    /// let held = lock.lock(unlocked);
-    /// fsync(unlocked);
-    /// ```
-    ///
-    /// ```
-    /// use serve::lock_order::{Mutex, Observed, Token, Unlocked};
-    /// fn fsync(_: &mut Token<Unlocked>) {}
-    /// let lock = Mutex::<Observed, u8>::new(0);
-    /// let unlocked = &mut Token::mint();
-    /// let held = lock.lock(unlocked);
-    /// drop(held);
-    /// fsync(unlocked);
-    /// ```
-    ///
-    /// Taking it while holding `Committer` does not compile; the other way
-    /// round does:
-    ///
-    /// ```compile_fail,E0277
-    /// use serve::lock_order::{Committer, Mutex, Observed, Token};
-    /// let observed = Mutex::<Observed, u8>::new(0);
-    /// let committer = Mutex::<Committer, u8>::new(0);
-    /// let (outer, inner) = (&committer, &observed);
-    /// let unlocked = &mut Token::mint();
-    /// let mut held = outer.lock(unlocked);
-    /// let _nested = inner.lock(held.token());
-    /// ```
-    ///
-    /// ```
-    /// use serve::lock_order::{Committer, Mutex, Observed, Token};
-    /// let observed = Mutex::<Observed, u8>::new(0);
-    /// let committer = Mutex::<Committer, u8>::new(0);
-    /// let (outer, inner) = (&observed, &committer);
-    /// let unlocked = &mut Token::mint();
-    /// let mut held = outer.lock(unlocked);
-    /// let _nested = inner.lock(held.token());
-    /// ```
-    Observed,
-    /// `Shard.committer`, the handle of a shard's group committer.
-    ///
-    /// A call that needs the unlocked token does not compile under this
-    /// level's guard; dropping the guard first does:
-    ///
-    /// ```compile_fail,E0499
-    /// use serve::lock_order::{Mutex, Committer, Token, Unlocked};
-    /// fn fsync(_: &mut Token<Unlocked>) {}
-    /// let lock = Mutex::<Committer, u8>::new(0);
-    /// let unlocked = &mut Token::mint();
-    /// let held = lock.lock(unlocked);
-    /// fsync(unlocked);
-    /// ```
-    ///
-    /// ```
-    /// use serve::lock_order::{Mutex, Committer, Token, Unlocked};
-    /// fn fsync(_: &mut Token<Unlocked>) {}
-    /// let lock = Mutex::<Committer, u8>::new(0);
-    /// let unlocked = &mut Token::mint();
-    /// let held = lock.lock(unlocked);
-    /// drop(held);
-    /// fsync(unlocked);
-    /// ```
-    ///
-    /// Taking it while holding `Pipeline` does not compile; the other way
-    /// round does:
-    ///
-    /// ```compile_fail,E0277
-    /// use serve::lock_order::{Committer, Mutex, Pipeline, Token};
-    /// let committer = Mutex::<Committer, u8>::new(0);
-    /// let pipeline = Mutex::<Pipeline, u8>::new(0);
-    /// let (outer, inner) = (&pipeline, &committer);
-    /// let unlocked = &mut Token::mint();
-    /// let mut held = outer.lock(unlocked);
-    /// let _nested = inner.lock(held.token());
-    /// ```
-    ///
-    /// ```
-    /// use serve::lock_order::{Committer, Mutex, Pipeline, Token};
-    /// let committer = Mutex::<Committer, u8>::new(0);
-    /// let pipeline = Mutex::<Pipeline, u8>::new(0);
-    /// let (outer, inner) = (&committer, &pipeline);
-    /// let unlocked = &mut Token::mint();
-    /// let mut held = outer.lock(unlocked);
-    /// let _nested = inner.lock(held.token());
-    /// ```
-    Committer,
-    /// `CommitPipeline.inner`, a shard's sequencing head and commit queue.
-    /// Serve's one nesting is under it: the null-persist publish in
+    /// `CommitPipeline.inner`, a shard's sequencing head, commit queue,
+    /// lineage and committer handle. Serve's one nesting is under it: the null-persist publish in
     /// `sequence` takes `State` while holding `Pipeline`.
     ///
     /// A call that needs the unlocked token does not compile under this

@@ -34,18 +34,19 @@
 //!
 //! Promotion fencing: batches carry the serving shard's epoch. The sync
 //! loop skips shards this instance has `PROMOTE`d (they are their own
-//! lineage now), adopts newer epochs from batch headers, and rejects a
-//! batch whose epoch is *behind* the local shard's — a deposed primary
-//! resurfacing — with a `FENCED` session error. The promotion is checked
-//! before every record, so a `PROMOTE` that lands mid-batch keeps the
-//! rest of the old primary's batch out of the new lineage.
+//! lineage now), adopts newer epochs from batch headers before it
+//! applies their records, and rejects a batch whose epoch is *behind*
+//! the local shard's — a deposed primary resurfacing — with a `FENCED`
+//! session error. The sequence stage refuses every replicated record on
+//! a promoted shard, so a `PROMOTE` that lands mid-batch keeps the rest
+//! of the old primary's batch out of the new lineage.
 
 use crate::faults::{FaultMode, FaultPoint};
 use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Response};
 use crate::replication::stream::{snapshot_from_bytes, ReplBatch};
-use crate::service::{apply_replicated, install_replicated, Shared};
+use crate::service::{apply_replicated, install_replicated, Lineage, Shared};
 use crate::tcp::WireClient;
 use doem::DoemDatabase;
 use oem::{OemDatabase, Timestamp};
@@ -199,7 +200,10 @@ fn sync_db(
     unlocked: &mut Token<Unlocked>,
 ) -> std::io::Result<()> {
     loop {
-        if shared.stopping() || promoted(shared, db, unlocked) {
+        // A promoted shard is its own lineage now: nothing to ask for.
+        let local = shared.shard(db, unlocked);
+        let promoted = local.as_ref().is_some_and(|s| s.pipeline.lineage(unlocked).promoted);
+        if shared.stopping() || promoted {
             return Ok(());
         }
         let applied = applied_lsn(shared, db, unlocked);
@@ -240,65 +244,64 @@ fn sync_db(
             }
             None => {}
         }
-        // Epoch ordering: a batch behind the local shard's epoch comes
-        // from a deposed lineage (the old primary resurfacing) and must
-        // not be applied; a newer epoch is adopted below, after the
-        // batch lands (a snapshot install replaces the shard).
-        if let Some(shard) = shared.shard(db, unlocked) {
-            if batch.epoch < shard.epoch() {
+        // Epoch ordering, before any record of the batch is sequenced: a
+        // batch behind the local epoch comes from a deposed lineage (the
+        // old primary resurfacing) and must not be applied, and a shard
+        // promoted meanwhile takes nothing more.
+        match local.as_ref().map(|s| s.pipeline.follow(&batch, unlocked)) {
+            Some(Ok(false)) => return Ok(()),
+            Some(Err(epoch)) => {
                 Metrics::bump(&shared.metrics.fenced_rejects);
                 return Err(std::io::Error::other(format!(
-                    "FENCED: primary's batch for {db:?} carries stale epoch {} (local {})",
-                    batch.epoch,
-                    shard.epoch()
+                    "FENCED: primary's batch for {db:?} carries stale epoch {} (local {epoch})",
+                    batch.epoch
                 )));
             }
+            _ => {}
         }
-        shared
-            .observed_primary
-            .lock(unlocked)
-            .insert(db.to_string(), batch.primary_lsn);
-        if let Some(image) = &batch.snapshot {
-            let doem = snapshot_from_bytes(image).map_err(std::io::Error::other)?;
-            install_replicated(shared, db, doem, batch.primary_lsn, unlocked)
-                .map_err(std::io::Error::other)?;
-            Metrics::bump(&shared.metrics.repl_snapshots_installed);
-        } else {
-            if shared.shard(db, unlocked).is_none() {
-                // A records-only batch means the primary's tail reaches
-                // back to the beginning of the history: materialize the
-                // empty database those records rebuild from (this is also
-                // how an empty CREATEd database arrives at a follower).
-                let empty = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
-                install_replicated(shared, db, empty, Timestamp::NEG_INFINITY, unlocked)
-                    .map_err(std::io::Error::other)?;
-                Metrics::bump(&shared.metrics.repl_snapshots_installed);
-            }
-            for (at, changes) in &batch.records {
-                // Each apply may wait out an fsync: a `PROMOTE` in that
-                // window ends the old lineage here, mid-batch.
-                if promoted(shared, db, unlocked) {
-                    return Ok(());
+        if batch.snapshot.is_some() || local.is_none() {
+            // An image replaces the local shard. Without one, the primary's
+            // tail reaches back to the beginning of the history: the
+            // records rebuild from an empty database (this is also how an
+            // empty CREATEd database arrives at a follower). The new shard
+            // starts on the batch's lineage.
+            let (doem, last_at) = match &batch.snapshot {
+                Some(image) => {
+                    let doem = snapshot_from_bytes(image).map_err(std::io::Error::other)?;
+                    (doem, batch.primary_lsn)
                 }
-                apply_replicated(shared, db, *at, changes, unlocked)
-                    .map_err(std::io::Error::other)?;
-                Metrics::bump(&shared.metrics.repl_records_applied);
+                None => {
+                    let empty = OemDatabase::new(db.to_string());
+                    (DoemDatabase::from_snapshot(&empty), Timestamp::NEG_INFINITY)
+                }
+            };
+            let lineage = Lineage {
+                epoch: batch.epoch,
+                primary_lsn: Some(batch.primary_lsn),
+                ..Lineage::default()
+            };
+            if !install_replicated(shared, db, doem, last_at, lineage, unlocked)
+                .map_err(std::io::Error::other)?
+            {
+                // Promoted since the batch's lineage was taken.
+                return Ok(());
             }
+            Metrics::bump(&shared.metrics.repl_snapshots_installed);
         }
-        if let Some(shard) = shared.shard(db, unlocked) {
-            shard.adopt_epoch(batch.epoch);
+        for (at, changes) in &batch.records {
+            if !apply_replicated(shared, db, *at, changes, unlocked)
+                .map_err(std::io::Error::other)?
+            {
+                // Promoted while the batch was applying: the old lineage
+                // ends here, mid-batch.
+                return Ok(());
+            }
+            Metrics::bump(&shared.metrics.repl_records_applied);
         }
         if applied_lsn(shared, db, unlocked) >= batch.primary_lsn {
             return Ok(());
         }
     }
-}
-
-/// `true` once `db` was `PROMOTE`d here: its shard is its own lineage
-/// now, and replaying the old primary into it would silently undo the
-/// fence.
-fn promoted(shared: &Shared, db: &str, unlocked: &mut Token<Unlocked>) -> bool {
-    shared.shard(db, unlocked).is_some_and(|s| s.is_promoted())
 }
 
 /// The local applied LSN for `db` (`NEG_INFINITY` when the shard does

@@ -139,7 +139,7 @@ pub(crate) fn serve_replicate(
         primary_lsn,
         snapshot,
         records,
-        epoch: shard.epoch(),
+        epoch: shard.pipeline.lineage(unlocked).epoch,
     };
     Response::Rows(batch.to_rows())
 }

@@ -2,12 +2,12 @@
 //! one handler per verb. Queries resolve their shard, snapshot it, and
 //! evaluate lock-free; writes (and the follower's replicated records)
 //! enter the shard's commit pipeline. [`edge_reply`] is the part of it
-//! that cannot block — the probe verbs, `STATS` and result-cache hits —
+//! that needs no worker — the probe verbs, `STATS` and result-cache hits —
 //! which the submitting thread runs before the admission queue.
 
 use super::client::ReplySlot;
-use super::pipeline::{sequence, WriteKind};
-use super::recovery::{install_shard, last_lsn};
+use super::pipeline::{self, refuse_follower_write, sequence, Lineage, WriteKind};
+use super::recovery::{install_shard, last_lsn, Install, InstallError};
 use super::shard::Shard;
 use super::Shared;
 use crate::cache::{CacheEntry, CacheKey, ResultCache};
@@ -23,12 +23,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Answer `req` if that needs no evaluation and no pipeline: the probe
+/// Answer `req` if that needs no evaluation and no write: the probe
 /// verbs and `STATS` always, a current-version `QUERY` when its result is
-/// cached at the current generation. Only brief read locks are taken and
-/// none is held across another — no install holds the shard map across
-/// I/O — so [`Client::begin`](super::Client) calls this on the submitting
-/// thread; `None` sends the request to the worker pool.
+/// cached at the current generation. No lock is held across another or
+/// across I/O — no install holds the shard map across I/O — but `LSN` and
+/// `STATS` read the lineage under the pipeline lock, so they can wait out
+/// one write's sequence stage (DESIGN.md §7). So
+/// [`Client::begin`](super::Client) calls this on the submitting thread;
+/// `None` sends the request to the worker pool.
 pub(crate) fn edge_reply(
     shared: &Shared,
     req: &Request,
@@ -48,7 +50,8 @@ pub(crate) fn edge_reply(
         Request::ListDbs => Response::Rows(shared.database_names(unlocked)),
         Request::Stats => stats(shared, unlocked),
         Request::Lsn { db } => with_shard(shared, db, unlocked, |shard, unlocked| {
-            let (applied, durable, epoch) = shard.lsn_fields(shared, unlocked);
+            let (applied, durable, lineage) = shard.lsn_fields(shared, unlocked);
+            let epoch = lineage.epoch;
             Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
         }),
         Request::Query {
@@ -105,9 +108,9 @@ pub(crate) fn execute(
         Request::Promote { db } => with_shard(shared, &db, unlocked, |shard, unlocked| {
             promote(shared, &db, shard, unlocked)
         }),
-        Request::Fence { db, epoch } => {
-            with_shard(shared, &db, unlocked, |shard, _| fence(&db, shard, epoch))
-        }
+        Request::Fence { db, epoch } => with_shard(shared, &db, unlocked, |shard, unlocked| {
+            shard.pipeline.fence(&db, epoch, unlocked)
+        }),
     })
 }
 
@@ -139,12 +142,11 @@ fn stats(shared: &Shared, unlocked: &mut Token<Unlocked>) -> Response {
     for (name, shard) in &shared.shards_by_name(unlocked) {
         read_only += usize::from(shard.is_read_only());
         retained += shard.state.read(unlocked).tail.len();
-        let (applied, durable, epoch) = shard.lsn_fields(shared, unlocked);
+        let (applied, durable, lineage) = shard.lsn_fields(shared, unlocked);
+        let epoch = lineage.epoch;
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
-        if shared.cfg.follow.is_some() {
-            if let Some(p) = shared.observed_primary.lock(unlocked).get(name).copied() {
-                line.push_str(&format!(" primary={}", lsn_to_wire(p)));
-            }
+        if let Some(p) = lineage.primary_lsn {
+            line.push_str(&format!(" primary={}", lsn_to_wire(p)));
         }
         rows.push(line);
     }
@@ -159,13 +161,13 @@ fn install_response(
     shared: &Arc<Shared>,
     db: &str,
     doem: DoemDatabase,
-    must_be_new: bool,
+    how: Install,
     what: &str,
     done: &str,
     unlocked: &mut Token<Unlocked>,
 ) -> Response {
     let last_at = last_lsn(&doem);
-    match install_shard(shared, db, doem, last_at, must_be_new, unlocked) {
+    match install_shard(shared, db, doem, last_at, how, unlocked) {
         Ok(g) => Response::Ok(format!("{done} {db}; generation {g}")),
         Err(e) => {
             let (kind, message) = e.describe(what, db);
@@ -179,7 +181,7 @@ fn create(shared: &Arc<Shared>, db: &str, unlocked: &mut Token<Unlocked>) -> Res
         return resp;
     }
     let doem = DoemDatabase::from_snapshot(&OemDatabase::new(db.to_string()));
-    install_response(shared, db, doem, true, "create", "created", unlocked)
+    install_response(shared, db, doem, Install::Create, "create", "created", unlocked)
 }
 
 fn save(shared: &Shared, db: &str, unlocked: &mut Token<Unlocked>) -> Response {
@@ -204,7 +206,7 @@ fn load(shared: &Arc<Shared>, db: &str, unlocked: &mut Token<Unlocked>) -> Respo
         return Response::err(ErrKind::Io, "no store configured");
     };
     match unlocked.blocking(|| store.load_doem(db)) {
-        Ok(doem) => install_response(shared, db, doem, false, "load", "loaded", unlocked),
+        Ok(doem) => install_response(shared, db, doem, Install::Replace, "load", "loaded", unlocked),
         Err(e) => Response::err(ErrKind::NotFound, format!("load failed: {e}")),
     }
 }
@@ -292,36 +294,8 @@ fn query_as_of(
     }
 }
 
-/// Followers reject client writes by construction: every state change on
-/// a following instance arrives through replication replay, never
-/// through the request edge. Returns the `READONLY` response to send
-/// when this instance follows a primary, `None` otherwise.
-fn refuse_follower_write(shared: &Shared) -> Option<Response> {
-    shared.cfg.follow.as_ref().map(|primary| {
-        Response::err(
-            ErrKind::ReadOnly,
-            format!("this instance follows {primary}; writes go to the primary"),
-        )
-    })
-}
-
-/// The typed `FENCED` refusal of a deposed shard; `instead` says what the
-/// caller should do about it.
-fn deposed(db: &str, shard: &Shard, instead: &str) -> Response {
-    let epoch = shard.fenced_epoch.load(Ordering::Relaxed);
-    Response::err(
-        ErrKind::Fenced,
-        format!("database {db:?} was deposed at epoch {epoch}; {instead}"),
-    )
-}
-
-/// `UPDATE` and `MUTATE`: refuse what the shard cannot take from a
-/// client — a fenced (deposed) shard answers the typed `FENCED` error,
-/// the client must retry against the promoted primary, and a
-/// follower-side shard that has not itself been promoted answers
-/// `READONLY` — then enter the commit pipeline. Reads are never refused
-/// by either condition, and replicated records bypass both: they are the
-/// lineage a follower exists to replay.
+/// `UPDATE` and `MUTATE`: enter the commit pipeline, whose sequence stage
+/// refuses what the shard's lineage forbids.
 fn write(
     shared: &Shared,
     db: &str,
@@ -333,15 +307,6 @@ fn write(
     let Some(shard) = shared.shard(db, unlocked) else {
         return Some(not_found("database", db));
     };
-    if shard.is_fenced() {
-        Metrics::bump(&shared.metrics.fenced_rejects);
-        return Some(deposed(db, &shard, "writes go to the promoted primary"));
-    }
-    if !shard.is_promoted() {
-        if let Some(resp) = refuse_follower_write(shared) {
-            return Some(resp);
-        }
-    }
     sequence(shared, &shard, db, at, kind, reply, unlocked)
 }
 
@@ -352,30 +317,37 @@ fn write(
 /// from the follower replay thread.
 ///
 /// The record is sequenced once and its ack awaited; there is no retry
-/// here. The follower thread is a followed shard's only writer and waits
-/// for each ack before it sequences the next record, so the commit queue
-/// is full only when client writes share it — a `PROMOTE` raced the
-/// batch. Any error, `BUSY` included, ends the follower's session, and
-/// its backoff is the one retry.
+/// here. `Ok(false)` means the shard was promoted, which ends the old
+/// lineage: `sequence` answers a replicated record `FENCED` for that
+/// reason only. The follower thread is a followed shard's only writer and
+/// waits for each ack before it sequences the next record, so the commit
+/// queue is full only when client writes share it — after a `PROMOTE`,
+/// whose refusal `sequence` returns first. Any other error, `BUSY`
+/// included, ends the follower's session, and its backoff is the one
+/// retry.
 pub(crate) fn apply_replicated(
     shared: &Shared,
     db: &str,
     at: Timestamp,
     changes: &ChangeSet,
     unlocked: &mut Token<Unlocked>,
-) -> Result<(), String> {
+) -> Result<bool, String> {
     let Some(shard) = shared.shard(db, unlocked) else {
         return Err(format!("no local shard for replicated database {db:?}"));
     };
     let slot = ReplySlot::new();
-    let kind = WriteKind::Update(changes.clone());
+    let kind = WriteKind::Replicated(changes.clone());
     // Staged (`None`): wait for the committer's ack.
     let timeout = shared.cfg.request_timeout;
     match sequence(shared, &shard, db, Some(at), kind, &slot, unlocked)
         .or_else(|| slot.wait(timeout, &shared.metrics.reply_wait, unlocked))
     {
+        Some(Response::Error {
+            kind: ErrKind::Fenced,
+            ..
+        }) => Ok(false),
         Some(Response::Error { kind, message }) => Err(format!("{}: {message}", kind.code())),
-        Some(_) => Ok(()),
+        Some(_) => Ok(true),
         None => Err("timed out waiting for a replicated record to commit".into()),
     }
 }
@@ -385,24 +357,30 @@ pub(crate) fn apply_replicated(
 /// a diverged or stale local shard is exactly what the image heals). Also
 /// how the follower materializes an empty database when the primary's
 /// tail reaches back to the beginning (a records-only rebuild needs a
-/// shard to apply into). Called only from the follower replay thread.
+/// shard to apply into). The new shard starts on the batch's `lineage`,
+/// keeping the old shard's fence. `Ok(false)` means the local shard was
+/// promoted and keeps its own lineage. Called only from the follower
+/// replay thread.
 pub(crate) fn install_replicated(
     shared: &Arc<Shared>,
     db: &str,
     doem: DoemDatabase,
     last_at: Timestamp,
+    lineage: Lineage,
     unlocked: &mut Token<Unlocked>,
-) -> Result<(), String> {
-    install_shard(shared, db, doem, last_at, false, unlocked)
-        .map(|_| ())
-        .map_err(|e| e.describe("snapshot install", db).1)
+) -> Result<bool, String> {
+    match install_shard(shared, db, doem, last_at, Install::Replicated(lineage), unlocked) {
+        Ok(_) => Ok(true),
+        Err(InstallError::Promoted) => Ok(false),
+        Err(e) => Err(e.describe("snapshot install", db).1),
+    }
 }
 
 fn promote(shared: &Shared, db: &str, shard: &Shard, unlocked: &mut Token<Unlocked>) -> Response {
-    if shard.is_fenced() {
-        return deposed(db, shard, "promote the newer lineage");
-    }
-    let epoch = shard.promote();
+    let (epoch, applied) = match pipeline::promote(shard, db, unlocked) {
+        Ok(promoted) => promoted,
+        Err(refused) => return refused,
+    };
     Metrics::bump(&shared.metrics.promotions);
     // Best effort: tell the old primary it is deposed, so its clients get
     // the typed `FENCED` error instead of writing into a lineage nobody
@@ -412,7 +390,6 @@ fn promote(shared: &Shared, db: &str, shard: &Shard, unlocked: &mut Token<Unlock
     if let Some(primary) = &shared.cfg.follow {
         let _ = fence_peer(primary, db, epoch, unlocked);
     }
-    let applied = shard.state.read(unlocked).last_at;
     Response::Ok(format!(
         "promoted {db}; epoch {epoch} at {}",
         lsn_to_wire(applied)
@@ -432,21 +409,6 @@ fn fence_peer(
         client.set_timeout(Some(Duration::from_millis(500)))?;
         client.roundtrip(&format!("FENCE {db} {epoch}"))
     })
-}
-
-fn fence(db: &str, shard: &Shard, epoch: u64) -> Response {
-    if shard.fence(epoch) {
-        return Response::Ok(format!("fenced {db} at epoch {epoch}"));
-    }
-    Response::err(
-        ErrKind::Conflict,
-        format!(
-            "stale fence: epoch {epoch} is not newer than this lineage \
-             (epoch {}, fenced at {})",
-            shard.epoch(),
-            shard.fenced_epoch.load(Ordering::Relaxed)
-        ),
-    )
 }
 
 #[cfg(test)]

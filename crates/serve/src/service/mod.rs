@@ -62,15 +62,16 @@ pub use client::{Client, PendingReply};
 pub(crate) use client::{Outbound, ReplySlot};
 pub use config::{ServeConfig, WallClock};
 pub(crate) use handlers::{apply_replicated, install_replicated};
+pub(crate) use pipeline::Lineage;
 
-use crate::lock_order::{Mutex, Observed, RwLock, Shards, Token, Unlocked};
+use crate::lock_order::{RwLock, Shards, Token, Unlocked};
 use crate::metrics::Metrics;
 use client::{worker_loop, Job};
 use crossbeam::channel::{self, Sender};
 use doem::{doem_from_history, SharedDoem};
-use oem::{History, OemDatabase, Timestamp};
+use oem::{History, OemDatabase};
 use pipeline::{join_committer, request_stop, start_committer, StopKind};
-use recovery::{install_shard, io_error, last_lsn, recover_all};
+use recovery::{install_shard, io_error, last_lsn, recover_all, Install};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use shard::Shard;
 use std::collections::{HashMap, HashSet};
@@ -95,9 +96,6 @@ pub(crate) struct Shared {
     pub(crate) stopping: AtomicBool,
     /// Monotonic write counter across *all* shards — the `GEN` verb.
     pub(crate) global_gen: AtomicU64,
-    /// Follower side: db → the primary's applied LSN last carried by a
-    /// replication batch (the `primary=` field of `STATS` lsn rows).
-    pub(crate) observed_primary: Mutex<Observed, HashMap<String, Timestamp>>,
     pub(crate) metrics: Metrics,
 }
 
@@ -147,13 +145,14 @@ impl Shared {
 }
 
 /// The service handle: owns the worker pool. Create sessions with
-/// [`Service::client`], stop everything with [`Service::shutdown`].
+/// [`Service::client`]. [`Service::shutdown`] stops everything
+/// gracefully; dropping the handle stops it the way a crash would.
 pub struct Service {
     pub(crate) shared: Arc<Shared>,
     job_tx: Sender<Job>,
-    workers: Vec<TrackedHandle<()>>,
-    /// The replication fetch/apply thread (follower mode only).
-    follower: Option<TrackedHandle<()>>,
+    /// The workers, then (follower mode only) the replication thread: the
+    /// order a stop joins them in.
+    threads: Vec<TrackedHandle<()>>,
 }
 
 impl Service {
@@ -184,14 +183,13 @@ impl Service {
             durable,
             stopping: AtomicBool::new(false),
             global_gen: AtomicU64::new(1),
-            observed_primary: Mutex::new(HashMap::new()),
             metrics,
             cfg,
         });
         // Tracked spawns: handles demand an explicit join (shutdown) or
         // detach, and an OS-level spawn failure propagates instead of
         // panicking the starter.
-        let workers = (0..shared.cfg.workers.max(1))
+        let threads = (0..shared.cfg.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let rx = job_rx.clone();
@@ -200,26 +198,24 @@ impl Service {
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
+        // From here on an error drops `svc`, which stops what has started.
+        let mut svc = Service {
+            shared,
+            job_tx,
+            threads,
+        };
         // Recovered shards were built before `shared` existed; give each
         // its group committer and log now.
         for (name, shard, wal) in recovered {
-            start_committer(&shared, &name, &shard, wal, unlocked)?;
+            start_committer(&svc.shared, &name, &shard, wal, unlocked)?;
         }
-        let follower = match shared.cfg.follow {
-            Some(_) => {
-                let shared = Arc::clone(&shared);
-                Some(spawn_tracked("serve-follower", move || {
-                    crate::replication::follower::follower_loop(&shared, &mut Token::mint())
-                })?)
-            }
-            None => None,
-        };
-        Ok(Service {
-            shared,
-            job_tx,
-            workers,
-            follower,
-        })
+        if svc.shared.cfg.follow.is_some() {
+            let shared = Arc::clone(&svc.shared);
+            svc.threads.push(spawn_tracked("serve-follower", move || {
+                crate::replication::follower::follower_loop(&shared, &mut Token::mint())
+            })?);
+        }
+        Ok(svc)
     }
 
     /// Install a database built from an initial snapshot and a history
@@ -233,7 +229,7 @@ impl Service {
         let name = doem.name().to_string();
         let last_at = last_lsn(&doem);
         let unlocked = &mut Token::mint();
-        install_shard(&self.shared, &name, doem, last_at, false, unlocked)
+        install_shard(&self.shared, &name, doem, last_at, Install::Replace, unlocked)
             .map(|_| ())
             .map_err(|e| io_error(e.describe("install", &name).1))
     }
@@ -274,47 +270,23 @@ impl Service {
     /// a final checkpoint and waits for that too before exiting, so a
     /// clean shutdown followed by a restart loses nothing and replays
     /// nothing.
-    pub fn shutdown(self) {
-        self.stop_with(StopKind::Shutdown);
-    }
-
-    /// Stop the service the way a crash would, as closely as an
-    /// in-process harness can: every background thread is signalled and
-    /// **joined** (so the data directory is quiesced before a successor
-    /// reopens it) and what is staged still drains, so no worker is
-    /// stranded waiting on an ack — but no final checkpoint is taken: the
-    /// WAL is left exactly as the group committers last persisted it (a
-    /// checkpoint already in flight finishes first), and restart goes
-    /// through real recovery.
-    ///
-    /// Simply `drop`ping a `Service` is **not** a crash: the struct only
-    /// holds `JoinHandle`s and `Arc` clones, so the committer, follower,
-    /// and worker threads keep running against the shared state — and a
-    /// successor opened over the same directory then races them on the
-    /// WAL file (two appenders, two truncators: checkpoint images and
-    /// log contents come apart). Chaos harnesses must call this instead.
-    pub fn crash_stop(self) {
-        self.stop_with(StopKind::Abandon);
+    pub fn shutdown(mut self) {
+        self.stop(StopKind::Shutdown);
     }
 
     /// Stop every thread, in dependency order; `kind` decides whether the
-    /// committers take a final checkpoint.
-    fn stop_with(self, kind: StopKind) {
-        let Service {
-            shared,
-            job_tx,
-            workers,
-            follower,
-        } = self;
+    /// committers take a final checkpoint. Once stopped, a second call
+    /// finds nothing left to join.
+    fn stop(&mut self, kind: StopKind) {
+        let shared = &self.shared;
         // Refuse new work and signal the loops; workers keep pulling until
         // the queue is empty (they exit on an idle tick with the flag set).
         shared.stopping.store(true, Ordering::SeqCst);
-        drop(job_tx);
         let unlocked = &mut Token::mint();
         // The follower joins before the committers stop: its in-flight
         // record applies are acked by the committers, so stopping those
         // first would strand it waiting out a reply timeout.
-        for handle in workers.into_iter().chain(follower) {
+        for handle in self.threads.drain(..) {
             let _ = unlocked.blocking(|| handle.join());
         }
         // Workers are gone, so the commit queues can only shrink: ask
@@ -322,11 +294,25 @@ impl Service {
         // staged writes are delivered before the join returns.
         let shards = shared.shards_by_name(unlocked);
         for (_, shard) in &shards {
-            request_stop(shard, kind, unlocked);
+            request_stop(shard, kind, Some, unlocked);
         }
         for (_, shard) in &shards {
             join_committer(shard, unlocked);
         }
+    }
+}
+
+/// Dropping a `Service` without [`Service::shutdown`] stops it the way a
+/// crash would, as closely as an in-process harness can: every
+/// background thread is signalled and **joined**, so the data directory
+/// is quiet before a successor reopens it, and what is staged still
+/// drains, so no worker is stranded waiting on an ack. But no final
+/// checkpoint is taken: the WAL is left exactly as the group committers
+/// last persisted it (a checkpoint already in flight finishes first),
+/// and restart goes through real recovery.
+impl Drop for Service {
+    fn drop(&mut self) {
+        self.stop(StopKind::Abandon);
     }
 }
 

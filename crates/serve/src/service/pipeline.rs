@@ -14,6 +14,9 @@
 //! thread publishes before it drops the pipeline lock and answers
 //! directly. The group committer also starts the shard's checkpoints,
 //! each on a thread of its own (DESIGN.md §8).
+//!
+//! The pipeline lock also holds the shard's [`Lineage`], so `PROMOTE`,
+//! `FENCE`, epoch adoption and writes are sequenced against each other.
 
 use super::client::ReplySlot;
 use super::recovery::save_image;
@@ -22,6 +25,7 @@ use super::Shared;
 use crate::lock_order::{Condvar, Mutex, Pipeline, Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
+use crate::replication::stream::ReplBatch;
 use crate::wal::{self, DbWal};
 use doem::{apply_set, SharedDoem};
 use lorel::run_update;
@@ -81,11 +85,36 @@ pub(crate) enum StopKind {
     Abandon,
 }
 
+/// A shard's failover state, read and changed only under its pipeline
+/// lock, so every change is ordered against every write.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Lineage {
+    /// 0 for a never-promoted lineage, bumped by `PROMOTE`, recovered from
+    /// WAL record suffixes and adopted from newer replication batches;
+    /// stamped into every WAL frame and `REPLICATE` header, so a deposed
+    /// primary's records are recognizably stale.
+    pub(crate) epoch: u64,
+    /// The newest epoch a `FENCE` deposed the shard at; it is fenced while
+    /// this exceeds `epoch`, and client writes answer `FENCED`.
+    pub(crate) fenced_epoch: u64,
+    /// Set by `PROMOTE`: client writes are taken, replicated ones refused.
+    pub(crate) promoted: bool,
+    /// Follower side: the primary's applied LSN from the last batch the
+    /// shard accepted (`STATS`' `primary=`).
+    pub(crate) primary_lsn: Option<Timestamp>,
+}
+
+impl Lineage {
+    fn is_fenced(&self) -> bool {
+        self.fenced_epoch > self.epoch
+    }
+}
+
 /// Everything under a shard's pipeline lock: the sequencing head (a
 /// second handle on the DOEM graph, ahead of the published state by
 /// exactly the staged-but-unpublished writes, plus the plain replica in
-/// lockstep with it) and the commit queue. The lock is never held across
-/// WAL I/O.
+/// lockstep with it), the commit queue, the shard's lineage and its
+/// committer's handle. The lock is never held across WAL I/O.
 struct PipelineState {
     /// DOEM graph with every sequenced change applied.
     head_doem: SharedDoem,
@@ -103,6 +132,13 @@ struct PipelineState {
     /// Set once by shutdown/replace; writes are refused from then on and
     /// the committer drains and exits.
     stop: Option<StopKind>,
+    /// The shard's failover state.
+    lineage: Lineage,
+    /// The group committer, the sole owner of the shard's log, from
+    /// [`start_committer`] until [`join_committer`]. Every shard of a
+    /// service with a [`super::ServeConfig::wal_dir`] has one; no other
+    /// shard does.
+    committer: Option<TrackedHandle<()>>,
 }
 
 /// The commit machinery of one shard.
@@ -118,6 +154,7 @@ impl CommitPipeline {
         head_doem: SharedDoem,
         head_replica: OemDatabase,
         head_at: Timestamp,
+        lineage: Lineage,
     ) -> CommitPipeline {
         CommitPipeline {
             inner: Mutex::new(PipelineState {
@@ -126,32 +163,149 @@ impl CommitPipeline {
                 head_at,
                 queue: VecDeque::new(),
                 stop: None,
+                lineage,
+                committer: None,
             }),
             work: Condvar::new(),
         }
     }
+
+    /// The shard's lineage.
+    pub(crate) fn lineage(&self, unlocked: &mut Token<Unlocked>) -> Lineage {
+        self.inner.lock(unlocked).lineage
+    }
+
+    /// `FENCE <epoch>` from a newer lineage. An epoch not strictly newer
+    /// than anything this shard has seen is refused, so lineages cannot
+    /// depose their successors; so is a fence on a shard being replaced,
+    /// whose lineage its successor has already taken.
+    pub(crate) fn fence(&self, db: &str, epoch: u64, unlocked: &mut Token<Unlocked>) -> Response {
+        let ps = &mut *self.inner.lock(unlocked);
+        let lineage = &mut ps.lineage;
+        if ps.stop.is_some() {
+            replacing(db)
+        } else if epoch <= lineage.epoch || epoch <= lineage.fenced_epoch {
+            Response::err(
+                ErrKind::Conflict,
+                format!(
+                    "stale fence: epoch {epoch} is not newer than this lineage \
+                     (epoch {}, fenced at {})",
+                    lineage.epoch, lineage.fenced_epoch
+                ),
+            )
+        } else {
+            lineage.fenced_epoch = epoch;
+            Response::Ok(format!("fenced {db} at epoch {epoch}"))
+        }
+    }
+
+    /// Follower side, before any record of a batch is sequenced: a
+    /// promoted shard takes nothing (`Ok(false)`), and a batch behind the
+    /// shard's epoch is refused with the local epoch. Otherwise the
+    /// batch's epoch is adopted — so a `PROMOTE` landing mid-batch fences
+    /// above it — and its primary LSN recorded.
+    pub(crate) fn follow(
+        &self,
+        batch: &ReplBatch,
+        unlocked: &mut Token<Unlocked>,
+    ) -> Result<bool, u64> {
+        let lineage = &mut self.inner.lock(unlocked).lineage;
+        if lineage.promoted {
+            return Ok(false);
+        }
+        if batch.epoch < lineage.epoch {
+            return Err(lineage.epoch);
+        }
+        lineage.epoch = batch.epoch;
+        lineage.primary_lsn = Some(batch.primary_lsn);
+        Ok(true)
+    }
+}
+
+/// Flip `shard` writable under a fresh fence, strictly above its own epoch
+/// and any it was fenced at, so the deposed lineage cannot fence it back.
+/// Returns the epoch and the applied LSN, read in the same hold: an
+/// old-lineage record sequenced later is refused (one already staged on a
+/// WAL still commits). A fenced shard is refused with its fence, and a
+/// shard being replaced is told to retry: its successor has already taken
+/// its lineage.
+pub(crate) fn promote(
+    shard: &Shard,
+    db: &str,
+    unlocked: &mut Token<Unlocked>,
+) -> Result<(u64, Timestamp), Response> {
+    let mut ps = shard.pipeline.inner.lock(unlocked);
+    if ps.stop.is_some() {
+        return Err(replacing(db));
+    }
+    let lineage = &mut ps.lineage;
+    if lineage.is_fenced() {
+        return Err(deposed(db, lineage.fenced_epoch, "promote the newer lineage"));
+    }
+    lineage.epoch = lineage.epoch.max(lineage.fenced_epoch) + 1;
+    lineage.promoted = true;
+    let epoch = lineage.epoch;
+    let applied = shard.state.read(ps.token()).last_at;
+    Ok((epoch, applied))
+}
+
+/// Followers reject client writes by construction: every state change on
+/// a following instance arrives through replication replay, never
+/// through the request edge. Returns the `READONLY` response to send
+/// when this instance follows a primary, `None` otherwise.
+pub(crate) fn refuse_follower_write(shared: &Shared) -> Option<Response> {
+    shared.cfg.follow.as_ref().map(|primary| {
+        Response::err(
+            ErrKind::ReadOnly,
+            format!("this instance follows {primary}; writes go to the primary"),
+        )
+    })
+}
+
+/// The typed `FENCED` refusal of a shard deposed at `epoch`; `instead`
+/// says what the caller should do about it.
+fn deposed(db: &str, epoch: u64, instead: &str) -> Response {
+    Response::err(
+        ErrKind::Fenced,
+        format!("database {db:?} was deposed at epoch {epoch}; {instead}"),
+    )
+}
+
+/// The refusal a shard being replaced (or shut down) answers writes,
+/// `PROMOTE` and `FENCE` with.
+fn replacing(db: &str) -> Response {
+    Response::err(
+        ErrKind::Conflict,
+        format!("database {db:?} is being replaced; retry"),
+    )
 }
 
 /// The write a sequence stage is being asked to stage.
 pub(crate) enum WriteKind {
-    /// `UPDATE` (or a replicated record): an explicit change set.
+    /// `UPDATE`: an explicit change set.
     Update(ChangeSet),
+    /// A record the follower replays from its primary.
+    Replicated(ChangeSet),
     /// `MUTATE`: a Lorel update statement, compiled against the
     /// sequencing head's replica — the freshest one, ahead of the
     /// published state by the staged writes.
     Mutate(String),
 }
 
-/// The **sequence** stage. Under the pipeline lock only: refuse
-/// read-only/stopping shards, resolve `AT now`, enforce the strictly
-/// increasing timestamp (Definition 2.2 — the timestamp *is* the LSN),
-/// compile `MUTATE` statements against the sequencing head, and apply the
-/// change set to the head — the one `apply_set` of the write path. On a
+/// The **sequence** stage. Under the pipeline lock only: refuse what the
+/// shard's lineage forbids and read-only/stopping shards, resolve
+/// `AT now`, enforce the strictly increasing timestamp (Definition 2.2 —
+/// the timestamp *is* the LSN), compile `MUTATE` statements against the
+/// sequencing head, and apply the change set to the head — the one
+/// `apply_set` of the write path. On a
 /// WAL-owning shard the record is then staged for the committer and
 /// `None` comes back (the committer delivers the ack to `reply` once the
 /// batch is durable and published); otherwise it is published here and
 /// its ack returned. An error response is returned for immediate
-/// delivery either way.
+/// delivery either way. A `WriteKind::Replicated` record is refused with
+/// `FENCED` only here, and only because the shard was promoted:
+/// [`super::apply_replicated`] reads that code as the end of the old
+/// lineage.
 pub(crate) fn sequence(
     shared: &Shared,
     shard: &Shard,
@@ -162,14 +316,30 @@ pub(crate) fn sequence(
     unlocked: &mut Token<Unlocked>,
 ) -> Option<Response> {
     let mut ps = shard.pipeline.inner.lock(unlocked);
+    // What the lineage forbids: a client write to a fenced shard answers
+    // `FENCED` (retry against the promoted primary), one to a follower's
+    // unpromoted shard `READONLY`. Replicated records bypass both — they
+    // are what a follower exists to replay — until a promotion ends them.
+    let lineage = ps.lineage;
+    let refused = match kind {
+        WriteKind::Replicated(_) => lineage
+            .promoted
+            .then(|| Response::err(ErrKind::Fenced, format!("database {db:?} was promoted"))),
+        _ if lineage.is_fenced() => {
+            Metrics::bump(&shared.metrics.fenced_rejects);
+            Some(deposed(db, lineage.fenced_epoch, "writes go to the promoted primary"))
+        }
+        _ if lineage.promoted => None,
+        _ => refuse_follower_write(shared),
+    };
+    if refused.is_some() {
+        return refused;
+    }
     if shard.is_read_only() {
         return Some(read_only(db));
     }
     if ps.stop.is_some() {
-        return Some(Response::err(
-            ErrKind::Conflict,
-            format!("database {db:?} is being replaced; retry"),
-        ));
+        return Some(replacing(db));
     }
     if ps.queue.len() >= shared.cfg.queue_depth.max(1) {
         Metrics::bump(&shared.metrics.busy_rejected);
@@ -191,7 +361,7 @@ pub(crate) fn sequence(
     }
     let t = Instant::now();
     let (changes, created) = match kind {
-        WriteKind::Update(changes) => (changes, None),
+        WriteKind::Update(changes) | WriteKind::Replicated(changes) => (changes, None),
         WriteKind::Mutate(stmt) => match run_update(&ps.head_replica, &stmt) {
             Ok(c) => {
                 let created = c.created.len();
@@ -236,7 +406,7 @@ pub(crate) fn sequence(
         let generation = publish(shared, shard, &mut shard.state.write(ps.token()), set);
         return Some(ack.response(at, generation));
     }
-    let frame = wal::encode_record_epoch(at, &set.changes, shard.epoch());
+    let frame = wal::encode_record_epoch(at, &set.changes, ps.lineage.epoch);
     ps.queue.push_back(StagedCommit {
         set,
         frame,
@@ -271,18 +441,30 @@ fn resolve_now(shared: &Shared, last: Timestamp) -> Timestamp {
     }
 }
 
-/// Ask a shard's pipeline to stop: further writes are refused, and the
-/// committer (if any) drains its queue and exits as `kind` says.
-pub(crate) fn request_stop(shard: &Shard, kind: StopKind, unlocked: &mut Token<Unlocked>) {
-    shard.pipeline.inner.lock(unlocked).stop.get_or_insert(kind);
+/// Ask a shard's pipeline to stop: further writes, `PROMOTE` and `FENCE`
+/// are refused, and the committer (if any) drains its queue and exits as
+/// `kind` says. `succeed` sees the shard's lineage in the hold that stops
+/// it — nothing changes it after — and returns the lineage a replacement
+/// starts on; if it returns `None`, nothing is stopped.
+pub(crate) fn request_stop(
+    shard: &Shard,
+    kind: StopKind,
+    succeed: impl FnOnce(Lineage) -> Option<Lineage>,
+    unlocked: &mut Token<Unlocked>,
+) -> Option<Lineage> {
+    let mut ps = shard.pipeline.inner.lock(unlocked);
+    let next = succeed(ps.lineage)?;
+    ps.stop.get_or_insert(kind);
+    drop(ps);
     shard.pipeline.work.notify_all();
+    Some(next)
 }
 
 /// Wait for a stopped shard's committer to finish. Replies for staged
 /// writes are delivered before this returns. A no-op on a shard that
 /// owns no WAL.
 pub(crate) fn join_committer(shard: &Shard, unlocked: &mut Token<Unlocked>) {
-    let handle = shard.committer.lock(unlocked).take();
+    let handle = shard.pipeline.inner.lock(unlocked).committer.take();
     if let Some(h) = handle {
         let _ = unlocked.blocking(|| h.join());
     }
@@ -303,7 +485,7 @@ pub(crate) fn start_committer(
     let handle = spawn_tracked(&format!("serve-committer-{name}"), move || {
         committer_loop(&shared, &db, &shard_for_loop, wal, &mut Token::mint())
     })?;
-    *shard.committer.lock(unlocked) = Some(handle);
+    shard.pipeline.inner.lock(unlocked).committer = Some(handle);
     Ok(())
 }
 

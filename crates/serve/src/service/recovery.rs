@@ -2,7 +2,7 @@
 //! checkpoint images, and installing or replacing a shard with its disk
 //! I/O outside the registry lock.
 
-use super::pipeline::{join_committer, request_stop, start_committer, StopKind};
+use super::pipeline::{join_committer, request_stop, start_committer, Lineage, StopKind};
 use super::shard::Shard;
 use super::{ServeConfig, Shared};
 use crate::faults::{FaultMode, FaultPoint, Faults};
@@ -61,6 +61,9 @@ pub(crate) fn recover_all(
             .load_doem(&stem)
             .map_err(|e| io_error(format!("checkpoint {stem:?}: {e}")))?;
         let name = doem.name().to_string();
+        if name != stem {
+            move_files(d, &stem, &name, unlocked)?;
+        }
         let wal_path = wal_path(d, &name);
         let sealed_path = wal::sealed_path(&wal_path);
         let sealed = wal::replay(&sealed_path)?;
@@ -84,11 +87,50 @@ pub(crate) fn recover_all(
             recovered.replica,
             cfg.cache_capacity,
             recovered.last_at,
-            recovered.epoch,
+            Lineage {
+                epoch: recovered.epoch,
+                ..Lineage::default()
+            },
         ));
         shards.push((name, shard, wal));
     }
     Ok(shards)
+}
+
+/// Move database `name`'s image and log segments from the files of `stem`
+/// to its own. A store written before file stems were escaped keeps a
+/// name with any character but ASCII letters, digits, `-` and `_` under a
+/// lossy stem (`a.b` under `a_b`); its log would otherwise be skipped. The
+/// log segments move before the image, so a crash midway leaves the image
+/// at `stem` and the next start finishes the move. Refused if `name`
+/// already has an image of its own.
+fn move_files(
+    d: &LoreStore,
+    stem: &str,
+    name: &str,
+    unlocked: &mut Token<Unlocked>,
+) -> std::io::Result<()> {
+    let (from, to) = (d.path_of(stem), d.path_of(name));
+    if to.exists() {
+        return Err(io_error(format!(
+            "{} and {} both hold database {name:?}",
+            from.display(),
+            to.display()
+        )));
+    }
+    let (from_wal, to_wal) = (wal_path(d, stem), wal_path(d, name));
+    let moves = [
+        (wal::sealed_path(&from_wal), wal::sealed_path(&to_wal)),
+        (from_wal, to_wal),
+        (from, to),
+    ];
+    unlocked.blocking(|| {
+        for (from, to) in moves.iter().filter(|(from, _)| from.exists()) {
+            std::fs::rename(from, to)?;
+            lore::sync_dir(d.dir())?;
+        }
+        Ok(())
+    })
 }
 
 /// What [`recover_one`] rebuilt from a checkpoint plus its log.
@@ -199,22 +241,50 @@ pub(crate) fn save_image(
     done
 }
 
+/// What an install is, and where its new shard's lineage comes from.
+pub(crate) enum Install {
+    /// `CREATE`: refused if the name exists; a fresh lineage.
+    Create,
+    /// `LOAD` and [`crate::Service::install`]: replaces a same-named shard
+    /// and keeps its lineage, so a reload undoes no fence or promotion.
+    Replace,
+    /// A replicated snapshot install: the batch's lineage, keeping the old
+    /// shard's fence. Refused if the old shard was promoted — its old
+    /// lineage has ended there.
+    Replicated(Lineage),
+}
+
+impl Install {
+    /// The new shard's lineage, given the one of the shard it replaces;
+    /// `None` if the install must not happen.
+    fn successor(&self, old: Option<Lineage>) -> Option<Lineage> {
+        match (self, old) {
+            (Install::Replicated(_), Some(old)) if old.promoted => None,
+            (Install::Replicated(batch), old) => Some(Lineage {
+                fenced_epoch: old.map_or(0, |o| o.fenced_epoch),
+                ..*batch
+            }),
+            (_, old) => Some(old.unwrap_or_default()),
+        }
+    }
+}
+
 /// Install (or replace) the shard for `doem`: decide under a brief map
-/// write lock (refuse an existing name when `must_be_new`, refuse a name
-/// another install has reserved, reserve this one), [`prepare`] and start
-/// the new committer with no lock held, then publish under the lock again
-/// (insert the shard and release the reservation; a failed prep or spawn
-/// only releases it, so nothing is installed). So an acknowledged install
-/// exists on disk, racing installs of one name never interleave their
-/// prep, no request waits on the disk but this one, and every installed
-/// shard of a durable service has a committer draining it. Returns the
-/// new global generation.
+/// write lock (refuse an existing name for `Install::Create`, refuse a
+/// name another install has reserved, reserve this one), [`prepare`] and
+/// start the new committer with no lock held, then publish under the lock
+/// again (insert the shard and release the reservation; a refused or
+/// failed prep or spawn only releases it, so nothing is installed). So an
+/// acknowledged install exists on disk, racing installs of one name never
+/// interleave their prep, no request waits on the disk but this one, and
+/// every installed shard of a durable service has a committer draining
+/// it. Returns the new global generation.
 pub(crate) fn install_shard(
     shared: &Arc<Shared>,
     name: &str,
     doem: DoemDatabase,
     last_at: Timestamp,
-    must_be_new: bool,
+    how: Install,
     unlocked: &mut Token<Unlocked>,
 ) -> Result<u64, InstallError> {
     let replica = current_snapshot(&doem);
@@ -224,33 +294,32 @@ pub(crate) fn install_shard(
             return Err(InstallError::Installing);
         }
         let old = reg.map.get(name).cloned();
-        if must_be_new && old.is_some() {
+        if matches!(how, Install::Create) && old.is_some() {
             return Err(InstallError::Exists);
         }
         reg.installing.insert(name.to_string());
         old
     };
-    // Fresh incarnations start at epoch 0: a replicated snapshot install
-    // re-adopts the primary's epoch from the next batch header, and a
-    // recovered shard restores it from its WAL record suffixes.
-    let prepared = prepare(shared, name, &doem, old.as_deref(), unlocked).and_then(|wal| {
-        let cap = shared.cfg.cache_capacity;
-        let shard = Arc::new(Shard::new(doem, replica, cap, last_at, 0));
-        if let Some(wal) = wal {
-            start_committer(shared, name, &shard, wal, unlocked)?;
-        }
-        Ok(shard)
-    });
+    let prepared = prepare(shared, name, &doem, old.as_deref(), &how, unlocked).and_then(
+        |(wal, lineage)| {
+            let cap = shared.cfg.cache_capacity;
+            let shard = Arc::new(Shard::new(doem, replica, cap, last_at, lineage));
+            if let Some(wal) = wal {
+                start_committer(shared, name, &shard, wal, unlocked).map_err(InstallError::Io)?;
+            }
+            Ok(shard)
+        },
+    );
     {
         let mut reg = shared.shards.write(unlocked);
         reg.installing.remove(name);
-        let shard = prepared.map_err(InstallError::Io)?;
-        reg.map.insert(name.to_string(), shard);
+        reg.map.insert(name.to_string(), prepared?);
     }
     Ok(shared.bump_global())
 }
 
-/// An install's disk work, with no lock held: stop `old` and join its
+/// An install's disk work, with no lock held: stop `old`, taking the new
+/// shard's lineage from its own in the hold that stops it, and join its
 /// committer (which joins its own checkpoint thread) **before** the files
 /// are reset, so neither its file handle nor its image can land over the
 /// new incarnation's; readers of `old` keep answering, its writes answer
@@ -261,19 +330,29 @@ fn prepare(
     name: &str,
     doem: &DoemDatabase,
     old: Option<&Shard>,
+    how: &Install,
     unlocked: &mut Token<Unlocked>,
-) -> std::io::Result<Option<DbWal>> {
-    if let Some(old) = old {
-        // Drain, no checkpoint: the files are about to be reset.
-        request_stop(old, StopKind::Abandon, unlocked);
-        join_committer(old, unlocked);
-    }
+) -> Result<(Option<DbWal>, Lineage), InstallError> {
+    let lineage = match old {
+        Some(old) => {
+            // Drain, no checkpoint: the files are about to be reset.
+            let succeed = |l| how.successor(Some(l));
+            let lineage = request_stop(old, StopKind::Abandon, succeed, unlocked)
+                .ok_or(InstallError::Promoted)?;
+            join_committer(old, unlocked);
+            lineage
+        }
+        None => how.successor(None).ok_or(InstallError::Promoted)?,
+    };
     let Some(d) = &shared.durable else {
-        return Ok(None);
+        return Ok((None, lineage));
     };
     let wal_path = wal_path(d, name);
-    save_image(shared, name, doem, &wal::sealed_path(&wal_path), unlocked)?;
-    unlocked.blocking(|| DbWal::open(wal_path, 0)).map(Some)
+    let sealed = wal::sealed_path(&wal_path);
+    let wal = save_image(shared, name, doem, &sealed, unlocked)
+        .and_then(|()| unlocked.blocking(|| DbWal::open(wal_path, 0)))
+        .map_err(InstallError::Io)?;
+    Ok((Some(wal), lineage))
 }
 
 /// Why [`install_shard`] refused.
@@ -282,6 +361,8 @@ pub(crate) enum InstallError {
     Exists,
     /// Another install of the same name is preparing its files.
     Installing,
+    /// `Install::Replicated` over a promoted shard.
+    Promoted,
     /// Durable prep or committer spawn failed; nothing was installed.
     Io(std::io::Error),
 }
@@ -297,10 +378,75 @@ impl InstallError {
                 ErrKind::Conflict,
                 format!("database {db:?} is being installed; retry"),
             ),
+            InstallError::Promoted => (
+                ErrKind::Fenced,
+                format!("database {db:?} was promoted; {what} refused"),
+            ),
             InstallError::Io(e) => (
                 ErrKind::Io,
                 format!("{what} not durable ({e}); nothing installed"),
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::faults::{FaultMode, FaultPoint, Faults};
+    use crate::lock_order::Token;
+    use crate::service::testing::guide_service;
+    use crate::service::{install_replicated, Lineage};
+    use crate::{Response, ServeConfig};
+    use std::time::{Duration, Instant};
+
+    /// A replicated snapshot install and `PROMOTE` on one shard are ordered
+    /// by its pipeline lock, so neither undoes the other: a `PROMOTE` that
+    /// lands while the install prepares its files is told to retry, and an
+    /// install that finds the shard promoted is refused. A reload keeps the
+    /// lineage too: a fenced shard stays fenced.
+    #[test]
+    fn installs_keep_an_acknowledged_promotion_or_fence() {
+        let dir = std::env::temp_dir().join(format!("serve-install-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = Faults::armed();
+        let svc = guide_service(ServeConfig {
+            wal_dir: Some(dir.clone()),
+            faults: faults.clone(),
+            ..ServeConfig::default()
+        });
+        let c = svc.client();
+        let image = (*svc.doem_snapshot("guide").unwrap()).clone();
+        let at = super::last_lsn(&image);
+        let batch = Lineage {
+            epoch: 4,
+            primary_lsn: Some(at),
+            ..Lineage::default()
+        };
+        let install =
+            || install_replicated(&svc.shared, "guide", image.clone(), at, batch, &mut Token::mint());
+        assert!(faults.arm_next(FaultPoint::Checkpoint, 1, FaultMode::Stall(300)));
+        std::thread::scope(|s| {
+            let installing = s.spawn(install);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while faults.fired() == 0 {
+                assert!(Instant::now() < deadline, "the image save never stalled");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let refused = c.request_line("PROMOTE guide").render();
+            assert!(refused.contains("is being replaced; retry"), "{refused}");
+            assert_eq!(installing.join().unwrap(), Ok(true));
+        });
+        let promoted = c.request_line("PROMOTE guide");
+        assert!(matches!(&promoted, Response::Ok(m) if m.contains("epoch 5")), "{promoted:?}");
+        assert_eq!(install(), Ok(false));
+        let write = c.request_line("UPDATE guide AT 1Mar97 ; {updNode(n1, 25)}");
+        assert!(!write.is_error(), "the promotion was undone: {write:?}");
+
+        assert!(!c.request_line("FENCE guide 9").is_error());
+        svc.install(&oem::guide::guide_figure2(), &oem::guide::history_example_2_3()).unwrap();
+        let write = c.request_line("UPDATE guide AT 2Mar97 ; {updNode(n1, 26)}").render();
+        assert!(write.starts_with("ERR FENCED"), "a reload lifted the fence: {write}");
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,16 +2,15 @@
 //! pipeline — and the **publish** stage, the only place a write becomes
 //! visible to readers.
 
-use super::pipeline::CommitPipeline;
+use super::pipeline::{CommitPipeline, Lineage};
 use super::Shared;
 use crate::cache::{CacheEntry, Carry, ResultCache};
-use crate::lock_order::{Committer, Mutex, RwLock, State, Token, Unlocked};
+use crate::lock_order::{RwLock, State, Token, Unlocked};
 use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
 use doem::{DoemDatabase, SharedDoem};
 use oem::{ChangeSet, OemDatabase, Timestamp};
-use sanitizer::thread::TrackedHandle;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// What one database shard publishes: the DOEM database behind a
@@ -37,36 +36,18 @@ pub(crate) struct ShardState {
     pub(crate) tail: ReplTail,
 }
 
-/// One database shard: its own lock, generation counter, result cache,
-/// commit pipeline and — when it owns a WAL — group-committer thread.
-/// Shards are handed around as `Arc<Shard>` so the registry lock is
-/// never held during execution.
+/// One database shard: its own lock, generation counter, result cache
+/// and commit pipeline, which holds its lineage and — when it owns a
+/// WAL — its group committer. Shards are handed around as `Arc<Shard>`
+/// so the registry lock is never held during execution.
 pub(crate) struct Shard {
     pub(crate) state: RwLock<State, ShardState>,
     pub(crate) cache: ResultCache,
     /// Every write and replicated record sequences through it.
     pub(crate) pipeline: CommitPipeline,
-    /// The group committer, the sole owner of the shard's log, from
-    /// [`super::pipeline::start_committer`] until
-    /// [`super::pipeline::join_committer`]. Every shard of a service with
-    /// a [`super::ServeConfig::wal_dir`] has one; no other shard does.
-    pub(crate) committer: Mutex<Committer, Option<TrackedHandle<()>>>,
     /// Set (under the pipeline lock) on persistent log I/O failure;
     /// writes answer `READONLY` from then on while queries keep serving.
     pub(crate) read_only: AtomicBool,
-    /// This lineage's promotion epoch: 0 for a never-promoted lineage,
-    /// bumped by `PROMOTE`, recovered from WAL record suffixes, and
-    /// adopted from newer replication batches. Stamped into every WAL
-    /// frame and `REPLICATE` header so a deposed primary's records are
-    /// recognizably stale.
-    pub(crate) epoch: AtomicU64,
-    /// The newest epoch a `FENCE` verb deposed this shard at; the shard
-    /// is fenced while it exceeds `epoch`, and fenced shards answer
-    /// client writes with the typed `FENCED` error (reads keep serving).
-    pub(crate) fenced_epoch: AtomicU64,
-    /// Set by `PROMOTE`: this follower-side shard takes client writes
-    /// and the sync loop stops replaying the old primary into it.
-    pub(crate) promoted: AtomicBool,
 }
 
 impl Shard {
@@ -77,14 +58,13 @@ impl Shard {
         replica: OemDatabase,
         cache_capacity: usize,
         last_at: Timestamp,
-        epoch: u64,
+        lineage: Lineage,
     ) -> Shard {
         let doem = SharedDoem::new(doem);
         Shard {
-            committer: Mutex::new(None),
             // The sequencing head starts as an O(1) snapshot of the
             // published graph, and owns the replica.
-            pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at),
+            pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at, lineage),
             state: RwLock::new(ShardState {
                 doem,
                 generation: 1,
@@ -93,26 +73,7 @@ impl Shard {
             }),
             cache: ResultCache::new(cache_capacity),
             read_only: AtomicBool::new(false),
-            epoch: AtomicU64::new(epoch),
-            fenced_epoch: AtomicU64::new(0),
-            promoted: AtomicBool::new(false),
         }
-    }
-
-    /// This lineage's promotion epoch (0 = never promoted).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// `true` while a newer lineage has deposed this shard: a `FENCE`
-    /// carried an epoch above the shard's own.
-    pub(crate) fn is_fenced(&self) -> bool {
-        self.fenced_epoch.load(Ordering::Relaxed) > self.epoch()
-    }
-
-    /// `true` once `PROMOTE` flipped this shard writable.
-    pub(crate) fn is_promoted(&self) -> bool {
-        self.promoted.load(Ordering::Relaxed)
     }
 
     /// `true` once a log I/O failure degraded the shard to read-only.
@@ -120,39 +81,7 @@ impl Shard {
         self.read_only.load(Ordering::SeqCst)
     }
 
-    /// Flip the shard writable under a fresh fence: the new epoch is
-    /// strictly above both its own and any epoch it was fenced at, so
-    /// the deposed lineage cannot fence it back with a stale number.
-    pub(crate) fn promote(&self) -> u64 {
-        let next = self
-            .epoch()
-            .max(self.fenced_epoch.load(Ordering::Relaxed))
-            + 1;
-        self.epoch.store(next, Ordering::Relaxed);
-        self.promoted.store(true, Ordering::Relaxed);
-        next
-    }
-
-    /// Record a `FENCE` from a newer lineage. Returns `true` iff the
-    /// epoch is strictly newer than anything this shard has seen (a
-    /// stale fence is refused so lineages cannot depose their
-    /// successors).
-    pub(crate) fn fence(&self, epoch: u64) -> bool {
-        if epoch > self.epoch() && epoch > self.fenced_epoch.load(Ordering::Relaxed) {
-            self.fenced_epoch.store(epoch, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Follower side: adopt a replication batch's newer epoch (never
-    /// moves backwards).
-    pub(crate) fn adopt_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::Relaxed);
-    }
-
-    /// The applied LSN, the durable LSN and the epoch, the first two in
+    /// The applied LSN, the durable LSN and the lineage, the first two in
     /// wire form — what `LSN` and each `STATS` `lsn` row report. A WAL
     /// shard publishes nothing before its fsync, so what it has applied is
     /// durable; a service without a WAL has no log, so nothing is: `-`.
@@ -160,14 +89,14 @@ impl Shard {
         &self,
         shared: &Shared,
         unlocked: &mut Token<Unlocked>,
-    ) -> (String, String, u64) {
+    ) -> (String, String, Lineage) {
         let applied = lsn_to_wire(self.state.read(unlocked).last_at);
         let durable = if shared.durable.is_some() {
             applied.clone()
         } else {
             "-".to_string()
         };
-        (applied, durable, self.epoch())
+        (applied, durable, self.pipeline.lineage(unlocked))
     }
 }
 

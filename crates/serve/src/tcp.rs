@@ -37,14 +37,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Live session sockets, so [`TcpHandle::stop`] can sever them — a
-/// stopped endpoint must look to clients like a server that went away,
+/// Live session sockets, so dropping the [`TcpHandle`] can sever them —
+/// a stopped endpoint must look to clients like a server that went away,
 /// not one that silently stopped listening. Sessions deregister
 /// themselves when they end.
 type SessionRegistry = Arc<Mutex<Sessions, HashMap<u64, TcpStream>>>;
 
-/// Handle on a listening TCP endpoint. Dropping it does *not* stop the
-/// listener; call [`TcpHandle::stop`].
+/// Handle on a listening TCP endpoint. Dropping it stops the endpoint:
+/// it stops accepting, joins the accept loop, and closes every open
+/// session socket — connected clients observe a connection reset / EOF,
+/// exactly as if the server process had exited.
 pub struct TcpHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -57,11 +59,10 @@ impl TcpHandle {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stop accepting, join the accept loop, and close every open
-    /// session socket — connected clients observe a connection reset /
-    /// EOF, exactly as if the server process had exited.
-    pub fn stop(mut self) {
+impl Drop for TcpHandle {
+    fn drop(&mut self) {
         let unlocked = &mut Token::mint();
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept.take() {
@@ -127,7 +128,7 @@ fn accept_loop(
                 }
                 let registry = Arc::clone(sessions);
                 // Sessions are deliberately unsupervised: they end at EOF
-                // or when `TcpHandle::stop` severs their socket, and
+                // or when dropping the `TcpHandle` severs their socket, and
                 // nothing needs their result — detach, don't leak.
                 if let Ok(h) = spawn_tracked("serve-session", move || {
                     let unlocked = &mut Token::mint();
@@ -423,7 +424,7 @@ mod tests {
             assert_eq!(over_wire, in_process, "divergence on {line:?}");
         }
         assert_eq!(wire.roundtrip("QUIT").unwrap(), Response::Ok("bye".into()));
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 
@@ -444,7 +445,7 @@ mod tests {
             elapsed < Duration::from_secs(1),
             "50 PINGs took {elapsed:?}"
         );
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 
@@ -477,7 +478,7 @@ mod tests {
             tags.dedup();
             assert_eq!(tags.len(), 64, "every tag exactly once");
         }
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 
@@ -502,7 +503,7 @@ mod tests {
         seen.sort();
         assert_eq!(seen, tags);
         assert!(svc.metrics().pipelined.load(Ordering::Relaxed) >= 4);
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 
@@ -528,7 +529,7 @@ mod tests {
             t.join().unwrap();
         }
         assert!(svc.metrics().sessions.load(Ordering::Relaxed) >= 4);
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 
@@ -552,7 +553,7 @@ mod tests {
         want.sort();
         assert_eq!(seen, want);
         assert_eq!(svc.metrics().session_writers.load(Ordering::Relaxed), 1);
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
 }

@@ -96,7 +96,7 @@ fn transcripts_are_byte_identical_with_and_without_the_edge() {
             hits,
             "the wire session takes the same paths as the in-process one"
         );
-        handle.stop();
+        drop(handle);
         svc.shutdown();
     }
     for other in &transcripts[1..] {
@@ -122,7 +122,7 @@ fn raw_wire_bytes_match_the_rendered_transcript() {
     // The server closes after QUIT.
     let raw = std::io::read_to_string(&socket).unwrap();
     assert_eq!(raw, expected);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -250,7 +250,7 @@ fn pooled_tagged_and_timed_out_requests_record_one_total_sample_each() {
         (m.total.count(), count(&m.timeouts)),
         (before.0 + 2, before.1 + 2)
     );
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -333,7 +333,7 @@ fn a_serial_session_runs_on_one_thread_and_a_pipelined_one_on_two() {
         Response::Ok("bye".into())
     );
     assert_eq!(writers(), 1);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -426,6 +426,6 @@ fn frames_stay_intact_across_mixed_traffic() {
     }
     assert!(svc.metrics().session_writers.load(Ordering::Relaxed) >= 1);
     assert!(svc.metrics().writer_bursts.load(Ordering::Relaxed) >= 1);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }

@@ -141,7 +141,7 @@ fn serve_workload_is_sanitize_clean() {
     let _ = wire.roundtrip("QUIT");
     pipeliner.join().expect("pipeliner");
 
-    handle.stop();
+    drop(handle);
     svc.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -151,4 +151,28 @@ fn serve_workload_is_sanitize_clean() {
         "serve workload must be sanitize-clean, found: {findings:#?}"
     );
     assert_eq!(sanitizer::exit_report(), 0);
+}
+
+/// Dropping services and an endpoint without `shutdown` joins every
+/// thread they started: the sanitizer records no thread leak.
+#[test]
+fn dropping_a_service_leaks_no_thread() {
+    sanitizer::enable();
+    let dir = std::env::temp_dir().join(format!("serve-sanitize-drop-{}", std::process::id()));
+    let wal_dir = Some(dir.clone());
+    let svc = Service::start(ServeConfig { wal_dir, ..ServeConfig::default() }).expect("start");
+    assert!(!svc.client().request_line("CREATE d").is_error());
+    let handle = svc.listen("127.0.0.1:0").expect("listen");
+    let follow = Some(handle.addr().to_string());
+    let follower = Service::start(ServeConfig { follow, ..ServeConfig::default() }).expect("start");
+    drop(follower);
+    drop(handle);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+    let findings = sanitizer::findings();
+    let leaks: Vec<_> = findings
+        .iter()
+        .filter(|f| f.kind == sanitizer::FindingKind::ThreadLeak)
+        .collect();
+    assert!(leaks.is_empty(), "{leaks:#?}");
 }

@@ -59,12 +59,16 @@ sanitized_leg() {
     fi
 }
 
-echo "==> replication smoke (1 primary, 2 followers; PROMOTE mid-batch) under DOEM_SANITIZE=1"
+echo "==> replication smoke (1 primary, 2 followers; PROMOTE mid-batch; lineage race; dropped follower) under DOEM_SANITIZE=1"
 # The mid-batch PROMOTE test lands a PROMOTE while a durable follower
-# applies a replicated batch, so that apply path runs sanitized too.
+# applies a replicated batch, so that apply path runs sanitized too; the
+# race test does the same with FENCE in the mix, and both it and the
+# dropped-follower test drop services, whose joins the thread-leak
+# check watches.
 sanitized_leg "replication smoke" \
     cargo test -q --offline --test serve_replication -- \
-    two_followers_track_a_live_primary promote_mid_batch_keeps_the_rest_of_the_old_batch_out
+    two_followers_track_a_live_primary promote_mid_batch_keeps_the_rest_of_the_old_batch_out \
+    promote_fence_and_replication_race_to_a_serial_outcome a_dropped_follower_stops_replicating
 
 echo "==> chaos matrix: topology torture + consistency oracle + failpoint liveness audit"
 # Three full-size seeds (kill-9s, WAL/replication faults, one fenced

@@ -164,7 +164,7 @@ fn main() {
             Response::Error { kind, message } => println!("ERR {} {message}", kind.code()),
         }
     }
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 

@@ -225,7 +225,7 @@ fn cache_invalidation_keeps_results_fresh_under_interleaving() {
         svc.metrics().inline_replies.load(Ordering::Relaxed) >= 100,
         "the repeats after each write are cache hits answered at the edge"
     );
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -595,7 +595,7 @@ fn probes_and_cached_reads_answer_while_every_worker_is_busy() {
              until they demonstrably overlap it"
         );
     });
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -644,7 +644,7 @@ fn pipelined_requests_complete_out_of_order_with_matching_tags() {
     assert!(matches!(by_tag["gen-all"], Response::Ok(_)));
 
     assert!(svc.metrics().pipelined.load(Ordering::Relaxed) >= 5);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -752,7 +752,7 @@ fn tagged_requests_time_out_once_and_the_session_keeps_serving() {
     assert_eq!(tag.as_deref(), Some("z"), "{resp:?}");
     assert_eq!(resp, Response::Ok("pong".into()));
     assert_eq!(m.timeouts.load(Ordering::Relaxed), timeouts_before + 2);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
 }
 
@@ -838,7 +838,7 @@ fn a_slow_disk_on_one_database_does_not_delay_pipelined_replies_on_another() {
     let mut want: Vec<String> = (0..8).map(|i| format!("w{i}")).collect();
     want.sort();
     assert_eq!(acked, want);
-    handle.stop();
+    drop(handle);
     svc.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

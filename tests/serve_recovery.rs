@@ -176,7 +176,7 @@ fn kill9_at_every_append_boundary_recovers_each_durable_prefix() {
         let acked = run_workload(&svc);
         assert!(faults.fired() > 0, "boundary {boundary}: fault never fired");
         assert!(!acked[boundary as usize].1, "boundary {boundary}: faulted write was acked");
-        svc.crash_stop(); // kill-9: no drain checkpoint, no flush beyond acked appends
+        drop(svc); // kill-9: no drain checkpoint, no flush beyond acked appends
 
         let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
         for db in ["alpha", "beta", "gamma"] {
@@ -243,7 +243,7 @@ fn seeded_fault_recovers_acked_writes_and_invents_nothing() {
         "seed {seed}: faults_injected diverged from the plan's fired count"
     );
     drop(c);
-    svc.crash_stop();
+    drop(svc);
 
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     for (db, was_created) in created {
@@ -338,7 +338,7 @@ fn kill9_at_batch_boundaries_preserves_the_acked_prefix() {
             "boundary {boundary}: ack set is not a prefix: {acked:?}"
         );
         drop(c);
-        svc.crash_stop(); // kill-9: no drain checkpoint
+        drop(svc); // kill-9: no drain checkpoint
 
         let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
         let got = svc2.doem_snapshot("p").expect("p must recover");
@@ -404,7 +404,7 @@ fn fsync_fault_fails_the_whole_batch_coherently_and_counts_once() {
     assert_eq!(m.faults_injected.load(Relaxed), 2, "one count per failpoint hit");
     assert_eq!(m.read_only_flips.load(Relaxed), 1, "one batch failure, one flip");
     drop(c);
-    svc.crash_stop();
+    drop(svc);
 
     // The frames were written before the fsync failed, so recovery may
     // legally surface any whole-record prefix of the unacked batch (the
@@ -461,7 +461,7 @@ fn disk_full_degrades_one_shard_to_read_only() {
     assert!(stats.iter().any(|l| l == "gauge read_only_shards 1"), "{stats:?}");
     assert!(stats.iter().any(|l| l == "counter faults_injected 1"), "{stats:?}");
     drop(c);
-    svc.crash_stop(); // crash; the read-only shard must not checkpoint in-memory state
+    drop(svc); // crash; the read-only shard must not checkpoint in-memory state
 
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     let c2 = svc2.client();
@@ -500,6 +500,60 @@ fn clean_shutdown_then_restart_loses_nothing() {
         assert_recovered_equals(&svc2, db, &want, "clean shutdown");
     }
     svc2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `a.b` and `a_b` are two databases, so they keep two images and two
+/// logs: after a crash each recovers its own write. (Both used to be
+/// stored under the stem `a_b`, and only one came back.)
+#[test]
+fn names_that_differ_only_in_punctuation_recover_apart() {
+    let dir = fresh_dir("names");
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let writes = [("a.b", "2Jan97 9:00am"), ("a_b", "2Jan97 9:01am")];
+    for (db, at) in writes {
+        let update = format!("UPDATE {db} AT {at} ; {{creNode(n9, 1), addArc(n1, item, n9)}}");
+        for line in [format!("CREATE {db}"), update] {
+            let resp = svc.client().request_line(&line);
+            assert!(!resp.is_error(), "{line}: {resp:?}");
+        }
+    }
+    drop(svc);
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    for (db, at) in writes {
+        let got = svc.doem_snapshot(db).unwrap_or_else(|| panic!("{db} missing after restart"));
+        assert_eq!(got.timestamps(), [at.parse::<Timestamp>().unwrap()], "{db}");
+    }
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL directory written while file stems were lossy keeps `a.b` in
+/// `a_b.oem` and `a_b.wal`. Recovery moves both files to the escaped stem
+/// before it replays the log, so the acknowledged write survives, and the
+/// next restart finds the same one database.
+#[test]
+fn a_lossy_stem_from_an_older_layout_recovers_its_log() {
+    let dir = fresh_dir("lossy-stem");
+    let mut cfg = durable_cfg(&dir, Faults::disabled());
+    cfg.checkpoint_every = 0; // the write stays in the log
+    let svc = Service::start(cfg.clone()).unwrap();
+    for line in ["CREATE a.b", "UPDATE a.b AT 2Jan97 ; {creNode(n9, 1), addArc(n1, item, n9)}"] {
+        let resp = svc.client().request_line(line);
+        assert!(!resp.is_error(), "{line}: {resp:?}");
+    }
+    drop(svc);
+    for ext in ["oem", "wal"] {
+        std::fs::rename(dir.join(format!("a%2Eb.{ext}")), dir.join(format!("a_b.{ext}"))).unwrap();
+    }
+    for restart in 0..2 {
+        let svc = Service::start(cfg.clone()).unwrap();
+        assert_eq!(svc.database_names(), ["a.b"], "restart {restart}");
+        let got = svc.doem_snapshot("a.b").unwrap();
+        assert_eq!(got.timestamps(), ["2Jan97".parse::<Timestamp>().unwrap()], "restart {restart}");
+        drop(svc);
+    }
+    assert!(!dir.join("a_b.oem").exists() && !dir.join("a_b.wal").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -551,7 +605,7 @@ fn a_stalled_checkpoint_image_never_delays_a_write() {
     assert!(took < Duration::from_millis(1_000), "40 writes took {took:?}");
     assert_eq!(faults.fired(), 1, "a second image started behind the stalled one");
     assert!(dir.join("p.wal.sealed").exists());
-    svc.crash_stop();
+    drop(svc);
 
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     let got = svc2.doem_snapshot("p").expect("p must recover");
@@ -590,7 +644,7 @@ fn every_crash_scene_of_a_background_checkpoint_recovers_the_acked_writes() {
     let renamed = copy_dir(&done, "ckpt-scenes-renamed");
     std::fs::copy(in_flight.join("p.wal.sealed"), renamed.join("p.wal.sealed")).unwrap();
     drop(c);
-    svc.crash_stop();
+    drop(svc);
 
     for (scene, acked) in [(&in_flight, 6), (&renamed, 7), (&done, 7)] {
         let svc = Service::start(durable_cfg(scene, Faults::disabled())).unwrap();
@@ -635,7 +689,7 @@ fn a_failed_checkpoint_is_folded_into_the_next_one() {
     assert!(active > 0, "the retry rotated the active segment");
     assert_eq!(m.checkpoint_failures.load(Relaxed), 1);
     drop(c);
-    svc.crash_stop();
+    drop(svc);
 
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     let got = svc2.doem_snapshot("p").expect("p must recover");
@@ -670,7 +724,7 @@ fn load_over_a_shard_with_a_stalled_checkpoint_keeps_the_new_image() {
     assert!(!dir.join("p.wal.sealed").exists());
     write_all(&c, &writes[4..]);
     drop(c);
-    svc.crash_stop();
+    drop(svc);
 
     let image = lore::LoreStore::open(&dir).unwrap().load_doem("p").unwrap();
     assert_eq!(
@@ -763,7 +817,7 @@ fn a_stalled_load_keeps_serving_the_old_incarnation() {
     let svc = stalled_install(&dir, &setup, "LOAD p", &probes);
     let rows = svc.client().request_line("QUERY p select p.item");
     assert!(matches!(&rows, Response::Rows(r) if r.len() == 2), "{rows:?}");
-    svc.crash_stop();
+    drop(svc);
     let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
     let got = svc2.doem_snapshot("p").expect("p must recover");
     assert!(same_doem(&got, &replayed(&writes[..2])));
@@ -820,7 +874,7 @@ fn at_now_clamps_clock_regressions_to_monotonic_lsns() {
     let Response::Rows(stats) = c.request_line("STATS") else { panic!() };
     assert!(stats.iter().any(|l| l == "counter clock_regressions 2"), "{stats:?}");
     drop(c);
-    svc.crash_stop(); // kill-9: the clamped LSNs must be the durable ones too
+    drop(svc); // kill-9: the clamped LSNs must be the durable ones too
 
     let mut cfg2 = durable_cfg(&dir, Faults::disabled());
     cfg2.clock = clock;
@@ -1087,7 +1141,7 @@ mod torn_log_properties {
             let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
             let g1 = svc.doem_snapshot("p").expect("p must recover");
             prop_assert!(same_doem(&g1, &want), "first recovery diverged");
-            svc.crash_stop();
+            drop(svc);
 
             // Second recovery replays the identical checkpoint + tail.
             let svc2 = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();

@@ -150,7 +150,7 @@ fn follower_catches_up_from_empty_and_serves_identical_rows() {
     // Reads still work after the refusals.
     assert_eq!(fc.query("guide", "select guide.restaurant").unwrap().len(), 3);
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -187,7 +187,7 @@ fn two_followers_track_a_live_primary() {
     use std::sync::atomic::Ordering::Relaxed;
     assert!(primary.metrics().repl_batches_shipped.load(Relaxed) >= 2);
 
-    handle.stop();
+    drop(handle);
     f1.shutdown();
     f2.shutdown();
     primary.shutdown();
@@ -224,7 +224,7 @@ fn follower_answers_as_of_identically_to_the_primary() {
         }
     }
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -282,7 +282,7 @@ fn follower_killed_mid_replay_recovers_and_converges() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    handle.stop();
+    drop(handle);
     primary.shutdown();
 }
 
@@ -333,7 +333,7 @@ fn seeded_replication_faults_still_converge() {
         "seed {seed}"
     );
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -393,7 +393,7 @@ fn promote_fences_the_old_primary_and_takes_writes() {
     assert_eq!(follower.metrics().promotions.load(Relaxed), 1);
     assert!(primary.metrics().fenced_rejects.load(Relaxed) >= 1);
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -442,10 +442,96 @@ fn promote_mid_batch_keeps_the_rest_of_the_old_batch_out() {
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(fc.query("p", "select p.item").unwrap().len(), 1);
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `PROMOTE`, `FENCE <e>` and a live replicated stream race on one
+/// follower shard. Whatever the interleaving, the outcome is that of a
+/// serial order: the answers match one, the promotion's epoch is above
+/// the primary's, and no record of the old lineage lands past the LSN
+/// `PROMOTE` reported.
+#[test]
+fn promote_fence_and_replication_race_to_a_serial_outcome() {
+    use std::sync::atomic::Ordering::Relaxed;
+    for round in 0..12 {
+        let primary = Service::start(ServeConfig::default()).unwrap();
+        let handle = primary.listen("127.0.0.1:0").unwrap();
+        let pc = primary.client();
+        // A promoted lineage itself: its batches carry epoch 1.
+        assert!(!pc.request_line("CREATE p").is_error());
+        assert!(!pc.request_line("PROMOTE p").is_error());
+        for (at, ch) in writes(59) {
+            assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
+        }
+        // Race the follower's catch-up, one replicated batch.
+        let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+        while follower.metrics().repl_records_applied.load(Relaxed) < 10 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // FENCE 2 is stale once PROMOTE took epoch 2; FENCE 3 deposes it.
+        let e = 2 + round % 2;
+        let lines = ["PROMOTE p".to_string(), format!("FENCE p {e}")];
+        let barrier = &std::sync::Barrier::new(2);
+        let [promote, fence] = std::thread::scope(|s| {
+            let threads = lines.map(|line| {
+                let c = follower.client();
+                s.spawn(move || {
+                    barrier.wait();
+                    c.request_line(&line)
+                })
+            });
+            threads.map(|t| t.join().unwrap())
+        });
+        let fc = follower.client();
+        let write = fc.request_line("UPDATE p AT 1Jan98 ; {creNode(n5000, 1), addArc(n1, x, n5000)}");
+        let fenced = !fence.is_error();
+        if let Response::Ok(msg) = &promote {
+            // PROMOTE first: a later FENCE lands only if newer.
+            let lsn = msg.strip_prefix("promoted p; epoch 2 at ").expect(msg);
+            assert_eq!(fenced, e == 3, "round {round}: FENCE {e} answered {fence:?}");
+            assert_eq!(write.is_error(), fenced, "round {round}: {write:?}");
+            std::thread::sleep(Duration::from_millis(200));
+            let lsn: i64 = lsn.parse().unwrap();
+            let want = writes(59).iter().filter(|(at, _)| at.raw_minutes() <= lsn).count();
+            let items = fc.query("p", "select p.item").unwrap().len();
+            assert_eq!(items, want, "round {round}: records past {lsn} landed");
+        } else {
+            // FENCE first deposed the shard: PROMOTE and client writes
+            // answer FENCED, and replication goes on.
+            let refused = |r: &Response| matches!(r, Response::Error { kind: ErrKind::Fenced, .. });
+            assert!(
+                fenced && refused(&promote) && refused(&write),
+                "round {round}: {promote:?} {fence:?} {write:?}"
+            );
+            await_convergence(&primary, &follower, "p", Duration::from_secs(15));
+        }
+        drop(handle);
+        follower.shutdown();
+        primary.shutdown();
+    }
+}
+
+/// Dropping a follower without `shutdown` stops it: its replication
+/// thread is joined, so the primary ships it nothing more.
+#[test]
+fn a_dropped_follower_stops_replicating() {
+    let primary = Service::start(ServeConfig::default()).unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    assert!(!primary.client().request_line("CREATE p").is_error());
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+    await_convergence(&primary, &follower, "p", Duration::from_secs(15));
+    drop(follower);
+
+    use std::sync::atomic::Ordering::Relaxed;
+    let shipped = || primary.metrics().repl_batches_shipped.load(Relaxed);
+    let before = shipped();
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(shipped(), before, "a dropped follower kept polling");
+    drop(handle);
+    primary.shutdown();
 }
 
 /// The follower paces itself: once caught up it backs off to about ten
@@ -478,7 +564,7 @@ fn an_idle_follower_backs_off_and_still_picks_up_the_next_write() {
     await_convergence(&primary, &follower, "p", Duration::from_secs(1));
     assert_eq!(follower.client().query("p", "select p.item").unwrap().len(), 3);
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -555,7 +641,7 @@ fn reconnect_backoff_grows_during_an_outage_and_resets_on_progress() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -592,7 +678,7 @@ fn follower_ahead_of_a_replaced_primary_resyncs_from_the_image() {
         0
     );
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
 }
@@ -621,7 +707,7 @@ fn follower_behind_the_retention_tail_resyncs_from_the_image() {
     cfg.wal_dir = Some(dir.clone());
     let follower = Service::start(cfg.clone()).unwrap();
     await_convergence(&primary, &follower, "p", Duration::from_secs(15));
-    follower.crash_stop();
+    drop(follower);
 
     for (at, ch) in &history[2..] {
         assert!(!pc.request_line(&format!("UPDATE p AT {at} ; {ch}")).is_error());
@@ -633,7 +719,7 @@ fn follower_behind_the_retention_tail_resyncs_from_the_image() {
     assert!(follower.metrics().repl_snapshots_installed.load(Relaxed) >= 1);
     assert_eq!(follower.client().query("p", "select p.item").unwrap().len(), 14);
 
-    handle.stop();
+    drop(handle);
     follower.shutdown();
     primary.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
