@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
 /// Strategy producing `Vec`s of an element strategy's values with a length
-/// drawn from a range; see [`vec`].
+/// drawn from a range; see [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,
