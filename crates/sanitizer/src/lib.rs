@@ -1,41 +1,40 @@
 //! # sanitizer — runtime concurrency checking for the doem-suite workspace
 //!
-//! The sanctioned `parking_lot` and `crossbeam` dependencies resolve to
-//! hand-rolled stand-ins under `crates/compat/`, which means every lock
-//! and channel in the workspace passes through code we own. This crate is
-//! the instrumentation they call into — a TSan/loom-flavored dynamic
-//! checker scoped to what actually bites a sharded, durable serve layer:
+//! Serve's lock order is checked by the compiler: every serve lock has a
+//! level or is a leaf, and a blocking call takes a token that no guard
+//! can hand out (`serve::lock_order`, DESIGN.md §13). The sanctioned
+//! `crossbeam` dependency resolves to a hand-rolled stand-in under
+//! `crates/compat/`. This crate is the runtime instrumentation both call
+//! into, scoped to what the types cannot check:
 //!
-//! * **Lock-order graph.** Every `Mutex`/`RwLock` instance becomes a node
-//!   the first time it is acquired (named by its first acquisition site,
-//!   via `#[track_caller]`). Each acquisition adds one edge per lock the
-//!   acquiring thread already holds. A cycle in that graph is reported as
-//!   a **potential deadlock** even if no execution ever interleaved into
-//!   the deadly embrace — the Eraser/ThreadSanitizer observation that the
-//!   *order discipline*, not the unlucky schedule, is the invariant worth
-//!   checking. Serve's own locks also have their order checked at
-//!   compile time (`serve::lock_order`, DESIGN.md §13); this graph still
-//!   sees every lock, test-local ones included.
-//! * **Self-deadlock.** Re-acquiring a lock the current thread already
-//!   holds (mutex re-entry, `RwLock` write-after-read or read-after-write)
-//!   would block forever on the `std::sync` primitives underneath the
-//!   compat layer. The sanitizer reports it and panics instead of hanging.
+//! * **Mint check.** The unlocked token is minted (`Token::mint`) only
+//!   where the thread holds no lock; the types take that on trust. A mint
+//!   with a lock held is reported ([`on_mint`]).
+//! * **Leaf check.** A leaf lock ([`LockTag::leaf`]) has no level, so the
+//!   types let it be taken anywhere; in exchange nothing may be taken
+//!   while it is held. [`before_lock`] reports an acquisition under a
+//!   held leaf and panics — re-entering a leaf would otherwise block
+//!   forever.
 //! * **Hold-time watchdog.** A background thread scans currently-held
 //!   locks and reports any hold longer than `DOEM_SANITIZE_HOLD_MS`
-//!   (default 10 000 ms) — catching both "someone fsyncs under the
-//!   registry lock" latency bugs and actual deadlocks, which look like
-//!   infinite holds.
+//!   (default 10 000 ms) — catching both a slow critical section that
+//!   blocks on nothing the types can see and an actual deadlock, which
+//!   looks like an infinite hold.
 //! * **Leak checks.** A channel whose last endpoint drops with messages
 //!   still queued is a dropped-work bug ([`on_channel_closed`]); a tracked
 //!   thread handle dropped without `join` or an explicit `detach` is a
 //!   waiter nobody will ever reap ([`thread::TrackedHandle`]).
+//!
+//! Both lock checks read one per-thread list of held locks; the only
+//! per-lock state is the [`LockTag`] inside the lock itself, so nothing
+//! here grows with the number of locks a process creates.
 //!
 //! Everything is **off by default**: the instrumented code pays one
 //! relaxed atomic load and branch per operation ([`enabled`]). Tests and
 //! CI switch it on with `DOEM_SANITIZE=1` (or programmatically with
 //! [`enable`], which is process-wide). Findings are recorded in a global
 //! list (printed to stderr as they occur) and inspected with
-//! [`findings`]/[`take_findings`]/[`exit_report`]; each `cargo test`
+//! [`findings`]/[`exit_report`]; each `cargo test`
 //! binary is its own process, so fixture tests that *provoke* findings
 //! live in their own binaries and cannot pollute a suite that asserts
 //! cleanliness.
@@ -44,7 +43,9 @@
 
 pub mod thread;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt;
+use std::io::Write;
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -99,11 +100,12 @@ pub fn enable() {
 /// What kind of defect a [`Finding`] reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FindingKind {
-    /// A cycle in the lock-order graph: some interleaving of the observed
-    /// acquisition orders deadlocks, even if this run did not.
-    LockOrderCycle,
-    /// A thread re-acquired a lock it already holds (would hang forever).
-    SelfDeadlock,
+    /// The unlocked token was minted while the thread held a lock: the
+    /// types would then let a blocking call or any acquisition through.
+    MintUnderLock,
+    /// A lock was requested while the thread held a leaf lock (which
+    /// would hang forever if it was the same leaf).
+    LockUnderLeaf,
     /// A lock was held longer than the watchdog threshold.
     HoldTime,
     /// A channel's last endpoint dropped with messages still queued.
@@ -124,21 +126,18 @@ pub struct Finding {
 static FINDINGS: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
 
 /// Record a finding and print it to stderr immediately (so a hung or
-/// crashed process still leaves the diagnosis in its output).
+/// crashed process still leaves the diagnosis in its output). It goes to
+/// the process's stderr, not through `eprintln!`, which the test harness
+/// captures and shows only for a failing test: a finding in a passing
+/// test stays visible to a check that scans the output.
 pub fn record(kind: FindingKind, message: String) {
-    eprintln!("DOEM-SANITIZE [{kind:?}] {message}");
+    let _ = writeln!(std::io::stderr(), "DOEM-SANITIZE [{kind:?}] {message}");
     lock_clean(&FINDINGS).push(Finding { kind, message });
 }
 
 /// Snapshot of every finding recorded so far in this process.
 pub fn findings() -> Vec<Finding> {
     lock_clean(&FINDINGS).clone()
-}
-
-/// Drain and return the findings (fixture tests use this to assert on
-/// exactly the defects they provoked).
-pub fn take_findings() -> Vec<Finding> {
-    std::mem::take(&mut *lock_clean(&FINDINGS))
 }
 
 /// Print an end-of-process summary and return the number of findings.
@@ -157,25 +156,46 @@ pub fn exit_report() -> usize {
 }
 
 /// The sanitizer's own locks must never poison-propagate (a fixture test
-/// panics on purpose while the lock-order machinery is mid-flight).
+/// panics on purpose while a lock check is mid-flight).
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
-// Lock identity and per-thread held sets
+// Lock identity and per-thread held lists
 // ---------------------------------------------------------------------------
 
-/// Per-lock sanitizer state, embedded in every compat `Mutex`/`RwLock`.
-/// Zero until the lock's first sanitized acquisition assigns an id.
+/// Per-lock sanitizer state, embedded in every instrumented lock: whether
+/// it is a leaf, and its name in findings, assigned at its first
+/// sanitized acquisition.
 pub struct LockTag {
-    id: AtomicU64,
+    name: OnceLock<LockName>,
+    leaf: bool,
 }
 
 impl LockTag {
-    /// A fresh, unregistered tag (`const` so locks keep `const fn new`).
+    /// The tag of a lock with a level (`const` so locks keep `const fn
+    /// new`).
     pub const fn new() -> LockTag {
-        LockTag { id: AtomicU64::new(0) }
+        LockTag {
+            name: OnceLock::new(),
+            leaf: false,
+        }
+    }
+
+    /// The tag of a leaf lock: no lock may be taken while it is held.
+    pub const fn leaf() -> LockTag {
+        LockTag {
+            name: OnceLock::new(),
+            leaf: true,
+        }
+    }
+
+    fn name(&self, site: &'static Location<'static>) -> LockName {
+        *self.name.get_or_init(|| LockName {
+            id: NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed),
+            first: site,
+        })
     }
 }
 
@@ -185,14 +205,18 @@ impl Default for LockTag {
     }
 }
 
-/// How a lock is being acquired; `Exclusive` covers mutexes and `RwLock`
-/// writes, `Shared` covers `RwLock` reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockMode {
-    /// Shared (read) access.
-    Shared,
-    /// Exclusive (write / mutex) access.
-    Exclusive,
+/// A lock's display name: a process-unique id and the site of its first
+/// sanitized acquisition.
+#[derive(Clone, Copy)]
+struct LockName {
+    id: u64,
+    first: &'static Location<'static>,
+}
+
+impl fmt::Display for LockName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "lock#{} (first acquired at {})", self.id, self.first)
+    }
 }
 
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
@@ -206,8 +230,8 @@ thread_local! {
 
 #[derive(Clone, Copy)]
 struct Hold {
-    id: u64,
-    mode: LockMode,
+    name: LockName,
+    leaf: bool,
     site: &'static Location<'static>,
 }
 
@@ -223,134 +247,12 @@ fn thread_label() -> String {
     }
 }
 
-/// Lock id → the site that first acquired it (the lock's display name).
-static LOCK_SITES: OnceLock<Mutex<HashMap<u64, &'static Location<'static>>>> = OnceLock::new();
-
-fn lock_sites() -> &'static Mutex<HashMap<u64, &'static Location<'static>>> {
-    LOCK_SITES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn tag_id(tag: &LockTag, site: &'static Location<'static>) -> u64 {
-    let id = tag.id.load(Ordering::Relaxed);
-    if id != 0 {
-        return id;
-    }
-    let fresh = NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed);
-    match tag
-        .id
-        .compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed)
-    {
-        Ok(_) => {
-            lock_clean(lock_sites()).insert(fresh, site);
-            fresh
-        }
-        Err(existing) => existing,
-    }
-}
-
-fn lock_name(id: u64) -> String {
-    match lock_clean(lock_sites()).get(&id) {
-        Some(site) => format!("lock#{id} (first acquired at {site})"),
-        None => format!("lock#{id}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The lock-order graph
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct OrderGraph {
-    /// held-lock id → acquired-lock id → one witness (held site, acquire site).
-    edges: HashMap<u64, HashMap<u64, (&'static Location<'static>, &'static Location<'static>)>>,
-    /// Edge pairs already reported as cycle-closing, to dedup findings.
-    reported: HashSet<(u64, u64)>,
-}
-
-impl OrderGraph {
-    /// True iff `to` is reachable from `from` along existing edges.
-    fn reaches(&self, from: u64, to: u64, path: &mut Vec<u64>) -> bool {
-        if from == to {
-            path.push(from);
-            return true;
-        }
-        let mut seen = HashSet::new();
-        self.dfs(from, to, &mut seen, path)
-    }
-
-    fn dfs(&self, at: u64, to: u64, seen: &mut HashSet<u64>, path: &mut Vec<u64>) -> bool {
-        if !seen.insert(at) {
-            return false;
-        }
-        path.push(at);
-        if let Some(next) = self.edges.get(&at) {
-            for &n in next.keys() {
-                if n == to {
-                    path.push(n);
-                    return true;
-                }
-                if self.dfs(n, to, seen, path) {
-                    return true;
-                }
-            }
-        }
-        path.pop();
-        false
-    }
-}
-
-static GRAPH: OnceLock<Mutex<OrderGraph>> = OnceLock::new();
-
-fn graph() -> &'static Mutex<OrderGraph> {
-    GRAPH.get_or_init(|| Mutex::new(OrderGraph::default()))
-}
-
-/// Record the ordering edge `held → acquiring` and report a potential
-/// deadlock if it closes a cycle.
-fn note_edge(
-    held: Hold,
-    acquiring: u64,
-    acq_site: &'static Location<'static>,
-) {
-    if held.id == acquiring {
-        return;
-    }
-    let mut g = lock_clean(graph());
-    let fresh = g
-        .edges
-        .entry(held.id)
-        .or_default()
-        .insert(acquiring, (held.site, acq_site))
-        .is_none();
-    if !fresh {
-        return;
-    }
-    // The new edge held → acquiring closes a cycle iff `held` was already
-    // reachable from `acquiring`.
-    let mut path = Vec::new();
-    if g.reaches(acquiring, held.id, &mut path) && g.reported.insert((held.id, acquiring)) {
-        let chain: Vec<String> = path.iter().map(|&id| lock_name(id)).collect();
-        let msg = format!(
-            "potential deadlock: acquiring {} at {} while holding {} (held via {}) closes the \
-             lock-order cycle {} -> {}; some interleaving of these acquisition orders deadlocks \
-             even though this run did not",
-            lock_name(acquiring),
-            acq_site,
-            lock_name(held.id),
-            held.site,
-            chain.join(" -> "),
-            lock_name(acquiring),
-        );
-        drop(g);
-        record(FindingKind::LockOrderCycle, msg);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Active holds (watchdog state)
 // ---------------------------------------------------------------------------
 
 struct ActiveHold {
+    name: LockName,
     since: Instant,
     site: &'static Location<'static>,
     thread: String,
@@ -386,22 +288,20 @@ fn start_watchdog() {
                     let mut overdue = Vec::new();
                     {
                         let mut map = lock_clean(active());
-                        for ((lock, _), h) in map.iter_mut() {
+                        for h in map.values_mut() {
                             if !h.reported && h.since.elapsed() >= threshold {
                                 h.reported = true;
-                                overdue.push((*lock, h.site, h.thread.clone(), h.since.elapsed()));
+                                overdue.push((h.name, h.site, h.thread.clone(), h.since.elapsed()));
                             }
                         }
                     }
-                    for (lock, site, thread, held_for) in overdue {
+                    for (name, site, thread, held_for) in overdue {
                         record(
                             FindingKind::HoldTime,
                             format!(
-                                "{} has held {} (acquired at {site}) for {held_for:?}, over the \
-                                 {threshold:?} watchdog threshold — a stall, an fsync under a hot \
-                                 lock, or an actual deadlock",
-                                thread,
-                                lock_name(lock),
+                                "{thread} has held {name}, taken at {site}, for {held_for:?}, \
+                                 over the {threshold:?} watchdog threshold — a stall, an fsync \
+                                 under a hot lock, or an actual deadlock",
                             ),
                         );
                     }
@@ -411,51 +311,47 @@ fn start_watchdog() {
 }
 
 // ---------------------------------------------------------------------------
-// Hooks called by the compat crates
+// Hooks called by `serve::lock_order` and the compat crates
 // ---------------------------------------------------------------------------
 
-/// Called before a blocking acquisition. Checks self-deadlock (reported,
-/// then panics — the alternative is hanging forever) and records
-/// lock-order edges from every lock the thread already holds.
-pub fn before_lock(tag: &LockTag, mode: LockMode, site: &'static Location<'static>) {
-    let id = tag_id(tag, site);
-    let held: Vec<Hold> = HELD.with(|h| h.borrow().clone());
-    for h in &held {
-        let deadly = h.id == id
-            && (mode == LockMode::Exclusive || h.mode == LockMode::Exclusive);
-        if deadly {
-            let what = match (h.mode, mode) {
-                (LockMode::Shared, LockMode::Exclusive) => {
-                    "write-acquire while holding a read guard on the same RwLock"
-                }
-                (LockMode::Exclusive, LockMode::Shared) => {
-                    "read-acquire while holding the write guard on the same RwLock"
-                }
-                _ => "re-acquiring a lock the thread already holds",
-            };
-            let msg = format!(
-                "self-deadlock: {} attempted {what}: {} held via {}, re-requested at {site}; \
-                 the underlying std primitive would block forever",
-                thread_label(),
-                lock_name(id),
-                h.site,
-            );
-            record(FindingKind::SelfDeadlock, msg.clone());
-            panic!("DOEM-SANITIZE: {msg}");
-        }
-    }
-    for h in held {
-        note_edge(h, id, site);
-    }
+/// Called before a blocking acquisition. A lock requested while the
+/// thread holds a leaf is reported, then panics — the alternative, when
+/// the leaf is re-entered, is hanging forever.
+pub fn before_lock(tag: &LockTag, site: &'static Location<'static>) {
+    let Some(leaf) = HELD.with(|h| h.borrow().iter().rev().find(|x| x.leaf).copied()) else {
+        return;
+    };
+    let name = tag.name(site);
+    let what = if leaf.name.id == name.id {
+        "re-entering the leaf"
+    } else {
+        "acquiring"
+    };
+    let msg = format!(
+        "lock under a leaf: {} attempted {what} {name} at {site} while holding the leaf {}, \
+         taken at {}; nothing may be taken under a leaf, and re-entering one blocks forever",
+        thread_label(),
+        leaf.name,
+        leaf.site,
+    );
+    record(FindingKind::LockUnderLeaf, msg.clone());
+    panic!("DOEM-SANITIZE: {msg}");
 }
 
 /// Called immediately after an acquisition succeeds.
-pub fn after_lock(tag: &LockTag, mode: LockMode, site: &'static Location<'static>) {
-    let id = tag_id(tag, site);
-    HELD.with(|h| h.borrow_mut().push(Hold { id, mode, site }));
+pub fn after_lock(tag: &LockTag, site: &'static Location<'static>) {
+    let name = tag.name(site);
+    HELD.with(|h| {
+        h.borrow_mut().push(Hold {
+            name,
+            leaf: tag.leaf,
+            site,
+        })
+    });
     lock_clean(active()).insert(
-        (id, current_thread()),
+        (name.id, current_thread()),
         ActiveHold {
+            name,
             since: Instant::now(),
             site,
             thread: thread_label(),
@@ -466,58 +362,35 @@ pub fn after_lock(tag: &LockTag, mode: LockMode, site: &'static Location<'static
 
 /// Called when a guard drops (and when a condvar wait releases the lock).
 pub fn on_unlock(tag: &LockTag) {
-    let id = tag.id.load(Ordering::Relaxed);
-    if id == 0 {
+    let Some(name) = tag.name.get() else {
         return;
-    }
+    };
     HELD.with(|h| {
         let mut held = h.borrow_mut();
-        if let Some(pos) = held.iter().rposition(|x| x.id == id) {
+        if let Some(pos) = held.iter().rposition(|x| x.name.id == name.id) {
             held.remove(pos);
         }
     });
-    let still_held = HELD.with(|h| h.borrow().iter().any(|x| x.id == id));
-    if !still_held {
-        lock_clean(active()).remove(&(id, current_thread()));
-    }
+    lock_clean(active()).remove(&(name.id, current_thread()));
 }
 
-/// Called by the condvar stand-in just before parking, **after** the
-/// paired mutex was released ([`on_unlock`]). The condvar joins the
-/// wait-graph as a node: every lock still held across the wait gains a
-/// `held → condvar` edge, because the thread cannot make progress until
-/// the condvar is signaled — exactly a blocking acquisition from the
-/// graph's point of view. The paired mutex is deliberately *not* in the
-/// held set by then, so the ubiquitous correct pattern of notifying
-/// while holding the paired mutex reports nothing.
-pub fn on_condvar_wait(cv: &LockTag, site: &'static Location<'static>) {
-    let id = tag_id(cv, site);
-    let held: Vec<Hold> = HELD.with(|h| h.borrow().clone());
-    for h in held {
-        note_edge(h, id, site);
-    }
-}
-
-/// Called by the condvar stand-in on `notify_one`/`notify_all`. Every
-/// lock the notifier holds gains a `condvar → held` edge: the wakeup is
-/// only reachable through those locks. Combined with the wait side, a
-/// thread that parks on a condvar while holding an unrelated lock the
-/// notifier needs closes a `lock → condvar → lock` cycle — the
-/// lost-wakeup deadlock, reported like any other ordering cycle.
-pub fn on_condvar_notify(cv: &LockTag, site: &'static Location<'static>) {
-    let held: Vec<Hold> = HELD.with(|h| h.borrow().clone());
-    if held.is_empty() {
+/// Called where the unlocked token is minted. The token asserts that the
+/// thread holds no lock; a mint with one held is reported.
+pub fn on_mint(site: &'static Location<'static>) {
+    let Some(held) = HELD.with(|h| h.borrow().last().copied()) else {
         return;
-    }
-    let id = tag_id(cv, site);
-    let cv_hold = Hold {
-        id,
-        mode: LockMode::Exclusive,
-        site,
     };
-    for h in held {
-        note_edge(cv_hold, h.id, h.site);
-    }
+    record(
+        FindingKind::MintUnderLock,
+        format!(
+            "unlocked token minted under a lock: {} minted one at {site} while holding {}, \
+             taken at {}; the types would let a blocking call or any acquisition run \
+             under it",
+            thread_label(),
+            held.name,
+            held.site,
+        ),
+    );
 }
 
 /// Called by the channel stand-in when a channel's last endpoint drops.
@@ -552,29 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn graph_reachability_and_cycle_dedup() {
-        let mut g = OrderGraph::default();
-        let site = Location::caller();
-        g.edges.entry(1).or_default().insert(2, (site, site));
-        g.edges.entry(2).or_default().insert(3, (site, site));
-        let mut path = Vec::new();
-        assert!(g.reaches(1, 3, &mut path));
-        assert_eq!(path.first(), Some(&1));
-        assert_eq!(path.last(), Some(&3));
-        let mut path = Vec::new();
-        assert!(!g.reaches(3, 1, &mut path));
-        assert!(g.reported.insert((1, 2)));
-        assert!(!g.reported.insert((1, 2)));
-    }
-
-    #[test]
     fn lock_tag_ids_are_stable_and_unique() {
         let a = LockTag::new();
-        let b = LockTag::new();
+        let b = LockTag::leaf();
         let site = Location::caller();
-        let ia = tag_id(&a, site);
-        assert_eq!(tag_id(&a, site), ia);
-        assert_ne!(tag_id(&b, site), ia);
-        assert!(lock_name(ia).contains(&format!("lock#{ia}")));
+        let ia = a.name(site).id;
+        assert_eq!(a.name(site).id, ia);
+        assert_ne!(b.name(site).id, ia);
+        assert!(a.name(site).to_string().contains(&format!("lock#{ia}")));
     }
 }

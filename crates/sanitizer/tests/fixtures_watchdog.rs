@@ -2,10 +2,10 @@
 //! watchdog threshold (`DOEM_SANITIZE_HOLD_MS`) is read once per process
 //! and must be lowered *before* the sanitizer starts.
 
+use std::panic::Location;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use sanitizer::FindingKind;
+use sanitizer::{FindingKind, LockTag};
 
 #[test]
 fn overlong_hold_trips_the_watchdog() {
@@ -13,8 +13,9 @@ fn overlong_hold_trips_the_watchdog() {
     std::env::set_var("DOEM_SANITIZE_HOLD_MS", "100");
     sanitizer::enable();
 
-    let m = Mutex::new(0u8);
-    let guard = m.lock();
+    // The hooks a lock wrapper calls around a hold, without the lock.
+    let tag = LockTag::new();
+    sanitizer::after_lock(&tag, Location::caller());
     // Poll rather than sleep a fixed time: the watchdog scans every 50 ms,
     // so the finding lands shortly after the 100 ms threshold.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -29,7 +30,7 @@ fn overlong_hold_trips_the_watchdog() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    drop(guard);
+    sanitizer::on_unlock(&tag);
     assert!(
         tripped,
         "expected a HoldTime finding within 5s, got: {:?}",

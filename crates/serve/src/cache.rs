@@ -18,12 +18,7 @@
 //! maintained (non-monotonic query × delta, or an entry that carries no
 //! engine rows) are dropped ([`Carry::Drop`]).
 
-// A leaf lock outside `lock_order`'s levels: private to this module and
-// held only inside its methods, which take no other lock and block on
-// nothing.
-#![allow(clippy::disallowed_types)]
-
-use parking_lot::Mutex;
+use crate::lock_order::Leaf;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,7 +79,9 @@ struct Inner {
 /// A bounded FIFO result cache, shared across workers.
 #[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<Inner>,
+    /// A leaf: held only inside these methods, which take no other lock
+    /// and block on nothing.
+    inner: Leaf<Inner>,
     capacity: usize,
 }
 
@@ -92,7 +89,7 @@ impl ResultCache {
     /// A cache holding at most `capacity` results (0 disables caching).
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
-            inner: Mutex::new(Inner::default()),
+            inner: Leaf::new(Inner::default()),
             capacity,
         }
     }

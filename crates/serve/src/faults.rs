@@ -23,12 +23,7 @@
 //! for the failpoint liveness audit: a failpoint nobody reaches any more
 //! is a failpoint that has silently rotted.
 
-// A leaf lock outside `lock_order`'s levels: private to this module and
-// held only inside its methods, which take no other lock and block on
-// nothing (`Faults::check` returns a stall; the caller sleeps).
-#![allow(clippy::disallowed_types)]
-
-use parking_lot::Mutex;
+use crate::lock_order::Leaf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -122,7 +117,10 @@ struct Registry {
 /// A cloneable fault-injection handle; [`Faults::disabled`] is free.
 #[derive(Clone, Debug, Default)]
 pub struct Faults {
-    inner: Option<Arc<Mutex<Registry>>>,
+    /// A leaf: held only inside these methods, which take no other lock
+    /// and block on nothing (`Faults::check` returns a stall; the caller
+    /// sleeps).
+    inner: Option<Arc<Leaf<Registry>>>,
 }
 
 impl Faults {
@@ -137,7 +135,7 @@ impl Faults {
     /// harness's per-node handle.
     pub fn armed() -> Faults {
         Faults {
-            inner: Some(Arc::new(Mutex::new(Registry::default()))),
+            inner: Some(Arc::new(Leaf::new(Registry::default()))),
         }
     }
 

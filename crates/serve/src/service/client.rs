@@ -107,7 +107,7 @@ impl ReplySlot {
                 return None;
             }
             *st = SlotState::Empty;
-            self.delivered.wait_for(&mut st, deadline - now);
+            st = self.delivered.wait_for(st, deadline - now);
         }
     }
 

@@ -515,7 +515,7 @@ fn committer_loop(
         let (batch, stopping) = {
             let mut ps = pipeline.inner.lock(unlocked);
             while ps.queue.is_empty() && ps.stop.is_none() {
-                pipeline.work.wait(&mut ps);
+                ps = pipeline.work.wait(ps);
             }
             let n = ps.queue.len().min(max);
             let batch: Vec<StagedCommit> = ps.queue.drain(..n).collect();

@@ -31,7 +31,8 @@ done
 
 # sanitized_leg <label> <cmd…>: run the command under DOEM_SANITIZE=1;
 # a failing command (its output is printed) or any sanitizer finding
-# line fails CI.
+# line fails CI. Findings go to stderr past the test harness's output
+# capture, so a passing test's findings show here too.
 sanitized_leg() {
     local label="$1" out
     shift
@@ -68,13 +69,15 @@ echo "==> chaos smoke under DOEM_SANITIZE=1"
 sanitized_leg "chaos smoke" \
     cargo run -q --release --offline -p chaos -- --seeds 3 --ops 60 --faults 8 --followers 2
 
-echo "==> MVCC time-travel torture under DOEM_SANITIZE=1"
-# Concurrent writers advancing the head, a snapshot pinned across the
-# whole run, and AS OF readers hopping over every recorded point —
-# publish and AS OF share the shard state lock (DESIGN.md §14), which
-# must stay clean.
-sanitized_leg "MVCC time-travel leg" \
-    cargo test -q --offline --test serve_concurrency mvcc_time_travel_under_concurrent_writers
+echo "==> serve concurrency and recovery suites under DOEM_SANITIZE=1"
+# Every test of both binaries: the MVCC time-travel torture (concurrent
+# writers, a pinned snapshot, AS OF readers over every recorded point),
+# installs, LOAD, checkpoint failures and crash recovery. The sanitizer
+# checks there what serve's typed lock order (DESIGN.md §13) takes on
+# trust: each unlocked token is minted with no lock held, and nothing is
+# taken under the cache's or the fault registry's leaf lock.
+sanitized_leg "serve concurrency suite" cargo test -q --offline --test serve_concurrency
+sanitized_leg "serve recovery suite" cargo test -q --offline --test serve_recovery
 
 echo "==> incremental agreement proptest under DOEM_SANITIZE=1"
 # The semi-naive maintenance path (DESIGN.md §11) must agree with full
@@ -90,8 +93,8 @@ echo "==> serve suite under DOEM_SANITIZE=1 (must report zero findings)"
 # DOEM-SANITIZE findings, so the gate reruns only the serve crate's
 # binaries and fails on any finding line in their output. Session
 # threads answer cache hits themselves (shard map, Shard.state read,
-# cache mutex); crates/serve/tests/request_edge.rs drives that over TCP
-# here.
+# the cache's leaf lock); crates/serve/tests/request_edge.rs drives that
+# over TCP here.
 sanitized_leg "serve suite" cargo test -q --offline -p serve
 
 echo "==> perf smoke: doem-load output checks over a real doem-serve (no threshold)"
@@ -103,7 +106,7 @@ echo "==> perf smoke: doem-load output checks over a real doem-serve (no thresho
 bash benchmark/run.sh --quick --out "$(pwd)/target/perf-smoke" > /dev/null
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate, clippy::unwrap_used/expect_used outside tests, and its levelled locks: crates/serve/clippy.toml disallows the unlevelled lock types)"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate, clippy::unwrap_used/expect_used outside tests, and its typed locks: crates/serve/clippy.toml disallows std::sync's lock types outside serve::lock_order)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
