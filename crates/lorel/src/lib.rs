@@ -55,12 +55,12 @@ pub use delta::{
 pub use engine::{execute, Binding, Row, Rows};
 pub use error::{LorelError, Result};
 pub use lexer::lex;
-pub use parser::{parse_program, parse_query, DefineKind, Statement};
+pub use parser::{parse_expr, parse_program, parse_query, parse_update, DefineKind, Statement};
 pub use plan::{plan, CompanionRole, Operand, Plan, Pred, SelectCol, VarDef, VarSource};
 pub use result::{package, QueryResult, RESULT_ROOT_RAW};
 pub use source::DataSource;
 pub use token::{Keyword, Spanned, Token};
-pub use update::{compile_update, parse_update, run_update, CompiledUpdate, NewObject, UpdateStmt};
+pub use update::{compile_update, run_update, CompiledUpdate, NewObject, UpdateOp, UpdateStmt};
 
 /// The canonical text of a query: parse it and print it back. Two query
 /// strings that differ only in whitespace, comments, or redundant

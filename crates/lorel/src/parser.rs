@@ -6,11 +6,15 @@
 //! immediately after a step label (node annotations) — and always start
 //! with one of `add`, `rem`, `cre`, `upd`, `at`, so a one-token lookahead
 //! plus backtracking resolves the ambiguity.
+//!
+//! The same parser reads the update statements of [`crate::update`]:
+//! they share the query's literals, paths and `from`/`where` clauses.
 
 use crate::ast::*;
 use crate::error::LorelError;
 use crate::lexer::lex;
 use crate::token::{Keyword, Spanned, Token};
+use crate::update::{NewObject, UpdateOp, UpdateStmt};
 use oem::Value;
 
 /// A parsed top-level statement.
@@ -47,6 +51,23 @@ pub fn parse_query(src: &str) -> Result<Query, LorelError> {
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
+}
+
+/// Parse one update statement (`update`/`insert`/`remove`/`link`).
+pub fn parse_update(src: &str) -> Result<UpdateStmt, LorelError> {
+    let mut p = Parser::new(src)?;
+    let u = p.update()?;
+    p.expect_eof()?;
+    Ok(u)
+}
+
+/// Parse one boolean expression — what may follow `where` — and nothing
+/// after it.
+pub fn parse_expr(src: &str) -> Result<Expr, LorelError> {
+    let mut p = Parser::new(src)?;
+    let e = p.expr()?;
+    p.expect_eof()?;
+    Ok(e)
 }
 
 /// Parse a whole program: one or more statements (defines and/or a query).
@@ -184,6 +205,17 @@ impl Parser {
         while self.eat_token(&Token::Comma) {
             select.push(self.select_item()?);
         }
+        let (from, where_clause) = self.clauses()?;
+        Ok(Query {
+            select,
+            from,
+            where_clause,
+        })
+    }
+
+    /// The optional `from` and `where` clauses, shared by queries and
+    /// update statements.
+    fn clauses(&mut self) -> Result<(Vec<FromItem>, Option<Expr>), LorelError> {
         let mut from = Vec::new();
         if self.eat_keyword(Keyword::From) {
             from.push(self.parse_from_item()?);
@@ -196,11 +228,7 @@ impl Parser {
         } else {
             None
         };
-        Ok(Query {
-            select,
-            from,
-            where_clause,
-        })
+        Ok((from, where_clause))
     }
 
     fn select_item(&mut self) -> Result<SelectItem, LorelError> {
@@ -300,41 +328,37 @@ impl Parser {
         })
     }
 
-    /// A value operand: literal, `t[i]`, or path expression.
-    fn operand(&mut self) -> Result<Expr, LorelError> {
-        match self.peek().clone() {
-            Token::Int(i) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Int(i)))
-            }
-            Token::Real(r) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Real(r)))
-            }
-            Token::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Value::str(s)))
-            }
-            Token::Time(t) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Time(t)))
-            }
-            Token::Keyword(Keyword::True) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(true)))
-            }
-            Token::Keyword(Keyword::False) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(false)))
-            }
+    /// A literal: a number (optionally negated), string, timestamp or
+    /// boolean. `None`, with nothing consumed, if the next token starts
+    /// none of them.
+    fn literal(&mut self) -> Result<Option<Value>, LorelError> {
+        let v = match self.peek().clone() {
+            Token::Int(i) => Value::Int(i),
+            Token::Real(r) => Value::Real(r),
+            Token::Str(s) => Value::str(s),
+            Token::Time(t) => Value::Time(t),
+            Token::Keyword(Keyword::True) => Value::Bool(true),
+            Token::Keyword(Keyword::False) => Value::Bool(false),
             Token::Minus => {
                 self.bump();
-                match self.bump() {
-                    Token::Int(i) => Ok(Expr::Literal(Value::Int(-i))),
-                    Token::Real(r) => Ok(Expr::Literal(Value::Real(-r))),
+                return match self.bump() {
+                    Token::Int(i) => Ok(Some(Value::Int(-i))),
+                    Token::Real(r) => Ok(Some(Value::Real(-r))),
                     other => Err(self.err(format!("expected a number after '-', found {other}"))),
-                }
+                };
             }
+            _ => return Ok(None),
+        };
+        self.bump();
+        Ok(Some(v))
+    }
+
+    /// A value operand: literal, `t[i]`, or path expression.
+    fn operand(&mut self) -> Result<Expr, LorelError> {
+        if let Some(v) = self.literal()? {
+            return Ok(Expr::Literal(v));
+        }
+        match self.peek().clone() {
             Token::Ident(name) if name == "t" && *self.peek_at(1) == Token::LBracket => {
                 self.bump(); // t
                 self.bump(); // [
@@ -351,6 +375,78 @@ impl Parser {
             Token::Ident(_) => Ok(Expr::Path(self.path_expr()?)),
             other => Err(self.err(format!("expected an operand, found {other}"))),
         }
+    }
+
+    // ---- update statements ----
+
+    fn update(&mut self) -> Result<UpdateStmt, LorelError> {
+        let verb = match self.peek() {
+            Token::Ident(w) if matches!(w.as_str(), "update" | "insert" | "remove" | "link") => {
+                w.clone()
+            }
+            other => {
+                let msg = format!("expected update/insert/remove/link, found {other}");
+                return Err(self.err(msg));
+            }
+        };
+        self.bump();
+        let target = self.plain_path()?;
+        if verb != "remove" && !(self.eat_token(&Token::Colon) && self.eat_token(&Token::Eq)) {
+            return Err(self.err("expected ':='"));
+        }
+        let op = match verb.as_str() {
+            "update" => UpdateOp::Assign(self.update_value()?),
+            "insert" => UpdateOp::Insert(self.new_object()?),
+            "link" => UpdateOp::Link(self.plain_path()?),
+            _ => UpdateOp::Remove,
+        };
+        let (from, where_clause) = self.clauses()?;
+        Ok(UpdateStmt {
+            op,
+            target,
+            from,
+            where_clause,
+        })
+    }
+
+    /// An update target or linked child: labels only, no annotations,
+    /// wildcards or closures.
+    fn plain_path(&mut self) -> Result<PathExpr, LorelError> {
+        let head = self.ident()?;
+        let mut steps = Vec::new();
+        while self.eat_token(&Token::Dot) {
+            steps.push(PathStep::plain(self.ident()?));
+        }
+        Ok(PathExpr { head, steps })
+    }
+
+    /// A literal, or `C` for an empty complex object.
+    fn update_value(&mut self) -> Result<Value, LorelError> {
+        if let Some(v) = self.literal()? {
+            return Ok(v);
+        }
+        match self.peek() {
+            Token::Ident(w) if w == "C" => {
+                self.bump();
+                Ok(Value::Complex)
+            }
+            other => Err(self.err(format!("expected a literal, found {other}"))),
+        }
+    }
+
+    /// An inserted structure: a value, or `( label object, … )` (commas
+    /// optional).
+    fn new_object(&mut self) -> Result<NewObject, LorelError> {
+        if !self.eat_token(&Token::LParen) {
+            return Ok(NewObject::Atom(self.update_value()?));
+        }
+        let mut children = Vec::new();
+        while !self.eat_token(&Token::RParen) {
+            let label = self.ident()?;
+            children.push((label, self.new_object()?));
+            self.eat_token(&Token::Comma);
+        }
+        Ok(NewObject::Complex(children))
     }
 
     // ---- path expressions ----
@@ -781,6 +877,55 @@ mod tests {
             assert_eq!(q, q2, "round trip failed for {src:?} -> {printed:?}");
         }
     }
+
+    /// The `where` literal of a parsed `update` statement.
+    fn where_literal(src: &str) -> Value {
+        let u = parse_update(src).unwrap();
+        match u.where_clause {
+            Some(Expr::Cmp { rhs, .. }) => match *rhs {
+                Expr::Literal(v) => v,
+                other => panic!("unexpected rhs {other:?}"),
+            },
+            other => panic!("unexpected where {other:?}"),
+        }
+    }
+
+    // An update statement's clauses are read by the query grammar itself,
+    // not re-rendered to text: literals whose display form does not lex
+    // back (escapes, raw control characters, reals that print as
+    // integers) come through intact.
+
+    #[test]
+    fn update_where_keeps_a_combining_mark() {
+        let v = where_literal(
+            "update guide.restaurant.price := 20 where guide.restaurant.name = \"Cafe\u{301}\"",
+        );
+        assert_eq!(v, Value::str("Cafe\u{301}"));
+    }
+
+    #[test]
+    fn update_where_keeps_a_raw_carriage_return() {
+        let v = where_literal("update guide.x := 1 where guide.y = \"a\rb\"");
+        assert_eq!(v, Value::str("a\rb"));
+    }
+
+    #[test]
+    fn update_where_keeps_a_large_real() {
+        let v = where_literal("update guide.x := 1 where guide.y = 100000000000000000000.0");
+        assert_eq!(v, Value::Real(1e20));
+    }
+
+    #[test]
+    fn update_errors_report_the_statement_column() {
+        let src = "update guide.restaurant.price := 20 where guide.restaurant.name = ";
+        match parse_update(src) {
+            // End of input: one past the statement's last character.
+            Err(LorelError::Syntax { line: 1, col, .. }) => {
+                assert_eq!(col, src.chars().count() + 1)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -796,12 +941,29 @@ mod fuzz_tests {
         fn parser_never_panics_on_arbitrary_input(src in "\\PC{0,80}") {
             let _ = parse_query(&src);
             let _ = parse_program(&src);
-            let _ = crate::update::parse_update(&src);
+            let _ = parse_expr(&src);
+        }
+
+        /// The update rule must reject garbage with an error, never panic.
+        #[test]
+        fn parse_update_never_panics(src in "\\PC{0,80}") {
+            let _ = parse_update(&src);
+        }
+
+        /// Inputs that start like real update statements exercise the
+        /// deeper clause parsing.
+        #[test]
+        fn parse_update_never_panics_on_updatish_input(
+            src in "update [a-z ]{0,20}(at|;|\\{|\\}|creNode|,){0,10}\\PC{0,30}"
+        ) {
+            let _ = parse_update(&src);
         }
 
         /// Query-shaped fragments assembled from grammar atoms also never
         /// panic, and successfully parsed queries re-parse from their
-        /// display form.
+        /// display form. Whenever the fragments parse as the `from`/`where`
+        /// tail of a query, they parse as the tail of an update statement
+        /// too, with equal clauses.
         #[test]
         fn display_of_parsed_queries_reparses(
             parts in proptest::collection::vec(
@@ -820,6 +982,15 @@ mod fuzz_tests {
                 let again = parse_query(&printed);
                 prop_assert!(again.is_ok(), "display {printed:?} failed to reparse");
                 prop_assert_eq!(q, again.unwrap());
+            }
+            if let Ok(q) = parse_query(&format!("select X {src}")) {
+                if q.select == parse_query("select X").unwrap().select {
+                    let u = parse_update(&format!("update guide.p := 1 {src}"));
+                    prop_assert!(u.is_ok(), "update tail {src:?} failed: {u:?}");
+                    let u = u.unwrap();
+                    prop_assert_eq!(u.from, q.from);
+                    prop_assert_eq!(u.where_clause, q.where_clause);
+                }
             }
         }
     }

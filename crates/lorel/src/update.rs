@@ -19,16 +19,19 @@
 //!        where R.name = "Hakata"
 //! ```
 //!
-//! Statement semantics follow Lorel's binding model: the `from`/`where`
-//! machinery is the ordinary query planner, and the statement applies its
-//! operation once per distinct binding of the target path.
+//! Statements are one more rule of the query grammar: [`crate::parse_update`]
+//! reads them with the query parser, so a statement's `from`/`where`
+//! clauses are exactly a query's. This module holds the statement AST and
+//! its compilation. Statement semantics follow Lorel's binding model: the
+//! `from`/`where` machinery is the ordinary query planner, and the
+//! statement applies its operation once per distinct binding of the
+//! target path.
 
 use crate::ast::{Expr, FromItem, LabelPattern, PathExpr, Query, SelectItem};
 use crate::engine::{execute, Binding};
 use crate::error::{LorelError, Result};
-use crate::lexer::lex;
+use crate::parser::parse_update;
 use crate::plan::plan;
-use crate::token::{Keyword, Spanned, Token};
 use oem::{ChangeOp, ChangeSet, NodeId, OemDatabase, Value};
 
 /// A literal object in an `insert` statement.
@@ -40,264 +43,36 @@ pub enum NewObject {
     Complex(Vec<(String, NewObject)>),
 }
 
-/// A parsed update statement.
+/// A parsed update statement: one operation, applied at every binding of
+/// `target` that the `from`/`where` clauses admit.
 #[derive(Clone, Debug, PartialEq)]
-pub enum UpdateStmt {
-    /// `update PATH := value [from …] [where …]` — `updNode` on every
-    /// binding of the path.
-    Assign {
-        /// The updated objects.
-        target: PathExpr,
-        /// The new value.
-        value: Value,
-        /// Extra range declarations.
-        from: Vec<FromItem>,
-        /// Filter.
-        where_clause: Option<Expr>,
-    },
-    /// `insert PATH := object [from …] [where …]` — create the object
-    /// structure and hang it off every binding of the path's *prefix* via
-    /// the path's final label.
-    Insert {
-        /// The parent path, final step = the new arc's label.
-        target: PathExpr,
-        /// The created structure.
-        object: NewObject,
-        /// Extra range declarations.
-        from: Vec<FromItem>,
-        /// Filter.
-        where_clause: Option<Expr>,
-    },
-    /// `remove PATH [from …] [where …]` — `remArc` on the final arc of
-    /// every binding of the path.
-    Remove {
-        /// The removed arcs: parent = path prefix, label = final step.
-        target: PathExpr,
-        /// Extra range declarations.
-        from: Vec<FromItem>,
-        /// Filter.
-        where_clause: Option<Expr>,
-    },
-    /// `link PATH := CHILD [from …] [where …]` — `addArc` from every
-    /// binding of the path's prefix, via the final label, to every binding
-    /// of `CHILD`.
-    Link {
-        /// The parent path, final step = the new arc's label.
-        target: PathExpr,
-        /// The linked child.
-        child: PathExpr,
-        /// Extra range declarations.
-        from: Vec<FromItem>,
-        /// Filter.
-        where_clause: Option<Expr>,
-    },
+pub struct UpdateStmt {
+    /// What to do at each binding.
+    pub op: UpdateOp,
+    /// The bound path. Except for `update`, its prefix binds the parent
+    /// object and its final label names the arc.
+    pub target: PathExpr,
+    /// Extra range declarations.
+    pub from: Vec<FromItem>,
+    /// Filter.
+    pub where_clause: Option<Expr>,
 }
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-struct P {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// The operation of an update statement.
+#[derive(Clone, Debug, PartialEq)]
+pub enum UpdateOp {
+    /// `update PATH := value` — `updNode` on every binding of the path.
+    Assign(Value),
+    /// `insert PATH := object` — create the object structure and hang it
+    /// off every binding of the path's *prefix* via the path's final label.
+    Insert(NewObject),
+    /// `remove PATH` — `remArc` on the final arc of every binding of the
+    /// path.
+    Remove,
+    /// `link PATH := CHILD` — `addArc` from every binding of the path's
+    /// prefix, via the final label, to every binding of `CHILD`.
+    Link(PathExpr),
 }
-
-impl P {
-    fn err(&self, msg: impl Into<String>) -> LorelError {
-        let s = &self.tokens[self.pos.min(self.tokens.len() - 1)];
-        LorelError::Syntax {
-            line: s.line,
-            col: s.col,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].token
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, t: &Token) -> bool {
-        if self.peek() == t {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.bump() {
-            Token::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other}"))),
-        }
-    }
-}
-
-/// Parse one update statement.
-pub fn parse_update(src: &str) -> Result<UpdateStmt> {
-    // Reuse the query parser for the trailing from/where by splitting the
-    // statement at the keywords: everything before `from`/`where` is
-    // statement-specific; the rest parses as query clauses.
-    let tokens = lex(src)?;
-    let mut p = P { tokens, pos: 0 };
-
-    let verb = p.ident()?;
-    // The target path parses with the ordinary query parser over the
-    // remaining text up to `:=` (spelled as `:` `=` in our token set).
-    let target = parse_path(&mut p)?;
-    let stmt = match verb.as_str() {
-        "update" => {
-            expect_assign(&mut p)?;
-            let value = parse_literal(&mut p)?;
-            let (from, where_clause) = parse_tail(&mut p)?;
-            UpdateStmt::Assign {
-                target,
-                value,
-                from,
-                where_clause,
-            }
-        }
-        "insert" => {
-            expect_assign(&mut p)?;
-            let object = parse_new_object(&mut p)?;
-            let (from, where_clause) = parse_tail(&mut p)?;
-            UpdateStmt::Insert {
-                target,
-                object,
-                from,
-                where_clause,
-            }
-        }
-        "remove" => {
-            let (from, where_clause) = parse_tail(&mut p)?;
-            UpdateStmt::Remove {
-                target,
-                from,
-                where_clause,
-            }
-        }
-        "link" => {
-            expect_assign(&mut p)?;
-            let child = parse_path(&mut p)?;
-            let (from, where_clause) = parse_tail(&mut p)?;
-            UpdateStmt::Link {
-                target,
-                child,
-                from,
-                where_clause,
-            }
-        }
-        other => {
-            return Err(p.err(format!(
-                "expected update/insert/remove/link, found {other:?}"
-            )))
-        }
-    };
-    if !matches!(p.peek(), Token::Eof) {
-        return Err(p.err(format!("trailing input: {}", p.peek())));
-    }
-    Ok(stmt)
-}
-
-fn expect_assign(p: &mut P) -> Result<()> {
-    if p.eat(&Token::Colon) && p.eat(&Token::Eq) {
-        Ok(())
-    } else {
-        Err(p.err("expected ':='"))
-    }
-}
-
-/// Parse a plain path (labels only; update targets may not be annotated).
-fn parse_path(p: &mut P) -> Result<PathExpr> {
-    let head = p.ident()?;
-    let mut steps = Vec::new();
-    while p.eat(&Token::Dot) {
-        let label = p.ident()?;
-        steps.push(crate::ast::PathStep::plain(label));
-    }
-    Ok(PathExpr { head, steps })
-}
-
-fn parse_literal(p: &mut P) -> Result<Value> {
-    Ok(match p.bump() {
-        Token::Int(i) => Value::Int(i),
-        Token::Real(r) => Value::Real(r),
-        Token::Str(s) => Value::str(s),
-        Token::Time(t) => Value::Time(t),
-        Token::Keyword(Keyword::True) => Value::Bool(true),
-        Token::Keyword(Keyword::False) => Value::Bool(false),
-        Token::Minus => match p.bump() {
-            Token::Int(i) => Value::Int(-i),
-            Token::Real(r) => Value::Real(-r),
-            other => return Err(p.err(format!("expected a number, found {other}"))),
-        },
-        Token::Ident(w) if w == "C" => Value::Complex,
-        other => return Err(p.err(format!("expected a literal, found {other}"))),
-    })
-}
-
-fn parse_new_object(p: &mut P) -> Result<NewObject> {
-    // Complex literals use parentheses: `( label value, … )`.
-    if p.eat(&Token::LParen) {
-        let mut children = Vec::new();
-        loop {
-            if p.eat(&Token::RParen) {
-                break;
-            }
-            let label = p.ident()?;
-            let child = parse_new_object(p)?;
-            children.push((label, child));
-            p.eat(&Token::Comma);
-        }
-        Ok(NewObject::Complex(children))
-    } else {
-        Ok(NewObject::Atom(parse_literal(p)?))
-    }
-}
-
-fn parse_tail(p: &mut P) -> Result<(Vec<FromItem>, Option<Expr>)> {
-    // Delegate the remaining tokens to the query parser by re-parsing the
-    // equivalent query text. Reconstructing text is simpler and keeps one
-    // grammar implementation authoritative.
-    let mut from = Vec::new();
-    let mut where_clause = None;
-    if matches!(p.peek(), Token::Keyword(Keyword::From) | Token::Keyword(Keyword::Where)) {
-        let rest: String = render_tokens(&p.tokens[p.pos..]);
-        let query_text = format!("select _probe {rest}");
-        // `_probe` is a bare head; planning will reject it, but parsing
-        // does not resolve names, so the clause structure comes through.
-        let q = crate::parser::parse_query(&query_text)?;
-        from = q.from;
-        where_clause = q.where_clause;
-        p.pos = p.tokens.len() - 1; // consumed everything
-    }
-    Ok((from, where_clause))
-}
-
-fn render_tokens(tokens: &[Spanned]) -> String {
-    let mut out = String::new();
-    for s in tokens {
-        if matches!(s.token, Token::Eof) {
-            break;
-        }
-        // A space between every token is re-lexable for our grammar
-        // (Display quotes strings and renders timestamps bare).
-        out.push_str(&format!("{} ", s.token));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Compilation
-// ---------------------------------------------------------------------
 
 /// The result of compiling an update statement: the change set plus the
 /// ids of any created objects (in creation order).
@@ -330,9 +105,8 @@ fn split_last(path: &PathExpr) -> Result<(PathExpr, String)> {
 /// the requested select paths.
 fn bindings(
     db: &OemDatabase,
+    stmt: &UpdateStmt,
     select_paths: Vec<PathExpr>,
-    from: &[FromItem],
-    where_clause: &Option<Expr>,
 ) -> Result<Vec<Vec<Option<NodeId>>>> {
     let query = Query {
         select: select_paths
@@ -342,8 +116,8 @@ fn bindings(
                 label: None,
             })
             .collect(),
-        from: from.to_vec(),
-        where_clause: where_clause.clone(),
+        from: stmt.from.clone(),
+        where_clause: stmt.where_clause.clone(),
     };
     let planned = plan(&query, db.name())?;
     let rows = execute(db, &planned)?;
@@ -366,60 +140,40 @@ fn bindings(
 /// operations. The database is not modified; apply the returned set with
 /// [`oem::ChangeSet::apply_to`] or fold it into a DOEM history.
 pub fn compile_update(db: &OemDatabase, stmt: &UpdateStmt) -> Result<CompiledUpdate> {
-    let mut scratch = db.clone();
     let mut created = Vec::new();
     let mut ops: Vec<ChangeOp> = Vec::new();
-
-    match stmt {
-        UpdateStmt::Assign {
-            target,
-            value,
-            from,
-            where_clause,
-        } => {
-            for row in bindings(db, vec![target.clone()], from, where_clause)? {
-                if let Some(n) = row[0] {
-                    ops.push(ChangeOp::UpdNode(n, value.clone()));
-                }
+    let target = &stmt.target;
+    if let UpdateOp::Assign(value) = &stmt.op {
+        for row in bindings(db, stmt, vec![target.clone()])? {
+            if let Some(n) = row[0] {
+                ops.push(ChangeOp::UpdNode(n, value.clone()));
             }
         }
-        UpdateStmt::Remove {
-            target,
-            from,
-            where_clause,
-        } => {
-            let (prefix, label) = split_last(target)?;
-            for row in bindings(db, vec![prefix, target.clone()], from, where_clause)? {
-                if let (Some(p), Some(c)) = (row[0], row[1]) {
-                    ops.push(ChangeOp::rem_arc(p, label.as_str(), c));
+    } else {
+        let (prefix, label) = split_last(target)?;
+        let label = label.as_str();
+        match &stmt.op {
+            UpdateOp::Insert(object) => {
+                let mut scratch = db.clone();
+                for row in bindings(db, stmt, vec![prefix])? {
+                    let Some(parent) = row[0] else { continue };
+                    let root = materialize(&mut scratch, object, &mut ops, &mut created);
+                    ops.push(ChangeOp::add_arc(parent, label, root));
                 }
             }
-        }
-        UpdateStmt::Link {
-            target,
-            child,
-            from,
-            where_clause,
-        } => {
-            let (prefix, label) = split_last(target)?;
-            for row in bindings(db, vec![prefix, child.clone()], from, where_clause)? {
-                if let (Some(p), Some(c)) = (row[0], row[1]) {
-                    ops.push(ChangeOp::add_arc(p, label.as_str(), c));
+            UpdateOp::Link(child) => {
+                for row in bindings(db, stmt, vec![prefix, child.clone()])? {
+                    if let (Some(p), Some(c)) = (row[0], row[1]) {
+                        ops.push(ChangeOp::add_arc(p, label, c));
+                    }
                 }
             }
-        }
-        UpdateStmt::Insert {
-            target,
-            object,
-            from,
-            where_clause,
-        } => {
-            let (prefix, label) = split_last(target)?;
-            let parents = bindings(db, vec![prefix], from, where_clause)?;
-            for row in parents {
-                let Some(parent) = row[0] else { continue };
-                let root = materialize(&mut scratch, object, &mut ops, &mut created);
-                ops.push(ChangeOp::add_arc(parent, label.as_str(), root));
+            _ => {
+                for row in bindings(db, stmt, vec![prefix, target.clone()])? {
+                    if let (Some(p), Some(c)) = (row[0], row[1]) {
+                        ops.push(ChangeOp::rem_arc(p, label, c));
+                    }
+                }
             }
         }
     }
@@ -625,30 +379,5 @@ mod tests {
             .filter(|op| matches!(op, ChangeOp::CreNode(..)))
             .count();
         (creates,)
-    }
-}
-
-#[cfg(test)]
-mod fuzz_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-        /// The update parser must reject garbage with an error, never panic.
-        #[test]
-        fn parse_update_never_panics(src in "\\PC{0,80}") {
-            let _ = parse_update(&src);
-        }
-
-        /// Inputs that start like real update statements exercise the
-        /// deeper clause parsing.
-        #[test]
-        fn parse_update_never_panics_on_updatish_input(
-            src in "update [a-z ]{0,20}(at|;|\\{|\\}|creNode|,){0,10}\\PC{0,30}"
-        ) {
-            let _ = parse_update(&src);
-        }
     }
 }

@@ -18,9 +18,13 @@
 //! and for updates `OV`/`NV` (old and new values) are available to the
 //! condition, exactly like Chorel's annotation variables — because they
 //! *are* Chorel's annotation variables.
+//!
+//! The condition is parsed as one whole Lorel expression
+//! ([`lorel::parse_expr`]) and conjoined with the window in the AST, so
+//! no condition text can reach outside its polling window.
 
-use lorel::ast::Query;
-use lorel::{parse_query, QueryResult, Result};
+use lorel::ast::{Expr, Query};
+use lorel::{parse_expr, parse_query, QueryResult, Result};
 use oem::Timestamp;
 use std::fmt;
 
@@ -140,11 +144,13 @@ impl Trigger {
             "removed" => TriggerEvent::Removed(label.to_string()),
             other => return Err(err(&format!("unknown event kind {other:?}"))),
         };
-        // Optional `when …` up to a trailing `do …`.
+        // Optional `when …`, up to a trailing `do notify` / `do record`.
         let (condition, action_text) = match rest.strip_prefix("when ") {
-            Some(tail) => match tail.rfind(" do ") {
-                Some(i) => (Some(tail[..i].trim().to_string()), tail[i + 4..].trim()),
-                None => (Some(tail.trim().to_string()), ""),
+            Some(tail) => match tail.rsplit_once(" do ") {
+                Some((cond, action)) if matches!(action.trim(), "notify" | "record") => {
+                    (Some(cond.trim().to_string()), action.trim())
+                }
+                _ => (Some(tail.trim().to_string()), ""),
             },
             None => (None, rest.strip_prefix("do ").map(str::trim).unwrap_or(rest)),
         };
@@ -167,7 +173,8 @@ impl Trigger {
 
     /// Compile to the Chorel query evaluated against the DOEM database
     /// named `db_name` after each poll. `t[-1]` scopes the event to the
-    /// newest polling interval.
+    /// newest polling interval; the condition, one whole expression, is
+    /// conjoined with that window.
     pub fn compile(&self, db_name: &str) -> Result<Query> {
         let (select, range) = match &self.event {
             TriggerEvent::Created(l) => ("X, T", format!("{db_name}.#.{l}<cre at T> X")),
@@ -178,11 +185,14 @@ impl Trigger {
             TriggerEvent::Added(l) => ("X, T", format!("{db_name}.#.<add at T>{l} X")),
             TriggerEvent::Removed(l) => ("X, T", format!("{db_name}.#.<rem at T>{l} X")),
         };
-        let mut text = format!("select {select} from {range} where T > t[-1]");
+        let mut query = parse_query(&format!("select {select} from {range} where T > t[-1]"))?;
         if let Some(cond) = &self.condition {
-            text.push_str(&format!(" and ({cond})"));
+            let cond = parse_expr(cond)?;
+            query.where_clause = query
+                .where_clause
+                .map(|window| Expr::And(Box::new(window), Box::new(cond)));
         }
-        parse_query(&text)
+        Ok(query)
     }
 }
 
@@ -308,6 +318,43 @@ mod tests {
         ] {
             assert!(Trigger::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// A condition that closes the window's parenthesis early used to
+    /// splice into `T > t[-1] and (NV > OV) or (NV > OV)` and fire outside
+    /// its window.
+    #[test]
+    fn a_condition_cannot_escape_its_window() {
+        let src = "create trigger t on updated price when NV > OV) or (NV > OV";
+        assert!(Trigger::parse(src).is_err(), "accepted {src:?}");
+        let escaping = Trigger::new("t", TriggerEvent::Updated("price".into()))
+            .when("NV > OV) or (NV > OV");
+        assert!(escaping.compile("guide").is_err());
+        // The well-formed disjunction stays inside the window
+        // (20Jan97, 21Jan97], which holds no event.
+        let t = Trigger::new("t", TriggerEvent::Updated("price".into()))
+            .when("(NV > OV) or (NV > OV)");
+        let q = t.compile("guide").unwrap();
+        let q = resolve_poll_times(&q, &[ts("20Jan97"), ts("21Jan97")]).unwrap();
+        let r = run_chorel_parsed(&doem_figure4(), &q, Strategy::Direct).unwrap();
+        assert_eq!(r.len(), 0);
+        assert_eq!(eval(&t, "31Dec96").len(), 1);
+    }
+
+    /// Only a trailing `do notify` / `do record` is the action: a ` do `
+    /// inside the condition's string literal stays in the condition.
+    #[test]
+    fn do_inside_a_condition_is_not_an_action() {
+        let src = "create trigger t on added restaurant when X.name = \"eat do drink\"";
+        let t = Trigger::parse(src).unwrap();
+        assert_eq!(t.condition.as_deref(), Some("X.name = \"eat do drink\""));
+        assert_eq!(t.action, TriggerAction::Notify);
+        let t = Trigger::parse(
+            "create trigger t on added restaurant when X.name = \"eat do drink\" do record",
+        )
+        .unwrap();
+        assert_eq!(t.condition.as_deref(), Some("X.name = \"eat do drink\""));
+        assert_eq!(t.action, TriggerAction::Record);
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod parse;
 pub use parse::{lsn_from_wire, lsn_to_wire, parse_request, parse_tagged_request};
 
 use lorel::ast::Query;
+use lorel::UpdateStmt;
 use oem::{ChangeSet, Timestamp};
 use std::io::BufRead;
 
@@ -114,7 +115,8 @@ impl ErrKind {
 }
 
 /// A fully parsed request: embedded query text is already a [`Query`],
-/// timestamps are [`Timestamp`]s, change sets are [`ChangeSet`]s.
+/// update statements are [`UpdateStmt`]s, timestamps are [`Timestamp`]s,
+/// change sets are [`ChangeSet`]s.
 #[derive(Clone, Debug)]
 pub enum Request {
     /// `PING`
@@ -176,9 +178,10 @@ pub enum Request {
         /// When the update happens; `None` for the server-allocated
         /// `AT now` form.
         at: Option<Timestamp>,
-        /// The raw statement text — compiled under the write lock against
-        /// the then-current snapshot (syntax is pre-checked at parse time).
-        stmt: String,
+        /// The statement, parsed at the request edge. The sequence stage
+        /// compiles it against the sequencing head, under the shard's
+        /// pipeline lock.
+        stmt: Box<UpdateStmt>,
     },
     /// `LSN <db>` — the shard's applied and durable LSNs, the wire-level
     /// replication-lag probe.

@@ -185,13 +185,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             let (db, rest) = split_word(rest);
             let db = name_ok(db, "database")?;
             let (at, payload) = parse_at_clause(rest)?;
-            // Syntax check now (spans surface at the session edge);
-            // compilation against the live snapshot happens in the worker.
-            lorel::parse_update(payload).map_err(|e| ProtoError::syntax(e.to_string()))?;
+            // Parsed once, here (errors carry the statement's own
+            // columns); the sequence stage only compiles it.
+            let stmt =
+                lorel::parse_update(payload).map_err(|e| ProtoError::syntax(e.to_string()))?;
             Ok(Request::Mutate {
                 db,
                 at,
-                stmt: payload.to_string(),
+                stmt: Box::new(stmt),
             })
         }
         "LSN" => Ok(Request::Lsn {

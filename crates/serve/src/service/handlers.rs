@@ -50,7 +50,7 @@ pub(crate) fn edge_reply(
         Request::ListDbs => Response::Rows(shared.database_names(unlocked)),
         Request::Stats => stats(shared, unlocked),
         Request::Lsn { db } => with_shard(shared, db, unlocked, |shard, unlocked| {
-            let (applied, durable, lineage) = shard.lsn_fields(shared, unlocked);
+            let (applied, durable, lineage, _) = shard.lsn_fields(shared, unlocked);
             let epoch = lineage.epoch;
             Response::Ok(format!("applied {applied} durable {durable} epoch {epoch}"))
         }),
@@ -140,9 +140,9 @@ fn stats(shared: &Shared, unlocked: &mut Token<Unlocked>) -> Response {
     let mut read_only = 0usize;
     let mut retained = 0usize;
     for (name, shard) in &shared.shards_by_name(unlocked) {
-        read_only += usize::from(shard.is_read_only());
         retained += shard.state.read(unlocked).tail.len();
-        let (applied, durable, lineage) = shard.lsn_fields(shared, unlocked);
+        let (applied, durable, lineage, degraded) = shard.lsn_fields(shared, unlocked);
+        read_only += usize::from(degraded);
         let epoch = lineage.epoch;
         let mut line = format!("lsn {name} applied={applied} durable={durable} epoch={epoch}");
         if let Some(p) = lineage.primary_lsn {

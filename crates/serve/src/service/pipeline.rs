@@ -28,11 +28,10 @@ use crate::protocol::{ErrKind, Response};
 use crate::replication::stream::ReplBatch;
 use crate::wal::{self, DbWal};
 use doem::{apply_set, SharedDoem};
-use lorel::run_update;
+use lorel::{compile_update, UpdateStmt};
 use oem::{ChangeSet, OemDatabase, Timestamp};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -132,6 +131,9 @@ struct PipelineState {
     /// Set once by shutdown/replace; writes are refused from then on and
     /// the committer drains and exits.
     stop: Option<StopKind>,
+    /// Set by [`degrade`] on persistent log I/O failure: writes answer
+    /// `READONLY` from then on while queries keep serving.
+    read_only: bool,
     /// The shard's failover state.
     lineage: Lineage,
     /// The group committer, the sole owner of the shard's log, from
@@ -163,6 +165,7 @@ impl CommitPipeline {
                 head_at,
                 queue: VecDeque::new(),
                 stop: None,
+                read_only: false,
                 lineage,
                 committer: None,
             }),
@@ -172,7 +175,14 @@ impl CommitPipeline {
 
     /// The shard's lineage.
     pub(crate) fn lineage(&self, unlocked: &mut Token<Unlocked>) -> Lineage {
-        self.inner.lock(unlocked).lineage
+        self.status(unlocked).0
+    }
+
+    /// The shard's lineage, and whether a log I/O failure degraded it to
+    /// read-only, in one hold.
+    pub(crate) fn status(&self, unlocked: &mut Token<Unlocked>) -> (Lineage, bool) {
+        let ps = self.inner.lock(unlocked);
+        (ps.lineage, ps.read_only)
     }
 
     /// `FENCE <epoch>` from a newer lineage. An epoch not strictly newer
@@ -286,10 +296,10 @@ pub(crate) enum WriteKind {
     Update(ChangeSet),
     /// A record the follower replays from its primary.
     Replicated(ChangeSet),
-    /// `MUTATE`: a Lorel update statement, compiled against the
-    /// sequencing head's replica — the freshest one, ahead of the
-    /// published state by the staged writes.
-    Mutate(String),
+    /// `MUTATE`: a Lorel update statement, parsed at the request edge and
+    /// compiled here against the sequencing head's replica — the freshest
+    /// one, ahead of the published state by the staged writes.
+    Mutate(Box<UpdateStmt>),
 }
 
 /// The **sequence** stage. Under the pipeline lock only: refuse what the
@@ -335,7 +345,7 @@ pub(crate) fn sequence(
     if refused.is_some() {
         return refused;
     }
-    if shard.is_read_only() {
+    if ps.read_only {
         return Some(read_only(db));
     }
     if ps.stop.is_some() {
@@ -362,7 +372,7 @@ pub(crate) fn sequence(
     let t = Instant::now();
     let (changes, created) = match kind {
         WriteKind::Update(changes) | WriteKind::Replicated(changes) => (changes, None),
-        WriteKind::Mutate(stmt) => match run_update(&ps.head_replica, &stmt) {
+        WriteKind::Mutate(stmt) => match compile_update(&ps.head_replica, &stmt) {
             Ok(c) => {
                 let created = c.created.len();
                 (c.changes, Some(created))
@@ -512,20 +522,22 @@ fn committer_loop(
     let max = shared.cfg.group_commit_max.max(1);
     let mut checkpoint: Option<CheckpointThread> = None;
     loop {
-        let (batch, stopping) = {
+        // `read_only` is flipped only by `degrade`, on this thread, so
+        // the value read here holds until the next round.
+        let (batch, stopping, read_only) = {
             let mut ps = pipeline.inner.lock(unlocked);
             while ps.queue.is_empty() && ps.stop.is_none() {
                 ps = pipeline.work.wait(ps);
             }
             let n = ps.queue.len().min(max);
             let batch: Vec<StagedCommit> = ps.queue.drain(..n).collect();
-            (batch, ps.stop)
+            (batch, ps.stop, ps.read_only)
         };
         if batch.is_empty() {
             // Stop requested and the queue is drained.
             join_checkpoint(&mut checkpoint, unlocked);
             let dirty = !wal.is_empty() || wal::sealed_path(wal.path()).exists();
-            if stopping == Some(StopKind::Shutdown) && dirty && !shard.is_read_only() {
+            if stopping == Some(StopKind::Shutdown) && dirty && !read_only {
                 checkpoint = start_checkpoint(shared, db, shard, &mut wal, unlocked);
                 join_checkpoint(&mut checkpoint, unlocked);
             }
@@ -617,7 +629,7 @@ fn degrade(
         // Flipped under the pipeline lock, where `sequence` reads it:
         // no write is staged behind the drain.
         let mut ps = shard.pipeline.inner.lock(unlocked);
-        if !shard.read_only.swap(true, Ordering::SeqCst) {
+        if !std::mem::replace(&mut ps.read_only, true) {
             Metrics::bump(&shared.metrics.read_only_flips);
         }
         ps.queue.drain(..).collect()

@@ -10,7 +10,7 @@ use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
 use doem::{DoemDatabase, SharedDoem};
 use oem::{ChangeSet, OemDatabase, Timestamp};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// What one database shard publishes: the DOEM database behind a
@@ -45,9 +45,6 @@ pub(crate) struct Shard {
     pub(crate) cache: ResultCache,
     /// Every write and replicated record sequences through it.
     pub(crate) pipeline: CommitPipeline,
-    /// Set (under the pipeline lock) on persistent log I/O failure;
-    /// writes answer `READONLY` from then on while queries keep serving.
-    pub(crate) read_only: AtomicBool,
 }
 
 impl Shard {
@@ -72,31 +69,28 @@ impl Shard {
                 tail: ReplTail::new(last_at),
             }),
             cache: ResultCache::new(cache_capacity),
-            read_only: AtomicBool::new(false),
         }
     }
 
-    /// `true` once a log I/O failure degraded the shard to read-only.
-    pub(crate) fn is_read_only(&self) -> bool {
-        self.read_only.load(Ordering::SeqCst)
-    }
-
-    /// The applied LSN, the durable LSN and the lineage, the first two in
-    /// wire form — what `LSN` and each `STATS` `lsn` row report. A WAL
-    /// shard publishes nothing before its fsync, so what it has applied is
-    /// durable; a service without a WAL has no log, so nothing is: `-`.
+    /// The applied LSN, the durable LSN, the lineage and whether the shard
+    /// is read-only, the first two in wire form — what `LSN` and each
+    /// `STATS` `lsn` row report, and `STATS`' `read_only_shards` count. A
+    /// WAL shard publishes nothing before its fsync, so what it has
+    /// applied is durable; a service without a WAL has no log, so nothing
+    /// is: `-`.
     pub(crate) fn lsn_fields(
         &self,
         shared: &Shared,
         unlocked: &mut Token<Unlocked>,
-    ) -> (String, String, Lineage) {
+    ) -> (String, String, Lineage, bool) {
         let applied = lsn_to_wire(self.state.read(unlocked).last_at);
         let durable = if shared.durable.is_some() {
             applied.clone()
         } else {
             "-".to_string()
         };
-        (applied, durable, self.pipeline.lineage(unlocked))
+        let (lineage, read_only) = self.pipeline.status(unlocked);
+        (applied, durable, lineage, read_only)
     }
 }
 

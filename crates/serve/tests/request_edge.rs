@@ -7,7 +7,7 @@ use oem::guide::{guide_figure2, history_example_2_3};
 use oem::{ArcTriple, History, OemDatabase, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serve::{Response, ServeConfig, Service, WireClient};
+use serve::{ErrKind, Response, ServeConfig, Service, WireClient};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
@@ -277,6 +277,64 @@ fn edge_replies_refuse_during_shutdown() {
             "{line}"
         );
     }
+}
+
+/// Adds a restaurant named with a combining mark ("Cafe" + U+0301, a
+/// decomposed "é") at 1Mar97, then changes its price at 2Mar97 with the
+/// given write, then reads the price back.
+fn cafe_session(price_write: &str, mut send: impl FnMut(&str) -> Response) -> Vec<String> {
+    let lines = [
+        "UPDATE guide AT 1Mar97 ; {creNode(n100, C), creNode(n101, \"Cafe\u{301}\"), \
+         creNode(n102, 10), addArc(n4, restaurant, n100), addArc(n100, name, n101), \
+         addArc(n100, price, n102)}",
+        price_write,
+        "QUERY guide select guide.restaurant.price where guide.restaurant.price = 12",
+    ];
+    lines.iter().map(|line| send(line).render()).collect()
+}
+
+/// A `MUTATE` reaches the commit pipeline as the statement the request
+/// edge parsed, so a where clause naming a decomposed "é" applies, in
+/// process and over TCP, exactly like the `UPDATE` it compiles to (the
+/// `MUTATE` ack adds only its created count); and a syntax error in the
+/// statement reports the statement's own column.
+#[test]
+fn mutate_applies_the_statement_parsed_at_the_edge() {
+    let mutate = "MUTATE guide AT 2Mar97 ; update guide.restaurant.price := 12 \
+                  where guide.restaurant.name = \"Cafe\u{301}\"";
+    let update = "UPDATE guide AT 2Mar97 ; {updNode(n102, 12)}";
+    let at: oem::Timestamp = "2Mar97".parse().unwrap();
+
+    let svc = guide_service(ServeConfig::default());
+    let expected = cafe_session(update, |line| svc.client().request_line(line));
+    assert_eq!(expected[1], format!("OK applied 1 ops at {at}; generation 3\n"));
+    assert_eq!(expected[2], "ROWS 1\nROW price=&n102\nEND\n");
+    svc.shutdown();
+
+    let mutated = expected[1].replace("1 ops at", "1 ops (0 created) at");
+    let svc = guide_service(ServeConfig::default());
+    let client = svc.client();
+    let in_process = cafe_session(mutate, |line| client.request_line(line));
+    assert_eq!(in_process, [expected[0].clone(), mutated.clone(), expected[2].clone()]);
+    svc.shutdown();
+
+    let svc = guide_service(ServeConfig::default());
+    let handle = svc.listen("127.0.0.1:0").unwrap();
+    let mut wire = WireClient::connect(handle.addr()).unwrap();
+    let over_tcp = cafe_session(mutate, |line| wire.roundtrip(line).unwrap());
+    assert_eq!(over_tcp, in_process);
+
+    let stmt = "update guide.restaurant.price := 20 where guide.restaurant.name =";
+    let resp = wire.roundtrip(&format!("MUTATE guide AT 3Mar97 ; {stmt}")).unwrap();
+    let Response::Error { kind, message } = &resp else {
+        panic!("accepted: {resp:?}")
+    };
+    assert_eq!(*kind, ErrKind::Syntax, "{resp:?}");
+    // End of input, one past the statement's last character.
+    let col = stmt.chars().count() + 1;
+    assert!(message.contains(&format!("syntax error at 1:{col}:")), "{message}");
+    drop(handle);
+    svc.shutdown();
 }
 
 #[test]

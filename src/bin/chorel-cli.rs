@@ -24,7 +24,8 @@ use std::io::{BufRead, Write};
 struct Shell {
     /// The working database, always held with its full change history.
     doem: DoemDatabase,
-    /// Plain replica used to validate change-set application.
+    /// The current snapshot of `doem` as a plain graph: where change sets
+    /// are validated and update statements compile.
     replica: OemDatabase,
     store: lore::LoreStore,
     strategy: Strategy,
@@ -126,10 +127,10 @@ impl Shell {
                 // Lorel update statements compile to basic change ops and
                 // fold into the history at the current wall-clock-free
                 // "now" (the latest recorded time plus a minute, or 1Jan97).
+                // `replica` is the current snapshot: `apply_set` keeps it so.
                 let stmt = lorel::parse_update(line).map_err(|e| e.to_string())?;
-                let current = doem::current_snapshot(&self.doem);
                 let compiled =
-                    lorel::compile_update(&current, &stmt).map_err(|e| e.to_string())?;
+                    lorel::compile_update(&self.replica, &stmt).map_err(|e| e.to_string())?;
                 if compiled.changes.is_empty() {
                     println!("no matching bindings; nothing to do");
                     return Ok(true);
