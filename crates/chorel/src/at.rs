@@ -25,11 +25,11 @@ use oem::{Label, NodeId, Timestamp, Value};
 /// [`doem::snapshot_at`], the view does not ask whether each child
 /// existed at `t`. [`DoemDatabase::check_invariants`] makes that
 /// redundant: every arc into a node created at `tc` starts with an `add`
-/// at or after `tc`. `apply_set` keeps the rule, since it adds arcs only
-/// to nodes the replica holds and never reuses an id
-/// ([`oem::OemDatabase::is_fresh`]), so an arc without an `add` is an
-/// original arc to an original node; `decode_doem` checks it on every
-/// image.
+/// at or after `tc`. [`DoemDatabase::apply`] keeps the rule, since it
+/// adds arcs only to nodes of the current snapshot and never reuses an id
+/// the graph has used ([`oem::OemDatabase::is_fresh`]), so an arc without
+/// an `add` is an original arc to an original node; `decode_doem` checks
+/// it on every image.
 #[derive(Clone, Copy, Debug)]
 pub struct AtSource<'a> {
     d: &'a DoemDatabase,

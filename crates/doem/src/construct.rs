@@ -9,87 +9,55 @@
 //! * `creNode` / `addArc` — perform it and attach `cre(ti)` / `add(ti)`;
 //! * `remArc` — do **not** remove the arc; attach `rem(ti)`.
 //!
-//! Validity of the history is checked against a parallel plain-OEM replica
-//! that applies the operations with ordinary semantics (including
-//! unreachability GC at change-set boundaries), because validity is defined
-//! on the OEM side, not on the annotated graph.
-//!
-//! Each step costs what the change set touches, not what the database
-//! holds: both boundary collections are change-set-local
-//! ([`oem::OemDatabase::collect_garbage_from`]).
+//! Validity is defined on the OEM side, against the current state, which
+//! the annotated graph holds: [`DoemDatabase::apply`] judges each
+//! operation there by the plain OEM rules. [`apply_set`] keeps a plain
+//! copy beside it only as a reference. Each step costs what the set
+//! touches, not what the database holds.
 
-use crate::{DoemDatabase, Result};
-use oem::{ChangeOp, ChangeSet, History, OemDatabase, Timestamp};
+use crate::{DoemDatabase, DoemError, Result};
+use oem::{ChangeSet, History, OemDatabase, OemError, Timestamp};
 
 /// Construct `D(O, H)`.
 ///
 /// Fails if `H` is not valid for `O`; on failure the error names the first
 /// operation whose precondition is violated.
 pub fn doem_from_history(initial: &OemDatabase, history: &History) -> Result<DoemDatabase> {
-    let mut replica = initial.clone();
     let mut doem = DoemDatabase::from_snapshot(initial);
     for entry in history.entries() {
-        // Both graphs are dropped on failure: nothing to stage for.
-        apply_in_place(&mut doem, &mut replica, &entry.changes, entry.at)?;
+        doem.apply(&entry.changes, entry.at)?;
     }
     Ok(doem)
 }
 
-/// Apply one timestamped change set to an existing DOEM database, keeping
-/// the plain-OEM `replica` in lockstep. Exposed for incremental use (the
-/// QSS DOEM manager extends its DOEM database one polling interval at a
-/// time).
-///
-/// All or nothing: a rejected set leaves `doem` and `replica` exactly as
-/// they were. The operations run on O(1) persistent clones that replace
-/// the originals only once the whole set has applied, like
-/// [`ChangeSet::apply_to`].
-///
-/// Every node of `replica` and of `doem`'s graph must be reachable on
-/// entry, because the boundary collection looks only at what this set
-/// could have orphaned. A snapshot satisfies that, and so does whatever
-/// this function leaves behind, on `Ok` and on `Err`.
+/// The reference the native path is checked against: apply one change
+/// set to `doem` with [`DoemDatabase::apply`] and to `replica`, the plain
+/// OEM database of its current snapshot, with [`ChangeSet::apply_to`],
+/// and fail with [`DoemError::ReferenceDisagrees`] unless both give the
+/// same verdict and error. All or nothing, like both of those.
 pub fn apply_set(
     doem: &mut DoemDatabase,
     replica: &mut OemDatabase,
     changes: &ChangeSet,
     at: Timestamp,
 ) -> Result<()> {
-    let mut staged_doem = doem.clone();
-    let mut staged_replica = replica.clone();
-    apply_in_place(&mut staged_doem, &mut staged_replica, changes, at)?;
-    *doem = staged_doem;
-    *replica = staged_replica;
-    Ok(())
-}
-
-/// One step of the induction, operation by operation. On `Err` the two
-/// graphs hold the operations that preceded the rejected one and must be
-/// discarded.
-fn apply_in_place(
-    doem: &mut DoemDatabase,
-    replica: &mut OemDatabase,
-    changes: &ChangeSet,
-    at: Timestamp,
-) -> Result<()> {
-    for op in changes.canonical_order() {
-        // Validity is judged against the plain replica (paper semantics);
-        // apply there first so ordering errors surface before the DOEM
-        // graph is touched for this op.
-        op.apply(replica)?;
-        match op {
-            ChangeOp::CreNode(n, v) => doem.record_create(*n, v.clone(), at)?,
-            ChangeOp::UpdNode(n, v) => doem.record_update(*n, v.clone(), at)?,
-            ChangeOp::AddArc(a) => doem.record_add(*a, at)?,
-            ChangeOp::RemArc(a) => doem.record_remove(*a, at)?,
+    let (mut d, mut r) = (doem.clone(), replica.clone());
+    let native = d.apply(changes, at);
+    let reference = changes.apply_to(&mut r).map_err(|e| match e {
+        OemError::NoValidOrdering(op) => *op,
+        e => e,
+    });
+    match (native, reference) {
+        (Ok(()), Ok(_)) => {
+            (*doem, *replica) = (d, r);
+            Ok(())
         }
+        (Err(DoemError::Oem(a)), Err(b)) if a == b => Err(DoemError::Oem(a)),
+        (a, b) => Err(DoemError::ReferenceDisagrees(format!(
+            "native {a:?}, reference {:?}",
+            b.map(drop)
+        ))),
     }
-    replica.collect_garbage_from(changes.gc_suspects());
-    // DOEM-side GC counts removed arcs as reachability, so only nodes with
-    // no history ties (created and never linked) are dropped.
-    doem.collect_garbage_from(changes.created_nodes().iter().copied());
-    debug_assert!(doem.check_invariants().is_ok());
-    Ok(())
 }
 
 #[cfg(test)]
@@ -97,7 +65,7 @@ mod tests {
     use super::*;
     use crate::{ArcAnnotation, NodeAnnotation};
     use oem::guide::{guide_figure2, history_example_2_3, ids};
-    use oem::{ArcTriple, Value};
+    use oem::{ArcTriple, ChangeOp, Value};
 
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()

@@ -12,7 +12,9 @@
 //! checks the DOEM-specific well-formedness rules instead.
 
 use crate::{ArcAnnotation, DoemError, NodeAnnotation, Result};
-use oem::{ArcTriple, Label, NodeId, OemDatabase, PMap, Timestamp, Value};
+use oem::{ArcTriple, ChangeOp, ChangeSet, CurrentView, Label, NodeId, OemDatabase, PMap};
+use oem::{Timestamp, Value};
+use std::collections::HashSet;
 use std::fmt;
 
 /// The arc annotations of one parent: `bucket[i]` annotates the parent's
@@ -41,7 +43,73 @@ pub struct DoemDatabase {
     arc_ann: PMap<ArcBucket>,
 }
 
+/// What [`ChangeOp::validate`] sees mid-set: the current snapshot `before`
+/// the set, as edited so far in `staged`. Nodes leave it at set boundaries.
+struct Current<'a> {
+    before: &'a DoemDatabase,
+    staged: &'a DoemDatabase,
+}
+
+impl CurrentView for Current<'_> {
+    fn contains_node(&self, n: NodeId) -> bool {
+        let created = !self.before.graph.contains_node(n);
+        self.staged.graph.contains_node(n) && (created || self.before.in_current_snapshot(n))
+    }
+    fn is_fresh(&self, n: NodeId) -> bool {
+        self.staged.graph.is_fresh(n)
+    }
+    fn is_complex(&self, n: NodeId) -> bool {
+        self.contains_node(n) && self.staged.graph.is_complex(n)
+    }
+    fn has_children(&self, n: NodeId) -> bool {
+        self.staged.arcs_from(n).any(|(_, _, anns)| ArcAnnotation::current(anns))
+    }
+    // A current arc out of a node of the snapshot leads to a node of it.
+    fn contains_arc(&self, arc: ArcTriple) -> bool {
+        self.contains_node(arc.parent) && self.staged.arc_is_current(arc)
+    }
+}
+
 impl DoemDatabase {
+    /// Apply one timestamped change set, the induction step of `D(O, H)`
+    /// (Section 3.1): judge each op, in canonical order, against the current
+    /// snapshot by [`ChangeOp::validate`] — a plain OEM database's rules and
+    /// errors — and record it. All or nothing, on an O(1) persistent clone.
+    pub fn apply(&mut self, changes: &ChangeSet, at: Timestamp) -> Result<()> {
+        let mut staged = self.clone();
+        for op in changes.canonical_order() {
+            op.validate(&Current { before: self, staged: &staged })?;
+            match op {
+                ChangeOp::CreNode(n, v) => staged.record_create(*n, v.clone(), at)?,
+                ChangeOp::UpdNode(n, v) => staged.record_update(*n, v.clone(), at)?,
+                ChangeOp::AddArc(a) => staged.record_add(*a, at)?,
+                ChangeOp::RemArc(a) => staged.record_remove(*a, at)?,
+            }
+        }
+        // The annotated graph never loses an arc, so only creations never
+        // linked can have become unreachable in it.
+        let dead = staged.graph.collect_garbage_from(changes.created_nodes().iter().copied());
+        staged.drop_annotations_of(&dead);
+        debug_assert!(staged.check_invariants().is_ok());
+        *self = staged;
+        Ok(())
+    }
+
+    /// Whether a path of current arcs leads from the root to `n`: whether
+    /// `n` is in the current snapshot, not just (for its history) the graph.
+    fn in_current_snapshot(&self, n: NodeId) -> bool {
+        let (mut seen, mut stack) = (HashSet::from([n]), vec![n]);
+        while let Some(c) = stack.pop() {
+            if c == self.root() {
+                return true;
+            }
+            let parents = self.graph.parents(c).into_iter();
+            let current = parents.filter(|&(p, l)| self.arc_is_current(ArcTriple::new(p, l, c)));
+            stack.extend(current.map(|(p, _)| p).filter(|&p| seen.insert(p)));
+        }
+        false
+    }
+
     /// Wrap a snapshot with empty annotation sets (the `D0` of Section 3.1).
     pub fn from_snapshot(snapshot: &OemDatabase) -> DoemDatabase {
         DoemDatabase {
@@ -256,7 +324,7 @@ impl DoemDatabase {
         Ok(&mut bucket[at])
     }
 
-    // ---- recording (used by construction and the QSS DOEM manager) ----
+    // ---- recording, unvalidated (`apply` validates and closes the set) ----
 
     /// Record `creNode(n, v)` at time `t`: create the node and attach
     /// `cre(t)`.
@@ -327,22 +395,9 @@ impl DoemDatabase {
     /// arcs), along with their annotations. Mirrors OEM's change-set
     /// boundary GC: a node kept reachable only by a removed arc *survives*
     /// here — its history is still part of the database. Whole-graph; a
-    /// change set uses [`DoemDatabase::collect_garbage_from`].
+    /// change set collects locally ([`DoemDatabase::apply`]).
     pub fn collect_garbage(&mut self) -> Vec<NodeId> {
         let dead = self.graph.collect_garbage();
-        self.drop_annotations_of(&dead);
-        dead
-    }
-
-    /// Change-set-local [`DoemDatabase::collect_garbage`]: `created` are
-    /// the nodes created since every node was last reachable. They are
-    /// the only suspects ([`OemDatabase::collect_garbage_from`]) because
-    /// the annotated graph never loses an arc.
-    pub fn collect_garbage_from(
-        &mut self,
-        created: impl IntoIterator<Item = NodeId>,
-    ) -> Vec<NodeId> {
-        let dead = self.graph.collect_garbage_from(created);
         self.drop_annotations_of(&dead);
         dead
     }

@@ -33,6 +33,8 @@ pub enum DoemError {
     /// The OEM encoding being decoded is not a well-formed Section 5.1
     /// encoding.
     MalformedEncoding(String),
+    /// [`crate::apply_set`]'s two applications of a set disagreed.
+    ReferenceDisagrees(String),
 }
 
 impl fmt::Display for DoemError {
@@ -62,6 +64,7 @@ impl fmt::Display for DoemError {
             DoemError::MalformedEncoding(msg) => {
                 write!(f, "malformed DOEM-in-OEM encoding: {msg}")
             }
+            DoemError::ReferenceDisagrees(w) => write!(f, "apply disagrees with OEM: {w}"),
         }
     }
 }

@@ -55,7 +55,9 @@ pub use delta::{
 pub use engine::{execute, Binding, Row, Rows};
 pub use error::{LorelError, Result};
 pub use lexer::lex;
-pub use parser::{parse_expr, parse_program, parse_query, parse_update, DefineKind, Statement};
+pub use parser::{
+    parse_expr, parse_program, parse_query, parse_update, DefineKind, Statement, MAX_NESTING,
+};
 pub use plan::{plan, CompanionRole, Operand, Plan, Pred, SelectCol, VarDef, VarSource};
 pub use result::{package, QueryResult, RESULT_ROOT_RAW};
 pub use source::DataSource;

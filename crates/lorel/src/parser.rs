@@ -82,9 +82,20 @@ pub fn parse_program(src: &str) -> Result<Vec<Statement>, LorelError> {
     Ok(out)
 }
 
+/// How deep the recursive rules may nest: a parenthesised condition, a
+/// `not`, an `exists` predicate and an inserted object each take one
+/// level. Past it a statement is a syntax error, so no request line can
+/// recurse the parser — or the evaluators after it, which recurse over
+/// the same tree — off the end of a thread's stack. A condition nested
+/// this deep still evaluates through both Chorel strategies on a thread
+/// with the default 2 MiB stack, in a debug build (`fuzz_tests`).
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Levels of [`MAX_NESTING`] in use.
+    depth: usize,
 }
 
 impl Parser {
@@ -92,7 +103,23 @@ impl Parser {
         Ok(Parser {
             tokens: lex(src)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Run `rule` one nesting level down, or fail if that is past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        rule: fn(&mut Parser) -> Result<T, LorelError>,
+    ) -> Result<T, LorelError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let inner = rule(self);
+        self.depth -= 1;
+        inner
     }
 
     fn peek(&self) -> &Token {
@@ -277,7 +304,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr, LorelError> {
         if self.eat_keyword(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Parser::not_expr)?)))
         } else {
             self.comparison()
         }
@@ -289,7 +316,7 @@ impl Parser {
             self.expect_keyword(Keyword::In)?;
             let path = self.path_expr()?;
             self.expect(Token::Colon)?;
-            let pred = self.not_expr()?;
+            let pred = self.nested(Parser::not_expr)?;
             return Ok(Expr::Exists {
                 var,
                 path,
@@ -297,7 +324,7 @@ impl Parser {
             });
         }
         if self.eat_token(&Token::LParen) {
-            let inner = self.expr()?;
+            let inner = self.nested(Parser::expr)?;
             self.expect(Token::RParen)?;
             return Ok(inner);
         }
@@ -443,7 +470,7 @@ impl Parser {
         let mut children = Vec::new();
         while !self.eat_token(&Token::RParen) {
             let label = self.ident()?;
-            children.push((label, self.new_object()?));
+            children.push((label, self.nested(Parser::new_object)?));
             self.eat_token(&Token::Comma);
         }
         Ok(NewObject::Complex(children))
@@ -933,6 +960,58 @@ mod fuzz_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The stack the nesting cases parse on: fixed, and half the 2 MiB a
+    /// server thread gets. A debug build parses [`MAX_NESTING`] levels in
+    /// about 512 KiB of it, so a recursive rule that escapes the budget
+    /// overflows it within a few hundred levels.
+    const SMALL_STACK: usize = 1 << 20;
+
+    /// Run `f` on a thread with [`SMALL_STACK`].
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(SMALL_STACK);
+        thread.spawn(f).expect("spawn").join().expect("no overflow")
+    }
+
+    /// A statement nesting each recursive rule `depth` levels deep:
+    /// parenthesised conditions, `not` chains, `exists` chains and
+    /// inserted objects.
+    fn nested(depth: usize) -> [String; 4] {
+        let cond = "guide.r.name = \"x\"";
+        let (open, close) = ("(".repeat(depth), ")".repeat(depth));
+        let exists = "exists X in guide.r : ".repeat(depth);
+        [
+            format!("select guide.r where {open}{cond}{close}"),
+            format!("select guide.r where {}{cond}", "not ".repeat(depth)),
+            format!("select guide.r where {exists}{cond}"),
+            format!("insert guide.a := {}1{close}", "(b ".repeat(depth)),
+        ]
+    }
+
+    /// Parse a query or, if it is one, an update statement.
+    fn parse(src: &str) -> Result<(), LorelError> {
+        match src.starts_with("select") {
+            true => parse_query(src).map(drop),
+            false => parse_update(src).map(drop),
+        }
+    }
+
+    #[test]
+    fn nesting_is_accepted_to_the_budget_and_refused_past_it() {
+        on_small_stack(|| {
+            for src in nested(MAX_NESTING) {
+                assert!(parse(&src).is_ok(), "{src}");
+            }
+            for src in nested(MAX_NESTING + 1).into_iter().chain(nested(2_000)) {
+                match parse(&src) {
+                    Err(LorelError::Syntax { msg, .. }) => {
+                        assert!(msg.contains("nesting"), "{msg}")
+                    }
+                    other => panic!("{src}: {other:?}"),
+                }
+            }
+        });
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
@@ -957,6 +1036,39 @@ mod fuzz_tests {
             src in "update [a-z ]{0,20}(at|;|\\{|\\}|creNode|,){0,10}\\PC{0,30}"
         ) {
             let _ = parse_update(&src);
+        }
+
+        /// Conditions that mix every nesting rule, and inserted objects
+        /// with siblings, parse on a small stack at any depth: within the
+        /// budget they parse, past it they are refused.
+        #[test]
+        fn deep_mixed_nesting_parses_on_a_small_stack(
+            openers in proptest::collection::vec(0usize..3, 0..(3 * MAX_NESTING)),
+            siblings in proptest::collection::vec(0usize..3, 0..(3 * MAX_NESTING)),
+        ) {
+            let parens = openers.iter().filter(|&&o| o == 0).count();
+            let mut cond: String = openers
+                .iter()
+                .map(|o| ["(", "not ", "exists X in guide.r : "][*o])
+                .collect();
+            cond.push_str("guide.r.p = 1");
+            cond.push_str(&")".repeat(parens));
+            let object: String = siblings
+                .iter()
+                .map(|s| ["(b ", "(b 1, c ", "(b (c 2) d "][*s])
+                .collect::<String>()
+                + "1"
+                + &")".repeat(siblings.len());
+            let (query, update) = on_small_stack(move || {
+                let query = parse_query(&format!("select guide.r where {cond}")).is_ok();
+                let update = parse_update(&format!("insert guide.a := {object}")).is_ok();
+                (query, update)
+            });
+            // `(b (c 2) d …` nests `c` one level below the chain.
+            let object_depth =
+                siblings.iter().enumerate().map(|(i, s)| i + 1 + usize::from(*s == 2));
+            prop_assert_eq!(query, openers.len() <= MAX_NESTING);
+            prop_assert_eq!(update, object_depth.max().unwrap_or(0) <= MAX_NESTING);
         }
 
         /// Query-shaped fragments assembled from grammar atoms also never

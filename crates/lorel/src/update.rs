@@ -32,6 +32,7 @@ use crate::engine::{execute, Binding};
 use crate::error::{LorelError, Result};
 use crate::parser::parse_update;
 use crate::plan::plan;
+use crate::source::DataSource;
 use oem::{ChangeOp, ChangeSet, NodeId, OemDatabase, Value};
 
 /// A literal object in an `insert` statement.
@@ -104,7 +105,7 @@ fn split_last(path: &PathExpr) -> Result<(PathExpr, String)> {
 /// Run the statement's binding query and return the bound node pairs for
 /// the requested select paths.
 fn bindings(
-    db: &OemDatabase,
+    db: &dyn DataSource,
     stmt: &UpdateStmt,
     select_paths: Vec<PathExpr>,
 ) -> Result<Vec<Vec<Option<NodeId>>>> {
@@ -136,10 +137,15 @@ fn bindings(
         .collect())
 }
 
-/// Compile `stmt` against the current state of `db` into basic change
-/// operations. The database is not modified; apply the returned set with
-/// [`oem::ChangeSet::apply_to`] or fold it into a DOEM history.
-pub fn compile_update(db: &OemDatabase, stmt: &UpdateStmt) -> Result<CompiledUpdate> {
+/// Compile `stmt` against the current state `db` into basic change
+/// operations, numbering created objects, in binding order, upward from
+/// `first_fresh` (an id above every id the database has used). Apply the
+/// set with [`oem::ChangeSet::apply_to`] or fold it into a DOEM history.
+pub fn compile_update(
+    db: &dyn DataSource,
+    first_fresh: NodeId,
+    stmt: &UpdateStmt,
+) -> Result<CompiledUpdate> {
     let mut created = Vec::new();
     let mut ops: Vec<ChangeOp> = Vec::new();
     let target = &stmt.target;
@@ -154,10 +160,10 @@ pub fn compile_update(db: &OemDatabase, stmt: &UpdateStmt) -> Result<CompiledUpd
         let label = label.as_str();
         match &stmt.op {
             UpdateOp::Insert(object) => {
-                let mut scratch = db.clone();
+                let mut fresh = first_fresh.raw();
                 for row in bindings(db, stmt, vec![prefix])? {
                     let Some(parent) = row[0] else { continue };
-                    let root = materialize(&mut scratch, object, &mut ops, &mut created);
+                    let root = materialize(&mut fresh, object, &mut ops, &mut created);
                     ops.push(ChangeOp::add_arc(parent, label, root));
                 }
             }
@@ -186,34 +192,30 @@ pub fn compile_update(db: &OemDatabase, stmt: &UpdateStmt) -> Result<CompiledUpd
 /// Allocate fresh ids and emit creNode/addArc ops for a literal structure;
 /// returns the structure's root id.
 fn materialize(
-    scratch: &mut OemDatabase,
+    fresh: &mut u64,
     obj: &NewObject,
     ops: &mut Vec<ChangeOp>,
     created: &mut Vec<NodeId>,
 ) -> NodeId {
+    let id = NodeId::from_raw(*fresh);
+    *fresh += 1;
+    created.push(id);
     match obj {
-        NewObject::Atom(v) => {
-            let id = scratch.alloc_id();
-            ops.push(ChangeOp::CreNode(id, v.clone()));
-            created.push(id);
-            id
-        }
+        NewObject::Atom(v) => ops.push(ChangeOp::CreNode(id, v.clone())),
         NewObject::Complex(children) => {
-            let id = scratch.alloc_id();
             ops.push(ChangeOp::CreNode(id, Value::Complex));
-            created.push(id);
             for (label, child) in children {
-                let c = materialize(scratch, child, ops, created);
+                let c = materialize(fresh, child, ops, created);
                 ops.push(ChangeOp::add_arc(id, label.as_str(), c));
             }
-            id
         }
     }
+    id
 }
 
-/// Parse and compile in one call.
+/// Parse and compile in one call, against a plain OEM database.
 pub fn run_update(db: &OemDatabase, src: &str) -> Result<CompiledUpdate> {
-    compile_update(db, &parse_update(src)?)
+    compile_update(db, db.clone().alloc_id(), &parse_update(src)?)
 }
 
 #[cfg(test)]
@@ -353,7 +355,8 @@ mod tests {
         assert!(parse_update("remove guide").is_err() || {
             // `remove guide` parses but fails at compile time (no final label).
             let db = guide_figure2();
-            compile_update(&db, &parse_update("remove guide").unwrap()).is_err()
+            compile_update(&db, db.clone().alloc_id(), &parse_update("remove guide").unwrap())
+                .is_err()
         });
         assert!(parse_update("insert guide.x := (unclosed").is_err());
     }

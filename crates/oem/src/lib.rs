@@ -71,7 +71,7 @@ pub use history::{History, HistoryEntry};
 pub use html::parse_html;
 pub use ids::NodeId;
 pub use label::Label;
-pub use ops::ChangeOp;
+pub use ops::{ChangeOp, CurrentView};
 pub use parse_ops::{parse_change_set, parse_history, parse_op};
 pub use pmap::{PMap, PSet};
 pub use shared::SharedOem;

@@ -8,6 +8,40 @@
 use crate::{ArcTriple, Label, NodeId, OemDatabase, OemError, Result, Value};
 use std::fmt;
 
+/// What [`ChangeOp::validate`] asks of the database it judges an
+/// operation against. A plain [`OemDatabase`] answers for itself; a DOEM
+/// database answers for the current snapshot its annotated graph holds.
+pub trait CurrentView {
+    /// Whether `n` is an object of the current state.
+    fn contains_node(&self, n: NodeId) -> bool;
+    /// Whether `n` was never used as an object id.
+    fn is_fresh(&self, n: NodeId) -> bool;
+    /// Whether `n` is a complex object of the current state.
+    fn is_complex(&self, n: NodeId) -> bool;
+    /// Whether `n` has an outgoing arc in the current state.
+    fn has_children(&self, n: NodeId) -> bool;
+    /// Whether the arc is in the current state.
+    fn contains_arc(&self, arc: ArcTriple) -> bool;
+}
+
+impl CurrentView for OemDatabase {
+    fn contains_node(&self, n: NodeId) -> bool {
+        OemDatabase::contains_node(self, n)
+    }
+    fn is_fresh(&self, n: NodeId) -> bool {
+        OemDatabase::is_fresh(self, n)
+    }
+    fn is_complex(&self, n: NodeId) -> bool {
+        OemDatabase::is_complex(self, n)
+    }
+    fn has_children(&self, n: NodeId) -> bool {
+        !self.children(n).is_empty()
+    }
+    fn contains_arc(&self, arc: ArcTriple) -> bool {
+        OemDatabase::contains_arc(self, arc)
+    }
+}
+
 /// A basic change operation `u`; `u.apply(&mut db)` computes `u(O)`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ChangeOp {
@@ -38,42 +72,18 @@ impl ChangeOp {
     /// Check this operation's preconditions against `db` without mutating
     /// it. `Ok(())` means the operation is *valid for* `db` in the paper's
     /// sense.
-    pub fn validate(&self, db: &OemDatabase) -> Result<()> {
-        match self {
-            ChangeOp::CreNode(n, _) => {
-                if !db.is_fresh(*n) {
-                    return Err(OemError::IdNotFresh(*n));
-                }
-                Ok(())
-            }
-            ChangeOp::UpdNode(n, _) => {
-                db.value(*n)?;
-                if !db.children(*n).is_empty() {
-                    return Err(OemError::UpdateOnNodeWithChildren(*n));
-                }
-                Ok(())
-            }
-            ChangeOp::AddArc(arc) => {
-                if !db.contains_node(arc.parent) {
-                    return Err(OemError::NoSuchNode(arc.parent));
-                }
-                if !db.contains_node(arc.child) {
-                    return Err(OemError::NoSuchNode(arc.child));
-                }
-                if !db.is_complex(arc.parent) {
-                    return Err(OemError::ParentNotComplex(arc.parent));
-                }
-                if db.contains_arc(*arc) {
-                    return Err(OemError::ArcExists(*arc));
-                }
-                Ok(())
-            }
-            ChangeOp::RemArc(arc) => {
-                if !db.contains_arc(*arc) {
-                    return Err(OemError::NoSuchArc(*arc));
-                }
-                Ok(())
-            }
+    pub fn validate(&self, db: &(impl CurrentView + ?Sized)) -> Result<()> {
+        let require = |holds: bool, e: OemError| if holds { Ok(()) } else { Err(e) };
+        match *self {
+            ChangeOp::CreNode(n, _) => require(db.is_fresh(n), OemError::IdNotFresh(n)),
+            ChangeOp::UpdNode(n, _) => require(db.contains_node(n), OemError::NoSuchNode(n))
+                .and(require(!db.has_children(n), OemError::UpdateOnNodeWithChildren(n))),
+            ChangeOp::AddArc(a) => Ok(())
+                .and(require(db.contains_node(a.parent), OemError::NoSuchNode(a.parent)))
+                .and(require(db.contains_node(a.child), OemError::NoSuchNode(a.child)))
+                .and(require(db.is_complex(a.parent), OemError::ParentNotComplex(a.parent)))
+                .and(require(!db.contains_arc(a), OemError::ArcExists(a))),
+            ChangeOp::RemArc(a) => require(db.contains_arc(a), OemError::NoSuchArc(a)),
         }
     }
 

@@ -64,16 +64,16 @@ struct SubState {
     next_due: Timestamp,
 }
 
-/// One shared DOEM state: the accumulated database plus the plain replica
-/// of its current snapshot, keyed by the polling query.
+/// One shared DOEM state: the accumulated database plus the previous
+/// polling result, keyed by the polling query.
 struct PollGroup {
     /// `(polling name, polling query text)` — the sharing key.
     key: (String, String),
     doem: DoemDatabase,
-    /// Plain replica of the current snapshot (also the validity authority
-    /// for appending history). Dropped between polls in
-    /// [`PreviousResult::RecomputeFromDoem`] mode.
-    replica: Option<OemDatabase>,
+    /// The previous polling result — the current snapshot of `doem` —
+    /// that OEMdiff compares the next result against. Kept only in
+    /// [`PreviousResult::Keep`] mode, and rebuilt from `doem` when absent.
+    previous: Option<OemDatabase>,
     /// The source version observed by this group's last poll, when the
     /// source exposes one ([`Source::version`]). An unchanged version lets
     /// the next poll elide the polling query, OEMdiff, and history append.
@@ -203,7 +203,7 @@ impl<S: Source> QssServer<S> {
             self.groups.push(PollGroup {
                 key,
                 doem: DoemDatabase::from_snapshot(&empty),
-                replica: Some(empty),
+                previous: Some(empty),
                 last_version: None,
                 last_change_at: None,
             });
@@ -259,12 +259,10 @@ impl<S: Source> QssServer<S> {
             None
         };
         let group = group.unwrap_or_else(|| {
-            let mut replica = doem::current_snapshot(&doem);
-            replica.set_name(sub.polling_name.clone());
             self.groups.push(PollGroup {
                 key,
                 doem,
-                replica: Some(replica),
+                previous: None,
                 last_version: None,
                 // Restored history: annotation times are unknown here, so
                 // the proven-empty skip must never fire.
@@ -407,32 +405,28 @@ impl<S: Source> QssServer<S> {
             result_db.set_name(state.sub.polling_name.clone());
 
             // --- OEMdiff: previous result vs new result ---
-            let previous = match (&group.replica, self.previous_mode) {
-                (Some(r), PreviousResult::Keep) => r.clone(),
-                _ => {
-                    let mut snap = doem::current_snapshot(&group.doem);
-                    snap.set_name(state.sub.polling_name.clone());
-                    snap
-                }
-            };
+            let mut previous = group.previous.take().unwrap_or_else(|| {
+                let mut snap = doem::current_snapshot(&group.doem);
+                snap.set_name(state.sub.polling_name.clone());
+                snap
+            });
             let diff_result = diff(&previous, &result_db, state.sub.match_mode)
                 .map_err(|e| LorelError::LimitExceeded(format!("diff failed: {e}")))?;
             n_changes = diff_result.changes.len();
 
             // --- DOEM Manager: fold the change set into the history ---
             if !diff_result.changes.is_empty() {
-                let mut replica = previous;
-                doem::apply_set(&mut group.doem, &mut replica, &diff_result.changes, at)
-                    .map_err(|e| {
-                        LorelError::LimitExceeded(format!("history append failed: {e}"))
-                    })?;
-                group.replica = match self.previous_mode {
-                    PreviousResult::Keep => Some(replica),
-                    PreviousResult::RecomputeFromDoem => None,
-                };
+                let changes = &diff_result.changes;
+                let mut appended = group.doem.apply(changes, at).map_err(|e| e.to_string());
+                if appended.is_ok() && self.previous_mode == PreviousResult::Keep {
+                    appended = changes.apply_to(&mut previous).map(drop).map_err(|e| e.to_string());
+                }
+                let failed = |e| LorelError::LimitExceeded(format!("history append failed: {e}"));
+                appended.map_err(failed)?;
                 group.last_change_at = Some(at);
-            } else if self.previous_mode == PreviousResult::Keep {
-                group.replica = Some(previous);
+            }
+            if self.previous_mode == PreviousResult::Keep {
+                group.previous = Some(previous);
             }
             group.last_version = version;
             if let Some(store) = &self.store {

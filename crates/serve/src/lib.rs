@@ -92,4 +92,4 @@ pub use faults::{FaultMode, FaultPoint, Faults};
 pub use protocol::{parse_request, parse_tagged_request, ErrKind, ProtoError, Request, Response};
 pub use replication::{snapshot_bytes, snapshot_from_bytes, ReplBatch};
 pub use service::{Client, PendingReply, ServeConfig, Service, WallClock};
-pub use tcp::{TcpHandle, WireClient};
+pub use tcp::{TcpHandle, WireClient, MAX_LINE_BYTES};

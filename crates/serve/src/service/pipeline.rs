@@ -2,7 +2,7 @@
 //!
 //! A write — `UPDATE`, `MUTATE`, or a replicated record on a follower —
 //! enters [`sequence`] under the shard's pipeline lock: it is validated
-//! and applied, once, to the *sequencing head* (the graphs with every
+//! and applied, once, to the *sequencing head* (the DOEM graph with every
 //! sequenced change applied), which yields the [`AppliedSet`] the publish
 //! stage will swap in. What happens next depends only on whether the
 //! service has a WAL directory — then every shard owns a WAL, otherwise
@@ -27,9 +27,10 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Response};
 use crate::replication::stream::ReplBatch;
 use crate::wal::{self, DbWal};
-use doem::{apply_set, SharedDoem};
+use chorel::AtSource;
+use doem::SharedDoem;
 use lorel::{compile_update, UpdateStmt};
-use oem::{ChangeSet, OemDatabase, Timestamp};
+use oem::{ChangeSet, Timestamp};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -111,17 +112,13 @@ impl Lineage {
 
 /// Everything under a shard's pipeline lock: the sequencing head (a
 /// second handle on the DOEM graph, ahead of the published state by
-/// exactly the staged-but-unpublished writes, plus the plain replica in
-/// lockstep with it), the commit queue, the shard's lineage and its
-/// committer's handle. The lock is never held across WAL I/O.
+/// exactly the staged-but-unpublished writes), the commit queue, the
+/// shard's lineage and its committer's handle. The lock is never held
+/// across WAL I/O.
 struct PipelineState {
-    /// DOEM graph with every sequenced change applied.
+    /// DOEM graph with every sequenced change applied. Its current
+    /// snapshot is where every write is judged and `MUTATE` compiles.
     head_doem: SharedDoem,
-    /// The current snapshot of `head_doem` as a plain OEM graph: the
-    /// validation target (`apply_set` judges every op against it, with
-    /// the paper's semantics), and where `MUTATE` compiles. Nothing else
-    /// reads it.
-    head_replica: OemDatabase,
     /// Highest sequenced timestamp — the strict-LSN check reads this,
     /// not the published `ShardState::last_at`.
     head_at: Timestamp,
@@ -151,17 +148,11 @@ pub(crate) struct CommitPipeline {
 }
 
 impl CommitPipeline {
-    /// A pipeline whose sequencing head starts at the given graphs.
-    pub(crate) fn new(
-        head_doem: SharedDoem,
-        head_replica: OemDatabase,
-        head_at: Timestamp,
-        lineage: Lineage,
-    ) -> CommitPipeline {
+    /// A pipeline whose sequencing head starts at the given graph.
+    pub(crate) fn new(head_doem: SharedDoem, head_at: Timestamp, lineage: Lineage) -> Self {
         CommitPipeline {
             inner: Mutex::new(PipelineState {
                 head_doem,
-                head_replica,
                 head_at,
                 queue: VecDeque::new(),
                 stop: None,
@@ -297,8 +288,8 @@ pub(crate) enum WriteKind {
     /// A record the follower replays from its primary.
     Replicated(ChangeSet),
     /// `MUTATE`: a Lorel update statement, parsed at the request edge and
-    /// compiled here against the sequencing head's replica — the freshest
-    /// one, ahead of the published state by the staged writes.
+    /// compiled here against the sequencing head's current snapshot — the
+    /// freshest one, ahead of the published state by the staged writes.
     Mutate(Box<UpdateStmt>),
 }
 
@@ -307,7 +298,7 @@ pub(crate) enum WriteKind {
 /// `AT now`, enforce the strictly increasing timestamp (Definition 2.2 —
 /// the timestamp *is* the LSN), compile `MUTATE` statements against the
 /// sequencing head, and apply the change set to the head — the one
-/// `apply_set` of the write path. On a
+/// [`doem::DoemDatabase::apply`] of the write path. On a
 /// WAL-owning shard the record is then staged for the committer and
 /// `None` comes back (the committer delivers the ack to `reply` once the
 /// batch is durable and published); otherwise it is published here and
@@ -372,29 +363,27 @@ pub(crate) fn sequence(
     let t = Instant::now();
     let (changes, created) = match kind {
         WriteKind::Update(changes) | WriteKind::Replicated(changes) => (changes, None),
-        WriteKind::Mutate(stmt) => match compile_update(&ps.head_replica, &stmt) {
-            Ok(c) => {
-                let created = c.created.len();
-                (c.changes, Some(created))
+        WriteKind::Mutate(stmt) => {
+            // The current snapshot, without annotations: a statement binds
+            // what it would over a plain OEM database.
+            let current = AtSource::new(&ps.head_doem, Timestamp::INFINITY);
+            match compile_update(&current, ps.head_doem.graph().clone().alloc_id(), &stmt) {
+                Ok(c) => {
+                    let created = c.created.len();
+                    (c.changes, Some(created))
+                }
+                Err(e) => {
+                    shared.metrics.exec.record(t.elapsed());
+                    let reply = Response::err(ErrKind::Conflict, format!("update rejected: {e}"));
+                    return Some(reply);
+                }
             }
-            Err(e) => {
-                shared.metrics.exec.record(t.elapsed());
-                return Some(Response::err(
-                    ErrKind::Conflict,
-                    format!("update rejected: {e}"),
-                ));
-            }
-        },
+        }
     };
-    let PipelineState {
-        head_doem,
-        head_replica,
-        ..
-    } = &mut *ps;
-    let outcome = apply_set(head_doem.make_mut(), head_replica, &changes, at);
+    let outcome = ps.head_doem.make_mut().apply(&changes, at);
     shared.metrics.exec.record(t.elapsed());
     if let Err(e) = outcome {
-        // `apply_set` is all or nothing: the head is as it was.
+        // `apply` is all or nothing: the head is as it was.
         return Some(Response::err(
             ErrKind::Conflict,
             format!("change set rejected: {e}"),

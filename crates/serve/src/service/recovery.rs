@@ -10,9 +10,9 @@ use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::ErrKind;
 use crate::wal::{self, DbWal, WalReplay};
-use doem::{apply_set, current_snapshot, DoemDatabase};
+use doem::DoemDatabase;
 use lore::LoreStore;
-use oem::{OemDatabase, Timestamp};
+use oem::Timestamp;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ pub(crate) type RecoveredShard = (String, Arc<Shard>, DbWal);
 
 /// Recover every database found under the WAL directory: load its
 /// checkpoint, replay the usable log — the sealed segment, then the
-/// active one — through [`apply_set`], truncate anything past the
+/// active one — through [`DoemDatabase::apply`], truncate anything past the
 /// durable prefix, and hand back the shard with its open log. A sealed
 /// segment is left in place: the shard's first checkpoint folds it into
 /// an image and deletes it.
@@ -84,7 +84,6 @@ pub(crate) fn recover_all(
         }
         let shard = Arc::new(Shard::new(
             recovered.doem,
-            recovered.replica,
             cfg.cache_capacity,
             recovered.last_at,
             Lineage {
@@ -136,7 +135,6 @@ fn move_files(
 /// What [`recover_one`] rebuilt from a checkpoint plus its log.
 struct Recovered {
     doem: DoemDatabase,
-    replica: OemDatabase,
     /// The timestamp high-water mark (the recovered applied LSN).
     last_at: Timestamp,
     /// Entries replayed past the checkpoint.
@@ -154,16 +152,14 @@ struct Recovered {
 
 /// Replay one database's log — its sealed segment, then its active one,
 /// read as one log — onto its checkpoint.
-fn recover_one(checkpoint: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered {
-    let ckpt_max = last_lsn(&checkpoint);
-    // Replay the longest prefix that applies cleanly (`apply_set` leaves
-    // the graphs untouched by the entry it rejects). Entries at or before
+fn recover_one(mut doem: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered {
+    let ckpt_max = last_lsn(&doem);
+    // Replay the longest prefix that applies cleanly (`apply` leaves the
+    // graph untouched by the entry it rejects). Entries at or before
     // the checkpoint's high-water mark are already inside the image (a
     // crash landed after an image save and before its sealed segment was
     // deleted) and are skipped, not re-applied. A defect ends the prefix:
     // nothing after it, in either segment, is replayed.
-    let mut doem = checkpoint;
-    let mut replica = current_snapshot(&doem);
     let mut last_at = ckpt_max;
     let mut applied = 0u64;
     let mut good_len = [0u64; 2];
@@ -172,7 +168,7 @@ fn recover_one(checkpoint: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered
     'replay: for (seg, replayed) in segments.into_iter().enumerate() {
         for (i, (at, changes)) in replayed.entries.iter().enumerate() {
             if *at > ckpt_max {
-                if apply_set(&mut doem, &mut replica, changes, *at).is_err() {
+                if doem.apply(changes, *at).is_err() {
                     torn = true;
                     break 'replay;
                 }
@@ -189,7 +185,6 @@ fn recover_one(checkpoint: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered
     }
     Recovered {
         doem,
-        replica,
         last_at,
         applied,
         good_len,
@@ -287,7 +282,6 @@ pub(crate) fn install_shard(
     how: Install,
     unlocked: &mut Token<Unlocked>,
 ) -> Result<u64, InstallError> {
-    let replica = current_snapshot(&doem);
     let old = {
         let mut reg = shared.shards.write(unlocked);
         if reg.installing.contains(name) {
@@ -303,7 +297,7 @@ pub(crate) fn install_shard(
     let prepared = prepare(shared, name, &doem, old.as_deref(), &how, unlocked).and_then(
         |(wal, lineage)| {
             let cap = shared.cfg.cache_capacity;
-            let shard = Arc::new(Shard::new(doem, replica, cap, last_at, lineage));
+            let shard = Arc::new(Shard::new(doem, cap, last_at, lineage));
             if let Some(wal) = wal {
                 start_committer(shared, name, &shard, wal, unlocked).map_err(InstallError::Io)?;
             }

@@ -9,7 +9,7 @@ use crate::lock_order::{RwLock, State, Token, Unlocked};
 use crate::protocol::lsn_to_wire;
 use crate::replication::primary::ReplTail;
 use doem::{DoemDatabase, SharedDoem};
-use oem::{ChangeSet, OemDatabase, Timestamp};
+use oem::{ChangeSet, Timestamp};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -48,11 +48,9 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// A shard over `doem` and its current snapshot `replica`, whose
-    /// history ends at `last_at`.
+    /// A shard over `doem`, whose history ends at `last_at`.
     pub(crate) fn new(
         doem: DoemDatabase,
-        replica: OemDatabase,
         cache_capacity: usize,
         last_at: Timestamp,
         lineage: Lineage,
@@ -60,8 +58,8 @@ impl Shard {
         let doem = SharedDoem::new(doem);
         Shard {
             // The sequencing head starts as an O(1) snapshot of the
-            // published graph, and owns the replica.
-            pipeline: CommitPipeline::new(doem.snapshot(), replica, last_at, lineage),
+            // published graph.
+            pipeline: CommitPipeline::new(doem.snapshot(), last_at, lineage),
             state: RwLock::new(ShardState {
                 doem,
                 generation: 1,

@@ -25,17 +25,25 @@
 
 use crate::lock_order::{Mutex, Sessions, Token, Unlocked};
 use crate::metrics::Metrics;
-use crate::protocol::Response;
+use crate::protocol::{ErrKind, Response};
 use crate::service::{Client, Outbound, ReplySlot, Service, Shared};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use sanitizer::thread::{spawn_tracked, TrackedHandle};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The longest request line a session reads, in bytes, newline not
+/// counted. A longer line is answered `ERR SYNTAX` and its session closed:
+/// nothing after it can be framed, and reading on would let one client
+/// grow a buffer without limit. The largest line the benchmark sends —
+/// its base `UPDATE`, which creates the whole initial guide — is 16,139
+/// bytes, 65 times below the cap.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Live session sockets, so dropping the [`TcpHandle`] can sever them —
 /// a stopped endpoint must look to clients like a server that went away,
@@ -289,17 +297,35 @@ fn serve_connection(
     // hold one back for the previous segment's ACK.
     stream.set_nodelay(true)?;
     let mut out = SessionOut::Direct(stream.try_clone()?);
-    let mut lines = BufReader::new(stream).lines();
+    let mut reader = BufReader::new(stream);
 
     // A read or write error (severed socket, reset mid-line) must still
     // flow through the drain barrier below — an early return with the
     // writer running would drop its handle unjoined and strand it.
     let mut result = Ok(());
-    while let Some(line) = unlocked.blocking(|| lines.next()) {
-        let line = match line {
-            Ok(line) => line,
+    loop {
+        let mut buf = Vec::new();
+        let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match unlocked.blocking(|| capped.read_until(b'\n', &mut buf)) {
+            Ok(0) => break,
+            Ok(_) => {}
             Err(e) => {
                 result = Err(e);
+                break;
+            }
+        }
+        if buf.pop_if(|b| *b == b'\n').is_some() {
+            buf.pop_if(|b| *b == b'\r');
+        } else if buf.len() > MAX_LINE_BYTES {
+            let msg =
+                format!("request line longer than {MAX_LINE_BYTES} bytes; closing the session");
+            result = out.send(None, Response::err(ErrKind::Syntax, msg), unlocked);
+            break;
+        }
+        let line = match String::from_utf8(buf) {
+            Ok(line) => line,
+            Err(e) => {
+                result = Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
                 break;
             }
         };

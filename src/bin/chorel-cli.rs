@@ -16,38 +16,30 @@
 //!
 //! Run a script non-interactively: `chorel-cli script.txt`.
 
-use chorel::{run_chorel_parsed, Strategy};
+use chorel::{run_chorel_parsed, AtSource, Strategy};
 use doem::DoemDatabase;
 use oem::{OemDatabase, Timestamp};
 use std::io::{BufRead, Write};
 
 struct Shell {
     /// The working database, always held with its full change history.
+    /// Change sets are judged and update statements compile against its
+    /// current snapshot.
     doem: DoemDatabase,
-    /// The current snapshot of `doem` as a plain graph: where change sets
-    /// are validated and update statements compile.
-    replica: OemDatabase,
     store: lore::LoreStore,
     strategy: Strategy,
 }
 
 impl Shell {
     fn new() -> Shell {
-        let empty = OemDatabase::new("db");
         Shell {
-            doem: DoemDatabase::from_snapshot(&empty),
-            replica: empty,
+            doem: DoemDatabase::from_snapshot(&OemDatabase::new("db")),
             store: lore::LoreStore::open(
                 std::env::var("CHOREL_STORE").unwrap_or_else(|_| ".chorel-store".to_string()),
             )
             .expect("store directory"),
             strategy: Strategy::Direct,
         }
-    }
-
-    fn set_db(&mut self, db: OemDatabase) {
-        self.replica = db.clone();
-        self.doem = DoemDatabase::from_snapshot(&db);
     }
 
     fn command(&mut self, line: &str) -> Result<bool, String> {
@@ -82,11 +74,10 @@ impl Shell {
                 let text = std::fs::read_to_string(rest).map_err(|e| e.to_string())?;
                 let db = oem::parse_text(&text).map_err(|e| e.to_string())?;
                 println!("loaded {} ({} objects)", db.name(), db.node_count());
-                self.set_db(db);
+                self.doem = DoemDatabase::from_snapshot(&db);
             }
             "open" => {
                 let d = self.store.load_doem(rest).map_err(|e| e.to_string())?;
-                self.replica = doem::current_snapshot(&d);
                 println!("opened {} ({} annotations)", d.name(), d.annotation_count());
                 self.doem = d;
             }
@@ -127,10 +118,11 @@ impl Shell {
                 // Lorel update statements compile to basic change ops and
                 // fold into the history at the current wall-clock-free
                 // "now" (the latest recorded time plus a minute, or 1Jan97).
-                // `replica` is the current snapshot: `apply_set` keeps it so.
                 let stmt = lorel::parse_update(line).map_err(|e| e.to_string())?;
-                let compiled =
-                    lorel::compile_update(&self.replica, &stmt).map_err(|e| e.to_string())?;
+                let current = AtSource::new(&self.doem, Timestamp::INFINITY);
+                let fresh = self.doem.graph().clone().alloc_id();
+                let compiled = lorel::compile_update(&current, fresh, &stmt);
+                let compiled = compiled.map_err(|e| e.to_string())?;
                 if compiled.changes.is_empty() {
                     println!("no matching bindings; nothing to do");
                     return Ok(true);
@@ -142,8 +134,7 @@ impl Shell {
                     .copied()
                     .unwrap_or_else(|| "1Jan97".parse().expect("literal"))
                     .plus_minutes(1);
-                doem::apply_set(&mut self.doem, &mut self.replica, &compiled.changes, at)
-                    .map_err(|e| e.to_string())?;
+                self.doem.apply(&compiled.changes, at).map_err(|e| e.to_string())?;
                 println!("applied {} op(s) at {at}", compiled.changes.len());
             }
             "apply" => {
@@ -152,8 +143,7 @@ impl Shell {
                     .ok_or("usage: apply TIMESTAMP {ops}")?;
                 let at: Timestamp = ts_text.trim().parse().map_err(|e| format!("{e}"))?;
                 let set = oem::parse_change_set(ops_text.trim()).map_err(|e| e.to_string())?;
-                doem::apply_set(&mut self.doem, &mut self.replica, &set, at)
-                    .map_err(|e| e.to_string())?;
+                self.doem.apply(&set, at).map_err(|e| e.to_string())?;
                 println!("applied {} op(s) at {at}", set.len());
             }
             "snapshot" => {

@@ -1004,3 +1004,245 @@ proptest! {
         svc.shutdown();
     }
 }
+
+mod native_apply {
+    //! The DOEM graph judges its own change sets: `DoemDatabase::apply`, run
+    //! against the paper's OEM semantics — `ChangeSet::apply_to` on a plain
+    //! database that starts as the same snapshot — over generated histories
+    //! with invalid operations mixed in. Every set must get the same verdict
+    //! and the same error, and after every accepted set the DOEM graph's
+    //! current snapshot must be the plain database.
+
+    use super::common::random_db;
+    use doem::{current_snapshot, same_doem, DoemDatabase};
+    use oem::{same_database, ArcTriple, ChangeOp, ChangeSet, NodeId, OemDatabase, OemError};
+    use oem::{Timestamp, Value};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// What a generated set sets out to do. A history cycles through all of
+    /// them, in this order, so every one has something to work on: by the
+    /// time a `ReAdd` or a `Collected` set is drawn, a `Move` has removed an
+    /// arc and a `DeleteSubtree` has usually cut a subtree loose.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// `remArc` plus `addArc` of the same child under another parent.
+        Move,
+        /// Cut an arc and remove an arc inside the subtree it led to.
+        DeleteSubtree,
+        /// Add back an arc an earlier set removed.
+        ReAdd,
+        /// Remove every out-arc of a complex node and make it atomic.
+        Retype,
+        /// Use an id an earlier set boundary collected, or an arc that went
+        /// with it.
+        Collected,
+        /// Create a node, linked or (sometimes) orphaned.
+        Create,
+        /// An operation whose precondition fails outright.
+        Invalid,
+    }
+
+    const SHAPES: [Shape; 7] = [
+        Shape::Move,
+        Shape::DeleteSubtree,
+        Shape::ReAdd,
+        Shape::Retype,
+        Shape::Collected,
+        Shape::Create,
+        Shape::Invalid,
+    ];
+
+    /// A uniformly drawn element of `xs`.
+    fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> Option<T> {
+        (!xs.is_empty()).then(|| xs[rng.gen_range(0..xs.len())])
+    }
+
+    /// What earlier sets did that a later one can refer back to.
+    #[derive(Default)]
+    struct Past {
+        /// Arcs removed.
+        removed: Vec<ArcTriple>,
+        /// Nodes collected at a set boundary.
+        collected: Vec<NodeId>,
+        /// Arcs out of collected nodes, gone with them.
+        lost: Vec<ArcTriple>,
+    }
+
+    /// The operations of one `shape` set over the plain database `db`.
+    fn shaped_ops(rng: &mut StdRng, db: &OemDatabase, past: &Past, shape: Shape) -> Vec<ChangeOp> {
+        let arcs: Vec<ArcTriple> = db.arcs().collect();
+        let complex: Vec<NodeId> = db.node_ids().filter(|&n| db.is_complex(n)).collect();
+        let root = db.root();
+        let some_complex = |rng: &mut StdRng| pick(rng, &complex).unwrap_or(root);
+        match shape {
+            Shape::Move => match pick(rng, &arcs) {
+                Some(a) => {
+                    let to = some_complex(rng);
+                    vec![ChangeOp::RemArc(a), ChangeOp::add_arc(to, "moved", a.child)]
+                }
+                None => Vec::new(),
+            },
+            Shape::DeleteSubtree => match pick(rng, &arcs) {
+                Some(a) => {
+                    let mut ops = vec![ChangeOp::RemArc(a)];
+                    if let Some((l, c)) = pick(rng, db.children(a.child)) {
+                        ops.push(ChangeOp::rem_arc(a.child, l, c));
+                    }
+                    ops
+                }
+                None => Vec::new(),
+            },
+            Shape::ReAdd => pick(rng, &past.removed).into_iter().map(ChangeOp::AddArc).collect(),
+            Shape::Retype => {
+                let n = some_complex(rng);
+                if n == root {
+                    return Vec::new();
+                }
+                let mut ops: Vec<ChangeOp> =
+                    db.children(n).iter().map(|&(l, c)| ChangeOp::rem_arc(n, l, c)).collect();
+                ops.push(ChangeOp::UpdNode(n, Value::Int(rng.gen_range(0..9))));
+                ops
+            }
+            Shape::Collected => match pick(rng, &past.collected) {
+                Some(x) => match rng.gen_range(0..5) {
+                    0 => vec![ChangeOp::add_arc(root, "ghost", x)],
+                    1 => vec![ChangeOp::UpdNode(x, Value::Int(1))],
+                    2 => vec![
+                        ChangeOp::CreNode(x, Value::str("again")),
+                        ChangeOp::add_arc(root, "again", x),
+                    ],
+                    3 => pick(rng, &past.lost).into_iter().map(ChangeOp::RemArc).collect(),
+                    _ => vec![ChangeOp::rem_arc(x, "name", root)],
+                },
+                None => Vec::new(),
+            },
+            Shape::Create => {
+                let fresh = db.clone().alloc_id();
+                let value = if rng.gen_bool(0.5) { Value::Complex } else { Value::str("new") };
+                let mut ops = vec![ChangeOp::CreNode(fresh, value)];
+                if rng.gen_bool(0.8) {
+                    ops.push(ChangeOp::add_arc(some_complex(rng), "new", fresh));
+                }
+                ops
+            }
+            Shape::Invalid => {
+                let nowhere = NodeId::from_raw(u64::MAX / 2);
+                let atomic = db.node_ids().find(|&n| !db.is_complex(n)).unwrap_or(nowhere);
+                let any = pick(rng, &arcs).unwrap_or(ArcTriple::new(root, "x", nowhere));
+                vec![match rng.gen_range(0..5) {
+                    0 => ChangeOp::rem_arc(root, "no-such", any.child),
+                    1 => ChangeOp::AddArc(any),
+                    2 => ChangeOp::UpdNode(root, Value::Int(0)),
+                    3 => ChangeOp::add_arc(atomic, "under-an-atom", root),
+                    _ => ChangeOp::CreNode(any.child, Value::Int(0)),
+                }]
+            }
+        }
+    }
+
+    /// The error a plain database reports for a set, as `DoemDatabase::apply`
+    /// reports it: the failing operation's own error.
+    fn op_error(e: OemError) -> String {
+        match e {
+            OemError::NoValidOrdering(op) => op.to_string(),
+            e => e.to_string(),
+        }
+    }
+
+    /// Drive one generated history through both paths, checking each set.
+    /// Returns, per shape, how many non-empty sets were drawn and how many of
+    /// them both paths accepted.
+    fn run_history(seed: u64, n: usize, steps: usize) -> [(usize, usize); 7] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference = random_db(seed, n);
+        let mut d = DoemDatabase::from_snapshot(&reference);
+        let mut at: Timestamp = "1Jan97".parse().unwrap();
+        let mut past = Past::default();
+        let mut drawn = [(0, 0); 7];
+        for step in 0..steps {
+            let shape = step % SHAPES.len();
+            let mut set = ChangeSet::new();
+            let extra = pick(&mut rng, &SHAPES).unwrap();
+            let mut ops = shaped_ops(&mut rng, &reference, &past, SHAPES[shape]);
+            if rng.gen_bool(0.3) {
+                ops.extend(shaped_ops(&mut rng, &reference, &past, extra));
+            }
+            for op in ops {
+                // A structural conflict with an op already in the set: drop it.
+                let _ = set.push(op);
+            }
+            if set.is_empty() {
+                continue;
+            }
+            drawn[shape].0 += 1;
+            at = at.plus_minutes(rng.gen_range(1..500));
+            let mut native = d.clone();
+            let mut plain = reference.clone();
+            match (native.apply(&set, at), set.apply_to(&mut plain)) {
+                (Ok(()), Ok(dead)) => {
+                    drawn[shape].1 += 1;
+                    prop_assert!(
+                        same_database(&current_snapshot(&native), &plain),
+                        "current snapshot diverges after {set}"
+                    );
+                    native.check_invariants().unwrap();
+                    past.removed.extend(set.removed_arcs().iter().copied());
+                    for &x in &dead {
+                        let arcs = reference.children(x).iter().map(|&(l, c)| ArcTriple::new(x, l, c));
+                        past.lost.extend(arcs);
+                    }
+                    past.collected.extend(dead);
+                    d = native;
+                    reference = plain;
+                }
+                (Err(native_err), Err(plain_err)) => {
+                    prop_assert_eq!(native_err.to_string(), op_error(plain_err), "{}", set);
+                    prop_assert!(same_doem(&native, &d), "rejected {} left a trace", set);
+                }
+                (native_verdict, plain_verdict) => panic!(
+                    "verdicts differ on {set}: native {native_verdict:?}, plain {:?}",
+                    plain_verdict.map(drop)
+                ),
+            }
+        }
+        drawn
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        #[test]
+        fn native_apply_agrees_with_the_oem_reference(
+            seed in 0u64..5_000,
+            n in 1usize..6,
+            steps in 7usize..22,
+        ) {
+            run_history(seed, n, steps);
+        }
+    }
+
+    /// Over a fixed batch of histories, the generator draws every shape, and
+    /// each shape is both accepted and rejected somewhere (`Collected` and
+    /// `Invalid` sets only ever draw rejections, unless an extra shape rides
+    /// along).
+    #[test]
+    fn every_shape_is_drawn_and_judged_both_ways() {
+        let mut total = [(0, 0); 7];
+        for seed in 0..60 {
+            let drawn = run_history(seed, 3, 21);
+            for (t, d) in total.iter_mut().zip(drawn) {
+                t.0 += d.0;
+                t.1 += d.1;
+            }
+        }
+        for (shape, (drawn, accepted)) in SHAPES.iter().zip(total) {
+            assert!(drawn > 0, "{shape:?} never drawn");
+            assert!(accepted < drawn, "{shape:?} never rejected");
+            if !matches!(shape, Shape::Collected | Shape::Invalid) {
+                assert!(accepted > 0, "{shape:?} never accepted");
+            }
+        }
+    }
+}

@@ -1165,3 +1165,89 @@ mod torn_log_properties {
         }
     }
 }
+
+/// The transcript of `setup` then `after` against one durable service,
+/// and the transcript of the same lines against a second durable service
+/// that is shut down cleanly and restarted between the two. A restart
+/// must be invisible on the wire: the two come back line for line equal,
+/// except for the generation an ack echoes, which counts the writes of
+/// one incarnation of the shard and is masked here.
+fn transcripts_across_a_restart(tag: &str, setup: &[&str], after: &[&str]) -> [Vec<String>; 2] {
+    let run = |c: &serve::Client, lines: &[&str]| -> Vec<String> {
+        lines
+            .iter()
+            .map(|line| {
+                let reply = c.request_line(line).render();
+                let reply = match reply.split_once("; generation ") {
+                    Some((ack, _)) => format!("{ack}; generation _"),
+                    None => reply,
+                };
+                format!("{line}\n{reply}")
+            })
+            .collect()
+    };
+    let steady_dir = fresh_dir(&format!("{tag}-steady"));
+    let svc = Service::start(durable_cfg(&steady_dir, Faults::disabled())).unwrap();
+    let steady = [setup, after].concat();
+    let steady = run(&svc.client(), &steady);
+    svc.shutdown();
+
+    let restarted_dir = fresh_dir(&format!("{tag}-restarted"));
+    let svc = Service::start(durable_cfg(&restarted_dir, Faults::disabled())).unwrap();
+    let mut restarted = run(&svc.client(), setup);
+    svc.shutdown();
+    let svc = Service::start(durable_cfg(&restarted_dir, Faults::disabled())).unwrap();
+    restarted.extend(run(&svc.client(), after));
+    svc.shutdown();
+    for dir in [steady_dir, restarted_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    [steady, restarted]
+}
+
+/// A node cut loose from the current snapshot keeps its id in the DOEM
+/// graph (its removed arc still reaches it), so §2.2's "deleted ids are
+/// never reused" must steer `MUTATE`'s fresh ids past it after a restart
+/// as well as before one.
+#[test]
+fn a_mutate_after_restart_never_reuses_a_cut_loose_id() {
+    let setup = [
+        "CREATE t",
+        "UPDATE t AT 1Jan97 ; {creNode(n10, \"a\"), addArc(n1, item, n10), \
+         creNode(n11, C), addArc(n1, shelf, n11)}",
+        "UPDATE t AT 2Jan97 ; {remArc(n1, shelf, n11)}",
+    ];
+    let after = [
+        "MUTATE t AT 4Jan97 ; insert t.shelf := \"again\"",
+        "QUERY t select t.shelf",
+        "UPDATE t AT 5Jan97 ; {creNode(n11, \"reused\"), addArc(n1, item, n11)}",
+    ];
+    let [steady, restarted] = transcripts_across_a_restart("cut-loose", &setup, &after);
+    assert!(steady[3].contains("OK applied 2 ops (1 created)"), "{}", steady[3]);
+    assert!(steady[5].contains("identifier n11 is already in use"), "{}", steady[5]);
+    assert_eq!(steady, restarted);
+}
+
+/// `MUTATE` binds its target paths over the DOEM graph's current view, in
+/// the graph's child order, before and after a restart alike: a removed
+/// and re-added arc keeps its place, so the same statement hands the same
+/// fresh ids to the same parents.
+#[test]
+fn a_mutate_binds_in_the_same_order_before_and_after_restart() {
+    let setup = [
+        "CREATE t",
+        "UPDATE t AT 1Jan97 ; {creNode(n20, C), creNode(n21, C), creNode(n30, \"a\"), \
+         creNode(n31, \"b\"), addArc(n1, shelf, n20), addArc(n1, shelf, n21), \
+         addArc(n1, keep, n20), addArc(n20, name, n30), addArc(n21, name, n31)}",
+        "UPDATE t AT 2Jan97 ; {remArc(n1, shelf, n20)}",
+        "UPDATE t AT 3Jan97 ; {addArc(n1, shelf, n20)}",
+    ];
+    let after = [
+        "MUTATE t AT 4Jan97 ; insert t.shelf.box := (size 1)",
+        "QUERY t select N, B from t.shelf S, S.name N, S.box B",
+    ];
+    let [steady, restarted] = transcripts_across_a_restart("rebind", &setup, &after);
+    assert!(steady[4].contains("OK applied 8 ops (4 created)"), "{}", steady[4]);
+    assert!(steady[5].contains("ROWS 2"), "{}", steady[5]);
+    assert_eq!(steady, restarted);
+}
