@@ -247,9 +247,11 @@ impl<'a> Lexer<'a> {
                 .map_err(|_| self.err(format!("malformed literal {text:?}")));
         }
         if text.contains('.') {
-            text.parse::<f64>()
-                .map(Token::Real)
-                .map_err(|e| self.err(format!("bad real literal: {e}")))
+            match text.parse::<f64>() {
+                Ok(r) if r.is_finite() => Ok(Token::Real(r)),
+                Ok(_) => Err(self.err(format!("real literal {text:?} is out of range"))),
+                Err(e) => Err(self.err(format!("bad real literal: {e}"))),
+            }
         } else {
             text.parse::<i64>()
                 .map(Token::Int)
@@ -311,6 +313,13 @@ mod tests {
                 Token::Eof,
             ]
         );
+    }
+
+    #[test]
+    fn overflowing_reals_are_refused() {
+        let huge = format!("1{}.0", "0".repeat(400));
+        assert!(matches!(lex(&huge), Err(LorelError::Syntax { .. })));
+        assert_eq!(tokens(&format!("0.{}1", "0".repeat(400)))[0], Token::Real(0.0));
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod history;
 mod html;
 mod ids;
 mod label;
+mod notation;
 mod ops;
 mod parse_ops;
 mod pmap;

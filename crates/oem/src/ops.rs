@@ -5,6 +5,7 @@
 //! reachability from the root, so deletion happens implicitly when
 //! [`crate::OemDatabase::collect_garbage`] runs at change-set boundaries.
 
+use crate::notation::LabelText;
 use crate::{ArcTriple, Label, NodeId, OemDatabase, OemError, Result, Value};
 use std::fmt;
 
@@ -109,10 +110,12 @@ impl fmt::Display for ChangeOp {
             ChangeOp::CreNode(n, v) => write!(f, "creNode({n}, {v})"),
             ChangeOp::UpdNode(n, v) => write!(f, "updNode({n}, {v})"),
             ChangeOp::AddArc(a) => {
-                write!(f, "addArc({}, {}, {})", a.parent, a.label, a.child)
+                let label = LabelText(a.label.as_str());
+                write!(f, "addArc({}, {label}, {})", a.parent, a.child)
             }
             ChangeOp::RemArc(a) => {
-                write!(f, "remArc({}, {}, {})", a.parent, a.label, a.child)
+                let label = LabelText(a.label.as_str());
+                write!(f, "remArc({}, {label}, {})", a.parent, a.child)
             }
         }
     }

@@ -9,249 +9,90 @@
 //! {updNode(n1, 20), creNode(n2, C)}
 //! (1Jan97, {updNode(n1, 20)})
 //! ```
+//!
+//! A label that is not a bare word is quoted: `` addArc(n1, `my label`, n2) ``
+//! (`"my label"` reads too). The lexical rules live in `notation`.
 
-use crate::{ArcTriple, ChangeOp, ChangeSet, History, NodeId, OemError, Result, Timestamp, Value};
+use crate::notation::Reader;
+use crate::{ArcTriple, ChangeOp, ChangeSet, History, Result};
 
-struct Cursor<'a> {
-    src: &'a str,
-    pos: usize,
+fn op(r: &mut Reader) -> Result<ChangeOp> {
+    let kind = r.word()?;
+    r.expect('(')?;
+    let op = match kind {
+        "creNode" | "updNode" => {
+            let n = r.node_id()?;
+            r.expect(',')?;
+            let v = r.value()?;
+            if kind == "creNode" {
+                ChangeOp::CreNode(n, v)
+            } else {
+                ChangeOp::UpdNode(n, v)
+            }
+        }
+        "addArc" | "remArc" => {
+            let p = r.node_id()?;
+            r.expect(',')?;
+            let label = r.label()?;
+            r.expect(',')?;
+            let arc = ArcTriple::new(p, label, r.node_id()?);
+            if kind == "addArc" {
+                ChangeOp::AddArc(arc)
+            } else {
+                ChangeOp::RemArc(arc)
+            }
+        }
+        other => {
+            return Err(r.err(format!(
+                "expected creNode/updNode/addArc/remArc, found {other:?}"
+            )))
+        }
+    };
+    r.expect(')')?;
+    Ok(op)
 }
 
-impl<'a> Cursor<'a> {
-    fn err(&self, msg: impl Into<String>) -> OemError {
-        OemError::Text {
-            line: 1,
-            col: self.pos + 1,
-            msg: msg.into(),
-        }
+fn change_set(r: &mut Reader) -> Result<ChangeSet> {
+    r.expect('{')?;
+    let mut set = ChangeSet::new();
+    while !r.eat('}') {
+        set.push(op(r)?)?;
+        r.eat(',');
     }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.src[self.pos..].chars().next() {
-            if !c.is_whitespace() {
-                break;
-            }
-            self.pos += c.len_utf8();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> Result<()> {
-        self.skip_ws();
-        if self.src[self.pos..].starts_with(want) {
-            self.pos += want.len_utf8();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {want:?}")))
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.src[self.pos..].chars().next()
-    }
-
-    fn word(&mut self) -> Result<&'a str> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(c) = self.src[self.pos..].chars().next() {
-            if !(c.is_alphanumeric() || c == '-' || c == '_') {
-                break;
-            }
-            self.pos += c.len_utf8();
-        }
-        if self.pos == start {
-            return Err(self.err("expected a word"));
-        }
-        Ok(&self.src[start..self.pos])
-    }
-
-    fn node_id(&mut self) -> Result<NodeId> {
-        let w = self.word()?;
-        w.strip_prefix('n')
-            .and_then(|d| d.parse::<u64>().ok())
-            .map(NodeId::from_raw)
-            .ok_or_else(|| self.err(format!("expected a node id like n7, found {w:?}")))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some('"') => {
-                self.pos += 1;
-                let mut out = String::new();
-                let mut chars = self.src[self.pos..].char_indices();
-                loop {
-                    let Some((i, c)) = chars.next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    match c {
-                        '"' => {
-                            self.pos += i + 1;
-                            return Ok(Value::str(out));
-                        }
-                        '\\' => match chars.next() {
-                            Some((_, 'n')) => out.push('\n'),
-                            Some((_, 't')) => out.push('\t'),
-                            Some((_, c2)) => out.push(c2),
-                            None => return Err(self.err("bad escape")),
-                        },
-                        c => out.push(c),
-                    }
-                }
-            }
-            Some('@') => {
-                self.pos += 1;
-                // Timestamp value up to the closing paren.
-                let rest = &self.src[self.pos..];
-                let end = rest.find([',', ')']).unwrap_or(rest.len());
-                let text = rest[..end].trim();
-                self.pos += end;
-                text.parse::<Timestamp>()
-                    .map(Value::Time)
-                    .map_err(|e| self.err(e.to_string()))
-            }
-            _ => {
-                let start = self.pos;
-                while let Some(c) = self.src[self.pos..].chars().next() {
-                    if !(c.is_alphanumeric() || c == '.' || c == '-') {
-                        break;
-                    }
-                    self.pos += c.len_utf8();
-                }
-                let text = &self.src[start..self.pos];
-                match text {
-                    "C" => Ok(Value::Complex),
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    t if t.contains('.') => t
-                        .parse::<f64>()
-                        .map(Value::Real)
-                        .map_err(|e| self.err(format!("bad value {t:?}: {e}"))),
-                    t => t
-                        .parse::<i64>()
-                        .map(Value::Int)
-                        .map_err(|e| self.err(format!("bad value {t:?}: {e}"))),
-                }
-            }
-        }
-    }
-
-    fn op(&mut self) -> Result<ChangeOp> {
-        let kind = self.word()?;
-        self.eat('(')?;
-        let op = match kind {
-            "creNode" | "updNode" => {
-                let n = self.node_id()?;
-                self.eat(',')?;
-                let v = self.value()?;
-                if kind == "creNode" {
-                    ChangeOp::CreNode(n, v)
-                } else {
-                    ChangeOp::UpdNode(n, v)
-                }
-            }
-            "addArc" | "remArc" => {
-                let p = self.node_id()?;
-                self.eat(',')?;
-                let label = self.label()?;
-                self.eat(',')?;
-                let c = self.node_id()?;
-                let arc = ArcTriple::new(p, label.as_str(), c);
-                if kind == "addArc" {
-                    ChangeOp::AddArc(arc)
-                } else {
-                    ChangeOp::RemArc(arc)
-                }
-            }
-            other => {
-                return Err(self.err(format!(
-                    "expected creNode/updNode/addArc/remArc, found {other:?}"
-                )))
-            }
-        };
-        self.eat(')')?;
-        Ok(op)
-    }
-
-    fn label(&mut self) -> Result<String> {
-        self.skip_ws();
-        if self.peek() == Some('"') {
-            match self.value()? {
-                Value::Str(s) => Ok(s.to_string()),
-                _ => Err(self.err("expected a label string")),
-            }
-        } else {
-            Ok(self.word()?.to_string())
-        }
-    }
-
-    fn change_set(&mut self) -> Result<ChangeSet> {
-        self.eat('{')?;
-        let mut set = ChangeSet::new();
-        loop {
-            if self.peek() == Some('}') {
-                self.pos += 1;
-                return Ok(set);
-            }
-            set.push(self.op()?)?;
-            if self.peek() == Some(',') {
-                self.pos += 1;
-            }
-        }
-    }
-
-    fn done(&mut self) -> Result<()> {
-        self.skip_ws();
-        if self.pos == self.src.len() {
-            Ok(())
-        } else {
-            Err(self.err("trailing input"))
-        }
-    }
+    Ok(set)
 }
 
 /// Parse a single change operation in the paper's notation.
 pub fn parse_op(src: &str) -> Result<ChangeOp> {
-    let mut c = Cursor { src, pos: 0 };
-    let op = c.op()?;
-    c.done()?;
+    let mut r = Reader::new(src);
+    let op = op(&mut r)?;
+    r.done()?;
     Ok(op)
 }
 
 /// Parse a change set: `{op, op, …}` (or a single bare op).
 pub fn parse_change_set(src: &str) -> Result<ChangeSet> {
-    let mut c = Cursor { src, pos: 0 };
-    let set = if c.peek() == Some('{') {
-        c.change_set()?
+    let mut r = Reader::new(src);
+    let set = if r.peek() == Some('{') {
+        change_set(&mut r)?
     } else {
-        ChangeSet::from_ops([c.op()?])?
+        ChangeSet::from_ops([op(&mut r)?])?
     };
-    c.done()?;
+    r.done()?;
     Ok(set)
 }
 
-/// Parse a history: one `(timestamp, {ops})` entry per line (blank lines
-/// and `//` comments ignored).
+/// Parse a history: `(timestamp, {ops})` entries, written one per line
+/// (`//` comments ignored).
 pub fn parse_history(src: &str) -> Result<History> {
+    let mut r = Reader::new(src);
     let mut h = History::new();
-    for line in src.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with("//") {
-            continue;
-        }
-        let mut c = Cursor { src: line, pos: 0 };
-        c.eat('(')?;
-        c.skip_ws();
-        let rest = &line[c.pos..];
-        let comma = rest.find(',').ok_or_else(|| c.err("expected ','"))?;
-        let at: Timestamp = rest[..comma]
-            .trim()
-            .parse()
-            .map_err(|e: crate::ParseTimestampError| c.err(e.to_string()))?;
-        c.pos += comma + 1;
-        let set = c.change_set()?;
-        c.eat(')')?;
-        c.done()?;
+    while r.peek().is_some() {
+        r.expect('(')?;
+        let at = r.timestamp()?;
+        r.expect(',')?;
+        let set = change_set(&mut r)?;
+        r.expect(')')?;
         h.push(at, set)?;
     }
     Ok(h)
@@ -261,6 +102,7 @@ pub fn parse_history(src: &str) -> Result<History> {
 mod tests {
     use super::*;
     use crate::guide::history_example_2_3;
+    use crate::{NodeId, OemError, Value};
 
     #[test]
     fn ops_round_trip_their_display_forms() {
@@ -294,7 +136,10 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert_eq!(set.to_string(), text);
         // Bare single op also accepted.
-        assert_eq!(parse_change_set("remArc(n6, parking, n7)").unwrap().len(), 1);
+        assert_eq!(
+            parse_change_set("remArc(n6, parking, n7)").unwrap().len(),
+            1
+        );
     }
 
     #[test]
@@ -312,6 +157,11 @@ mod tests {
         assert!(parse_op("updNode(n1, 20) extra").is_err());
         assert!(parse_change_set("{updNode(n1, 1), updNode(n1, 2)}").is_err()); // conflict
         assert!(parse_history("(notadate, {creNode(n1, C)})").is_err());
+        let huge = format!("{{creNode(n3, 1{}.0)}}", "0".repeat(400));
+        assert!(matches!(
+            parse_change_set(&huge),
+            Err(OemError::Text { .. })
+        ));
     }
 
     #[test]
@@ -319,6 +169,12 @@ mod tests {
         let op = parse_op("addArc(n1, \"label with space\", n2)").unwrap();
         let ChangeOp::AddArc(a) = op else { panic!() };
         assert_eq!(a.label.as_str(), "label with space");
+        let op = ChangeOp::add_arc(NodeId::from_raw(1), "my label", NodeId::from_raw(2));
+        assert_eq!(op.to_string(), "addArc(n1, `my label`, n2)");
+        for label in ["a,b", "x)", "a.b", "", "a`b", "line\nbreak", "//"] {
+            let op = ChangeOp::rem_arc(NodeId::from_raw(1), label, NodeId::from_raw(2));
+            assert_eq!(parse_op(&op.to_string()).unwrap(), op, "{op}");
+        }
     }
 }
 

@@ -24,7 +24,8 @@
 //! value is a reference. With [`TextOptions::always_ids`], every node gets
 //! an explicit id and parsing reproduces the database id-for-id.
 
-use crate::{ArcTriple, Label, NodeId, OemDatabase, OemError, Result, Value};
+use crate::notation::{is_word_char, node_number, LabelText, Reader};
+use crate::{ArcTriple, NodeId, OemDatabase, OemError, Result, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -43,13 +44,12 @@ pub fn write_text(db: &OemDatabase, opts: TextOptions) -> String {
     for arc in db.arcs() {
         *indeg.entry(arc.child).or_insert(0) += 1;
     }
-    let needs_id = |n: NodeId| -> bool {
-        opts.always_ids || indeg.get(&n).copied().unwrap_or(0) > 1
-    };
+    let needs_id =
+        |n: NodeId| -> bool { opts.always_ids || indeg.get(&n).copied().unwrap_or(0) > 1 };
 
     let mut out = String::new();
     let mut defined: HashSet<NodeId> = HashSet::new();
-    write!(out, "{} ", db.name()).expect("write to String");
+    write!(out, "{} ", LabelText(db.name())).expect("write to String");
     write_object(db, db.root(), 0, &mut out, &mut defined, &needs_id, &indeg);
     out.push('\n');
     out
@@ -94,8 +94,7 @@ fn write_object(
         for _ in 0..indent + 1 {
             out.push_str("  ");
         }
-        write_label(label, out);
-        out.push(' ');
+        write!(out, "{} ", LabelText(label.as_str())).expect("write to String");
         write_object(db, child, indent + 1, out, defined, needs_id, indeg);
         if i + 1 < children.len() {
             out.push(',');
@@ -123,227 +122,6 @@ fn on_a_cycle(db: &OemDatabase, n: NodeId, _indeg: &HashMap<NodeId, usize>) -> b
     false
 }
 
-fn label_needs_quoting(l: &str) -> bool {
-    l.is_empty()
-        || !l
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '&')
-        || l.chars().next().is_some_and(|c| c.is_ascii_digit())
-}
-
-fn write_label(label: Label, out: &mut String) {
-    let s = label.as_str();
-    if label_needs_quoting(s) {
-        write!(out, "`{s}`").expect("write to String");
-    } else {
-        out.push_str(s);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    col: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
-        Parser {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> OemError {
-        OemError::Text {
-            line: self.line,
-            col: self.col,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b) if b.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => {
-                    while let Some(b) = self.bump() {
-                        if b == b'\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<()> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == want => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.err(format!(
-                "expected {:?}, found {:?}",
-                want as char,
-                other.map(|b| b as char)
-            ))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'&' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii slice")
-            .to_string())
-    }
-
-    fn label(&mut self) -> Result<Label> {
-        self.skip_ws();
-        if self.peek() == Some(b'`') {
-            self.bump();
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'`' {
-                    break;
-                }
-                self.bump();
-            }
-            let s = std::str::from_utf8(&self.src[start..self.pos])
-                .map_err(|_| self.err("invalid utf8 in label"))?
-                .to_string();
-            self.eat(b'`')?;
-            Ok(Label::new(&s))
-        } else {
-            Ok(Label::new(&self.ident()?))
-        }
-    }
-
-    fn string_lit(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut bytes = Vec::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => bytes.push(b'\n'),
-                    Some(b't') => bytes.push(b'\t'),
-                    Some(b'"') => bytes.push(b'"'),
-                    Some(b'\\') => bytes.push(b'\\'),
-                    other => {
-                        return Err(self.err(format!(
-                            "bad escape: \\{:?}",
-                            other.map(|b| b as char)
-                        )))
-                    }
-                },
-                Some(b) => bytes.push(b),
-            }
-        }
-        String::from_utf8(bytes).map_err(|_| self.err("invalid utf8 in string"))
-    }
-
-    fn atom(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string_lit()?.into())),
-            Some(b'@') => {
-                // Timestamp atom: `@` followed by text up to a delimiter
-                // (possibly containing one space for the time of day).
-                self.bump();
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if matches!(c, b',' | b'}' | b'{' | b'\n') {
-                        break;
-                    }
-                    self.bump();
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.err("invalid utf8 in timestamp"))?
-                    .trim();
-                text.parse::<crate::Timestamp>()
-                    .map(Value::Time)
-                    .map_err(|e| self.err(e.to_string()))
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                if b == b'-' {
-                    self.bump();
-                }
-                let mut is_real = false;
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() {
-                        self.bump();
-                    } else if c == b'.' && !is_real {
-                        is_real = true;
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-                if is_real {
-                    text.parse::<f64>()
-                        .map(Value::Real)
-                        .map_err(|e| self.err(format!("bad real: {e}")))
-                } else {
-                    text.parse::<i64>()
-                        .map(Value::Int)
-                        .map_err(|e| self.err(format!("bad int: {e}")))
-                }
-            }
-            _ => {
-                let word = self.ident()?;
-                match word.as_str() {
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    "C" => Ok(Value::Complex),
-                    w => Err(self.err(format!("expected a value, found {w:?}"))),
-                }
-            }
-        }
-    }
-}
-
 /// State for building the database while parsing.
 struct Builder2 {
     db: OemDatabase,
@@ -360,16 +138,12 @@ impl Builder2 {
         }
         // Prefer the numeric id embedded in `nK` names so id-preserving
         // round trips work; fall back to a fresh id.
-        let n = if let Some(raw) = name.strip_prefix('n').and_then(|d| d.parse::<u64>().ok()) {
-            let id = NodeId::from_raw(raw);
-            if self.db.is_fresh(id) {
+        let n = match node_number(name).map(NodeId::from_raw) {
+            Some(id) if self.db.is_fresh(id) => {
                 self.db.create_node_with_id(id, Value::Complex)?;
                 id
-            } else {
-                self.db.create_node(Value::Complex)
             }
-        } else {
-            self.db.create_node(Value::Complex)
+            _ => self.db.create_node(Value::Complex),
         };
         self.named.insert(name.to_string(), n);
         Ok(n)
@@ -378,138 +152,83 @@ impl Builder2 {
 
 /// Parse the textual format into a database.
 pub fn parse_text(src: &str) -> Result<OemDatabase> {
-    let mut p = Parser::new(src);
-    let name = p.ident()?;
-    p.skip_ws();
+    let mut p = Reader::new(src);
+    let name = p.label()?;
     // Optional explicit root id.
-    let root_name = if p.peek() == Some(b'&') {
-        p.bump();
-        Some(p.ident()?)
-    } else {
-        None
-    };
+    let root_name = if p.eat('&') { Some(p.word()?) } else { None };
     // Without an explicit root id, pick one above every `&nK` mentioned in
     // the source so user-chosen ids never collide with the root.
-    let root_id = match root_name
-        .as_deref()
-        .and_then(|s| s.strip_prefix('n'))
-        .and_then(|d| d.parse::<u64>().ok())
-    {
-        Some(raw) => NodeId::from_raw(raw),
-        None => NodeId::from_raw(max_mentioned_id(src) + 1),
+    let root_id = match root_name.and_then(node_number) {
+        Some(raw) => raw,
+        None => max_mentioned_id(src)
+            .checked_add(1)
+            .ok_or_else(|| p.err("node ids leave no room for the root"))?,
     };
+    let root_id = NodeId::from_raw(root_id);
     let mut b = Builder2 {
-        db: OemDatabase::with_root_id(name, root_id),
+        db: OemDatabase::with_root_id(name.as_str(), root_id),
         named: HashMap::new(),
         defined: HashSet::new(),
     };
     if let Some(rn) = root_name {
-        b.named.insert(rn.clone(), root_id);
-        b.defined.insert(rn);
+        b.named.insert(rn.to_string(), root_id);
+        b.defined.insert(rn.to_string());
     }
-    parse_value_into(&mut p, &mut b, root_id)?;
-    p.skip_ws();
-    if p.peek().is_some() {
-        return Err(p.err("trailing input after database"));
+    if !parse_value_into(&mut p, &mut b, root_id)? {
+        return Err(p.err("expected a value"));
     }
-    b.db
-        .check_invariants()
-        .map_err(|msg| OemError::Text {
-            line: 0,
-            col: 0,
-            msg,
-        })?;
+    p.done()?;
+    b.db.check_invariants().map_err(|msg| OemError::Text {
+        line: 0,
+        col: 0,
+        msg,
+    })?;
     Ok(b.db)
 }
 
 /// The largest numeric id mentioned as `&nK` anywhere in the source.
 fn max_mentioned_id(src: &str) -> u64 {
-    let bytes = src.as_bytes();
-    let mut best = 0u64;
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' && bytes.get(i + 1) == Some(&b'n') {
-            let mut j = i + 2;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 2 {
-                if let Ok(v) = src[i + 2..j].parse::<u64>() {
-                    best = best.max(v);
-                }
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    best
+    src.split('&')
+        .skip(1)
+        .filter_map(|s| node_number(s.split(|c| !is_word_char(c)).next()?))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Parse an object (which may be `&oid`, `&oid value`, or a bare value)
 /// and return its node.
-fn parse_object(p: &mut Parser, b: &mut Builder2) -> Result<NodeId> {
-    p.skip_ws();
-    if p.peek() == Some(b'&') {
-        p.bump();
-        let name = p.ident()?;
-        let n = b.node_for(&name)?;
-        p.skip_ws();
-        let has_value = matches!(p.peek(), Some(b'{') | Some(b'"'))
-            || p.peek().is_some_and(|c| c.is_ascii_digit() || c == b'-')
-            || lookahead_word(p);
-        if has_value {
-            if !b.defined.insert(name.clone()) {
-                return Err(p.err(format!("object &{name} defined twice")));
-            }
-            parse_value_into(p, b, n)?;
-        }
-        Ok(n)
-    } else {
+fn parse_object(p: &mut Reader, b: &mut Builder2) -> Result<NodeId> {
+    if !p.eat('&') {
         let n = b.db.create_node(Value::Complex);
-        parse_value_into(p, b, n)?;
-        Ok(n)
-    }
-}
-
-/// `true` if the next token is a bare word that could start an atom
-/// (`true` / `false` / `C`).
-fn lookahead_word(p: &Parser) -> bool {
-    let rest = &p.src[p.pos..];
-    for w in [b"true" as &[u8], b"false", b"C"] {
-        if rest.starts_with(w) {
-            let after = rest.get(w.len()).copied();
-            if !after.is_some_and(|c| c.is_ascii_alphanumeric() || c == b'-' || c == b'_') {
-                return true;
-            }
+        if !parse_value_into(p, b, n)? {
+            return Err(p.err("expected a value"));
         }
+        return Ok(n);
     }
-    false
+    let name = p.word()?;
+    let n = b.node_for(name)?;
+    if parse_value_into(p, b, n)? && !b.defined.insert(name.to_string()) {
+        return Err(p.err(format!("object &{name} defined twice")));
+    }
+    Ok(n)
 }
 
-fn parse_value_into(p: &mut Parser, b: &mut Builder2, n: NodeId) -> Result<()> {
-    p.skip_ws();
-    if p.peek() == Some(b'{') {
-        p.bump();
+/// Parse the value of `n` if one starts here — `{label object, …}` or an
+/// atom — and say whether one did.
+fn parse_value_into(p: &mut Reader, b: &mut Builder2, n: NodeId) -> Result<bool> {
+    if p.eat('{') {
         b.db.set_value(n, Value::Complex)?;
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                p.bump();
-                break;
-            }
+        while !p.eat('}') {
             let label = p.label()?;
             let child = parse_object(p, b)?;
             b.db.insert_arc(ArcTriple::new(n, label, child))?;
-            p.skip_ws();
-            if p.peek() == Some(b',') {
-                p.bump();
-            }
+            p.eat(',');
         }
-        Ok(())
-    } else {
-        let v = p.atom()?;
-        b.db.set_value(n, v)
+        return Ok(true);
+    }
+    match p.atom()? {
+        Some(v) => b.db.set_value(n, v).map(|()| true),
+        None => Ok(false),
     }
 }
 
@@ -554,12 +273,7 @@ mod tests {
     #[test]
     fn always_ids_round_trips_identically() {
         let db = guide_figure2();
-        let text = write_text(
-            &db,
-            TextOptions {
-                always_ids: true,
-            },
-        );
+        let text = write_text(&db, TextOptions { always_ids: true });
         let back = parse_text(&text).unwrap();
         assert!(same_database(&db, &back), "text was:\n{text}");
     }
@@ -601,6 +315,7 @@ mod tests {
         let root = b.root();
         b.atom_child(root, "label with space", 1);
         b.atom_child(root, "&val", 2);
+        b.atom_child(root, "a`b", 3);
         let db = b.finish();
         let text = write_text(&db, TextOptions::default());
         assert!(text.contains("`label with space`"));
@@ -632,6 +347,8 @@ mod tests {
         assert!(text.contains("@30Dec96 11:30pm"));
         let back = parse_text(&text).unwrap();
         assert!(isomorphic(&db, &back));
+        let text = write_text(&db, TextOptions { always_ids: true });
+        assert!(same_database(&db, &parse_text(&text).unwrap()), "{text}");
     }
 
     #[test]
@@ -678,7 +395,8 @@ mod fuzz_tests {
                 proptest::sample::select(vec![
                     "guide", "{", "}", "&n1", "&n2", "name", "price",
                     "\"x\"", "10", "2.5", "true", "C", ",", "@1Jan97",
-                    "`odd label`", "//c\n",
+                    "`odd label`", "//c\n", "`a\\`b`", "\"quoted label\"", "-.5e3",
+                    "1e400",
                 ]),
                 0..16,
             )

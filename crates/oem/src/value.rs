@@ -12,6 +12,7 @@
 //! different: Lorel's forgiving coercion lives in the `lorel` crate, not
 //! here.
 
+use crate::notation::write_quoted;
 use crate::Timestamp;
 use std::cmp::Ordering;
 use std::fmt;
@@ -126,19 +127,7 @@ impl fmt::Display for Value {
                     write!(f, "{r}")
                 }
             }
-            Value::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\t' => f.write_str("\\t")?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
+            Value::Str(s) => write_quoted(f, s, '"'),
             Value::Bool(b) => write!(f, "{b}"),
             // The `@` sigil keeps timestamps distinguishable from ints and
             // idents in the textual OEM format.

@@ -329,6 +329,14 @@ mod tests {
         }
         let r = parse_request("UPDATE guide AT 1Jan97 8:00pm ; updNode(n1, 20)").unwrap();
         assert!(matches!(r, Request::Update { at: Some(_), .. }));
+        // A real too large for an f64 is a syntax error, not infinity.
+        let huge = format!("1{}.0", "0".repeat(400));
+        for line in [
+            format!("UPDATE guide AT 1Jan97 ; {{creNode(n3, {huge})}}"),
+            format!("MUTATE guide AT 1Jan97 ; update guide.restaurant.price := {huge}"),
+        ] {
+            assert_eq!(parse_request(&line).unwrap_err().kind, ErrKind::Syntax, "{line}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! writes** (`sequence` → persist → publish) — through the follower's
 //! own WAL when it has one, so follower WALs, checkpoints, and crash
 //! recovery need no replication-specific code at all. The canonical change-op
-//! application order inside each record is [`doem::apply_set`]'s,
+//! application order inside each record is [`doem::DoemDatabase::apply`]'s,
 //! identical on both sides by construction.
 //!
 //! The follower derives its pace from its own progress: after a round

@@ -94,7 +94,7 @@ impl Shard {
 
 /// A change set the sequence stage has already applied to the sequencing
 /// head: the record, plus an O(1) snapshot of the DOEM graph with it
-/// applied. Publishing it is a pointer swap — no second `apply_set`, so
+/// applied. Publishing it is a pointer swap — no second `apply`, so
 /// nothing that could fail.
 pub(crate) struct AppliedSet {
     /// The assigned timestamp — the LSN.

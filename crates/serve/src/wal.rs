@@ -7,14 +7,15 @@
 //! record to `<db>.wal`; recovery loads the latest checkpoint (a DOEM
 //! image saved through [`lore::LoreStore`], exactly the Section 5.1
 //! encoding `SAVE` uses) and replays the log tail through
-//! [`doem::apply_set`] — the *same* code path that executed the writes
-//! the first time.
+//! [`doem::DoemDatabase::apply`] — the *same* code path that executed the
+//! writes the first time.
 //!
 //! # Record format
 //!
 //! Records use the paper's own textual change-operation notation (the
-//! `Display`/[`oem::parse_history`] round trip), one history entry per
-//! record, framed for crash safety:
+//! `Display`/[`oem::parse_history`] round trip, which quotes every label
+//! that is not a bare word), one history entry per record, framed for
+//! crash safety:
 //!
 //! ```text
 //! u32 LE payload length | u32 LE CRC-32 of payload | payload
@@ -25,10 +26,13 @@
 //! editable with a text editor plus a reframing pass — while the length
 //! and checksum let recovery distinguish "log ends here" from "log was
 //! torn mid-append". The torn-tail rule: replay stops at the first frame
-//! that is incomplete, fails its checksum, or does not parse; everything
-//! before it is the **durable prefix**, everything from it on is
-//! discarded (and truncated away on reopen, so later appends never chase
-//! garbage bytes).
+//! that is incomplete, fails its checksum, or is empty; everything before
+//! it is the **durable prefix**, everything from it on is discarded (and
+//! truncated away on reopen, so later appends never chase garbage
+//! bytes). A whole frame whose payload does not parse cannot be a torn
+//! append, so it is no tail: [`replay`] fails, naming the file and byte
+//! offset, and the service refuses to start rather than truncate it and
+//! the acknowledged records after it.
 //!
 //! # Segments and checkpoints
 //!
@@ -153,8 +157,12 @@ pub struct WalReplay {
 }
 
 /// Decode the longest whole-record prefix of a WAL file. A missing file
-/// is an empty log. Never fails on content: any framing, checksum, or
-/// parse defect ends the prefix and marks the replay torn.
+/// is an empty log. A frame that is incomplete, fails its checksum, or is
+/// empty (a zero-filled tail reads as one) ends the prefix and marks the
+/// replay torn. A whole frame whose payload is not one record is no torn
+/// append: replay fails with [`std::io::ErrorKind::InvalidData`], naming
+/// the file and the frame's byte offset, and the caller must leave the
+/// file as it is rather than truncate it and the records after it.
 pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -187,20 +195,30 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
         if crc32(payload) != want {
             break; // checksum mismatch: torn or corrupt
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let (body, epoch) = split_epoch(text);
-        let Ok(history) = parse_history(body) else {
-            break;
-        };
-        let Some(entry) = history.entries().first() else {
-            break; // empty payload: not a record
-        };
-        if history.len() != 1 {
+        if payload.is_empty() {
             break;
         }
-        out.entries.push((entry.at, entry.changes.clone()));
+        let record = std::str::from_utf8(payload)
+            .map_err(|e| e.to_string())
+            .and_then(|text| {
+                let (body, epoch) = split_epoch(text);
+                let history = parse_history(body).map_err(|e| e.to_string())?;
+                match history.entries() {
+                    [entry] => Ok((entry.at, entry.changes.clone(), epoch)),
+                    _ => Err("not one history entry".to_string()),
+                }
+            });
+        let (at, changes, epoch) = record.map_err(|why| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{}: the whole record at byte {offset} does not parse ({why}); \
+                     refusing to truncate it and the records after it",
+                    path.display()
+                ),
+            )
+        })?;
+        out.entries.push((at, changes));
         out.epochs.push(epoch);
         offset = end;
         out.good_len = offset as u64;
@@ -485,6 +503,28 @@ mod tests {
         let r = replay(&path).unwrap();
         assert_eq!(r.entries.len(), 1);
         assert!(r.torn);
+    }
+
+    #[test]
+    fn a_whole_frame_that_does_not_parse_fails_replay_but_zeros_are_a_torn_tail() {
+        let path = tmp("unparseable");
+        let good = encode_record(ts("1Jan97"), &parse_change_set("{updNode(n1, 20)}").unwrap());
+        let payload = b"(2Jan97, {addArc(n1, my label, n2)})\n";
+        let mut bytes = good.clone();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&good);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = replay(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("at byte {}", good.len())), "{err}");
+        // A zero-filled tail reads as empty frames: torn, not corrupt.
+        let mut bytes = good.clone();
+        bytes.extend_from_slice(&[0; 12]);
+        std::fs::write(&path, &bytes).unwrap();
+        let r = replay(&path).unwrap();
+        assert_eq!((r.entries.len(), r.good_len, r.torn), (1, good.len() as u64, true));
     }
 
     #[test]

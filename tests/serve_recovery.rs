@@ -503,6 +503,70 @@ fn clean_shutdown_then_restart_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A label that is not a bare word is logged quoted, so a crash replays
+/// its write and every acknowledged write after it: rows and applied LSN
+/// come back as they were. (The log once held it bare; the record failed
+/// to parse on replay and was cut as a torn tail, with all later writes.)
+#[test]
+fn a_quoted_label_write_and_the_writes_after_it_survive_a_crash() {
+    let dir = fresh_dir("quoted-label");
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    let c = svc.client();
+    for line in [
+        "CREATE t",
+        "UPDATE t AT 1Jan97 ; {creNode(n20, 1), addArc(n1, \"my label\", n20)}",
+        "UPDATE t AT 2Jan97 ; {creNode(n21, 2), addArc(n1, item, n21)}",
+    ] {
+        let resp = c.request_line(line);
+        assert!(!resp.is_error(), "{line}: {resp:?}");
+    }
+    let ask = |c: &serve::Client| {
+        ["QUERY t select t.#", "LSN t"].map(|l| c.request_line(l).render())
+    };
+    let before = ask(&c);
+    assert!(before[0].starts_with("ROWS 3\n"), "{}", before[0]);
+    let want = svc.doem_snapshot("t").unwrap();
+    drop(c);
+    drop(svc); // kill-9: both writes live only in the log
+
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    assert_eq!(ask(&svc.client()), before);
+    assert!(same_doem(&svc.doem_snapshot("t").unwrap(), &want));
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log frame whose length and checksum hold but whose payload does not
+/// parse cannot be a torn append: the service refuses to start, names the
+/// file and the frame's offset, and leaves the log, and the acknowledged
+/// record after the frame, on disk as they were.
+#[test]
+fn a_whole_frame_that_does_not_parse_stops_the_start_and_keeps_the_log() {
+    let dir = fresh_dir("unparseable");
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    assert!(!svc.client().request_line("CREATE t").is_error());
+    svc.shutdown();
+    let payload = b"(1Jan97, {addArc(n1, my label, n20)})\n";
+    let mut log = (payload.len() as u32).to_le_bytes().to_vec();
+    log.extend_from_slice(&serve::wal::crc32(payload).to_le_bytes());
+    log.extend_from_slice(payload);
+    let good = parse_change_set("{creNode(n21, 2), addArc(n1, item, n21)}").unwrap();
+    log.extend_from_slice(&serve::wal::encode_record("2Jan97".parse().unwrap(), &good));
+    let wal = dir.join("t.wal");
+    std::fs::write(&wal, &log).unwrap();
+
+    let err = match Service::start(durable_cfg(&dir, Faults::disabled())) {
+        Ok(svc) => {
+            let rows = svc.client().request_line("QUERY t select t.#").render();
+            panic!("started over an unparseable record; t holds {rows:?}")
+        }
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains(&wal.display().to_string()) && err.contains("at byte 0"), "{err}");
+    assert_eq!(std::fs::read(&wal).unwrap(), log, "the log was changed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `a.b` and `a_b` are two databases, so they keep two images and two
 /// logs: after a crash each recovers its own write. (Both used to be
 /// stored under the stem `a_b`, and only one came back.)

@@ -155,6 +155,33 @@ fn follower_catches_up_from_empty_and_serves_identical_rows() {
     primary.shutdown();
 }
 
+/// A write whose label is not a bare word ships quoted in its `REC` row,
+/// so a follower applies it and the plain write after it. (The row once
+/// carried the label bare; the follower could not parse it and retried
+/// the same batch forever.)
+#[test]
+fn a_follower_converges_across_a_quoted_label_write() {
+    let primary = Service::start(ServeConfig::default()).unwrap();
+    let handle = primary.listen("127.0.0.1:0").unwrap();
+    let pc = primary.client();
+    assert!(!pc.request_line("CREATE t").is_error());
+    let follower = Service::start(follower_cfg(&handle.addr().to_string())).unwrap();
+    await_convergence(&primary, &follower, "t", Duration::from_secs(15));
+
+    for line in [
+        "UPDATE t AT 1Jan97 ; {creNode(n20, 1), addArc(n1, \"my label\", n20)}",
+        "UPDATE t AT 2Jan97 ; {creNode(n21, 2), addArc(n1, item, n21)}",
+    ] {
+        let resp = pc.request_line(line);
+        assert!(!resp.is_error(), "{line}: {resp:?}");
+    }
+    await_convergence(&primary, &follower, "t", Duration::from_secs(15));
+
+    drop(handle);
+    follower.shutdown();
+    primary.shutdown();
+}
+
 /// The 1-primary / 2-follower topology from the README quick-start:
 /// an **empty** database created before the followers attach arrives as
 /// a records-only rebuild, and writes committed while both followers are
