@@ -17,8 +17,9 @@
 //!   of the same node, because a shard whose log fails flips read-only
 //!   until a restart.
 //! - `ReplicateServe` faults target the primary, `ReplicateApply` faults a
-//!   follower — together the five registered failpoint sites are all
-//!   exercised (the first five faults cycle through
+//!   follower, and `Evaluate` stalls (its only mode) slow a follower's
+//!   next pooled read — together the six registered failpoint sites are
+//!   all exercised (the first six faults cycle through
 //!   [`FaultPoint::ALL`] so the liveness audit can demand full coverage).
 //! - Every fault and kill lands *before* the promotion point, so fault
 //!   plans armed against the original primary cannot be stranded on a
@@ -257,6 +258,12 @@ impl Schedule {
                     } else {
                         FaultSpec::Stall(rng.gen_range(20..=60))
                     },
+                    false,
+                ),
+                FaultPoint::Evaluate => (
+                    1 + rng.gen_range(0..followers),
+                    rng.gen_range(1..=2u64),
+                    FaultSpec::Stall(rng.gen_range(10..=40)),
                     false,
                 ),
             };

@@ -11,8 +11,9 @@
 
 use crate::engines::{canonical_rows_by, render_canonical_rows};
 use doem::{ArcAnnotation, DoemDatabase};
-use lorel::{DataSource, QueryResult};
+use lorel::{DataSource, Rows};
 use oem::{Label, NodeId, Timestamp, Value};
+use std::borrow::Cow;
 
 /// A [`DataSource`] over `O_t(D)`.
 ///
@@ -42,15 +43,16 @@ impl<'a> AtSource<'a> {
         AtSource { d, t }
     }
 
-    /// [`crate::canonical_row_strings`] for a result evaluated over this
-    /// view.
-    pub fn canonical_row_strings(&self, result: &QueryResult) -> Vec<String> {
+    /// [`crate::canonical_row_strings`] for rows the engine evaluated
+    /// over this view. Every object they bind is an object of the
+    /// snapshot, so no result database is needed to render them.
+    pub fn canonical_row_strings(&self, rows: &Rows) -> Vec<String> {
         // The root is an object of the snapshot even when it was created
         // after `t` (see `value`).
         render_canonical_rows(&canonical_rows_by(
             |n| n == self.d.root() || self.d.value_ref_at(n, self.t).is_some(),
-            &result.rows,
-            |n| result.db.value(n).ok().cloned(),
+            &rows.rows,
+            |_| None,
         ))
     }
 }
@@ -64,12 +66,12 @@ impl DataSource for AtSource<'_> {
         self.d.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Value> {
+    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
         match self.d.value_ref_at(n, self.t) {
-            Some(v) => Some(v.clone()),
+            Some(v) => Some(Cow::Borrowed(v)),
             // A root created after `t` (QSS result databases) still roots
             // the — empty — snapshot.
-            None => (n == self.d.root()).then_some(Value::Complex),
+            None => (n == self.d.root()).then_some(Cow::Owned(Value::Complex)),
         }
     }
 
@@ -124,7 +126,7 @@ mod tests {
         // 2Jan97: price already 20, Hakata exists, no comment yet, Janta
         // still parks at n7.
         let s = AtSource::new(&d, ts("2Jan97"));
-        assert_eq!(s.value(ids::N1), Some(Value::Int(20)));
+        assert_eq!(s.value(ids::N1).as_deref(), Some(&Value::Int(20)));
         assert_eq!(
             s.children_labeled(ids::N4, Label::new("restaurant")).len(),
             3
@@ -138,7 +140,7 @@ mod tests {
         );
         // 31Dec96: the original snapshot.
         let s = AtSource::new(&d, ts("31Dec96"));
-        assert_eq!(s.value(ids::N1), Some(Value::Int(10)));
+        assert_eq!(s.value(ids::N1).as_deref(), Some(&Value::Int(10)));
         assert_eq!(
             s.children_labeled(ids::N4, Label::new("restaurant")).len(),
             2

@@ -16,6 +16,7 @@
 use doem::{ArcAnnotation, DoemDatabase};
 use lorel::DataSource;
 use oem::{Label, NodeId, Timestamp, Value};
+use std::borrow::Cow;
 
 /// A [`DataSource`] view over a DOEM database.
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +72,8 @@ impl DataSource for DirectSource<'_> {
         self.d.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Value> {
-        self.d.graph().value(n).ok().cloned()
+    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
+        self.d.graph().value(n).ok().map(Cow::Borrowed)
     }
 
     fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
@@ -80,6 +81,16 @@ impl DataSource for DirectSource<'_> {
             .arcs_from(n)
             .filter(|(_, _, anns)| ArcAnnotation::current(anns))
             .map(|(l, c, _)| (l, c))
+            .collect()
+    }
+
+    /// One pass over `n`'s arcs: the label is compared before the
+    /// annotations are read.
+    fn children_labeled(&self, n: NodeId, l: Label) -> Vec<NodeId> {
+        self.d
+            .arcs_from(n)
+            .filter(|&(label, _, anns)| label == l && ArcAnnotation::current(anns))
+            .map(|(_, c, _)| c)
             .collect()
     }
 

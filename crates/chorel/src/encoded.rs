@@ -7,6 +7,7 @@
 
 use lorel::DataSource;
 use oem::{Label, NodeId, OemDatabase, Value};
+use std::borrow::Cow;
 
 /// The encoded-database view used by the translation strategy.
 #[derive(Clone, Debug)]
@@ -35,8 +36,8 @@ impl DataSource for EncodedSource {
         self.oem.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Value> {
-        self.oem.value(n).ok().cloned()
+    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
+        self.oem.value(n).ok().map(Cow::Borrowed)
     }
 
     fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {

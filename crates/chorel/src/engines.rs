@@ -4,7 +4,7 @@
 use crate::{translate, AtSource, DirectSource, EncodedSource};
 use doem::{encode_doem, snapshot_at, DoemDatabase};
 use lorel::ast::Query;
-use lorel::{run_parsed, Binding, QueryResult, Result};
+use lorel::{run_parsed, Binding, DataSource, QueryResult, Result, Rows};
 use oem::{NodeId, Timestamp, Value};
 
 /// Which execution strategy to use.
@@ -40,12 +40,27 @@ pub fn run_chorel_parsed(
     }
 }
 
+/// Evaluate an already parsed query by the direct strategy and return the
+/// engine's rows, unpackaged. Every object they bind is an object of
+/// `d`'s graph, so [`crate::delta::canonical_strings_for_rows`] renders
+/// them without a result database; [`run_chorel_parsed`] packages the
+/// same rows as Section 6 asks of a polling result.
+pub fn run_direct_rows(d: &DoemDatabase, query: &Query) -> Result<Rows> {
+    rows_over(&DirectSource::new(d), query)
+}
+
+/// Plan `query` against `source` and execute it.
+fn rows_over(source: &dyn DataSource, query: &Query) -> Result<Rows> {
+    lorel::execute(source, &lorel::plan(query, source.name())?)
+}
+
 /// Evaluate `query` over `O_t(d)` — the state `d` had at time `t`
 /// (Section 3.2) — and return the canonical row strings, byte-identical
 /// to evaluating over `DoemDatabase::from_snapshot(&snapshot_at(d, t))`.
 ///
-/// The direct strategy reads `d` through the lazy [`AtSource`] view and
-/// touches only what the query reaches. The translated strategy encodes
+/// The direct strategy reads `d` through the lazy [`AtSource`] view,
+/// touches only what the query reaches, and renders the engine's rows as
+/// they are. The translated strategy encodes
 /// the whole database it runs on (Section 5.1) whatever the query, so it
 /// materialises the snapshot first.
 pub fn run_chorel_at(
@@ -57,8 +72,8 @@ pub fn run_chorel_at(
     match strategy {
         Strategy::Direct => {
             let view = AtSource::new(d, t);
-            let result = run_parsed(&view, query)?;
-            Ok(view.canonical_row_strings(&result))
+            let rows = rows_over(&view, query)?;
+            Ok(view.canonical_row_strings(&rows))
         }
         Strategy::Translated => {
             let snapshot = DoemDatabase::from_snapshot(&snapshot_at(d, t));
@@ -401,6 +416,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 2); // Bangkok's own name + the lot's name
+    }
+
+    #[test]
+    fn labels_no_arc_carries_match_nothing_in_both_engines() {
+        let d = doem_figure4();
+        for q in [
+            "select guide.never-a-label",
+            "select guide.<add>never-a-label",
+            "select X, T from guide.restaurant.<rem at T>never-a-label X",
+            "select guide.restaurant.never-a-label<upd at T> where T > 1Jan97",
+            "select guide.never-a-label*.name",
+        ] {
+            assert!(run_both_checked(&d, q).unwrap().is_empty(), "{q}");
+        }
+        // Beside a known label, an unknown one drops out of the pattern.
+        let r = run_both_checked(&d, "select guide.restaurant.(never-a-label|price)").unwrap();
+        assert_eq!(r.len(), 2);
+        // Under `or`, direct only: the translated strategy drops rows when
+        // an inner step of an `or` branch is unbound, whatever its label.
+        let r = run_chorel(
+            &d,
+            "select R from guide.restaurant R where R.never-a-label = 1 or R.name = \"Janta\"",
+            Strategy::Direct,
+        )
+        .unwrap();
+        assert_eq!(r.nodes_in_column(0), vec![ids::N6]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use direct::DirectSource;
 pub use encoded::EncodedSource;
 pub use engines::{
     canonical_row_strings, canonical_rows, run_both_checked, run_chorel, run_chorel_at,
-    run_chorel_parsed, CanonBinding, Strategy,
+    run_chorel_parsed, run_direct_rows, CanonBinding, Strategy,
 };
 pub use timevar::resolve_poll_times;
 pub use translate::translate;

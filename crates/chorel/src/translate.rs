@@ -79,7 +79,7 @@ impl<'a> Translator<'a> {
                         head: self.var_name(*s),
                         steps: vec![],
                     }),
-                    Operand::Const(v) => Expr::Literal(v.clone()),
+                    Operand::Const(lit) => Expr::Literal(lit.value().clone()),
                 };
                 SelectItem {
                     expr,
@@ -131,7 +131,7 @@ impl<'a> Translator<'a> {
 
     /// Expand one planned step variable into its encoded range chain.
     fn expand_step(&self, slot: usize) -> Result<Expansion> {
-        let VarSource::Step { base, step } = &self.plan.vars[slot].source else {
+        let VarSource::Step { base, step, .. } = &self.plan.vars[slot].source else {
             return Err(LorelError::BadSelectItem(format!(
                 "variable {} is not a step",
                 self.var_name(slot)
@@ -265,7 +265,7 @@ impl<'a> Translator<'a> {
 
     fn translate_operand(&self, op: &Operand) -> Expr {
         match op {
-            Operand::Const(v) => Expr::Literal(v.clone()),
+            Operand::Const(lit) => Expr::Literal(lit.value().clone()),
             Operand::Slot(s) => self.value_access(*s),
         }
     }

@@ -15,7 +15,8 @@
 //!   types never compare.
 
 use crate::ast::CmpOp;
-use oem::Value;
+use oem::{Timestamp, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Compare two values under Lorel coercion. `None` means "not comparable"
@@ -81,7 +82,12 @@ fn parse_bool(s: &str) -> Option<bool> {
 /// Apply a comparison operator with coercion; incomparable pairs are
 /// `false`.
 pub fn compare(op: CmpOp, a: &Value, b: &Value) -> bool {
-    match coerce_compare(a, b) {
+    holds(op, coerce_compare(a, b))
+}
+
+/// Whether `op` holds of an ordering; `None` (incomparable) never does.
+pub(crate) fn holds(op: CmpOp, ord: Option<Ordering>) -> bool {
+    match ord {
         None => false,
         Some(ord) => match op {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -97,42 +103,48 @@ pub fn compare(op: CmpOp, a: &Value, b: &Value) -> bool {
 /// SQL-style `like`: `%` matches any sequence, `_` any single character.
 /// Both operands coerce to strings (numbers print themselves).
 pub fn like(value: &Value, pattern: &Value) -> bool {
-    let Some(v) = to_text(value) else {
-        return false;
-    };
     let Some(p) = to_text(pattern) else {
         return false;
     };
-    like_match(&v, &p)
+    let p: Vec<char> = p.chars().collect();
+    like_chars(value, &p)
 }
 
-fn to_text(v: &Value) -> Option<String> {
+/// `like` against a pattern already split into chars.
+fn like_chars(value: &Value, pattern: &[char]) -> bool {
+    to_text(value).is_some_and(|v| like_match(&v, pattern))
+}
+
+/// The text `like` reads a value as: a string itself, borrowed; other
+/// atoms printed; complex objects have none.
+fn to_text(v: &Value) -> Option<Cow<'_, str>> {
     match v {
         Value::Complex => None,
-        Value::Str(s) => Some(s.to_string()),
-        Value::Int(i) => Some(i.to_string()),
-        Value::Real(r) => Some(r.to_string()),
-        Value::Bool(b) => Some(b.to_string()),
-        Value::Time(t) => Some(t.to_string()),
+        Value::Str(s) => Some(Cow::Borrowed(s)),
+        Value::Int(i) => Some(Cow::Owned(i.to_string())),
+        Value::Real(r) => Some(Cow::Owned(r.to_string())),
+        Value::Bool(b) => Some(Cow::Owned(b.to_string())),
+        Value::Time(t) => Some(Cow::Owned(t.to_string())),
     }
 }
 
-fn like_match(text: &str, pattern: &str) -> bool {
-    // Classic two-pointer wildcard matching over chars.
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+fn like_match(text: &str, p: &[char]) -> bool {
+    // Classic two-pointer wildcard matching over chars; `ti` and `star_t`
+    // are byte offsets of char boundaries in `text`.
+    let next = |at: usize| text[at..].chars().next().expect("offset below the end");
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            ti += 1;
+    while ti < text.len() {
+        let c = next(ti);
+        if pi < p.len() && (p[pi] == '_' || p[pi] == c) {
+            ti += c.len_utf8();
             pi += 1;
         } else if pi < p.len() && p[pi] == '%' {
             star_p = pi;
             star_t = ti;
             pi += 1;
         } else if star_p != usize::MAX {
-            star_t += 1;
+            star_t += next(star_t).len_utf8();
             ti = star_t;
             pi = star_p + 1;
         } else {
@@ -143,6 +155,60 @@ fn like_match(text: &str, pattern: &str) -> bool {
         pi += 1;
     }
     pi == p.len()
+}
+
+/// A query literal with the coercions [`coerce_compare`] and [`like`]
+/// would apply to it worked out once, when the query is planned: the
+/// number, timestamp and bool a string literal reads as, and the chars of
+/// its `like` pattern. Comparing a binding against it parses only the
+/// binding's side.
+#[derive(Clone, Debug)]
+pub struct Literal {
+    value: Value,
+    number: Option<Value>,
+    time: Option<Timestamp>,
+    boolean: Option<bool>,
+    pattern: Option<Box<[char]>>,
+}
+
+impl Literal {
+    /// Work out `value`'s coercions.
+    pub(crate) fn new(value: Value) -> Literal {
+        let (number, time, boolean) = match &value {
+            Value::Str(s) => (parse_number(s), s.parse().ok(), parse_bool(s)),
+            _ => (None, None, None),
+        };
+        let pattern = to_text(&value).map(|t| t.chars().collect());
+        Literal {
+            value,
+            number,
+            time,
+            boolean,
+            pattern,
+        }
+    }
+
+    /// The literal as written.
+    pub fn value(&self) -> &Value {
+        &self.value
+    }
+
+    /// `coerce_compare(v, self.value())`.
+    pub(crate) fn compare_from(&self, v: &Value) -> Option<Ordering> {
+        match (v, &self.value) {
+            (Value::Int(_) | Value::Real(_), Value::Str(_)) => {
+                coerce_compare(v, self.number.as_ref()?)
+            }
+            (Value::Time(t), Value::Str(_)) => Some(t.cmp(&self.time?)),
+            (Value::Bool(x), Value::Str(_)) => Some(x.cmp(&self.boolean?)),
+            _ => coerce_compare(v, &self.value),
+        }
+    }
+
+    /// `like(v, self.value())`.
+    pub(crate) fn like_from(&self, v: &Value) -> bool {
+        self.pattern.as_deref().is_some_and(|p| like_chars(v, p))
+    }
 }
 
 #[cfg(test)]
@@ -233,5 +299,108 @@ mod tests {
     fn nan_comparisons_are_false() {
         assert!(!compare(CmpOp::Eq, &Value::Real(f64::NAN), &Value::Real(f64::NAN)));
         assert!(!compare(CmpOp::Lt, &Value::Real(f64::NAN), &Value::Real(1.0)));
+    }
+
+    #[test]
+    fn like_walks_multibyte_text_by_char() {
+        assert!(like(&Value::str("気λé"), &Value::str("_λ_")));
+        assert!(like(&Value::str("a🦀b🦀c"), &Value::str("%🦀c")));
+        assert!(!like(&Value::str("気"), &Value::str("__")));
+        assert!(Literal::new(Value::str("%é")).like_from(&Value::str("café")));
+    }
+}
+
+/// The plan-time forms of a literal agree with comparing and matching the
+/// literal as written, whatever the binding and whichever side the
+/// literal stands on.
+#[cfg(test)]
+mod literal_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Strings that coerce: ints, reals, every accepted date form, bools;
+    /// and strings that do not.
+    const STRINGS: &[&str] = &[
+        "42", " 7 ", "-3", "0", "3.5", "-0.25", "1e3", "NaN", "inf", "20.5",
+        "8Jan97", "08Jan1997", "1997-01-08", "1Jan97", "31Dec96", "8Jan97 11:30pm",
+        "1997-01-08 9:00am", "5Jan97 12:01am", "-inf", "infinity", "+inf", "31Feb97",
+        "true", "false", " true", "yes", "", "moderate", "Lytton", "气λ", "ça va",
+        "%", "_", "%a%", "c_t", "%é%", "_🦀%", "%%", "1%", "%97",
+    ];
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    fn value(kind: usize, pick: usize, free: &str, i: i64) -> Value {
+        let s = STRINGS[pick % STRINGS.len()];
+        match kind {
+            0 => Value::Int(i),
+            1 => Value::Real(i as f64 / 4.0),
+            2 => Value::str(s),
+            3 => Value::str(free),
+            4 => Value::Bool(i % 2 == 0),
+            5 => Value::Time(
+                ["1Jan97", "8Jan97", "31Dec96", "1997-01-08 9:00am"][pick % 4]
+                    .parse()
+                    .unwrap(),
+            ),
+            6 => Value::Real(f64::NAN),
+            _ => Value::Complex,
+        }
+    }
+
+    /// The matcher `like` used before it borrowed its text: char vectors.
+    fn like_reference(text: &str, pattern: &str) -> bool {
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut ti, mut pi) = (0usize, 0usize);
+        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+        while ti < t.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+                ti += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star_p = pi;
+                star_t = ti;
+                pi += 1;
+            } else if star_p != usize::MAX {
+                star_t += 1;
+                ti = star_t;
+                pi = star_p + 1;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        #[test]
+        fn literal_forms_agree_with_coercion(
+            vk in 0usize..8, vp in 0usize..64, vf in "\\PC{0,6}", vi in -40i64..40,
+            lk in 0usize..8, lp in 0usize..64, lf in "\\PC{0,6}", li in -40i64..40,
+        ) {
+            let v = value(vk, vp, &vf, vi);
+            let lit = Literal::new(value(lk, lp, &lf, li));
+            for op in OPS {
+                prop_assert_eq!(
+                    holds(op, lit.compare_from(&v)),
+                    compare(op, &v, lit.value()),
+                    "{:?} {} {:?}", v, op, lit.value()
+                );
+                prop_assert_eq!(
+                    holds(op, lit.compare_from(&v).map(Ordering::reverse)),
+                    compare(op, lit.value(), &v),
+                    "{:?} {} {:?}", lit.value(), op, v
+                );
+            }
+            prop_assert_eq!(lit.like_from(&v), like(&v, lit.value()), "{:?} like {:?}", v, lit.value());
+            if let (Some(t), Some(p)) = (to_text(&v), to_text(lit.value())) {
+                prop_assert_eq!(like(&v, lit.value()), like_reference(&t, &p), "{:?} like {:?}", t, p);
+            }
+        }
     }
 }

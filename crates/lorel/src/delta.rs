@@ -63,9 +63,9 @@
 //! ```
 
 use crate::ast::{ArcAnnotExpr, CmpOp, LabelPattern, NodeAnnotExpr, PathStep};
-use crate::engine::{execute_restricted, pattern_matches, Binding, Restriction, Row, Rows};
+use crate::engine::{dedup_rows, execute_restricted, Binding, Restriction, Row, Rows};
 use crate::error::Result;
-use crate::plan::{CompanionRole, Operand, Plan, Pred, VarSource};
+use crate::plan::{CompanionRole, LabelSet, Operand, Plan, Pred, VarSource};
 use crate::source::DataSource;
 use oem::{ArcTriple, ChangeSet, NodeId, Timestamp};
 use std::collections::{BTreeSet, HashSet};
@@ -161,11 +161,13 @@ pub(crate) enum SlotRestrict<'a> {
 }
 
 impl SlotRestrict<'_> {
-    /// Does `cand` survive the restriction for a step `step` from `base`?
+    /// Does `cand` survive the restriction for a step `step` (whose
+    /// resolved labels are `labels`) from `base`?
     pub(crate) fn keeps(
         &self,
         base: NodeId,
         step: &PathStep,
+        labels: &LabelSet,
         target: &Binding,
         arc_time: Option<Timestamp>,
         node_time: Option<Timestamp>,
@@ -195,17 +197,13 @@ impl SlotRestrict<'_> {
                         let Binding::Node(c) = target else {
                             return false;
                         };
-                        match &step.label {
-                            LabelPattern::Label(l) => {
-                                spec.added.contains(&ArcTriple::new(base, l.as_str(), *c))
-                            }
-                            LabelPattern::Alternation(ls) => ls.iter().any(|l| {
-                                spec.added.contains(&ArcTriple::new(base, l.as_str(), *c))
-                            }),
-                            LabelPattern::AnyLabel | LabelPattern::AnyPath => spec
-                                .added
+                        match labels {
+                            LabelSet::Named(ls) => ls
                                 .iter()
-                                .any(|a| a.parent == base && a.child == *c),
+                                .any(|&l| spec.added.contains(&ArcTriple::new(base, l, *c))),
+                            LabelSet::Any => {
+                                spec.added.iter().any(|a| a.parent == base && a.child == *c)
+                            }
                         }
                     }
                 };
@@ -287,12 +285,12 @@ fn pred_reads_value(plan: &Plan, p: &Pred) -> bool {
 /// label-level test — this is what bounds a no-op tick at zero evaluation
 /// and lets one delta pass answer many subscriptions: constraints whose
 /// labels the delta never touches are skipped without enumeration.
-fn variant_relevant(step: &PathStep, spec: &DeltaSpec) -> bool {
+fn variant_relevant(step: &PathStep, labels: &LabelSet, spec: &DeltaSpec) -> bool {
     let arc_relevant = match &step.arc_annot {
         Some(ArcAnnotExpr::Add { .. }) => !spec.added.is_empty(),
         Some(ArcAnnotExpr::Rem { .. }) => !spec.removed.is_empty(),
         Some(ArcAnnotExpr::AtTime(_)) => false,
-        None => spec.added.iter().any(|a| pattern_matches(&step.label, a.label)),
+        None => spec.added.iter().any(|a| labels.matches(a.label)),
     };
     let node_relevant = match &step.node_annot {
         Some(NodeAnnotExpr::Cre { .. }) => !spec.created.is_empty(),
@@ -316,6 +314,7 @@ type AllowSets = Vec<(usize, BTreeSet<NodeId>)>;
 fn delta_bindings(
     source: &dyn DataSource,
     step: &PathStep,
+    labels: &LabelSet,
     spec: &DeltaSpec,
 ) -> Option<(BTreeSet<NodeId>, BTreeSet<NodeId>)> {
     let arcs = match &step.arc_annot {
@@ -326,7 +325,7 @@ fn delta_bindings(
     let (mut bases, mut targets): (BTreeSet<NodeId>, BTreeSet<NodeId>) = arcs
         .into_iter()
         .flatten()
-        .filter(|a| pattern_matches(&step.label, a.label))
+        .filter(|a| labels.matches(a.label))
         .map(|a| (a.parent, a.child))
         .unzip();
     let nodes = match &step.node_annot {
@@ -335,7 +334,7 @@ fn delta_bindings(
         _ => return Some((bases, targets)),
     };
     for &n in nodes {
-        let mut through = parents_through(source.parents(n)?, &step.label).peekable();
+        let mut through = parents_through(source.parents(n)?, labels).peekable();
         if through.peek().is_some() {
             targets.insert(n);
         }
@@ -345,13 +344,13 @@ fn delta_bindings(
 }
 
 /// The parents among `arcs` (as [`DataSource::parents`] lists them) whose
-/// arc label matches `pattern`.
+/// arc label is one of `labels`.
 fn parents_through(
     arcs: Vec<(oem::Label, NodeId)>,
-    pattern: &LabelPattern,
+    labels: &LabelSet,
 ) -> impl Iterator<Item = NodeId> + '_ {
     arcs.into_iter()
-        .filter(move |(l, _)| pattern_matches(pattern, *l))
+        .filter(move |(l, _)| labels.matches(*l))
         .map(|(_, p)| p)
 }
 
@@ -369,17 +368,17 @@ fn seed_variant(
     spec: &DeltaSpec,
 ) -> Option<AllowSets> {
     let closure = |step: &PathStep| step.star || matches!(step.label, LabelPattern::AnyPath);
-    let VarSource::Step { base, step } = &plan.vars[slot].source else {
+    let VarSource::Step { base, step, labels } = &plan.vars[slot].source else {
         return None;
     };
-    if !variant_relevant(step, spec) {
+    if !variant_relevant(step, labels, spec) {
         return None;
     }
     let mut allow = AllowSets::new();
     if closure(step) {
         return Some(allow);
     }
-    let Some((mut frontier, targets)) = delta_bindings(source, step, spec) else {
+    let Some((mut frontier, targets)) = delta_bindings(source, step, labels, spec) else {
         return Some(allow);
     };
     // A virtual node annotation binds values, which no node set admits.
@@ -391,10 +390,10 @@ fn seed_variant(
         if frontier.is_empty() {
             return None;
         }
-        let (up, step) = match &plan.vars[at].source {
+        let (up, step, labels) = match &plan.vars[at].source {
             VarSource::Root => return frontier.contains(&source.root()).then_some(allow),
             VarSource::Companion { .. } => return Some(allow),
-            VarSource::Step { base, step } => (*base, step),
+            VarSource::Step { base, step, labels } => (*base, step, labels),
         };
         if closure(step) {
             return Some(allow);
@@ -404,7 +403,7 @@ fn seed_variant(
             let Some(parents) = source.parents(n) else {
                 return Some(allow);
             };
-            above.extend(parents_through(parents, &step.label));
+            above.extend(parents_through(parents, labels));
         }
         allow.push((at, frontier));
         frontier = above;
@@ -417,7 +416,7 @@ fn seed_variant(
 /// and [`delta_execute`] would return no rows without enumerating.
 pub fn delta_touches(plan: &Plan, spec: &DeltaSpec) -> bool {
     plan.vars.iter().any(|v| match &v.source {
-        VarSource::Step { step, .. } => variant_relevant(step, spec),
+        VarSource::Step { step, labels, .. } => variant_relevant(step, labels, spec),
         _ => false,
     })
 }
@@ -444,8 +443,7 @@ pub fn delta_execute(source: &dyn DataSource, plan: &Plan, spec: &DeltaSpec) -> 
         let variant = execute_restricted(source, plan, Some(&restriction))?;
         out.extend(variant.rows);
     }
-    let mut seen = HashSet::with_capacity(out.len());
-    out.retain(|r| seen.insert(r.clone()));
+    dedup_rows(&mut out);
     Ok(Rows { rows: out })
 }
 
@@ -507,12 +505,15 @@ pub fn find_anchor(plan: &Plan) -> Option<Anchor> {
         let Pred::Cmp { op, lhs, rhs } = c else {
             continue;
         };
-        let (slot_op, time, strict) = match (op, lhs, rhs) {
-            (CmpOp::Ge, Operand::Slot(s), Operand::Const(oem::Value::Time(t))) => (s, t, false),
-            (CmpOp::Gt, Operand::Slot(s), Operand::Const(oem::Value::Time(t))) => (s, t, true),
-            (CmpOp::Le, Operand::Const(oem::Value::Time(t)), Operand::Slot(s)) => (s, t, false),
-            (CmpOp::Lt, Operand::Const(oem::Value::Time(t)), Operand::Slot(s)) => (s, t, true),
+        let (slot_op, lit, strict) = match (op, lhs, rhs) {
+            (CmpOp::Ge, Operand::Slot(s), Operand::Const(lit)) => (s, lit, false),
+            (CmpOp::Gt, Operand::Slot(s), Operand::Const(lit)) => (s, lit, true),
+            (CmpOp::Le, Operand::Const(lit), Operand::Slot(s)) => (s, lit, false),
+            (CmpOp::Lt, Operand::Const(lit), Operand::Slot(s)) => (s, lit, true),
             _ => continue,
+        };
+        let oem::Value::Time(time) = lit.value() else {
+            continue;
         };
         let VarSource::Companion { of, role } = &plan.vars[*slot_op].source else {
             continue;
@@ -677,7 +678,7 @@ mod tests {
         fn root(&self) -> NodeId {
             self.db.root()
         }
-        fn value(&self, n: NodeId) -> Option<Value> {
+        fn value(&self, n: NodeId) -> Option<std::borrow::Cow<'_, Value>> {
             DataSource::value(self.db, n)
         }
         fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
@@ -743,13 +744,13 @@ mod tests {
         let db = guide_figure3();
         let q = parse_query("select T from guide.restaurant.name<upd at T>").unwrap();
         let p = plan(&q, db.name()).unwrap();
-        let (slot, base, step) = p
+        let (slot, base, step, labels) = p
             .vars
             .iter()
             .enumerate()
             .find_map(|(i, v)| match &v.source {
-                VarSource::Step { base, step } if step.node_annot.is_some() => {
-                    Some((i, *base, step))
+                VarSource::Step { base, step, labels } if step.node_annot.is_some() => {
+                    Some((i, *base, step, labels))
                 }
                 _ => None,
             })
@@ -760,7 +761,7 @@ mod tests {
         };
         // n1 is Bangkok Cuisine's price: the label-level test passes (the
         // delta updates *something*), the walk from n1 finds no `name` arc.
-        assert!(variant_relevant(step, &updating(oem::guide::ids::N1)));
+        assert!(variant_relevant(step, labels, &updating(oem::guide::ids::N1)));
         assert!(seed_variant(&db, &p, slot, &updating(oem::guide::ids::N1)).is_none());
         // n3 is Hakata's name: it is the one allowed binding, and its
         // restaurant the one allowed base.

@@ -1,14 +1,21 @@
 //! Plan execution: nested-loop enumeration of outer variables, existential
 //! evaluation of inner variables, coercing predicate evaluation.
+//!
+//! Everything a query names was resolved when it was planned: step labels
+//! are interned ids ([`LabelSet`]) and literals carry their coercions
+//! ([`Literal`]), so extending a binding compares integers and reads
+//! values in place, and no literal is parsed again per binding.
 
 use crate::ast::{ArcAnnotExpr, LabelPattern, NodeAnnotExpr, PathStep, TimeRef};
-use crate::coerce;
+use crate::coerce::{self, holds, Literal};
 use crate::delta::SlotRestrict;
 use crate::error::{LorelError, Result};
-use crate::plan::{CompanionRole, Operand, Plan, Pred, VarSource};
+use crate::plan::{CompanionRole, LabelSet, Operand, Plan, Pred, VarSource};
 use crate::source::DataSource;
 use oem::{Label, NodeId, Timestamp, Value};
-use std::collections::{BTreeSet, HashSet};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// A candidate restriction threaded through the enumeration (the
 /// semi-naive delta variants and the anchored-conjunct fast path in
@@ -57,6 +64,17 @@ pub struct Rows {
     pub rows: Vec<Row>,
 }
 
+/// Drop every row equal to an earlier one, keeping the first of each in
+/// place; rows are compared where they lie, not copied.
+pub(crate) fn dedup_rows(rows: &mut Vec<Row>) {
+    let keep: Vec<bool> = {
+        let mut seen = HashSet::with_capacity(rows.len());
+        rows.iter().map(|r| seen.insert(r)).collect()
+    };
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next().unwrap_or(false));
+}
+
 /// One candidate produced by evaluating a step: the target binding plus
 /// companion values.
 struct Candidate {
@@ -77,6 +95,14 @@ impl Candidate {
             new_value: None,
         }
     }
+
+    /// The target of an annotated arc, with the annotation's time.
+    fn arc(t: Timestamp, n: NodeId) -> Candidate {
+        Candidate {
+            arc_time: Some(t),
+            ..Candidate::node(n)
+        }
+    }
 }
 
 /// Execute `plan` against `source`.
@@ -94,8 +120,7 @@ pub(crate) fn execute_restricted(
     let mut rows = Vec::new();
     enumerate_outer(source, plan, restrict, 0, &mut tuple, &mut rows)?;
     // Set semantics: deduplicate rows (order-preserving).
-    let mut seen = HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(r.clone()));
+    dedup_rows(&mut rows);
     Ok(Rows { rows })
 }
 
@@ -125,7 +150,7 @@ fn enumerate_outer(
                 .map(|c| {
                     let binding = match &c.value {
                         Operand::Slot(s) => tuple[*s].clone(),
-                        Operand::Const(v) => Binding::Val(v.clone()),
+                        Operand::Const(lit) => Binding::Val(lit.value().clone()),
                     };
                     (c.label.clone(), binding)
                 })
@@ -138,7 +163,7 @@ fn enumerate_outer(
 
     let candidates = candidates_for(source, plan, restrict, slot, tuple)?;
     for cand in candidates {
-        bind_candidate(plan, slot, &cand, tuple);
+        bind_candidate(plan, slot, cand, tuple);
         enumerate_outer(source, plan, restrict, pos + 1, tuple, rows)?;
     }
     // Restore missing for cleanliness (callers clone-free backtracking).
@@ -147,34 +172,22 @@ fn enumerate_outer(
 }
 
 /// Fill `tuple[slot]` (and its companions) from a candidate.
-fn bind_candidate(plan: &Plan, slot: usize, cand: &Candidate, tuple: &mut [Binding]) {
-    tuple[slot] = cand.target.clone();
+fn bind_candidate(plan: &Plan, slot: usize, cand: Candidate, tuple: &mut [Binding]) {
+    let time = |t: Option<Timestamp>| t.map_or(Binding::Missing, |t| Binding::Val(Value::Time(t)));
+    let value = |v: &Option<Value>| v.clone().map_or(Binding::Missing, Binding::Val);
     for (i, var) in plan.vars.iter().enumerate() {
         if let VarSource::Companion { of, role } = &var.source {
             if *of == slot {
                 tuple[i] = match role {
-                    CompanionRole::ArcTime => cand
-                        .arc_time
-                        .map(|t| Binding::Val(Value::Time(t)))
-                        .unwrap_or(Binding::Missing),
-                    CompanionRole::NodeTime => cand
-                        .node_time
-                        .map(|t| Binding::Val(Value::Time(t)))
-                        .unwrap_or(Binding::Missing),
-                    CompanionRole::OldValue => cand
-                        .old_value
-                        .clone()
-                        .map(Binding::Val)
-                        .unwrap_or(Binding::Missing),
-                    CompanionRole::NewValue => cand
-                        .new_value
-                        .clone()
-                        .map(Binding::Val)
-                        .unwrap_or(Binding::Missing),
+                    CompanionRole::ArcTime => time(cand.arc_time),
+                    CompanionRole::NodeTime => time(cand.node_time),
+                    CompanionRole::OldValue => value(&cand.old_value),
+                    CompanionRole::NewValue => value(&cand.new_value),
                 };
             }
         }
     }
+    tuple[slot] = cand.target;
 }
 
 fn clear_candidate(plan: &Plan, slot: usize, tuple: &mut [Binding]) {
@@ -199,16 +212,19 @@ fn candidates_for(
     match &plan.vars[slot].source {
         VarSource::Root => Ok(vec![Candidate::node(source.root())]),
         VarSource::Companion { .. } => Ok(Vec::new()), // bound by owner
-        VarSource::Step { base, step } => {
+        VarSource::Step { base, step, labels } => {
             let Binding::Node(b) = tuple[*base] else {
                 return Ok(Vec::new()); // base missing or a value: no range
             };
             let allowed = restrict
                 .and_then(|r| r.allow.iter().find(|(s, _)| *s == slot))
                 .map(|(_, nodes)| nodes);
-            let mut cands = step_candidates(source, plan, b, step, tuple, allowed)?;
+            let mut cands = step_candidates(source, plan, b, step, labels, tuple, allowed)?;
             if let Some(r) = restrict.filter(|r| r.slot == slot) {
-                cands.retain(|c| r.keep.keeps(b, step, &c.target, c.arc_time, c.node_time));
+                cands.retain(|c| {
+                    r.keep
+                        .keeps(b, step, labels, &c.target, c.arc_time, c.node_time)
+                });
             }
             Ok(cands)
         }
@@ -235,6 +251,23 @@ fn resolve_time_ref(plan: &Plan, t: &TimeRef, tuple: &[Binding]) -> Result<Times
     }
 }
 
+/// Every node reachable from `base` over arcs `follow` yields (the base
+/// included), in BFS order, each once.
+fn closure(base: NodeId, follow: impl Fn(NodeId) -> Vec<(Label, NodeId)>) -> Vec<Candidate> {
+    let mut order = vec![base];
+    let mut seen: HashSet<NodeId> = [base].into();
+    let mut queue = VecDeque::from([base]);
+    while let Some(n) = queue.pop_front() {
+        for (_, c) in follow(n) {
+            if seen.insert(c) {
+                order.push(c);
+                queue.push_back(c);
+            }
+        }
+    }
+    order.into_iter().map(Candidate::node).collect()
+}
+
 /// The candidates of `step` from `base`; with `allowed`, only those whose
 /// arc leads to a node in the set (filtered before the node annotation is
 /// read, so siblings outside it cost one set lookup each).
@@ -243,92 +276,65 @@ fn step_candidates(
     plan: &Plan,
     base: NodeId,
     step: &PathStep,
+    labels: &LabelSet,
     tuple: &[Binding],
     allowed: Option<&BTreeSet<NodeId>>,
 ) -> Result<Vec<Candidate>> {
+    let named: &[Label] = match labels {
+        LabelSet::Named(ls) => ls,
+        LabelSet::Any => &[],
+    };
     // 1. Arc traversal.
     let mut cands: Vec<Candidate> = match (&step.arc_annot, &step.label) {
-        (None, LabelPattern::Label(_) | LabelPattern::Alternation(_))
-            if step.star =>
-        {
-            // Kleene closure: zero or more arcs whose labels match the
-            // pattern, BFS from the base (inclusive).
-            let matches = |l: Label| pattern_matches(&step.label, l);
-            let mut order = vec![base];
-            let mut seen: std::collections::HashSet<NodeId> = [base].into();
-            let mut queue = std::collections::VecDeque::from([base]);
-            while let Some(n) = queue.pop_front() {
-                for (l, c) in source.children(n) {
-                    if matches(l) && seen.insert(c) {
-                        order.push(c);
-                        queue.push_back(c);
-                    }
-                }
-            }
-            order.into_iter().map(Candidate::node).collect()
+        // Kleene closure: zero or more arcs whose labels match the
+        // pattern, BFS from the base (inclusive).
+        (None, LabelPattern::Label(_) | LabelPattern::Alternation(_)) if step.star => {
+            closure(base, |n| {
+                let mut arcs = source.children(n);
+                arcs.retain(|&(l, _)| labels.matches(l));
+                arcs
+            })
         }
-        (None, LabelPattern::Label(l)) => source
-            .children_labeled(base, Label::new(l))
-            .into_iter()
-            .map(Candidate::node)
-            .collect(),
-        (None, LabelPattern::Alternation(ls)) => {
-            // One arc with any of the listed labels, in child order.
-            source
-                .children(base)
+        (None, LabelPattern::Label(_)) => match named {
+            [l] => source
+                .children_labeled(base, *l)
                 .into_iter()
-                .filter(|(l, _)| ls.iter().any(|cand| l.as_str() == cand))
-                .map(|(_, c)| Candidate::node(c))
-                .collect()
-        }
+                .map(Candidate::node)
+                .collect(),
+            _ => Vec::new(),
+        },
+        // One arc with any of the listed labels, in child order.
+        (None, LabelPattern::Alternation(_)) => source
+            .children(base)
+            .into_iter()
+            .filter(|&(l, _)| labels.matches(l))
+            .map(|(_, c)| Candidate::node(c))
+            .collect(),
         (None, LabelPattern::AnyLabel) => source
             .wildcard_children(base)
             .into_iter()
             .map(|(_, c)| Candidate::node(c))
             .collect(),
-        (None, LabelPattern::AnyPath) => {
-            // `#`: any path of length >= 0 — the reachable closure
-            // including the base itself, in BFS order.
-            let mut order = vec![base];
-            let mut seen: std::collections::HashSet<NodeId> = [base].into();
-            let mut queue = std::collections::VecDeque::from([base]);
-            while let Some(n) = queue.pop_front() {
-                for (_, c) in source.wildcard_children(n) {
-                    if seen.insert(c) {
-                        order.push(c);
-                        queue.push_back(c);
-                    }
-                }
-            }
-            order.into_iter().map(Candidate::node).collect()
-        }
-        (Some(annot), LabelPattern::Alternation(ls)) => {
+        // `#`: any path of length >= 0 — the reachable closure including
+        // the base itself, in BFS order.
+        (None, LabelPattern::AnyPath) => closure(base, |n| source.wildcard_children(n)),
+        // Annotated arcs: one label at a time, in pattern order.
+        (Some(annot), LabelPattern::Label(_) | LabelPattern::Alternation(_)) => {
             let mut out = Vec::new();
-            for l in ls {
-                let label = Label::new(l);
+            for &label in named {
                 match annot {
-                    ArcAnnotExpr::Add { .. } => {
-                        out.extend(source.add_fun(base, label).into_iter().map(|(t, c)| {
-                            Candidate {
-                                target: Binding::Node(c),
-                                arc_time: Some(t),
-                                node_time: None,
-                                old_value: None,
-                                new_value: None,
-                            }
-                        }));
-                    }
-                    ArcAnnotExpr::Rem { .. } => {
-                        out.extend(source.rem_fun(base, label).into_iter().map(|(t, c)| {
-                            Candidate {
-                                target: Binding::Node(c),
-                                arc_time: Some(t),
-                                node_time: None,
-                                old_value: None,
-                                new_value: None,
-                            }
-                        }));
-                    }
+                    ArcAnnotExpr::Add { .. } => out.extend(
+                        source
+                            .add_fun(base, label)
+                            .into_iter()
+                            .map(|(t, c)| Candidate::arc(t, c)),
+                    ),
+                    ArcAnnotExpr::Rem { .. } => out.extend(
+                        source
+                            .rem_fun(base, label)
+                            .into_iter()
+                            .map(|(t, c)| Candidate::arc(t, c)),
+                    ),
                     ArcAnnotExpr::AtTime(tr) => {
                         let at = resolve_time_ref(plan, tr, tuple)?;
                         out.extend(
@@ -342,65 +348,18 @@ fn step_candidates(
             }
             out
         }
-        (Some(annot), LabelPattern::Label(l)) => {
-            let label = Label::new(l);
-            match annot {
-                ArcAnnotExpr::Add { .. } => source
-                    .add_fun(base, label)
-                    .into_iter()
-                    .map(|(t, c)| Candidate {
-                        target: Binding::Node(c),
-                        arc_time: Some(t),
-                        node_time: None,
-                        old_value: None,
-                        new_value: None,
-                    })
-                    .collect(),
-                ArcAnnotExpr::Rem { .. } => source
-                    .rem_fun(base, label)
-                    .into_iter()
-                    .map(|(t, c)| Candidate {
-                        target: Binding::Node(c),
-                        arc_time: Some(t),
-                        node_time: None,
-                        old_value: None,
-                        new_value: None,
-                    })
-                    .collect(),
-                ArcAnnotExpr::AtTime(tr) => {
-                    let at = resolve_time_ref(plan, tr, tuple)?;
-                    source
-                        .children_labeled_at(base, label, at)
-                        .into_iter()
-                        .map(Candidate::node)
-                        .collect()
-                }
-            }
-        }
         // Section 7 extension: arc annotations on the `%` wildcard range
         // over every label's annotated arcs.
         (Some(annot), LabelPattern::AnyLabel) => match annot {
             ArcAnnotExpr::Add { .. } => source
                 .add_fun_any(base)
                 .into_iter()
-                .map(|(_, t, c)| Candidate {
-                    target: Binding::Node(c),
-                    arc_time: Some(t),
-                    node_time: None,
-                    old_value: None,
-                    new_value: None,
-                })
+                .map(|(_, t, c)| Candidate::arc(t, c))
                 .collect(),
             ArcAnnotExpr::Rem { .. } => source
                 .rem_fun_any(base)
                 .into_iter()
-                .map(|(_, t, c)| Candidate {
-                    target: Binding::Node(c),
-                    arc_time: Some(t),
-                    node_time: None,
-                    old_value: None,
-                    new_value: None,
-                })
+                .map(|(_, t, c)| Candidate::arc(t, c))
                 .collect(),
             ArcAnnotExpr::AtTime(tr) => {
                 let at = resolve_time_ref(plan, tr, tuple)?;
@@ -429,24 +388,28 @@ fn step_candidates(
             let Binding::Node(n) = cand.target else {
                 continue;
             };
+            // The arc-level part a node annotation keeps (it may fan one
+            // candidate into several).
+            let arc_part = || Candidate {
+                arc_time: cand.arc_time,
+                ..Candidate::node(n)
+            };
             match na {
                 NodeAnnotExpr::Cre { .. } => {
                     for t in source.cre_fun(n) {
                         out.push(Candidate {
-                            target: Binding::Node(n),
                             node_time: Some(t),
-                            ..copy_arc_part(&cand)
+                            ..arc_part()
                         });
                     }
                 }
                 NodeAnnotExpr::Upd { .. } => {
                     for (t, ov, nv) in source.upd_fun(n) {
                         out.push(Candidate {
-                            target: Binding::Node(n),
                             node_time: Some(t),
                             old_value: Some(ov),
                             new_value: Some(nv),
-                            ..copy_arc_part(&cand)
+                            ..arc_part()
                         });
                     }
                 }
@@ -455,7 +418,7 @@ fn step_candidates(
                     if let Some(v) = source.value_at(n, at) {
                         out.push(Candidate {
                             target: Binding::Val(v),
-                            ..copy_arc_part(&cand)
+                            ..arc_part()
                         });
                     }
                 }
@@ -466,44 +429,66 @@ fn step_candidates(
     Ok(cands)
 }
 
-/// Does a concrete arc label satisfy a label pattern?
-pub(crate) fn pattern_matches(pattern: &LabelPattern, l: Label) -> bool {
-    match pattern {
-        LabelPattern::Label(want) => l.as_str() == want,
-        LabelPattern::Alternation(ls) => ls.iter().any(|w| l.as_str() == w),
-        LabelPattern::AnyLabel | LabelPattern::AnyPath => true,
-    }
-}
-
-/// Clone the arc-level parts of a candidate (used when the node annotation
-/// fans one candidate into several).
-fn copy_arc_part(c: &Candidate) -> Candidate {
-    Candidate {
-        target: Binding::Missing,
-        arc_time: c.arc_time,
-        node_time: None,
-        old_value: None,
-        new_value: None,
-    }
-}
-
-/// The comparable value of a binding, if any.
-fn binding_value(source: &dyn DataSource, b: &Binding) -> Option<Value> {
-    match b {
-        Binding::Node(n) => source.value(*n),
-        Binding::Val(v) => Some(v.clone()),
-        Binding::Missing => None,
-    }
-}
-
-fn operand_value(
-    source: &dyn DataSource,
-    op: &Operand,
-    tuple: &[Binding],
-) -> Option<Value> {
+/// The comparable value of an operand, borrowed where it lies.
+fn operand_value<'a>(
+    source: &'a dyn DataSource,
+    op: &'a Operand,
+    tuple: &'a [Binding],
+) -> Option<Cow<'a, Value>> {
     match op {
-        Operand::Slot(s) => binding_value(source, &tuple[*s]),
-        Operand::Const(v) => Some(v.clone()),
+        Operand::Slot(s) => match &tuple[*s] {
+            Binding::Node(n) => source.value(*n),
+            Binding::Val(v) => Some(Cow::Borrowed(v)),
+            Binding::Missing => None,
+        },
+        Operand::Const(lit) => Some(Cow::Borrowed(lit.value())),
+    }
+}
+
+/// `lhs op rhs` under Lorel coercion; a literal side uses its plan-time
+/// forms. Missing data makes the comparison false.
+fn eval_cmp(
+    source: &dyn DataSource,
+    op: crate::ast::CmpOp,
+    lhs: &Operand,
+    rhs: &Operand,
+    tuple: &[Binding],
+) -> bool {
+    // The slot's value ordered against the literal.
+    let against = |slot: &Operand, lit: &Literal| {
+        operand_value(source, slot, tuple).and_then(|v| lit.compare_from(&v))
+    };
+    match (lhs, rhs) {
+        (Operand::Slot(_), Operand::Const(lit)) => holds(op, against(lhs, lit)),
+        (Operand::Const(lit), Operand::Slot(_)) => {
+            holds(op, against(rhs, lit).map(Ordering::reverse))
+        }
+        _ => match (
+            operand_value(source, lhs, tuple),
+            operand_value(source, rhs, tuple),
+        ) {
+            (Some(a), Some(b)) => coerce::compare(op, &a, &b),
+            _ => false,
+        },
+    }
+}
+
+/// `expr like pattern`; a literal pattern is matched from its plan-time
+/// chars.
+fn eval_like(
+    source: &dyn DataSource,
+    expr: &Operand,
+    pattern: &Operand,
+    tuple: &[Binding],
+) -> bool {
+    let Some(v) = operand_value(source, expr, tuple) else {
+        return false;
+    };
+    match pattern {
+        Operand::Const(lit) => lit.like_from(&v),
+        Operand::Slot(_) => {
+            operand_value(source, pattern, tuple).is_some_and(|p| coerce::like(&v, &p))
+        }
     }
 }
 
@@ -516,24 +501,8 @@ fn eval_pred(
 ) -> Result<bool> {
     Ok(match pred {
         Pred::Const(b) => *b,
-        Pred::Cmp { op, lhs, rhs } => {
-            let (Some(a), Some(b)) = (
-                operand_value(source, lhs, tuple),
-                operand_value(source, rhs, tuple),
-            ) else {
-                return Ok(false); // missing data: comparison is false
-            };
-            coerce::compare(*op, &a, &b)
-        }
-        Pred::Like { expr, pattern } => {
-            let (Some(v), Some(p)) = (
-                operand_value(source, expr, tuple),
-                operand_value(source, pattern, tuple),
-            ) else {
-                return Ok(false);
-            };
-            coerce::like(&v, &p)
-        }
+        Pred::Cmp { op, lhs, rhs } => eval_cmp(source, *op, lhs, rhs, tuple),
+        Pred::Like { expr, pattern } => eval_like(source, expr, pattern, tuple),
         Pred::And(a, b) => {
             eval_pred(source, plan, restrict, a, tuple)?
                 && eval_pred(source, plan, restrict, b, tuple)?
@@ -580,7 +549,7 @@ fn exists_eval(
         return Ok(r);
     }
     for cand in candidates {
-        bind_candidate(plan, slot, &cand, tuple);
+        bind_candidate(plan, slot, cand, tuple);
         if exists_eval(source, plan, restrict, slots, pred, tuple, pos)? {
             clear_candidate(plan, slot, tuple);
             return Ok(true);

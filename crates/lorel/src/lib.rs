@@ -46,7 +46,7 @@ mod source;
 mod token;
 mod update;
 
-pub use coerce::{coerce_compare, compare, like};
+pub use coerce::{coerce_compare, compare, like, Literal};
 pub use defs::QueryRegistry;
 pub use delta::{
     anchored_execute, delta_execute, delta_fresh, delta_supported, delta_touches, find_anchor,
@@ -58,7 +58,7 @@ pub use lexer::lex;
 pub use parser::{
     parse_expr, parse_program, parse_query, parse_update, DefineKind, Statement, MAX_NESTING,
 };
-pub use plan::{plan, CompanionRole, Operand, Plan, Pred, SelectCol, VarDef, VarSource};
+pub use plan::{plan, CompanionRole, LabelSet, Operand, Plan, Pred, SelectCol, VarDef, VarSource};
 pub use result::{package, QueryResult, RESULT_ROOT_RAW};
 pub use source::DataSource;
 pub use token::{Keyword, Spanned, Token};

@@ -21,7 +21,9 @@
 //!   is false — Lorel's "missing data never errors, it just fails" rule.
 
 use crate::ast::*;
+use crate::coerce::Literal;
 use crate::error::{LorelError, Result};
+use oem::Label;
 use std::collections::HashMap;
 
 /// How a variable gets its bindings.
@@ -35,6 +37,8 @@ pub enum VarSource {
         base: usize,
         /// The step (label pattern + annotation expressions).
         step: PathStep,
+        /// The step's label pattern, resolved to interned labels.
+        labels: LabelSet,
     },
     /// Bound as a side effect of the owning step's annotation expression
     /// (`T` in `<add at T>`, `OV`/`NV` in `<upd …>`).
@@ -73,6 +77,42 @@ pub struct VarDef {
     /// that bound it, or `create-time` / `add-time` / `remove-time` /
     /// `update-time` / `old-value` / `new-value` for annotation variables).
     pub default_label: String,
+}
+
+/// A step's label pattern with its names resolved once, at plan time,
+/// through [`Label::lookup`], so evaluation compares label ids and never
+/// touches the interner. A name that was never interned labels no arc,
+/// so it drops out: a step that names only such labels matches nothing.
+/// A plan is therefore valid only for the database state it was planned
+/// on; a caller that keeps a query across writes keeps the query and
+/// plans it again.
+#[derive(Clone, Debug, PartialEq)]
+pub enum LabelSet {
+    /// `l` or `(l1|l2|…)`: the known names, in pattern order.
+    Named(Vec<Label>),
+    /// `%` and `#`: every label.
+    Any,
+}
+
+impl LabelSet {
+    /// Resolve `pattern` against the labels interned so far.
+    pub(crate) fn resolve(pattern: &LabelPattern) -> LabelSet {
+        match pattern {
+            LabelPattern::Label(l) => LabelSet::Named(Label::lookup(l).into_iter().collect()),
+            LabelPattern::Alternation(ls) => {
+                LabelSet::Named(ls.iter().filter_map(|l| Label::lookup(l)).collect())
+            }
+            LabelPattern::AnyLabel | LabelPattern::AnyPath => LabelSet::Any,
+        }
+    }
+
+    /// Does an arc label satisfy the pattern?
+    pub(crate) fn matches(&self, l: Label) -> bool {
+        match self {
+            LabelSet::Named(ls) => ls.contains(&l),
+            LabelSet::Any => true,
+        }
+    }
 }
 
 /// A planned predicate over variable slots.
@@ -118,8 +158,8 @@ pub enum Pred {
 pub enum Operand {
     /// A variable slot (its value is read through the binding).
     Slot(usize),
-    /// A literal.
-    Const(oem::Value),
+    /// A literal, with its coercions worked out.
+    Const(Literal),
 }
 
 /// One output column.
@@ -231,7 +271,7 @@ pub fn plan(query: &Query, db_name: &str) -> Result<Plan> {
             }
             Expr::Literal(v) => SelectCol {
                 label: item.label.clone().unwrap_or_else(|| "value".to_string()),
-                value: Operand::Const(v.clone()),
+                value: Operand::Const(Literal::new(v.clone())),
             },
             Expr::PollTime(i) => return Err(LorelError::UnresolvedPollTime(*i)),
             other => return Err(LorelError::BadSelectItem(other.to_string())),
@@ -417,6 +457,7 @@ impl<'a> Planner<'a> {
             source: VarSource::Step {
                 base,
                 step: step.clone(),
+                labels: LabelSet::resolve(&step.label),
             },
             outer,
             default_label,
@@ -471,7 +512,7 @@ impl<'a> Planner<'a> {
 
     fn lower_operand(&mut self, expr: &Expr) -> Result<Operand> {
         match expr {
-            Expr::Literal(v) => Ok(Operand::Const(v.clone())),
+            Expr::Literal(v) => Ok(Operand::Const(Literal::new(v.clone()))),
             Expr::PollTime(i) => Err(LorelError::UnresolvedPollTime(*i)),
             Expr::Path(p) => Ok(Operand::Slot(self.resolve_path(p, false)?)),
             other => Err(LorelError::BadSelectItem(other.to_string())),

@@ -19,6 +19,7 @@
 use crate::engine::{Binding, Row, Rows};
 use crate::source::DataSource;
 use oem::{ArcTriple, NodeId, OemDatabase, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The id given to packaged result roots: a fixed value far above any id a
@@ -82,7 +83,7 @@ pub fn package(source: &dyn DataSource, rows: &Rows, result_name: &str) -> Query
 
     // Materialize the copied subgraph.
     for &n in &needed {
-        let v = source.value(n).unwrap_or(Value::Complex);
+        let v = source.value(n).map_or(Value::Complex, Cow::into_owned);
         db.create_node_with_id(n, v)
             .expect("closure nodes are distinct and below the root id");
     }

@@ -13,6 +13,7 @@
 //! "missing data is false" behavior Lorel applies everywhere.
 
 use oem::{Label, NodeId, OemDatabase, Timestamp, Value};
+use std::borrow::Cow;
 
 /// A queryable graph.
 pub trait DataSource {
@@ -22,8 +23,9 @@ pub trait DataSource {
     /// The root object.
     fn root(&self) -> NodeId;
 
-    /// The current value of a node.
-    fn value(&self, n: NodeId) -> Option<Value>;
+    /// The current value of a node, borrowed where the source holds it
+    /// (so comparing a binding copies nothing).
+    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>>;
 
     /// Current-snapshot children of `n` (all labels), in deterministic
     /// order.
@@ -107,7 +109,7 @@ pub trait DataSource {
     /// Virtual annotations — the value of `n` as of time `t`
     /// (`…label<at T>`). `None` means the node did not exist then.
     fn value_at(&self, n: NodeId, _t: Timestamp) -> Option<Value> {
-        self.value(n)
+        self.value(n).map(Cow::into_owned)
     }
 }
 
@@ -120,8 +122,8 @@ impl DataSource for OemDatabase {
         OemDatabase::root(self)
     }
 
-    fn value(&self, n: NodeId) -> Option<Value> {
-        OemDatabase::value(self, n).ok().cloned()
+    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
+        OemDatabase::value(self, n).ok().map(Cow::Borrowed)
     }
 
     fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
@@ -150,7 +152,7 @@ mod tests {
         assert_eq!(src.name(), "guide");
         assert_eq!(src.root(), ids::N4);
         assert_eq!(src.children_labeled(ids::N4, Label::new("restaurant")).len(), 2);
-        assert_eq!(src.value(ids::N1), Some(Value::Int(10)));
+        assert_eq!(src.value(ids::N1).as_deref(), Some(&Value::Int(10)));
     }
 
     #[test]

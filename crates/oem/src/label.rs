@@ -51,6 +51,15 @@ impl Label {
         Label(id)
     }
 
+    /// The handle of `name` if some earlier [`Label::new`] interned it,
+    /// without interning it. Query plans resolve their step labels
+    /// through this, so a query never grows the interner: a name that was
+    /// never interned labels no arc, and a step naming it matches nothing.
+    pub fn lookup(name: &str) -> Option<Label> {
+        let guard = interner().read().unwrap();
+        guard.by_name.get(name).map(|&id| Label(id))
+    }
+
     /// The label's string form.
     pub fn as_str(self) -> &'static str {
         let guard = interner().read().unwrap();
@@ -102,6 +111,15 @@ mod tests {
         let b = Label::new("restaurant");
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "restaurant");
+    }
+
+    #[test]
+    fn lookup_finds_only_interned_names() {
+        let l = Label::new("looked-up-label");
+        assert_eq!(Label::lookup("looked-up-label"), Some(l));
+        assert_eq!(Label::lookup("never-interned-label-7f3a"), None);
+        // Looking a name up does not intern it.
+        assert_eq!(Label::lookup("never-interned-label-7f3a"), None);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use parse_ops::{parse_change_set, parse_history, parse_op};
 pub use pmap::{PMap, PSet};
 pub use shared::SharedOem;
 pub use versioned::{VersionEntry, VersionRing};
-pub use text::{parse_text, write_text, TextOptions};
+pub use text::{parse_text, write_text, TextOptions, MAX_TEXT_NESTING};
 pub use timestamp::{ParseTimestampError, Timestamp};
 pub use traverse::{follow_path, max_depth, preorder, reachable_from};
 pub use value::Value;

@@ -29,6 +29,12 @@ use crate::{ArcTriple, NodeId, OemDatabase, OemError, Result, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
+/// How deeply `{…}` objects may nest in text [`parse_text`] reads. The
+/// reader recurses once per level, so past this it answers a
+/// [`OemError::Text`] error instead of running out of stack. Shared and
+/// cyclic structure is written with `&oid` references and costs no depth.
+pub const MAX_TEXT_NESTING: usize = 512;
+
 /// Options controlling the writer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TextOptions {
@@ -174,7 +180,7 @@ pub fn parse_text(src: &str) -> Result<OemDatabase> {
         b.named.insert(rn.to_string(), root_id);
         b.defined.insert(rn.to_string());
     }
-    if !parse_value_into(&mut p, &mut b, root_id)? {
+    if !parse_value_into(&mut p, &mut b, root_id, 0)? {
         return Err(p.err("expected a value"));
     }
     p.done()?;
@@ -196,31 +202,36 @@ fn max_mentioned_id(src: &str) -> u64 {
 }
 
 /// Parse an object (which may be `&oid`, `&oid value`, or a bare value)
-/// and return its node.
-fn parse_object(p: &mut Reader, b: &mut Builder2) -> Result<NodeId> {
+/// nested `depth` levels deep and return its node.
+fn parse_object(p: &mut Reader, b: &mut Builder2, depth: usize) -> Result<NodeId> {
     if !p.eat('&') {
         let n = b.db.create_node(Value::Complex);
-        if !parse_value_into(p, b, n)? {
+        if !parse_value_into(p, b, n, depth)? {
             return Err(p.err("expected a value"));
         }
         return Ok(n);
     }
     let name = p.word()?;
     let n = b.node_for(name)?;
-    if parse_value_into(p, b, n)? && !b.defined.insert(name.to_string()) {
+    if parse_value_into(p, b, n, depth)? && !b.defined.insert(name.to_string()) {
         return Err(p.err(format!("object &{name} defined twice")));
     }
     Ok(n)
 }
 
 /// Parse the value of `n` if one starts here — `{label object, …}` or an
-/// atom — and say whether one did.
-fn parse_value_into(p: &mut Reader, b: &mut Builder2, n: NodeId) -> Result<bool> {
+/// atom — and say whether one did. `depth` counts the enclosing `{`s.
+fn parse_value_into(p: &mut Reader, b: &mut Builder2, n: NodeId, depth: usize) -> Result<bool> {
     if p.eat('{') {
+        if depth == MAX_TEXT_NESTING {
+            return Err(p.err(format!(
+                "objects nested deeper than {MAX_TEXT_NESTING} levels"
+            )));
+        }
         b.db.set_value(n, Value::Complex)?;
         while !p.eat('}') {
             let label = p.label()?;
-            let child = parse_object(p, b)?;
+            let child = parse_object(p, b, depth + 1)?;
             b.db.insert_arc(ArcTriple::new(n, label, child))?;
             p.eat(',');
         }
@@ -368,6 +379,34 @@ mod tests {
         let db = parse_text("g { item {} }").unwrap();
         assert_eq!(db.node_count(), 2);
         assert_eq!(db.arc_count(), 1);
+    }
+
+    /// `depth` nested `{a …}` objects around an atom.
+    fn nested(depth: usize) -> String {
+        format!("g {}1{}", "{a ".repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_read_to_the_budget_and_refused_past_it() {
+        // On a small fixed stack, so a reader that recursed without a
+        // bound would abort here rather than pass.
+        std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(|| {
+                let db = parse_text(&nested(MAX_TEXT_NESTING)).unwrap();
+                assert_eq!(db.node_count(), MAX_TEXT_NESTING + 1);
+                for depth in [MAX_TEXT_NESTING + 1, 200_000] {
+                    match parse_text(&nested(depth)) {
+                        Err(OemError::Text { msg, .. }) => {
+                            assert!(msg.contains("nested deeper than"), "{msg}")
+                        }
+                        other => panic!("depth {depth}: {other:?}"),
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }
 

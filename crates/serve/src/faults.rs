@@ -28,7 +28,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// A durability- or replication-pipeline site where a fault can fire.
+/// A durability-, replication- or evaluation-path site where a fault can
+/// fire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPoint {
     /// The framed record write of a WAL append.
@@ -47,18 +48,25 @@ pub enum FaultPoint {
     /// follower's side), [`FaultMode::Stall`] delays the apply (a slow,
     /// lagging follower).
     ReplicateApply,
+    /// A worker about to evaluate a query it could not answer from the
+    /// result cache (a current-version miss or an `AS OF`).
+    /// [`FaultMode::Stall`] delays the evaluation — a query that outlasts
+    /// its deadline however fast the engine is; every other mode is
+    /// ignored here.
+    Evaluate,
 }
 
 impl FaultPoint {
     /// Every registered failpoint site, in declaration order. The chaos
     /// harness's liveness audit iterates this — adding a site without
     /// extending the audit is caught by `all_sites_are_registered`.
-    pub const ALL: [FaultPoint; 5] = [
+    pub const ALL: [FaultPoint; 6] = [
         FaultPoint::WalAppend,
         FaultPoint::WalFsync,
         FaultPoint::Checkpoint,
         FaultPoint::ReplicateServe,
         FaultPoint::ReplicateApply,
+        FaultPoint::Evaluate,
     ];
 
     fn index(self) -> usize {
@@ -68,6 +76,7 @@ impl FaultPoint {
             FaultPoint::Checkpoint => 2,
             FaultPoint::ReplicateServe => 3,
             FaultPoint::ReplicateApply => 4,
+            FaultPoint::Evaluate => 5,
         }
     }
 }
@@ -373,7 +382,7 @@ mod tests {
         // Other sites were untouched but their traffic was counted.
         assert_eq!(f.check(FaultPoint::WalAppend), None);
         let seen: Vec<u64> = f.seen_by_site().into_iter().map(|(_, n)| n).collect();
-        assert_eq!(seen, vec![1, 0, 0, 6, 0]);
+        assert_eq!(seen, vec![1, 0, 0, 6, 0, 0]);
     }
 
     #[test]

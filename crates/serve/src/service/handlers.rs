@@ -11,11 +11,13 @@ use super::recovery::{install_shard, last_lsn, Install, InstallError};
 use super::shard::Shard;
 use super::Shared;
 use crate::cache::{CacheEntry, CacheKey, ResultCache};
+use crate::faults::{FaultMode, FaultPoint};
 use crate::lock_order::{Token, Unlocked};
 use crate::metrics::Metrics;
 use crate::protocol::{lsn_to_wire, ErrKind, Request, Response};
 use crate::replication::primary::serve_replicate;
-use chorel::{canonical_row_strings, run_chorel_parsed, Strategy};
+use chorel::delta::canonical_strings_for_rows;
+use chorel::Strategy;
 use doem::DoemDatabase;
 use lorel::ast::Query;
 use oem::{ChangeSet, OemDatabase, Timestamp};
@@ -229,10 +231,24 @@ fn current_key(db: &str, canonical: &str, generation: u64) -> CacheKey {
     }
 }
 
+/// The [`FaultPoint::Evaluate`] site, passed by every evaluation a worker
+/// runs: a `Stall` delays it, other modes are ignored. A test seam only —
+/// [`Faults::disabled`](crate::Faults::disabled) makes it one `Option`
+/// check.
+fn evaluate_failpoint(shared: &Shared, unlocked: &mut Token<Unlocked>) {
+    if let Some(FaultMode::Stall(ms)) = shared.cfg.faults.check(FaultPoint::Evaluate) {
+        Metrics::bump(&shared.metrics.faults_injected);
+        unlocked.blocking(|| std::thread::sleep(Duration::from_millis(ms)));
+    }
+}
+
 /// Answer a current-version query from the shard's cache, or evaluate it
 /// over a snapshot — with every lock already dropped — and cache the
 /// canonical rows beside the raw engine rows, so the publish stage can
-/// carry the entry across writes instead of invalidating it.
+/// carry the entry across writes instead of invalidating it. The wire
+/// rows are rendered from the engine's rows directly: nothing is
+/// packaged into a result database (that is the §6 polling form, which
+/// a `ROWS` frame does not need).
 fn query_current(
     shared: &Shared,
     shard: &Shard,
@@ -251,20 +267,21 @@ fn query_current(
         return hit;
     }
     Metrics::bump(&shared.metrics.cache_misses);
+    evaluate_failpoint(shared, unlocked);
     let t = Instant::now();
-    let outcome = run_chorel_parsed(&doem, query, Strategy::Direct);
+    let outcome = chorel::run_direct_rows(&doem, query);
     shared.metrics.exec.record(t.elapsed());
     match outcome {
-        Ok(result) => {
-            let rows = canonical_row_strings(&doem, &result);
+        Ok(rows) => {
+            let strings = canonical_strings_for_rows(&doem, &rows);
             shard.cache.insert(
                 key,
                 Arc::new(CacheEntry {
-                    strings: rows.clone(),
-                    maintain: Some((query.clone(), lorel::Rows { rows: result.rows })),
+                    strings: strings.clone(),
+                    maintain: Some((query.clone(), rows)),
                 }),
             );
-            Response::Rows(rows)
+            Response::Rows(strings)
         }
         Err(e) => query_failed(e),
     }
@@ -285,6 +302,7 @@ fn query_as_of(
     unlocked: &mut Token<Unlocked>,
 ) -> Response {
     let doem = shard.state.read(unlocked).doem.snapshot();
+    evaluate_failpoint(shared, unlocked);
     let t = Instant::now();
     let outcome = chorel::run_chorel_at(&doem, at, query, Strategy::Direct);
     shared.metrics.exec.record(t.elapsed());

@@ -68,7 +68,7 @@ pub(crate) fn recover_all(
         let sealed_path = wal::sealed_path(&wal_path);
         let sealed = wal::replay(&sealed_path)?;
         let active = wal::replay(&wal_path)?;
-        let recovered = recover_one(doem, [&sealed, &active]);
+        let recovered = recover_one(doem, [(&sealed_path, &sealed), (&wal_path, &active)])?;
         let [sealed_len, active_len] = recovered.good_len;
         if sealed_len < sealed.good_len || sealed.torn {
             // The durable prefix ends inside the sealed segment: cut its
@@ -152,26 +152,40 @@ struct Recovered {
 
 /// Replay one database's log — its sealed segment, then its active one,
 /// read as one log — onto its checkpoint.
-fn recover_one(mut doem: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered {
+///
+/// A whole record that [`DoemDatabase::apply`] rejects is no torn tail:
+/// it was acknowledged, so no crash wrote it. Recovery fails with
+/// [`std::io::ErrorKind::InvalidData`], naming the segment and the
+/// record's LSN, before any file is truncated — as [`wal::replay`] does
+/// for a whole record that does not parse.
+fn recover_one(
+    mut doem: DoemDatabase,
+    segments: [(&Path, &WalReplay); 2],
+) -> std::io::Result<Recovered> {
     let ckpt_max = last_lsn(&doem);
-    // Replay the longest prefix that applies cleanly (`apply` leaves the
-    // graph untouched by the entry it rejects). Entries at or before
-    // the checkpoint's high-water mark are already inside the image (a
-    // crash landed after an image save and before its sealed segment was
-    // deleted) and are skipped, not re-applied. A defect ends the prefix:
-    // nothing after it, in either segment, is replayed.
+    // Entries at or before the checkpoint's high-water mark are already
+    // inside the image (a crash landed after an image save and before its
+    // sealed segment was deleted) and are skipped, not re-applied. A torn
+    // tail ends the prefix: nothing after it, in either segment, is
+    // replayed.
     let mut last_at = ckpt_max;
     let mut applied = 0u64;
     let mut good_len = [0u64; 2];
     let mut epoch = 0u64;
     let mut torn = false;
-    'replay: for (seg, replayed) in segments.into_iter().enumerate() {
+    for (seg, (path, replayed)) in segments.into_iter().enumerate() {
         for (i, (at, changes)) in replayed.entries.iter().enumerate() {
             if *at > ckpt_max {
-                if doem.apply(changes, *at).is_err() {
-                    torn = true;
-                    break 'replay;
-                }
+                doem.apply(changes, *at).map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "{}: the whole record at LSN {at} does not apply ({e}); \
+                             refusing to truncate it and the records after it",
+                            path.display()
+                        ),
+                    )
+                })?;
                 last_at = *at;
                 applied += 1;
             }
@@ -183,14 +197,14 @@ fn recover_one(mut doem: DoemDatabase, segments: [&WalReplay; 2]) -> Recovered {
             break;
         }
     }
-    Recovered {
+    Ok(Recovered {
         doem,
         last_at,
         applied,
         good_len,
         torn,
         epoch,
-    }
+    })
 }
 
 /// Save `doem` as the checkpoint image of `name`, then delete the sealed

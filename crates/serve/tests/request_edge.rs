@@ -7,7 +7,7 @@ use oem::guide::{guide_figure2, history_example_2_3};
 use oem::{ArcTriple, History, OemDatabase, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serve::{ErrKind, Response, ServeConfig, Service, WireClient};
+use serve::{ErrKind, FaultMode, FaultPoint, Faults, Response, ServeConfig, Service, WireClient};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
@@ -180,9 +180,11 @@ fn cached_repeats_never_touch_the_queue() {
 /// whose late replies then record nothing.
 #[test]
 fn pooled_tagged_and_timed_out_requests_record_one_total_sample_each() {
+    let faults = Faults::armed();
     let svc = Service::start(ServeConfig {
         workers: 1,
         request_timeout: std::time::Duration::from_millis(200),
+        faults: faults.clone(),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -209,6 +211,9 @@ fn pooled_tagged_and_timed_out_requests_record_one_total_sample_each() {
 
     // Timed out: an in-process request whose waiter gives up, then a
     // tagged one queued behind it, which its session's writer expires.
+    // The first evaluation stalls past the deadline, however fast the
+    // engine is.
+    assert!(faults.arm_next(FaultPoint::Evaluate, 1, FaultMode::Stall(1_500)));
     let before = (m.total.count(), count(&m.timeouts));
     let evaluated = m.exec.count();
     let slow = svc
@@ -485,5 +490,50 @@ fn frames_stay_intact_across_mixed_traffic() {
     assert!(svc.metrics().session_writers.load(Ordering::Relaxed) >= 1);
     assert!(svc.metrics().writer_bursts.load(Ordering::Relaxed) >= 1);
     drop(handle);
+    svc.shutdown();
+}
+
+/// Queries intern nothing. A plan resolves the labels a query names
+/// against those the data already carries, so ten thousand reads naming
+/// labels no arc has ever had — as plain, alternated, annotated, closure
+/// and `where` steps, current and `AS OF`, with writes between them that
+/// carry the cached entries through maintenance — leave every one of
+/// those names out of the process-wide label interner.
+#[test]
+fn reads_naming_unknown_labels_intern_nothing() {
+    let svc = guide_service(ServeConfig::default());
+    let client = svc.client();
+    const N: usize = 10_000;
+    let label = |k: usize| format!("zq{k}");
+    for k in 0..N {
+        let l = label(k);
+        let line = match k % 6 {
+            0 => format!("QUERY guide select guide.{l}"),
+            1 => format!("QUERY guide select guide.restaurant.({l}|name)"),
+            2 => format!("QUERY guide select guide.<add at T>{l} where T > 1Jan97"),
+            3 => format!(
+                "QUERY guide select R from guide.restaurant R where R.{l} = \"x\" or R.{l}.% like \"%a\""
+            ),
+            4 => format!("QUERY guide select guide.{l}*.name"),
+            _ => format!("QUERY guide AS OF 4Jan97 select guide.restaurant.{l}"),
+        };
+        let resp = client.request_line(&line);
+        assert!(matches!(resp, Response::Rows(_)), "{line}: {resp:?}");
+        if k % 1000 == 999 {
+            let day = k / 1000 + 1;
+            let write = format!("UPDATE guide AT {day}Mar97 ; {{updNode(n1, {day})}}");
+            assert!(!client.request_line(&write).is_error(), "{write}");
+        }
+    }
+    let interned: Vec<String> = (0..N)
+        .map(label)
+        .filter(|l| oem::Label::lookup(l).is_some())
+        .collect();
+    assert!(
+        interned.is_empty(),
+        "{} of {N} query-only labels were interned, first {:?}",
+        interned.len(),
+        interned.first()
+    );
     svc.shutdown();
 }

@@ -349,6 +349,30 @@ const SEEDING_POOL_OR: [&str; 2] = [
     "select R from guide.restaurant R where R.review.<add>comment = \"c1\" or R.name like \"R%\"",
 ];
 
+/// Reads of every shape the engine resolves at plan time: plain and
+/// alternated labels, wildcards and closures, annotations with their
+/// companions, and literals of every coercion (numbers, dates, bools and
+/// `like` patterns, on either side of the comparison), plus a label no
+/// database uses.
+const READ_POOL: [&str; 16] = [
+    "select guide.restaurant",
+    "select guide.restaurant.(price|cuisine|note)",
+    "select X from guide.% X where X.name",
+    "select guide.#.name",
+    "select R.link*.name from guide.restaurant R",
+    "select guide.restaurant where guide.restaurant.price < 50",
+    "select guide.restaurant where 50 > guide.restaurant.price and guide.restaurant.price >= \"3\"",
+    "select R.name from guide.restaurant R where R.name like \"R%\" or R.name like \"%1_\"",
+    "select guide.restaurant where guide.restaurant.# like \"%Main%\"",
+    "select guide.<add>note",
+    "select X, T from guide.restaurant.<add at T>(note|tag) X where T >= \"1Jan97\"",
+    "select T, NV from guide.restaurant.price<upd at T to NV> where NV != \"7\"",
+    "select guide.restaurant.name<cre at T> where T < 1Feb97",
+    "select R from guide.restaurant R where R.<rem at T>parking and T > 1Jan97",
+    "select guide.restaurant where guide.restaurant.open = \"true\"",
+    "select guide.restaurant.never-a-label",
+];
+
 /// Grow a DOEM database from `random_db(seed, n)` through
 /// `random_history`'s sets and then `extra` [`seeding_set`]s (the last one
 /// free of removals), calling `step` with the database, the set and its
@@ -392,7 +416,7 @@ impl<S: lorel::DataSource> lorel::DataSource for NoParents<S> {
     fn root(&self) -> NodeId {
         self.0.root()
     }
-    fn value(&self, n: NodeId) -> Option<Value> {
+    fn value(&self, n: NodeId) -> Option<std::borrow::Cow<'_, Value>> {
         self.0.value(n)
     }
     fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
@@ -796,6 +820,50 @@ proptest! {
             }
         });
         prop_assert!(compared > 0, "no plan × delta was inside the monotonic fragment");
+    }
+
+    /// Serve renders a read from the engine's rows without packaging them
+    /// into a result database: `run_direct_rows` rendered by
+    /// `canonical_strings_for_rows` for a current read, the `O_t(D)` view's
+    /// rows for an `AS OF`. Over evolving histories and the query pools
+    /// here, the current rows equal the packaged path's at every step, and
+    /// at every recorded time (and a minute before each) the `AS OF` rows
+    /// equal evaluating over the materialised `snapshot_at`.
+    #[test]
+    fn unpackaged_rows_match_the_packaged_path(seed in 0u64..400, n in 2usize..8, steps in 1usize..5) {
+        let pool: Vec<&str> = READ_POOL
+            .into_iter()
+            .chain(SEEDING_POOL)
+            .chain(SEEDING_POOL_OR)
+            .collect();
+        let parsed: Vec<_> = pool.iter().map(|q| lorel::parse_query(q).unwrap()).collect();
+        let mut points = vec![Timestamp::NEG_INFINITY];
+        let mut last = None;
+        evolve(seed, n, steps, 2, |d, _, at| {
+            for (q, text) in parsed.iter().zip(&pool) {
+                let rows = chorel::run_direct_rows(d, q).unwrap();
+                let packaged = chorel::run_chorel_parsed(d, q, chorel::Strategy::Direct).unwrap();
+                prop_assert_eq!(
+                    chorel::delta::canonical_strings_for_rows(d, &rows),
+                    chorel::canonical_row_strings(d, &packaged),
+                    "{} at {}", text, at
+                );
+            }
+            points.extend([at.plus_minutes(-1), at]);
+            last = Some(d.clone());
+        });
+        let d = last.expect("evolve applies at least one set");
+        for t in points {
+            let snap = doem::DoemDatabase::from_snapshot(&snapshot_at(&d, t));
+            for (q, text) in parsed.iter().zip(&pool) {
+                let want = chorel::run_chorel_parsed(&snap, q, chorel::Strategy::Direct).unwrap();
+                prop_assert_eq!(
+                    chorel::run_chorel_at(&d, t, q, chorel::Strategy::Direct).unwrap(),
+                    chorel::canonical_row_strings(&snap, &want),
+                    "{} as of {}", text, t
+                );
+            }
+        }
     }
 }
 

@@ -684,14 +684,19 @@ fn admission_control_and_timeouts_are_reported_not_hung() {
 /// discarded, not written; the session keeps serving.
 #[test]
 fn tagged_requests_time_out_once_and_the_session_keeps_serving() {
+    let faults = Faults::armed();
     let svc = Service::start(ServeConfig {
         workers: 1,
         request_timeout: Duration::from_millis(200),
+        faults: faults.clone(),
         ..ServeConfig::default()
     })
     .unwrap();
     svc.install(&big_database("big", 150), &History::new())
         .unwrap();
+    // The slow query stalls past its deadline, however fast the engine
+    // evaluates it.
+    assert!(faults.arm_next(FaultPoint::Evaluate, 1, FaultMode::Stall(1_500)));
     let handle = svc.listen("127.0.0.1:0").unwrap();
     let mut wire = WireClient::connect(handle.addr()).unwrap();
     let m = svc.metrics();

@@ -567,6 +567,38 @@ fn a_whole_frame_that_does_not_parse_stops_the_start_and_keeps_the_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A whole record that parses but that the database rejects (here an
+/// update of a node that never existed) was acknowledged, so it is no
+/// torn tail either: the service refuses to start, names the file and the
+/// record's LSN, and leaves the log, and the valid record after it, as
+/// they were. (It used to start, truncating both.)
+#[test]
+fn a_whole_record_the_database_rejects_stops_the_start_and_keeps_the_log() {
+    let dir = fresh_dir("rejected");
+    let svc = Service::start(durable_cfg(&dir, Faults::disabled())).unwrap();
+    assert!(!svc.client().request_line("CREATE t").is_error());
+    svc.shutdown();
+    let bad = parse_change_set("{updNode(n99, 1)}").unwrap();
+    let good = parse_change_set("{creNode(n21, 2), addArc(n1, item, n21)}").unwrap();
+    let mut log = serve::wal::encode_record("1Jan97".parse().unwrap(), &bad);
+    log.extend_from_slice(&serve::wal::encode_record("2Jan97".parse().unwrap(), &good));
+    let wal = dir.join("t.wal");
+    std::fs::write(&wal, &log).unwrap();
+
+    let err = match Service::start(durable_cfg(&dir, Faults::disabled())) {
+        Ok(svc) => {
+            let rows = svc.client().request_line("QUERY t select t.#").render();
+            panic!("started over a rejected record; t holds {rows:?}")
+        }
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains(&wal.display().to_string()) && msg.contains("LSN 1Jan97"), "{msg}");
+    assert_eq!(std::fs::read(&wal).unwrap(), log, "the log was changed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `a.b` and `a_b` are two databases, so they keep two images and two
 /// logs: after a crash each recovers its own write. (Both used to be
 /// stored under the stem `a_b`, and only one came back.)
