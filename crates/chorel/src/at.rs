@@ -11,7 +11,7 @@
 
 use crate::engines::{canonical_rows_by, render_canonical_rows};
 use doem::{ArcAnnotation, DoemDatabase};
-use lorel::{DataSource, Rows};
+use lorel::{DataSource, LabelSet, Rows, When};
 use oem::{Label, NodeId, Timestamp, Value};
 use std::borrow::Cow;
 
@@ -19,8 +19,9 @@ use std::borrow::Cow;
 ///
 /// Answers exactly what [`crate::DirectSource`] answers over
 /// `DoemDatabase::from_snapshot(&snapshot_at(d, t))`: the snapshot is a
-/// plain database, so the annotation functions are empty and the
-/// `<at T>` hooks fall back to the snapshot itself (the trait defaults).
+/// plain database, so the annotation functions report nothing and a
+/// question asked [`When::At`] another time is answered from the
+/// snapshot itself.
 ///
 /// The children of a node are its arcs alive at `t`; unlike
 /// [`doem::snapshot_at`], the view does not ask whether each child
@@ -66,7 +67,7 @@ impl DataSource for AtSource<'_> {
         self.d.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
+    fn value(&self, n: NodeId, _when: When) -> Option<Cow<'_, Value>> {
         match self.d.value_ref_at(n, self.t) {
             Some(v) => Some(Cow::Borrowed(v)),
             // A root created after `t` (QSS result databases) still roots
@@ -75,36 +76,26 @@ impl DataSource for AtSource<'_> {
         }
     }
 
-    fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
-        self.children_where(n, |l, c| Some((l, c)))
-    }
-
-    fn children_labeled(&self, n: NodeId, l: Label) -> Vec<NodeId> {
-        self.children_where(n, |label, c| (label == l).then_some(c))
-    }
-}
-
-impl AtSource<'_> {
-    /// What `pick` makes of the arcs out of `n` alive at `t`, in graph
-    /// order. `pick` runs first, so arcs it rejects cost no annotation
-    /// scan.
-    fn children_where<T>(&self, n: NodeId, pick: impl Fn(Label, NodeId) -> Option<T>) -> Vec<T> {
-        let alive: Vec<T> = self
+    /// The arcs out of `n` alive at `t`, in graph order. The label is
+    /// compared before the annotations are read.
+    fn arcs(
+        &self,
+        n: NodeId,
+        labels: &LabelSet,
+        _when: When,
+        visit: &mut dyn FnMut(Label, NodeId),
+    ) {
+        let t = self.t;
+        let mut alive = self
             .d
             .arcs_from(n)
-            .filter_map(|(l, c, anns)| pick(l, c).filter(|_| ArcAnnotation::alive_at(anns, self.t)))
-            .collect();
+            .filter(|&(l, _, anns)| labels.matches(l) && ArcAnnotation::alive_at(anns, t))
+            .peekable();
         // Atomic at t, or not yet created: nothing below it at t. Asked
         // only when there is something to drop.
-        if alive.is_empty()
-            || self
-                .d
-                .value_ref_at(n, self.t)
-                .is_some_and(Value::is_complex)
-        {
-            alive
-        } else {
-            Vec::new()
+        let complex = || self.d.value_ref_at(n, t).is_some_and(Value::is_complex);
+        if alive.peek().is_some() && complex() {
+            alive.for_each(|(l, c, _)| visit(l, c));
         }
     }
 }
@@ -114,10 +105,19 @@ mod tests {
     use super::*;
     use crate::{canonical_row_strings, run_chorel, Strategy};
     use doem::{doem_figure4, snapshot_at, NodeAnnotation};
+    use lorel::ArcChange;
     use oem::guide::ids;
 
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()
+    }
+
+    /// What `arcs` visits out of `n` with label `l`.
+    fn arcs_of(s: &AtSource<'_>, n: NodeId, l: &str) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let labels = LabelSet::Named(vec![Label::new(l)]);
+        s.arcs(n, &labels, When::Now, &mut |_, c| out.push(c));
+        out
     }
 
     #[test]
@@ -126,37 +126,43 @@ mod tests {
         // 2Jan97: price already 20, Hakata exists, no comment yet, Janta
         // still parks at n7.
         let s = AtSource::new(&d, ts("2Jan97"));
-        assert_eq!(s.value(ids::N1).as_deref(), Some(&Value::Int(20)));
         assert_eq!(
-            s.children_labeled(ids::N4, Label::new("restaurant")).len(),
-            3
+            s.value(ids::N1, When::Now).as_deref(),
+            Some(&Value::Int(20))
         );
-        assert!(s
-            .children_labeled(ids::N2, Label::new("comment"))
-            .is_empty());
-        assert_eq!(
-            s.children_labeled(ids::N6, Label::new("parking")),
-            vec![ids::N7]
-        );
+        assert_eq!(arcs_of(&s, ids::N4, "restaurant").len(), 3);
+        assert!(arcs_of(&s, ids::N2, "comment").is_empty());
+        assert_eq!(arcs_of(&s, ids::N6, "parking"), vec![ids::N7]);
         // 31Dec96: the original snapshot.
         let s = AtSource::new(&d, ts("31Dec96"));
-        assert_eq!(s.value(ids::N1).as_deref(), Some(&Value::Int(10)));
         assert_eq!(
-            s.children_labeled(ids::N4, Label::new("restaurant")).len(),
-            2
+            s.value(ids::N1, When::Now).as_deref(),
+            Some(&Value::Int(10))
         );
+        assert_eq!(arcs_of(&s, ids::N4, "restaurant").len(), 2);
     }
 
     #[test]
     fn view_has_no_history_of_its_own() {
         let d = doem_figure4();
         let s = AtSource::new(&d, ts("9Jan97"));
-        assert!(s.cre_fun(ids::N2).is_empty());
-        assert!(s.upd_fun(ids::N1).is_empty());
-        assert!(s.add_fun(ids::N4, Label::new("restaurant")).is_empty());
-        assert!(s.rem_fun(ids::N6, Label::new("parking")).is_empty());
+        assert!(s.created(ids::N2).is_none());
+        let mut updates = 0;
+        s.updates(ids::N1, &mut |_, _, _| updates += 1);
+        assert_eq!(updates, 0);
+        let mut changed = Vec::new();
+        let restaurant = LabelSet::Named(vec![Label::new("restaurant")]);
+        s.changed_arcs(ids::N4, &restaurant, ArcChange::Add, &mut |_, _, c| {
+            changed.push(c)
+        });
+        let parking = LabelSet::Named(vec![Label::new("parking")]);
+        s.changed_arcs(ids::N6, &parking, ArcChange::Rem, &mut |_, _, c| {
+            changed.push(c)
+        });
+        assert!(changed.is_empty());
         // `<at T>` inside the view is the view.
-        assert_eq!(s.value_at(ids::N1, ts("31Dec96")), Some(Value::Int(20)));
+        let past = When::At(ts("31Dec96"));
+        assert_eq!(s.value(ids::N1, past).as_deref(), Some(&Value::Int(20)));
     }
 
     #[test]

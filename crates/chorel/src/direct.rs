@@ -5,16 +5,18 @@
 //! [`DirectSource`] adapts a [`doem::DoemDatabase`] to the query engine's
 //! [`lorel::DataSource`]:
 //!
-//! * plain traversal sees the *current snapshot* (so an annotation-free
-//!   Chorel query over a DOEM database means the same query over its
-//!   current snapshot, as Section 4.2.1 requires);
-//! * the annotation functions `creFun`/`updFun`/`addFun`/`remFun` read the
-//!   annotation maps — including arcs that are no longer current;
-//! * the virtual-annotation hooks answer from the reconstructed history
-//!   (Section 4.2.2).
+//! * [`DataSource::arcs`] at [`When::Now`] sees the *current snapshot* (so
+//!   an annotation-free Chorel query over a DOEM database means the same
+//!   query over its current snapshot, as Section 4.2.1 requires), and at
+//!   [`When::At`] the arcs alive then (the virtual `<at T>` of Section
+//!   4.2.2); [`DataSource::value`] likewise reconstructs past values;
+//! * the annotation functions `creFun`/`updFun`/`addFun`/`remFun`
+//!   ([`DataSource::created`], [`DataSource::updates`],
+//!   [`DataSource::changed_arcs`]) read the annotation maps — including
+//!   arcs that are no longer current.
 
 use doem::{ArcAnnotation, DoemDatabase};
-use lorel::DataSource;
+use lorel::{ArcChange, DataSource, LabelSet, When};
 use oem::{Label, NodeId, Timestamp, Value};
 use std::borrow::Cow;
 
@@ -34,33 +36,6 @@ impl<'a> DirectSource<'a> {
     pub fn database(&self) -> &DoemDatabase {
         self.d
     }
-
-    /// `(label, time, target)` for every annotation on an arc out of `n`
-    /// that `pick` maps to a time — the shape of all four arc-annotation
-    /// functions.
-    fn arc_annotation_times(
-        &self,
-        n: NodeId,
-        pick: fn(&ArcAnnotation) -> Option<Timestamp>,
-    ) -> impl Iterator<Item = (Label, Timestamp, NodeId)> + 'a {
-        self.d
-            .arcs_from(n)
-            .flat_map(move |(l, c, anns)| anns.iter().filter_map(pick).map(move |t| (l, t, c)))
-    }
-}
-
-fn add_time(ann: &ArcAnnotation) -> Option<Timestamp> {
-    match ann {
-        ArcAnnotation::Add(t) => Some(*t),
-        ArcAnnotation::Rem(_) => None,
-    }
-}
-
-fn rem_time(ann: &ArcAnnotation) -> Option<Timestamp> {
-    match ann {
-        ArcAnnotation::Rem(t) => Some(*t),
-        ArcAnnotation::Add(_) => None,
-    }
 }
 
 impl DataSource for DirectSource<'_> {
@@ -72,26 +47,26 @@ impl DataSource for DirectSource<'_> {
         self.d.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
-        self.d.graph().value(n).ok().map(Cow::Borrowed)
-    }
-
-    fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
-        self.d
-            .arcs_from(n)
-            .filter(|(_, _, anns)| ArcAnnotation::current(anns))
-            .map(|(l, c, _)| (l, c))
-            .collect()
+    fn value(&self, n: NodeId, when: When) -> Option<Cow<'_, Value>> {
+        match when {
+            When::Now => self.d.graph().value(n).ok(),
+            When::At(t) => self.d.value_ref_at(n, t),
+        }
+        .map(Cow::Borrowed)
     }
 
     /// One pass over `n`'s arcs: the label is compared before the
     /// annotations are read.
-    fn children_labeled(&self, n: NodeId, l: Label) -> Vec<NodeId> {
-        self.d
-            .arcs_from(n)
-            .filter(|&(label, _, anns)| label == l && ArcAnnotation::current(anns))
-            .map(|(_, c, _)| c)
-            .collect()
+    fn arcs(&self, n: NodeId, labels: &LabelSet, when: When, visit: &mut dyn FnMut(Label, NodeId)) {
+        for (l, c, anns) in self.d.arcs_from(n) {
+            let alive = || match when {
+                When::Now => ArcAnnotation::current(anns),
+                When::At(t) => ArcAnnotation::alive_at(anns, t),
+            };
+            if labels.matches(l) && alive() {
+                visit(l, c);
+            }
+        }
     }
 
     /// Parents in the annotated graph, which holds removed arcs too: a
@@ -102,57 +77,32 @@ impl DataSource for DirectSource<'_> {
         Some(flipped.collect())
     }
 
-    fn cre_fun(&self, n: NodeId) -> Vec<Timestamp> {
-        self.d.created_at(n).into_iter().collect()
+    fn created(&self, n: NodeId) -> Option<Timestamp> {
+        self.d.created_at(n)
     }
 
-    fn upd_fun(&self, n: NodeId) -> Vec<(Timestamp, Value, Value)> {
-        self.d
-            .update_triples(n)
-            .map(|(t, old, new)| (t, old.clone(), new.clone()))
-            .collect()
+    fn updates(&self, n: NodeId, visit: &mut dyn FnMut(Timestamp, &Value, &Value)) {
+        for (t, old, new) in self.d.update_triples(n) {
+            visit(t, old, new);
+        }
     }
 
-    fn add_fun(&self, n: NodeId, l: Label) -> Vec<(Timestamp, NodeId)> {
-        self.arc_annotation_times(n, add_time)
-            .filter(|&(label, _, _)| label == l)
-            .map(|(_, t, c)| (t, c))
-            .collect()
-    }
-
-    fn rem_fun(&self, n: NodeId, l: Label) -> Vec<(Timestamp, NodeId)> {
-        self.arc_annotation_times(n, rem_time)
-            .filter(|&(label, _, _)| label == l)
-            .map(|(_, t, c)| (t, c))
-            .collect()
-    }
-
-    fn add_fun_any(&self, n: NodeId) -> Vec<(Label, Timestamp, NodeId)> {
-        self.arc_annotation_times(n, add_time).collect()
-    }
-
-    fn rem_fun_any(&self, n: NodeId) -> Vec<(Label, Timestamp, NodeId)> {
-        self.arc_annotation_times(n, rem_time).collect()
-    }
-
-    fn children_at(&self, n: NodeId, t: Timestamp) -> Vec<(Label, NodeId)> {
-        self.d
-            .arcs_from(n)
-            .filter(|(_, _, anns)| ArcAnnotation::alive_at(anns, t))
-            .map(|(l, c, _)| (l, c))
-            .collect()
-    }
-
-    fn children_labeled_at(&self, n: NodeId, l: Label, t: Timestamp) -> Vec<NodeId> {
-        self.d
-            .arcs_from(n)
-            .filter(|&(label, _, anns)| label == l && ArcAnnotation::alive_at(anns, t))
-            .map(|(_, c, _)| c)
-            .collect()
-    }
-
-    fn value_at(&self, n: NodeId, t: Timestamp) -> Option<Value> {
-        self.d.value_at(n, t)
+    fn changed_arcs(
+        &self,
+        n: NodeId,
+        labels: &LabelSet,
+        change: ArcChange,
+        visit: &mut dyn FnMut(Label, Timestamp, NodeId),
+    ) {
+        for (l, c, anns) in self.d.arcs_from(n).filter(|&(l, _, _)| labels.matches(l)) {
+            for ann in anns {
+                match (ann, change) {
+                    (ArcAnnotation::Add(t), ArcChange::Add)
+                    | (ArcAnnotation::Rem(t), ArcChange::Rem) => visit(l, *t, c),
+                    _ => {}
+                }
+            }
+        }
     }
 }
 
@@ -162,15 +112,33 @@ mod tests {
     use doem::doem_figure4;
     use oem::guide::ids;
 
+    fn one(l: &str) -> LabelSet {
+        LabelSet::Named(vec![Label::new(l)])
+    }
+
+    /// What `arcs` visits out of `n` with label `l` at `when`.
+    fn arcs_of(s: &DirectSource<'_>, n: NodeId, l: &str, when: When) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        s.arcs(n, &one(l), when, &mut |_, c| out.push(c));
+        out
+    }
+
+    /// What `changed_arcs` visits out of `n` with label `l`.
+    fn changed(s: &DirectSource<'_>, n: NodeId, l: &str, c: ArcChange) -> Vec<(Timestamp, NodeId)> {
+        let mut out = Vec::new();
+        s.changed_arcs(n, &one(l), c, &mut |_, t, c| out.push((t, c)));
+        out
+    }
+
     #[test]
     fn plain_traversal_sees_the_current_snapshot() {
         let d = doem_figure4();
         let s = DirectSource::new(&d);
         // Janta's removed parking arc is invisible to plain traversal…
-        assert!(s.children_labeled(ids::N6, Label::new("parking")).is_empty());
+        assert!(arcs_of(&s, ids::N6, "parking", When::Now).is_empty());
         // …but Bangkok's survives.
         assert_eq!(
-            s.children_labeled(ids::BANGKOK, Label::new("parking")),
+            arcs_of(&s, ids::BANGKOK, "parking", When::Now),
             vec![ids::N7]
         );
     }
@@ -181,18 +149,19 @@ mod tests {
         let s = DirectSource::new(&d);
         let t1: Timestamp = "1Jan97".parse().unwrap();
         let t3: Timestamp = "8Jan97".parse().unwrap();
-        assert_eq!(s.cre_fun(ids::N2), vec![t1]);
+        assert_eq!(s.created(ids::N2), Some(t1));
+        let mut updates = Vec::new();
+        s.updates(ids::N1, &mut |t, old, new| {
+            updates.push((t, old.clone(), new.clone()))
+        });
+        assert_eq!(updates, vec![(t1, Value::Int(10), Value::Int(20))]);
         assert_eq!(
-            s.upd_fun(ids::N1),
-            vec![(t1, Value::Int(10), Value::Int(20))]
-        );
-        assert_eq!(
-            s.add_fun(ids::N4, Label::new("restaurant")),
+            changed(&s, ids::N4, "restaurant", ArcChange::Add),
             vec![(t1, ids::N2)]
         );
         // remFun finds the removed arc even though it is not current.
         assert_eq!(
-            s.rem_fun(ids::N6, Label::new("parking")),
+            changed(&s, ids::N6, "parking", ArcChange::Rem),
             vec![(t3, ids::N7)]
         );
     }
@@ -202,13 +171,15 @@ mod tests {
         let d = doem_figure4();
         let s = DirectSource::new(&d);
         let before: Timestamp = "31Dec96".parse().unwrap();
-        assert_eq!(s.value_at(ids::N1, before), Some(Value::Int(10)));
         assert_eq!(
-            s.children_labeled_at(ids::N6, Label::new("parking"), before),
+            s.value(ids::N1, When::At(before)).as_deref(),
+            Some(&Value::Int(10))
+        );
+        assert_eq!(
+            arcs_of(&s, ids::N6, "parking", When::At(before)),
             vec![ids::N7]
         );
-        assert!(s
-            .children_labeled_at(ids::N6, Label::new("parking"), "9Jan97".parse().unwrap())
-            .is_empty());
+        let after = When::At("9Jan97".parse().unwrap());
+        assert!(arcs_of(&s, ids::N6, "parking", after).is_empty());
     }
 }

@@ -1,11 +1,11 @@
 //! A [`DataSource`] over the Section 5.1 OEM encoding of a DOEM database.
 //!
-//! Mostly a passthrough to the encoded [`oem::OemDatabase`]; the one
-//! refinement is that wildcard steps (`#`, `%`) skip `&`-reserved arcs, so
-//! wildcards range over the modeled graph rather than the encoding's
-//! bookkeeping structure (`&val`, `&upd`, `&l-history`, …).
+//! A passthrough to the encoded [`oem::OemDatabase`], except that
+//! [`DataSource::hides_from_wildcards`] hides the `&`-reserved arcs: the
+//! wildcard steps (`#`, `%`) range over the modeled graph rather than the
+//! encoding's bookkeeping structure (`&val`, `&upd`, `&l-history`, …).
 
-use lorel::DataSource;
+use lorel::{DataSource, LabelSet, When};
 use oem::{Label, NodeId, OemDatabase, Value};
 use std::borrow::Cow;
 
@@ -36,21 +36,16 @@ impl DataSource for EncodedSource {
         self.oem.root()
     }
 
-    fn value(&self, n: NodeId) -> Option<Cow<'_, Value>> {
-        self.oem.value(n).ok().map(Cow::Borrowed)
+    fn value(&self, n: NodeId, when: When) -> Option<Cow<'_, Value>> {
+        DataSource::value(&self.oem, n, when)
     }
 
-    fn children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
-        self.oem.children(n).to_vec()
+    fn arcs(&self, n: NodeId, labels: &LabelSet, when: When, visit: &mut dyn FnMut(Label, NodeId)) {
+        DataSource::arcs(&self.oem, n, labels, when, visit)
     }
 
-    fn wildcard_children(&self, n: NodeId) -> Vec<(Label, NodeId)> {
-        self.oem
-            .children(n)
-            .iter()
-            .copied()
-            .filter(|(l, _)| !l.is_reserved())
-            .collect()
+    fn hides_from_wildcards(&self, l: Label) -> bool {
+        l.is_reserved()
     }
 }
 
@@ -64,10 +59,15 @@ mod tests {
     fn wildcards_skip_reserved_arcs() {
         let enc = encode_doem(&doem_figure4());
         let src = EncodedSource::new(enc.oem);
-        let all = src.children(ids::N4);
-        let wild = src.wildcard_children(ids::N4);
+        let mut all = Vec::new();
+        src.arcs(ids::N4, &LabelSet::Any, When::Now, &mut |l, _| all.push(l));
+        let wild: Vec<Label> = all
+            .iter()
+            .copied()
+            .filter(|&l| !src.hides_from_wildcards(l))
+            .collect();
         assert!(all.len() > wild.len());
-        assert!(wild.iter().all(|(l, _)| !l.is_reserved()));
+        assert!(wild.iter().all(|l| !l.is_reserved()));
         // The three current restaurants remain visible to wildcards.
         assert_eq!(wild.len(), 3);
     }

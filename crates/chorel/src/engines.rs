@@ -481,4 +481,74 @@ mod tests {
         .unwrap();
         assert_eq!(r.nodes_in_column(0), vec![ids::BANGKOK]);
     }
+
+    /// `g.x` with arcs `a, b, a, b` (the third has a `b` child below it),
+    /// then an `a` and a `b` arc added on 1Jan97 and the first `a` and `b`
+    /// arcs removed on 2Jan97. Returns the database and `x`'s children in
+    /// original arc order, the deep child, and the two added children.
+    fn interleaved() -> (DoemDatabase, [NodeId; 4], NodeId, [NodeId; 2]) {
+        let mut b = oem::GraphBuilder::new("g");
+        let x = b.complex_child(b.root(), "x");
+        let a1 = b.atom_child(x, "a", "a1");
+        let b1 = b.atom_child(x, "b", "b1");
+        let a2 = b.complex_child(x, "a");
+        let b2 = b.atom_child(x, "b", "b2");
+        let deep = b.atom_child(a2, "b", "deep");
+        let mut d = DoemDatabase::from_snapshot(&b.finish());
+        let (a3, b3) = (NodeId::from_raw(100), NodeId::from_raw(101));
+        let add = oem::ChangeSet::from_ops([
+            oem::ChangeOp::CreNode(a3, Value::str("a3")),
+            oem::ChangeOp::CreNode(b3, Value::str("b3")),
+            oem::ChangeOp::add_arc(x, "a", a3),
+            oem::ChangeOp::add_arc(x, "b", b3),
+        ])
+        .unwrap();
+        d.apply(&add, ts("1Jan97")).unwrap();
+        let rem = oem::ChangeSet::from_ops([
+            oem::ChangeOp::rem_arc(x, "a", a1),
+            oem::ChangeOp::rem_arc(x, "b", b1),
+        ])
+        .unwrap();
+        d.apply(&rem, ts("2Jan97")).unwrap();
+        (d, [a1, b1, a2, b2], deep, [a3, b3])
+    }
+
+    /// The nodes `select X from g.x.<step> X` binds, in row order.
+    fn direct_order(d: &DoemDatabase, step: &str) -> Vec<NodeId> {
+        let q = lorel::parse_query(&format!("select X from g.x.{step} X")).unwrap();
+        let rows = run_direct_rows(d, &q).unwrap();
+        rows.rows
+            .iter()
+            .map(|r| match r.cols[0].1 {
+                Binding::Node(n) => n,
+                ref other => panic!("{step}: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_rows_keep_child_bfs_and_pattern_order() {
+        let (d, [a1, b1, a2, b2], deep, [a3, b3]) = interleaved();
+        let x = d.graph().children(d.root())[0].1;
+        // Child order for one-arc steps over the current snapshot.
+        assert_eq!(direct_order(&d, "a"), [a2, a3]);
+        assert_eq!(direct_order(&d, "(b|a)"), [a2, b2, a3, b3]);
+        assert_eq!(direct_order(&d, "%"), [a2, b2, a3, b3]);
+        // BFS order, the base first, for closures.
+        assert_eq!(direct_order(&d, "(a|b)*"), [x, a2, b2, a3, b3, deep]);
+        assert_eq!(direct_order(&d, "#"), [x, a2, b2, a3, b3, deep]);
+        // Pattern order, then child order, for annotated alternations.
+        assert_eq!(direct_order(&d, "<add>(b|a)"), [b3, a3]);
+        assert_eq!(direct_order(&d, "<rem>(b|a)"), [b1, a1]);
+        assert_eq!(direct_order(&d, "<at 31Dec96>(b|a)"), [b1, b2, a1, a2]);
+    }
+
+    #[test]
+    fn translated_results_keep_the_encoding_arcs_of_bound_objects() {
+        let d = doem_figure4();
+        let r = run_chorel(&d, "select guide.restaurant", Strategy::Translated).unwrap();
+        let bangkok = r.db.children(ids::BANGKOK);
+        assert!(bangkok.iter().any(|(l, _)| l.is_reserved()), "{bangkok:?}");
+        assert!(bangkok.iter().any(|(l, _)| !l.is_reserved()), "{bangkok:?}");
+    }
 }

@@ -588,6 +588,7 @@ pub fn anchored_execute(source: &dyn DataSource, plan: &Plan, anchor: &Anchor) -
 mod tests {
     use super::*;
     use crate::engine::execute;
+    use crate::source::When;
     use crate::parser::parse_query;
     use crate::plan::plan;
     use oem::guide::guide_figure3;
@@ -678,12 +679,18 @@ mod tests {
         fn root(&self) -> NodeId {
             self.db.root()
         }
-        fn value(&self, n: NodeId) -> Option<std::borrow::Cow<'_, Value>> {
-            DataSource::value(self.db, n)
+        fn value(&self, n: NodeId, when: When) -> Option<std::borrow::Cow<'_, Value>> {
+            DataSource::value(self.db, n, when)
         }
-        fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
+        fn arcs(
+            &self,
+            n: NodeId,
+            labels: &LabelSet,
+            when: When,
+            visit: &mut dyn FnMut(oem::Label, NodeId),
+        ) {
             self.calls.set(self.calls.get() + 1);
-            DataSource::children(self.db, n)
+            DataSource::arcs(self.db, n, labels, when, visit)
         }
         fn parents(&self, n: NodeId) -> Option<Vec<(oem::Label, NodeId)>> {
             DataSource::parents(self.db, n).filter(|_| self.reverse)

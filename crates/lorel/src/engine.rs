@@ -11,11 +11,11 @@ use crate::coerce::{self, holds, Literal};
 use crate::delta::SlotRestrict;
 use crate::error::{LorelError, Result};
 use crate::plan::{CompanionRole, LabelSet, Operand, Plan, Pred, VarSource};
-use crate::source::DataSource;
+use crate::source::{ArcChange, DataSource, When};
 use oem::{Label, NodeId, Timestamp, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet};
 
 /// A candidate restriction threaded through the enumeration (the
 /// semi-naive delta variants and the anchored-conjunct fast path in
@@ -93,14 +93,6 @@ impl Candidate {
             node_time: None,
             old_value: None,
             new_value: None,
-        }
-    }
-
-    /// The target of an annotated arc, with the annotation's time.
-    fn arc(t: Timestamp, n: NodeId) -> Candidate {
-        Candidate {
-            arc_time: Some(t),
-            ..Candidate::node(n)
         }
     }
 }
@@ -251,21 +243,28 @@ fn resolve_time_ref(plan: &Plan, t: &TimeRef, tuple: &[Binding]) -> Result<Times
     }
 }
 
-/// Every node reachable from `base` over arcs `follow` yields (the base
-/// included), in BFS order, each once.
-fn closure(base: NodeId, follow: impl Fn(NodeId) -> Vec<(Label, NodeId)>) -> Vec<Candidate> {
-    let mut order = vec![base];
+/// Append to the empty `found` the base and every node reachable from it
+/// over arcs `labels` matches (minus those `skip` rejects), in BFS order,
+/// each once.
+fn closure(
+    source: &dyn DataSource,
+    base: NodeId,
+    labels: &LabelSet,
+    skip: &dyn Fn(Label) -> bool,
+    found: &mut Vec<NodeId>,
+) {
+    // `found` is its own BFS queue: `next` is the node to expand.
+    found.push(base);
     let mut seen: HashSet<NodeId> = [base].into();
-    let mut queue = VecDeque::from([base]);
-    while let Some(n) = queue.pop_front() {
-        for (_, c) in follow(n) {
-            if seen.insert(c) {
-                order.push(c);
-                queue.push_back(c);
+    let mut next = 0;
+    while let Some(&n) = found.get(next) {
+        next += 1;
+        source.arcs(n, labels, When::Now, &mut |l, c| {
+            if !skip(l) && seen.insert(c) {
+                found.push(c);
             }
-        }
+        });
     }
-    order.into_iter().map(Candidate::node).collect()
 }
 
 /// The candidates of `step` from `base`; with `allowed`, only those whose
@@ -280,153 +279,117 @@ fn step_candidates(
     tuple: &[Binding],
     allowed: Option<&BTreeSet<NodeId>>,
 ) -> Result<Vec<Candidate>> {
-    let named: &[Label] = match labels {
-        LabelSet::Named(ls) => ls,
-        LabelSet::Any => &[],
-    };
-    // 1. Arc traversal.
-    let mut cands: Vec<Candidate> = match (&step.arc_annot, &step.label) {
-        // Kleene closure: zero or more arcs whose labels match the
-        // pattern, BFS from the base (inclusive).
-        (None, LabelPattern::Label(_) | LabelPattern::Alternation(_)) if step.star => {
-            closure(base, |n| {
-                let mut arcs = source.children(n);
-                arcs.retain(|&(l, _)| labels.matches(l));
-                arcs
-            })
-        }
-        (None, LabelPattern::Label(_)) => match named {
-            [l] => source
-                .children_labeled(base, *l)
-                .into_iter()
-                .map(Candidate::node)
-                .collect(),
-            _ => Vec::new(),
-        },
-        // One arc with any of the listed labels, in child order.
-        (None, LabelPattern::Alternation(_)) => source
-            .children(base)
-            .into_iter()
-            .filter(|&(l, _)| labels.matches(l))
-            .map(|(_, c)| Candidate::node(c))
-            .collect(),
-        (None, LabelPattern::AnyLabel) => source
-            .wildcard_children(base)
-            .into_iter()
-            .map(|(_, c)| Candidate::node(c))
-            .collect(),
-        // `#`: any path of length >= 0 — the reachable closure including
-        // the base itself, in BFS order.
-        (None, LabelPattern::AnyPath) => closure(base, |n| source.wildcard_children(n)),
-        // Annotated arcs: one label at a time, in pattern order.
-        (Some(annot), LabelPattern::Label(_) | LabelPattern::Alternation(_)) => {
-            let mut out = Vec::new();
-            for &label in named {
-                match annot {
-                    ArcAnnotExpr::Add { .. } => out.extend(
-                        source
-                            .add_fun(base, label)
-                            .into_iter()
-                            .map(|(t, c)| Candidate::arc(t, c)),
-                    ),
-                    ArcAnnotExpr::Rem { .. } => out.extend(
-                        source
-                            .rem_fun(base, label)
-                            .into_iter()
-                            .map(|(t, c)| Candidate::arc(t, c)),
-                    ),
-                    ArcAnnotExpr::AtTime(tr) => {
-                        let at = resolve_time_ref(plan, tr, tuple)?;
-                        out.extend(
-                            source
-                                .children_labeled_at(base, label, at)
-                                .into_iter()
-                                .map(Candidate::node),
-                        );
+    // Unannotated wildcards skip what the source hides from them.
+    let wildcard = matches!(step.label, LabelPattern::AnyLabel | LabelPattern::AnyPath);
+    let skip = |l: Label| wildcard && source.hides_from_wildcards(l);
+    let allows = |n: &NodeId| allowed.is_none_or(|a| a.contains(n));
+    // 1. Arc traversal. The arcs are gathered light and the candidates
+    // built once, at their final count.
+    let cands: Vec<Candidate> = match &step.arc_annot {
+        None => {
+            let mut found = Vec::new();
+            // `#` is any path of length >= 0, a Kleene closure zero or
+            // more arcs whose labels match the pattern: BFS from the
+            // base, inclusive. Otherwise one arc (`%*` too), in child
+            // order.
+            let closes = match step.label {
+                LabelPattern::AnyPath => true,
+                LabelPattern::AnyLabel => false,
+                _ => step.star,
+            };
+            if closes {
+                closure(source, base, labels, &skip, &mut found);
+            } else {
+                source.arcs(base, labels, When::Now, &mut |l, c| {
+                    if !skip(l) {
+                        found.push(c);
                     }
-                }
+                });
             }
-            out
+            found.retain(allows);
+            found.into_iter().map(Candidate::node).collect()
         }
-        // Section 7 extension: arc annotations on the `%` wildcard range
-        // over every label's annotated arcs.
-        (Some(annot), LabelPattern::AnyLabel) => match annot {
-            ArcAnnotExpr::Add { .. } => source
-                .add_fun_any(base)
-                .into_iter()
-                .map(|(_, t, c)| Candidate::arc(t, c))
-                .collect(),
-            ArcAnnotExpr::Rem { .. } => source
-                .rem_fun_any(base)
-                .into_iter()
-                .map(|(_, t, c)| Candidate::arc(t, c))
-                .collect(),
-            ArcAnnotExpr::AtTime(tr) => {
-                let at = resolve_time_ref(plan, tr, tuple)?;
-                source
-                    .children_at(base, at)
-                    .into_iter()
-                    .map(|(_, c)| Candidate::node(c))
-                    .collect()
-            }
-        },
-        (Some(_), LabelPattern::AnyPath) => {
+        Some(_) if step.label == LabelPattern::AnyPath => {
             return Err(LorelError::BadSelectItem(
                 "arc annotation expressions on `#` are not supported".to_string(),
             ))
         }
-    };
-
-    if let Some(allowed) = allowed {
-        cands.retain(|c| matches!(c.target, Binding::Node(n) if allowed.contains(&n)));
-    }
-
-    // 2. Node annotation filter/bind on each candidate.
-    if let Some(na) = &step.node_annot {
-        let mut out = Vec::new();
-        for cand in cands {
-            let Binding::Node(n) = cand.target else {
-                continue;
+        // Annotated arcs, in pattern order: an alternation is sorted by
+        // rank, stably, so child order holds within each label. `%` with
+        // an annotation is the Section 7 extension.
+        Some(annot) => {
+            let mut found = Vec::new();
+            let mut keep = |l: Label, t: Option<Timestamp>, c: NodeId| {
+                found.push((labels.rank(l), t, c));
             };
-            // The arc-level part a node annotation keeps (it may fan one
-            // candidate into several).
-            let arc_part = || Candidate {
-                arc_time: cand.arc_time,
+            match annot {
+                ArcAnnotExpr::AtTime(tr) => {
+                    let at = resolve_time_ref(plan, tr, tuple)?;
+                    source.arcs(base, labels, When::At(at), &mut |l, c| keep(l, None, c));
+                }
+                ArcAnnotExpr::Add { .. } | ArcAnnotExpr::Rem { .. } => {
+                    let change = match annot {
+                        ArcAnnotExpr::Add { .. } => ArcChange::Add,
+                        _ => ArcChange::Rem,
+                    };
+                    source.changed_arcs(base, labels, change, &mut |l, t, c| keep(l, Some(t), c));
+                }
+            }
+            if matches!(labels, LabelSet::Named(ls) if ls.len() > 1) {
+                found.sort_by_key(|&(rank, _, _)| rank);
+            }
+            found.retain(|(_, _, n)| allows(n));
+            let arc = |(_, arc_time, n)| Candidate {
+                arc_time,
                 ..Candidate::node(n)
             };
-            match na {
-                NodeAnnotExpr::Cre { .. } => {
-                    for t in source.cre_fun(n) {
-                        out.push(Candidate {
-                            node_time: Some(t),
-                            ..arc_part()
-                        });
-                    }
+            found.into_iter().map(arc).collect()
+        }
+    };
+    let Some(na) = &step.node_annot else {
+        return Ok(cands);
+    };
+
+    // 2. Node annotation filter/bind on each candidate (it may fan one
+    // candidate into several).
+    let mut out = Vec::new();
+    for cand in cands {
+        let Binding::Node(n) = cand.target else {
+            continue;
+        };
+        let arc_part = || Candidate {
+            arc_time: cand.arc_time,
+            ..Candidate::node(n)
+        };
+        match na {
+            NodeAnnotExpr::Cre { .. } => {
+                if let Some(t) = source.created(n) {
+                    out.push(Candidate {
+                        node_time: Some(t),
+                        ..arc_part()
+                    });
                 }
-                NodeAnnotExpr::Upd { .. } => {
-                    for (t, ov, nv) in source.upd_fun(n) {
-                        out.push(Candidate {
-                            node_time: Some(t),
-                            old_value: Some(ov),
-                            new_value: Some(nv),
-                            ..arc_part()
-                        });
-                    }
-                }
-                NodeAnnotExpr::AtTime(tr) => {
-                    let at = resolve_time_ref(plan, tr, tuple)?;
-                    if let Some(v) = source.value_at(n, at) {
-                        out.push(Candidate {
-                            target: Binding::Val(v),
-                            ..arc_part()
-                        });
-                    }
+            }
+            NodeAnnotExpr::Upd { .. } => source.updates(n, &mut |t, ov, nv| {
+                out.push(Candidate {
+                    node_time: Some(t),
+                    old_value: Some(ov.clone()),
+                    new_value: Some(nv.clone()),
+                    ..arc_part()
+                })
+            }),
+            NodeAnnotExpr::AtTime(tr) => {
+                let at = resolve_time_ref(plan, tr, tuple)?;
+                if let Some(v) = source.value(n, When::At(at)) {
+                    out.push(Candidate {
+                        target: Binding::Val(v.into_owned()),
+                        ..arc_part()
+                    });
                 }
             }
         }
-        cands = out;
     }
-    Ok(cands)
+    Ok(out)
 }
 
 /// The comparable value of an operand, borrowed where it lies.
@@ -437,7 +400,7 @@ fn operand_value<'a>(
 ) -> Option<Cow<'a, Value>> {
     match op {
         Operand::Slot(s) => match &tuple[*s] {
-            Binding::Node(n) => source.value(*n),
+            Binding::Node(n) => source.value(*n, When::Now),
             Binding::Val(v) => Some(Cow::Borrowed(v)),
             Binding::Missing => None,
         },

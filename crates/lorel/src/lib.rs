@@ -57,10 +57,11 @@ pub use error::{LorelError, Result};
 pub use lexer::lex;
 pub use parser::{
     parse_expr, parse_program, parse_query, parse_update, DefineKind, Statement, MAX_NESTING,
+    MAX_PATH_STEPS, MAX_WHERE_PATH_STEPS,
 };
 pub use plan::{plan, CompanionRole, LabelSet, Operand, Plan, Pred, SelectCol, VarDef, VarSource};
 pub use result::{package, QueryResult, RESULT_ROOT_RAW};
-pub use source::DataSource;
+pub use source::{ArcChange, DataSource, When};
 pub use token::{Keyword, Spanned, Token};
 pub use update::{compile_update, run_update, CompiledUpdate, NewObject, UpdateOp, UpdateStmt};
 

@@ -65,7 +65,7 @@ pub fn parse_update(src: &str) -> Result<UpdateStmt, LorelError> {
 /// after it.
 pub fn parse_expr(src: &str) -> Result<Expr, LorelError> {
     let mut p = Parser::new(src)?;
-    let e = p.expr()?;
+    let e = p.condition()?;
     p.expect_eof()?;
     Ok(e)
 }
@@ -91,11 +91,30 @@ pub fn parse_program(src: &str) -> Result<Vec<Statement>, LorelError> {
 /// with the default 2 MiB stack, in a debug build (`fuzz_tests`).
 pub const MAX_NESTING: usize = 64;
 
+/// How many path steps one statement may name, all its paths together.
+/// Execution binds one variable per step of a `select`, `from` or update
+/// path and recurses once per variable (as it does per step of a `where`
+/// path), so past it a statement is a syntax error. A statement naming
+/// this many steps, over data as deep, still evaluates through both
+/// Chorel strategies on a thread with the default 2 MiB stack, in a debug
+/// build, where a single path overflows at about 1,500 steps.
+pub const MAX_PATH_STEPS: usize = 512;
+
+/// How many steps one path in a condition (`where`, `exists … in`) may
+/// name. The translated strategy nests an `exists` per step of such a
+/// path, and a path this long still evaluates through both strategies on
+/// a 2 MiB debug thread, where the translated one overflows at about 50.
+pub const MAX_WHERE_PATH_STEPS: usize = 32;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     /// Levels of [`MAX_NESTING`] in use.
     depth: usize,
+    /// Path steps of [`MAX_PATH_STEPS`] the statement has named.
+    steps: usize,
+    /// Parsing a condition, whose paths [`MAX_WHERE_PATH_STEPS`] bounds.
+    in_condition: bool,
 }
 
 impl Parser {
@@ -104,6 +123,8 @@ impl Parser {
             tokens: lex(src)?,
             pos: 0,
             depth: 0,
+            steps: 0,
+            in_condition: false,
         })
     }
 
@@ -206,6 +227,7 @@ impl Parser {
     // ---- statements ----
 
     fn statement(&mut self) -> Result<Statement, LorelError> {
+        self.steps = 0;
         if self.eat_keyword(Keyword::Define) {
             let kind = if self.eat_keyword(Keyword::Polling) {
                 DefineKind::Polling
@@ -251,7 +273,7 @@ impl Parser {
             }
         }
         let where_clause = if self.eat_keyword(Keyword::Where) {
-            Some(self.expr()?)
+            Some(self.condition()?)
         } else {
             None
         };
@@ -279,6 +301,15 @@ impl Parser {
     }
 
     // ---- expressions ----
+
+    /// A `where` condition: an [`expr`](Parser::expr) whose paths
+    /// [`MAX_WHERE_PATH_STEPS`] bounds.
+    fn condition(&mut self) -> Result<Expr, LorelError> {
+        self.in_condition = true;
+        let e = self.expr();
+        self.in_condition = false;
+        e
+    }
 
     fn expr(&mut self) -> Result<Expr, LorelError> {
         self.or_expr()
@@ -439,12 +470,7 @@ impl Parser {
     /// An update target or linked child: labels only, no annotations,
     /// wildcards or closures.
     fn plain_path(&mut self) -> Result<PathExpr, LorelError> {
-        let head = self.ident()?;
-        let mut steps = Vec::new();
-        while self.eat_token(&Token::Dot) {
-            steps.push(PathStep::plain(self.ident()?));
-        }
-        Ok(PathExpr { head, steps })
+        self.path_of(|p| Ok(PathStep::plain(p.ident()?)))
     }
 
     /// A literal, or `C` for an empty complex object.
@@ -479,10 +505,28 @@ impl Parser {
     // ---- path expressions ----
 
     fn path_expr(&mut self) -> Result<PathExpr, LorelError> {
+        self.path_of(Parser::path_step)
+    }
+
+    /// `head(.step)*`, within [`MAX_PATH_STEPS`] and, in a condition,
+    /// [`MAX_WHERE_PATH_STEPS`].
+    fn path_of(
+        &mut self,
+        step: fn(&mut Parser) -> Result<PathStep, LorelError>,
+    ) -> Result<PathExpr, LorelError> {
         let head = self.ident()?;
         let mut steps = Vec::new();
         while self.eat_token(&Token::Dot) {
-            steps.push(self.path_step()?);
+            if self.steps == MAX_PATH_STEPS {
+                let msg = format!("more than {MAX_PATH_STEPS} path steps in one statement");
+                return Err(self.err(msg));
+            }
+            if self.in_condition && steps.len() == MAX_WHERE_PATH_STEPS {
+                let msg = format!("a where path longer than {MAX_WHERE_PATH_STEPS} steps");
+                return Err(self.err(msg));
+            }
+            self.steps += 1;
+            steps.push(step(self)?);
         }
         Ok(PathExpr { head, steps })
     }
@@ -1006,6 +1050,56 @@ mod fuzz_tests {
                     Err(LorelError::Syntax { msg, .. }) => {
                         assert!(msg.contains("nesting"), "{msg}")
                     }
+                    other => panic!("{src}: {other:?}"),
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn paths_are_accepted_to_the_budget_and_refused_past_it() {
+        let path =
+            |label: &str, steps: usize| format!("guide{}", format!(".{label}").repeat(steps));
+        // Each form names `steps` path steps, in one path or (the last)
+        // in two.
+        let statement_forms = move |steps: usize| {
+            [
+                format!("select {}", path("r", steps)),
+                format!("select X from {} X", path("r", steps)),
+                format!("update {} := 1", path("r", steps)),
+                format!(
+                    "select {}, {}",
+                    path("r", steps / 2),
+                    path("s", steps - steps / 2)
+                ),
+            ]
+        };
+        // One path of `steps` steps inside a condition.
+        let condition_forms = move |steps: usize| {
+            [
+                format!("select guide where {} = 1", path("r", steps)),
+                format!(
+                    "select guide where exists X in {} : X = 1",
+                    path("r", steps)
+                ),
+                format!("update guide.r := 1 where {} = 1", path("r", steps)),
+            ]
+        };
+        on_small_stack(move || {
+            let longest = statement_forms(MAX_PATH_STEPS)
+                .into_iter()
+                .chain(condition_forms(MAX_WHERE_PATH_STEPS));
+            for src in longest {
+                assert!(parse(&src).is_ok(), "{src}");
+            }
+            let too_long = statement_forms(MAX_PATH_STEPS + 1)
+                .into_iter()
+                .chain(statement_forms(10_000))
+                .chain(condition_forms(MAX_WHERE_PATH_STEPS + 1))
+                .chain(condition_forms(10_000));
+            for src in too_long {
+                match parse(&src) {
+                    Err(LorelError::Syntax { msg, .. }) => assert!(msg.contains("path"), "{msg}"),
                     other => panic!("{src}: {other:?}"),
                 }
             }

@@ -107,10 +107,19 @@ impl LabelSet {
     }
 
     /// Does an arc label satisfy the pattern?
-    pub(crate) fn matches(&self, l: Label) -> bool {
+    pub fn matches(&self, l: Label) -> bool {
         match self {
             LabelSet::Named(ls) => ls.contains(&l),
             LabelSet::Any => true,
+        }
+    }
+
+    /// The position of a matching label in the pattern: an alternation
+    /// lists its first label's arcs first. Every label of `%` ranks 0.
+    pub(crate) fn rank(&self, l: Label) -> usize {
+        match self {
+            LabelSet::Named(ls) => ls.iter().position(|&x| x == l).unwrap_or(0),
+            LabelSet::Any => 0,
         }
     }
 }

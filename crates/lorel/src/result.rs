@@ -17,10 +17,11 @@
 //! materialize as fresh atomic objects.
 
 use crate::engine::{Binding, Row, Rows};
-use crate::source::DataSource;
+use crate::plan::LabelSet;
+use crate::source::{DataSource, When};
 use oem::{ArcTriple, NodeId, OemDatabase, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// The id given to packaged result roots: a fixed value far above any id a
 /// realistic source allocates, so consecutive polling results over a stable
@@ -65,7 +66,7 @@ impl QueryResult {
 pub fn package(source: &dyn DataSource, rows: &Rows, result_name: &str) -> QueryResult {
     // Collect every node that will be copied (closure over subobjects).
     let mut needed: Vec<NodeId> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     for row in &rows.rows {
         for (_, b) in &row.cols {
             if let Binding::Node(n) = b {
@@ -81,24 +82,22 @@ pub fn package(source: &dyn DataSource, rows: &Rows, result_name: &str) -> Query
     };
     let mut db = OemDatabase::with_root_id(result_name, root);
 
-    // Materialize the copied subgraph.
+    // Materialize the copied subgraph: every arc, the encoding's
+    // `&`-reserved ones included (children are in the closure).
     for &n in &needed {
-        let v = source.value(n).map_or(Value::Complex, Cow::into_owned);
+        let v = source
+            .value(n, When::Now)
+            .map_or(Value::Complex, Cow::into_owned);
         db.create_node_with_id(n, v)
             .expect("closure nodes are distinct and below the root id");
     }
-    let mut copied: HashMap<NodeId, bool> = HashMap::new();
     for &n in &needed {
-        if copied.insert(n, true).is_some() {
-            continue;
-        }
-        for (label, child) in source.children(n) {
-            // Children are in the closure by construction.
+        source.arcs(n, &LabelSet::Any, When::Now, &mut |label, child| {
             let arc = ArcTriple::new(n, label, child);
             if !db.contains_arc(arc) {
                 db.insert_arc(arc).expect("closure includes children");
             }
-        }
+        });
     }
 
     // Attach rows.
@@ -106,13 +105,13 @@ pub fn package(source: &dyn DataSource, rows: &Rows, result_name: &str) -> Query
     for row in &rows.rows {
         if single {
             let (label, binding) = &row.cols[0];
-            attach(&mut db, source, root, label, binding);
+            attach(&mut db, root, label, binding);
         } else {
             let answer = db.create_node(Value::Complex);
             db.insert_arc(ArcTriple::new(root, "answer", answer))
                 .expect("fresh answer object");
             for (label, binding) in &row.cols {
-                attach(&mut db, source, answer, label, binding);
+                attach(&mut db, answer, label, binding);
             }
         }
     }
@@ -123,13 +122,7 @@ pub fn package(source: &dyn DataSource, rows: &Rows, result_name: &str) -> Query
     }
 }
 
-fn attach(
-    db: &mut OemDatabase,
-    _source: &dyn DataSource,
-    parent: NodeId,
-    label: &str,
-    binding: &Binding,
-) {
+fn attach(db: &mut OemDatabase, parent: NodeId, label: &str, binding: &Binding) {
     match binding {
         Binding::Node(n) => {
             let arc = ArcTriple::new(parent, label, *n);
@@ -154,7 +147,7 @@ fn collect_closure(
     source: &dyn DataSource,
     n: NodeId,
     out: &mut Vec<NodeId>,
-    seen: &mut std::collections::HashSet<NodeId>,
+    seen: &mut HashSet<NodeId>,
 ) {
     if !seen.insert(n) {
         return;
@@ -162,12 +155,12 @@ fn collect_closure(
     out.push(n);
     let mut stack = vec![n];
     while let Some(x) = stack.pop() {
-        for (_, c) in source.children(x) {
+        source.arcs(x, &LabelSet::Any, When::Now, &mut |_, c| {
             if seen.insert(c) {
                 out.push(c);
                 stack.push(c);
             }
-        }
+        });
     }
 }
 

@@ -106,6 +106,11 @@ echo "==> perf smoke: doem-load output checks over a real doem-serve (no thresho
 bash benchmark/run.sh --quick --out "$(pwd)/target/perf-smoke" > /dev/null
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> rustfmt --check over the files listed in scripts/rustfmt-clean.txt"
+# A ratchet: the tree is not rustfmt-clean as a whole, but a file on the
+# list must stay clean.
+grep -v '^#' scripts/rustfmt-clean.txt | xargs rustfmt --check --edition 2021
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (also serve's no-unwrap gate, clippy::unwrap_used/expect_used outside tests, and its typed locks: crates/serve/clippy.toml disallows std::sync's lock types outside serve::lock_order)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

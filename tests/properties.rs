@@ -416,44 +416,35 @@ impl<S: lorel::DataSource> lorel::DataSource for NoParents<S> {
     fn root(&self) -> NodeId {
         self.0.root()
     }
-    fn value(&self, n: NodeId) -> Option<std::borrow::Cow<'_, Value>> {
-        self.0.value(n)
+    fn value(&self, n: NodeId, when: lorel::When) -> Option<std::borrow::Cow<'_, Value>> {
+        self.0.value(n, when)
     }
-    fn children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
-        self.0.children(n)
+    fn arcs(
+        &self,
+        n: NodeId,
+        labels: &lorel::LabelSet,
+        when: lorel::When,
+        visit: &mut dyn FnMut(oem::Label, NodeId),
+    ) {
+        self.0.arcs(n, labels, when, visit)
     }
-    fn children_labeled(&self, n: NodeId, l: oem::Label) -> Vec<NodeId> {
-        self.0.children_labeled(n, l)
+    fn hides_from_wildcards(&self, l: oem::Label) -> bool {
+        self.0.hides_from_wildcards(l)
     }
-    fn cre_fun(&self, n: NodeId) -> Vec<Timestamp> {
-        self.0.cre_fun(n)
+    fn created(&self, n: NodeId) -> Option<Timestamp> {
+        self.0.created(n)
     }
-    fn upd_fun(&self, n: NodeId) -> Vec<(Timestamp, Value, Value)> {
-        self.0.upd_fun(n)
+    fn updates(&self, n: NodeId, visit: &mut dyn FnMut(Timestamp, &Value, &Value)) {
+        self.0.updates(n, visit)
     }
-    fn add_fun(&self, n: NodeId, l: oem::Label) -> Vec<(Timestamp, NodeId)> {
-        self.0.add_fun(n, l)
-    }
-    fn rem_fun(&self, n: NodeId, l: oem::Label) -> Vec<(Timestamp, NodeId)> {
-        self.0.rem_fun(n, l)
-    }
-    fn add_fun_any(&self, n: NodeId) -> Vec<(oem::Label, Timestamp, NodeId)> {
-        self.0.add_fun_any(n)
-    }
-    fn rem_fun_any(&self, n: NodeId) -> Vec<(oem::Label, Timestamp, NodeId)> {
-        self.0.rem_fun_any(n)
-    }
-    fn children_at(&self, n: NodeId, t: Timestamp) -> Vec<(oem::Label, NodeId)> {
-        self.0.children_at(n, t)
-    }
-    fn wildcard_children(&self, n: NodeId) -> Vec<(oem::Label, NodeId)> {
-        self.0.wildcard_children(n)
-    }
-    fn children_labeled_at(&self, n: NodeId, l: oem::Label, t: Timestamp) -> Vec<NodeId> {
-        self.0.children_labeled_at(n, l, t)
-    }
-    fn value_at(&self, n: NodeId, t: Timestamp) -> Option<Value> {
-        self.0.value_at(n, t)
+    fn changed_arcs(
+        &self,
+        n: NodeId,
+        labels: &lorel::LabelSet,
+        change: lorel::ArcChange,
+        visit: &mut dyn FnMut(oem::Label, Timestamp, NodeId),
+    ) {
+        self.0.changed_arcs(n, labels, change, visit)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Hostile request lines against a real `doem-serve` process: a line that
-//! nests without end, and a line that never ends. Either may cost its own
-//! session an error, never the server: a second session must still get
-//! `OK pong`. The server runs as a child process so that a crash (a stack
-//! overflow aborts the whole process) fails the test instead of the suite.
+//! nests without end, a path without end, and a line that never ends.
+//! Each may cost its own session an error, never the server: a second
+//! session must still get `OK pong`. The server runs as a child process
+//! so that a crash (a stack overflow aborts the whole process) fails the
+//! test instead of the suite.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -96,6 +97,22 @@ fn one_deeply_nested_request_line_cannot_kill_the_server() {
 }
 
 #[test]
+fn one_long_path_cannot_kill_the_server() {
+    let mut server = Server::start();
+    let long = ".restaurant".repeat(10_000);
+    let line = format!("QUERY guide select guide.restaurant where guide{long} = 1");
+    let reply = server.first_reply(line.as_bytes());
+    assert!(reply.starts_with("ERR SYNTAX"), "{reply:?}");
+    assert!(reply.contains("path longer than"), "{reply:?}");
+    server.assert_alive("a 10,000-step where path");
+    let line = format!("QUERY guide select guide{long}");
+    let reply = server.first_reply(line.as_bytes());
+    assert!(reply.starts_with("ERR SYNTAX"), "{reply:?}");
+    assert!(reply.contains("path steps"), "{reply:?}");
+    server.assert_alive("a 10,000-step select path");
+}
+
+#[test]
 fn an_over_cap_request_line_is_refused_and_its_session_closed() {
     let mut server = Server::start();
     let mut s = server.connect();
@@ -154,4 +171,57 @@ fn the_deepest_accepted_where_evaluates_through_both_strategies_on_a_worker_thre
         .expect("spawn")
         .join()
         .expect("no overflow at the nesting budget");
+}
+
+/// The path budgets leave room to evaluate: over a chain as deep as the
+/// paths, a statement naming [`lorel::MAX_PATH_STEPS`] steps (a `select`
+/// path, a `from` path, an update target) and a `where` path of
+/// [`lorel::MAX_WHERE_PATH_STEPS`] steps under [`lorel::MAX_NESTING`]
+/// levels of `not` evaluate through both Chorel strategies (the update
+/// through the server's binding) on a thread with the 2 MiB stack every
+/// server thread gets; one step more does not parse.
+#[test]
+fn the_longest_accepted_paths_evaluate_through_both_strategies_on_a_worker_thread() {
+    let (most, where_most) = (lorel::MAX_PATH_STEPS, lorel::MAX_WHERE_PATH_STEPS);
+    let path = |label: &str, steps: usize| format!("g{}", format!(".{label}").repeat(steps));
+    let queries = move |over: usize| {
+        [
+            format!("select {}", path("r", most + over)),
+            format!("select X from {} X", path("r", most + over)),
+            format!("select g.r where {} = 1", path("s", where_most + over)),
+            format!(
+                "select {} where {}{} = 1",
+                path("r", most - where_most),
+                "not ".repeat(lorel::MAX_NESTING),
+                path("s", where_most + over)
+            ),
+        ]
+    };
+    let update = move |over: usize| format!("update {} := 2", path("r", most + over));
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    worker
+        .spawn(move || {
+            let mut b = oem::GraphBuilder::new("g");
+            for (label, depth) in [("r", most), ("s", where_most)] {
+                let mut spine = b.root();
+                for _ in 1..depth {
+                    spine = b.complex_child(spine, label);
+                }
+                b.atom_child(spine, label, 1i64);
+            }
+            let d = doem::DoemDatabase::from_snapshot(&b.finish());
+            for (longest, too_long) in queries(0).into_iter().zip(queries(1)) {
+                let rows = chorel::run_both_checked(&d, &longest).expect(&longest);
+                assert_eq!(rows.len(), 1, "{longest}");
+                assert!(lorel::parse_query(&too_long).is_err(), "{too_long}");
+            }
+            let stmt = lorel::parse_update(&update(0)).expect("the longest update parses");
+            let current = chorel::AtSource::new(&d, oem::Timestamp::INFINITY);
+            let compiled = lorel::compile_update(&current, d.graph().clone().alloc_id(), &stmt);
+            assert_eq!(compiled.expect("the longest update binds").changes.len(), 1);
+            assert!(lorel::parse_update(&update(1)).is_err());
+        })
+        .expect("spawn")
+        .join()
+        .expect("no overflow at the path budgets");
 }
